@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import formats
-from .empirical import (decay_check, discrepancy, estimate_J,
+from .empirical import (_as_real, decay_check, discrepancy, estimate_J,
                         interval_fill_test, sample_and_cluster,
                         translated_sample)
 from .errors import (AmbiguousRoundingError, PisotSpectraError,
@@ -31,6 +31,8 @@ from .transform import (FAST_ERROR, SeriesItem, check_recurrence,
 
 # overrides the default working precision for every subcommand
 ENV_PRECISION = "PISOT_PRECISION_BITS"
+# the subcommands whose certified evaluations take a truncation tolerance
+TOL_COMMANDS = ("eval", "phi", "limit", "enumerate")
 
 
 class UsageError(Exception):
@@ -43,7 +45,6 @@ class RunConfig:
 
     precision_bits: int = 256
     tol: float = 1e-20
-    tol_fast: float = 1e-9
     eta: float = 0.05
     gap: float = 1e-3
     seed: int = 0
@@ -52,7 +53,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.precision_bits < 64:
             raise UsageError("precision bits must be at least 64")
-        if not (self.tol > 0 and self.tol_fast > 0 and self.gap > 0):
+        if not (self.tol > 0 and self.gap > 0):
             raise UsageError("tolerances must be positive")
         if self.eta < 0:
             raise UsageError("eta must be nonnegative")
@@ -84,11 +85,9 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
 
 
-def _add_common(sub: argparse.ArgumentParser, fast_tol: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision-bits", type=int, default=None,
                      help=f"working precision (default 256, or ${ENV_PRECISION})")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="truncation tolerance (default 1e-20 precise, 1e-9 fast)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed recorded in reports (default 0)")
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -102,12 +101,16 @@ def _config(args) -> RunConfig:
     bits = args.precision_bits
     if bits is None:
         bits = int(env_bits) if env_bits else 256
+
+    def given(name, default):
+        value = getattr(args, name, None)
+        return default if value is None else value
+
     cfg = RunConfig(
         precision_bits=bits,
-        tol=args.tol if args.tol is not None else 1e-20,
-        eta=getattr(args, "eta", None) if getattr(args, "eta", None) is not None
-        else 0.05,
-        gap=getattr(args, "gap", None) or 1e-3,
+        tol=given("tol", 1e-20),
+        eta=given("eta", 0.05),
+        gap=given("gap", 1e-3),
         seed=getattr(args, "seed", 0),
         fmt=getattr(args, "fmt", "json"),
     )
@@ -134,12 +137,6 @@ def _parse_z_vectors(P: PisotNumber, text: str) -> tuple:
                 f"each z vector needs 1..{P.m} integer coefficients")
         out.append(P.ring(tuple(coeffs) + (0,) * (P.m - len(coeffs))))
     return tuple(out)
-
-
-def _scalar_real(value) -> float:
-    if isinstance(value, FieldElement):
-        return float(embed(value, 1))
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +290,7 @@ def _cmd_sample(args, cfg):
     r, kind = formats.parse_scalar(P, args.r)
     n_min = args.n_min if args.n_min is not None else args.N // 2
     if cfg.fmt == "csv":
-        return _raw_sample_csv(P, _scalar_real(r), n_min, args.N,
+        return _raw_sample_csv(P, _as_real(r), n_min, args.N,
                                cfg.precision_bits)
     candidates = None
     if args.match_height is not None:
@@ -395,6 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--poly", type=_poly_arg, default=None,
                            help="recurrence digits d1,d2,...,dm")
         _add_common(p)
+        if name in TOL_COMMANDS:
+            p.add_argument("--tol", type=float, default=None,
+                           help="certified truncation tolerance (default 1e-20)")
         return p
 
     sub("check", "certify a Pisot polynomial and print its data")

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import PrecisionExhaustedError
-from .pisot import FieldElement, PisotNumber, RingElement, embed
+from .pisot import FieldElement, PisotNumber, RingElement, _theta_value, embed
 from .transform import mu_hat, mu_hat_fast
 
 # reports switch from per-point certified evaluation to the float64 path
@@ -114,9 +114,7 @@ class BlockMaximum:
 
 def _as_real(x) -> float:
     if isinstance(x, (RingElement, FieldElement)):
-        return float(embed(x if isinstance(x, FieldElement) else x.to_field(), 1))
-    if isinstance(x, Fraction):
-        return x.numerator / x.denominator
+        return float(embed(x, 1))
     return float(x)
 
 
@@ -141,17 +139,25 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     return vals
 
 
-def _gap_split(order: np.ndarray, sorted_vals: np.ndarray, gap: float):
+def _gap_split(sorted_vals: np.ndarray, gap: float):
     """Index groups of the sorted values, split where neighbours differ by
     more than gap."""
-    groups = []
-    start = 0
-    for i in range(1, len(sorted_vals)):
-        if sorted_vals[i] - sorted_vals[i - 1] > gap:
-            groups.append((start, i))
-            start = i
-    groups.append((start, len(sorted_vals)))
-    return groups
+    cuts = [0, *(np.flatnonzero(np.diff(sorted_vals) > gap) + 1).tolist(),
+            len(sorted_vals)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _sample_start(N: int, eta: float, gap: float, n_min: Optional[int]) -> int:
+    """Check the sampling parameters; the first index, N/2 by default."""
+    if not 0 < eta < 1:
+        raise ValueError("eta must lie in (0, 1)")
+    if gap <= 0:
+        raise ValueError("gap must be positive")
+    if n_min is None:
+        n_min = N // 2
+    if not 0 <= n_min < N:
+        raise ValueError("need 0 <= n_min < N")
+    return n_min
 
 
 def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
@@ -165,14 +171,7 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     larger than `gap`.  When a candidate list is given, each cluster is
     matched to the candidate of closest predicted value within match_tol.
     """
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    if n_min is None:
-        n_min = N // 2
-    if not 0 <= n_min < N:
-        raise ValueError("need 0 <= n_min < N")
+    n_min = _sample_start(N, eta, gap, n_min)
     r_val = _as_real(r)
     ns = np.arange(n_min, N + 1, dtype=np.int64)
     vals = np.abs(_values_for(P, r_val, ns, eta))
@@ -188,7 +187,7 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     sorted_ns = kept_ns[order]
 
     clusters = []
-    for a, b in _gap_split(order, sorted_vals, gap):
+    for a, b in _gap_split(sorted_vals, gap):
         members = sorted_ns[a:b]
         witnesses = tuple(int(n) for n in np.sort(members)[:MAX_WITNESSES])
         clusters.append(Cluster(
@@ -256,9 +255,7 @@ def estimate_J(theta, T: float = 1e4,
     bounds the derivative, so no swing between samples can be missed by
     more than a quarter period.
     """
-    th = float(theta.theta) if isinstance(theta, PisotNumber) else float(theta)
-    if th <= 1:
-        raise ValueError("theta must exceed 1")
+    th = float(_theta_value(theta))
     c_bound = 2 * math.pi * th / (th - 1)
     cap = 1 / (4 * c_bound)
     if grid_step is None:
@@ -346,14 +343,7 @@ def translated_sample(P: PisotNumber, r, gamma, N: int, eta: float,
     regime, while the angular-coverage statistic (fraction of 64 direction
     bins occupied within the modal radius band of 32) detects circle fill.
     """
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    if n_min is None:
-        n_min = N // 2
-    if not 0 <= n_min < N:
-        raise ValueError("need 0 <= n_min < N")
+    n_min = _sample_start(N, eta, gap, n_min)
     r_val = _as_real(r)
     g_val = _as_real(gamma)
     ns = np.arange(n_min, N + 1, dtype=np.int64)
@@ -392,9 +382,6 @@ def decay_check(theta, N: int) -> tuple:
     floor witnesses non-vanishing (Pisot bases).  The trend need not be
     monotone: for theta = 3/2 the maximum over [2^14, 2^15) exceeds the one
     over [2^13, 2^14)."""
-    th = float(theta.theta) if isinstance(theta, PisotNumber) else float(theta)
-    if th <= 1:
-        raise ValueError("theta must exceed 1")
     if N < 2:
         raise ValueError("N must be at least 2")
     blocks = []

@@ -19,7 +19,7 @@ from mpmath import mp
 
 from .empirical import (BlockMaximum, Cluster, ClusterReport,
                         IntervalEstimate, TranslatedReport)
-from .pisot import FieldElement, PisotNumber, RingElement, build_pisot
+from .pisot import FieldElement, PisotNumber, RingElement, _to_mpf, build_pisot
 from .spectrum import SpectrumCandidate
 from .transform import SeriesItem
 
@@ -37,11 +37,7 @@ def decimal_str(x, precision_bits: int = 256) -> str:
     """Deterministic decimal rendering at the precision-implied digit count."""
     digits = significant_digits(precision_bits)
     with mp.workprec(precision_bits + 16):
-        if isinstance(x, Fraction):
-            v = mp.mpf(x.numerator) / x.denominator
-        else:
-            v = mp.mpf(x)
-        return mp.nstr(v, digits)
+        return mp.nstr(_to_mpf(x), digits)
 
 
 def parse_decimal(s: str, precision_bits: int = 256) -> mp.mpf:
@@ -159,13 +155,9 @@ def candidate_from_dict(P: PisotNumber, obj: dict,
 # Empirical reports
 
 
-def _num_str(v, precision_bits: int) -> str:
-    return decimal_str(v, precision_bits)
-
-
 def cluster_report_to_dict(rep: ClusterReport,
                            precision_bits: int = 256) -> dict:
-    ds = lambda v: _num_str(v, precision_bits)
+    ds = lambda v: decimal_str(v, precision_bits)
     return {
         "kind": "clusters",
         "seed": rep.seed,
@@ -206,7 +198,7 @@ def cluster_report_from_dict(obj: dict,
 
 def interval_to_dict(est: IntervalEstimate, precision_bits: int = 256,
                      **context) -> dict:
-    ds = lambda v: _num_str(v, precision_bits)
+    ds = lambda v: decimal_str(v, precision_bits)
     out = {
         "kind": "interval",
         "lower": ds(est.lower),
@@ -230,7 +222,7 @@ def interval_from_dict(obj: dict,
 
 def translated_report_to_dict(rep: TranslatedReport,
                               precision_bits: int = 256) -> dict:
-    ds = lambda v: _num_str(v, precision_bits)
+    ds = lambda v: decimal_str(v, precision_bits)
     return {
         "kind": "translated",
         "seed": rep.seed,
@@ -262,7 +254,7 @@ def translated_report_from_dict(obj: dict,
 
 
 def blocks_to_dict(blocks, precision_bits: int = 256) -> dict:
-    ds = lambda v: _num_str(v, precision_bits)
+    ds = lambda v: decimal_str(v, precision_bits)
     return {
         "kind": "decay_blocks",
         "blocks": [{"k": b.k, "start": b.start, "stop": b.stop,
@@ -285,7 +277,7 @@ CSV_HEADER = ("n", "t", "value", "error_bound", "contains_zero")
 
 
 def series_to_csv(items, precision_bits: int = 256) -> str:
-    ds = lambda v: _num_str(v, precision_bits)
+    ds = lambda v: decimal_str(v, precision_bits)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -222,6 +222,25 @@ class PisotNumber:
         return f"PisotNumber(d={self.d}, theta~{mp.nstr(self.theta, 12)})"
 
 
+def _to_mpf(x):
+    """x as an mpf at the ambient precision; mpmath cannot take a Fraction."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def _theta_value(theta, prec: int | None = None):
+    """The base of a PisotNumber, refined to `prec` bits when given, or a
+    plain number converted at the ambient precision and checked to exceed 1.
+    """
+    if isinstance(theta, PisotNumber):
+        return theta.theta if prec is None else theta.theta_at(prec)
+    th = _to_mpf(theta)
+    if not th > 1:
+        raise ValueError("theta must exceed 1")
+    return th
+
+
 def _delta_max(poly: MinimalPolynomial) -> Fraction:
     return Fraction(1, 1 + sum(abs(c) for c in poly.d))
 
@@ -578,9 +597,26 @@ def embed(x, which: int, prec: int | None = None):
         root = P.theta_at(work) if which == 1 else P.conjugates[which - 2]
         acc = mp.mpf(0) if which == 1 else mp.mpc(0)
         for c in reversed(x.coeffs):
-            cv = mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
-            acc = acc * root + cv
+            acc = acc * root + _to_mpf(c)
         return acc
+
+
+def _nearest_int(x, pb: int, what: str, exact: bool = False):
+    """Nearest integer K = ceil(x - 1/2) and remainder delta = x - K in
+    (-1/2, 1/2], at the ambient precision.
+
+    Unless x is exact, a remainder within 2^-(pb//2) of +-1/2 could round
+    either way and raises AmbiguousRoundingError naming `what`.
+    """
+    half = mp.mpf(1) / 2
+    K = int(mp.ceil(x - half))
+    delta = x - K
+    margin = mp.mpf(2) ** (-(pb // 2))
+    if not exact and min(abs(delta - half), abs(delta + half)) < margin:
+        raise AmbiguousRoundingError(
+            f"{what} lies within 2^-{pb // 2} of a half-integer"
+        )
+    return K, delta
 
 
 def nearest_int_data(x: RingElement, j: int):
@@ -612,13 +648,7 @@ def nearest_int_data(x: RingElement, j: int):
     margin = mp.mpf(2) ** (-(pb // 2))
     w1 = embed(w, 1, pb + int(j * P.log2_theta()) + 8)
     with mp.workprec(pb + GUARD_BITS):
-        # K = ceil(w - 1/2) places delta in (-1/2, 1/2]
-        K = int(mp.ceil(w1 - mp.mpf(1) / 2))
-        delta = +(w1 - K)
-        if min(abs(delta - mp.mpf(1) / 2), abs(delta + mp.mpf(1) / 2)) < margin:
-            raise AmbiguousRoundingError(
-                f"x*theta^{j} lies within 2^-{pb // 2} of a half-integer"
-            )
+        K, delta = _nearest_int(w1, pb, f"x*theta^{j}")
         trace = mp.mpc(0)
         for i in range(2, P.m + 1):
             trace += embed(x, i) * P.conjugates[i - 2] ** j

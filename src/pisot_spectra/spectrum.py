@@ -15,6 +15,7 @@ values approach a chosen prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -22,11 +23,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath as mp
 
-from .errors import (
-    AmbiguousRoundingError,
-    BudgetExceededError,
-    PrecisionExhaustedError,
-)
+from .errors import BudgetExceededError, PrecisionExhaustedError
 from .pisot import (
     GUARD_BITS,
     FieldElement,
@@ -36,8 +33,11 @@ from .pisot import (
     field_invert,
     ring_theta_pow,
     _coeff_bits,
+    _mul_by_theta,
+    _nearest_int,
+    _to_mpf,
 )
-from .transform import _check_tol, mu_hat
+from .transform import _check_tol, _truncation_depth, mu_hat
 
 DEFAULT_BUDGET = 10**6
 
@@ -73,6 +73,14 @@ def _as_field_element(P: PisotNumber, x: ElementLike) -> FieldElement:
             raise ValueError("element belongs to a different Pisot base")
         return x
     return P.field(Fraction(x))
+
+
+def _as_multiplier(P: PisotNumber, r: ElementLike) -> FieldElement:
+    """The sampling multiplier r as a field element, checked positive."""
+    r_f = _as_field_element(P, r)
+    if embed(r_f, 1) <= 0:
+        raise ValueError("r must be positive")
+    return r_f
 
 
 def _theta_traces(P: PisotNumber, count: int) -> list:
@@ -122,7 +130,7 @@ def _exact_cos_factor(c: Fraction, norm: int):
         return None
     if frac == 0:
         return 1
-    return abs(mp.cospi(mp.mpf(frac.numerator) / frac.denominator))
+    return abs(mp.cospi(_to_mpf(frac)))
 
 
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol, norm: int):
@@ -148,28 +156,17 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol, norm: int):
         big_c = mp.fsum(abs(v) for v in emb) if emb else mp.mpf(0)
         rho = P.rho
 
-        # ascending side: skip to where the tail defect sum is below tol
+        # ascending side: |cos| defects shrink like rho^j; descending side:
+        # arguments shrink like theta^-k
         j_pos = 0
         if big_c > 0:
-            while True:
-                x = norm * mp.pi * big_c * rho**j_pos
-                if x <= 1 and x * x / (1 - rho * rho) <= tol_mp:
-                    break
-                j_pos += 1
-
-        # descending side: arguments shrink like theta^-k
+            j_pos = _truncation_depth(norm * mp.pi * big_c, 1 / rho, tol_mp)
         th = P.theta_at(pb + GUARD_BITS)
         w1_abs = abs(embed(w, 1, pb))
-        j_neg = 1
-        while True:
-            x = norm * mp.pi * w1_abs / th**j_neg
-            if x <= 1 and x * x / (1 - 1 / (th * th)) <= tol_mp:
-                break
-            j_neg += 1
+        j_neg = _truncation_depth(norm * mp.pi * w1_abs, th, tol_mp, start=1)
 
         value = mp.mpf(1)
         n_numeric = 0
-        theta_field = P.theta_ring().to_field()
 
         # factors j = 0 .. j_pos-1, via the trace identity: w theta^j differs
         # from an integer-valued trace sum by s_j = sum_{i>=2} w_i theta_i^j,
@@ -201,7 +198,7 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol, norm: int):
                 n_numeric += 1
             for i in range(m - 1):
                 powers[i] *= conj[i]
-            u = u * theta_field
+            u = FieldElement(P, tuple(_mul_by_theta(u.coeffs, P.d)))
 
         # factors j = -1 .. -(j_neg-1), via exact division by theta
         inv = P.theta_inverse_field()
@@ -262,7 +259,7 @@ def tail_product(P: PisotNumber, x, tol: float = 1e-20):
     if isinstance(x, (RingElement, FieldElement)):
         if x.P != P:
             raise ValueError("element belongs to a different Pisot base")
-        x = embed(x if isinstance(x, FieldElement) else x.to_field(), 1)
+        x = embed(x, 1)
     res = mu_hat(P, x, tol)
     with mp.workprec(P.precision_bits + GUARD_BITS):
         # abs() at ambient precision would round the result to 53 bits
@@ -289,9 +286,7 @@ def limit_value(P: PisotNumber, z_list: Sequence[ElementLike], A: int,
     multiplicatively."""
     if len(z_list) < 1:
         raise ValueError("z_list must contain at least one element")
-    r_f = _as_field_element(P, r)
-    if embed(r_f, 1) <= 0:
-        raise ValueError("r must be positive")
+    r_f = _as_multiplier(P, r)
     zs = tuple(z if isinstance(z, RingElement) else P.ring(z) for z in z_list)
     with mp.workprec(P.precision_bits + GUARD_BITS):
         parts = [phi_biinfinite(P, z, tol) for z in zs]
@@ -317,9 +312,7 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         raise ValueError("eta must be positive")
     if height < 0 or m_max < 0 or a_max < 0:
         raise ValueError("height, m_max and a_max must be nonnegative")
-    r_f = _as_field_element(P, r)
-    if embed(r_f, 1) <= 0:
-        raise ValueError("r must be positive")
+    r_f = _as_multiplier(P, r)
 
     n_vec = (2 * height + 1) ** P.m
     total = sum((2 * a_max + 1) * n_vec ** (M + 1) for M in range(m_max + 1))
@@ -389,8 +382,7 @@ def _round_field(w: FieldElement) -> int:
     P = w.P
     pb = P.precision_bits
     if w.is_rational():
-        f = w.as_fraction() - Fraction(1, 2)
-        return -((-f.numerator) // f.denominator)
+        return math.ceil(w.as_fraction() - Fraction(1, 2))
     w1 = embed(w, 1, pb + 64)
     if -pb + max(0, mp.mag(w1)) >= -2:
         raise PrecisionExhaustedError(
@@ -398,16 +390,9 @@ def _round_field(w: FieldElement) -> int:
             f"at {pb} bits"
         )
     with mp.workprec(pb + _coeff_bits(w) + GUARD_BITS):
-        half = mp.mpf(1) / 2
-        K = int(mp.ceil(w1 - half))
-        delta = w1 - K
-        margin = mp.mpf(2) ** (-(pb // 2))
-        if min(abs(delta - half), abs(delta + half)) < margin:
-            raise AmbiguousRoundingError(
-                f"value lies within 2^-{pb // 2} of a half-integer"
-            )
+        K, _ = _nearest_int(w1, pb, "value")
         w2 = embed(w, 1, pb + 192)
-        if int(mp.ceil(w2 - half)) != K:
+        if _nearest_int(w2, pb, "value", exact=True)[0] != K:
             raise PrecisionExhaustedError(
                 "rounding changed under a higher-precision re-embedding"
             )
@@ -424,9 +409,7 @@ def synthesize_sequence(P: PisotNumber, z_list: Sequence[ElementLike],
         raise ValueError("k must be >= 1")
     if len(z_list) < 1:
         raise ValueError("z_list must contain at least one element")
-    r_f = _as_field_element(P, r)
-    if embed(r_f, 1) <= 0:
-        raise ValueError("r must be positive")
+    r_f = _as_multiplier(P, r)
     zs = [z if isinstance(z, RingElement) else P.ring(z) for z in z_list]
     M = len(zs) - 1
     s = zs[0] * ring_theta_pow(P, (M + 1) * k)

@@ -22,12 +22,12 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (
-    AmbiguousRoundingError,
     InvalidDeltaError,
     InvalidToleranceError,
     PrecisionExhaustedError,
 )
-from .pisot import FieldElement, PisotNumber, embed
+from .pisot import (FieldElement, PisotNumber, _nearest_int, _theta_value,
+                    _to_mpf, embed)
 
 # below this modulus a cosine factor is treated as a potential exact zero
 FACTOR_FLOOR = 1e-30
@@ -77,21 +77,28 @@ class SeriesItem:
     contains_zero: bool
 
 
-def _as_theta(theta: Theta, precision_bits: int | None):
-    """Resolve (theta value, working base precision) from either form."""
-    if isinstance(theta, PisotNumber):
-        pb = precision_bits or theta.precision_bits
-        return theta.theta_at(pb + 64), pb
-    pb = precision_bits or 256
-    th = mp.mpf(theta.numerator) / theta.denominator if isinstance(theta, Fraction) else mp.mpf(theta)
-    if not th > 1:
-        raise ValueError("theta must exceed 1")
-    return th, pb
-
-
 def _check_tol(tol) -> None:
     if not 0 < tol < 0.5:
         raise InvalidToleranceError(f"tol must lie in (0, 1/2), got {tol}")
+
+
+def _truncation_depth(x0, q, tol, start: int = 0) -> int:
+    """Least j >= start with x_j <= 1 and x_j^2 / (1 - q^-2) <= tol, where
+    x_j = x0 / q^j and q > 1.
+
+    Past such a j, |log cos x| <= x^2 on |x| <= 1 bounds the log-defect of
+    the cut cosine product by the geometric tail sum, which is at most tol.
+    x_j is stepped by division, so float64 inputs give a fixed depth.
+    """
+    tail_scale = 1 / (1 - q ** -2)
+    x = x0
+    for _ in range(start):
+        x /= q
+    j = start
+    while x > 1 or x * x * tail_scale > tol:
+        j += 1
+        x /= q
+    return j
 
 
 def _mag_estimate(t) -> int:
@@ -113,20 +120,17 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     before the 2 pi multiplication.  Even in t by construction.
     """
     _check_tol(tol)
-    th, pb = _as_theta(theta, precision_bits)
+    pb = precision_bits or (theta.precision_bits
+                            if isinstance(theta, PisotNumber) else 256)
+    th = _theta_value(theta, pb + 64)
     work = pb + _mag_estimate(t) + 32
     with mp.workprec(work):
-        at = abs(mp.mpf(t.numerator) / t.denominator) if isinstance(t, Fraction) else abs(mp.mpf(t))
+        at = abs(_to_mpf(t))
         if at == 0:
             return MuHatResult(mp.mpf(1), mp.mpf(0), 0, False)
         two_pi = 2 * mp.pi
-        tail_scale = 1 / (1 - th ** -2)
-
-        K = 0
-        g = two_pi * at / th
-        while g > 1 or g * g * tail_scale > tol:
-            K += 1
-            g /= th
+        # factors k = 0..K; the tail starts at argument 2 pi |t| theta^-(K+1)
+        K = _truncation_depth(two_pi * at, th, tol, start=1) - 1
 
         value = mp.mpf(1)
         floor_hits = 0
@@ -156,22 +160,12 @@ def mu_hat_fast(theta: Theta, ts) -> np.ndarray:
     Heuristic accuracy ~FAST_ERROR for |t| <= 1e7; no certified bounds.
     The truncation depth comes from max |t| so every entry shares it.
     """
-    if isinstance(theta, PisotNumber):
-        th = float(theta.theta)
-    else:
-        th = float(theta)
-        if not th > 1:
-            raise ValueError("theta must exceed 1")
+    th = float(_theta_value(theta))
     x = np.abs(np.asarray(ts, dtype=np.float64))
     if x.size == 0:
         return np.ones(0)
     t_max = float(x.max())
-    tail_scale = 1 / (1 - th ** -2)
-    K = 0
-    g = 2 * math.pi * t_max / th
-    while g > 1 or g * g * tail_scale > 1e-12:
-        K += 1
-        g /= th
+    K = _truncation_depth(2 * math.pi * t_max, th, 1e-12, start=1) - 1
 
     x = x.copy()
     vals = np.ones_like(x)
@@ -207,25 +201,17 @@ def digit_trace(P: PisotNumber, y, N: int, delta=None) -> DigitTrace:
     work = pb + int(N * P.log2_theta()) + 64
     with mp.workprec(work):
         th = P.theta_at(work)
-        y_mp = mp.mpf(y.numerator) / y.denominator if isinstance(y, Fraction) else mp.mpf(y)
+        y_mp = _to_mpf(y)
         if not 1 <= y_mp < th:
             raise ValueError(f"y must lie in [1, theta), got {mp.nstr(y_mp, 12)}")
-        thr = mp.mpf(threshold.numerator) / threshold.denominator \
-            if isinstance(threshold, Fraction) else mp.mpf(threshold)
-        margin = mp.mpf(2) ** (-(pb // 2))
-        half = mp.mpf(1) / 2
+        thr = _to_mpf(threshold)
         exact = P.m == 1
 
         Ks, deltas, exceed = [], [], []
         x = y_mp
         for j in range(1, N + 1):
             x = x * th
-            Kj = int(mp.ceil(x - half))
-            dj = x - Kj
-            if not exact and min(abs(dj - half), abs(dj + half)) < margin:
-                raise AmbiguousRoundingError(
-                    f"y theta^{j} lies within 2^-{pb // 2} of a half-integer"
-                )
+            Kj, dj = _nearest_int(x, pb, f"y theta^{j}", exact=exact)
             Ks.append(Kj)
             deltas.append(dj)
             if abs(dj) > thr:
@@ -242,8 +228,7 @@ def check_recurrence(trace: DigitTrace, P: PisotNumber, delta) -> list[int]:
         raise InvalidDeltaError(
             f"delta must lie strictly inside (0, {P.delta_max}), got {delta}"
         )
-    thr = mp.mpf(delta.numerator) / delta.denominator \
-        if isinstance(delta, Fraction) else mp.mpf(delta)
+    thr = _to_mpf(delta)
     m = P.m
     d = P.d
     violations = []

@@ -47,6 +47,24 @@ def test_usage_errors_exit_one():
     assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
                "--m-max", "0", "--a-max", "0", "--format", "csv")[0] == 1
     assert run("check", "--poly", "1,1", "--precision-bits", "32")[0] == 1
+    # a zero gap is rejected like a negative one, not replaced by the default
+    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "30000",
+               "--gap", "0")[0] == 1
+    assert run("translate", "--poly", "1,1", "--r", "1", "--gamma", "1/2",
+               "--N", "30000", "--gap", "0")[0] == 1
+    # --tol is accepted only where a certified evaluation reads it
+    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
+               "--tol", "1e-3")[0] == 1
+    assert run("fill", "--poly", "1,1", "--r", "1", "--N", "300",
+               "--tol", "1e-3")[0] == 1
+    assert run("translate", "--poly", "1,1", "--r", "1", "--gamma", "1/2",
+               "--N", "300", "--tol", "1e-3")[0] == 1
+
+
+def test_library_import_leaves_cli_unloaded():
+    code = ("import sys, pisot_spectra; "
+            "sys.exit('pisot_spectra.cli' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_help_exits_zero():

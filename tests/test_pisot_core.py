@@ -28,10 +28,12 @@ from pisot_spectra import (
     ring_mul,
     ring_theta_pow,
 )
+from pisot_spectra.pisot import GUARD_BITS, _nearest_int
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
 QUARTIC = build_pisot((1, 0, 0, 1))
+BASES = (GOLDEN, TRIBONACCI, QUARTIC)
 
 
 def test_golden_certificate():
@@ -303,6 +305,39 @@ def test_field_invert_examples():
     assert field_invert(TRIBONACCI.theta_ring()).coeffs == (-1, -1, 1)
     with pytest.raises(ZeroDivisionError):
         field_invert(GOLDEN.field(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BASES), st.floats(-1e12, 1e12))
+def test_nearest_int_splits_into_integer_and_remainder(P, t):
+    pb = P.precision_bits
+    with mp.workprec(pb + GUARD_BITS):
+        half = mp.mpf(1) / 2
+        x = t * P.theta_at(pb + GUARD_BITS)
+        K, delta = _nearest_int(x, pb, "x")
+        assert isinstance(K, int)
+        assert -half < delta <= half
+        assert K + delta == x
+        # an exact half-integer rounds down, leaving delta = +1/2
+        h = mp.floor(x) + half
+        assert _nearest_int(h, pb, "h", exact=True) == (int(mp.floor(x)), half)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BASES), st.floats(-1e12, 1e12),
+       st.floats(-1, 1, exclude_min=True, exclude_max=True))
+def test_nearest_int_rejects_values_near_half_integers(P, t, offset):
+    pb = P.precision_bits
+    with mp.workprec(pb + GUARD_BITS):
+        margin = mp.mpf(2) ** (-(pb // 2))
+        h = mp.floor(t * P.theta_at(pb + GUARD_BITS)) + mp.mpf(1) / 2
+        with pytest.raises(AmbiguousRoundingError):
+            _nearest_int(h + offset * margin, pb, "x")
+        K, _ = _nearest_int(h + offset * margin, pb, "x", exact=True)
+        assert K in (int(h - mp.mpf(1) / 2), int(h + mp.mpf(1) / 2))
+        for outside in (h - 2 * margin, h + 2 * margin):
+            K, delta = _nearest_int(outside, pb, "x")
+            assert K + delta == outside
 
 
 def test_theta_inverse_field():

@@ -1,11 +1,14 @@
 """Transform evaluation, digit traces, and the integer recurrence."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisot_spectra import (
     AmbiguousRoundingError,
@@ -22,6 +25,7 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
+from pisot_spectra.transform import _truncation_depth
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -113,6 +117,30 @@ def test_mu_hat_fast_matches_precise():
     for i in range(0, 400, 37):
         precise = mu_hat(GOLDEN, float(ts[i]))
         assert abs(float(precise.value) - vals[i]) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC)),
+       st.floats(1e-3, 1e12), st.floats(-40, -2), st.integers(0, 3),
+       st.booleans())
+def test_truncation_depth_is_the_least_admissible(P, t, log_tol, start,
+                                                  as_float):
+    with mp.workprec(P.precision_bits + 64):
+        if as_float:
+            q, x0, tol = float(P.theta), 2 * math.pi * t, 10.0 ** log_tol
+        else:
+            q = P.theta_at(P.precision_bits + 64)
+            x0, tol = 2 * mp.pi * t, mp.mpf(10) ** log_tol
+
+        def admissible(j):
+            x = x0 / q ** j
+            return x <= 1 and x * x / (1 - q ** -2) <= tol
+
+        j = _truncation_depth(x0, q, tol, start)
+        assert j >= start
+        assert admissible(j)
+        if j > start:
+            assert not admissible(j - 1)
 
 
 def test_digit_trace_golden():
