@@ -365,6 +365,91 @@ def test_field_invert_roundtrip(coeffs):
         assert field_invert(r) * r == 1
 
 
+OPERAND_KINDS = ("int", "fraction", "ring", "field")
+SMALL = st.integers(-20, 20)
+SMALL_Q = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+def _draw_operand(data, P, kind):
+    if kind == "int":
+        return data.draw(SMALL)
+    if kind == "fraction":
+        return data.draw(SMALL_Q)
+    if kind == "ring":
+        return P.ring(tuple(data.draw(SMALL) for _ in range(P.m)))
+    return P.field(tuple(data.draw(SMALL_Q) for _ in range(P.m)))
+
+
+def _vector(P, x):
+    """Coefficients of x over Fraction; a scalar sits in the constant slot."""
+    if isinstance(x, (RingElement, FieldElement)):
+        return tuple(Fraction(c) for c in x.coeffs)
+    return (Fraction(x),) + (Fraction(0),) * (P.m - 1)
+
+
+def _real(x):
+    if isinstance(x, (RingElement, FieldElement)):
+        return embed(x, 1, 300)
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES), st.sampled_from(OPERAND_KINDS),
+       st.sampled_from(OPERAND_KINDS), st.data())
+def test_element_arithmetic_promotion_and_embedding(P, ka, kb, data):
+    if ka in ("int", "fraction") and kb in ("int", "fraction"):
+        kb = "ring"
+    a, b = _draw_operand(data, P, ka), _draw_operand(data, P, kb)
+    # a result stays in Z[theta] only when neither operand is a Fraction or
+    # a field element
+    ring_result = {ka, kb} <= {"int", "ring"}
+    ops = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+    with mp.workprec(300 + GUARD_BITS):
+        ea, eb = _real(a), _real(b)
+        for name, op in ops.items():
+            if name == "/" and "field" not in (ka, kb):
+                with pytest.raises(TypeError):
+                    op(a, b)
+                continue
+            if name == "/" and all(c == 0 for c in _vector(P, b)):
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+                continue
+            out = op(a, b)
+            if ring_result and name != "/":
+                assert type(out) is RingElement
+                assert all(type(c) is int for c in out.coeffs)
+                as_field = out.to_field()
+                assert as_field == out and out == as_field
+                assert hash(as_field) == hash(out)
+            else:
+                assert type(out) is FieldElement
+                assert all(type(c) is Fraction for c in out.coeffs)
+            lhs, rhs = embed(out, 1, 300), op(ea, eb)
+            scale = (1 + abs(ea)) * (1 + abs(eb)) * (1 + abs(rhs))
+            if name == "/":
+                scale *= 1 + 1 / abs(eb)
+            assert abs(lhs - rhs) <= mp.mpf(2) ** -250 * scale
+    equal = _vector(P, a) == _vector(P, b)
+    assert (a == b) is equal and (b == a) is equal
+    if equal and not isinstance(a, (int, Fraction)) and not isinstance(
+            b, (int, Fraction)):
+        assert hash(a) == hash(b)
+    for x in (a, b):
+        if isinstance(x, (RingElement, FieldElement)):
+            assert x.__add__(0.5) is NotImplemented
+            assert x.__mul__(0.5) is NotImplemented
+            with pytest.raises(TypeError):
+                x - 0.5
+            other = GOLDEN if P is not GOLDEN else TRIBONACCI
+            for y in (other.ring(1), other.field(Fraction(1, 2))):
+                for op in (ops["+"], ops["-"], ops["*"]):
+                    with pytest.raises(ValueError):
+                        op(x, y)
+
+
 def test_minimal_polynomial_helpers():
     poly = MinimalPolynomial((1, 1))
     assert poly.monic_desc() == [1, -1, -1]
