@@ -33,6 +33,8 @@ from .transform import (FAST_ERROR, SeriesItem, check_recurrence,
 ENV_PRECISION = "PISOT_PRECISION_BITS"
 # the subcommands whose certified evaluations take a truncation tolerance
 TOL_COMMANDS = ("eval", "phi", "limit", "enumerate")
+# the subcommands whose reports record the seed
+SEED_COMMANDS = ("sample", "fill", "translate")
 
 
 class UsageError(Exception):
@@ -88,8 +90,6 @@ def _fraction_arg(text: str) -> Fraction:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision-bits", type=int, default=None,
                      help=f"working precision (default 256, or ${ENV_PRECISION})")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed recorded in reports (default 0)")
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
                      default="json", help="output format (default json)")
     sub.add_argument("--out", default=None,
@@ -167,6 +167,8 @@ def _cmd_eval(args, cfg):
         })
     if args.r is None or args.count is None:
         raise UsageError("eval needs --t, or --r together with --count")
+    if args.fast and args.tol is not None:
+        raise UsageError("eval --fast takes no --tol")
     r, kind = formats.parse_scalar(P, args.r)
     items = list(coefficient_series(P, r, args.count, tol=cfg.tol,
                                     fast=args.fast))
@@ -395,6 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name in TOL_COMMANDS:
             p.add_argument("--tol", type=float, default=None,
                            help="certified truncation tolerance (default 1e-20)")
+        if name in SEED_COMMANDS:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed recorded in reports (default 0)")
         return p
 
     sub("check", "certify a Pisot polynomial and print its data")

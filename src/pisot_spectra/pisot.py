@@ -181,12 +181,12 @@ class PisotNumber:
     def ring(self, coeffs: Union[int, Coeffs]) -> "RingElement":
         if isinstance(coeffs, int):
             coeffs = (coeffs,) + (0,) * (self.m - 1)
-        return RingElement(self, tuple(int(c) for c in coeffs))
+        return RingElement(self, tuple(coeffs))
 
     def field(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,) + (0,) * (self.m - 1)
-        return FieldElement(self, tuple(Fraction(c) for c in coeffs))
+        return FieldElement(self, tuple(coeffs))
 
     def theta_ring(self) -> "RingElement":
         """theta itself as a ring element."""
@@ -207,7 +207,7 @@ class PisotNumber:
         return cached
 
     def theta_inverse_field(self) -> "FieldElement":
-        return field_invert(self.theta_ring().to_field())
+        return field_invert(self.theta_ring())
 
     def log2_theta(self) -> float:
         return float(mp.log(self.theta) / mp.log(2))
@@ -231,11 +231,13 @@ def _to_mpf(x):
 
 def _theta_value(theta, prec: int | None = None):
     """The base of a PisotNumber, refined to `prec` bits when given, or a
-    plain number converted at the ambient precision and checked to exceed 1.
+    plain number converted at `prec` bits (default: the ambient precision)
+    and checked to exceed 1.
     """
     if isinstance(theta, PisotNumber):
         return theta.theta if prec is None else theta.theta_at(prec)
-    th = _to_mpf(theta)
+    with mp.workprec(prec or mp.mp.prec):
+        th = _to_mpf(theta)
     if not th > 1:
         raise ValueError("theta must exceed 1")
     return th
@@ -335,10 +337,10 @@ def _mul_by_theta(coeffs: list, d: tuple) -> list:
     return [top * d[m - 1]] + [coeffs[i - 1] + top * d[m - 1 - i] for i in range(1, m)]
 
 
-def _reduce_product(a, b, d, zero):
+def _reduce_product(a, b, d):
     """Schoolbook product in the power basis, reduced top-down."""
     m = len(d)
-    prod = [zero] * (2 * m - 1)
+    prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -348,25 +350,31 @@ def _reduce_product(a, b, d, zero):
         c = prod[k]
         if c == 0:
             continue
-        prod[k] = zero
+        prod[k] = 0
         for i in range(1, m + 1):
             prod[k - i] += d[i - 1] * c
     return prod[:m]
 
 
-class RingElement:
-    """Exact element a_0 + a_1 theta + ... + a_{m-1} theta^{m-1} of Z[theta]."""
+class _Element:
+    """Shared storage and arithmetic of RingElement and FieldElement.
+
+    Promotion rule: a result stays in Z[theta] only when both operands are
+    ring elements or ints; a Fraction or a field element operand makes it a
+    field element.  Other operands (floats included) are NotImplemented.
+    """
 
     __slots__ = ("P", "coeffs")
+    _coeff = None  # coefficient type of the subclass: int or Fraction
 
     def __init__(self, P: PisotNumber, coeffs: tuple):
         if len(coeffs) != P.m:
             raise ValueError(f"need exactly {P.m} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(self._coeff, coeffs)))
 
     def __setattr__(self, *_):
-        raise AttributeError("RingElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -374,174 +382,105 @@ class RingElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def one_norm(self) -> int:
-        return sum(abs(c) for c in self.coeffs)
-
-    def to_field(self) -> "FieldElement":
-        return FieldElement(self.P, tuple(Fraction(c) for c in self.coeffs))
-
-    def _same_ring(self, other) -> "RingElement | None":
-        if isinstance(other, RingElement):
+    def _operand(self, other):
+        """(result class, coefficients of other), or None if other is not an
+        element of this base or a rational scalar."""
+        if isinstance(other, _Element):
             if other.P != self.P:
                 raise ValueError("elements live over different Pisot numbers")
-            return other
-        if isinstance(other, int):
-            return self.P.ring(other)
-        return None
+            coeffs = other.coeffs
+        elif isinstance(other, (int, Fraction)):
+            coeffs = (other,) + (0,) * (self.P.m - 1)
+        else:
+            return None
+        in_ring = isinstance(self, RingElement) and isinstance(other, (RingElement, int))
+        return (RingElement if in_ring else FieldElement), coeffs
 
     def __add__(self, other):
-        if isinstance(other, (Fraction, FieldElement)):
-            return self.to_field() + other
-        o = self._same_ring(other)
-        if o is None:
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return RingElement(self.P, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        cls, b = op
+        return cls(self.P, tuple(x + y for x, y in zip(self.coeffs, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.P, tuple(-c for c in self.coeffs))
+        return type(self)(self.P, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (Fraction, FieldElement)):
-            return self.to_field() - other
-        o = self._same_ring(other)
-        if o is None:
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return self + (-o)
+        cls, b = op
+        return cls(self.P, tuple(x - y for x, y in zip(self.coeffs, b)))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElement(self.P, tuple(c * other for c in self.coeffs))
-        if isinstance(other, (Fraction, FieldElement)):
-            return self.to_field() * other
-        o = self._same_ring(other)
-        if o is None:
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return RingElement(
-            self.P, tuple(_reduce_product(self.coeffs, o.coeffs, self.P.d, 0))
-        )
+        cls, b = op
+        if isinstance(other, (int, Fraction)):
+            return cls(self.P, tuple(c * other for c in self.coeffs))
+        return cls(self.P, tuple(_reduce_product(self.coeffs, b, self.P.d)))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
-        if isinstance(other, (Fraction, FieldElement)):
-            return self.to_field() == other
         return (
-            isinstance(other, RingElement)
+            isinstance(other, _Element)
             and self.P == other.P
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
+        # int and Fraction hash alike, so equal ring and field values agree
         return hash((self.P.d, self.coeffs))
+
+
+class RingElement(_Element):
+    """Exact element a_0 + a_1 theta + ... + a_{m-1} theta^{m-1} of Z[theta]."""
+
+    __slots__ = ()
+    _coeff = int
+
+    def one_norm(self) -> int:
+        return sum(abs(c) for c in self.coeffs)
+
+    def to_field(self) -> "FieldElement":
+        return FieldElement(self.P, self.coeffs)
 
     def __repr__(self):
         return f"RingElement{self.coeffs}"
 
 
-class FieldElement:
+class FieldElement(_Element):
     """Element of Q(theta): rational coefficients in the theta-power basis."""
 
-    __slots__ = ("P", "coeffs")
-
-    def __init__(self, P: PisotNumber, coeffs: tuple):
-        if len(coeffs) != P.m:
-            raise ValueError(f"need exactly {P.m} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+    __slots__ = ()
+    _coeff = Fraction
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is irrational")
         return self.coeffs[0]
 
-    def _same_field(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.P != self.P:
-                raise ValueError("elements live over different Pisot numbers")
-            return other
-        if isinstance(other, RingElement):
-            if other.P != self.P:
-                raise ValueError("elements live over different Pisot numbers")
-            return other.to_field()
-        if isinstance(other, (int, Fraction)):
-            return self.P.field(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.P, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.P, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.P, tuple(c * q for c in self.coeffs))
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(
-            self.P,
-            tuple(_reduce_product(self.coeffs, o.coeffs, self.P.d, Fraction(0))),
-        )
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        o = self._same_field(other)
-        if o is None:
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return self * field_invert(o)
+        return self * field_invert(FieldElement(self.P, op[1]))
 
     def __rtruediv__(self, other):
-        o = self._same_field(other)
-        if o is None:
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return o * field_invert(self)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if isinstance(other, RingElement):
-            other = other.to_field()
-        return (
-            isinstance(other, FieldElement)
-            and self.P == other.P
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.P.d, self.coeffs))
+        return FieldElement(self.P, op[1]) * field_invert(self)
 
     def __repr__(self):
         return f"FieldElement{tuple(str(c) for c in self.coeffs)}"
@@ -556,8 +495,6 @@ def ring_add(a: RingElement, b: RingElement) -> RingElement:
 
 def ring_mul(a, b):
     """Exact product; accepts ring/field elements and int or Fraction scalars."""
-    if isinstance(a, (int, Fraction)):
-        a, b = b, a
     return a * b
 
 
@@ -664,61 +601,39 @@ def nearest_int_data(x: RingElement, j: int):
 
 
 def field_invert(r) -> FieldElement:
-    """Exact inverse in Q(theta) via the extended polynomial gcd with the
-    minimal polynomial; the product r * r^-1 reduces to the constant 1."""
+    """Exact inverse in Q(theta): the solution x of r * x = 1.
+
+    The columns r theta^j, j = 0..m-1, come from the reduction step
+    _mul_by_theta, and Gauss-Jordan elimination over Fraction solves for the
+    coordinates of 1.  A singular system means r is a zero divisor.
+    """
     if isinstance(r, RingElement):
         r = r.to_field()
     if r.is_zero():
         raise ZeroDivisionError("cannot invert 0 in Q(theta)")
     P = r.P
-    if r.is_rational():
-        return P.field(1 / r.coeffs[0])
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    # ascending coefficients; invariant: s_k * r == r_k (mod minimal poly)
-    f = [Fraction(-c) for c in P.d] + [Fraction(1)]
-    r0, r1 = f, list(r.coeffs) + [Fraction(0)]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        d1 = deg(r1)
-        if d1 <= 0:
-            break
-        d0 = deg(r0)
-        if d0 < d1:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        q = r0[d0] / r1[d1]
-        shift = d0 - d1
-        new_r = list(r0)
-        for i in range(d1 + 1):
-            new_r[i + shift] -= q * r1[i]
-        width = max(len(s0), len(s1) + shift)
-        new_s = list(s0) + [Fraction(0)] * (width - len(s0))
-        for i in range(len(s1)):
-            new_s[i + shift] -= q * s1[i]
-        r0, s0 = r1, s1
-        r1, s1 = new_r, new_s
-
-    if deg(r1) != 0:
-        raise ZeroDivisionError(
-            "element shares a factor with the defining polynomial (zero divisor)"
-        )
-    c = r1[0]
-    inv = [x / c for x in s1]
-    while deg(inv) >= P.m:
-        dtop = deg(inv)
-        top = inv[dtop]
-        inv[dtop] = Fraction(0)
-        for i in range(1, P.m + 1):
-            inv[dtop - i] += top * P.d[i - 1]
-    inv = (inv + [Fraction(0)] * P.m)[: P.m]
-    out = FieldElement(P, tuple(inv))
-    assert out * r == 1, "inverse failed its exact verification"
+    m = P.m
+    cols = [list(r.coeffs)]
+    for _ in range(m - 1):
+        cols.append(_mul_by_theta(cols[-1], P.d))
+    # augmented rows [r theta^0 .. r theta^(m-1) | e_0]
+    rows = [[cols[j][i] for j in range(m)] + [Fraction(int(i == 0))] for i in range(m)]
+    for c in range(m):
+        pivot = next((i for i in range(c, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError(
+                "element shares a factor with the defining polynomial (zero divisor)"
+            )
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        p = rows[c][c]
+        rows[c] = [x / p for x in rows[c]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != c and f != 0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    out = FieldElement(P, tuple(row[m] for row in rows))
+    if out * r != 1:
+        raise ArithmeticError("inverse failed its exact verification")
     return out
 
 

@@ -59,6 +59,24 @@ def test_usage_errors_exit_one():
                "--tol", "1e-3")[0] == 1
     assert run("translate", "--poly", "1,1", "--r", "1", "--gamma", "1/2",
                "--N", "300", "--tol", "1e-3")[0] == 1
+    # the float64 series reads no tolerance
+    assert run("eval", "--poly", "1,1", "--r", "1/2", "--count", "5",
+               "--fast", "--tol", "0.4")[0] == 1
+    # --seed is accepted only where a report records it
+    assert run("check", "--poly", "1,1", "--seed", "3")[0] == 1
+    assert run("phi", "--poly", "1,1", "--z", "1", "--seed", "3")[0] == 1
+
+
+def test_phi_output_survives_optimized_mode():
+    # python -O strips assert statements; no check the output relies on may
+    # be one.  x^2 - 2x - 1 has a digit vector that is not a palindrome.
+    argv = ["phi", "--poly", "2,1", "--z", "1"]
+    plain = subprocess.run(CMD + argv, capture_output=True, text=True)
+    optimized = subprocess.run([sys.executable, "-O"] + CMD[1:] + argv,
+                               capture_output=True, text=True)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["value"].startswith("0.0491439580769237987")
 
 
 def test_library_import_leaves_cli_unloaded():

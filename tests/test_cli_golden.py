@@ -43,7 +43,10 @@ CASES = {
     "phi_golden": ["phi", "--poly", "1,1", "--z", "1"],
     "phi_quartic": ["phi", "--poly", "1,0,0,1", "--z", "1,1,0,0"],
     "phi_lambda": ["phi", "--poly", "1,1", "--lam", "1/2", "--q", "0,1"],
+    "phi_silver": ["phi", "--poly", "2,1", "--z", "1"],
     "limit_golden": ["limit", "--poly", "1,1", "--z", "1;0,1", "--A", "2",
+                     "--r", "1/2"],
+    "limit_silver": ["limit", "--poly", "2,1", "--z", "1;0,1", "--A", "1",
                      "--r", "1/2"],
     "enumerate_golden": ["enumerate", "--poly", "1,1", "--r", "1/2",
                          "--height", "1", "--m-max", "1", "--a-max", "1",

@@ -340,14 +340,19 @@ def test_nearest_int_rejects_values_near_half_integers(P, t, offset):
             assert K + delta == outside
 
 
+# digit vectors that are not palindromes: x^2 - 2x - 1, x^2 - 3x + 1, x^3 - x - 1
+NON_PALINDROMIC = (build_pisot((2, 1)), build_pisot((3, -1)), build_pisot((0, 1, 1)))
+
+
 def test_theta_inverse_field():
-    for P in (GOLDEN, TRIBONACCI, QUARTIC, build_pisot((3,))):
+    for P in (GOLDEN, TRIBONACCI, QUARTIC, build_pisot((3,))) + NON_PALINDROMIC:
         inv = P.theta_inverse_field()
         assert inv * P.theta_ring() == 1
 
 
 @settings(max_examples=120, deadline=None)
 @given(
+    st.sampled_from((TRIBONACCI,) + NON_PALINDROMIC),
     st.lists(
         st.fractions(
             min_value=-5, max_value=5, max_denominator=7
@@ -356,8 +361,8 @@ def test_theta_inverse_field():
         max_size=3,
     )
 )
-def test_field_invert_roundtrip(coeffs):
-    r = TRIBONACCI.field(tuple(coeffs))
+def test_field_invert_roundtrip(P, coeffs):
+    r = P.field(tuple(coeffs[:P.m]))
     if r.is_zero():
         with pytest.raises(ZeroDivisionError):
             field_invert(r)

@@ -125,6 +125,20 @@ def test_phi_shift_and_symmetry_random():
                 assert abs(v0 - v2) <= e0 + e2
 
 
+def test_phi_silver_frozen_value_and_symmetries():
+    # x^2 - 2x - 1: the digit vector (2, 1) is not a palindrome, so the
+    # descending side needs theta^-1 = theta - 2 from a correct inversion
+    silver = build_pisot((2, 1))
+    want = "0.049143958076923798716"  # checked against an independent product
+    with mp.workprec(300):
+        z = silver.ring(1)
+        v0, e0 = phi_biinfinite(silver, z)
+        assert abs(v0 - mp.mpf(want)) <= e0 + mp.mpf(10) ** -24
+        for w in (z * silver.theta_ring(), -z, z * silver.theta_inverse_field()):
+            v, e = phi_biinfinite(silver, w)
+            assert abs(v - v0) <= e + e0
+
+
 def test_phi_lambda_matches_doubled_argument():
     rng = random.Random(70302)
     with mp.workprec(300):

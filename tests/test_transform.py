@@ -111,6 +111,21 @@ def test_mu_hat_tolerance_validation():
         mu_hat(0.9, 1.0)
 
 
+def test_mu_hat_rational_theta_within_its_bound():
+    # 4/3 has no finite binary expansion: taken at 53 bits instead of the
+    # working precision it moves the value by about 5e-29, far outside the
+    # certified bound of about 2e-39
+    t = 10**5
+    res = mu_hat(Fraction(4, 3), t, precision_bits=256)
+    with mp.workprec(400):
+        q = mp.mpf(3) / 4
+        x, direct = mp.mpf(t), mp.mpf(1)
+        while x > mp.mpf(2) ** -210:
+            direct *= mp.cos(2 * mp.pi * x)
+            x *= q
+        assert abs(res.value - direct) <= res.error_bound
+
+
 def test_mu_hat_fast_matches_precise():
     ts = np.linspace(0.1, 2000.0, 400)
     vals = mu_hat_fast(GOLDEN, ts)
