@@ -51,6 +51,12 @@ CASES = {
     "enumerate_golden": ["enumerate", "--poly", "1,1", "--r", "1/2",
                          "--height", "1", "--m-max", "1", "--a-max", "1",
                          "--eta", "1e-3"],
+    "enumerate_golden_r1": ["enumerate", "--poly", "1,1", "--r", "1",
+                            "--height", "2", "--m-max", "2", "--a-max", "1",
+                            "--eta", "1e-3"],
+    "enumerate_tribonacci": ["enumerate", "--poly", "1,1,1", "--r", "1",
+                             "--height", "1", "--m-max", "1", "--a-max", "2",
+                             "--eta", "0.05"],
     "synthesize_golden": ["synthesize", "--poly", "1,1", "--r", "1/2",
                           "--z", "1", "--A", "0", "--k", "10"],
     "synthesize_tribonacci": ["synthesize", "--poly", "1,1,1", "--r", "1/3",
