@@ -154,6 +154,8 @@ def _cmd_eval(args, cfg):
     pb = cfg.precision_bits
     ds = lambda v: formats.decimal_str(v, pb)
     if args.t is not None:
+        if args.fast or args.r is not None or args.count is not None:
+            raise UsageError("eval --t takes no --fast, --r or --count")
         _need_json(cfg, "eval --t")
         value, kind = formats.parse_scalar(P, args.t)
         if isinstance(value, FieldElement):

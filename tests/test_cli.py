@@ -42,6 +42,10 @@ def test_usage_errors_exit_one():
     assert run()[0] == 1
     assert run("check", "--poly", "1,1", "--bogus")[0] == 1
     assert run("eval", "--poly", "1,1")[0] == 1          # neither --t nor series
+    # --t evaluates one point: the series flags are rejected, not ignored
+    assert run("eval", "--poly", "1,1", "--t", "3/2", "--fast")[0] == 1
+    assert run("eval", "--poly", "1,1", "--t", "3/2", "--r", "5")[0] == 1
+    assert run("eval", "--poly", "1,1", "--t", "3/2", "--count", "7")[0] == 1
     assert run("jset")[0] == 1                           # no base given
     assert run("discrepancy", "--alpha", "0.3")[0] == 1  # no sequence
     assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
