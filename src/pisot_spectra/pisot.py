@@ -337,6 +337,17 @@ def _mul_by_theta(coeffs: list, d: tuple) -> list:
     return [top * d[m - 1]] + [coeffs[i - 1] + top * d[m - 1 - i] for i in range(1, m)]
 
 
+def _div_by_theta(coeffs: list, d: tuple) -> list:
+    """The inverse step of _mul_by_theta: divide a power-basis vector by theta.
+
+    theta^-1 = (theta^(m-1) - d_1 theta^(m-2) - ... - d_(m-1)) / d_m, so the
+    result is the shifted vector plus c_0 / d_m times that numerator.
+    """
+    m = len(d)
+    q = Fraction(coeffs[0]) / d[m - 1]
+    return [coeffs[i + 1] - q * d[m - 2 - i] for i in range(m - 1)] + [q]
+
+
 def _reduce_product(a, b, d):
     """Schoolbook product in the power basis, reduced top-down."""
     m = len(d)

@@ -28,7 +28,12 @@ from pisot_spectra import (
     ring_mul,
     ring_theta_pow,
 )
-from pisot_spectra.pisot import GUARD_BITS, _nearest_int
+from pisot_spectra.pisot import (
+    GUARD_BITS,
+    _div_by_theta,
+    _mul_by_theta,
+    _nearest_int,
+)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -368,6 +373,20 @@ def test_field_invert_roundtrip(P, coeffs):
             field_invert(r)
     else:
         assert field_invert(r) * r == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2, 1)))),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=9),
+             min_size=4, max_size=4),
+)
+def test_div_by_theta_inverts_mul_by_theta(P, coeffs):
+    c = coeffs[:P.m]
+    assert _div_by_theta(_mul_by_theta(c, P.d), P.d) == c
+    assert _mul_by_theta(_div_by_theta(c, P.d), P.d) == c
+    v = P.field(tuple(c))
+    assert P.field(tuple(_div_by_theta(c, P.d))) == v * P.theta_inverse_field()
 
 
 OPERAND_KINDS = ("int", "fraction", "ring", "field")
