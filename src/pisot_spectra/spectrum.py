@@ -33,6 +33,7 @@ from .pisot import (
     field_invert,
     ring_theta_pow,
     _coeff_bits,
+    _div_by_theta,
     _mul_by_theta,
     _nearest_int,
     _to_mpf,
@@ -123,14 +124,18 @@ def _check_admissible(P: PisotNumber, w: FieldElement, norm: int) -> None:
 
 def _exact_cos_factor(c: Fraction, norm: int):
     """|cos(norm pi c)| for exact rational c: None marks an exact zero,
-    1 means skip (factor exactly one), otherwise an mpf factor."""
+    1 means skip (factor exactly one), otherwise an mpf factor.
+
+    The cosine is taken at the distance of norm * c to the nearest integer,
+    so c and -c give the same bits.
+    """
     scaled = norm * c
     frac = scaled - (scaled.numerator // scaled.denominator)
     if frac == Fraction(1, 2):
         return None
     if frac == 0:
         return 1
-    return abs(mp.cospi(_to_mpf(frac)))
+    return abs(mp.cospi(_to_mpf(min(frac, 1 - frac))))
 
 
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol, norm: int):
@@ -201,10 +206,9 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol, norm: int):
             u = FieldElement(P, tuple(_mul_by_theta(u.coeffs, P.d)))
 
         # factors j = -1 .. -(j_neg-1), via exact division by theta
-        inv = P.theta_inverse_field()
         v = w
         for k in range(1, j_neg):
-            v = v * inv
+            v = FieldElement(P, tuple(_div_by_theta(v.coeffs, P.d)))
             if v.is_rational():
                 f = _exact_cos_factor(v.as_fraction(), norm)
                 if f is None:
@@ -295,6 +299,19 @@ def limit_value(P: PisotNumber, z_list: Sequence[ElementLike], A: int,
     return SpectrumCandidate(zs, A, r_f, predicted, err)
 
 
+def _merge_groups(candidates: list, tol) -> list:
+    """Single-linkage groups of candidates whose values lie within 2*tol,
+    each sorted by (value, id), in ascending order of value."""
+    groups = []
+    gap = 2 * mp.mpf(tol)
+    for cand in sorted(candidates, key=lambda c: (c.predicted, int(c.id))):
+        if groups and cand.predicted - groups[-1][-1].predicted <= gap:
+            groups[-1].append(cand)
+        else:
+            groups.append([cand])
+    return groups
+
+
 def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
                        m_max: int, a_max: int, tol: float = 1e-20,
                        eta: float = 0.05,
@@ -303,10 +320,23 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     z_i coefficient vectors in [-height, height]^m, list lengths up to
     m_max + 1, offsets |A| <= a_max.
 
-    Candidates are generated in lexicographic order over (length, offset,
-    vectors) and carry that position as their id; values within 2*tol of
-    each other are merged keeping the earliest id; the result is sorted by
-    descending value.
+    A candidate's id is its position in the lexicographic order over
+    (length, offset, vectors), each coordinate running -height..height;
+    it is computed from the candidate's data, so the window is walked
+    depth-first over (length, offset, vector prefix) and only part of it is
+    built.  Every factor Phi(z) and |mu_hat(r A)| is at most 1, and mpf
+    rounding is monotone, so no candidate below a prefix exceeds the
+    prefix's certified bound prod (v_i + e_i) * (tail value + tail error).
+    The walk drops a prefix once that bound falls below thr = eta/2; each
+    candidate it keeps is composed from the same parts in the same order as
+    in a full walk, so its value and error bound are those of the full walk.
+
+    Values within 2*tol of each other are merged single-linkage, keeping the
+    earliest id, and the result is sorted by descending value.  A dropped
+    candidate lies below thr, so it can join a group only through a member
+    within 2*tol of thr.  When every group that reaches eta stays clear of
+    that, the groups reaching eta are those of the full walk; otherwise
+    (only for a large tol) the window is walked again with nothing dropped.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -326,10 +356,11 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     tail_cache: dict = {}
 
     def phi_of(vec):
-        got = phi_cache.get(vec)
+        key = max(vec, tuple(-c for c in vec))  # Phi(-z) = Phi(z), bitwise
+        got = phi_cache.get(key)
         if got is None:
-            got = phi_biinfinite(P, P.ring(vec), tol)
-            phi_cache[vec] = got
+            got = phi_biinfinite(P, P.ring(key), tol)
+            phi_cache[key] = got
         return got
 
     def tail_of(a):
@@ -339,35 +370,48 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
             tail_cache[abs(a)] = got
         return got
 
-    candidates = []
-    idx = -1
-    with mp.workprec(P.precision_bits + GUARD_BITS):
+    def walk(thr):
+        found = []
+        first = 0  # id of the first candidate with M + 1 vectors
         for M in range(m_max + 1):
+            block = n_vec ** (M + 1)
             for A in range(-a_max, a_max + 1):
-                for combo in iter_product(vecs, repeat=M + 1):
-                    idx += 1
+                tail = tail_of(A)
+                tail_upper = tail[0] + tail[1]
+                offset = first + (A + a_max) * block
+                # (vector prefix, its mixed-radix digits, prod of v + e)
+                stack = [((), 0, mp.mpf(1))]
+                while stack:
+                    combo, digits, upper = stack.pop()
+                    if upper * tail_upper < thr:
+                        continue
+                    if len(combo) <= M:
+                        for i, vec in enumerate(vecs):
+                            v, e = phi_of(vec)
+                            stack.append((combo + (vec,), digits * n_vec + i,
+                                          upper * (v + e)))
+                        continue
                     parts = [phi_of(vec) for vec in combo]
-                    parts.append(tail_of(A))
+                    parts.append(tail)
                     predicted, err = _compose_product(parts)
-                    candidates.append(SpectrumCandidate(
+                    found.append(SpectrumCandidate(
                         tuple(P.ring(vec) for vec in combo), A, r_f,
-                        predicted, err, id=str(idx),
+                        predicted, err, id=str(offset + digits),
                     ))
+            first += (2 * a_max + 1) * block
+        return found
 
-        # merge values closer than 2*tol, earliest id wins
-        candidates.sort(key=lambda c: (c.predicted, int(c.id)))
-        merged = []
-        group = [candidates[0]]
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        thr = mp.mpf(eta) / 2
         gap = 2 * mp.mpf(tol)
-        for cand in candidates[1:]:
-            if cand.predicted - group[-1].predicted > gap:
-                merged.append(min(group, key=lambda c: int(c.id)))
-                group = [cand]
-            else:
-                group.append(cand)
-        merged.append(min(group, key=lambda c: int(c.id)))
-
-        kept = [c for c in merged if c.predicted >= eta]
+        groups = _merge_groups(walk(thr), tol)
+        # same comparison as the merge: a member this close to thr may be
+        # linked to a dropped candidate with an earlier id
+        if any(g[-1].predicted >= eta and g[0].predicted - thr <= gap
+               for g in groups):
+            groups = _merge_groups(walk(0), tol)
+        kept = [min(g, key=lambda c: int(c.id)) for g in groups]
+        kept = [c for c in kept if c.predicted >= eta]
         kept.sort(key=lambda c: (-c.predicted, int(c.id)))
     return kept
 

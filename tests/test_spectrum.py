@@ -1,10 +1,16 @@
 """Two-sided product values, the candidate catalogue, and sequence synthesis."""
 
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisot_spectra import (
     build_pisot,
@@ -17,15 +23,19 @@ from pisot_spectra import (
     synthesize_sequence,
     tail_product,
 )
+from pisot_spectra import spectrum
 from pisot_spectra.errors import (
     AmbiguousRoundingError,
     BudgetExceededError,
     InvalidToleranceError,
 )
+from pisot_spectra.pisot import GUARD_BITS
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
 QUARTIC = build_pisot((1, 0, 0, 1))
+BINARY = build_pisot((2,))
+TERNARY = build_pisot((3,))
 
 HALF = Fraction(1, 2)
 
@@ -256,6 +266,112 @@ def test_enumerate_budget_cap():
         enumerate_spectrum(GOLDEN, 1, 2, 2, 3, eta=1e-3, budget=1000)
     with pytest.raises(ValueError):
         enumerate_spectrum(GOLDEN, 1, 1, 1, 1, eta=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_walk(P, r, height, m_max, a_max, tol):
+    """Every candidate (id, A, vectors, value, error) of the window, built
+    by the unpruned loop with a running id."""
+    r_f = P.field(Fraction(r))
+    vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
+    out = []
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        phi = {vec: phi_biinfinite(P, P.ring(vec), tol) for vec in vecs}
+        tail = {A: tail_product(P, r_f * abs(A), tol)
+                for A in range(-a_max, a_max + 1)}
+        for M in range(m_max + 1):
+            for A in range(-a_max, a_max + 1):
+                for combo in itertools.product(vecs, repeat=M + 1):
+                    parts = [phi[vec] for vec in combo] + [tail[A]]
+                    value, err = spectrum._compose_product(parts)
+                    out.append((str(len(out)), A, combo, value, err))
+    return out
+
+
+def _full_spectrum(P, r, height, m_max, a_max, eta, tol=1e-20):
+    """The full walk merged at 2*tol (earliest id wins) and cut at eta."""
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        cands = sorted(_full_walk(P, r, height, m_max, a_max, tol),
+                       key=lambda c: (c[3], int(c[0])))
+        groups = [[cands[0]]]
+        for c in cands[1:]:
+            if c[3] - groups[-1][-1][3] > 2 * mp.mpf(tol):
+                groups.append([c])
+            else:
+                groups[-1].append(c)
+        kept = [min(g, key=lambda c: int(c[0])) for g in groups]
+        kept = [c for c in kept if c[3] >= eta]
+        return sorted(kept, key=lambda c: (-c[3], int(c[0])))
+
+
+def _as_rows(cands):
+    return [(c.id, c.A, tuple(z.coeffs for z in c.z_list), c.predicted,
+             c.error_bound) for c in cands]
+
+
+def _enumerate_counted(P, r, height, m_max, a_max, eta, tol=1e-20):
+    """enumerate_spectrum's result and its number of composed candidates."""
+    with mock.patch.object(spectrum, "_compose_product",
+                           wraps=spectrum._compose_product) as compose:
+        cands = enumerate_spectrum(P, r, height, m_max, a_max, tol=tol,
+                                   eta=eta)
+    return cands, compose.call_count
+
+
+# every window that the tests, the demos and the benchmark enumerate
+USED_WINDOWS = [
+    (GOLDEN, 1, 0, 0, 0, 1e-6),
+    (GOLDEN, 1, 1, 1, 2, 1e-6),
+    (GOLDEN, 1, 1, 1, 2, 0.05),
+    (GOLDEN, 1, 1, 1, 1, 1e-3),
+    (GOLDEN, HALF, 1, 1, 1, 1e-3),
+    (GOLDEN, HALF, 2, 1, 2, 1e-6),
+    (GOLDEN, 1, 2, 2, 1, 1e-3),
+    (GOLDEN, 1, 2, 2, 3, 1e-3),
+    (TRIBONACCI, 1, 1, 1, 2, 0.05),
+    (BINARY, 1, 1, 1, 2, 1e-6),
+    (TERNARY, 1, 11, 1, 2, 1e-3),
+]
+
+
+@pytest.mark.parametrize(
+    "window", USED_WINDOWS,
+    ids=[f"{P.d}-{r}-{h}-{mm}-{am}-{eta}" for P, r, h, mm, am, eta in USED_WINDOWS])
+def test_enumerate_matches_full_walk_on_used_windows(window):
+    P, r, height, m_max, a_max, eta = window
+    got = enumerate_spectrum(P, r, height, m_max, a_max, eta=eta)
+    assert _as_rows(got) == _full_spectrum(P, r, height, m_max, a_max, eta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((GOLDEN, TRIBONACCI, BINARY)), st.sampled_from((1, HALF)),
+       st.integers(0, 1), st.integers(0, 1), st.integers(0, 2),
+       st.integers(0, 10**6), st.sampled_from(("at", "above", "below")))
+def test_enumerate_matches_full_walk_at_candidate_values(P, r, height, m_max,
+                                                         a_max, pick, where):
+    full = _full_walk(P, r, height, m_max, a_max, 1e-20)
+    values = sorted({c[3] for c in full if c[3] > 0})
+    value = values[pick % len(values)]
+    if where == "at":
+        eta = value
+    else:
+        eta = math.nextafter(float(value), math.inf if where == "above" else 0)
+    got, composed = _enumerate_counted(P, r, height, m_max, a_max, eta)
+    assert _as_rows(got) == _full_spectrum(P, r, height, m_max, a_max, eta)
+    if where == "at":
+        # the walk at eta/2 settles it: no second, unpruned walk
+        assert composed <= len(full)
+
+
+def test_enumerate_rewalks_when_a_wide_merge_crosses_the_cut():
+    # at tol = 0.05 the values below 0.1 chain into one group that reaches
+    # eta; its earliest id belongs to a candidate far below eta/2, which
+    # only the unpruned walk sees
+    window = (GOLDEN, 1, 1, 1, 2)
+    full = _full_spectrum(*window, 0.01, tol=0.05)
+    got, composed = _enumerate_counted(*window, 0.01, tol=0.05)
+    assert _as_rows(got) == full
+    assert composed > len(_full_walk(*window, 0.05))
 
 
 def test_synthesize_lucas_example():
