@@ -10,6 +10,7 @@ invalid argument, budget), 3 precision exhaustion or ambiguous rounding.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -382,6 +383,10 @@ def _cmd_decay(args, cfg):
 # parser assembly
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every main() in a process; building it costs about 5 ms, more than many
+# invocations spend on their own work
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pisot", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", parser_class=_Parser,
