@@ -268,8 +268,7 @@ def test_enumerate_budget_cap():
         enumerate_spectrum(GOLDEN, 1, 1, 1, 1, eta=0)
 
 
-@functools.lru_cache(maxsize=None)
-def _full_walk(P, r, height, m_max, a_max, tol):
+def _full_walk(P, r, height, m_max, a_max, tol=1e-20):
     """Every candidate (id, A, vectors, value, error) of the window, built
     by the unpruned loop with a running id."""
     r_f = P.field(Fraction(r))
@@ -288,11 +287,14 @@ def _full_walk(P, r, height, m_max, a_max, tol):
     return out
 
 
-def _full_spectrum(P, r, height, m_max, a_max, eta, tol=1e-20):
-    """The full walk merged at 2*tol (earliest id wins) and cut at eta."""
+# the random windows below are small; keep their full walks for reuse
+_small_full_walk = functools.lru_cache(maxsize=None)(_full_walk)
+
+
+def _full_spectrum(P, full, eta, tol=1e-20):
+    """A full walk merged at 2*tol (earliest id wins) and cut at eta."""
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        cands = sorted(_full_walk(P, r, height, m_max, a_max, tol),
-                       key=lambda c: (c[3], int(c[0])))
+        cands = sorted(full, key=lambda c: (c[3], int(c[0])))
         groups = [[cands[0]]]
         for c in cands[1:]:
             if c[3] - groups[-1][-1][3] > 2 * mp.mpf(tol):
@@ -340,7 +342,8 @@ USED_WINDOWS = [
 def test_enumerate_matches_full_walk_on_used_windows(window):
     P, r, height, m_max, a_max, eta = window
     got = enumerate_spectrum(P, r, height, m_max, a_max, eta=eta)
-    assert _as_rows(got) == _full_spectrum(P, r, height, m_max, a_max, eta)
+    full = _full_walk(P, r, height, m_max, a_max)
+    assert _as_rows(got) == _full_spectrum(P, full, eta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,7 +352,7 @@ def test_enumerate_matches_full_walk_on_used_windows(window):
        st.integers(0, 10**6), st.sampled_from(("at", "above", "below")))
 def test_enumerate_matches_full_walk_at_candidate_values(P, r, height, m_max,
                                                          a_max, pick, where):
-    full = _full_walk(P, r, height, m_max, a_max, 1e-20)
+    full = _small_full_walk(P, r, height, m_max, a_max)
     values = sorted({c[3] for c in full if c[3] > 0})
     value = values[pick % len(values)]
     if where == "at":
@@ -357,7 +360,7 @@ def test_enumerate_matches_full_walk_at_candidate_values(P, r, height, m_max,
     else:
         eta = math.nextafter(float(value), math.inf if where == "above" else 0)
     got, composed = _enumerate_counted(P, r, height, m_max, a_max, eta)
-    assert _as_rows(got) == _full_spectrum(P, r, height, m_max, a_max, eta)
+    assert _as_rows(got) == _full_spectrum(P, full, eta)
     if where == "at":
         # the walk at eta/2 settles it: no second, unpruned walk
         assert composed <= len(full)
@@ -368,10 +371,10 @@ def test_enumerate_rewalks_when_a_wide_merge_crosses_the_cut():
     # eta; its earliest id belongs to a candidate far below eta/2, which
     # only the unpruned walk sees
     window = (GOLDEN, 1, 1, 1, 2)
-    full = _full_spectrum(*window, 0.01, tol=0.05)
+    full = _full_walk(*window, tol=0.05)
     got, composed = _enumerate_counted(*window, 0.01, tol=0.05)
-    assert _as_rows(got) == full
-    assert composed > len(_full_walk(*window, 0.05))
+    assert _as_rows(got) == _full_spectrum(GOLDEN, full, 0.01, tol=0.05)
+    assert composed > len(full)
 
 
 def test_synthesize_lucas_example():
