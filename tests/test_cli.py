@@ -69,6 +69,39 @@ def test_usage_errors_exit_one():
     # --seed is accepted only where a report records it
     assert run("check", "--poly", "1,1", "--seed", "3")[0] == 1
     assert run("phi", "--poly", "1,1", "--z", "1", "--seed", "3")[0] == 1
+    # flag values out of their range are usage errors
+    assert run("eval", "--poly", "1,1", "--t", "3/2", "--tol", "0")[0] == 1
+    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
+               "--eta", "-1")[0] == 1
+    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
+               "--gap", "-1")[0] == 1
+    assert run("fill", "--poly", "1,1", "--r", "1", "--N", "300",
+               "--eta", "-1")[0] == 1
+    assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
+               "--m-max", "0", "--a-max", "0", "--eta", "-1")[0] == 1
+    assert run("discrepancy", "--alpha", "0.3", "--count", "5",
+               "--precision-bits", "32")[0] == 1
+    assert run("check", "--poly", "1,1",
+               env_extra={"PISOT_PRECISION_BITS": "32"})[0] == 1
+    # JSON-only subcommands reject CSV
+    assert run("check", "--poly", "1,1", "--format", "csv")[0] == 1
+    # phi takes --z alone, or --lam together with --q
+    assert run("phi", "--poly", "1,1", "--z", "1", "--q", "1")[0] == 1
+    assert run("phi", "--poly", "1,1", "--lam", "1/2")[0] == 1
+    assert run("phi", "--poly", "1,1")[0] == 1
+
+
+def test_values_only_the_library_rejects_exit_two():
+    # in range for the flag, out of range for the evaluation
+    assert run("eval", "--poly", "1,1", "--t", "3/2", "--tol", "0.7")[0] == 2
+    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
+               "--eta", "0")[0] == 2
+    assert run("translate", "--poly", "1,1", "--r", "1", "--gamma", "1/2",
+               "--N", "300", "--eta", "0")[0] == 2
+    assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
+               "--m-max", "0", "--a-max", "0", "--eta", "0")[0] == 2
+    assert run("check", "--poly", "1,1",
+               env_extra={"PISOT_PRECISION_BITS": "abc"})[0] == 2
 
 
 def test_phi_output_survives_optimized_mode():
