@@ -30,8 +30,6 @@ from .pisot import (
     embed,
     field_invert,
     nearest_int_data,
-    ring_add,
-    ring_mul,
     ring_theta_pow,
 )
 from .transform import (
@@ -112,8 +110,6 @@ __all__ = [
     "phi_biinfinite",
     "phi_lambda",
     "product_law_residual",
-    "ring_add",
-    "ring_mul",
     "ring_theta_pow",
     "sample_and_cluster",
     "synthesize_sequence",

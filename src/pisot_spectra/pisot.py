@@ -206,9 +206,6 @@ class PisotNumber:
             self._theta_cache[bucket] = cached
         return cached
 
-    def theta_inverse_field(self) -> "FieldElement":
-        return field_invert(self.theta_ring())
-
     def log2_theta(self) -> float:
         return float(mp.log(self.theta) / mp.log(2))
 
@@ -498,15 +495,6 @@ class FieldElement(_Element):
 
 
 # -- operations -------------------------------------------------------------
-
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a, b):
-    """Exact product; accepts ring/field elements and int or Fraction scalars."""
-    return a * b
 
 
 def ring_theta_pow(P: PisotNumber, j: int) -> RingElement:
