@@ -89,6 +89,11 @@ def test_usage_errors_exit_one():
     assert run("phi", "--poly", "1,1", "--z", "1", "--q", "1")[0] == 1
     assert run("phi", "--poly", "1,1", "--lam", "1/2")[0] == 1
     assert run("phi", "--poly", "1,1")[0] == 1
+    # both flags of an exclusive pair: rejected, not one of them ignored
+    assert run("jset", "--theta", "2.5", "--poly", "1,1")[0] == 1
+    assert run("decay", "--theta", "1.5", "--poly", "1,1", "--N", "8")[0] == 1
+    assert run("discrepancy", "--alpha", "0.3", "--count", "5",
+               "--x", "1,2")[0] == 1
 
 
 def test_values_only_the_library_rejects_exit_two():
@@ -123,13 +128,17 @@ def test_library_import_leaves_cli_unloaded():
 
 
 def test_help_exits_zero():
+    names = ("check", "eval", "trace", "recur", "phi", "limit", "enumerate",
+             "synthesize", "sample", "fill", "jset", "discrepancy",
+             "translate", "decay")
     code, out, _ = run("--help")
     assert code == 0
-    for name in ("check", "eval", "trace", "recur", "phi", "limit",
-                 "enumerate", "synthesize", "sample", "fill", "jset",
-                 "discrepancy", "translate", "decay"):
+    for name in names:
         assert name in out
-    assert run("sample", "--help")[0] == 0
+    # every declaration builds a working sub-parser
+    for name in names:
+        code, out, _ = run(name, "--help")
+        assert code == 0 and out.startswith(f"usage: pisot {name} ")
 
 
 def test_eval_at_zero_gives_one():
