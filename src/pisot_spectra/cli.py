@@ -85,6 +85,7 @@ def _ranged(kind, ok, rule):
 
 
 _POSITIVE = _ranged(float, lambda v: v > 0, "must be positive")
+# a NaN eta passes here and meets the library's own checks
 _NONNEGATIVE = _ranged(float, lambda v: not v < 0, "must be nonnegative")
 _BITS = _ranged(int, lambda v: v >= 64, "precision bits must be at least 64")
 
@@ -325,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         if poly == "theta":
             one_of += (("--poly", "--theta"),)
         groups = {}
-        for names, required in ([(g, True) for g in one_of]
-                                + [(g, False) for g in at_most_one]):
-            group = p.add_mutually_exclusive_group(required=required)
-            groups.update(dict.fromkeys(names, group))
+        for required, pairs in ((True, one_of), (False, at_most_one)):
+            for names in pairs:
+                group = p.add_mutually_exclusive_group(required=required)
+                groups.update(dict.fromkeys(names, group))
 
         def add(flag, **kw):
             groups.get(flag, p).add_argument(flag, **kw)
