@@ -8,13 +8,17 @@ output.
 Each subcommand is declared once, by one `sub(...)` call in
 `build_parser`: its handler, which shared flags it takes, its own flags
 and which flags exclude each other.  Range checks are the flags' argparse
-types.  `main` resolves the precision, builds the base from --poly, calls
-the handler and serialises the dict it returns as JSON.
+types.  `main` applies the flag defaults, resolves the precision, builds
+the base from --poly, calls the handler and serialises the dict it returns
+as JSON.
 
 Exit codes: 0 success; 1 usage, including a flag value outside its range
-(--tol or --gap <= 0, --eta < 0, precision below 64 bits); 2 domain
-failure (not Pisot, a value the library rejects such as tol >= 1/2,
-budget); 3 precision exhaustion or ambiguous rounding.
+or not a number (--tol or --gap <= 0, --eta < 0, precision below 64 bits
+or not an integer, also in $PISOT_PRECISION_BITS) and a flag the chosen
+output does not read; 2 domain failure (not Pisot, a value the library
+rejects such as tol >= 1/2, budget); 3 precision exhaustion, ambiguous
+rounding, or a float64 batch whose derived error bound exceeds its
+tolerance.
 """
 
 from __future__ import annotations
@@ -36,11 +40,14 @@ from .errors import (AmbiguousRoundingError, PisotSpectraError,
 from .pisot import FieldElement, PisotNumber, build_pisot, embed
 from .spectrum import (enumerate_spectrum, limit_value, phi_biinfinite,
                        phi_lambda, synthesize_sequence)
-from .transform import (FAST_ERROR, SeriesItem, check_recurrence,
-                        coefficient_series, digit_trace, mu_hat, mu_hat_fast)
+from .transform import (_fast_items, check_recurrence, coefficient_series,
+                        digit_trace, mu_hat)
 
 # overrides the default working precision for every subcommand
 ENV_PRECISION = "PISOT_PRECISION_BITS"
+# sample flags that only the clustered report reads
+REPORT_FLAGS = ("eta", "gap", "seed", "match_height", "match_m_max",
+                "match_a_max", "match_eta", "match_tol")
 
 
 class UsageError(Exception):
@@ -76,11 +83,14 @@ def _fraction_arg(text: str) -> Fraction:
 def _ranged(kind, ok, rule):
     """argparse type: a `kind` number for which ok(value) holds."""
     def parse(text):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}")
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{rule}, got {text}")
         return value
-    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
     return parse
 
 
@@ -227,20 +237,17 @@ def _cmd_synthesize(args, P, pb):
     }
 
 
-def _raw_sample_csv(P, r_val: float, n_min: int, N: int, pb: int) -> str:
-    ns = np.arange(max(1, n_min), N + 1, dtype=np.int64)
-    vals = mu_hat_fast(P, r_val * ns.astype(np.float64))
-    items = [SeriesItem(n=int(n), t=r_val * float(n), value=float(v),
-                        error_bound=FAST_ERROR, contains_zero=False)
-             for n, v in zip(ns, vals)]
-    return formats.series_to_csv(items, pb)
-
-
 def _cmd_sample(args, P, pb):
     r, kind = formats.parse_scalar(P, args.r)
     n_min = args.n_min if args.n_min is not None else args.N // 2
     if args.fmt == "csv":
-        return _raw_sample_csv(P, _as_real(r), n_min, args.N, pb)
+        ignored = [d for d in REPORT_FLAGS if d in args.given]
+        if ignored:
+            raise UsageError("sample --format csv streams raw values and "
+                             "takes no " + ", ".join(
+                                 "--" + d.replace("_", "-") for d in ignored))
+        ns = np.arange(max(1, n_min), args.N + 1, dtype=np.int64)
+        return formats.series_to_csv(_fast_items(P, _as_real(r), ns), pb)
     candidates = None
     if args.match_height is not None:
         candidates = enumerate_spectrum(P, r, args.match_height,
@@ -322,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         may be given.
         """
         p = subs.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
+        defaults = {}
+        p.set_defaults(run=run, defaults=defaults)
         if poly == "theta":
             one_of += (("--poly", "--theta"),)
         groups = {}
@@ -331,8 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
                 group = p.add_mutually_exclusive_group(required=required)
                 groups.update(dict.fromkeys(names, group))
 
-        def add(flag, **kw):
-            groups.get(flag, p).add_argument(flag, **kw)
+        def add(flag, default=None, **kw):
+            # main applies the defaults after parsing, so that a flag the
+            # command line did not give stays None until then
+            action = groups.get(flag, p).add_argument(flag, **kw)
+            if default is not None:
+                defaults[action.dest] = default
 
         if poly != "none":
             add("--poly", type=_poly_arg, required=poly == "required",
@@ -456,6 +468,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    args.given = {k for k, v in vars(args).items() if v is not None}
+    for dest, value in args.defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     try:
         pb = args.precision_bits
         if pb is None:

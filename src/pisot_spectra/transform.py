@@ -1,10 +1,11 @@
 """Infinite cosine-product transform values and nearest-integer digit traces.
 
 mu_hat evaluates prod_{k>=0} cos(2 pi theta^-k t) with a certified truncation
-bound derived from |log cos x| <= x^2 on |x| <= 1.  A precise big-float path
-carries explicit error bounds; a float64 bulk path trades them for speed with
-a documented heuristic error and is spot-validated against the precise path
-by callers that use it.
+bound derived from |log cos x| <= x^2 on |x| <= 1, on a big-float path with
+explicit error bounds per value.  mu_hat_fast evaluates whole batches in
+float64.  Its error bound is derived a priori from theta, the batch's largest
+|t| and its truncation depth (see fast_error_bound); a batch whose bound
+exceeds the caller's tolerance is refused, not evaluated.
 
 digit_trace records the nearest integers K_j and remainders delta_j of
 y theta^j; runs of small remainders force the integer recurrence
@@ -31,8 +32,22 @@ from .pisot import (FieldElement, PisotNumber, _nearest_int, _theta_value,
 
 # below this modulus a cosine factor is treated as a potential exact zero
 FACTOR_FLOOR = 1e-30
-# documented heuristic accuracy of the float64 path for t <= 1e7
+# error bound that float64 series and block maxima carry; a batch whose
+# derived bound exceeds it is refused (the bound reaches it at |t| ~ 2.6e5
+# on the golden base and is about 4e-8 at |t| = 1e7)
 FAST_ERROR = 1e-9
+# default tolerance of mu_hat_fast: sampling reports resolve moduli to 1e-6
+FAST_TOL = 1e-6
+# log-defect of the cosine tail that the float64 path truncates
+FAST_TAIL = 1e-12
+# unit roundoff of float64
+_U = 2.0 ** -53
+# absolute error of one float64 factor, apart from its argument's error:
+# 2 pi times the reduced argument (two roundings, |argument| <= pi), the
+# cosine (numpy's float64 cosine, libm or SVML, is within 4 ulps; an ulp of
+# a value of modulus <= 1 is at most 2u) and the running product (one
+# rounding of a value of modulus <= 1)
+_FACTOR_ERROR = (2 * math.pi * (1 + _U) + 8 + 1) * _U
 # float64 values below this are reported as bracketing zero
 FAST_ZERO = 1e-12
 
@@ -154,18 +169,66 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(value, err, K, False)
 
 
-def mu_hat_fast(theta: Theta, ts) -> np.ndarray:
+def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
+    """Float64 base, truncation depth K and a-priori error bound of a
+    mu_hat_fast batch whose largest |t| is t_max (see fast_error_bound)."""
+    th = float(_theta_value(theta))
+    if not math.isfinite(t_max):
+        return th, 0, math.inf
+    K = _truncation_depth(2 * math.pi * t_max, th, FAST_TAIL, start=1) - 1
+    with mp.workprec(128):
+        exact = _theta_value(theta, 128)
+        delta = float(abs(mp.mpf(th) - exact) / exact)
+    # x_k = t / th^k after k divisions: each division and each of the k
+    # powers of th's own rounding delta scale x_k by a factor in
+    # [e^(-k rate), e^(k rate)]
+    rate = (_U + delta) / (1 - _U - delta)
+    argument = sum(t_max * th ** -k * math.expm1(k * rate)
+                   for k in range(K + 1))
+    bound = (2 * math.pi * argument + (K + 1) * _FACTOR_ERROR
+             + math.expm1(FAST_TAIL))
+    # the terms are float64 sums and powers, and a cosine rounded past
+    # modulus 1 scales the sum by at most (1 + 8u)^(K+1): together far
+    # less than a relative 2^-30
+    return th, K, bound * (1 + 2.0 ** -30)
+
+
+def fast_error_bound(theta: Theta, t_max: float) -> float:
+    """Absolute error bound of mu_hat_fast on any batch with max |t| <= t_max.
+
+    The value computed at a float64 t differs from the infinite product at
+    the same t by at most the sum of
+      - 2 pi sum_{k<=K} t_max theta^-k (e^(k rate) - 1): the argument
+        x_k = t theta^-k is stepped by k float divisions by a rounded
+        theta, so it carries a relative error below e^(k rate) - 1, with
+        rate ~ u + |theta_float/theta - 1| and u = 2^-53; its reduction
+        x - rint(x) is exact, and the cosine is 1-Lipschitz;
+      - (K + 1) times the rounding of one factor (_FACTOR_ERROR).  Every
+        factor has modulus at most 1, so the factors' absolute errors add
+        up through the product;
+      - expm1(FAST_TAIL) for the truncated tail, whose log-defect the depth
+        rule keeps below FAST_TAIL.
+    On the golden base it is about 4e-9 at t_max = 1e6 and 4e-8 at 1e7.
+    """
+    return _fast_plan(theta, abs(float(t_max)))[2]
+
+
+def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
     """Float64 bulk transform values, fixed evaluation order.
 
-    Heuristic accuracy ~FAST_ERROR for |t| <= 1e7; no certified bounds.
     The truncation depth comes from max |t| so every entry shares it.
+    Raises PrecisionExhaustedError, before evaluating, when the batch's
+    derived error bound (fast_error_bound) exceeds tol.
     """
-    th = float(_theta_value(theta))
     x = np.abs(np.asarray(ts, dtype=np.float64))
     if x.size == 0:
         return np.ones(0)
-    t_max = float(x.max())
-    K = _truncation_depth(2 * math.pi * t_max, th, 1e-12, start=1) - 1
+    th, K, bound = _fast_plan(theta, float(x.max()))
+    if not bound <= tol:
+        raise PrecisionExhaustedError(
+            f"float64 error bound {bound:.3e} at |t| <= {float(x.max()):.6g} "
+            f"exceeds the tolerance {tol:.3e}"
+        )
 
     x = x.copy()
     vals = np.ones_like(x)
@@ -174,6 +237,39 @@ def mu_hat_fast(theta: Theta, ts) -> np.ndarray:
         vals *= np.cos(two_pi * (x - np.rint(x)))
         x /= th
     return vals
+
+
+def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
+    """Mask of the float64 t at which the product vanishes exactly.
+
+    A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
+    integer.  Every base admits k = 0; an integer base b (a PisotNumber of
+    degree 1) also each k with b^k <= 4|t|, tested in int64.  An irrational
+    theta admits no k > 0, since 4t is rational.
+    """
+    z = 4 * np.abs(ts)                       # exact: a scaling by 4
+    whole = (z == np.rint(z)) & (z < 2.0 ** 62)
+    zi = np.where(whole, z, 0).astype(np.int64)
+    zero = whole & (zi % 2 == 1)
+    if isinstance(theta, PisotNumber) and theta.m == 1 and zi.size:
+        b = power = theta.d[0]
+        while power <= zi.max():
+            zero |= whole & (zi % power == 0) & ((zi // power) % 2 == 1)
+            power *= b
+    return zero
+
+
+def _fast_items(theta: Theta, r: float, ns) -> list[SeriesItem]:
+    """Float64 series items at t = r*n for the integer array ns.
+
+    Each item carries FAST_ERROR, which the batch's derived bound must not
+    exceed, and brackets zero when its value is within FAST_ZERO of it.
+    """
+    ts = r * np.asarray(ns, dtype=np.float64)
+    vals = mu_hat_fast(theta, ts, tol=FAST_ERROR)
+    return [SeriesItem(int(n), float(t), float(v), FAST_ERROR,
+                       abs(float(v)) <= FAST_ZERO)
+            for n, t, v in zip(ns, ts, vals)]
 
 
 def digit_trace(P: PisotNumber, y, N: int, delta=None) -> DigitTrace:
@@ -254,8 +350,10 @@ def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
                        fast: bool = False) -> Iterator[SeriesItem]:
     """Stream (n, t=r*n, transform value) for n = 1..N, ordered by n.
 
-    Precise mode carries per-item certified bounds; fast mode uses float64
-    with the documented FAST_ERROR heuristic and fixed evaluation order.
+    Precise mode carries per-item certified bounds; fast mode evaluates in
+    float64 with fixed evaluation order, each item carrying FAST_ERROR, and
+    raises PrecisionExhaustedError when the derived bound of the batch
+    exceeds it.
     """
     if not isinstance(r, FieldElement):
         r = P.field(r)
@@ -265,13 +363,7 @@ def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
             raise ValueError("r must be positive in the real embedding")
 
     if fast:
-        r_f = float(r_emb)
-        ns = np.arange(1, N + 1, dtype=np.float64)
-        ts = r_f * ns
-        vals = mu_hat_fast(P, ts)
-        for i in range(N):
-            v = float(vals[i])
-            yield SeriesItem(i + 1, float(ts[i]), v, FAST_ERROR, abs(v) <= FAST_ZERO)
+        yield from _fast_items(P, float(r_emb), np.arange(1, N + 1))
         return
 
     for n in range(1, N + 1):

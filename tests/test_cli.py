@@ -83,6 +83,15 @@ def test_usage_errors_exit_one():
                "--precision-bits", "32")[0] == 1
     assert run("check", "--poly", "1,1",
                env_extra={"PISOT_PRECISION_BITS": "32"})[0] == 1
+    assert run("check", "--poly", "1,1",
+               env_extra={"PISOT_PRECISION_BITS": "abc"})[0] == 1
+    # the raw CSV stream reads none of the clustered report's flags
+    for flag, value in (("--eta", "5"), ("--gap", "1e-3"), ("--seed", "0"),
+                        ("--match-height", "1"), ("--match-m-max", "2"),
+                        ("--match-a-max", "3"), ("--match-eta", "1e-3"),
+                        ("--match-tol", "1e-2")):
+        assert run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
+                   "--format", "csv", flag, value)[0] == 1
     # JSON-only subcommands reject CSV
     assert run("check", "--poly", "1,1", "--format", "csv")[0] == 1
     # phi takes --z alone, or --lam together with --q
@@ -105,8 +114,6 @@ def test_values_only_the_library_rejects_exit_two():
                "--N", "300", "--eta", "0")[0] == 2
     assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
                "--m-max", "0", "--a-max", "0", "--eta", "0")[0] == 2
-    assert run("check", "--poly", "1,1",
-               env_extra={"PISOT_PRECISION_BITS": "abc"})[0] == 2
 
 
 def test_phi_output_survives_optimized_mode():
@@ -251,6 +258,30 @@ def test_sample_raw_csv_stream():
     assert lines[0] == "n,t,value,error_bound,contains_zero"
     assert len(lines) == 1002  # n = 1000..2000
     assert lines[1].startswith("1000,")
+
+
+def test_raw_csv_stream_and_fast_series_share_one_rule():
+    # binary base, integer t: every value is an exact zero, which both
+    # float64 streams report as bracketing zero
+    code, raw, _ = run("sample", "--poly", "2", "--r", "1", "--N", "8",
+                       "--n-min", "1", "--format", "csv")
+    assert code == 0
+    code, series, _ = run("eval", "--poly", "2", "--r", "1", "--count", "8",
+                          "--fast", "--format", "csv")
+    assert code == 0
+    assert raw == series
+    assert all(it.contains_zero for it in formats.series_from_csv(raw))
+
+
+def test_float64_batches_over_their_bound_exit_three():
+    # the derived bound reaches FAST_ERROR = 1e-9 near |t| = 2.6e5 (golden)
+    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "1000000",
+               "--format", "csv")[0] == 3
+    assert run("eval", "--poly", "1,1", "--r", "1000000", "--count", "2",
+               "--fast")[0] == 3
+    assert run("decay", "--poly", "1,1", "--N", "1048576")[0] == 3
+    code, out, _ = run("decay", "--poly", "1,1", "--N", "65536")
+    assert code == 0 and len(json.loads(out)["blocks"]) == 16
 
 
 def test_fill_reports_interval_statistics():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pisot_spectra import (
+    PrecisionExhaustedError,
     build_pisot,
     decay_check,
     discrepancy,
@@ -21,6 +22,7 @@ from pisot_spectra import (
     sample_and_cluster,
     translated_sample,
 )
+from pisot_spectra import empirical
 
 GOLDEN = build_pisot((1, 1))
 TERNARY = build_pisot((3,))
@@ -370,3 +372,35 @@ def test_sampling_validation_errors():
         decay_check(2.0, 1)
     with pytest.raises(ValueError):
         decay_check(0.9, 100)
+
+
+def test_spot_check_catches_a_faulty_kernel(monkeypatch):
+    # eta = 1e-5 sets the validation threshold to 1e-6
+    real = empirical.mu_hat_fast
+    ns = np.arange(5000, 10001, dtype=np.int64)
+    monkeypatch.setattr(empirical, "mu_hat_fast",
+                        lambda theta, ts, tol: real(theta, ts, tol=tol) + 1e-5)
+    with pytest.raises(PrecisionExhaustedError):
+        empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
+
+    def off_at_largest_t(theta, ts, tol):
+        vals = real(theta, ts, tol=tol)
+        vals[np.argmax(np.abs(ts))] += 1e-5
+        return vals
+    monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
+    with pytest.raises(PrecisionExhaustedError):
+        empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
+
+
+def test_precise_calls_do_not_jump_at_ten_thousand(monkeypatch):
+    calls = []
+    real = empirical.mu_hat
+    monkeypatch.setattr(empirical, "mu_hat",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    counts = []
+    for N in (9998, 10002):
+        calls.clear()
+        sample_and_cluster(GOLDEN, 1, N, 1e-3)
+        counts.append(len(calls))
+        assert max(calls) == N   # the largest |t| is among the checked points
+    assert counts[0] == counts[1] <= empirical.SPOT_CHECK_SIZE

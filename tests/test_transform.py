@@ -21,11 +21,13 @@ from pisot_spectra import (
     coefficient_series,
     digit_trace,
     embed,
+    fast_error_bound,
     mu_hat,
     mu_hat_fast,
     nearest_int_data,
 )
-from pisot_spectra.transform import _truncation_depth
+from pisot_spectra.transform import (FAST_ERROR, FAST_TOL, _exact_zeros,
+                                     _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -132,6 +134,54 @@ def test_mu_hat_fast_matches_precise():
     for i in range(0, 400, 37):
         precise = mu_hat(GOLDEN, float(ts[i]))
         assert abs(float(precise.value) - vals[i]) < 1e-8
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC)),
+       st.lists(st.floats(-3, 12), min_size=1, max_size=4))
+def test_mu_hat_fast_within_derived_bound_or_refused(P, exponents):
+    ts = np.array([10.0 ** e for e in exponents])
+    bound = fast_error_bound(P, ts.max())
+    if bound > FAST_TOL:
+        with pytest.raises(PrecisionExhaustedError):
+            mu_hat_fast(P, ts)
+        return
+    vals = mu_hat_fast(P, ts)
+    for t, v in zip(ts, vals):
+        precise = mu_hat(P, float(t))
+        assert abs(float(precise.value) - v) <= bound + precise.error_bound
+
+
+def test_mu_hat_fast_refuses_exactly_past_its_tolerance():
+    ts = np.arange(1.0, 4001.0)
+    bound = fast_error_bound(GOLDEN, 4000)
+    assert 1e-12 < bound < 1e-10
+    assert np.array_equal(mu_hat_fast(GOLDEN, ts, tol=bound),
+                          mu_hat_fast(GOLDEN, ts))
+    with pytest.raises(PrecisionExhaustedError):
+        mu_hat_fast(GOLDEN, ts, tol=bound * (1 - 1e-6))
+    with pytest.raises(PrecisionExhaustedError):
+        mu_hat_fast(GOLDEN, [math.inf])
+
+
+def test_derived_bound_grows_linearly_in_t():
+    # the argument term dominates: about 4e-9 at 1e6 and 4e-8 at 1e7
+    b6, b7 = fast_error_bound(GOLDEN, 1e6), fast_error_bound(GOLDEN, 1e7)
+    assert 3e-9 < b6 < 5e-9 and 3e-8 < b7 < 5e-8
+    assert fast_error_bound(GOLDEN, 2.5e5) < FAST_ERROR
+
+
+@pytest.mark.parametrize("d", [(2,), (3,), (4,), (1, 1)])
+def test_exact_zeros_are_the_precise_paths_zero_brackets(d):
+    P = build_pisot(d)
+    ts = np.arange(0, 257) / 8
+    precise = [mu_hat(P, float(t)).contains_zero for t in ts]
+    assert _exact_zeros(P, ts).tolist() == precise
+
+
+def test_float64_series_refused_past_fast_error():
+    with pytest.raises(PrecisionExhaustedError):
+        list(coefficient_series(GOLDEN, 10**6, 2, fast=True))
 
 
 @settings(max_examples=200, deadline=None)
