@@ -2,9 +2,9 @@
 
 Each case runs in-process through `cli.main` and must print exactly the
 bytes stored in tests/golden/<name>.out.  The cases cover all 14
-subcommands, both evaluation paths of `sample` (per-point below the
-fast-path threshold, float64 with a precise spot check above it), CSV
-output and a non-default precision and tolerance.
+subcommands, `sample` at small and large N (one float64 batch with a
+precise spot check at every N) and with candidate matching, CSV output and
+a non-default precision and tolerance.
 
 The stored files are the reference; regenerate them only for an intended
 change of output, with `python tests/test_cli_golden.py`.
