@@ -116,6 +116,15 @@ def test_values_only_the_library_rejects_exit_two():
                "--m-max", "0", "--a-max", "0", "--eta", "0")[0] == 2
 
 
+def test_phi_lambda_divergence_exits_two():
+    # 2 * (1/3) * 1 has non-integer trace sums on tribonacci and on silver
+    for poly in ("1,1,1", "2,1"):
+        code, out, err = run("phi", "--poly", poly, "--lam", "1/3", "--q", "1")
+        assert code == 2
+        assert out == ""
+        assert "diverges" in err
+
+
 def test_phi_output_survives_optimized_mode():
     # python -O strips assert statements; no check the output relies on may
     # be one.  x^2 - 2x - 1 has a digit vector that is not a palindrome.

@@ -162,6 +162,43 @@ def test_phi_lambda_matches_doubled_argument():
             assert abs(va - vb) <= ea + eb
 
 
+SILVER = build_pisot((2, 1))
+
+# 60-digit values of phi_lambda(lam, q) at tol 1e-60, recorded from the
+# two-sided product with its doubled frequency threaded through as a
+# separate factor; each 2*lam*q is a field element with integer traces
+PHI_LAMBDA_FROZEN = [
+    (GOLDEN, Fraction(1, 3), (Fraction(-3, 10), Fraction(3, 5)),
+     "0.0424974234054296298790338847269397092854299667791811346325366"),
+    (GOLDEN, HALF, (Fraction(-2, 5), Fraction(4, 5)),
+     "0.0027597439072317495356922094537241819923038992285754098468191"),
+    (TRIBONACCI, HALF, (0, HALF, HALF),
+     "0.00471348648168798954205458254971116632963424663326012345740184"),
+    (SILVER, Fraction(1, 3), (Fraction(3, 2), 0),
+     "0.0491439580769237987164476170216799822655090800725937871049558"),
+    (SILVER, HALF, (HALF, HALF),
+     "0.18577261461321156943924573451681653323019729233048854427309"),
+]
+
+
+@pytest.mark.parametrize("P, lam, q, want", PHI_LAMBDA_FROZEN,
+                         ids=["golden-1/3", "golden-1/2", "tribonacci-1/2",
+                              "silver-1/3", "silver-1/2"])
+def test_phi_lambda_frozen_on_field_arguments(P, lam, q, want):
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        value, err = phi_lambda(P, lam, P.field(q), tol=1e-60)
+        assert mp.nstr(value, 60) == want
+        assert err <= value * mp.mpf(10) ** -59
+
+
+def test_phi_lambda_divergence_raises():
+    # 2 * (1/3) is not a trace-integral element of Q(theta) on tribonacci
+    with pytest.raises(ValueError, match="diverges"):
+        phi_lambda(TRIBONACCI, Fraction(1, 3), 1)
+    with pytest.raises(ValueError, match="diverges"):
+        product_law_residual(TRIBONACCI, Fraction(1, 3), 1, 1, 2)
+
+
 def test_tail_identity_and_frozen_values():
     rng = random.Random(70303)
     with mp.workprec(300):
@@ -458,3 +495,25 @@ def test_product_law_frozen_bounds():
 def test_product_law_validation():
     with pytest.raises(ValueError):
         product_law_residual(GOLDEN, 1, 1, 1, 0)
+
+
+# 60-digit residuals at tol 1e-60 on field arguments (see PHI_LAMBDA_FROZEN)
+RESIDUAL_FROZEN = [
+    (GOLDEN, Fraction(1, 3), (Fraction(-3, 10), Fraction(3, 5)),
+     (Fraction(3, 2), 0), 5,
+     "0.0000303469312535604570638289379972904938153677396589507891396618"),
+    (TRIBONACCI, HALF, (0, HALF, HALF), (HALF, 0, HALF), 4,
+     "0.000335450539149659632471033022198465028364912486453819776056318"),
+    (SILVER, Fraction(1, 3), (Fraction(3, 2), 0),
+     (Fraction(3, 4), Fraction(3, 4)), 3,
+     "0.00749427066671388569962553170122205688809241230429826087339984"),
+]
+
+
+@pytest.mark.parametrize("P, lam, a, b, n, want", RESIDUAL_FROZEN,
+                         ids=["golden", "tribonacci", "silver"])
+def test_product_law_frozen_on_field_arguments(P, lam, a, b, n, want):
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        got = product_law_residual(P, lam, P.field(a), P.field(b), n,
+                                   tol=1e-60)
+        assert mp.nstr(got, 60) == want
