@@ -345,6 +345,15 @@ def _div_by_theta(coeffs: list, d: tuple) -> list:
     return [coeffs[i + 1] - q * d[m - 2 - i] for i in range(m - 1)] + [q]
 
 
+def _theta_columns(coeffs: list, d: tuple) -> list:
+    """x theta^i, i = 0..m-1: the columns of multiplication by x in the
+    power basis.  Their diagonal entries sum to the trace of x."""
+    cols = [list(coeffs)]
+    for _ in range(len(d) - 1):
+        cols.append(_mul_by_theta(cols[-1], d))
+    return cols
+
+
 def _reduce_product(a, b, d):
     """Schoolbook product in the power basis, reduced top-down."""
     m = len(d)
@@ -602,9 +611,9 @@ def nearest_int_data(x: RingElement, j: int):
 def field_invert(r) -> FieldElement:
     """Exact inverse in Q(theta): the solution x of r * x = 1.
 
-    The columns r theta^j, j = 0..m-1, come from the reduction step
-    _mul_by_theta, and Gauss-Jordan elimination over Fraction solves for the
-    coordinates of 1.  A singular system means r is a zero divisor.
+    The columns r theta^j, j = 0..m-1, come from _theta_columns, and
+    Gauss-Jordan elimination over Fraction solves for the coordinates of 1.
+    A singular system means r is a zero divisor.
     """
     if isinstance(r, RingElement):
         r = r.to_field()
@@ -612,9 +621,7 @@ def field_invert(r) -> FieldElement:
         raise ZeroDivisionError("cannot invert 0 in Q(theta)")
     P = r.P
     m = P.m
-    cols = [list(r.coeffs)]
-    for _ in range(m - 1):
-        cols.append(_mul_by_theta(cols[-1], P.d))
+    cols = _theta_columns(r.coeffs, P.d)
     # augmented rows [r theta^0 .. r theta^(m-1) | e_0]
     rows = [[cols[j][i] for j in range(m)] + [Fraction(int(i == 0))] for i in range(m)]
     for c in range(m):

@@ -31,6 +31,7 @@ from pisot_spectra.pisot import (
     _div_by_theta,
     _mul_by_theta,
     _nearest_int,
+    _theta_columns,
 )
 
 GOLDEN = build_pisot((1, 1))
@@ -371,6 +372,46 @@ def test_field_invert_roundtrip(P, coeffs):
             field_invert(r)
     else:
         assert field_invert(r) * r == 1
+
+
+def _newton_power_sums(d, count):
+    """Sums p_k of the k-th powers of the roots of x^m - d_1 x^(m-1) - ...
+    - d_m, k < count: Newton's identities up to the degree, then the
+    recurrence the roots share."""
+    m = len(d)
+    # elementary symmetric functions: e_i = (-1)^(i+1) d_i
+    e = [d[i - 1] if i % 2 == 1 else -d[i - 1] for i in range(1, m + 1)]
+    p = [m]
+    for k in range(1, count):
+        if k <= m:
+            acc = (-1) ** (k - 1) * k * e[k - 1]
+            for i in range(1, k):
+                acc += (-1) ** (i - 1) * e[i - 1] * p[k - i]
+        else:
+            acc = sum(d[i] * p[k - 1 - i] for i in range(m))
+        p.append(acc)
+    return p
+
+
+def _trace(coeffs, d):
+    return sum(col[i] for i, col in enumerate(_theta_columns(coeffs, d)))
+
+
+@pytest.mark.parametrize("d", [(1, 1), (1, 1, 1), (1, 0, 0, 1), (2, 1),
+                               (3, -1), (0, 1, 1), (2,), (3,)])
+def test_theta_columns_give_newton_traces(d):
+    m = len(d)
+    p = _newton_power_sums(d, 3 * m + 2)
+    power = [1] + [0] * (m - 1)
+    for k in range(3 * m + 2):
+        assert _trace(power, d) == p[k]
+        power = _mul_by_theta(power, d)
+    # the trace is linear: Tr(x theta^j) = sum_k x_k p_(k+j), j < m
+    rng = random.Random(hash(d))
+    for _ in range(5):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
+        for j, col in enumerate(_theta_columns(x, d)):
+            assert _trace(col, d) == sum(x[k] * p[k + j] for k in range(m))
 
 
 @settings(max_examples=150, deadline=None)
