@@ -1,10 +1,11 @@
 """Two-sided cosine products along theta orbits and the predicted limit set.
 
-phi_biinfinite evaluates prod_{j in Z} |cos(pi w theta^j)|.  The factors for
-j >= 0 tend to 1 because w theta^j approaches integers at the geometric rate
-rho^j (the defining property of a Pisot base); the factors for j < 0 tend
-to 1 because the argument itself shrinks like theta^j.  Both tails carry
-certified truncation bounds from |log cos x| <= x^2 on |x| <= 1.
+phi_biinfinite evaluates prod_{j in Z} |cos(pi w theta^j)| (phi_lambda: at
+w = 2 lam q).  For j >= 0, w theta^j approaches integers at the rate rho^j
+of a Pisot base when its traces are integers; for j < 0 the argument
+shrinks like theta^j.  Each orbit element w theta^j, kept exact, gives its
+factor by one rule, and both tails carry certified truncation bounds from
+|log cos x| <= x^2 on |x| <= 1.
 
 limit_value multiplies such products with a one-sided tail to predict the
 accumulation values of coefficient sequences; enumerate_spectrum walks a
@@ -15,6 +16,7 @@ values approach a chosen prediction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +38,7 @@ from .pisot import (
     _div_by_theta,
     _mul_by_theta,
     _nearest_int,
+    _theta_columns,
     _to_mpf,
 )
 from .transform import _check_tol, _truncation_depth, mu_hat
@@ -65,14 +68,10 @@ class SpectrumCandidate:
 
 
 def _as_field_element(P: PisotNumber, x: ElementLike) -> FieldElement:
-    if isinstance(x, RingElement):
+    if isinstance(x, (RingElement, FieldElement)):
         if x.P != P:
             raise ValueError("element belongs to a different Pisot base")
-        return x.to_field()
-    if isinstance(x, FieldElement):
-        if x.P != P:
-            raise ValueError("element belongs to a different Pisot base")
-        return x
+        return FieldElement(P, x.coeffs)
     return P.field(Fraction(x))
 
 
@@ -84,53 +83,29 @@ def _as_multiplier(P: PisotNumber, r: ElementLike) -> FieldElement:
     return r_f
 
 
-def _theta_traces(P: PisotNumber, count: int) -> list:
-    """Integer sums of the j-th powers of all m roots, j = 0..count-1.
-
-    Computed by Newton's identities up to the degree, then extended by the
-    linear recurrence the roots share.
-    """
-    m, d = P.m, P.d
-    # elementary symmetric functions: x^m - d1 x^(m-1) - ... - dm has
-    # e_i = (-1)^(i+1) d_i
-    e = [d[i - 1] if i % 2 == 1 else -d[i - 1] for i in range(1, m + 1)]
-    p = [m]
-    for k in range(1, count):
-        if k <= m:
-            acc = (-1) ** (k - 1) * k * e[k - 1]
-            for i in range(1, k):
-                acc += (-1) ** (i - 1) * e[i - 1] * p[k - i]
-        else:
-            acc = sum(d[i] * p[k - 1 - i] for i in range(m))
-        p.append(acc)
-    return p
-
-
-def _check_admissible(P: PisotNumber, w: FieldElement, norm: int) -> None:
-    # the product over j >= 0 only settles when norm * w theta^j stays near
-    # integers; that holds exactly when the first m trace sums are integers
-    # after scaling by norm (the shared recurrence propagates integrality)
+def _check_admissible(P: PisotNumber, w: FieldElement) -> None:
+    # the product over j >= 0 only settles when w theta^j stays near
+    # integers; that holds exactly when the traces of w theta^j, j < m, are
+    # integers (the shared recurrence propagates integrality)
     if all(c.denominator == 1 for c in w.coeffs):
         return
-    traces = _theta_traces(P, 2 * P.m)
-    for j in range(P.m):
-        t = sum(w.coeffs[k] * traces[k + j] for k in range(P.m))
-        if (norm * t).denominator != 1:
+    for col in _theta_columns(w.coeffs, P.d):
+        trace = sum(v[i] for i, v in enumerate(_theta_columns(col, P.d)))
+        if trace.denominator != 1:
             raise ValueError(
                 "two-sided product diverges: trace sums of the argument are "
                 "not integers at this normalization"
             )
 
 
-def _exact_cos_factor(c: Fraction, norm: int):
-    """|cos(norm pi c)| for exact rational c: None marks an exact zero,
-    1 means skip (factor exactly one), otherwise an mpf factor.
+def _exact_cos_factor(c: Fraction):
+    """|cos(pi c)| for exact rational c: None marks an exact zero, 1 means
+    skip (factor exactly one), otherwise an mpf factor.
 
-    The cosine is taken at the distance of norm * c to the nearest integer,
-    so c and -c give the same bits.
+    The cosine is taken at the distance of c to the nearest integer, so c
+    and -c give the same bits.
     """
-    scaled = norm * c
-    frac = scaled - (scaled.numerator // scaled.denominator)
+    frac = c % 1
     if frac == Fraction(1, 2):
         return None
     if frac == 0:
@@ -138,94 +113,77 @@ def _exact_cos_factor(c: Fraction, norm: int):
     return abs(mp.cospi(_to_mpf(min(frac, 1 - frac))))
 
 
-def _biinfinite_product(P: PisotNumber, w: FieldElement, tol, norm: int):
-    """Shared core: (value, error_bound) of prod_{j in Z} |cos(norm pi w theta^j)|.
+def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
+    """Shared core: (value, error_bound) of prod_{j in Z} |cos(pi w theta^j)|.
 
-    Exact zeros (some norm * w theta^j an exact half-integer) are detected in
-    rational arithmetic and reported as (0, 0).
+    One rule takes the factor of each orbit element u = w theta^j, for
+    j = 0..j_pos-1 and then j = -1..-(j_neg-1).  A rational u is exact, and
+    an exact half-integer gives (0, 0).  An irrational u is numeric, at x
+    congruent to +-u mod 1: for j >= 0 the conjugate power sum
+    s_j = sum_{i>=2} w_i theta_i^j (u + s_j is the integer trace of u),
+    for j < 0 the real embedding of u.
     """
     _check_tol(tol)
     if w.is_zero():
         return mp.mpf(1), mp.mpf(0)
-    _check_admissible(P, w, norm)
+    _check_admissible(P, w)
     pb = P.precision_bits
     m = P.m
 
     with mp.workprec(pb + GUARD_BITS):
         tol_mp = mp.mpf(tol)
-        margin = mp.mpf(2) ** (-(pb // 2))
         tiny = mp.mpf(2) ** (-(pb // 2))
 
-        conj = P.conjugates
         emb = [embed(w, i) for i in range(2, m + 1)]
-        big_c = mp.fsum(abs(v) for v in emb) if emb else mp.mpf(0)
-        rho = P.rho
-
         # ascending side: |cos| defects shrink like rho^j; descending side:
         # arguments shrink like theta^-k
         j_pos = 0
-        if big_c > 0:
-            j_pos = _truncation_depth(norm * mp.pi * big_c, 1 / rho, tol_mp)
+        if emb:
+            big_c = mp.fsum(abs(v) for v in emb)
+            j_pos = _truncation_depth(mp.pi * big_c, 1 / P.rho, tol_mp)
         th = P.theta_at(pb + GUARD_BITS)
-        w1_abs = abs(embed(w, 1, pb))
-        j_neg = _truncation_depth(norm * mp.pi * w1_abs, th, tol_mp, start=1)
+        j_neg = _truncation_depth(mp.pi * abs(embed(w, 1, pb)), th, tol_mp,
+                                  start=1)
 
-        value = mp.mpf(1)
-        n_numeric = 0
+        def power_sum(powers):
+            s = mp.fsum((e * p for e, p in zip(emb, powers)), absolute=False)
+            if abs(mp.im(s)) > tiny:
+                raise PrecisionExhaustedError(
+                    "conjugate power sum has a non-real residue"
+                )
+            return mp.re(s)
 
-        # factors j = 0 .. j_pos-1, via the trace identity: w theta^j differs
-        # from an integer-valued trace sum by s_j = sum_{i>=2} w_i theta_i^j,
-        # so |cos(norm pi w theta^j)| = |cos(norm pi s_j)| with no rounding
-        u = w
-        powers = [mp.mpc(1)] * (m - 1)
-        for j in range(j_pos):
+        def orbit():
+            """(j, w theta^j, its numeric argument, deferred)."""
+            u, powers = w, [mp.mpc(1)] * (m - 1)
+            for j in range(j_pos):
+                yield j, u, functools.partial(power_sum, powers)
+                powers = [p * c for p, c in zip(powers, P.conjugates)]
+                u = FieldElement(P, tuple(_mul_by_theta(u.coeffs, P.d)))
+            u = w
+            for j in range(-1, -j_neg, -1):
+                u = FieldElement(P, tuple(_div_by_theta(u.coeffs, P.d)))
+                yield j, u, functools.partial(embed, u, 1, pb)
+
+        value, n_numeric = mp.mpf(1), 0
+        for j, u, arg in orbit():
             if u.is_rational():
-                f = _exact_cos_factor(u.as_fraction(), norm)
+                f = _exact_cos_factor(u.as_fraction())
                 if f is None:
                     return mp.mpf(0), mp.mpf(0)
-                if f != 1:
-                    value *= f
-                    n_numeric += 1
+                if f == 1:
+                    continue
             else:
-                s = mp.fsum((emb[i] * powers[i] for i in range(m - 1)),
-                            absolute=False)
-                if abs(mp.im(s)) > margin:
-                    raise PrecisionExhaustedError(
-                        "conjugate power sum has a non-real residue"
-                    )
-                f = abs(mp.cospi(norm * mp.re(s)))
+                # rounded to the working precision first, as embed returns
+                # more bits than that
+                f = abs(mp.cospi(+arg()))
                 if f < tiny:
                     raise PrecisionExhaustedError(
                         f"factor at orbit offset {j} cannot be certified "
                         f"nonzero at {pb} bits"
                     )
-                value *= f
-                n_numeric += 1
-            for i in range(m - 1):
-                powers[i] *= conj[i]
-            u = FieldElement(P, tuple(_mul_by_theta(u.coeffs, P.d)))
-
-        # factors j = -1 .. -(j_neg-1), via exact division by theta
-        v = w
-        for k in range(1, j_neg):
-            v = FieldElement(P, tuple(_div_by_theta(v.coeffs, P.d)))
-            if v.is_rational():
-                f = _exact_cos_factor(v.as_fraction(), norm)
-                if f is None:
-                    return mp.mpf(0), mp.mpf(0)
-                if f != 1:
-                    value *= f
-                    n_numeric += 1
-            else:
-                arg = embed(v, 1, pb)
-                f = abs(mp.cospi(norm * arg))
-                if f < tiny:
-                    raise PrecisionExhaustedError(
-                        f"factor at orbit offset {-k} cannot be certified "
-                        f"nonzero at {pb} bits"
-                    )
-                value *= f
-                n_numeric += 1
+            value *= f
+            n_numeric += 1
 
         # both truncated tails contribute a log-defect <= tol each; numeric
         # factors add rounding noise well below the certification level
@@ -240,17 +198,18 @@ def phi_biinfinite(P: PisotNumber, z: ElementLike, tol: float = 1e-20):
     z is a ring element (or any field element whose trace sums are integers);
     an exact zero factor yields (0, 0).
     """
-    return _biinfinite_product(P, _as_field_element(P, z), tol, 1)
+    return _biinfinite_product(P, _as_field_element(P, z), tol)
 
 
 def phi_lambda(P: PisotNumber, lam: ElementLike, q: ElementLike,
                tol: float = 1e-20):
     """(value, error_bound) of prod_{j in Z} |cos(2 pi lam q theta^j)|.
 
-    The doubled-frequency variant; it equals phi_biinfinite of 2*lam*q.
+    The doubled-frequency variant: it is phi_biinfinite of 2*lam*q, which
+    must have integer trace sums.
     """
-    w = _as_field_element(P, lam) * _as_field_element(P, q)
-    return _biinfinite_product(P, w, tol, 2)
+    w = _as_field_element(P, lam) * _as_field_element(P, q) * 2
+    return _biinfinite_product(P, w, tol)
 
 
 def tail_product(P: PisotNumber, x, tol: float = 1e-20):
@@ -261,9 +220,7 @@ def tail_product(P: PisotNumber, x, tol: float = 1e-20):
     number field (embedded first).
     """
     if isinstance(x, (RingElement, FieldElement)):
-        if x.P != P:
-            raise ValueError("element belongs to a different Pisot base")
-        x = embed(x, 1)
+        x = embed(_as_field_element(P, x), 1)
     res = mu_hat(P, x, tol)
     with mp.workprec(P.precision_bits + GUARD_BITS):
         # abs() at ambient precision would round the result to 53 bits
@@ -272,14 +229,19 @@ def tail_product(P: PisotNumber, x, tol: float = 1e-20):
 
 def _compose_product(parts):
     """Certified product of nonnegative bracketed values [(v, e), ...]."""
-    value = mp.mpf(1)
-    upper = mp.mpf(1)
-    lower = mp.mpf(1)
+    value = upper = lower = mp.mpf(1)
     for v, e in parts:
         value *= v
         upper *= v + e
         lower *= max(mp.mpf(0), v - e)
     return value, max(upper - value, value - lower)
+
+
+def _ring_list(P: PisotNumber, z_list: Sequence[ElementLike]) -> tuple:
+    """z_list as a nonempty tuple of ring elements."""
+    if len(z_list) < 1:
+        raise ValueError("z_list must contain at least one element")
+    return tuple(z if isinstance(z, RingElement) else P.ring(z) for z in z_list)
 
 
 def limit_value(P: PisotNumber, z_list: Sequence[ElementLike], A: int,
@@ -288,10 +250,8 @@ def limit_value(P: PisotNumber, z_list: Sequence[ElementLike], A: int,
     offset A and multiplier r: the product of the two-sided values of the
     z_i times the one-sided tail at r*A, with error bounds composed
     multiplicatively."""
-    if len(z_list) < 1:
-        raise ValueError("z_list must contain at least one element")
+    zs = _ring_list(P, z_list)
     r_f = _as_multiplier(P, r)
-    zs = tuple(z if isinstance(z, RingElement) else P.ring(z) for z in z_list)
     with mp.workprec(P.precision_bits + GUARD_BITS):
         parts = [phi_biinfinite(P, z, tol) for z in zs]
         parts.append(tail_product(P, r_f * A, tol))
@@ -352,23 +312,17 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         )
 
     vecs = list(iter_product(range(-height, height + 1), repeat=P.m))
-    phi_cache: dict = {}
-    tail_cache: dict = {}
+    # Phi(-z) = Phi(z) bitwise, so each vector is keyed by the larger of
+    # itself and its negation
+    keys = [max(vec, tuple(-c for c in vec)) for vec in vecs]
 
-    def phi_of(vec):
-        key = max(vec, tuple(-c for c in vec))  # Phi(-z) = Phi(z), bitwise
-        got = phi_cache.get(key)
-        if got is None:
-            got = phi_biinfinite(P, P.ring(key), tol)
-            phi_cache[key] = got
-        return got
+    @functools.cache
+    def phi_of(key):
+        return phi_biinfinite(P, P.ring(key), tol)
 
-    def tail_of(a):
-        got = tail_cache.get(abs(a))
-        if got is None:
-            got = tail_product(P, r_f * abs(a), tol)
-            tail_cache[abs(a)] = got
-        return got
+    @functools.cache
+    def tail_of(a):  # a = |A|
+        return tail_product(P, r_f * a, tol)
 
     def walk(thr):
         found = []
@@ -376,26 +330,26 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         for M in range(m_max + 1):
             block = n_vec ** (M + 1)
             for A in range(-a_max, a_max + 1):
-                tail = tail_of(A)
+                tail = tail_of(abs(A))
                 tail_upper = tail[0] + tail[1]
                 offset = first + (A + a_max) * block
-                # (vector prefix, its mixed-radix digits, prod of v + e)
+                # (prefix as indices into vecs, its digits, prod of v + e)
                 stack = [((), 0, mp.mpf(1))]
                 while stack:
                     combo, digits, upper = stack.pop()
                     if upper * tail_upper < thr:
                         continue
                     if len(combo) <= M:
-                        for i, vec in enumerate(vecs):
-                            v, e = phi_of(vec)
-                            stack.append((combo + (vec,), digits * n_vec + i,
+                        for i, key in enumerate(keys):
+                            v, e = phi_of(key)
+                            stack.append((combo + (i,), digits * n_vec + i,
                                           upper * (v + e)))
                         continue
-                    parts = [phi_of(vec) for vec in combo]
+                    parts = [phi_of(keys[i]) for i in combo]
                     parts.append(tail)
                     predicted, err = _compose_product(parts)
                     found.append(SpectrumCandidate(
-                        tuple(P.ring(vec) for vec in combo), A, r_f,
+                        tuple(P.ring(vecs[i]) for i in combo), A, r_f,
                         predicted, err, id=str(offset + digits),
                     ))
             first += (2 * a_max + 1) * block
@@ -451,14 +405,10 @@ def synthesize_sequence(P: PisotNumber, z_list: Sequence[ElementLike],
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(z_list) < 1:
-        raise ValueError("z_list must contain at least one element")
+    zs = _ring_list(P, z_list)
     r_f = _as_multiplier(P, r)
-    zs = [z if isinstance(z, RingElement) else P.ring(z) for z in z_list]
-    M = len(zs) - 1
-    s = zs[0] * ring_theta_pow(P, (M + 1) * k)
-    for i in range(1, M + 1):
-        s = s + zs[i] * ring_theta_pow(P, (M + 1 - i) * k)
+    s = sum(z * ring_theta_pow(P, (len(zs) - i) * k)
+            for i, z in enumerate(zs))
     w = field_invert(r_f * 2) * s
     return _round_field(w) + A
 
@@ -469,12 +419,9 @@ def product_law_residual(P: PisotNumber, lam: ElementLike, a: ElementLike,
     doubled-frequency product is from multiplicative on theta-power splits."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lam_f = _as_field_element(P, lam)
-    a_f = _as_field_element(P, a)
-    b_f = _as_field_element(P, b)
-    q = a_f + b_f * ring_theta_pow(P, n)
+    q = _as_field_element(P, a) + _as_field_element(P, b) * ring_theta_pow(P, n)
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        joint, _ = _biinfinite_product(P, lam_f * q, tol, 2)
-        left, _ = _biinfinite_product(P, lam_f * a_f, tol, 2)
-        right, _ = _biinfinite_product(P, lam_f * b_f, tol, 2)
+        joint, _ = phi_lambda(P, lam, q, tol)
+        left, _ = phi_lambda(P, lam, a, tol)
+        right, _ = phi_lambda(P, lam, b, tol)
         return abs(joint - left * right)
