@@ -38,8 +38,8 @@ from .empirical import (_as_real, decay_check, discrepancy, estimate_J,
 from .errors import (AmbiguousRoundingError, PisotSpectraError,
                      PrecisionExhaustedError)
 from .pisot import FieldElement, PisotNumber, build_pisot, embed
-from .spectrum import (enumerate_spectrum, limit_value, phi_biinfinite,
-                       phi_lambda, synthesize_sequence)
+from .spectrum import (DEFAULT_BUDGET, enumerate_spectrum, limit_value,
+                       phi_biinfinite, phi_lambda, synthesize_sequence)
 from .transform import (_fast_items, check_recurrence, coefficient_series,
                         digit_trace, mu_hat)
 
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         _arg("--m-max", type=int, required=True,
              help="max extra product terms"),
         _arg("--a-max", type=int, required=True, help="offset bound"),
-        _arg("--budget", type=int, default=10**6,
+        _arg("--budget", type=int, default=DEFAULT_BUDGET,
              help="candidate evaluation budget"),
         tol=True, eta=0.05)
     sub("synthesize", _cmd_synthesize,

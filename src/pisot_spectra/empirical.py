@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import PrecisionExhaustedError
 from .pisot import FieldElement, PisotNumber, RingElement, _theta_value, embed
-from .transform import (FAST_ERROR, FAST_TOL, _exact_zeros, mu_hat,
-                        mu_hat_fast)
+from .transform import (FAST_ERROR, FAST_TOL, _checked_plan, _exact_zeros,
+                        mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
@@ -269,6 +269,12 @@ def estimate_J(theta, T: float = 1e4,
         grid_step = cap
     if not 0 < grid_step <= cap:
         raise ValueError(f"grid_step must lie in (0, {cap:.6g}]")
+    # refuse before building the grid.  np.arange has n points and steps
+    # by (T/2 + grid_step) - T/2, so this is its last and largest point
+    n = math.ceil((T - T / 2) / grid_step)
+    if n > 0:
+        step = (T / 2 + grid_step) - T / 2
+        _checked_plan(theta, T / 2 + (n - 1) * step, FAST_ERROR)
     ts = np.arange(T / 2, T, grid_step)
     vals = mu_hat_fast(theta, ts, tol=FAST_ERROR)
     return _range_stats(vals)

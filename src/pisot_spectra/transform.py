@@ -213,6 +213,18 @@ def fast_error_bound(theta: Theta, t_max: float) -> float:
     return _fast_plan(theta, abs(float(t_max)))[2]
 
 
+def _checked_plan(theta: Theta, t_max: float, tol: float):
+    """_fast_plan's base and depth for a batch whose largest |t| is t_max;
+    raises PrecisionExhaustedError when its error bound exceeds tol."""
+    th, K, bound = _fast_plan(theta, t_max)
+    if not bound <= tol:
+        raise PrecisionExhaustedError(
+            f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
+            f"exceeds the tolerance {tol:.3e}"
+        )
+    return th, K
+
+
 def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
     """Float64 bulk transform values, fixed evaluation order.
 
@@ -220,17 +232,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
     Raises PrecisionExhaustedError, before evaluating, when the batch's
     derived error bound (fast_error_bound) exceeds tol.
     """
-    x = np.abs(np.asarray(ts, dtype=np.float64))
+    x = np.abs(np.asarray(ts, dtype=np.float64))  # a fresh array
     if x.size == 0:
         return np.ones(0)
-    th, K, bound = _fast_plan(theta, float(x.max()))
-    if not bound <= tol:
-        raise PrecisionExhaustedError(
-            f"float64 error bound {bound:.3e} at |t| <= {float(x.max()):.6g} "
-            f"exceeds the tolerance {tol:.3e}"
-        )
-
-    x = x.copy()
+    th, K = _checked_plan(theta, float(x.max()), tol)
     vals = np.ones_like(x)
     two_pi = 2 * math.pi
     for _ in range(K + 1):

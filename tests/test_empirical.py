@@ -5,6 +5,7 @@ pipeline; reports are deterministic (fixed windows, fixed draws), so centers
 and counts are asserted tightly.
 """
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -205,6 +206,23 @@ def test_limit_range_rejects_coarse_grid():
         estimate_J(GOLDEN, 1e4, grid_step=1.0)
     with pytest.raises(ValueError):
         estimate_J(1.0, 1e4)
+
+
+def test_limit_range_refused_before_building_its_grid():
+    # at T = 3e5 the golden grid holds about 10^7 points (80 MB as float64)
+    # and its float64 bound exceeds FAST_ERROR; the refusal comes first
+    with pytest.raises(PrecisionExhaustedError):
+        estimate_J(GOLDEN, 3e5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionExhaustedError,
+                           match=r"float64 error bound 1\.156e-09 at "
+                                 r"\|t\| <= 300000 exceeds the tolerance"):
+            estimate_J(GOLDEN, 3e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_discrepancy_exact_small_cases():
