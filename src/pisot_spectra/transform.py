@@ -232,7 +232,8 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
     Raises PrecisionExhaustedError, before evaluating, when the batch's
     derived error bound (fast_error_bound) exceeds tol.
     """
-    x = np.abs(np.asarray(ts, dtype=np.float64))  # a fresh array
+    # np.abs returns a fresh array, so the loop below may divide it in place
+    x = np.abs(np.asarray(ts, dtype=np.float64))
     if x.size == 0:
         return np.ones(0)
     th, K = _checked_plan(theta, float(x.max()), tol)
