@@ -128,13 +128,12 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         return mp.mpf(1), mp.mpf(0)
     _check_admissible(P, w)
     pb = P.precision_bits
-    m = P.m
 
     with mp.workprec(pb + GUARD_BITS):
         tol_mp = mp.mpf(tol)
         tiny = mp.mpf(2) ** (-(pb // 2))
 
-        emb = [embed(w, i) for i in range(2, m + 1)]
+        emb = [embed(w, i) for i in range(2, P.m + 1)]
         # ascending side: |cos| defects shrink like rho^j; descending side:
         # arguments shrink like theta^-k
         j_pos = 0
@@ -155,7 +154,7 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
 
         def orbit():
             """(j, w theta^j, its numeric argument, deferred)."""
-            u, powers = w, [mp.mpc(1)] * (m - 1)
+            u, powers = w, [mp.mpc(1)] * len(emb)
             for j in range(j_pos):
                 yield j, u, functools.partial(power_sum, powers)
                 powers = [p * c for p, c in zip(powers, P.conjugates)]
