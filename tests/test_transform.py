@@ -26,8 +26,9 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
-from pisot_spectra.transform import (FAST_ERROR, FAST_TOL, _exact_zeros,
-                                     _truncation_depth)
+from pisot_spectra.pisot import _theta_value
+from pisot_spectra.transform import (FAST_ERROR, FAST_TAIL, FAST_TOL,
+                                     _exact_zeros, _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -162,6 +163,41 @@ def test_mu_hat_fast_refuses_exactly_past_its_tolerance():
         mu_hat_fast(GOLDEN, ts, tol=bound * (1 - 1e-6))
     with pytest.raises(PrecisionExhaustedError):
         mu_hat_fast(GOLDEN, [math.inf])
+
+
+def _textbook_fast(theta, ts):
+    # prod_{k<=K} cos(2 pi (x_k - rint x_k)), x_0 = |t|, x_{k+1} = x_k / theta,
+    # with the depth rule of the float64 path at the batch's largest |t|
+    x = np.abs(np.array(ts, dtype=np.float64))
+    if x.size == 0:
+        return np.ones(0)
+    th = float(_theta_value(theta))
+    K = _truncation_depth(2 * math.pi * float(x.max()), th, FAST_TAIL,
+                          start=1) - 1
+    vals = np.ones_like(x)
+    for _ in range(K + 1):
+        vals = vals * np.cos(2 * math.pi * (x - np.rint(x)))
+        x = x / th
+    return vals
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, TRIBONACCI, QUARTIC,
+                                   build_pisot((2,)), 1.5],
+                         ids=["golden", "tribonacci", "quartic", "binary",
+                              "three_halves"])
+@pytest.mark.parametrize("size", [0, 1, 7, 10**5])
+def test_mu_hat_fast_bits_equal_textbook_product(theta, size):
+    rng = np.random.default_rng(size)
+    ts = rng.uniform(-1e5, 1e5, size)
+    if size >= 7:
+        ts[:3] = (0.0, -2.5, -ts[3])
+    before = ts.copy()
+    vals = mu_hat_fast(theta, ts)
+    assert np.array_equal(ts, before)
+    assert vals.dtype == np.float64 and vals.shape == ts.shape
+    assert np.array_equal(vals, _textbook_fast(theta, ts))
+    if size >= 7:
+        assert vals[0] == 1.0 and vals[3] == vals[2]
 
 
 def test_derived_bound_grows_linearly_in_t():
