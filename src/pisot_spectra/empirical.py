@@ -17,8 +17,10 @@ Every sample is evaluated in one float64 batch of the transform, at any N.
 The batch's derived error bound must stay within the report's validation
 threshold (eta/10, at least 1e-6), far above the bound at the sizes used
 here (about 8e-9 at |t| = 2e6 on the golden base).  A precise spot check of
-SPOT_CHECK_SIZE points guards against a fault in the float64 kernel, so that
-no such fault can silently reshape clusters.
+SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
+against the threshold, so a fault in the float64 kernel is caught once it
+exceeds the bound the batch claims.  Each reference is a 64-bit value
+truncated at a share of the bound, just sharp enough for that test.
 """
 
 from __future__ import annotations
@@ -28,15 +30,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import mpmath as mp
 import numpy as np
 
 from .errors import PrecisionExhaustedError
 from .pisot import FieldElement, PisotNumber, RingElement, _theta_value, embed
 from .transform import (FAST_ERROR, FAST_TOL, _checked_plan, _exact_zeros,
-                        mu_hat, mu_hat_fast)
+                        fast_error_bound, mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
+# precision of each spot-check reference, and its truncation tolerance as a
+# share of the batch's derived bound: the reference's certified bound is
+# then at most about half of 1e-3 of the threshold it is tested against
+SPOT_CHECK_BITS = 64
+SPOT_CHECK_SHARE = 5e-4
 # most witnesses kept per cluster in reports
 MAX_WITNESSES = 10
 
@@ -123,10 +131,14 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     """Transform values at r*n for the ascending index array ns.
 
     One float64 batch, refused when its derived error bound exceeds the
-    validation threshold, then a precise spot check at SPOT_CHECK_SIZE
-    evenly spaced indices.  The endpoints, and so the largest |t|, are
-    among them.  Exact zeros of the product are reported as 0, as the
-    precise path reports them.
+    validation threshold (eta/10, at least 1e-6), then a precise spot check
+    at SPOT_CHECK_SIZE evenly spaced indices.  The endpoints, and so the
+    largest |t|, are among them.  Each checked value must lie within the
+    batch's derived bound (fast_error_bound at its largest |t|) plus the
+    reference's own certified bound; the reference is mu_hat at
+    SPOT_CHECK_BITS bits, truncated at SPOT_CHECK_SHARE of the derived
+    bound.  Exact zeros of the product are reported as 0, as the precise
+    path reports them.
     """
     ts = r_val * ns.astype(np.float64)
     tol = max(eta / 10, FAST_TOL) if eta > 0 else FAST_TOL
@@ -134,14 +146,19 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     vals[_exact_zeros(P, ts)] = 0.0
     if not len(ts):
         return vals
+    bound = fast_error_bound(P, max(abs(ts[0]), abs(ts[-1])))
     idx = np.unique(np.linspace(0, len(ts) - 1, SPOT_CHECK_SIZE).astype(np.int64))
-    worst = max(abs(float(mu_hat(P, float(ts[i])).value) - float(vals[i]))
-                for i in idx)
-    if worst >= tol:
-        raise PrecisionExhaustedError(
-            f"float64 spot check deviates by {worst:.3e}, over the "
-            f"validation threshold {tol:.3e}"
-        )
+    for i in idx:
+        ref = mu_hat(P, float(ts[i]), tol=SPOT_CHECK_SHARE * bound,
+                     precision_bits=SPOT_CHECK_BITS)
+        # exact mpf sums, so no rounding enters the comparison
+        deviation = abs(mp.fsub(ref.value, vals[i], exact=True))
+        if deviation > mp.fadd(bound, ref.error_bound, exact=True):
+            raise PrecisionExhaustedError(
+                f"float64 spot check deviates by {float(deviation):.3e} at "
+                f"t = {ts[i]:.9g}, over the derived bound {bound:.3e} plus "
+                f"the reference's {float(ref.error_bound):.3e}"
+            )
     return vals
 
 

@@ -230,7 +230,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
 
     The truncation depth comes from max |t| so every entry shares it.
     Raises PrecisionExhaustedError, before evaluating, when the batch's
-    derived error bound (fast_error_bound) exceeds tol.
+    derived error bound (fast_error_bound) exceeds tol.  Each factor
+    cos(2 pi (x - rint x)) is taken in one scratch array of the batch's
+    size, so the loop allocates nothing; the operations and their order,
+    and so every value bit, are those of the plain expression.
     """
     # np.abs returns a fresh array, so the loop below may divide it in place
     x = np.abs(np.asarray(ts, dtype=np.float64))
@@ -238,9 +241,14 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
         return np.ones(0)
     th, K = _checked_plan(theta, float(x.max()), tol)
     vals = np.ones_like(x)
+    y = np.empty_like(x)
     two_pi = 2 * math.pi
     for _ in range(K + 1):
-        vals *= np.cos(two_pi * (x - np.rint(x)))
+        np.rint(x, out=y)
+        np.subtract(x, y, out=y)
+        np.multiply(two_pi, y, out=y)
+        np.cos(y, out=y)
+        vals *= y
         x /= th
     return vals
 

@@ -18,6 +18,7 @@ from pisot_spectra import (
     discrepancy,
     enumerate_spectrum,
     estimate_J,
+    fast_error_bound,
     interval_fill_test,
     mu_hat_fast,
     sample_and_cluster,
@@ -422,3 +423,43 @@ def test_precise_calls_do_not_jump_at_ten_thousand(monkeypatch):
         counts.append(len(calls))
         assert max(calls) == N   # the largest |t| is among the checked points
     assert counts[0] == counts[1] <= empirical.SPOT_CHECK_SIZE
+
+
+@pytest.mark.parametrize("N", [10**4, 10**6])
+def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
+                                                                 N):
+    # eta = 1e-5 refuses batches past 1e-6; the fault is far below that
+    real = empirical.mu_hat_fast
+    ns = np.arange(N // 2, N + 1, dtype=np.int64)
+    fault = 10 * fast_error_bound(GOLDEN, float(N))
+    assert fault < 1e-7
+
+    def off_at_largest_t(theta, ts, tol):
+        vals = real(theta, ts, tol=tol)
+        vals[np.argmax(np.abs(ts))] += fault
+        return vals
+    monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
+    with pytest.raises(PrecisionExhaustedError, match="derived bound"):
+        empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
+
+
+@pytest.mark.parametrize("P, r, lo, hi", [
+    (GOLDEN, 1.0, 1000, 2000),
+    (GOLDEN, 1.0, 5 * 10**5, 10**6),
+    (GOLDEN, 0.7, 0, 40),
+    (build_pisot((1, 1, 1)), 1.0, 5000, 10**4),
+    (FLAT, 0.25, 1, 4000),
+    (TERNARY, 1.0, 100, 300),
+])
+def test_spot_check_references_are_sharp_against_their_threshold(
+        monkeypatch, P, r, lo, hi):
+    refs = []
+    real = empirical.mu_hat
+    monkeypatch.setattr(empirical, "mu_hat",
+                        lambda *a, **k: refs.append(real(*a, **k)) or refs[-1])
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    empirical._values_for(P, r, ns, 1e-3)
+    assert len(refs) == min(len(ns), empirical.SPOT_CHECK_SIZE)
+    bound = fast_error_bound(P, r * hi)
+    for ref in refs:
+        assert ref.error_bound <= 1e-3 * (bound + ref.error_bound)
