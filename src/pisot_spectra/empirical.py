@@ -41,8 +41,9 @@ from .transform import (FAST_ERROR, FAST_TOL, _checked_plan, _exact_zeros,
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
 # precision of each spot-check reference, and its truncation tolerance as a
-# share of the batch's derived bound: the reference's certified bound is
-# then at most about half of 1e-3 of the threshold it is tested against
+# share of the batch's derived bound: half of 1e-3, so that the reference's
+# certified bound, rounding terms included, stays below 1e-3 of the
+# threshold it is tested against
 SPOT_CHECK_BITS = 64
 SPOT_CHECK_SHARE = 5e-4
 # most witnesses kept per cluster in reports
