@@ -141,7 +141,7 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     bound.  Exact zeros of the product are reported as 0, as the precise
     path reports them.
     """
-    ts = r_val * ns.astype(np.float64)
+    ts = np.multiply(r_val, ns, dtype=np.float64)
     tol = max(eta / 10, FAST_TOL) if eta > 0 else FAST_TOL
     vals = mu_hat_fast(P, ts, tol=tol)
     vals[_exact_zeros(P, ts)] = 0.0

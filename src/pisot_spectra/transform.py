@@ -5,7 +5,10 @@ bound derived from |log cos x| <= x^2 on |x| <= 1, on a big-float path with
 explicit error bounds per value.  mu_hat_fast evaluates whole batches in
 float64.  Its error bound is derived a priori from theta, the batch's largest
 |t| and its truncation depth (see fast_error_bound); a batch whose bound
-exceeds the caller's tolerance is refused, not evaluated.
+exceeds the caller's tolerance is refused, not evaluated.  An admitted batch
+runs in blocks of FAST_BLOCK points, each in block-sized scratch arrays,
+shared over at most one thread per core this process may run on (numpy's
+ufuncs release the GIL); every value bit is that of the plain expression.
 
 digit_trace records the nearest integers K_j and remainders delta_j of
 y theta^j; runs of small remainders force the integer recurrence
@@ -15,6 +18,8 @@ K_{j+m} = d_1 K_{j+m-1} + ... + d_m K_j, which check_recurrence verifies.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -50,6 +55,8 @@ _U = 2.0 ** -53
 _FACTOR_ERROR = (2 * math.pi * (1 + _U) + 8 + 1) * _U
 # float64 values below this are reported as bracketing zero
 FAST_ZERO = 1e-12
+# points per block of a mu_hat_fast batch: 256 KiB per block-sized array
+FAST_BLOCK = 2 ** 15
 
 Theta = Union[PisotNumber, int, float, Fraction, mp.mpf]
 
@@ -230,26 +237,49 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
 
     The truncation depth comes from max |t| so every entry shares it.
     Raises PrecisionExhaustedError, before evaluating, when the batch's
-    derived error bound (fast_error_bound) exceeds tol.  Each factor
-    cos(2 pi (x - rint x)) is taken in one scratch array of the batch's
-    size, so the loop allocates nothing; the operations and their order,
-    and so every value bit, are those of the plain expression.
+    derived error bound (fast_error_bound) exceeds tol.
+
+    The batch runs in blocks of FAST_BLOCK points, shared over
+    min(cores this process may run on, blocks) threads.  A block takes its
+    K + 1 factors cos(2 pi (x - rint x)) in two block-sized scratch arrays
+    and tracks its largest argument m by the same division that steps x.
+    Division by theta > 0 is monotone under rounding, so m stays exactly the
+    block's maximum; once m <= 1/2, rint x is 0 and x - 0 is x, so the
+    factor is cos(2 pi x) and the reduction is skipped.  Every value bit is
+    that of the plain expression, whatever the block and thread count.
     """
-    # np.abs returns a fresh array, so the loop below may divide it in place
-    x = np.abs(np.asarray(ts, dtype=np.float64))
-    if x.size == 0:
+    t = np.asarray(ts, dtype=np.float64)
+    if t.size == 0:
         return np.ones(0)
-    th, K = _checked_plan(theta, float(x.max()), tol)
-    vals = np.ones_like(x)
-    y = np.empty_like(x)
+    th, K = _checked_plan(theta, float(max(abs(t.min()), abs(t.max()))), tol)
+    flat = t.reshape(-1)
+    vals = np.empty(t.shape)
+    out = vals.reshape(-1)
     two_pi = 2 * math.pi
-    for _ in range(K + 1):
-        np.rint(x, out=y)
-        np.subtract(x, y, out=y)
-        np.multiply(two_pi, y, out=y)
-        np.cos(y, out=y)
-        vals *= y
-        x /= th
+
+    def run_block(start: int) -> None:
+        x = np.abs(flat[start:start + FAST_BLOCK])
+        y = np.empty_like(x)
+        v = out[start:start + FAST_BLOCK]
+        v.fill(1.0)
+        m = float(x.max())
+        for k in range(K + 1):
+            if k:
+                x /= th
+                m /= th
+            if m > 0.5:
+                np.rint(x, out=y)
+                np.subtract(x, y, out=y)
+                np.multiply(two_pi, y, out=y)
+            else:
+                np.multiply(two_pi, x, out=y)
+            np.cos(y, out=y)
+            v *= y
+
+    starts = range(0, flat.size, FAST_BLOCK)
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run_block, starts))
     return vals
 
 
@@ -257,15 +287,20 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     """Mask of the float64 t at which the product vanishes exactly.
 
     A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
-    integer.  Every base admits k = 0; an integer base b (a PisotNumber of
-    degree 1) also each k with b^k <= 4|t|, tested in int64.  An irrational
+    integer.  Every base admits k = 0: fmod(4|t|, 2) == 1, exact in float64
+    and taken in one array.  An integer base b (a PisotNumber of degree 1)
+    also admits each k with b^k <= 4|t|, tested in int64.  An irrational
     theta admits no k > 0, since 4t is rational.
     """
-    z = 4 * np.abs(ts)                       # exact: a scaling by 4
+    z = np.abs(ts)
+    z *= 4                                   # exact: a scaling by 4
+    if not (isinstance(theta, PisotNumber) and theta.m == 1):
+        with np.errstate(invalid="ignore"):  # fmod(inf, 2) is nan: no zero
+            return np.fmod(z, 2, out=z) == 1
     whole = (z == np.rint(z)) & (z < 2.0 ** 62)
     zi = np.where(whole, z, 0).astype(np.int64)
     zero = whole & (zi % 2 == 1)
-    if isinstance(theta, PisotNumber) and theta.m == 1 and zi.size:
+    if zi.size:
         b = power = theta.d[0]
         while power <= zi.max():
             zero |= whole & (zi % power == 0) & ((zi // power) % 2 == 1)

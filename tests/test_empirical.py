@@ -226,6 +226,19 @@ def test_limit_range_refused_before_building_its_grid():
     assert peak < 2**20
 
 
+def test_sample_batch_peak_memory():
+    # ts, the values and one array for the exact-zero test: 12.5 MB, against
+    # 21 MB when that test and the argument array took full-size temporaries
+    ns = np.arange(5 * 10**5, 10**6 + 1)
+    tracemalloc.start()
+    try:
+        empirical._values_for(GOLDEN, 1.0, ns, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 10**6
+
+
 def test_discrepancy_exact_small_cases():
     assert discrepancy(0.0, [1, 2, 3]) == 1.0
     assert discrepancy(0.25, [1, 2, 3, 4]) == 0.25

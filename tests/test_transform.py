@@ -1,7 +1,10 @@
 """Transform evaluation, digit traces, and the integer recurrence."""
 
 import math
+import os
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,9 +29,11 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
+from pisot_spectra import empirical, transform
 from pisot_spectra.pisot import _theta_value
-from pisot_spectra.transform import (FAST_ERROR, FAST_TAIL, FAST_TOL,
-                                     _exact_zeros, _truncation_depth)
+from pisot_spectra.transform import (FAST_BLOCK, FAST_ERROR, FAST_TAIL,
+                                     FAST_TOL, _exact_zeros,
+                                     _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -185,7 +190,8 @@ def _textbook_fast(theta, ts):
                                    build_pisot((2,)), 1.5],
                          ids=["golden", "tribonacci", "quartic", "binary",
                               "three_halves"])
-@pytest.mark.parametrize("size", [0, 1, 7, 10**5])
+@pytest.mark.parametrize("size", [0, 1, 7, 10**5, FAST_BLOCK - 1, FAST_BLOCK,
+                                  FAST_BLOCK + 1, 3 * FAST_BLOCK + 5])
 def test_mu_hat_fast_bits_equal_textbook_product(theta, size):
     rng = np.random.default_rng(size)
     ts = rng.uniform(-1e5, 1e5, size)
@@ -198,6 +204,111 @@ def test_mu_hat_fast_bits_equal_textbook_product(theta, size):
     assert np.array_equal(vals, _textbook_fast(theta, ts))
     if size >= 7:
         assert vals[0] == 1.0 and vals[3] == vals[2]
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, build_pisot((2,)), 1.5],
+                         ids=["golden", "quartic", "binary", "three_halves"])
+def test_mu_hat_fast_bits_equal_textbook_product_at_largest_t_one_half(theta):
+    # every argument is at most 1/2 from k = 0 on, so no factor is reduced
+    ts = np.array([0.5, 0.25, -0.5])
+    assert np.array_equal(mu_hat_fast(theta, ts), _textbook_fast(theta, ts))
+
+
+def _with_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def _record_pools(monkeypatch):
+    """Worker counts of the thread pools mu_hat_fast opens from now on."""
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(transform, "ThreadPoolExecutor", Recording)
+    return pools
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC], ids=["golden", "quartic"])
+def test_mu_hat_fast_bits_equal_for_one_worker_and_several(monkeypatch, theta):
+    ts = np.random.default_rng(3).uniform(-1e5, 1e5, 3 * FAST_BLOCK + 5)
+    pools = _record_pools(monkeypatch)
+    runs = []
+    for cores in (1, 2, 3, 8):
+        _with_cores(monkeypatch, cores)
+        runs.append(mu_hat_fast(theta, ts))
+    assert pools == [1, 2, 3, 4]
+    for vals in runs:
+        assert np.array_equal(vals, runs[0])
+    assert np.array_equal(runs[0], _textbook_fast(theta, ts))
+
+
+def test_mu_hat_fast_leaves_no_thread_behind(monkeypatch):
+    _with_cores(monkeypatch, 4)
+    pools = _record_pools(monkeypatch)
+    before = threading.active_count()
+    ts = np.linspace(1.0, 1e5, 4 * FAST_BLOCK)
+    mu_hat_fast(GOLDEN, ts)
+    assert pools == [4] and threading.active_count() == before
+
+    # a refused batch raises before it opens a pool
+    with pytest.raises(PrecisionExhaustedError):
+        mu_hat_fast(GOLDEN, ts * 1e4)
+    assert pools == [4] and threading.active_count() == before
+
+    # a fault inside the workers reaches the caller after they are joined
+    def fault(*args, **kwargs):
+        raise FloatingPointError("injected")
+    with monkeypatch.context() as m:
+        m.setattr(np, "cos", fault)
+        with pytest.raises(FloatingPointError, match="injected"):
+            mu_hat_fast(GOLDEN, ts)
+    assert pools == [4, 4] and threading.active_count() == before
+
+
+def test_one_block_batches_start_at_most_one_worker(monkeypatch):
+    _with_cores(monkeypatch, 4)
+    pools = _record_pools(monkeypatch)
+    before = threading.active_count()
+    # dyadic blocks [2^k, 2^(k+1)) up to k = 15: the last has FAST_BLOCK points
+    blocks = empirical.decay_check(1.5, 2 * FAST_BLOCK - 1)
+    assert blocks[-1].stop - blocks[-1].start == FAST_BLOCK
+    assert pools == [1] * len(blocks)
+    assert threading.active_count() == before
+
+
+def _exact_zeros_int64(theta, ts):
+    # the int64 test of every k, as the k = 0 test stood before it was
+    # taken in one array by fmod
+    z = 4 * np.abs(ts)
+    whole = (z == np.rint(z)) & (z < 2.0 ** 62)
+    zi = np.where(whole, z, 0).astype(np.int64)
+    zero = whole & (zi % 2 == 1)
+    if isinstance(theta, type(GOLDEN)) and theta.m == 1 and zi.size:
+        b = power = theta.d[0]
+        while power <= zi.max():
+            zero |= whole & (zi % power == 0) & ((zi // power) % 2 == 1)
+            power *= b
+    return zero
+
+
+@pytest.mark.parametrize("d", [(1, 1), (2,), (3,), (4,)])
+def test_exact_zeros_equal_the_int64_route(d):
+    P = build_pisot(d)
+    near = []
+    for top in (2.0 ** 53, 2.0 ** 62):
+        # 4|t| one side and the other of the top, at spacing 1, 2, 4, ...
+        z = top + np.arange(-64, 65) * np.spacing(top / 2)
+        near.append(z / 4)
+        near.append(np.nextafter(z, 0) / 4)
+    ts = np.concatenate([np.arange(-40, 41) / 8, [0.0, -0.0, 0.75, -0.75],
+                         3.0 ** np.arange(30) / 4, -(2.0 ** np.arange(60)) / 4,
+                         *near, *[-x for x in near], [np.inf, -np.inf, np.nan]])
+    mask = _exact_zeros(P, ts)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, _exact_zeros_int64(P, ts))
+    assert mask.any() and not mask.all()
 
 
 def test_derived_bound_grows_linearly_in_t():
