@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -276,6 +275,9 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
             np.cos(y, out=y)
             v *= y
 
+    # imported here, not at start-up: concurrent.futures loads logging, which
+    # costs every command that evaluates no batch about 7 ms and 0.7 MB
+    from concurrent.futures import ThreadPoolExecutor
     starts = range(0, flat.size, FAST_BLOCK)
     workers = min(len(os.sched_getaffinity(0)), len(starts))
     with ThreadPoolExecutor(workers) as pool:

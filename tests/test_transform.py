@@ -1,10 +1,10 @@
 """Transform evaluation, digit traces, and the integer recurrence."""
 
+import concurrent.futures
 import math
 import os
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,7 +29,7 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
-from pisot_spectra import empirical, transform
+from pisot_spectra import empirical
 from pisot_spectra.pisot import _theta_value
 from pisot_spectra.transform import (FAST_BLOCK, FAST_ERROR, FAST_TAIL,
                                      FAST_TOL, _exact_zeros,
@@ -222,11 +222,11 @@ def _record_pools(monkeypatch):
     """Worker counts of the thread pools mu_hat_fast opens from now on."""
     pools = []
 
-    class Recording(ThreadPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
-    monkeypatch.setattr(transform, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return pools
 
 
