@@ -30,7 +30,7 @@ from pisot_spectra import (
     nearest_int_data,
 )
 from pisot_spectra import empirical
-from pisot_spectra.pisot import _theta_value
+from pisot_spectra.pisot import PisotNumber, _theta_value
 from pisot_spectra.transform import (FAST_BLOCK, FAST_ERROR, FAST_TAIL,
                                      FAST_TOL, _exact_zeros,
                                      _truncation_depth)
@@ -285,7 +285,7 @@ def _exact_zeros_int64(theta, ts):
     whole = (z == np.rint(z)) & (z < 2.0 ** 62)
     zi = np.where(whole, z, 0).astype(np.int64)
     zero = whole & (zi % 2 == 1)
-    if isinstance(theta, type(GOLDEN)) and theta.m == 1 and zi.size:
+    if isinstance(theta, PisotNumber) and theta.m == 1 and zi.size:
         b = power = theta.d[0]
         while power <= zi.max():
             zero |= whole & (zi % power == 0) & ((zi // power) % 2 == 1)
@@ -298,7 +298,7 @@ def test_exact_zeros_equal_the_int64_route(d):
     P = build_pisot(d)
     near = []
     for top in (2.0 ** 53, 2.0 ** 62):
-        # 4|t| one side and the other of the top, at spacing 1, 2, 4, ...
+        # 4|t| on either side of the top, in steps of the ulp just below it
         z = top + np.arange(-64, 65) * np.spacing(top / 2)
         near.append(z / 4)
         near.append(np.nextafter(z, 0) / 4)
