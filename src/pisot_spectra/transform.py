@@ -25,6 +25,7 @@ from typing import Iterator, Union
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .errors import (
     InvalidDeltaError,
@@ -36,6 +37,13 @@ from .pisot import (FieldElement, PisotNumber, _nearest_int, _theta_value,
 
 # below this modulus a cosine factor is treated as a potential exact zero
 FACTOR_FLOOR = 1e-30
+_FLOOR_NUM, _FLOOR_DEN = FACTOR_FLOOR.as_integer_ratio()
+# error of cos_sin_fixed(a, W, pi_fixed(W - 1)) against cos(a 2^-W), in
+# units of 2^-W.  Up to W = 400 mpmath sums a Taylor series of at most W/8
+# terms at W bits, each floored at most twice, onto a cached table; past
+# that it sums at W + 10 or more bits.  tests/test_transform.py pins it for
+# W = 96..1600, where the worst seen is 12.7.
+COS_FIXED_ERROR = 128
 # error bound that float64 series and block maxima carry; a batch whose
 # derived bound exceeds it is refused (the bound reaches it at |t| ~ 2.6e5
 # on the golden base and is about 4e-8 at |t| = 1e7)
@@ -132,43 +140,130 @@ def _mag_estimate(t) -> int:
     return max(0, int(mp.mag(t)))
 
 
+def _float_depth(at: float, q: float, tol: float) -> int | None:
+    """_truncation_depth(2 pi at, q, tol, start=1) - 1 taken in float64, or
+    None when a comparison it decides lies within float64's error.
+
+    x_j = 2 pi at / q^j carries j + 4 roundings (at, 2 pi, their product,
+    q and j divisions), so it lies within a relative (2j + 4)u of its exact
+    value, and x_j^2 / (1 - q^-2) within twice that plus 4u / (1 - q^-2)
+    for the cancellation in 1 - q^-2 (u = 2^-53).  The mpf rule rounds at
+    far more bits.  Each comparison here clears its threshold by twice
+    these margins, so the mpf rule decides it the same way.
+    """
+    if not (at < 1e150 and tol >= 1e-250):
+        return None
+    s = 1 / (1 - q ** -2)
+    x = 2 * math.pi * at / q
+    j = 1
+    while True:
+        mx = (4 * j + 8) * _U
+        mv = (8 * j + 16 + 8 * s) * _U
+        v = x * x * s
+        if x * (1 - mx) > 1 or v * (1 - mv) > tol:
+            j, x = j + 1, x / q
+        elif x * (1 + mx) <= 1 and v * (1 + mv) <= tol:
+            return j - 1
+        else:
+            return None
+
+
+def _fixed_abs(t, W: int, work: int) -> int:
+    """floor(|t| 2^W), exact for int, Fraction, float and mpf t; any other
+    input is converted at work + W bits first."""
+    if isinstance(t, (int, Fraction)):
+        n, d = abs(t.numerator), t.denominator
+    elif isinstance(t, float):
+        n, d = abs(t).as_integer_ratio()
+    else:
+        if not isinstance(t, mp.mpf):
+            with mp.workprec(work + W):
+                t = _to_mpf(t)
+        _, man, exp, _ = t._mpf_
+        return man << (W + exp) if W + exp >= 0 else man >> -(W + exp)
+    return (n << W) // d
+
+
 def mu_hat(theta: Theta, t, tol: float = 1e-20,
            precision_bits: int | None = None) -> MuHatResult:
     """Transform value at t with certified truncation error.
 
     Truncates after the minimal K with (2 pi theta^-(K+1) |t|)^2/(1-theta^-2)
-    <= tol and 2 pi theta^-(K+1) |t| <= 1; each argument is reduced mod 1
-    before the 2 pi multiplication.  Even in t by construction.
+    <= tol and 2 pi theta^-(K+1) |t| <= 1: _float_depth decides it, and
+    the mpf rule _truncation_depth settles what float64 cannot.  Even in t
+    by construction.
+
+    The K + 1 factors come from a fixed-point integer kernel with W
+    fractional bits.  x_0 = floor(|t| 2^W) and x_(k+1) = (x_k R) >> W, with
+    R = round(2^W / theta) from theta at W + 16 bits.  The W low bits of x_k
+    are its fraction mod 1; 2 pi times it, in fixed point, goes to mpmath's
+    cos_sin_fixed with pi_fixed(W - 1), pi/2 in fixed point.  The running
+    product keeps W + 1 significant bits, one shift per factor.
+
+    The kernel's absolute error, in units of 2^-W, with
+    S = 2^mag(t) theta/(theta - 1) >= sum_k |t| theta^-k:
+      - x_k is off by at most 2 + K + S: under one unit from x_0, one per
+        shift, and x_j |R - 2^W/theta| <= x_j per step;
+      - a factor by COS_FIXED_ERROR for the cosine, 3 for its fixed-point
+        argument and 2 pi < 7 times the error of x_k;
+      - the product by one unit per shift.  The factors have modulus at
+        most 1 and their errors add up; the cosines' excess over 1 at most
+        doubles the sum over K + 1 factors.
+    So E = 2 (K + 1) (COS_FIXED_ERROR + 4 + 7 (2 + K + S)), and W is
+    pb + 12 plus the bit length of E: the kernel is within 2^-(pb+12).
+    The bound adds e^tol times that to the truncated tail, within its
+    2^-(pb+10) term.
+
+    A factor of modulus below FACTOR_FLOOR is a floor hit: it stays out of
+    the product, and the result brackets zero, taking |c| + E as the
+    modulus of that factor.
     """
     _check_tol(tol)
     pb = precision_bits or (theta.precision_bits
                             if isinstance(theta, PisotNumber) else 256)
     th = _theta_value(theta, pb + 64)
     work = pb + _mag_estimate(t) + 32
-    with mp.workprec(work):
+    with mp.workprec(64):
         at = abs(_to_mpf(t))
         if at == 0:
             return MuHatResult(mp.mpf(1), mp.mpf(0), 0, False)
-        two_pi = 2 * mp.pi
-        # factors k = 0..K; the tail starts at argument 2 pi |t| theta^-(K+1)
-        K = _truncation_depth(two_pi * at, th, tol, start=1) - 1
+        K = _float_depth(float(at), float(th), tol)
+        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
+    if K is None:
+        with mp.workprec(work):
+            K = _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol,
+                                  start=1) - 1
 
-        value = mp.mpf(1)
-        floor_hits = 0
-        floor_prod = mp.mpf(1)
-        x = at
-        for _ in range(K + 1):
-            u = x - mp.floor(x)
-            factor = mp.cos(two_pi * u)
-            if abs(factor) < FACTOR_FLOOR:
-                floor_hits += 1
-                floor_prod *= abs(factor)
-            else:
-                value *= factor
-            x /= th
+    S = (gap << _mag_estimate(t) >> 16) + 1
+    E = 2 * (K + 1) * (COS_FIXED_ERROR + 4 + 7 * (2 + K + S))
+    W = pb + 12 + E.bit_length()
+    _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
+    R = ((1 << (W + 1 - exp)) // man + 1) >> 1
+    two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
+    mask = (1 << W) - 1
+    # |c| < floor_units exactly when |c| 2^-W < FACTOR_FLOOR
+    floor_units = -((-_FLOOR_NUM << W) // _FLOOR_DEN)
 
+    x = _fixed_abs(t, W, work)
+    value, exp = 1 << W, -W
+    floor_hits = []
+    for _ in range(K + 1):
+        c = cos_sin_fixed(((x & mask) * two_pi) >> W, W, half_pi)[0]
+        if -floor_units < c < floor_units:
+            floor_hits.append(abs(c) + E)
+        else:
+            value *= c
+            shift = value.bit_length() - W - 1
+            value >>= shift
+            exp += shift - W
+        x = (x * R) >> W
+
+    with mp.workprec(W + 1):
+        value = mp.ldexp(value, exp)
+    with mp.workprec(work):
         rounding = (K + 2) * mp.mpf(2) ** (-(pb + 20))
         if floor_hits:
+            floor_prod = mp.fprod(mp.ldexp(h, -W) for h in floor_hits)
             bracket = abs(value) * (floor_prod + rounding) * mp.exp(tol) + rounding
             return MuHatResult(mp.mpf(0), bracket, K, True)
         err = abs(value) * mp.expm1(tol + rounding) + mp.mpf(2) ** (-(pb + 10))
