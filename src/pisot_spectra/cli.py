@@ -29,8 +29,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import formats
 from .empirical import (_as_real, decay_check, discrepancy, estimate_J,
                         interval_fill_test, sample_and_cluster,
@@ -246,6 +244,7 @@ def _cmd_sample(args, P, pb):
             raise UsageError("sample --format csv streams raw values and "
                              "takes no " + ", ".join(
                                  "--" + d.replace("_", "-") for d in ignored))
+        import numpy as np
         ns = np.arange(max(1, n_min), args.N + 1, dtype=np.int64)
         return formats.series_to_csv(_fast_items(P, _as_real(r), ns), pb)
     candidates = None

@@ -21,6 +21,9 @@ SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
 against the threshold, so a fault in the float64 kernel is caught once it
 exceeds the bound the batch claims.  Each reference is a 64-bit value
 truncated at a share of the bound, just sharp enough for that test.
+
+numpy is imported inside the functions that use it, so importing this
+module, and running the precise commands, leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 
 from .errors import PrecisionExhaustedError
 from .pisot import FieldElement, PisotNumber, RingElement, _theta_value, embed
@@ -141,6 +143,7 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     bound.  Exact zeros of the product are reported as 0, as the precise
     path reports them.
     """
+    import numpy as np
     ts = np.multiply(r_val, ns, dtype=np.float64)
     tol = max(eta / 10, FAST_TOL) if eta > 0 else FAST_TOL
     vals = mu_hat_fast(P, ts, tol=tol)
@@ -166,6 +169,7 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
 def _gap_split(sorted_vals: np.ndarray, gap: float):
     """Index groups of the sorted values, split where neighbours differ by
     more than gap."""
+    import numpy as np
     cuts = [0, *(np.flatnonzero(np.diff(sorted_vals) > gap) + 1).tolist(),
             len(sorted_vals)]
     return list(zip(cuts[:-1], cuts[1:]))
@@ -195,6 +199,7 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     larger than `gap`.  When a candidate list is given, each cluster is
     matched to the candidate of closest predicted value within match_tol.
     """
+    import numpy as np
     n_min = _sample_start(N, eta, gap, n_min)
     r_val = _as_real(r)
     ns = np.arange(n_min, N + 1, dtype=np.int64)
@@ -240,6 +245,7 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
 
 
 def _range_stats(values: np.ndarray) -> IntervalEstimate:
+    import numpy as np
     values = np.sort(values)
     count = len(values)
     if count == 0:
@@ -263,6 +269,7 @@ def interval_fill_test(P: PisotNumber, r, N: int,
     reflects how far the sample is from filling the range, for resonant and
     generic r alike.  It shrinks with N only where the values densify.
     """
+    import numpy as np
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     r_val = _as_real(r)
@@ -273,13 +280,19 @@ def interval_fill_test(P: PisotNumber, r, N: int,
 
 def estimate_J(theta, T: float = 1e4,
                grid_step: Optional[float] = None) -> IntervalEstimate:
-    """Signed-value range of the transform on a uniform grid over [T/2, T].
+    """Signed-value range of the transform on the grid
+    np.arange(T/2, T, grid_step).
 
+    That grid has n = ceil((T/2) / grid_step) points T/2 + i s, i < n,
+    where s = (T/2 + grid_step) - T/2 is the step as numpy rounds it.  s can
+    exceed grid_step, so the last point can lie a little above T: at
+    T = 89023.7695376 and grid_step 3.506e-4 it is 89023.7695961.
     The grid step never exceeds 1/(4C) where C = 2 pi theta/(theta-1)
     bounds the derivative, so no swing between samples can be missed by
     more than a quarter period.  Values are float64, refused (raising
     PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR.
     """
+    import numpy as np
     th = float(_theta_value(theta))
     c_bound = 2 * math.pi * th / (th - 1)
     cap = 1 / (4 * c_bound)
@@ -305,6 +318,7 @@ def discrepancy(alpha, x: Sequence) -> float:
     binary fraction, residues by modular arithmetic), immune to the
     catastrophic rounding of alpha*x mod 1 for huge x.
     """
+    import numpy as np
     n = len(x)
     if n == 0:
         raise ValueError("x must be non-empty")
@@ -374,6 +388,7 @@ def translated_sample(P: PisotNumber, r, gamma, N: int, eta: float,
     regime, while the angular-coverage statistic (fraction of 64 direction
     bins occupied within the modal radius band of 32) detects circle fill.
     """
+    import numpy as np
     n_min = _sample_start(N, eta, gap, n_min)
     r_val = _as_real(r)
     g_val = _as_real(gamma)
@@ -414,6 +429,7 @@ def decay_check(theta, N: int) -> tuple:
     monotone: for theta = 3/2 the maximum over [2^14, 2^15) exceeds the one
     over [2^13, 2^14).  Values are float64, refused (raising
     PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR."""
+    import numpy as np
     if N < 2:
         raise ValueError("N must be at least 2")
     blocks = []

@@ -19,13 +19,13 @@ precondition raises PrecisionExhaustedError.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath as mp
-import numpy as np
 
 from .errors import (
     AmbiguousRoundingError,
@@ -132,6 +132,38 @@ class MinimalPolynomial:
     def is_squarefree(self) -> bool:
         f = self.monic_desc()
         return _int_poly_gcd_degree(f, _poly_derivative(f)) == 0
+
+
+def _root_estimates(poly: MinimalPolynomial):
+    """All complex roots of poly to about float64 accuracy, or None.
+
+    Durand-Kerner (Weierstrass) iteration in Python complex arithmetic,
+    started on a circle of radius 1 + max |d_i|, which holds every root.
+    Returns None when the steps have not settled within 200 sweeps or two
+    iterates meet.
+    """
+    desc = poly.monic_desc()
+    m = poly.degree
+    radius = 1 + max(abs(c) for c in poly.d)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / m + 0.4))
+         for k in range(m)]
+    for _ in range(200):
+        worst = 0.0
+        for i in range(m):
+            value, den = 1, 1
+            for c in desc[1:]:
+                value = value * z[i] + c
+            for j in range(m):
+                if j != i:
+                    den *= z[i] - z[j]
+            if den == 0:
+                return None
+            step = value / den
+            z[i] -= step
+            worst = max(worst, abs(step))
+        if worst <= 2.0 ** -50 * radius:
+            return z
+    return z if worst <= 2.0 ** -20 * radius else None
 
 
 def _newton_refine(poly: MinimalPolynomial, x0, prec: int):
@@ -247,8 +279,11 @@ def _delta_max(poly: MinimalPolynomial) -> Fraction:
 def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
     """Certify the dominant root of x^m - d_1 x^{m-1} - ... - d_m as Pisot.
 
-    Root estimates come from the float64 companion matrix (np.roots) and are
-    Newton-refined at precision_bits + 64 bits.  Certification requires a
+    Root estimates come from Durand-Kerner iteration in float64 complex
+    arithmetic (_root_estimates) and are Newton-refined at
+    precision_bits + 64 bits.  When that iteration does not settle, or two
+    refined roots coincide, mp.polyroots at the working precision takes
+    over.  Certification requires a
     real dominant root > 1, every other root of modulus <= 1 - 2^-20,
     squarefree input, and polynomial residuals below 2^-(precision_bits-16).
 
@@ -274,17 +309,18 @@ def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
                                precision_bits)
 
     with mp.workprec(work):
-        estimates = list(np.roots([1.0] + [-float(c) for c in poly.d]))
-        refined = [_newton_refine(poly, mp.mpc(complex(r)), work) for r in estimates]
+        estimates = _root_estimates(poly)
+        refined = [_newton_refine(poly, mp.mpc(r), work)
+                   for r in estimates or ()]
         sep = mp.mpf(2) ** (-(precision_bits // 2))
-        collided = any(
+        collided = estimates is None or any(
             abs(refined[i] - refined[j]) < sep
             for i in range(len(refined))
             for j in range(i + 1, len(refined))
         )
         if collided:
-            # float companion estimates funneled into one root; use the
-            # arbitrary-precision solver instead
+            # the float estimates did not settle, or funneled into one
+            # root; use the arbitrary-precision solver instead
             refined = [
                 mp.mpc(r)
                 for r in mp.polyroots([mp.mpf(c) for c in poly.monic_desc()],

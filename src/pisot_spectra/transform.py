@@ -1,14 +1,21 @@
 """Infinite cosine-product transform values and nearest-integer digit traces.
 
 mu_hat evaluates prod_{k>=0} cos(2 pi theta^-k t) with a certified truncation
-bound derived from |log cos x| <= x^2 on |x| <= 1, on a big-float path with
-explicit error bounds per value.  mu_hat_fast evaluates whole batches in
-float64.  Its error bound is derived a priori from theta, the batch's largest
-|t| and its truncation depth (see fast_error_bound); a batch whose bound
-exceeds the caller's tolerance is refused, not evaluated.  An admitted batch
-runs in blocks of FAST_BLOCK points, each in block-sized scratch arrays,
-shared over at most one thread per core this process may run on (numpy's
-ufuncs release the GIL); every value bit is that of the plain expression.
+bound derived from |log cos x| <= x^2 on |x| <= 1.  Its factors come from a
+fixed-point integer kernel: x = |t| theta^-k is a Python int with W
+fractional bits, stepped by one multiply by a fixed-point theta^-1 and a
+shift, reduced mod 1 by a mask, with each cosine from mpmath's
+cos_sin_fixed.  W is chosen from the kernel's derived error, so that error
+stays within 2^-(pb+12) and the bound of each value is certified.
+
+mu_hat_fast evaluates whole batches in float64.  Its error bound is derived
+a priori from theta, the batch's largest |t| and its truncation depth (see
+fast_error_bound); a batch whose bound exceeds the caller's tolerance is
+refused, not evaluated.  An admitted batch runs in blocks of FAST_BLOCK
+points, each in block-sized scratch arrays, shared over at most one thread
+per core this process may run on (numpy's ufuncs release the GIL); every
+value bit is that of the plain expression.  numpy is imported inside the
+float64 functions only, so the precise commands start without it.
 
 digit_trace records the nearest integers K_j and remainders delta_j of
 y theta^j; runs of small remainders force the integer recurrence
@@ -24,7 +31,6 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .errors import (
@@ -184,6 +190,27 @@ def _fixed_abs(t, W: int, work: int) -> int:
     return (n << W) // d
 
 
+def _kernel_plan(theta: Theta, t, tol: float, pb: int):
+    """(K, W, E) of mu_hat's kernel at t, or None at t = 0: the depth, the
+    fractional bits and the derived error in units of 2^-W (see mu_hat)."""
+    th = _theta_value(theta, pb + 64)
+    with mp.workprec(64):
+        at = abs(_to_mpf(t))
+        if at == 0:
+            return None
+        K = _float_depth(float(at), float(th), tol)
+        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
+    mag = _mag_estimate(t)
+    if K is None:
+        with mp.workprec(pb + mag + 32):
+            K = _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol,
+                                  start=1) - 1
+    # gap 2^(mag - 16) >= S = 2^mag theta/(theta - 1)
+    E = 2 * (K + 1) * (COS_FIXED_ERROR + 4
+                       + 7 * (2 + K + (gap << mag >> 16) + 1))
+    return K, pb + 12 + E.bit_length(), E
+
+
 def mu_hat(theta: Theta, t, tol: float = 1e-20,
            precision_bits: int | None = None) -> MuHatResult:
     """Transform value at t with certified truncation error.
@@ -221,22 +248,11 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     _check_tol(tol)
     pb = precision_bits or (theta.precision_bits
                             if isinstance(theta, PisotNumber) else 256)
-    th = _theta_value(theta, pb + 64)
+    plan = _kernel_plan(theta, t, tol, pb)
+    if plan is None:
+        return MuHatResult(mp.mpf(1), mp.mpf(0), 0, False)
+    K, W, E = plan
     work = pb + _mag_estimate(t) + 32
-    with mp.workprec(64):
-        at = abs(_to_mpf(t))
-        if at == 0:
-            return MuHatResult(mp.mpf(1), mp.mpf(0), 0, False)
-        K = _float_depth(float(at), float(th), tol)
-        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
-    if K is None:
-        with mp.workprec(work):
-            K = _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol,
-                                  start=1) - 1
-
-    S = (gap << _mag_estimate(t) >> 16) + 1
-    E = 2 * (K + 1) * (COS_FIXED_ERROR + 4 + 7 * (2 + K + S))
-    W = pb + 12 + E.bit_length()
     _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
     R = ((1 << (W + 1 - exp)) // man + 1) >> 1
     two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
@@ -342,6 +358,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
     factor is cos(2 pi x) and the reduction is skipped.  Every value bit is
     that of the plain expression, whatever the block and thread count.
     """
+    import numpy as np
     t = np.asarray(ts, dtype=np.float64)
     if t.size == 0:
         return np.ones(0)
@@ -389,6 +406,7 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     also admits each k with b^k <= 4|t|, tested in int64.  An irrational
     theta admits no k > 0, since 4t is rational.
     """
+    import numpy as np
     z = np.abs(ts)
     z *= 4                                   # exact: a scaling by 4
     if not (isinstance(theta, PisotNumber) and theta.m == 1):
@@ -411,6 +429,7 @@ def _fast_items(theta: Theta, r: float, ns) -> list[SeriesItem]:
     Each item carries FAST_ERROR, which the batch's derived bound must not
     exceed, and brackets zero when its value is within FAST_ZERO of it.
     """
+    import numpy as np
     ts = r * np.asarray(ns, dtype=np.float64)
     vals = mu_hat_fast(theta, ts, tol=FAST_ERROR)
     return [SeriesItem(int(n), float(t), float(v), FAST_ERROR,
@@ -509,6 +528,7 @@ def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
             raise ValueError("r must be positive in the real embedding")
 
     if fast:
+        import numpy as np
         yield from _fast_items(P, float(r_emb), np.arange(1, N + 1))
         return
 

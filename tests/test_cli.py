@@ -143,6 +143,45 @@ def test_library_import_leaves_cli_unloaded():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+# precise invocations: none of them evaluates a float64 batch
+PRECISE_ARGVS = [
+    ["check", "--poly", "1,1"],
+    ["eval", "--poly", "1,1", "--t", "3/2"],
+    ["eval", "--poly", "1,1,1", "--r", "1/3", "--count", "3"],
+    ["phi", "--poly", "1,1", "--z", "1"],
+    ["limit", "--poly", "1,1", "--z", "1;0,1", "--A", "2", "--r", "1/2"],
+    ["enumerate", "--poly", "1,1", "--r", "1/2", "--height", "1",
+     "--m-max", "1", "--a-max", "1", "--eta", "1e-3"],
+    ["synthesize", "--poly", "1,1", "--r", "1/2", "--z", "1", "--A", "0",
+     "--k", "10"],
+    ["trace", "--poly", "1,1", "--y", "1", "--count", "30"],
+    ["recur", "--poly", "1,0,0,1", "--y", "1", "--count", "20"],
+]
+
+
+def test_precise_commands_leave_numpy_unloaded():
+    code = (
+        "import io, sys, contextlib\n"
+        "import pisot_spectra, pisot_spectra.cli as cli\n"
+        f"for argv in {PRECISE_ARGVS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if cli.main(argv) != 0:\n"
+        "            sys.exit(f'exit code on {argv}')\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        sys.exit(f'numpy loaded by {argv}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the float64 path still loads it where it is needed
+    sample = ("import sys, pisot_spectra.cli as cli; "
+              "cli.main(['sample', '--poly', '1,1', '--r', '1/2', '--N', "
+              "'60', '--format', 'csv']); "
+              "sys.exit('numpy' not in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", sample],
+                          capture_output=True).returncode == 0
+
+
 def test_help_exits_zero():
     names = ("check", "eval", "trace", "recur", "phi", "limit", "enumerate",
              "synthesize", "sample", "fill", "jset", "discrepancy",

@@ -31,6 +31,8 @@ from pisot_spectra.pisot import (
     _div_by_theta,
     _mul_by_theta,
     _nearest_int,
+    _newton_refine,
+    _root_estimates,
     _theta_columns,
 )
 
@@ -83,6 +85,52 @@ def test_certification_residuals():
             assert abs(P.poly(P.theta)) <= cap
             for c in P.conjugates:
                 assert abs(P.poly(c)) <= cap
+
+
+def _np_roots_route(d, pb):
+    # the former route: float64 companion-matrix estimates (np.roots),
+    # Newton-refined at pb + GUARD_BITS bits
+    import numpy as np
+    poly, work = MinimalPolynomial(tuple(d)), pb + GUARD_BITS
+    with mp.workprec(work):
+        return [_newton_refine(poly, mp.mpc(complex(r)), work)
+                for r in np.roots([1.0] + [-float(c) for c in d])]
+
+
+# the bases of the golden files; in these cases the refined roots of the two
+# routes differ in the last bits of the work precision
+GOLDEN_FILE_BASES = [(1, 1), (1, 1, 1), (1, 0, 0, 1), (2,), (2, 1)]
+ROUTES_DIFFER = {((1, 1, 1), 64), ((1, 1, 1), 512)}
+
+
+@pytest.mark.parametrize("pb", [64, 256, 512])
+@pytest.mark.parametrize("d", GOLDEN_FILE_BASES)
+def test_refined_roots_match_the_np_roots_route(d, pb):
+    P = build_pisot(d, pb)
+    roots = [P.theta, *P.conjugates]
+    if len(d) == 1:
+        assert roots == [d[0]]
+        return
+    reference = _np_roots_route(d, pb)
+    with mp.workprec(pb + GUARD_BITS + 64):
+        pairs = [(r, min(reference, key=lambda q: abs(q - r))) for r in roots]
+        assert len({id(q) for _, q in pairs}) == len(d)
+        if (d, pb) in ROUTES_DIFFER:
+            tol = mp.mpf(2) ** -(pb + GUARD_BITS - 8)
+            assert all(abs(r - q) <= tol for r, q in pairs)
+            assert any(r != q for r, q in pairs)
+        else:
+            assert all(r == q for r, q in pairs)
+
+
+@pytest.mark.parametrize("d", [(1, 1), (1, 1, 1), (1, 0, 0, 1), (2, 1),
+                               (3, -1), (1, 1, 1, 1, 1, 1, 1), (100, 1)])
+def test_root_estimates_settle_near_every_root(d):
+    import numpy as np
+    z = _root_estimates(MinimalPolynomial(d))
+    reference = np.roots([1.0] + [-float(c) for c in d])
+    scale = 1 + max(abs(c) for c in d)
+    assert max(min(abs(a - b) for b in reference) for a in z) < 1e-12 * scale
 
 
 def test_no_real_root_rejected():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +31,11 @@ from pisot_spectra import (
     nearest_int_data,
 )
 from pisot_spectra import empirical
-from pisot_spectra.pisot import PisotNumber, _theta_value
-from pisot_spectra.transform import (FAST_BLOCK, FAST_ERROR, FAST_TAIL,
-                                     FAST_TOL, _exact_zeros,
+from pisot_spectra.pisot import PisotNumber, _theta_value, _to_mpf
+from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
+                                     FAST_TAIL, FAST_TOL, FACTOR_FLOOR,
+                                     _exact_zeros, _float_depth,
+                                     _kernel_plan, _mag_estimate,
                                      _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
@@ -132,6 +135,122 @@ def test_mu_hat_rational_theta_within_its_bound():
             direct *= mp.cos(2 * mp.pi * x)
             x *= q
         assert abs(res.value - direct) <= res.error_bound
+
+
+def test_cos_sin_fixed_within_the_kernels_constant():
+    # mu_hat's bound takes COS_FIXED_ERROR units of 2^-W for each cosine
+    # from mpmath's internal cos_sin_fixed; pin it against mp.cos at W + 64
+    # bits, over the arguments the kernel passes: [0, 2 pi 2^W], with
+    # points at and near each multiple of pi/2
+    rng = random.Random(2718)
+    worst = 0
+    for W in [*range(96, 801, 8), 399, 400, 401, 1000, 1499, 1500, 1600]:
+        half_pi = pi_fixed(W - 1)
+        args = [rng.randrange(pi_fixed(W + 1)) for _ in range(12)]
+        args += [max(0, q * half_pi + d) for q in range(5)
+                 for d in (-2**20, -3, -1, 0, 1, 3, 2**20)]
+        with mp.workprec(W + 64):
+            for a in args:
+                c = cos_sin_fixed(a, W, half_pi)[0]
+                exact = mp.ldexp(mp.cos(mp.ldexp(a, -W)), W)
+                worst = max(worst, abs(c - exact))
+    assert worst <= COS_FIXED_ERROR
+
+
+def _mpf_depth(theta, t, tol, pb):
+    # the depth rule of mu_hat before its kernel: _truncation_depth in mpf
+    # at pb + mag(t) + 32 bits
+    th = _theta_value(theta, pb + 64)
+    with mp.workprec(pb + _mag_estimate(t) + 32):
+        return _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol,
+                                 start=1) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC, 1.5, Fraction(4, 3))),
+       st.floats(-3, 12), st.floats(-45, -2), st.sampled_from((64, 256)))
+def test_mu_hat_depth_equals_the_mpf_rule(theta, log_t, log_tol, pb):
+    t, tol = 10.0 ** log_t, 10.0 ** log_tol
+    res = mu_hat(theta, t, tol, precision_bits=pb)
+    assert res.truncation_index == _mpf_depth(theta, t, tol, pb)
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, build_pisot((2,)), 1.5])
+def test_mu_hat_depth_equals_the_mpf_rule_near_its_threshold(theta):
+    # t_j puts 2 pi t theta^-j exactly on sqrt(tol (1 - theta^-2)), where the
+    # rule turns; float64 cannot decide there, and the mpf rule must
+    tol, pb = 1e-20, 256
+    undecided = 0
+    for j in (1, 5, 30, 60):
+        with mp.workprec(600):
+            th = _theta_value(theta, 600)
+            exact = mp.sqrt(tol * (1 - th ** -2)) * th ** j / (2 * mp.pi)
+            near = [exact, exact * (1 + mp.mpf(2) ** -200),
+                    exact * (1 - mp.mpf(2) ** -200)]
+        near += [float(exact), math.nextafter(float(exact), 0),
+                 math.nextafter(float(exact), math.inf)]
+        for t in near:
+            res = mu_hat(theta, t, tol, precision_bits=pb)
+            assert res.truncation_index == _mpf_depth(theta, t, tol, pb)
+            with mp.workprec(64):
+                undecided += _float_depth(float(abs(_to_mpf(t))),
+                                          float(_theta_value(theta, pb + 64)),
+                                          tol) is None
+    assert undecided >= 4
+
+
+def _textbook_product(theta, t, K, bits):
+    # prod_{k<=K} cos(2 pi |t| theta^-k), every step at `bits` bits
+    with mp.workprec(bits):
+        th = _theta_value(theta, bits)
+        x = abs(_to_mpf(t))
+        out = mp.mpf(1)
+        for _ in range(K + 1):
+            out *= mp.cos(2 * mp.pi * x)
+            x /= th
+        return out
+
+
+KERNEL_THETAS = {"golden": GOLDEN, "tribonacci": TRIBONACCI,
+                 "quartic": QUARTIC, "binary": build_pisot((2,)),
+                 "three_halves": 1.5}
+
+
+@pytest.mark.parametrize("pb", [64, 256, 512])
+@pytest.mark.parametrize("name", sorted(KERNEL_THETAS))
+def test_mu_hat_kernel_within_its_derived_error(name, pb):
+    theta = KERNEL_THETAS[name]
+    rng = random.Random(f"{name}-{pb}")
+    ts = [rng.uniform(1, 10) * 10.0 ** e for e in range(-3, 12, 2)]
+    ts += [1e12, Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**4)),
+           mp.mpf(rng.uniform(0, 100)) / 3]
+    if isinstance(theta, PisotNumber):
+        coeffs = (Fraction(1, 3), Fraction(2, 7), 0, 0)[:theta.m]
+        ts.append(embed(theta.field(coeffs), 1))
+    for t in ts:
+        K, W, E = _kernel_plan(theta, t, 1e-20, pb)
+        assert E < 2 ** (W - pb - 12)
+        res = mu_hat(theta, t, precision_bits=pb)
+        exact = _textbook_product(theta, t, K, 2 * W)
+        with mp.workprec(2 * W):
+            if res.contains_zero:       # binary t = 1e12 meets cos(pi/2)
+                assert abs(exact) <= res.error_bound
+            else:
+                assert abs(res.value - exact) <= mp.ldexp(E, -W)
+
+
+def test_mu_hat_floor_hits_bracket_the_textbook_product():
+    # binary t = 3/4 and 5/2: the factors cos(3 pi / 2) and cos(5 pi / 2)
+    # vanish; golden theta^3 / 4: cos(pi / 2) at k = 3
+    binary = build_pisot((2,))
+    with mp.workprec(320):
+        quarter_cube = GOLDEN.theta_at(320) ** 3 / 4
+    for t in (Fraction(3, 4), 0.75, Fraction(5, 2), quarter_cube):
+        theta = GOLDEN if t is quarter_cube else binary
+        K, W, E = _kernel_plan(theta, t, 1e-20, 256)
+        res = mu_hat(theta, t)
+        assert res.contains_zero and res.value == 0
+        assert abs(_textbook_product(theta, t, K, 2 * W)) <= res.error_bound
 
 
 def test_mu_hat_fast_matches_precise():
