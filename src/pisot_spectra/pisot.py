@@ -283,9 +283,9 @@ def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
     arithmetic (_root_estimates) and are Newton-refined at
     precision_bits + 64 bits.  When that iteration does not settle, or two
     refined roots coincide, mp.polyroots at the working precision takes
-    over.  Certification requires a
-    real dominant root > 1, every other root of modulus <= 1 - 2^-20,
-    squarefree input, and polynomial residuals below 2^-(precision_bits-16).
+    over.  Certification requires a real dominant root > 1, every other
+    root of modulus <= 1 - 2^-20, squarefree input, and polynomial
+    residuals below 2^-(precision_bits-16).
 
     Reducibility is not tested directly: a squarefree reducible polynomial
     with nonzero constant term always has a second factor whose root product

@@ -230,7 +230,8 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     The kernel's absolute error, in units of 2^-W, with
     S = 2^mag(t) theta/(theta - 1) >= sum_k |t| theta^-k:
       - x_k is off by at most 2 + K + S: under one unit from x_0, one per
-        shift, and x_j |R - 2^W/theta| <= x_j per step;
+        shift, and x_j |R - 2^W/theta| <= x_j per step, while an earlier
+        error is scaled by at most theta^-1 + 2^-W <= 1;
       - a factor by COS_FIXED_ERROR for the cosine, 3 for its fixed-point
         argument and 2 pi < 7 times the error of x_k;
       - the product by one unit per shift.  The factors have modulus at
