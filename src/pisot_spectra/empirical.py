@@ -316,9 +316,10 @@ def discrepancy(alpha, x: Sequence) -> float:
 
     Integer sequences take an exact big-integer route (alpha as an exact
     binary fraction, residues by modular arithmetic), immune to the
-    catastrophic rounding of alpha*x mod 1 for huge x.
+    catastrophic rounding of alpha*x mod 1 for huge x.  It runs in plain
+    Python, without numpy: each residue is one correctly rounded division,
+    the bits that numpy's division gives too.
     """
-    import numpy as np
     n = len(x)
     if n == 0:
         raise ValueError("x must be non-empty")
@@ -329,9 +330,11 @@ def discrepancy(alpha, x: Sequence) -> float:
     if all(isinstance(v, int) for v in xs):
         frac = Fraction(alpha)
         p, q = frac.numerator, frac.denominator
-        u = np.sort(np.array([((p * v) % q) / q for v in xs], dtype=np.float64))
-    else:
-        u = np.sort(np.mod(float(alpha) * np.asarray(xs, dtype=np.float64), 1.0))
+        u = sorted(((p * v) % q) / q for v in xs)
+        return max(max(i / n - ui, ui - (i - 1) / n)
+                   for i, ui in enumerate(u, 1))
+    import numpy as np
+    u = np.sort(np.mod(float(alpha) * np.asarray(xs, dtype=np.float64), 1.0))
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
 

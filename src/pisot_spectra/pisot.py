@@ -238,6 +238,17 @@ class PisotNumber:
             self._theta_cache[bucket] = cached
         return cached
 
+    def conjugates_at(self, prec: int) -> tuple:
+        """theta_2..theta_m refined to at least `prec` bits (cached per 64-bit
+        bucket, beside theta_at's)."""
+        bucket = max(self.precision_bits, ((prec + 63) // 64) * 64)
+        cached = self._theta_cache.get(("conjugates", bucket))
+        if cached is None:
+            cached = tuple(_newton_refine(self.poly, r, bucket + GUARD_BITS)
+                           for r in self.conjugates)
+            self._theta_cache[("conjugates", bucket)] = cached
+        return cached
+
     def log2_theta(self) -> float:
         return float(mp.log(self.theta) / mp.log(2))
 

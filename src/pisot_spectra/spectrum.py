@@ -3,8 +3,13 @@
 phi_biinfinite evaluates prod_{j in Z} |cos(pi w theta^j)| (phi_lambda: at
 w = 2 lam q).  For j >= 0, w theta^j approaches integers at the rate rho^j
 of a Pisot base when its traces are integers; for j < 0 the argument
-shrinks like theta^j.  Each orbit element w theta^j, kept exact, gives its
-factor by one rule, and both tails carry certified truncation bounds from
+shrinks like theta^j.  The factors come from transform's fixed-point
+integer kernel: for j >= 0 at the conjugate power sums, each term a
+fixed-point complex int stepped by one multiply by theta_i, and for j < 0
+from mu_hat's own loop at t = |w|/2.  The kernel's error E is derived (see
+_biinfinite_product) and W chosen so that it stays within 2^-(pb+12).  A
+rational orbit element, found by stepping the orbit on integer numerators,
+keeps its exact factor.  Both tails carry certified truncation bounds from
 |log cos x| <= x^2 on |x| <= 1.
 
 limit_value multiplies such products with a one-sided tail to predict the
@@ -20,10 +25,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Optional, Sequence, Union
 
 import mpmath as mp
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .errors import BudgetExceededError, PrecisionExhaustedError
 from .pisot import (
@@ -35,13 +41,14 @@ from .pisot import (
     field_invert,
     ring_theta_pow,
     _coeff_bits,
-    _div_by_theta,
     _mul_by_theta,
     _nearest_int,
     _theta_columns,
     _to_mpf,
 )
-from .transform import _check_tol, _truncation_depth, mu_hat
+from .transform import (COS_FIXED_ERROR, _check_tol, _depth, _descent_error,
+                        _fixed_abs, _fixed_product, _kernel_cosines,
+                        _mag_estimate, mu_hat)
 
 DEFAULT_BUDGET = 10**6
 
@@ -113,79 +120,171 @@ def _exact_cos_factor(c: Fraction):
     return abs(mp.cospi(_to_mpf(min(frac, 1 - frac))))
 
 
+def _phi_plan(P: PisotNumber, w: FieldElement, tol):
+    """(j_pos, n_neg, W, E) of the two-sided product at w: factors at
+    j = 0..j_pos-1 and j = -1..-n_neg, the kernel's fractional bits and its
+    derived error in units of 2^-W (see _biinfinite_product).  Runs at the
+    caller's pb + GUARD_BITS bits."""
+    pb = P.precision_bits
+    emb = [embed(w, i) for i in range(2, P.m + 1)]
+    big_c = mp.fsum(abs(v) for v in emb)
+    # ascending side: |cos| defects shrink like rho^j; descending side:
+    # arguments shrink like theta^-k
+    j_pos = _depth(mp.pi * big_c, 1 / P.rho, tol) if emb else 0
+    th = P.theta_at(pb + GUARD_BITS)
+    w1 = abs(embed(w, 1, pb))
+    n_neg = _depth(mp.pi * w1, th, tol, start=1) - 1
+    # error of sum_i Re z_(i,j): under 2 units from the start of each term,
+    # and per step 2 for its two floors and |w_i| for the rounded theta_i
+    arg = (P.m - 1) * (2 + 2 * j_pos) + (int(big_c) + 1) * j_pos
+    E = 2 * (j_pos * (COS_FIXED_ERROR + 4 + 4 * arg)
+             + n_neg * _descent_error(th, n_neg, _mag_estimate(w1),
+                                      x0_error=2))
+    return j_pos, n_neg, pb + 12 + E.bit_length(), E
+
+
+def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
+                       n_neg: int):
+    """(j, u) for each rational u = w theta^j, j = 0..j_pos-1 and then
+    j = -1..-n_neg: all of them for m = 1, at most one otherwise.
+
+    The orbit is stepped on integer numerators over one common denominator.
+    A step down uses theta^-1 = (theta^(m-1) - d_1 theta^(m-2) - ...
+    - d_(m-1)) / d_m, so it multiplies the denominator by d_m.
+    """
+    d = P.d
+    den = math.lcm(*(c.denominator for c in w.coeffs))
+    start = [int(c * den) for c in w.coeffs]
+    num = start
+    for j in range(j_pos):
+        if not any(num[1:]):
+            yield j, Fraction(num[0], den)
+        num = _mul_by_theta(num, d)
+    num = start
+    for j in range(-1, -n_neg - 1, -1):
+        top = num[0]
+        num = [d[-1] * c - top * e
+               for c, e in zip(num[1:], reversed(d[:-1]))] + [top]
+        den *= d[-1]
+        if not any(num[1:]):
+            yield j, Fraction(num[0], den)
+
+
+def _floor_fixed(x, W: int) -> int:
+    return int(mp.floor(mp.ldexp(x, W)))
+
+
+def _ascending_cosines(P: PisotNumber, w: FieldElement, W: int, n: int,
+                       tiny: int):
+    """cos(pi s_j) in units of 2^-W, j = 0..n-1, at the conjugate power sum
+    s_j = sum_{i>=2} w_i theta_i^j.  Each term is a fixed-point complex int
+    stepped by one complex multiply by theta_i; a sum whose imaginary part
+    exceeds tiny units raises."""
+    roots = P.conjugates_at(W + 16)
+    with mp.workprec(W + _coeff_bits(w) + GUARD_BITS):
+        terms, steps = [], []
+        for root in roots:
+            z = mp.mpc(0)
+            for c in reversed(w.coeffs):
+                z = z * root + _to_mpf(c)
+            terms.append((_floor_fixed(z.real, W), _floor_fixed(z.imag, W)))
+            steps.append((int(mp.nint(mp.ldexp(root.real, W))),
+                          int(mp.nint(mp.ldexp(root.imag, W)))))
+    pi_w, half_pi = pi_fixed(W), pi_fixed(W - 1)
+    mask = (1 << W) - 1
+    for _ in range(n):
+        if abs(sum(y for _, y in terms)) > tiny:
+            raise PrecisionExhaustedError(
+                "conjugate power sum has a non-real residue"
+            )
+        s = sum(x for x, _ in terms)
+        yield cos_sin_fixed(((s & mask) * pi_w) >> W, W, half_pi)[0]
+        terms = [((x * a - y * b) >> W, (x * b + y * a) >> W)
+                 for (x, y), (a, b) in zip(terms, steps)]
+
+
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     """Shared core: (value, error_bound) of prod_{j in Z} |cos(pi w theta^j)|.
 
-    One rule takes the factor of each orbit element u = w theta^j, for
-    j = 0..j_pos-1 and then j = -1..-(j_neg-1).  A rational u is exact, and
-    an exact half-integer gives (0, 0).  An irrational u is numeric, at x
-    congruent to +-u mod 1: for j >= 0 the conjugate power sum
-    s_j = sum_{i>=2} w_i theta_i^j (u + s_j is the integer trace of u),
-    for j < 0 the real embedding of u.
+    The factors are those of u = w theta^j for j = 0..j_pos-1 and
+    j = -1..-n_neg, with both depths from the rule of _truncation_depth.
+    The orbit is first stepped exactly (_rational_elements): a rational u
+    takes its factor from _exact_cos_factor, and an exact half-integer
+    gives (0, 0).  Every other factor comes from a fixed-point integer
+    kernel with W fractional bits.  w's sign is fixed first, as the
+    larger coefficient vector of w and -w, so Phi(-w) has the bits of
+    Phi(w).
+      - j >= 0: u is congruent mod 1 to -s_j, the conjugate power sum
+        sum_{i>=2} w_i theta_i^j, since u + s_j is the integer trace of u.
+        Each w_i theta_i^j is a fixed-point complex int, started at w_i
+        and stepped by one multiply by theta_i, both from theta_i at
+        W + 16 bits; the factor is |cos(pi s_j)|, s_j = sum_i Re.
+      - j < 0: u is w theta^-k, k = -j, so the factor is mu_hat's at
+        t = |w|/2 and k = 1..n_neg, from its kernel (_kernel_cosines).
+    One running product of W + 1 significant bits takes them all.
+
+    The kernel's absolute error, in units of 2^-W, with C = sum_i |w_i|:
+      - s_j is off by at most A = (m - 1)(2 + 2 j_pos) + C j_pos: each
+        term starts under 2 units off, and a step adds 2 for its floors and
+        |w_i theta_i^j| <= |w_i| for the rounded theta_i, while an earlier
+        error is scaled by at most |theta_i| + 2^-W <= 1;
+      - an ascending factor by COS_FIXED_ERROR, 3 for its fixed-point
+        argument, pi A < 4 A and one unit for the product's shift;
+      - a descending factor as in mu_hat at depth n_neg, with x_0 under 2
+        units off: one for its floor, one for the embedding of w;
+      - the cosines' excess over 1 at most doubles the sum over the
+        factors.
+    So E = 2 (j_pos (COS_FIXED_ERROR + 4 + 4 A) + n_neg e), e the
+    descending factor's, and W = pb + 12 plus the bit length of E: the
+    kernel is within 2^-(pb+12).  The exact factors and the result round
+    at pb + GUARD_BITS bits, so the bound's 2^-(pb+10) term covers all
+    three.  A factor below 2^-(pb/2) raises.
     """
     _check_tol(tol)
     if w.is_zero():
         return mp.mpf(1), mp.mpf(0)
     _check_admissible(P, w)
+    w = max(w, -w, key=lambda v: v.coeffs)
     pb = P.precision_bits
 
     with mp.workprec(pb + GUARD_BITS):
-        tol_mp = mp.mpf(tol)
-        tiny = mp.mpf(2) ** (-(pb // 2))
-
-        emb = [embed(w, i) for i in range(2, P.m + 1)]
-        # ascending side: |cos| defects shrink like rho^j; descending side:
-        # arguments shrink like theta^-k
-        j_pos = 0
-        if emb:
-            big_c = mp.fsum(abs(v) for v in emb)
-            j_pos = _truncation_depth(mp.pi * big_c, 1 / P.rho, tol_mp)
-        th = P.theta_at(pb + GUARD_BITS)
-        j_neg = _truncation_depth(mp.pi * abs(embed(w, 1, pb)), th, tol_mp,
-                                  start=1)
-
-        def power_sum(powers):
-            s = mp.fsum((e * p for e, p in zip(emb, powers)), absolute=False)
-            if abs(mp.im(s)) > tiny:
-                raise PrecisionExhaustedError(
-                    "conjugate power sum has a non-real residue"
-                )
-            return mp.re(s)
-
-        def orbit():
-            """(j, w theta^j, its numeric argument, deferred)."""
-            u, powers = w, [mp.mpc(1)] * len(emb)
-            for j in range(j_pos):
-                yield j, u, functools.partial(power_sum, powers)
-                powers = [p * c for p, c in zip(powers, P.conjugates)]
-                u = FieldElement(P, tuple(_mul_by_theta(u.coeffs, P.d)))
-            u = w
-            for j in range(-1, -j_neg, -1):
-                u = FieldElement(P, tuple(_div_by_theta(u.coeffs, P.d)))
-                yield j, u, functools.partial(embed, u, 1, pb)
+        j_pos, n_neg, W, E = _phi_plan(P, w, tol)
+        exact = {}
+        for j, u in _rational_elements(P, w, j_pos, n_neg):
+            exact[j] = _exact_cos_factor(u)
+            if exact[j] is None:
+                return mp.mpf(0), mp.mpf(0)
 
         value, n_numeric = mp.mpf(1), 0
-        for j, u, arg in orbit():
-            if u.is_rational():
-                f = _exact_cos_factor(u.as_fraction())
-                if f is None:
-                    return mp.mpf(0), mp.mpf(0)
-                if f == 1:
-                    continue
-            else:
-                # rounded to the working precision first, as embed returns
-                # more bits than that
-                f = abs(mp.cospi(+arg()))
-                if f < tiny:
-                    raise PrecisionExhaustedError(
-                        f"factor at orbit offset {j} cannot be certified "
-                        f"nonzero at {pb} bits"
-                    )
-            value *= f
-            n_numeric += 1
+        if P.m > 1:  # for m = 1 every orbit element is rational
+            tiny = 1 << (W - pb // 2)
+            x0 = _fixed_abs(embed(w, 1, W), W - 1, 0)  # t = |w|/2
+            offsets = chain(range(j_pos), range(-1, -n_neg - 1, -1))
+            cosines = chain(_ascending_cosines(P, w, W, j_pos, tiny),
+                            _kernel_cosines(P, x0, W, 1, n_neg))
+
+            def numeric():
+                for j, c in zip(offsets, cosines):
+                    if j in exact:
+                        continue
+                    if -tiny < c < tiny:
+                        raise PrecisionExhaustedError(
+                            f"factor at orbit offset {j} cannot be certified "
+                            f"nonzero at {pb} bits"
+                        )
+                    yield c
+
+            value, _ = _fixed_product(numeric(), W)
+            value = abs(value)
+            n_numeric = j_pos + n_neg - len(exact)
+        for f in exact.values():
+            if f != 1:
+                value *= f
+                n_numeric += 1
 
         # both truncated tails contribute a log-defect <= tol each; numeric
         # factors add rounding noise well below the certification level
+        tol_mp = mp.mpf(tol)
         rounding = mp.mpf(n_numeric * n_numeric + 64) * mp.mpf(2) ** (-(pb - 8))
         err = value * mp.expm1(2 * tol_mp + rounding) + mp.mpf(2) ** (-(pb + 10))
         return +value, +err

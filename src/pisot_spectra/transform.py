@@ -6,7 +6,9 @@ fixed-point integer kernel: x = |t| theta^-k is a Python int with W
 fractional bits, stepped by one multiply by a fixed-point theta^-1 and a
 shift, reduced mod 1 by a mask, with each cosine from mpmath's
 cos_sin_fixed.  W is chosen from the kernel's derived error, so that error
-stays within 2^-(pb+12) and the bound of each value is certified.
+stays within 2^-(pb+12) and the bound of each value is certified.  The
+loop (_kernel_cosines) and its running product (_fixed_product) also give
+the descending side of spectrum's two-sided products.
 
 mu_hat_fast evaluates whole batches in float64.  Its error bound is derived
 a priori from theta, the batch's largest |t| and its truncation depth (see
@@ -146,22 +148,25 @@ def _mag_estimate(t) -> int:
     return max(0, int(mp.mag(t)))
 
 
-def _float_depth(at: float, q: float, tol: float) -> int | None:
-    """_truncation_depth(2 pi at, q, tol, start=1) - 1 taken in float64, or
-    None when a comparison it decides lies within float64's error.
+def _float_depth(x0: float, q: float, tol: float, start: int = 0) -> int | None:
+    """_truncation_depth(x0, q, tol, start) taken in float64, or None when a
+    comparison it decides lies within float64's error.
 
-    x_j = 2 pi at / q^j carries j + 4 roundings (at, 2 pi, their product,
-    q and j divisions), so it lies within a relative (2j + 4)u of its exact
-    value, and x_j^2 / (1 - q^-2) within twice that plus 4u / (1 - q^-2)
-    for the cancellation in 1 - q^-2 (u = 2^-53).  The mpf rule rounds at
-    far more bits.  Each comparison here clears its threshold by twice
-    these margins, so the mpf rule decides it the same way.
+    x0 and q are floats within a relative 3u and u of their exact values
+    (u = 2^-53), as three roundings and one give.  x_j = x0 / q^j, after j
+    divisions, then lies within a relative (2j + 4)u of its exact value,
+    and x_j^2 / (1 - q^-2) within twice that plus 4u / (1 - q^-2) for the
+    cancellation in 1 - q^-2.  The mpf rule rounds at far more bits.  Each
+    comparison here clears its threshold by twice these margins, so the
+    mpf rule decides it the same way.
     """
-    if not (at < 1e150 and tol >= 1e-250):
+    if not (x0 < 1e150 and tol >= 1e-250):
         return None
     s = 1 / (1 - q ** -2)
-    x = 2 * math.pi * at / q
-    j = 1
+    x = x0
+    for _ in range(start):
+        x /= q
+    j = start
     while True:
         mx = (4 * j + 8) * _U
         mv = (8 * j + 16 + 8 * s) * _U
@@ -169,9 +174,17 @@ def _float_depth(at: float, q: float, tol: float) -> int | None:
         if x * (1 - mx) > 1 or v * (1 - mv) > tol:
             j, x = j + 1, x / q
         elif x * (1 + mx) <= 1 and v * (1 + mv) <= tol:
-            return j - 1
+            return j
         else:
             return None
+
+
+def _depth(x0, q, tol, start: int = 0) -> int:
+    """_truncation_depth(x0, q, tol, start) for mpf x0 and q: _float_depth
+    decides it, and the mpf rule at the ambient precision settles what
+    float64 cannot."""
+    j = _float_depth(float(x0), float(q), tol, start)
+    return _truncation_depth(x0, q, tol, start) if j is None else j
 
 
 def _fixed_abs(t, W: int, work: int) -> int:
@@ -190,25 +203,63 @@ def _fixed_abs(t, W: int, work: int) -> int:
     return (n << W) // d
 
 
+def _descent_error(th, K: int, mag: int, x0_error: int = 1) -> int:
+    """Error of one factor of the kernel's descent to depth K at |t| < 2^mag,
+    in units of 2^-W, its product shift included, when x_0 is off by under
+    x0_error units (see mu_hat)."""
+    with mp.workprec(64):
+        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
+    # gap 2^(mag - 16) >= S = 2^mag theta/(theta - 1)
+    return COS_FIXED_ERROR + 4 + 7 * (x0_error + 1 + K
+                                      + (gap << mag >> 16) + 1)
+
+
 def _kernel_plan(theta: Theta, t, tol: float, pb: int):
     """(K, W, E) of mu_hat's kernel at t, or None at t = 0: the depth, the
     fractional bits and the derived error in units of 2^-W (see mu_hat)."""
     th = _theta_value(theta, pb + 64)
-    with mp.workprec(64):
-        at = abs(_to_mpf(t))
-        if at == 0:
-            return None
-        K = _float_depth(float(at), float(th), tol)
-        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
     mag = _mag_estimate(t)
-    if K is None:
-        with mp.workprec(pb + mag + 32):
-            K = _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol,
-                                  start=1) - 1
-    # gap 2^(mag - 16) >= S = 2^mag theta/(theta - 1)
-    E = 2 * (K + 1) * (COS_FIXED_ERROR + 4
-                       + 7 * (2 + K + (gap << mag >> 16) + 1))
+    with mp.workprec(pb + mag + 32):
+        x0 = 2 * mp.pi * abs(_to_mpf(t))
+        if not x0:
+            return None
+        K = _depth(x0, th, tol, start=1) - 1
+    E = 2 * (K + 1) * _descent_error(th, K, mag)
     return K, pb + 12 + E.bit_length(), E
+
+
+def _kernel_cosines(theta: Theta, x: int, W: int, start: int, stop: int):
+    """cos(2 pi x_k) in units of 2^-W for k = start..stop, where x_0 = x and
+    x_(k+1) = (x_k R) >> W with R = round(2^W / theta) (see mu_hat)."""
+    _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
+    R = ((1 << (W + 1 - exp)) // man + 1) >> 1
+    two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
+    mask = (1 << W) - 1
+    for k in range(stop + 1):
+        if k >= start:
+            yield cos_sin_fixed(((x & mask) * two_pi) >> W, W, half_pi)[0]
+        x = (x * R) >> W
+
+
+def _fixed_product(cosines, W: int, floor_units: int = 1):
+    """(value, low): the product of the factors c 2^-W with
+    |c| >= floor_units, as an mpf of W + 1 bits, and the list of the others.
+
+    The running product keeps W + 1 significant bits, one shift per factor;
+    floor_units >= 1 keeps a zero factor out of it.
+    """
+    value, exp = 1 << W, -W
+    low = []
+    for c in cosines:
+        if -floor_units < c < floor_units:
+            low.append(c)
+        else:
+            value *= c
+            shift = value.bit_length() - W - 1
+            value >>= shift
+            exp += shift - W
+    with mp.workprec(W + 1):
+        return mp.ldexp(value, exp), low
 
 
 def mu_hat(theta: Theta, t, tol: float = 1e-20,
@@ -254,29 +305,12 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(mp.mpf(1), mp.mpf(0), 0, False)
     K, W, E = plan
     work = pb + _mag_estimate(t) + 32
-    _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
-    R = ((1 << (W + 1 - exp)) // man + 1) >> 1
-    two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
-    mask = (1 << W) - 1
     # |c| < floor_units exactly when |c| 2^-W < FACTOR_FLOOR
     floor_units = -((-_FLOOR_NUM << W) // _FLOOR_DEN)
+    cosines = _kernel_cosines(theta, _fixed_abs(t, W, work), W, 0, K)
+    value, low = _fixed_product(cosines, W, floor_units)
+    floor_hits = [abs(c) + E for c in low]
 
-    x = _fixed_abs(t, W, work)
-    value, exp = 1 << W, -W
-    floor_hits = []
-    for _ in range(K + 1):
-        c = cos_sin_fixed(((x & mask) * two_pi) >> W, W, half_pi)[0]
-        if -floor_units < c < floor_units:
-            floor_hits.append(abs(c) + E)
-        else:
-            value *= c
-            shift = value.bit_length() - W - 1
-            value >>= shift
-            exp += shift - W
-        x = (x * R) >> W
-
-    with mp.workprec(W + 1):
-        value = mp.ldexp(value, exp)
     with mp.workprec(work):
         rounding = (K + 2) * mp.mpf(2) ** (-(pb + 20))
         if floor_hits:

@@ -156,6 +156,8 @@ PRECISE_ARGVS = [
      "--k", "10"],
     ["trace", "--poly", "1,1", "--y", "1", "--count", "30"],
     ["recur", "--poly", "1,0,0,1", "--y", "1", "--count", "20"],
+    ["discrepancy", "--alpha", "0.25", "--x", "1,2,3,4"],
+    ["discrepancy", "--alpha", "0.6180339887", "--count", "500"],
 ]
 
 

@@ -6,6 +6,7 @@ and counts are asserted tightly.
 """
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -261,6 +262,22 @@ def test_discrepancy_lacunary_sequence_draws():
     assert d0 == pytest.approx(0.009944044403340513, rel=1e-12)
     assert d8 == pytest.approx(0.010698649165561291, rel=1e-12)
     assert max(d0, d8) <= 0.1
+
+
+def test_discrepancy_integer_route_has_numpys_bits():
+    # the plain-Python route divides and compares the same floats as the
+    # numpy expression it replaced
+    rng = np.random.default_rng(90210)
+    for alpha in (0.25, float(GOLDEN.theta), 0.6222433339601738, 1e-300):
+        for n in (1, 7, 1000):
+            xs = sorted({int(v) for v in rng.integers(1, 10**15, n)})
+            frac = Fraction(alpha)
+            u = np.sort(np.array([(frac.numerator * v % frac.denominator)
+                                  / frac.denominator for v in xs]))
+            i = np.arange(1, len(xs) + 1)
+            want = float(np.max(np.maximum(i / len(xs) - u,
+                                           u - (i - 1) / len(xs))))
+            assert discrepancy(alpha, xs) == want
 
 
 def test_discrepancy_rejects_bad_sequences():

@@ -30,7 +30,7 @@ from pisot_spectra.errors import (
     BudgetExceededError,
     InvalidToleranceError,
 )
-from pisot_spectra.pisot import GUARD_BITS
+from pisot_spectra.pisot import GUARD_BITS, _coeff_bits, embed
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -134,6 +134,8 @@ def test_phi_shift_and_symmetry_random():
                 v2, e2 = phi_biinfinite(P, -z)
                 assert abs(v0 - v1) <= e0 + e1
                 assert abs(v0 - v2) <= e0 + e2
+                # enumerate_spectrum keys its cache on this
+                assert (v2, e2) == (v0, e0)
 
 
 def test_phi_silver_frozen_value_and_symmetries():
@@ -189,6 +191,57 @@ def test_phi_lambda_frozen_on_field_arguments(P, lam, q, want):
         value, err = phi_lambda(P, lam, P.field(q), tol=1e-60)
         assert mp.nstr(value, 60) == want
         assert err <= value * mp.mpf(10) ** -59
+
+
+def _textbook_two_sided(P, w, j_pos, n_neg, bits):
+    # prod |cos(pi u)| over the exact u = w theta^j, j = 0..j_pos-1 and
+    # j = -1..-n_neg, each factor taken at bits plus the size of u
+    theta, theta_inv = P.theta_ring(), field_invert(P.theta_ring())
+    orbit, u = [], w
+    for _ in range(j_pos):
+        orbit.append(u)
+        u = u * theta
+    u = w
+    for _ in range(n_neg):
+        u = u * theta_inv
+        orbit.append(u)
+    out = mp.mpf(1)
+    for u in orbit:
+        with mp.workprec(bits + _coeff_bits(u) + 8):
+            f = abs(mp.cos(mp.pi * embed(u, 1, bits)))
+        with mp.workprec(bits):
+            out *= f
+    return out
+
+
+PHI_KERNEL_BASES = {"golden": (1, 1), "tribonacci": (1, 1, 1),
+                    "quartic": (1, 0, 0, 1), "silver": (2, 1), "ternary": (3,)}
+
+
+@pytest.mark.parametrize("pb", [64, 256, 512])
+@pytest.mark.parametrize("name", sorted(PHI_KERNEL_BASES))
+def test_phi_kernel_within_its_derived_error(name, pb):
+    P = build_pisot(PHI_KERNEL_BASES[name], pb)
+    rng = random.Random(f"phi-{name}-{pb}")
+    args = [P.field(tuple(rng.randint(-9, 9) for _ in range(P.m)))
+            for _ in range(3)]
+    args += [P.field(tuple(rng.randint(-10**6, 10**6) for _ in range(P.m))),
+             P.field(P.theta_ring().coeffs)]   # u = 1 at j = -1
+    cases = [(w, 1e-20) for w in args if not w.is_zero()]
+    # phi_lambda's field arguments 2 lam q
+    cases += [(P.field(q) * lam * 2, 1e-60)
+              for Q, lam, q, _ in PHI_LAMBDA_FROZEN if Q.d == P.d]
+    for w, tol in cases:
+        with mp.workprec(pb + GUARD_BITS):
+            j_pos, n_neg, W, E = spectrum._phi_plan(P, w, tol)
+        assert E < 2 ** (W - pb - 12)
+        value, _ = phi_biinfinite(P, w, tol)
+        exact = _textbook_two_sided(P, w, j_pos, n_neg, 2 * W)
+        with mp.workprec(2 * W):
+            # E for the kernel; the exact factors and the result round at
+            # pb + GUARD_BITS bits
+            assert abs(value - exact) <= (mp.ldexp(E, -W)
+                                          + mp.ldexp(1, -(pb + 62)))
 
 
 def test_phi_lambda_divergence_raises():

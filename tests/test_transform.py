@@ -1,6 +1,7 @@
 """Transform evaluation, digit traces, and the integer recurrence."""
 
 import concurrent.futures
+import functools
 import math
 import os
 import random
@@ -30,11 +31,11 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
-from pisot_spectra import empirical
-from pisot_spectra.pisot import PisotNumber, _theta_value, _to_mpf
+from pisot_spectra import empirical, spectrum
+from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TAIL, FAST_TOL, FACTOR_FLOOR,
-                                     _exact_zeros, _float_depth,
+                                     _depth, _exact_zeros, _float_depth,
                                      _kernel_plan, _mag_estimate,
                                      _truncation_depth)
 
@@ -166,13 +167,41 @@ def _mpf_depth(theta, t, tol, pb):
                                  start=1) - 1
 
 
+def _phi_mpf_depths(P, w, tol):
+    # the depth rules of the two-sided product before its kernel: mpf at
+    # pb + 64 bits, on the sum of the conjugate moduli and on |w|
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        emb = [embed(w, i) for i in range(2, P.m + 1)]
+        j_pos = 0
+        if emb:
+            j_pos = _truncation_depth(mp.pi * mp.fsum(abs(v) for v in emb),
+                                      1 / P.rho, tol)
+        j_neg = _truncation_depth(mp.pi * abs(embed(w, 1, P.precision_bits)),
+                                  P.theta_at(P.precision_bits + GUARD_BITS),
+                                  tol, start=1)
+    return j_pos, j_neg - 1
+
+
+@functools.cache
+def _base_at(d, pb):
+    return build_pisot(d, pb)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC, 1.5, Fraction(4, 3))),
-       st.floats(-3, 12), st.floats(-45, -2), st.sampled_from((64, 256)))
-def test_mu_hat_depth_equals_the_mpf_rule(theta, log_t, log_tol, pb):
+       st.floats(-3, 12), st.floats(-45, -2), st.sampled_from((64, 256)),
+       st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4))
+def test_mu_hat_depth_equals_the_mpf_rule(theta, log_t, log_tol, pb, z):
     t, tol = 10.0 ** log_t, 10.0 ** log_tol
     res = mu_hat(theta, t, tol, precision_bits=pb)
     assert res.truncation_index == _mpf_depth(theta, t, tol, pb)
+    if isinstance(theta, PisotNumber) and any(z[:theta.m]):
+        # the two-sided product's depths at the base's ring element z
+        P = _base_at(theta.d, pb)
+        w = P.field(tuple(z[:P.m]))
+        with mp.workprec(pb + GUARD_BITS):
+            plan = spectrum._phi_plan(P, w, tol)
+        assert plan[:2] == _phi_mpf_depths(P, w, tol)
 
 
 @pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, build_pisot((2,)), 1.5])
@@ -192,11 +221,31 @@ def test_mu_hat_depth_equals_the_mpf_rule_near_its_threshold(theta):
         for t in near:
             res = mu_hat(theta, t, tol, precision_bits=pb)
             assert res.truncation_index == _mpf_depth(theta, t, tol, pb)
-            with mp.workprec(64):
-                undecided += _float_depth(float(abs(_to_mpf(t))),
+            with mp.workprec(pb + 64):
+                undecided += _float_depth(float(2 * mp.pi * abs(_to_mpf(t))),
                                           float(_theta_value(theta, pb + 64)),
-                                          tol) is None
+                                          tol, 1) is None
     assert undecided >= 4
+    if not (isinstance(theta, PisotNumber) and theta.m > 1):
+        return
+    # the two-sided product's rules: x0 = pi sum_i |w_i| against 1/rho from
+    # j = 0, and x0 = pi |w| against theta from j = 1, each put on the turn
+    undecided = 0
+    with mp.workprec(pb + GUARD_BITS):
+        rules = [(1 / theta.rho, 0), (theta.theta_at(pb + GUARD_BITS), 1)]
+    for q, start in rules:
+        for j in (start, start + 5, 40):
+            with mp.workprec(600):
+                exact = mp.sqrt(tol * (1 - q ** -2)) * q ** j
+            for x0 in (exact, exact * (1 + mp.mpf(2) ** -200),
+                       exact * (1 - mp.mpf(2) ** -200)):
+                with mp.workprec(pb + GUARD_BITS):
+                    x0 = +x0
+                    assert (_depth(x0, q, tol, start)
+                            == _truncation_depth(x0, q, tol, start))
+                    undecided += _float_depth(float(x0), float(q), tol,
+                                              start) is None
+    assert undecided >= 6
 
 
 def _textbook_product(theta, t, K, bits):
