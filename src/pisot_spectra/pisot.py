@@ -381,15 +381,17 @@ def _mul_by_theta(coeffs: list, d: tuple) -> list:
     return [top * d[m - 1]] + [coeffs[i - 1] + top * d[m - 1 - i] for i in range(1, m)]
 
 
-def _div_by_theta(coeffs: list, d: tuple) -> list:
-    """The inverse step of _mul_by_theta: divide a power-basis vector by theta.
+def _div_by_theta_scaled(coeffs: list, d: tuple) -> list:
+    """d_m times a power-basis vector divided by theta: the inverse step of
+    _mul_by_theta up to the factor d_m, so an integer vector stays integer.
 
     theta^-1 = (theta^(m-1) - d_1 theta^(m-2) - ... - d_(m-1)) / d_m, so the
-    result is the shifted vector plus c_0 / d_m times that numerator.
+    result is d_m times the shifted vector plus c_0 times that numerator.
     """
     m = len(d)
-    q = Fraction(coeffs[0]) / d[m - 1]
-    return [coeffs[i + 1] - q * d[m - 2 - i] for i in range(m - 1)] + [q]
+    top = coeffs[0]
+    return [d[m - 1] * coeffs[i + 1] - top * d[m - 2 - i]
+            for i in range(m - 1)] + [top]
 
 
 def _theta_columns(coeffs: list, d: tuple) -> list:

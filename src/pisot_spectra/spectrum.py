@@ -41,6 +41,7 @@ from .pisot import (
     field_invert,
     ring_theta_pow,
     _coeff_bits,
+    _div_by_theta_scaled,
     _mul_by_theta,
     _nearest_int,
     _theta_columns,
@@ -148,9 +149,8 @@ def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
     """(j, u) for each rational u = w theta^j, j = 0..j_pos-1 and then
     j = -1..-n_neg: all of them for m = 1, at most one otherwise.
 
-    The orbit is stepped on integer numerators over one common denominator.
-    A step down uses theta^-1 = (theta^(m-1) - d_1 theta^(m-2) - ...
-    - d_(m-1)) / d_m, so it multiplies the denominator by d_m.
+    The orbit is stepped on integer numerators over one common denominator;
+    a step down multiplies the denominator by d_m.
     """
     d = P.d
     den = math.lcm(*(c.denominator for c in w.coeffs))
@@ -162,9 +162,7 @@ def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
         num = _mul_by_theta(num, d)
     num = start
     for j in range(-1, -n_neg - 1, -1):
-        top = num[0]
-        num = [d[-1] * c - top * e
-               for c, e in zip(num[1:], reversed(d[:-1]))] + [top]
+        num = _div_by_theta_scaled(num, d)
         den *= d[-1]
         if not any(num[1:]):
             yield j, Fraction(num[0], den)

@@ -28,7 +28,7 @@ from pisot_spectra import (
 )
 from pisot_spectra.pisot import (
     GUARD_BITS,
-    _div_by_theta,
+    _div_by_theta_scaled,
     _mul_by_theta,
     _nearest_int,
     _newton_refine,
@@ -464,16 +464,22 @@ def test_theta_columns_give_newton_traces(d):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2, 1)))),
+    st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2, 1)),
+                     build_pisot((3, 2)))),
     st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=9),
              min_size=4, max_size=4),
 )
 def test_div_by_theta_inverts_mul_by_theta(P, coeffs):
-    c = coeffs[:P.m]
-    assert _div_by_theta(_mul_by_theta(c, P.d), P.d) == c
-    assert _mul_by_theta(_div_by_theta(c, P.d), P.d) == c
+    # the step down returns d_m c / theta; x^2 - 3x - 2 has d_m = 2
+    c, dm = coeffs[:P.m], P.d[-1]
+    scaled = [dm * x for x in c]
+    assert _div_by_theta_scaled(_mul_by_theta(c, P.d), P.d) == scaled
+    assert _mul_by_theta(_div_by_theta_scaled(c, P.d), P.d) == scaled
     v = P.field(tuple(c))
-    assert P.field(tuple(_div_by_theta(c, P.d))) == v * field_invert(P.theta_ring())
+    assert (P.field(tuple(_div_by_theta_scaled(c, P.d)))
+            == v * field_invert(P.theta_ring()) * dm)
+    ints = [x.numerator for x in c]
+    assert all(isinstance(x, int) for x in _div_by_theta_scaled(ints, P.d))
 
 
 OPERAND_KINDS = ("int", "fraction", "ring", "field")
