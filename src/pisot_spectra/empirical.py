@@ -316,9 +316,10 @@ def discrepancy(alpha, x: Sequence) -> float:
 
     Integer sequences take an exact big-integer route (alpha as an exact
     binary fraction, residues by modular arithmetic), immune to the
-    catastrophic rounding of alpha*x mod 1 for huge x.  It runs in plain
-    Python, without numpy: each residue is one correctly rounded division,
-    the bits that numpy's division gives too.
+    catastrophic rounding of alpha*x mod 1 for huge x; other sequences
+    reduce float(alpha) * float(x_i) mod 1.  Both run in plain Python,
+    without numpy: each residue is one correctly rounded division or
+    fmod, the bits that numpy gives too.
     """
     n = len(x)
     if n == 0:
@@ -331,12 +332,11 @@ def discrepancy(alpha, x: Sequence) -> float:
         frac = Fraction(alpha)
         p, q = frac.numerator, frac.denominator
         u = sorted(((p * v) % q) / q for v in xs)
-        return max(max(i / n - ui, ui - (i - 1) / n)
-                   for i, ui in enumerate(u, 1))
-    import numpy as np
-    u = np.sort(np.mod(float(alpha) * np.asarray(xs, dtype=np.float64), 1.0))
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
+    else:
+        a = float(alpha)
+        u = sorted((a * float(v)) % 1.0 for v in xs)
+    return max(max(i / n - ui, ui - (i - 1) / n)
+               for i, ui in enumerate(u, 1))
 
 
 def _grid_clusters(points: np.ndarray, cell: float):

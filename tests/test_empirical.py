@@ -264,20 +264,29 @@ def test_discrepancy_lacunary_sequence_draws():
     assert max(d0, d8) <= 0.1
 
 
-def test_discrepancy_integer_route_has_numpys_bits():
-    # the plain-Python route divides and compares the same floats as the
-    # numpy expression it replaced
+def _numpy_discrepancy(u):
+    u = np.sort(u)
+    i = np.arange(1, len(u) + 1)
+    return float(np.max(np.maximum(i / len(u) - u, u - (i - 1) / len(u))))
+
+
+def test_discrepancy_has_numpys_bits():
+    # both plain-Python routes reduce, divide and compare the same floats as
+    # the numpy expressions they replaced
     rng = np.random.default_rng(90210)
     for alpha in (0.25, float(GOLDEN.theta), 0.6222433339601738, 1e-300):
+        frac = Fraction(alpha)
         for n in (1, 7, 1000):
             xs = sorted({int(v) for v in rng.integers(1, 10**15, n)})
-            frac = Fraction(alpha)
-            u = np.sort(np.array([(frac.numerator * v % frac.denominator)
-                                  / frac.denominator for v in xs]))
-            i = np.arange(1, len(xs) + 1)
-            want = float(np.max(np.maximum(i / len(xs) - u,
-                                           u - (i - 1) / len(xs))))
-            assert discrepancy(alpha, xs) == want
+            u = np.array([(frac.numerator * v % frac.denominator)
+                          / frac.denominator for v in xs])
+            assert discrepancy(alpha, xs) == _numpy_discrepancy(u)
+            # a non-integer sequence (here one float among ints, and all
+            # floats of both signs) takes the float route
+            for ys in ([0.5] + [x + 1 for x in xs],
+                       sorted(set(rng.uniform(-1e6, 1e9, n).tolist()))):
+                u = np.mod(alpha * np.asarray(ys, dtype=np.float64), 1.0)
+                assert discrepancy(alpha, ys) == _numpy_discrepancy(u)
 
 
 def test_discrepancy_rejects_bad_sequences():
