@@ -200,7 +200,7 @@ class PisotNumber:
     rho: mp.mpf
     delta_max: Fraction
     precision_bits: int
-    _theta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _root_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -226,28 +226,25 @@ class PisotNumber:
             return self.ring(self.d[0])
         return self.ring((0, 1) + (0,) * (self.m - 2))
 
-    def theta_at(self, prec: int) -> mp.mpf:
-        """theta refined to at least `prec` bits (cached per 64-bit bucket)."""
+    def root_at(self, which: int, prec: int):
+        """The `which`-th root (1 = theta, an mpf; theta_2..theta_m are mpc)
+        refined to at least `prec` bits, cached per root and 64-bit bucket."""
         bucket = max(self.precision_bits, ((prec + 63) // 64) * 64)
-        cached = self._theta_cache.get(bucket)
+        cached = self._root_cache.get((which, bucket))
         if cached is None:
             if self.m == 1:
                 cached = mp.mpf(self.d[0])
             else:
-                cached = mp.re(_newton_refine(self.poly, self.theta, bucket + GUARD_BITS))
-            self._theta_cache[bucket] = cached
+                root = self.theta if which == 1 else self.conjugates[which - 2]
+                cached = _newton_refine(self.poly, root, bucket + GUARD_BITS)
+                if which == 1:
+                    cached = mp.re(cached)
+            self._root_cache[(which, bucket)] = cached
         return cached
 
-    def conjugates_at(self, prec: int) -> tuple:
-        """theta_2..theta_m refined to at least `prec` bits (cached per 64-bit
-        bucket, beside theta_at's)."""
-        bucket = max(self.precision_bits, ((prec + 63) // 64) * 64)
-        cached = self._theta_cache.get(("conjugates", bucket))
-        if cached is None:
-            cached = tuple(_newton_refine(self.poly, r, bucket + GUARD_BITS)
-                           for r in self.conjugates)
-            self._theta_cache[("conjugates", bucket)] = cached
-        return cached
+    def theta_at(self, prec: int) -> mp.mpf:
+        """theta refined to at least `prec` bits (see root_at)."""
+        return self.root_at(1, prec)
 
     def log2_theta(self) -> float:
         return float(mp.log(self.theta) / mp.log(2))
@@ -581,14 +578,15 @@ def embed(x, which: int, prec: int | None = None):
     """Evaluate x at the `which`-th root (1 = the real embedding theta).
 
     Returns mpf for which=1 and mpc otherwise.  Working precision is the
-    requested precision plus guard bits covering the coefficient sizes.
+    requested precision plus guard bits covering the coefficient sizes, and
+    the root is root_at's at that precision.
     """
     P = x.P
     if not 1 <= which <= P.m:
         raise ValueError(f"embedding index must be in 1..{P.m}")
     work = (prec or P.precision_bits) + _coeff_bits(x) + GUARD_BITS
     with mp.workprec(work):
-        root = P.theta_at(work) if which == 1 else P.conjugates[which - 2]
+        root = P.root_at(which, work)
         acc = mp.mpf(0) if which == 1 else mp.mpc(0)
         for c in reversed(x.coeffs):
             acc = acc * root + _to_mpf(c)

@@ -178,16 +178,13 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, W: int, n: int,
     s_j = sum_{i>=2} w_i theta_i^j.  Each term is a fixed-point complex int
     stepped by one complex multiply by theta_i; a sum whose imaginary part
     exceeds tiny units raises."""
-    roots = P.conjugates_at(W + 16)
-    with mp.workprec(W + _coeff_bits(w) + GUARD_BITS):
-        terms, steps = [], []
-        for root in roots:
-            z = mp.mpc(0)
-            for c in reversed(w.coeffs):
-                z = z * root + _to_mpf(c)
-            terms.append((_floor_fixed(z.real, W), _floor_fixed(z.imag, W)))
-            steps.append((int(mp.nint(mp.ldexp(root.real, W))),
-                          int(mp.nint(mp.ldexp(root.imag, W)))))
+    work = W + _coeff_bits(w) + GUARD_BITS  # embed's at W bits
+    with mp.workprec(work):
+        terms = [(_floor_fixed(z.real, W), _floor_fixed(z.imag, W))
+                 for z in (embed(w, i, W) for i in range(2, P.m + 1))]
+        steps = [(int(mp.nint(mp.ldexp(r.real, W))),
+                  int(mp.nint(mp.ldexp(r.imag, W))))
+                 for r in (P.root_at(i, work) for i in range(2, P.m + 1))]
     pi_w, half_pi = pi_fixed(W), pi_fixed(W - 1)
     mask = (1 << W) - 1
     for _ in range(n):
@@ -214,9 +211,10 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     Phi(w).
       - j >= 0: u is congruent mod 1 to -s_j, the conjugate power sum
         sum_{i>=2} w_i theta_i^j, since u + s_j is the integer trace of u.
-        Each w_i theta_i^j is a fixed-point complex int, started at w_i
-        and stepped by one multiply by theta_i, both from theta_i at
-        W + 16 bits; the factor is |cos(pi s_j)|, s_j = sum_i Re.
+        Each w_i theta_i^j is a fixed-point complex int, started at
+        embed(w, i, W) and stepped by one multiply by theta_i, rounded
+        from the root that embed took; the factor is |cos(pi s_j)|,
+        s_j = sum_i Re.
       - j < 0: u is w theta^-k, k = -j, so the factor is mu_hat's at
         t = |w|/2 and k = 1..n_neg, from its kernel (_kernel_cosines).
     One running product of W + 1 significant bits takes them all.
