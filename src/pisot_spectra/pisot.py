@@ -11,7 +11,8 @@ recurrence theta^m = d_1 theta^{m-1} + ... + d_m, so ring arithmetic is exact
 with unbounded integers.  Q(theta) uses the same basis over Fraction.
 
 The numerical layer (root certification, embeddings, nearest-integer data)
-runs on mpmath big floats.  Operations that round state their working
+runs on mpmath big floats; Newton refinement of the roots runs on
+fixed-point Python ints and hands back mpmath values.  Operations that round state their working
 precision and raise rather than silently degrade: a value too close to a
 half-integer raises AmbiguousRoundingError, an unsatisfiable precision
 precondition raises PrecisionExhaustedError.
@@ -122,13 +123,6 @@ class MinimalPolynomial:
             acc = acc * x + c
         return acc
 
-    def deriv(self, x):
-        coeffs = _poly_derivative(self.monic_desc())
-        acc = x * 0 + coeffs[0]
-        for c in coeffs[1:]:
-            acc = acc * x + c
-        return acc
-
     def is_squarefree(self) -> bool:
         f = self.monic_desc()
         return _int_poly_gcd_degree(f, _poly_derivative(f)) == 0
@@ -167,21 +161,42 @@ def _root_estimates(poly: MinimalPolynomial):
 
 
 def _newton_refine(poly: MinimalPolynomial, x0, prec: int):
-    """Polish a simple root estimate to `prec` bits (quadratic convergence)."""
+    """Polish a simple root estimate to `prec` bits (quadratic convergence).
+
+    Newton runs on fixed-point complex ints with F = prec + 48 fractional
+    bits: one Horner pass gives f and f', each product floored back to F
+    bits, and the step f/f' is one floor division.  It stops once
+    |step| <= 2^-(prec+8) max(1, |x|).  An imaginary part within
+    2^-(prec/2) of zero is snapped to zero, and the root comes back as an
+    mpc rounded to prec + 32 bits.
+    """
+    F = prec + 48
     with mp.workprec(prec + 32):
-        x = mp.mpc(x0)
-        target = mp.mpf(2) ** (-(prec + 8))
-        for _ in range(prec.bit_length() * 8 + 40):
-            dfx = poly.deriv(x)
-            if dfx == 0:
-                raise PrecisionExhaustedError("derivative vanished during refinement")
-            step = poly(x) / dfx
-            x -= step
-            if abs(step) <= target * max(1, abs(x)):
-                break
-        if abs(mp.im(x)) <= mp.mpf(2) ** (-(prec // 2)):
-            x = mp.mpc(mp.re(x), 0)
-        return x
+        x0 = mp.mpc(x0)
+        xr, xi = int(mp.ldexp(x0.real, F)), int(mp.ldexp(x0.imag, F))
+    one = 1 << F
+    coeffs = [c << F for c in poly.monic_desc()[1:]]
+    for _ in range(prec.bit_length() * 8 + 40):
+        fr, fi, dr, di = one, 0, 0, 0
+        for c in coeffs:  # f' <- f' x + f, then f <- f x + c
+            dr, di = (((dr * xr - di * xi) >> F) + fr,
+                      ((dr * xi + di * xr) >> F) + fi)
+            fr, fi = ((fr * xr - fi * xi) >> F) + c, (fr * xi + fi * xr) >> F
+        den = dr * dr + di * di
+        if den == 0:
+            raise PrecisionExhaustedError(
+                "derivative vanished during refinement")
+        sr = ((fr * dr + fi * di) << F) // den
+        si = ((fi * dr - fr * di) << F) // den
+        xr, xi = xr - sr, xi - si
+        # |step| <= 2^-(prec+8) max(1, |x|), squared and in units of 2^-2F
+        if ((sr * sr + si * si) << (2 * prec + 16)
+                <= max(one * one, xr * xr + xi * xi)):
+            break
+    if abs(xi) <= 1 << (F - prec // 2):
+        xi = 0
+    with mp.workprec(prec + 32):
+        return mp.mpc(mp.ldexp(xr, -F), mp.ldexp(xi, -F))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,10 +303,10 @@ def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
     """Certify the dominant root of x^m - d_1 x^{m-1} - ... - d_m as Pisot.
 
     Root estimates come from Durand-Kerner iteration in float64 complex
-    arithmetic (_root_estimates) and are Newton-refined at
-    precision_bits + 64 bits.  When that iteration does not settle, or two
-    refined roots coincide, mp.polyroots at the working precision takes
-    over.  Certification requires a real dominant root > 1, every other
+    arithmetic (_root_estimates) and are Newton-refined to
+    precision_bits + 64 bits on fixed-point complex ints (_newton_refine).
+    When that iteration does not settle, or two refined roots coincide,
+    mp.polyroots at the working precision takes over.  Certification requires a real dominant root > 1, every other
     root of modulus <= 1 - 2^-20, squarefree input, and polynomial
     residuals below 2^-(precision_bits-16).
 
@@ -417,6 +432,18 @@ def _reduce_product(a, b, d):
         for i in range(1, m + 1):
             prod[k - i] += d[i - 1] * c
     return prod[:m]
+
+
+def _pow_coeffs(base, k: int, d: tuple) -> list:
+    """base^k in the power basis, k >= 0, by binary powering."""
+    out = [1] + [0] * (len(d) - 1)
+    while k:
+        if k & 1:
+            out = _reduce_product(out, base, d)
+        k >>= 1
+        if k:
+            base = _reduce_product(base, base, d)
+    return out
 
 
 class _Element:
@@ -556,11 +583,7 @@ def ring_theta_pow(P: PisotNumber, j: int) -> RingElement:
     """theta^j reduced mod the minimal polynomial, j >= 0."""
     if j < 0:
         raise ValueError("negative powers live in Q(theta); use field arithmetic")
-    coeffs = [0] * P.m
-    coeffs[0] = 1
-    for _ in range(j):
-        coeffs = _mul_by_theta(coeffs, P.d)
-    return RingElement(P, tuple(coeffs))
+    return RingElement(P, tuple(_pow_coeffs(P.theta_ring().coeffs, j, P.d)))
 
 
 def _coeff_bits(x) -> int:

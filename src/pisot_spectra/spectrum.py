@@ -8,8 +8,8 @@ integer kernel: for j >= 0 at the conjugate power sums, each term a
 fixed-point complex int stepped by one multiply by theta_i, and for j < 0
 from mu_hat's own loop at t = |w|/2.  The kernel's error E is derived (see
 _biinfinite_product) and W chosen so that it stays within 2^-(pb+12).  A
-rational orbit element, found by stepping the orbit on integer numerators,
-keeps its exact factor.  Both tails carry certified truncation bounds from
+rational orbit element keeps its exact factor; for m > 1 there is at most
+one, and the embeddings' moduli say at which offset (_rational_offsets).  Both tails carry certified truncation bounds from
 |log cos x| <= x^2 on |x| <= 1.
 
 limit_value multiplies such products with a one-sided tail to predict the
@@ -44,6 +44,8 @@ from .pisot import (
     _div_by_theta_scaled,
     _mul_by_theta,
     _nearest_int,
+    _pow_coeffs,
+    _reduce_product,
     _theta_columns,
     _to_mpf,
 )
@@ -144,17 +146,58 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol):
     return j_pos, n_neg, pb + 12 + E.bit_length(), E
 
 
+def _rational_offsets(P: PisotNumber, w: FieldElement):
+    """The offsets j at which w theta^j can be rational, for m > 1, or None
+    when an embedding of w is too small to tell.
+
+    A rational u = w theta^j equals each of its embeddings, so
+    |w| theta^j = |w_2| |theta_2|^j, which fixes j at
+    j* = log(|w_2| / |w|) / log(theta / |theta_2|); the integers within 1
+    of j* are returned.  Both embeddings come from Horner at 64 bits, off by
+    under 2m 2^-64 S with S = sum_k |c_k| |root|^k; one below 2^-32 S could
+    be cancellation noise, so its modulus is not trusted.
+    """
+    th2 = P.conjugates[0]
+    with mp.workprec(64):
+        mags = []
+        for root in (P.theta, th2):
+            acc = scale = 0
+            for c in reversed(w.coeffs):
+                acc = acc * root + _to_mpf(c)
+                scale = scale * abs(root) + abs(_to_mpf(c))
+            if abs(acc) < scale * mp.mpf(2) ** -32:
+                return None
+            mags.append(abs(acc))
+        j_star = float(mp.log(mags[1] / mags[0])
+                       / mp.log(P.theta / abs(th2)))
+    return range(math.ceil(j_star - 1), math.floor(j_star + 1) + 1)
+
+
 def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
                        n_neg: int):
     """(j, u) for each rational u = w theta^j, j = 0..j_pos-1 and then
     j = -1..-n_neg: all of them for m = 1, at most one otherwise.
 
-    The orbit is stepped on integer numerators over one common denominator;
-    a step down multiplies the denominator by d_m.
+    The orbit lives on integer numerators over one common denominator; a
+    step down multiplies the denominator by d_m.  For m > 1 only the
+    offsets of _rational_offsets are tested, each by binary powering of
+    theta or of d_m / theta; the orbit is walked step by step for m = 1,
+    or when those offsets cannot be told.
     """
     d = P.d
     den = math.lcm(*(c.denominator for c in w.coeffs))
     start = [int(c * den) for c in w.coeffs]
+    offsets = _rational_offsets(P, w) if P.m > 1 else None
+    if offsets is not None:
+        up = P.theta_ring().coeffs
+        down = _div_by_theta_scaled([1] + [0] * (P.m - 1), d)
+        for j in chain((j for j in offsets if 0 <= j < j_pos),
+                       (j for j in reversed(offsets) if -n_neg <= j < 0)):
+            num = _reduce_product(start, _pow_coeffs(up if j >= 0 else down,
+                                                     abs(j), d), d)
+            if not any(num[1:]):
+                yield j, Fraction(num[0], den * d[-1] ** max(0, -j))
+        return
     num = start
     for j in range(j_pos):
         if not any(num[1:]):
@@ -203,12 +246,12 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
 
     The factors are those of u = w theta^j for j = 0..j_pos-1 and
     j = -1..-n_neg, with both depths from the rule of _truncation_depth.
-    The orbit is first stepped exactly (_rational_elements): a rational u
-    takes its factor from _exact_cos_factor, and an exact half-integer
-    gives (0, 0).  Every other factor comes from a fixed-point integer
-    kernel with W fractional bits.  w's sign is fixed first, as the
-    larger coefficient vector of w and -w, so Phi(-w) has the bits of
-    Phi(w).
+    The orbit's rational elements are found exactly first
+    (_rational_elements): a rational u takes its factor from
+    _exact_cos_factor, and an exact half-integer gives (0, 0).  Every
+    other factor comes from a fixed-point integer kernel with W fractional
+    bits.  w's sign is fixed first, as the larger coefficient vector of w
+    and -w, so Phi(-w) has the bits of Phi(w).
       - j >= 0: u is congruent mod 1 to -s_j, the conjugate power sum
         sum_{i>=2} w_i theta_i^j, since u + s_j is the integer trace of u.
         Each w_i theta_i^j is a fixed-point complex int, started at
@@ -321,9 +364,10 @@ def tail_product(P: PisotNumber, x, tol: float = 1e-20):
         return abs(res.value), res.error_bound
 
 
-def _compose_product(parts):
-    """Certified product of nonnegative bracketed values [(v, e), ...]."""
-    value = upper = lower = mp.mpf(1)
+def _compose_product(parts, start=None):
+    """Certified product of nonnegative bracketed values [(v, e), ...],
+    continued from start, a running (value, upper, lower), when given."""
+    value, upper, lower = start or (mp.mpf(1),) * 3
     for v, e in parts:
         value *= v
         upper *= v + e
@@ -353,12 +397,23 @@ def limit_value(P: PisotNumber, z_list: Sequence[ElementLike], A: int,
     return SpectrumCandidate(zs, A, r_f, predicted, err)
 
 
+def _merge_key(cand, prec: int) -> tuple:
+    """A key of integers that sorts candidates as (predicted, id) does, for
+    nonnegative values of at most prec bits: zero first, then the exponent
+    of the leading bit, then the mantissa aligned to prec bits."""
+    _, man, exp, bc = cand.predicted._mpf_
+    if not man:
+        return 0, 0, int(cand.id)
+    return 1, ((exp + bc) << prec) + (man << (prec - bc)), int(cand.id)
+
+
 def _merge_groups(candidates: list, tol) -> list:
     """Single-linkage groups of candidates whose values lie within 2*tol,
     each sorted by (value, id), in ascending order of value."""
     groups = []
     gap = 2 * mp.mpf(tol)
-    for cand in sorted(candidates, key=lambda c: (c.predicted, int(c.id))):
+    prec = mp.mp.prec
+    for cand in sorted(candidates, key=lambda c: _merge_key(c, prec)):
         if groups and cand.predicted - groups[-1][-1].predicted <= gap:
             groups[-1].append(cand)
         else:
@@ -378,19 +433,23 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     (length, offset, vectors), each coordinate running -height..height;
     it is computed from the candidate's data, so the window is walked
     depth-first over (length, offset, vector prefix) and only part of it is
-    built.  Every factor Phi(z) and |mu_hat(r A)| is at most 1, and mpf
-    rounding is monotone, so no candidate below a prefix exceeds the
-    prefix's certified bound prod (v_i + e_i) * (tail value + tail error).
-    The walk drops a prefix once that bound falls below thr = eta/2; each
-    candidate it keeps is composed from the same parts in the same order as
-    in a full walk, so its value and error bound are those of the full walk.
+    built.  Each vector's bracket (v, v + e, max(0, v - e)) of Phi is taken
+    once, and a prefix carries its running value, upper and lower products
+    on the stack, so a candidate multiplies in only the tail; the products
+    run in the order of _compose_product over the full part list, so the
+    bits are the same.  Every factor Phi(z) and |mu_hat(r A)| is at most 1,
+    and mpf rounding is monotone, so no candidate below a prefix exceeds
+    the prefix's upper product times (tail value + tail error).  The walk
+    pushes a prefix only while that bound reaches thr = eta/2.
 
     Values within 2*tol of each other are merged single-linkage, keeping the
-    earliest id, and the result is sorted by descending value.  A dropped
-    candidate lies below thr, so it can join a group only through a member
-    within 2*tol of thr.  When every group that reaches eta stays clear of
-    that, the groups reaching eta are those of the full walk; otherwise
-    (only for a large tol) the window is walked again with nothing dropped.
+    earliest id, and the result is sorted by descending value; the merge
+    sorts on an exact integer key read off each value's mpf (_merge_key).
+    A dropped candidate lies below thr, so it can join a group only through
+    a member within 2*tol of thr.  When every group that reaches eta stays
+    clear of that, the groups reaching eta are those of the full walk;
+    otherwise (only for a large tol) the window is walked again with
+    nothing dropped.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -406,13 +465,15 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         )
 
     vecs = list(iter_product(range(-height, height + 1), repeat=P.m))
+    rings = [P.ring(vec) for vec in vecs]
     # Phi(-z) = Phi(z) bitwise, so each vector is keyed by the larger of
     # itself and its negation
     keys = [max(vec, tuple(-c for c in vec)) for vec in vecs]
 
     @functools.cache
-    def phi_of(key):
-        return phi_biinfinite(P, P.ring(key), tol)
+    def bracket_of(key):
+        v, e = phi_biinfinite(P, P.ring(key), tol)
+        return v, v + e, max(mp.mpf(0), v - e)
 
     @functools.cache
     def tail_of(a):  # a = |A|
@@ -421,31 +482,34 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     def walk(thr):
         found = []
         first = 0  # id of the first candidate with M + 1 vectors
+        one = mp.mpf(1)
         for M in range(m_max + 1):
             block = n_vec ** (M + 1)
             for A in range(-a_max, a_max + 1):
                 tail = tail_of(abs(A))
                 tail_upper = tail[0] + tail[1]
+                if tail_upper < thr:  # the empty prefix's bound
+                    continue
+                level = [bracket_of(key) for key in keys]
                 offset = first + (A + a_max) * block
-                # (prefix as indices into vecs, its digits, prod of v + e)
-                stack = [((), 0, mp.mpf(1))]
+                # (prefix as indices into vecs, its digits, and its running
+                # value, upper and lower products)
+                stack = [((), 0, (one, one, one))]
                 while stack:
-                    combo, digits, upper = stack.pop()
-                    if upper * tail_upper < thr:
+                    combo, digits, prefix = stack.pop()
+                    if len(combo) > M:
+                        predicted, err = _compose_product([tail], prefix)
+                        found.append(SpectrumCandidate(
+                            tuple(rings[i] for i in combo), A, r_f,
+                            predicted, err, id=str(offset + digits),
+                        ))
                         continue
-                    if len(combo) <= M:
-                        for i, key in enumerate(keys):
-                            v, e = phi_of(key)
+                    value, upper, lower = prefix
+                    for i, (v, v_up, v_low) in enumerate(level):
+                        up = upper * v_up
+                        if up * tail_upper >= thr:
                             stack.append((combo + (i,), digits * n_vec + i,
-                                          upper * (v + e)))
-                        continue
-                    parts = [phi_of(keys[i]) for i in combo]
-                    parts.append(tail)
-                    predicted, err = _compose_product(parts)
-                    found.append(SpectrumCandidate(
-                        tuple(P.ring(vecs[i]) for i in combo), A, r_f,
-                        predicted, err, id=str(offset + digits),
-                    ))
+                                          (value * v, up, lower * v_low)))
             first += (2 * a_max + 1) * block
         return found
 

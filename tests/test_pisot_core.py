@@ -97,10 +97,9 @@ def _np_roots_route(d, pb):
                 for r in np.roots([1.0] + [-float(c) for c in d])]
 
 
-# the bases of the golden files; in these cases the refined roots of the two
-# routes differ in the last bits of the work precision
+# the bases of the golden files; the fixed-point Newton iteration takes
+# both routes' estimates to the same refined roots, bit for bit
 GOLDEN_FILE_BASES = [(1, 1), (1, 1, 1), (1, 0, 0, 1), (2,), (2, 1)]
-ROUTES_DIFFER = {((1, 1, 1), 64), ((1, 1, 1), 512)}
 
 
 @pytest.mark.parametrize("pb", [64, 256, 512])
@@ -115,12 +114,30 @@ def test_refined_roots_match_the_np_roots_route(d, pb):
     with mp.workprec(pb + GUARD_BITS + 64):
         pairs = [(r, min(reference, key=lambda q: abs(q - r))) for r in roots]
         assert len({id(q) for _, q in pairs}) == len(d)
-        if (d, pb) in ROUTES_DIFFER:
-            tol = mp.mpf(2) ** -(pb + GUARD_BITS - 8)
-            assert all(abs(r - q) <= tol for r, q in pairs)
-            assert any(r != q for r, q in pairs)
-        else:
-            assert all(r == q for r, q in pairs)
+        assert all(r == q for r, q in pairs)
+
+
+@pytest.mark.parametrize("pb", [64, 256])
+@pytest.mark.parametrize("d", [(1, 1), (1, 1, 1), (1, 0, 0, 1), (2, 1),
+                               (3, -1), (1, 1, 1, 1, 1, 1, 1), (100, 1)])
+def test_newton_refine_matches_polyroots_at_twice_the_precision(d, pb):
+    # the certified roots (refined at pb + GUARD_BITS bits) and root_at's
+    # refinements in buckets above pb; rounding to work + 32 bits is the
+    # only error that shows at this size
+    P = build_pisot(d, pb)
+    refined = [(pb + GUARD_BITS, [P.theta, *P.conjugates])]
+    for prec in (pb + 100, 2 * pb + 64):
+        bucket = ((prec + 63) // 64) * 64
+        refined.append((bucket + GUARD_BITS,
+                        [P.root_at(i, prec) for i in range(1, P.m + 1)]))
+    for work, roots in refined:
+        with mp.workprec(2 * work):
+            reference = mp.polyroots([mp.mpf(c) for c in P.poly.monic_desc()],
+                                     maxsteps=200, extraprec=2 * work)
+            assert len(reference) == len(d)
+            for q in reference:
+                r = min(roots, key=lambda r: abs(r - q))
+                assert abs(r - q) <= mp.mpf(2) ** -(work + 30) * max(1, abs(q))
 
 
 @pytest.mark.parametrize("d", [(1, 1), (1, 1, 1), (1, 0, 0, 1), (2, 1),

@@ -21,6 +21,7 @@ from pisot_spectra import (
     phi_biinfinite,
     phi_lambda,
     product_law_residual,
+    ring_theta_pow,
     synthesize_sequence,
     tail_product,
 )
@@ -242,6 +243,49 @@ def test_phi_kernel_within_its_derived_error(name, pb):
             # pb + GUARD_BITS bits
             assert abs(value - exact) <= (mp.ldexp(E, -W)
                                           + mp.ldexp(1, -(pb + 62)))
+
+
+def _rational_orbit_walk(P, w, j_pos, n_neg):
+    # the rational u = w theta^j along the whole exact orbit, j = 0..j_pos-1
+    # and then j = -1..-n_neg
+    theta, theta_inv = P.theta_ring(), field_invert(P.theta_ring())
+    out, u = [], w
+    for j in range(j_pos):
+        if u.is_rational():
+            out.append((j, u.as_fraction()))
+        u = u * theta
+    u = w
+    for j in range(-1, -n_neg - 1, -1):
+        u = u * theta_inv
+        if u.is_rational():
+            out.append((j, u.as_fraction()))
+    return out
+
+
+# plus x^2 - 2x - 2, whose d_m = 2 enters every denominator below j = 0
+RATIONAL_BASES = dict(PHI_KERNEL_BASES, d_m_2=(2, 2))
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_BASES))
+def test_rational_elements_match_the_orbit_walk(name):
+    P = build_pisot(RATIONAL_BASES[name])
+    rng = random.Random(f"rational-{name}")
+    theta = P.theta_ring().to_field()
+    args = [P.field(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                          for _ in range(P.m))) for _ in range(8)]
+    args += [theta,                                       # u = 1 at j = -1
+             P.field(Fraction(-5, 2)),                    # rational at j = 0
+             field_invert(ring_theta_pow(P, 7)) * 5,      # u = 5 at j = 7
+             ring_theta_pow(P, 12) * Fraction(1, 3),      # u = 1/3 at j = -12
+             # |w_2| too small against w's coefficients to tell j*
+             ring_theta_pow(P, 100).to_field()]
+    for w in args:
+        if w.is_zero():
+            continue
+        got = list(spectrum._rational_elements(P, w, 40, 110))
+        assert got == _rational_orbit_walk(P, w, 40, 110)
+        if P.m > 1:
+            assert len(got) <= 1
 
 
 def test_phi_lambda_divergence_raises():
@@ -467,6 +511,42 @@ def test_enumerate_rewalks_when_a_wide_merge_crosses_the_cut():
     got, composed = _enumerate_counted(*window, 0.01, tol=0.05)
     assert _as_rows(got) == _full_spectrum(GOLDEN, full, 0.01, tol=0.05)
     assert composed > len(full)
+
+
+# _compose_product calls of the benchmark's catalogue windows: one per
+# candidate whose prefix bound reaches eta/2
+CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 81),
+                      ((GOLDEN, HALF, 2, 1, 2, 1e-6), 1378),
+                      ((TRIBONACCI, 1, 1, 1, 2, 0.05), 10)]
+
+
+@pytest.mark.parametrize("window, count", CATALOGUE_COMPOSED,
+                         ids=[str(i) for i in range(len(CATALOGUE_COMPOSED))])
+def test_enumerate_composes_the_catalogue_windows_pinned_counts(window, count):
+    _, composed = _enumerate_counted(*window)
+    assert composed == count
+
+
+@pytest.mark.parametrize("pb", [64, 256])
+def test_merge_key_orders_as_the_values(pb):
+    prec = pb + GUARD_BITS
+    rng = random.Random(f"merge-{pb}")
+    with mp.workprec(prec):
+        tiny = mp.ldexp(1, -(pb + 64))
+        ulp = mp.ldexp(1, -(prec - 1))
+        values = [mp.mpf(0), mp.mpf(0), mp.mpf(1), mp.mpf(1), mp.mpf("0.5"),
+                  mp.mpf("0.75"), mp.mpf("0.625"), mp.mpf(3) / 4, mp.mpf(1) / 3,
+                  mp.mpf(1) / 3 * (1 + ulp), mp.ldexp(3, -12), mp.ldexp(1, -10),
+                  tiny, tiny * (1 + ulp), tiny * (1 - ulp / 2), tiny / 3,
+                  tiny * 2, tiny * 3 / 2, mp.ldexp(1, -(pb + 65))]
+        values += [mp.mpf(rng.random()) * mp.rand() for _ in range(20)]
+    cands = [spectrum.SpectrumCandidate((), 0, None, v, mp.mpf(0), id=str(i))
+             for i, v in enumerate(rng.sample(values, len(values)))]
+    with mp.workprec(prec):
+        for a, b in itertools.product(cands, repeat=2):
+            want = (a.predicted, int(a.id)) < (b.predicted, int(b.id))
+            assert (spectrum._merge_key(a, prec)
+                    < spectrum._merge_key(b, prec)) == want
 
 
 def test_synthesize_lucas_example():
