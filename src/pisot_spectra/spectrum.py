@@ -153,23 +153,17 @@ def _rational_offsets(P: PisotNumber, w: FieldElement):
     A rational u = w theta^j equals each of its embeddings, so
     |w| theta^j = |w_2| |theta_2|^j, which fixes j at
     j* = log(|w_2| / |w|) / log(theta / |theta_2|); the integers within 1
-    of j* are returned.  Both embeddings come from Horner at 64 bits, off by
-    under 2m 2^-64 S with S = sum_k |c_k| |root|^k; one below 2^-32 S could
-    be cancellation noise, so its modulus is not trusted.
+    of j* are returned.  embed at 53 bits works 64 bits beyond w's
+    coefficient sizes, so Horner leaves it off by about
+    m^2 theta^(m-1) 2^-117 at most; a modulus below 2^53 times that is
+    not trusted.
     """
-    th2 = P.conjugates[0]
+    w1, w2 = abs(embed(w, 1, 53)), abs(embed(w, 2, 53))
     with mp.workprec(64):
-        mags = []
-        for root in (P.theta, th2):
-            acc = scale = 0
-            for c in reversed(w.coeffs):
-                acc = acc * root + _to_mpf(c)
-                scale = scale * abs(root) + abs(_to_mpf(c))
-            if abs(acc) < scale * mp.mpf(2) ** -32:
-                return None
-            mags.append(abs(acc))
-        j_star = float(mp.log(mags[1] / mags[0])
-                       / mp.log(P.theta / abs(th2)))
+        if min(w1, w2) < P.m ** 2 * P.theta ** (P.m - 1) * mp.mpf(2) ** -64:
+            return None
+        j_star = float(mp.log(w2 / w1)
+                       / mp.log(P.theta / abs(P.conjugates[0])))
     return range(math.ceil(j_star - 1), math.floor(j_star + 1) + 1)
 
 
@@ -190,9 +184,10 @@ def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
     offsets = _rational_offsets(P, w) if P.m > 1 else None
     if offsets is not None:
         up = P.theta_ring().coeffs
-        down = _div_by_theta_scaled([1] + [0] * (P.m - 1), d)
-        for j in chain((j for j in offsets if 0 <= j < j_pos),
-                       (j for j in reversed(offsets) if -n_neg <= j < 0)):
+        down = _div_by_theta_scaled([1] + [0] * (P.m - 1), d)  # d_m / theta
+        for j in offsets:
+            if not -n_neg <= j < j_pos:
+                continue
             num = _reduce_product(start, _pow_coeffs(up if j >= 0 else down,
                                                      abs(j), d), d)
             if not any(num[1:]):
