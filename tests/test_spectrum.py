@@ -539,7 +539,8 @@ def test_merge_key_orders_as_the_values(pb):
                   mp.mpf(1) / 3 * (1 + ulp), mp.ldexp(3, -12), mp.ldexp(1, -10),
                   tiny, tiny * (1 + ulp), tiny * (1 - ulp / 2), tiny / 3,
                   tiny * 2, tiny * 3 / 2, mp.ldexp(1, -(pb + 65))]
-        values += [mp.mpf(rng.random()) * mp.rand() for _ in range(20)]
+        values += [mp.ldexp(rng.getrandbits(prec), -prec - rng.randrange(80))
+                   for _ in range(20)]
     cands = [spectrum.SpectrumCandidate((), 0, None, v, mp.mpf(0), id=str(i))
              for i, v in enumerate(rng.sample(values, len(values)))]
     with mp.workprec(prec):
