@@ -33,6 +33,9 @@ CASES = {
     "eval_series_fine": ["eval", "--poly", "1,1,1", "--r", "1/3",
                          "--count", "12", "--tol", "1e-40",
                          "--precision-bits", "512"],
+    "eval_series_zeros_512": ["eval", "--poly", "1,1", "--r", "1/4",
+                              "--count", "8", "--tol", "1e-40",
+                              "--precision-bits", "512"],
     "eval_fast_csv": ["eval", "--poly", "1,1", "--r", "1/2", "--count", "40",
                       "--fast", "--format", "csv"],
     "trace_golden": ["trace", "--poly", "1,1", "--y", "1", "--count", "30"],
@@ -42,6 +45,8 @@ CASES = {
                       "--count", "60"],
     "phi_golden": ["phi", "--poly", "1,1", "--z", "1"],
     "phi_quartic": ["phi", "--poly", "1,0,0,1", "--z", "1,1,0,0"],
+    "phi_quartic_512": ["phi", "--poly", "1,0,0,1", "--z", "1,1,0,0",
+                        "--precision-bits", "512"],
     "phi_lambda": ["phi", "--poly", "1,1", "--lam", "1/2", "--q", "0,1"],
     "phi_silver": ["phi", "--poly", "2,1", "--z", "1"],
     "limit_golden": ["limit", "--poly", "1,1", "--z", "1;0,1", "--A", "2",
