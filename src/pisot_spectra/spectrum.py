@@ -29,7 +29,7 @@ from itertools import chain, product as iter_product
 from typing import Optional, Sequence, Union
 
 import mpmath as mp
-from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
+from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import BudgetExceededError, PrecisionExhaustedError
 from .pisot import (
@@ -49,9 +49,9 @@ from .pisot import (
     _theta_columns,
     _to_mpf,
 )
-from .transform import (COS_FIXED_ERROR, _check_tol, _depth, _descent_error,
-                        _fixed_abs, _fixed_product, _kernel_cosines,
-                        _mag_estimate, mu_hat)
+from .transform import (COS_FIXED_ERROR, _check_tol, _cos_fixed, _depth,
+                        _descent_error, _fixed_abs, _fixed_product,
+                        _kernel_cosines, _mag_estimate, mu_hat)
 
 DEFAULT_BUDGET = 10**6
 
@@ -231,7 +231,7 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, W: int, n: int,
                 "conjugate power sum has a non-real residue"
             )
         s = sum(x for x, _ in terms)
-        yield cos_sin_fixed(((s & mask) * pi_w) >> W, W, half_pi)[0]
+        yield _cos_fixed(((s & mask) * pi_w) >> W, W, half_pi)
         terms = [((x * a - y * b) >> W, (x * b + y * a) >> W)
                  for (x, y), (a, b) in zip(terms, steps)]
 

@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 import mpmath as mp
-from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
+from mpmath.libmp.libelefun import (COS_SIN_CACHE_PREC, EXP_SERIES_U_CUTOFF,
+                                    cos_sin_fixed, pi_fixed)
 
 from .errors import (
     InvalidDeltaError,
@@ -228,16 +229,59 @@ def _kernel_plan(theta: Theta, t, tol: float, pb: int):
     return K, pb + 12 + E.bit_length(), E
 
 
+def _cos_fixed(a: int, W: int, half_pi: int) -> int:
+    """cos_sin_fixed(a, W, half_pi)[0], bit for bit, without the sine that
+    mpmath derives and the kernels discard.
+
+    Above COS_SIN_CACHE_PREC and below EXP_SERIES_U_CUTOFF, cos_sin_fixed
+    reduces a to t = a mod pi/2 and calls exponential_series(t, W, 2), which
+    sums the cosine's series, applies r double-angle steps and then takes
+    the sine with isqrt_fast.  In the even quadrants the cosine is +-that
+    series cosine, so this runs the same r, extra, wp, loop and steps and
+    stops before the square root.  The odd quadrants' cosine is that sine,
+    and every other W has no such waste; cos_sin_fixed takes both.
+    """
+    if W <= COS_SIN_CACHE_PREC or W >= EXP_SERIES_U_CUTOFF:
+        return cos_sin_fixed(a, W, half_pi)[0]
+    n, t = divmod(a, half_pi)
+    if n & 1:
+        return cos_sin_fixed(a, W, half_pi)[0]
+    xmag = t.bit_length() - W
+    r = max(0, xmag + int(0.5 * W ** 0.5))
+    extra = 10 + 2 * max(r, -xmag)
+    wp = W + extra
+    x = t << (extra - r)
+    one = 1 << wp
+    x2 = term = (x * x) >> wp
+    x4 = (x2 * x2) >> wp
+    s0 = s1 = 0
+    k = 2
+    while term:
+        term //= (k - 1) * k
+        s0 += term
+        k += 2
+        term //= (k - 1) * k
+        s1 += term
+        k += 2
+        term = (term * x4) >> wp
+    c = ((x2 * s1) >> wp) - s0 + one
+    for _ in range(r):
+        c = ((c * c) >> (wp - 1)) - one
+    c >>= extra
+    return -c if n & 2 else c
+
+
 def _kernel_cosines(theta: Theta, x: int, W: int, start: int, stop: int):
     """cos(2 pi x_k) in units of 2^-W for k = start..stop, where x_0 = x and
-    x_(k+1) = (x_k R) >> W with R = round(2^W / theta) (see mu_hat)."""
+    x_(k+1) = (x_k R) >> W with R = round(2^W / theta) (see mu_hat); each
+    cosine is _cos_fixed's, which has cos_sin_fixed's bits."""
     _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
     R = ((1 << (W + 1 - exp)) // man + 1) >> 1
     two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
     mask = (1 << W) - 1
     for k in range(stop + 1):
         if k >= start:
-            yield cos_sin_fixed(((x & mask) * two_pi) >> W, W, half_pi)[0]
+            yield _cos_fixed(((x & mask) * two_pi) >> W, W, half_pi)
         x = (x * R) >> W
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
+from mpmath.libmp.libelefun import (COS_SIN_CACHE_PREC, EXP_SERIES_U_CUTOFF,
+                                    cos_sin_fixed, pi_fixed)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +32,12 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
-from pisot_spectra import empirical, spectrum
+from pisot_spectra import empirical, spectrum, transform
 from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TAIL, FAST_TOL, FACTOR_FLOOR,
-                                     _depth, _exact_zeros, _float_depth,
+                                     _cos_fixed, _depth, _exact_zeros,
+                                     _float_depth,
                                      _kernel_plan, _mag_estimate,
                                      _truncation_depth)
 
@@ -157,6 +159,38 @@ def test_cos_sin_fixed_within_the_kernels_constant():
                 worst = max(worst, abs(c - exact))
     assert worst <= COS_FIXED_ERROR
 
+
+
+def test_cos_fixed_has_cos_sin_fixeds_bits(monkeypatch):
+    # both kernels take their cosines from _cos_fixed, whose bound is
+    # cos_sin_fixed's: it must return cos_sin_fixed's bits at every W, and
+    # between the two mpmath cut-offs it must run its own series in the
+    # even quadrants rather than hand them to cos_sin_fixed
+    delegated = []
+
+    def counting(a, W, half_pi):
+        delegated.append(a)
+        return cos_sin_fixed(a, W, half_pi)
+
+    monkeypatch.setattr(transform, "cos_sin_fixed", counting)
+    rng = random.Random(31415)
+    series = 0
+    for W in [*range(96, 1601, 8), 399, 400, 401, 1499, 1500]:
+        half_pi = pi_fixed(W - 1)
+        args = [rng.randrange(pi_fixed(W + 1)) for _ in range(12)]
+        args += [1 << (W - e) for e in range(71)]
+        args += [q * half_pi + d for q in range(5)
+                 for d in (-2**20, -3, -1, 0, 1, 3, 2**20)]
+        for a in args:
+            delegated.clear()
+            assert _cos_fixed(a, W, half_pi) == cos_sin_fixed(a, W, half_pi)[0]
+            even = divmod(a, half_pi)[0] % 2 == 0
+            if COS_SIN_CACHE_PREC < W < EXP_SERIES_U_CUTOFF and even:
+                assert not delegated
+                series += 1
+            else:
+                assert delegated == [a]
+    assert series > 10000
 
 def _mpf_depth(theta, t, tol, pb):
     # the depth rule of mu_hat before its kernel: _truncation_depth in mpf
