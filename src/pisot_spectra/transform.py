@@ -4,11 +4,14 @@ mu_hat evaluates prod_{k>=0} cos(2 pi theta^-k t) with a certified truncation
 bound derived from |log cos x| <= x^2 on |x| <= 1.  Its factors come from a
 fixed-point integer kernel: x = |t| theta^-k is a Python int with W
 fractional bits, stepped by one multiply by a fixed-point theta^-1 and a
-shift, reduced mod 1 by a mask, with each cosine from mpmath's
-cos_sin_fixed.  W is chosen from the kernel's derived error, so that error
-stays within 2^-(pb+12) and the bound of each value is certified.  The
-loop (_kernel_cosines) and its running product (_fixed_product) also give
-the descending side of spectrum's two-sided products.
+shift, reduced mod 1 by a mask, with each cosine from _cos_fixed.  That
+returns the bits of mpmath's cos_sin_fixed, but between 400 and 1500 bits
+it skips, in the even quadrants, the square root that derives a sine the
+kernel would discard.  W is chosen from the kernel's derived error, so
+that error stays within 2^-(pb+12) and the bound of each value is
+certified.  The loop (_kernel_cosines) and its running product
+(_fixed_product) also give the descending side of spectrum's two-sided
+products; _cos_fixed gives the cosines of their ascending side.
 
 mu_hat_fast evaluates whole batches in float64.  Its error bound is derived
 a priori from theta, the batch's largest |t| and its truncation depth (see
@@ -51,7 +54,9 @@ _FLOOR_NUM, _FLOOR_DEN = FACTOR_FLOOR.as_integer_ratio()
 # units of 2^-W.  Up to W = 400 mpmath sums a Taylor series of at most W/8
 # terms at W bits, each floored at most twice, onto a cached table; past
 # that it sums at W + 10 or more bits.  tests/test_transform.py pins it for
-# W = 96..1600, where the worst seen is 12.7.
+# W = 96..1600, where the worst seen is 12.7.  _cos_fixed shortens the
+# second regime below 1500 bits (no square root for a discarded sine) and
+# keeps its bits, so the constant covers it too.
 COS_FIXED_ERROR = 128
 # error bound that float64 series and block maxima carry; a batch whose
 # derived bound exceeds it is refused (the bound reaches it at |t| ~ 2.6e5
@@ -318,8 +323,9 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     The K + 1 factors come from a fixed-point integer kernel with W
     fractional bits.  x_0 = floor(|t| 2^W) and x_(k+1) = (x_k R) >> W, with
     R = round(2^W / theta) from theta at W + 16 bits.  The W low bits of x_k
-    are its fraction mod 1; 2 pi times it, in fixed point, goes to mpmath's
-    cos_sin_fixed with pi_fixed(W - 1), pi/2 in fixed point.  The running
+    are its fraction mod 1; 2 pi times it, in fixed point, goes to
+    _cos_fixed, which has the bits of mpmath's cos_sin_fixed, with
+    pi_fixed(W - 1), pi/2 in fixed point.  The running
     product keeps W + 1 significant bits, one shift per factor.
 
     The kernel's absolute error, in units of 2^-W, with
