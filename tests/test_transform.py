@@ -37,9 +37,8 @@ from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TAIL, FAST_TOL, FACTOR_FLOOR,
                                      _cos_fixed, _depth, _exact_zeros,
-                                     _float_depth,
-                                     _kernel_plan, _mag_estimate,
-                                     _truncation_depth)
+                                     _float_depth, _kernel_plan,
+                                     _mag_estimate, _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -160,7 +159,6 @@ def test_cos_sin_fixed_within_the_kernels_constant():
     assert worst <= COS_FIXED_ERROR
 
 
-
 def test_cos_fixed_has_cos_sin_fixeds_bits(monkeypatch):
     # both kernels take their cosines from _cos_fixed, whose bound is
     # cos_sin_fixed's: it must return cos_sin_fixed's bits at every W, and
@@ -191,6 +189,7 @@ def test_cos_fixed_has_cos_sin_fixeds_bits(monkeypatch):
             else:
                 assert delegated == [a]
     assert series > 10000
+
 
 def _mpf_depth(theta, t, tol, pb):
     # the depth rule of mu_hat before its kernel: _truncation_depth in mpf
