@@ -431,17 +431,24 @@ def decay_check(theta, N: int) -> tuple:
     floor witnesses non-vanishing (Pisot bases).  The trend need not be
     monotone: for theta = 3/2 the maximum over [2^14, 2^15) exceeds the one
     over [2^13, 2^14).  Values are float64, refused (raising
-    PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR."""
+    PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR.
+
+    All blocks are one mu_hat_fast batch over n = 1 .. 2^(k+1) - 1, with
+    the block starts as its segments: each block keeps the depth and the
+    refusal of a batch of its own, and the blocks share one pool."""
     import numpy as np
     if N < 2:
         raise ValueError("N must be at least 2")
-    blocks = []
-    k = 0
-    while 2 ** (k + 1) - 1 <= N:
-        ns = np.arange(2**k, 2 ** (k + 1), dtype=np.int64)
-        vals = np.abs(mu_hat_fast(theta, ns.astype(np.float64),
-                                  tol=FAST_ERROR))
-        blocks.append(BlockMaximum(k=k, start=2**k, stop=2 ** (k + 1),
-                                   value=float(np.max(vals))))
-        k += 1
-    return tuple(blocks)
+    count = (N + 1).bit_length() - 1
+    # refuse before building the batch.  The bound grows with |t|, so when
+    # the last block is admitted every block is; otherwise the first block
+    # refused raises, as mu_hat_fast would
+    if not fast_error_bound(theta, 2 ** count - 1) <= FAST_ERROR:
+        for k in range(count):
+            _checked_plan(theta, float(2 ** (k + 1) - 1), FAST_ERROR)
+    starts = 2 ** np.arange(count) - 1
+    vals = np.abs(mu_hat_fast(theta, np.arange(1, 2 ** count, dtype=np.float64),
+                              tol=FAST_ERROR, segments=starts))
+    return tuple(BlockMaximum(k=k, start=2**k, stop=2 ** (k + 1),
+                              value=float(v))
+                 for k, v in enumerate(np.maximum.reduceat(vals, starts)))

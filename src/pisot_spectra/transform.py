@@ -16,11 +16,15 @@ products; _cos_fixed gives the cosines of their ascending side.
 mu_hat_fast evaluates whole batches in float64.  Its error bound is derived
 a priori from theta, the batch's largest |t| and its truncation depth (see
 fast_error_bound); a batch whose bound exceeds the caller's tolerance is
-refused, not evaluated.  An admitted batch runs in blocks of FAST_BLOCK
-points, each in block-sized scratch arrays, shared over at most one thread
-per core this process may run on (numpy's ufuncs release the GIL); every
-value bit is that of the plain expression.  numpy is imported inside the
-float64 functions only, so the precise commands start without it.
+refused, not evaluated.  A batch may be cut into segments, each planned and
+refused as a batch of its own.  An admitted batch runs in blocks of
+FAST_BLOCK points, each in block-sized scratch arrays, and the blocks of all
+its segments are shared over one pool of at most one thread per core this
+process may run on (numpy's ufuncs release the GIL); every value bit is that
+of the plain expression.  _exact_zeros marks the t at which the product
+vanishes exactly, with exact float64 comparisons in block-sized scratch.
+numpy is imported inside the float64 functions only, so the precise
+commands start without it.
 
 digit_trace records the nearest integers K_j and remainders delta_j of
 y theta^j; runs of small remainders force the integer recurrence
@@ -427,36 +431,54 @@ def _checked_plan(theta: Theta, t_max: float, tol: float):
     return th, K
 
 
-def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
+def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
+                segments=None) -> np.ndarray:
     """Float64 bulk transform values, fixed evaluation order.
 
-    The truncation depth comes from max |t| so every entry shares it.
-    Raises PrecisionExhaustedError, before evaluating, when the batch's
-    derived error bound (fast_error_bound) exceeds tol.
+    segments, if given, are ascending indices into the flattened batch at
+    which it is cut; each piece between cuts is a segment, planned as a
+    call of its own.  Without them the batch is one segment.  A segment's
+    truncation depth comes from its largest |t|, so all its entries share
+    it.  Raises PrecisionExhaustedError, before evaluating, when a
+    segment's derived error bound (fast_error_bound) exceeds tol: the
+    plans are checked in segment order, so the first segment refused
+    raises, with the message a call on it alone would give.
 
-    The batch runs in blocks of FAST_BLOCK points, shared over
+    Every segment runs in blocks of FAST_BLOCK points from its start, and
+    the blocks of all segments, larger first, are shared over one pool of
     min(cores this process may run on, blocks) threads.  A block takes its
     K + 1 factors cos(2 pi (x - rint x)) in two block-sized scratch arrays
     and tracks its largest argument m by the same division that steps x.
     Division by theta > 0 is monotone under rounding, so m stays exactly the
     block's maximum; once m <= 1/2, rint x is 0 and x - 0 is x, so the
     factor is cos(2 pi x) and the reduction is skipped.  Every value bit is
-    that of the plain expression, whatever the block and thread count.
+    that of the plain expression on its segment, whatever the block and
+    thread count.
     """
     import numpy as np
     t = np.asarray(ts, dtype=np.float64)
-    if t.size == 0:
-        return np.ones(0)
-    th, K = _checked_plan(theta, float(max(abs(t.min()), abs(t.max()))), tol)
     flat = t.reshape(-1)
+    cuts = [0, *([] if segments is None else segments), flat.size]
+    if any(not 0 <= a <= b <= flat.size for a, b in zip(cuts, cuts[1:])):
+        raise ValueError("segments must be ascending indices into the batch")
+    blocks = []
+    for a, b in zip(cuts, cuts[1:]):
+        if a == b:
+            continue
+        seg = flat[a:b]
+        th, K = _checked_plan(theta, float(max(abs(seg.min()),
+                                               abs(seg.max()))), tol)
+        blocks += [(start, min(start + FAST_BLOCK, b), th, K)
+                   for start in range(a, b, FAST_BLOCK)]
     vals = np.empty(t.shape)
     out = vals.reshape(-1)
     two_pi = 2 * math.pi
 
-    def run_block(start: int) -> None:
-        x = np.abs(flat[start:start + FAST_BLOCK])
+    def run_block(block) -> None:
+        start, stop, th, K = block
+        x = np.abs(flat[start:stop])
         y = np.empty_like(x)
-        v = out[start:start + FAST_BLOCK]
+        v = out[start:stop]
         v.fill(1.0)
         m = float(x.max())
         for k in range(K + 1):
@@ -472,13 +494,15 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL) -> np.ndarray:
             np.cos(y, out=y)
             v *= y
 
+    if not blocks:
+        return vals
     # imported here, not at start-up: concurrent.futures loads logging, which
     # costs every command that evaluates no batch about 7 ms and 0.7 MB
     from concurrent.futures import ThreadPoolExecutor
-    starts = range(0, flat.size, FAST_BLOCK)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    blocks.sort(key=lambda block: block[0] - block[1])
+    workers = min(len(os.sched_getaffinity(0)), len(blocks))
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run_block, starts))
+        list(pool.map(run_block, blocks))
     return vals
 
 
@@ -486,17 +510,33 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     """Mask of the float64 t at which the product vanishes exactly.
 
     A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
-    integer.  Every base admits k = 0: fmod(4|t|, 2) == 1, exact in float64
-    and taken in one array.  An integer base b (a PisotNumber of degree 1)
-    also admits each k with b^k <= 4|t|, tested in int64.  An irrational
-    theta admits no k > 0, since 4t is rational.
+    integer.  Every base admits k = 0: 4|t| is an odd integer exactly when
+    rint(4|t|) == 4|t| and rint(2|t|) != 2|t|.  Both scalings are exact, and
+    inf and nan pass neither test, so this is fmod(4|t|, 2) == 1 without
+    fmod's cost; it runs in blocks of FAST_BLOCK points, in block-sized
+    scratch.  An integer base b (a PisotNumber of degree 1) also admits
+    each k with b^k <= 4|t|, so there every k is tested in int64 on the
+    whole batch.  An irrational theta admits no k > 0, since 4t is rational.
     """
     import numpy as np
+    if not (isinstance(theta, PisotNumber) and theta.m == 1):
+        flat = np.asarray(ts, dtype=np.float64).reshape(-1)
+        zero = np.empty(flat.shape, dtype=bool)
+        z = np.empty(min(flat.size, FAST_BLOCK))
+        r = np.empty_like(z)
+        odd = np.empty(z.shape, dtype=bool)
+        for start in range(0, flat.size, FAST_BLOCK):
+            n = min(FAST_BLOCK, flat.size - start)
+            x, y, half = z[:n], r[:n], odd[:n]
+            np.abs(flat[start:start + n], out=x)
+            x *= 2                               # exact: a scaling by 2
+            np.not_equal(np.rint(x, out=y), x, out=half)
+            x *= 2
+            np.equal(np.rint(x, out=y), x, out=zero[start:start + n])
+            zero[start:start + n] &= half
+        return zero.reshape(np.shape(ts))
     z = np.abs(ts)
     z *= 4                                   # exact: a scaling by 4
-    if not (isinstance(theta, PisotNumber) and theta.m == 1):
-        with np.errstate(invalid="ignore"):  # fmod(inf, 2) is nan: no zero
-            return np.fmod(z, 2, out=z) == 1
     whole = (z == np.rint(z)) & (z < 2.0 ** 62)
     zi = np.where(whole, z, 0).astype(np.int64)
     zero = whole & (zi % 2 == 1)

@@ -228,8 +228,9 @@ def test_limit_range_refused_before_building_its_grid():
 
 
 def test_sample_batch_peak_memory():
-    # ts, the values and one array for the exact-zero test: 12.5 MB, against
-    # 21 MB when that test and the argument array took full-size temporaries
+    # ts, the values and the exact-zero mask, 8.5 MB, and block-sized
+    # scratch: 9.1 MB, against 12.5 MB when the exact-zero test took 4|t| in
+    # one full-size array and 21 MB when the argument array took one too
     ns = np.arange(5 * 10**5, 10**6 + 1)
     tracemalloc.start()
     try:
@@ -237,7 +238,7 @@ def test_sample_batch_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * 10**6
+    assert peak <= 10 * 10**6
 
 
 def test_discrepancy_exact_small_cases():
@@ -413,6 +414,48 @@ def test_decay_non_pisot_trend_with_parity_wobble():
 def test_decay_flat_binary_is_numerically_zero():
     blocks = decay_check(2.0, 2**16)
     assert all(b.value <= 1e-12 for b in blocks)
+
+
+def _decay_blockwise(theta, N):
+    # one batch per dyadic block, in order, as decay_check ran them before
+    # they became segments of one batch
+    blocks = []
+    k = 0
+    while 2 ** (k + 1) - 1 <= N:
+        ns = np.arange(2**k, 2 ** (k + 1), dtype=np.float64)
+        vals = np.abs(mu_hat_fast(theta, ns, tol=empirical.FAST_ERROR))
+        blocks.append((k, 2**k, 2 ** (k + 1), float(np.max(vals))))
+        k += 1
+    return blocks
+
+
+@pytest.mark.parametrize("theta", [1.5, GOLDEN, build_pisot((1, 0, 0, 1)),
+                                   FLAT],
+                         ids=["three_halves", "golden", "quartic", "binary"])
+@pytest.mark.parametrize("N", [2, 3, 1000, 2**16 - 1, 2**16])
+def test_decay_equals_one_batch_per_block(theta, N):
+    blocks = decay_check(theta, N)
+    assert [(b.k, b.start, b.stop, b.value) for b in blocks] == \
+        _decay_blockwise(theta, N)
+    assert len(blocks) == (N + 1).bit_length() - 1
+
+
+@pytest.mark.parametrize("theta", [1.5, GOLDEN], ids=["three_halves",
+                                                      "golden"])
+def test_decay_refuses_before_building_its_batch(theta):
+    # the first block refused raises, with the message the block-by-block
+    # loop gave, and no batch of 2^22 points is built first
+    with pytest.raises(PrecisionExhaustedError) as blockwise:
+        _decay_blockwise(theta, 2**22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionExhaustedError) as segmented:
+            decay_check(theta, 2**22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(segmented.value) == str(blockwise.value)
+    assert peak < 2**20
 
 
 def test_sampling_validation_errors():

@@ -371,6 +371,13 @@ def test_mu_hat_fast_refuses_exactly_past_its_tolerance():
         mu_hat_fast(GOLDEN, [math.inf])
 
 
+def _textbook_depth(theta, ts):
+    # the depth rule of the float64 path at the batch's largest |t|
+    return _truncation_depth(2 * math.pi * float(np.abs(ts).max()),
+                             float(_theta_value(theta)), FAST_TAIL,
+                             start=1) - 1
+
+
 def _textbook_fast(theta, ts):
     # prod_{k<=K} cos(2 pi (x_k - rint x_k)), x_0 = |t|, x_{k+1} = x_k / theta,
     # with the depth rule of the float64 path at the batch's largest |t|
@@ -378,8 +385,7 @@ def _textbook_fast(theta, ts):
     if x.size == 0:
         return np.ones(0)
     th = float(_theta_value(theta))
-    K = _truncation_depth(2 * math.pi * float(x.max()), th, FAST_TAIL,
-                          start=1) - 1
+    K = _textbook_depth(theta, x)
     vals = np.ones_like(x)
     for _ in range(K + 1):
         vals = vals * np.cos(2 * math.pi * (x - np.rint(x)))
@@ -472,11 +478,86 @@ def test_one_block_batches_start_at_most_one_worker(monkeypatch):
     _with_cores(monkeypatch, 4)
     pools = _record_pools(monkeypatch)
     before = threading.active_count()
-    # dyadic blocks [2^k, 2^(k+1)) up to k = 15: the last has FAST_BLOCK points
+    mu_hat_fast(GOLDEN, np.linspace(1.0, 1e5, FAST_BLOCK))
+    assert pools == [1]
+    # dyadic blocks [2^k, 2^(k+1)) up to k = 15: the last has FAST_BLOCK
+    # points.  They are segments of one batch, so they share one pool
     blocks = empirical.decay_check(1.5, 2 * FAST_BLOCK - 1)
     assert blocks[-1].stop - blocks[-1].start == FAST_BLOCK
-    assert pools == [1] * len(blocks)
+    assert pools == [1, 4]
     assert threading.active_count() == before
+
+
+# segment starts: an empty segment (the cut at 3 twice), two one-point
+# segments, and segments of FAST_BLOCK - 1, 2 FAST_BLOCK + 2001 and
+# FAST_BLOCK + 1 points; each segment's |t| reaches its own power of ten
+SEGMENT_STARTS = [0, 3, 3, 4, 5, 1000, 1000 + FAST_BLOCK - 1,
+                  3000 + 3 * FAST_BLOCK, 3000 + 4 * FAST_BLOCK + 1]
+
+
+def _segmented_batch(seed, size=3000 + 4 * FAST_BLOCK + 5):
+    rng = np.random.default_rng(seed)
+    cuts = [*SEGMENT_STARTS, size]
+    scales = 10.0 ** rng.uniform(0, 5, len(cuts) - 1)
+    return np.concatenate([rng.uniform(-1, 1, b - a) * scale
+                           for a, b, scale in zip(cuts, cuts[1:], scales)])
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
+                         ids=["golden", "quartic", "three_halves"])
+def test_segments_equal_separate_calls(monkeypatch, theta):
+    ts = _segmented_batch(5)
+    cuts = [*SEGMENT_STARTS, ts.size]
+    depths = {_textbook_depth(theta, ts[a:b]) for a, b in zip(cuts, cuts[1:])
+              if b > a}
+    assert len(depths) > 3
+    separate = np.concatenate([mu_hat_fast(theta, ts[a:b])
+                               for a, b in zip(cuts, cuts[1:])])
+    blocks = sum(-(-(b - a) // FAST_BLOCK) for a, b in zip(cuts, cuts[1:]))
+    pools = _record_pools(monkeypatch)
+    for cores in (1, 2, 3, 8):
+        _with_cores(monkeypatch, cores)
+        vals = mu_hat_fast(theta, ts, segments=SEGMENT_STARTS)
+        assert np.array_equal(vals, separate)
+        # without the cut at 0 the first piece is the same segment
+        assert np.array_equal(
+            mu_hat_fast(theta, ts, segments=SEGMENT_STARTS[1:]), separate)
+    assert pools == [min(cores, blocks) for cores in (1, 1, 2, 2, 3, 3, 8, 8)]
+    # one segment is the plain call
+    assert np.array_equal(mu_hat_fast(theta, ts, segments=[0]),
+                          _textbook_fast(theta, ts))
+
+
+def test_segments_of_an_empty_or_two_dimensional_batch():
+    assert mu_hat_fast(GOLDEN, [], segments=[0, 0]).shape == (0,)
+    ts = np.arange(1.0, 13.0).reshape(3, 4)
+    vals = mu_hat_fast(GOLDEN, ts, segments=[4, 11])
+    flat = ts.reshape(-1)
+    assert vals.shape == (3, 4)
+    assert np.array_equal(vals.reshape(-1), np.concatenate(
+        [mu_hat_fast(GOLDEN, flat[:4]), mu_hat_fast(GOLDEN, flat[4:11]),
+         mu_hat_fast(GOLDEN, flat[11:])]))
+    for bad in ([5, 4], [-1], [13]):
+        with pytest.raises(ValueError):
+            mu_hat_fast(GOLDEN, ts, segments=bad)
+
+
+@pytest.mark.parametrize("refused", [[0], [2], [4], [1, 3]])
+def test_a_refused_segment_raises_before_any_pool_opens(monkeypatch,
+                                                        refused):
+    # five segments of 10 points; those listed in `refused` reach |t| = 1e9
+    ts = np.linspace(1.0, 1e3, 50)
+    for i in refused:
+        ts[10 * i + 9] = 1e9 + i
+    starts = [0, 10, 20, 30, 40]
+    with pytest.raises(PrecisionExhaustedError) as alone:
+        mu_hat_fast(GOLDEN, ts[10 * refused[0]:10 * refused[0] + 10])
+    pools = _record_pools(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(PrecisionExhaustedError) as segmented:
+        mu_hat_fast(GOLDEN, ts, segments=starts)
+    assert str(segmented.value) == str(alone.value)
+    assert pools == [] and threading.active_count() == before
 
 
 def _exact_zeros_int64(theta, ts):
@@ -510,6 +591,52 @@ def test_exact_zeros_equal_the_int64_route(d):
     assert mask.dtype == bool
     assert np.array_equal(mask, _exact_zeros_int64(P, ts))
     assert mask.any() and not mask.all()
+
+
+def _exact_zeros_fmod(ts):
+    # the k = 0 test as it stood before it was taken without fmod
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmod(4 * np.abs(ts), 2) == 1
+
+
+def _float_edges():
+    # +-0, subnormals, +-inf, nan, and 4|t| in steps of one ulp around 2^52,
+    # 2^53 and 2^54, on the ulps of either side of each power
+    steps = [top + np.arange(-64, 65) * np.spacing(top / 2)
+             for top in (2.0 ** 52, 2.0 ** 53, 2.0 ** 54)]
+    steps += [top + np.arange(-64, 65) * np.spacing(top) for top in
+              (2.0 ** 52, 2.0 ** 53, 2.0 ** 54)]
+    tiny = np.array([5e-324, 2.5e-323, 2.2250738585072014e-308, 1e-310])
+    edges = np.concatenate([*steps, tiny, [0.0, np.inf, np.nan]]) / 4
+    return np.concatenate([edges, -edges])
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
+                         ids=["golden", "quartic", "three_halves"])
+@pytest.mark.parametrize("size", [FAST_BLOCK - 1, FAST_BLOCK + 1,
+                                  3 * FAST_BLOCK + 5])
+def test_exact_zeros_equal_the_fmod_expression(theta, size):
+    rng = np.random.default_rng(size)
+    # random mantissas at random exponents over the whole range, and at the
+    # exponents where 4|t| is an integer with a random last bit
+    exps = np.where(rng.random(size) < 0.5, rng.integers(-1076, 1024, size),
+                    rng.integers(-4, 60, size))
+    ts = np.ldexp(rng.uniform(1, 2, size), exps) * rng.choice([-1, 1], size)
+    edges = _float_edges()
+    ts[:edges.size] = edges
+    with np.errstate(over="ignore"):
+        mask = _exact_zeros(theta, ts)
+    assert mask.dtype == bool and mask.shape == ts.shape
+    assert np.array_equal(mask, _exact_zeros_fmod(ts))
+    assert 0 < mask.sum() < size
+    # every point, or none, is a zero: a point left out of every block
+    # shows in one of the two
+    odd, even = (2 * np.arange(size) + 1) / 4, np.arange(size) / 2
+    assert _exact_zeros(theta, odd).all() and not _exact_zeros(theta, even).any()
+    # a batch of another shape keeps it
+    square = np.arange(36.0).reshape(6, 6) / 4
+    assert np.array_equal(_exact_zeros(theta, square),
+                          _exact_zeros_fmod(square))
 
 
 def test_derived_bound_grows_linearly_in_t():
