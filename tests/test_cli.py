@@ -1,20 +1,37 @@
-"""End-to-end command line tests (subprocess, JSON/CSV contracts, exit codes)."""
+"""End-to-end command line tests (JSON/CSV contracts, exit codes).
+
+Most cases run `cli.main` in this process, which returns every exit code
+without leaving it.  A fresh interpreter is started only where the process
+is under test: the `python -m pisot_spectra` entry point and its exit
+status, `-O` mode, and the modules a command leaves unloaded.
+"""
+import io
 import json
-import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
-from pisot_spectra import formats
+import pytest
+
+from pisot_spectra import cli, formats
 
 CMD = [sys.executable, "-m", "pisot_spectra"]
 
 
 def run(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=env)
+    """(exit code, stdout, stderr) of `pisot args`, run through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, value in (env_extra or {}).items():
+            monkeypatch.setenv(name, value)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_process(*args):
+    """run(*args) in a fresh `python -m pisot_spectra` process."""
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -30,7 +47,8 @@ def test_check_emits_certified_data():
 
 
 def test_check_rejects_non_pisot_with_domain_exit():
-    code, out, err = run("check", "--poly", "0,4")
+    # through the entry point: the exit status is main's return value
+    code, out, err = run_process("check", "--poly", "0,4")
     assert code == 2
     assert out == ""
     assert err.strip()
