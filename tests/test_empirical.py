@@ -417,8 +417,7 @@ def test_decay_flat_binary_is_numerically_zero():
 
 
 def _decay_blockwise(theta, N):
-    # one batch per dyadic block, in order, as decay_check ran them before
-    # they became segments of one batch
+    # the reference: one batch per dyadic block, in order
     blocks = []
     k = 0
     while 2 ** (k + 1) - 1 <= N:

@@ -594,7 +594,7 @@ def test_exact_zeros_equal_the_int64_route(d):
 
 
 def _exact_zeros_fmod(ts):
-    # the k = 0 test as it stood before it was taken without fmod
+    # the reference: the k = 0 test by fmod
     with np.errstate(over="ignore", invalid="ignore"):
         return np.fmod(4 * np.abs(ts), 2) == 1
 
