@@ -20,7 +20,10 @@ here (about 8e-9 at |t| = 2e6 on the golden base).  A precise spot check of
 SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
 against the threshold, so a fault in the float64 kernel is caught once it
 exceeds the bound the batch claims.  Each reference is a 64-bit value
-truncated at a share of the bound, just sharp enough for that test.
+truncated at a share of the bound, just sharp enough for that test.  With
+eta > 0 the batch stops each product once it is known to end below a floor
+just under eta and returns 0.0 there; every value at or above eta keeps its
+bits, so each report keeps the same set (see _values_for).
 
 numpy is imported inside the functions that use it, so importing this
 module, and running the precise commands, leaves it unloaded.
@@ -48,6 +51,10 @@ SPOT_CHECK_SIZE = 32
 # threshold it is tested against
 SPOT_CHECK_BITS = 64
 SPOT_CHECK_SHARE = 5e-4
+# retention floor of a sampled batch as a share of eta: below 1/(1 + 16u),
+# the largest factor by which a phase and its product raise a kept modulus
+# (see _values_for)
+FLOOR_SHARE = 1 - 2.0 ** -40
 # most witnesses kept per cluster in reports
 MAX_WITNESSES = 10
 
@@ -136,17 +143,32 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     One float64 batch, refused when its derived error bound exceeds the
     validation threshold (eta/10, at least 1e-6), then a precise spot check
     at SPOT_CHECK_SIZE evenly spaced indices.  The endpoints, and so the
-    largest |t|, are among them.  Each checked value must lie within the
-    batch's derived bound (fast_error_bound at its largest |t|) plus the
-    reference's own certified bound; the reference is mu_hat at
-    SPOT_CHECK_BITS bits, truncated at SPOT_CHECK_SHARE of the derived
-    bound.  Exact zeros of the product are reported as 0, as the precise
-    path reports them.
+    largest |t|, are among them.  Exact zeros of the product are reported
+    as 0, as the precise path reports them.
+
+    With eta > 0 the batch runs with the retention floor eta FLOOR_SHARE:
+    a value known to end below it comes back as 0.0 (see mu_hat_fast), and
+    every other value has the bits it has without a floor.  Every caller
+    keeps a value only where its modulus, or that of the value times a unit
+    phase, is at least eta.  A float64 phase has modulus at most 1 + 12u
+    (u = 2^-53; a cosine and a sine each within 4 ulps), the product rounds
+    each part once and the modulus within an ulp, so the kept modulus is at
+    most 1 + 16u times the value's, and a value below the floor is below
+    eta: every caller keeps the set it keeps without a floor.
+
+    Each checked value must lie within the batch's derived bound
+    (fast_error_bound at its largest |t|) plus the reference's own
+    certified bound; the reference is mu_hat at SPOT_CHECK_BITS bits,
+    truncated at SPOT_CHECK_SHARE of the derived bound.  A checked 0.0 may
+    have been dropped at the floor, so there the floor is added to the two
+    bounds: a kernel that drops a value above the floor by more than them
+    is still caught.
     """
     import numpy as np
     ts = np.multiply(r_val, ns, dtype=np.float64)
     tol = max(eta / 10, FAST_TOL) if eta > 0 else FAST_TOL
-    vals = mu_hat_fast(P, ts, tol=tol)
+    floor = eta * FLOOR_SHARE if eta > 0 else 0.0
+    vals = mu_hat_fast(P, ts, tol=tol, floor=floor)
     vals[_exact_zeros(P, ts)] = 0.0
     if not len(ts):
         return vals
@@ -155,13 +177,18 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     for i in idx:
         ref = mu_hat(P, float(ts[i]), tol=SPOT_CHECK_SHARE * bound,
                      precision_bits=SPOT_CHECK_BITS)
+        # a 0.0 may have been dropped at the floor, which the test then adds
+        slack = floor if vals[i] == 0.0 else 0.0
         # exact mpf sums, so no rounding enters the comparison
         deviation = abs(mp.fsub(ref.value, vals[i], exact=True))
-        if deviation > mp.fadd(bound, ref.error_bound, exact=True):
+        allowed = mp.fadd(mp.fadd(bound, ref.error_bound, exact=True), slack,
+                          exact=True)
+        if deviation > allowed:
             raise PrecisionExhaustedError(
                 f"float64 spot check deviates by {float(deviation):.3e} at "
                 f"t = {ts[i]:.9g}, over the derived bound {bound:.3e} plus "
                 f"the reference's {float(ref.error_bound):.3e}"
+                + (f" and the floor {slack:.3e}" if slack else "")
             )
     return vals
 
@@ -397,8 +424,12 @@ def translated_sample(P: PisotNumber, r, gamma, N: int, eta: float,
     g_val = _as_real(gamma)
     ns = np.arange(n_min, N + 1, dtype=np.int64)
     vals = _values_for(P, r_val, ns, eta)
-    phases = np.exp(2j * np.pi * np.mod(g_val * ns.astype(np.float64), 1.0))
-    points = vals * phases
+    # a value of 0.0 (an exact zero, or one dropped at the floor) stays
+    # below eta whatever its phase, so only the others get one
+    live = vals != 0
+    points = np.zeros(vals.shape, dtype=complex)
+    points[live] = vals[live] * np.exp(
+        2j * np.pi * np.mod(g_val * ns[live].astype(np.float64), 1.0))
 
     keep = np.abs(points) >= eta
     base = dict(r=r_val, gamma=g_val, N=N, eta=eta, seed=seed)

@@ -21,8 +21,10 @@ refused as a batch of its own.  An admitted batch runs in blocks of
 FAST_BLOCK points, each in block-sized scratch arrays, and the blocks of all
 its segments are shared over one pool of at most one thread per core this
 process may run on (numpy's ufuncs release the GIL); every value bit is that
-of the plain expression.  _exact_zeros marks the t at which the product
-vanishes exactly, with exact float64 comparisons in block-sized scratch.
+of the plain expression.  Given a retention floor, a block stops the
+product of each point once it is known to end below the floor, and returns
+0.0 there.  _exact_zeros marks the t at which the product vanishes exactly,
+with exact comparisons in block-sized scratch.
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
@@ -432,7 +434,7 @@ def _checked_plan(theta: Theta, t_max: float, tol: float):
 
 
 def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
-                segments=None) -> np.ndarray:
+                segments=None, floor: float = 0.0) -> np.ndarray:
     """Float64 bulk transform values, fixed evaluation order.
 
     segments, if given, are ascending indices into the flattened batch at
@@ -448,14 +450,32 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     the blocks of all segments, larger first, are shared over one pool of
     min(cores this process may run on, blocks) threads.  A block takes its
     K + 1 factors cos(2 pi (x - rint x)) in two block-sized scratch arrays
-    and tracks its largest argument m by the same division that steps x.
-    Division by theta > 0 is monotone under rounding, so m stays exactly the
-    block's maximum; once m <= 1/2, rint x is 0 and x - 0 is x, so the
-    factor is cos(2 pi x) and the reduction is skipped.  Every value bit is
-    that of the plain expression on its segment, whatever the block and
-    thread count.
+    and tracks an upper bound m of its largest argument by the same division
+    that steps x.  Division by theta > 0 is monotone under rounding, so m
+    bounds every x of the block from above; once m <= 1/2, rint x is 0 and
+    x - 0 is x, so the factor is cos(2 pi x) and the reduction is skipped.
+    Every value bit is that of the plain expression on its segment, whatever
+    the block and thread count.
+
+    floor > 0 lets a block stop the product of a point whose value is known
+    to fall below floor: such a point comes back as 0.0, and every other
+    point has the bits of the plain expression.  After each factor but the
+    last, the block compares the modulus of each running product w_k with
+    cut = floor (1 - 32 (K + 1) u), u = 2^-53, in its scratch and one
+    block-sized bool buffer; once fewer than half of its points are at or
+    above cut, it keeps x, w and their indices for those points only, and
+    goes on with them.  A dropped point's plain value is below floor: each
+    later factor is a cosine within 4 ulps, so of modulus at most 1 + 8u,
+    and its product rounds once and monotonically, so each factor scales
+    |w| by at most (1 + 8u)(1 + u) <= 1 + 10u.  The value then has modulus
+    below cut (1 + 10u)^(K+1) <= cut (1 + 11 (K + 1) u), and cut, rounded
+    at most three times, is at most floor (1 - 32 (K + 1) u)(1 + 3u), so
+    the product stays below floor (1 - 18 (K + 1) u) while (K + 1) u is
+    below 2^-10.  floor = 0 drops nothing.
     """
     import numpy as np
+    if not floor >= 0:
+        raise ValueError(f"floor must be nonnegative, got {floor}")
     t = np.asarray(ts, dtype=np.float64)
     flat = t.reshape(-1)
     cuts = [0, *([] if segments is None else segments), flat.size]
@@ -468,31 +488,54 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         seg = flat[a:b]
         th, K = _checked_plan(theta, float(max(abs(seg.min()),
                                                abs(seg.max()))), tol)
-        blocks += [(start, min(start + FAST_BLOCK, b), th, K)
+        cut = floor * (1 - 32 * (K + 1) * _U)
+        blocks += [(start, min(start + FAST_BLOCK, b), th, K, cut)
                    for start in range(a, b, FAST_BLOCK)]
     vals = np.empty(t.shape)
     out = vals.reshape(-1)
     two_pi = 2 * math.pi
 
     def run_block(block) -> None:
-        start, stop, th, K = block
+        start, stop, th, K, cut = block
         x = np.abs(flat[start:stop])
         y = np.empty_like(x)
         v = out[start:stop]
         v.fill(1.0)
+        # w holds the running products of the points still evaluated, and
+        # live their indices in the block once it has dropped any
+        w, live = v, None
+        above = np.empty(x.shape, dtype=bool) if cut else None
         m = float(x.max())
         for k in range(K + 1):
             if k:
                 x /= th
                 m /= th
+            z = y[:x.size]
             if m > 0.5:
-                np.rint(x, out=y)
-                np.subtract(x, y, out=y)
-                np.multiply(two_pi, y, out=y)
+                np.rint(x, out=z)
+                np.subtract(x, z, out=z)
+                np.multiply(two_pi, z, out=z)
             else:
-                np.multiply(two_pi, x, out=y)
-            np.cos(y, out=y)
-            v *= y
+                np.multiply(two_pi, x, out=z)
+            np.cos(z, out=z)
+            w *= z
+            if cut and k < K:
+                kept = above[:x.size]
+                np.greater_equal(np.abs(w, out=z), cut, out=kept)
+                n = np.count_nonzero(kept)
+                if 2 * n < x.size:
+                    keep = np.flatnonzero(kept)
+                    live = keep if live is None else live[keep]
+                    w = w[keep]
+                    # x moves into the scratch, whose values are spent, and
+                    # its old array becomes the scratch; mode "clip" takes
+                    # into out directly, where "raise" buffers it
+                    x, y = np.take(x, keep, out=y[:n], mode="clip"), x
+                    if not n:
+                        break
+        if live is not None:
+            v.fill(0.0)
+            v[live] = w
 
     if not blocks:
         return vals
@@ -513,39 +556,46 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     integer.  Every base admits k = 0: 4|t| is an odd integer exactly when
     rint(4|t|) == 4|t| and rint(2|t|) != 2|t|.  Both scalings are exact, and
     inf and nan pass neither test, so this is fmod(4|t|, 2) == 1 without
-    fmod's cost; it runs in blocks of FAST_BLOCK points, in block-sized
-    scratch.  An integer base b (a PisotNumber of degree 1) also admits
-    each k with b^k <= 4|t|, so there every k is tested in int64 on the
-    whole batch.  An irrational theta admits no k > 0, since 4t is rational.
+    fmod's cost.  An integer base b (a PisotNumber of degree 1) also admits
+    each k with b^k <= 4|t|: there a whole 4|t| below 2^62 is taken as an
+    int64 z, others as 0, and 4t = b^k times an odd integer exactly when
+    z mod 2 b^k == b^k.  An irrational theta admits no k > 0, since 4t is
+    rational.  Both routes run in blocks of FAST_BLOCK points, in
+    block-sized scratch.
     """
     import numpy as np
-    if not (isinstance(theta, PisotNumber) and theta.m == 1):
-        flat = np.asarray(ts, dtype=np.float64).reshape(-1)
-        zero = np.empty(flat.shape, dtype=bool)
-        z = np.empty(min(flat.size, FAST_BLOCK))
-        r = np.empty_like(z)
-        odd = np.empty(z.shape, dtype=bool)
-        for start in range(0, flat.size, FAST_BLOCK):
-            n = min(FAST_BLOCK, flat.size - start)
-            x, y, half = z[:n], r[:n], odd[:n]
-            np.abs(flat[start:start + n], out=x)
-            x *= 2                               # exact: a scaling by 2
-            np.not_equal(np.rint(x, out=y), x, out=half)
-            x *= 2
-            np.equal(np.rint(x, out=y), x, out=zero[start:start + n])
-            zero[start:start + n] &= half
-        return zero.reshape(np.shape(ts))
-    z = np.abs(ts)
-    z *= 4                                   # exact: a scaling by 4
-    whole = (z == np.rint(z)) & (z < 2.0 ** 62)
-    zi = np.where(whole, z, 0).astype(np.int64)
-    zero = whole & (zi % 2 == 1)
-    if zi.size:
-        b = power = theta.d[0]
-        while power <= zi.max():
-            zero |= whole & (zi % power == 0) & ((zi // power) % 2 == 1)
-            power *= b
-    return zero
+    flat = np.asarray(ts, dtype=np.float64).reshape(-1)
+    zero = np.empty(flat.shape, dtype=bool)
+    size = min(flat.size, FAST_BLOCK)
+    z, r = np.empty(size), np.empty(size)
+    odd = np.empty(size, dtype=bool)
+    base = theta.d[0] if isinstance(theta, PisotNumber) and theta.m == 1 else 0
+    if base:
+        small = np.empty(size, dtype=bool)
+        zi, rem = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    for start in range(0, flat.size, FAST_BLOCK):
+        n = min(FAST_BLOCK, flat.size - start)
+        x, y, half, mask = z[:n], r[:n], odd[:n], zero[start:start + n]
+        np.abs(flat[start:start + n], out=x)
+        x *= 2                                   # exact: a scaling by 2
+        np.not_equal(np.rint(x, out=y), x, out=half)
+        x *= 2
+        np.equal(np.rint(x, out=y), x, out=mask)
+        mask &= half
+        if not base:
+            continue
+        whole = np.equal(y, x, out=half)
+        whole &= np.less(x, 2.0 ** 62, out=small[:n])
+        y.fill(0.0)
+        np.copyto(y, x, where=whole)
+        q, s = zi[:n], rem[:n]
+        np.copyto(q, y, casting="unsafe")
+        top, power = int(q.max()), base
+        while power <= top:
+            mask |= np.equal(np.remainder(q, 2 * power, out=s), power,
+                             out=half)
+            power *= base
+    return zero.reshape(np.shape(ts))
 
 
 def _fast_items(theta: Theta, r: float, ns) -> list[SeriesItem]:

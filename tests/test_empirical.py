@@ -241,6 +241,20 @@ def test_sample_batch_peak_memory():
     assert peak <= 10 * 10**6
 
 
+@pytest.mark.parametrize("P", [FLAT, TERNARY], ids=["binary", "ternary"])
+def test_integer_base_batch_peak_memory(P):
+    # the exact zeros of an integer base take every power in block-sized
+    # scratch too: 9.6 MB, against 25.5 MB when they took full-size arrays
+    ns = np.arange(5 * 10**5, 10**6 + 1)
+    tracemalloc.start()
+    try:
+        empirical._values_for(P, 1.0, ns, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 10**6
+
+
 def test_discrepancy_exact_small_cases():
     assert discrepancy(0.0, [1, 2, 3]) == 1.0
     assert discrepancy(0.25, [1, 2, 3, 4]) == 0.25
@@ -479,12 +493,13 @@ def test_spot_check_catches_a_faulty_kernel(monkeypatch):
     real = empirical.mu_hat_fast
     ns = np.arange(5000, 10001, dtype=np.int64)
     monkeypatch.setattr(empirical, "mu_hat_fast",
-                        lambda theta, ts, tol: real(theta, ts, tol=tol) + 1e-5)
+                        lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,
+                                                          **kw) + 1e-5)
     with pytest.raises(PrecisionExhaustedError):
         empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
 
-    def off_at_largest_t(theta, ts, tol):
-        vals = real(theta, ts, tol=tol)
+    def off_at_largest_t(theta, ts, tol, **kw):
+        vals = real(theta, ts, tol=tol, **kw)
         vals[np.argmax(np.abs(ts))] += 1e-5
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
@@ -506,6 +521,32 @@ def test_precise_calls_do_not_jump_at_ten_thousand(monkeypatch):
     assert counts[0] == counts[1] <= empirical.SPOT_CHECK_SIZE
 
 
+@pytest.mark.parametrize("above", ["far", "near"])
+def test_spot_check_catches_a_value_dropped_above_the_floor(monkeypatch,
+                                                            above):
+    # a faulty kernel returns 0.0 for a checked value above floor + bound
+    real = empirical.mu_hat_fast
+    ns = np.arange(5000, 10001, dtype=np.int64)
+    ts = ns.astype(np.float64)
+    checked = np.unique(np.linspace(0, len(ns) - 1,
+                                    empirical.SPOT_CHECK_SIZE).astype(np.int64))
+    vals = np.abs(real(GOLDEN, ts[checked]))
+    i, value = checked[np.argmax(vals)], vals.max()
+    bound = fast_error_bound(GOLDEN, 10000.0)
+    eta = value / 2 if above == "far" else value - 4 * bound
+    assert eta * empirical.FLOOR_SHARE + 2 * bound < value
+
+    def drops_one(theta, ts, tol, **kw):
+        assert kw["floor"] == eta * empirical.FLOOR_SHARE
+        out = real(theta, ts, tol=tol, **kw)
+        out[i] = 0.0
+        return out
+    empirical._values_for(GOLDEN, 1.0, ns, eta)
+    monkeypatch.setattr(empirical, "mu_hat_fast", drops_one)
+    with pytest.raises(PrecisionExhaustedError, match="and the floor"):
+        empirical._values_for(GOLDEN, 1.0, ns, eta)
+
+
 @pytest.mark.parametrize("N", [10**4, 10**6])
 def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
                                                                  N):
@@ -515,8 +556,8 @@ def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
     fault = 10 * fast_error_bound(GOLDEN, float(N))
     assert fault < 1e-7
 
-    def off_at_largest_t(theta, ts, tol):
-        vals = real(theta, ts, tol=tol)
+    def off_at_largest_t(theta, ts, tol, **kw):
+        vals = real(theta, ts, tol=tol, **kw)
         vals[np.argmax(np.abs(ts))] += fault
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)

@@ -560,6 +560,99 @@ def test_a_refused_segment_raises_before_any_pool_opens(monkeypatch,
     assert pools == [] and threading.active_count() == before
 
 
+def _check_floor(vals, full, floor):
+    """The points mu_hat_fast dropped at floor, after checking that each
+    came back as 0.0 with a plain value below floor, and that every other
+    point has the plain value's bits."""
+    dropped = (vals == 0) & (full != 0)
+    assert np.array_equal(vals[~dropped], full[~dropped])
+    assert (np.abs(full[dropped]) < floor).all()
+    return dropped
+
+
+def _count_cosines(monkeypatch):
+    """Points of every np.cos call from now on."""
+    sizes = []
+    real = np.cos
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(x, *args, **kwargs)
+    monkeypatch.setattr(np, "cos", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5, build_pisot((2,))],
+                         ids=["golden", "quartic", "three_halves", "binary"])
+@pytest.mark.parametrize("size", [FAST_BLOCK - 1, FAST_BLOCK + 1,
+                                  3 * FAST_BLOCK + 5])
+def test_floor_drops_only_values_below_it(monkeypatch, theta, size):
+    rng = np.random.default_rng(size)
+    ts = rng.uniform(-1e5, 1e5, size)
+    ts[:3] = (0.0, -2.5, 1e-9)          # values 1, below 1, and 1 again
+    full = mu_hat_fast(theta, ts)
+    K = _textbook_depth(theta, ts)
+    # floors at values of the batch itself: those points must stay
+    placed = np.abs(full[rng.integers(3, size, 3)])
+    for floor in (0.0, 1e-6, 1e-3, 1.0, *placed):
+        sizes = _count_cosines(monkeypatch)
+        vals = mu_hat_fast(theta, ts, floor=floor)
+        monkeypatch.undo()
+        dropped = _check_floor(vals, full, floor)
+        if floor == 0.0:
+            assert not dropped.any() and sum(sizes) == (K + 1) * size
+        if floor == 1.0:
+            # all but the first three fall below 1 at their first factor
+            assert dropped[3:].all() and vals[0] == vals[2] == 1.0
+        if floor == 1e-3:
+            # most points drop early, so most of the factor work is saved
+            assert dropped.mean() > 0.99
+            assert sum(sizes) < 0.5 * (K + 1) * size
+
+
+@pytest.mark.parametrize("t", [12345.678, 98765.4321, 3.7])
+def test_floor_stops_a_product_at_its_first_factor_below(monkeypatch, t):
+    # the running products of the plain expression at t, factor by factor
+    th, K = float(GOLDEN.theta), _textbook_depth(GOLDEN, [t])
+    x, w, running = np.array([t]), np.ones(1), []
+    for _ in range(K + 1):
+        w = w * np.cos(2 * math.pi * (x - np.rint(x)))
+        running.append(abs(w[0]))
+        x = x / th
+    # a floor far from every running product, crossed before the last
+    floor = next(10.0 ** -e for e in range(1, 20)
+                 if all(abs(math.log10(p) + e) > 0.1 for p in running)
+                 and min(running[:-1]) < 10.0 ** -e)
+    first = next(k for k, p in enumerate(running) if p < floor)
+    # all points of the batch share t, so they drop together, right after
+    # the factor whose product is the first below the floor
+    sizes = _count_cosines(monkeypatch)
+    vals = mu_hat_fast(GOLDEN, np.full(100, t), floor=floor)
+    assert not vals.any() and sizes == [100] * (first + 1)
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
+                         ids=["golden", "quartic", "three_halves"])
+def test_floor_on_segments_for_any_core_count(monkeypatch, theta):
+    ts = _segmented_batch(7)
+    full = mu_hat_fast(theta, ts, segments=SEGMENT_STARTS)
+    for floor in (1e-6, 1e-3):
+        runs = []
+        for cores in (1, 2, 3, 8):
+            _with_cores(monkeypatch, cores)
+            runs.append(mu_hat_fast(theta, ts, segments=SEGMENT_STARTS,
+                                    floor=floor))
+        for vals in runs:
+            assert np.array_equal(vals, runs[0])
+        assert _check_floor(runs[0], full, floor).any()
+
+
+def test_floor_must_be_nonnegative():
+    for floor in (-1e-3, math.nan):
+        with pytest.raises(ValueError):
+            mu_hat_fast(GOLDEN, [1.0, 2.0], floor=floor)
+
+
 def _exact_zeros_int64(theta, ts):
     # the int64 test of every k, as the k = 0 test stood before it was
     # taken in one array by fmod
@@ -589,6 +682,15 @@ def test_exact_zeros_equal_the_int64_route(d):
                          *near, *[-x for x in near], [np.inf, -np.inf, np.nan]])
     mask = _exact_zeros(P, ts)
     assert mask.dtype == bool
+    assert np.array_equal(mask, _exact_zeros_int64(P, ts))
+    assert mask.any() and not mask.all()
+    # over several blocks, each with its own largest 4|t|
+    rng = np.random.default_rng(d[0])
+    ts = rng.integers(0, 2 ** 20, 3 * FAST_BLOCK + 5) / 4
+    ts[FAST_BLOCK - 2:FAST_BLOCK + 2] = ((2 ** 61 - 2 ** 9) / 4, -(3 ** 38) / 4,
+                                         2 ** 61 / 4, 2.0 ** 61)
+    ts[-len(near[0]):] = near[0]
+    mask = _exact_zeros(P, ts)
     assert np.array_equal(mask, _exact_zeros_int64(P, ts))
     assert mask.any() and not mask.all()
 
