@@ -167,7 +167,7 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     import numpy as np
     ts = np.multiply(r_val, ns, dtype=np.float64)
     tol = max(eta / 10, FAST_TOL) if eta > 0 else FAST_TOL
-    floor = eta * FLOOR_SHARE if eta > 0 else 0.0
+    floor = eta * FLOOR_SHARE
     vals = mu_hat_fast(P, ts, tol=tol, floor=floor)
     vals[_exact_zeros(P, ts)] = 0.0
     if not len(ts):

@@ -526,11 +526,13 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
                 if 2 * n < x.size:
                     keep = np.flatnonzero(kept)
                     live = keep if live is None else live[keep]
-                    w = w[keep]
-                    # x moves into the scratch, whose values are spent, and
-                    # its old array becomes the scratch; mode "clip" takes
-                    # into out directly, where "raise" buffers it
-                    x, y = np.take(x, keep, out=y[:n], mode="clip"), x
+                    # x moves into the scratch, whose values are spent, w
+                    # into the front of x's old array and the scratch to its
+                    # rest, so no value array is allocated (mode "clip"
+                    # takes into out directly, where "raise" buffers it)
+                    x, w, y = (np.take(x, keep, out=y[:n], mode="clip"),
+                               np.take(w, keep, out=x[:n], mode="clip"),
+                               x[n:])
                     if not n:
                         break
         if live is not None:
@@ -557,8 +559,9 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     rint(4|t|) == 4|t| and rint(2|t|) != 2|t|.  Both scalings are exact, and
     inf and nan pass neither test, so this is fmod(4|t|, 2) == 1 without
     fmod's cost.  An integer base b (a PisotNumber of degree 1) also admits
-    each k with b^k <= 4|t|: there a whole 4|t| below 2^62 is taken as an
-    int64 z, others as 0, and 4t = b^k times an odd integer exactly when
+    each k with b^k <= 4|t|; for odd b, b^k times an odd integer is odd, so
+    k = 0 finds them all.  For even b a whole 4|t| below 2^62 is taken as
+    an int64 z, others as 0, and 4t = b^k times an odd integer exactly when
     z mod 2 b^k == b^k.  An irrational theta admits no k > 0, since 4t is
     rational.  Both routes run in blocks of FAST_BLOCK points, in
     block-sized scratch.
@@ -569,10 +572,11 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     size = min(flat.size, FAST_BLOCK)
     z, r = np.empty(size), np.empty(size)
     odd = np.empty(size, dtype=bool)
-    base = theta.d[0] if isinstance(theta, PisotNumber) and theta.m == 1 else 0
+    integer = isinstance(theta, PisotNumber) and theta.m == 1
+    base = theta.d[0] if integer and theta.d[0] % 2 == 0 else 0
     if base:
         small = np.empty(size, dtype=bool)
-        zi, rem = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        zi = np.empty(size, dtype=np.int64)
     for start in range(0, flat.size, FAST_BLOCK):
         n = min(FAST_BLOCK, flat.size - start)
         x, y, half, mask = z[:n], r[:n], odd[:n], zero[start:start + n]
@@ -588,8 +592,9 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
         whole &= np.less(x, 2.0 ** 62, out=small[:n])
         y.fill(0.0)
         np.copyto(y, x, where=whole)
-        q, s = zi[:n], rem[:n]
+        q = zi[:n]
         np.copyto(q, y, casting="unsafe")
+        s = x.view(np.int64)                     # 4|t| is spent
         top, power = int(q.max()), base
         while power <= top:
             mask |= np.equal(np.remainder(q, 2 * power, out=s), power,

@@ -244,7 +244,7 @@ def test_sample_batch_peak_memory():
 @pytest.mark.parametrize("P", [FLAT, TERNARY], ids=["binary", "ternary"])
 def test_integer_base_batch_peak_memory(P):
     # the exact zeros of an integer base take every power in block-sized
-    # scratch too: 9.6 MB, against 25.5 MB when they took full-size arrays
+    # scratch too: about 9.4 MB, against 25.5 MB in full-size arrays
     ns = np.arange(5 * 10**5, 10**6 + 1)
     tracemalloc.start()
     try:

@@ -684,12 +684,18 @@ def test_exact_zeros_equal_the_int64_route(d):
     assert mask.dtype == bool
     assert np.array_equal(mask, _exact_zeros_int64(P, ts))
     assert mask.any() and not mask.all()
-    # over several blocks, each with its own largest 4|t|
+
+
+@pytest.mark.parametrize("d", [(2,), (3,), (4,)])
+def test_integer_exact_zeros_over_several_blocks(d):
+    # each block tests the powers up to its own largest 4|t|
+    P = build_pisot(d)
     rng = np.random.default_rng(d[0])
     ts = rng.integers(0, 2 ** 20, 3 * FAST_BLOCK + 5) / 4
-    ts[FAST_BLOCK - 2:FAST_BLOCK + 2] = ((2 ** 61 - 2 ** 9) / 4, -(3 ** 38) / 4,
-                                         2 ** 61 / 4, 2.0 ** 61)
-    ts[-len(near[0]):] = near[0]
+    # zeros at high powers, none at a block's first point, and 4|t| = 2^63
+    ts[FAST_BLOCK + 1:FAST_BLOCK + 6] = ((2 ** 61 - 2 ** 9) / 4, -(3 ** 33) / 4,
+                                         2 ** 61 / 4, 2 ** 60 / 4, 2.0 ** 61)
+    ts[-129:] = (2.0 ** 62 + np.arange(-64, 65) * np.spacing(2.0 ** 61)) / 4
     mask = _exact_zeros(P, ts)
     assert np.array_equal(mask, _exact_zeros_int64(P, ts))
     assert mask.any() and not mask.all()
