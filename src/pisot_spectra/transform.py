@@ -70,8 +70,6 @@ COS_FIXED_ERROR = 128
 FAST_ERROR = 1e-9
 # default tolerance of mu_hat_fast: sampling reports resolve moduli to 1e-6
 FAST_TOL = 1e-6
-# log-defect of the cosine tail that the float64 path truncates
-FAST_TAIL = 1e-12
 # unit roundoff of float64
 _U = 2.0 ** -53
 # absolute error of one float64 factor, apart from its argument's error:
@@ -80,6 +78,37 @@ _U = 2.0 ** -53
 # a value of modulus <= 1 is at most 2u) and the running product (one
 # rounding of a value of modulus <= 1)
 _FACTOR_ERROR = (2 * math.pi * (1 + _U) + 8 + 1) * _U
+# the float64 tail: once 2 pi x theta/(theta - 1) <= TAIL_REACH, the factors
+# left are mu_hat(x), which the even-moment polynomial of degree TAIL_DEGREE
+# in (2 pi x)^2 gives within TAIL_REACH^(2 TAIL_DEGREE + 2)/(2 TAIL_DEGREE
+# + 2)! = 1/20!, about 4e-19 (see mu_hat_fast).  A head factor costs about
+# 40 Horner steps (0.68 ms against 16 us on 2^15 points), and each doubling
+# of the reach saves log 2/log theta factors for two steps; past 1 the
+# rounding of P~ outgrows the 8u that the floor's proof allows
+TAIL_REACH = 1.0
+TAIL_DEGREE = 9
+
+
+def _tail_rounding() -> float:
+    """Bound on |P~(v~) - mu_hat(x)| plus the rounding of w P~ (see
+    mu_hat_fast): the series remainder and the rounding of v, of the
+    coefficients and of Horner's steps."""
+    def gamma(k):
+        return k * _U / (1 - k * _U)
+    total = TAIL_REACH ** (2 * TAIL_DEGREE + 2) / math.factorial(
+        2 * TAIL_DEGREE + 2)
+    for n in range(TAIL_DEGREE + 1):
+        # |b_n| v^n <= (2 pi x A)^(2n)/(2n)!, and v~ <= v (1 + gamma_5)
+        a = TAIL_REACH ** (2 * n) / math.factorial(2 * n)
+        grown = (1 + gamma(5)) ** n
+        total += a * (grown - 1 + grown * (_U if n else 0)
+                      + grown * (1 + _U) * gamma(2 * n + 1))
+    return (total + _U) * (1 + 2.0 ** -30)
+
+
+# error of the tail factor P~ and of its product, argument error apart:
+# 6.8u for P~ and u for the product, so |P~| <= 1 + 8u
+_TAIL_ERROR = _tail_rounding()
 # float64 values below this are reported as bracketing zero
 FAST_ZERO = 1e-12
 # points per block of a mu_hat_fast batch: 256 KiB per block-sized array
@@ -377,28 +406,65 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(value, err, K, False)
 
 
+def _even_moments(theta: Theta, bits: int = 128) -> list:
+    """m_0, m_2, ..., m_(2 TAIL_DEGREE) of mu_theta, at `bits` bits.
+
+    X = e_0 + X'/theta, with e_0 = +-1 and X' distributed as X, so
+    m_2n = sum_{k<=n} C(2n, 2k) m_2k theta^-2k, whose k = n term is
+    m_2n theta^-2n: m_2n (1 - theta^-2n) = sum_{k<n} C(2n, 2k) m_2k
+    theta^-2k, from m_0 = 1.
+    """
+    with mp.workprec(bits):
+        q = 1 / _theta_value(theta, bits + 16) ** 2
+        m, powers = [mp.mpf(1)], [mp.mpf(1)]
+        for n in range(1, TAIL_DEGREE + 1):
+            powers.append(powers[-1] * q)
+            m.append(mp.fsum(math.comb(2 * n, 2 * k) * m[k] * powers[k]
+                             for k in range(n)) / (1 - powers[n]))
+        return m
+
+
+def _tail_coefficients(theta: Theta) -> tuple[float, ...]:
+    """b_n = (-1)^n m_2n/(2n)!, n = 0..TAIL_DEGREE, each rounded once to
+    float64 from 128 bits: P(v) = sum b_n v^n is mu_hat's Taylor polynomial
+    in v = (2 pi x)^2."""
+    with mp.workprec(128):
+        return tuple(float((-1) ** n * m / math.factorial(2 * n))
+                     for n, m in enumerate(_even_moments(theta)))
+
+
 def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
-    """Float64 base, truncation depth K and a-priori error bound of a
+    """Float64 base, head length k_c and a-priori error bound of a
     mu_hat_fast batch whose largest |t| is t_max (see fast_error_bound)."""
     th = float(_theta_value(theta))
     if not math.isfinite(t_max):
         return th, 0, math.inf
-    K = _truncation_depth(2 * math.pi * t_max, th, FAST_TAIL, start=1) - 1
     with mp.workprec(128):
         exact = _theta_value(theta, 128)
         delta = float(abs(mp.mpf(th) - exact) / exact)
+        A = exact / (exact - 1)
+        reach = mp.mpf(TAIL_REACH) / (2 * mp.pi * A)
+        # the largest float x with 2 pi x A <= TAIL_REACH
+        x_c = float(reach)
+        if mp.mpf(x_c) > reach:
+            x_c = math.nextafter(x_c, 0)
+        A = float(A)
+    # k_c divisions of t_max by th, as a block steps its largest x
+    kc, x = 0, t_max
+    while x > x_c:
+        kc, x = kc + 1, x / th
     # x_k = t / th^k after k divisions: each division and each of the k
     # powers of th's own rounding delta scale x_k by a factor in
     # [e^(-k rate), e^(k rate)]
     rate = (_U + delta) / (1 - _U - delta)
     argument = sum(t_max * th ** -k * math.expm1(k * rate)
-                   for k in range(K + 1))
-    bound = (2 * math.pi * argument + (K + 1) * _FACTOR_ERROR
-             + math.expm1(FAST_TAIL))
-    # the terms are float64 sums and powers, and a cosine rounded past
-    # modulus 1 scales the sum by at most (1 + 8u)^(K+1): together far
+                   for k in range(kc))
+    argument += A * t_max * th ** -kc * math.expm1(kc * rate)
+    bound = 2 * math.pi * argument + kc * _FACTOR_ERROR + _TAIL_ERROR
+    # the terms are float64 sums and powers, and a factor rounded past
+    # modulus 1 scales the sum by at most (1 + 8u)^(k_c+1): together far
     # less than a relative 2^-30
-    return th, K, bound * (1 + 2.0 ** -30)
+    return th, kc, bound * (1 + 2.0 ** -30)
 
 
 def fast_error_bound(theta: Theta, t_max: float) -> float:
@@ -406,31 +472,37 @@ def fast_error_bound(theta: Theta, t_max: float) -> float:
 
     The value computed at a float64 t differs from the infinite product at
     the same t by at most the sum of
-      - 2 pi sum_{k<=K} t_max theta^-k (e^(k rate) - 1): the argument
+      - 2 pi sum_{k<k_c} t_max theta^-k (e^(k rate) - 1): the argument
         x_k = t theta^-k is stepped by k float divisions by a rounded
         theta, so it carries a relative error below e^(k rate) - 1, with
         rate ~ u + |theta_float/theta - 1| and u = 2^-53; its reduction
         x - rint(x) is exact, and the cosine is 1-Lipschitz;
-      - (K + 1) times the rounding of one factor (_FACTOR_ERROR).  Every
+      - k_c times the rounding of one head factor (_FACTOR_ERROR).  Every
         factor has modulus at most 1, so the factors' absolute errors add
         up through the product;
-      - expm1(FAST_TAIL) for the truncated tail, whose log-defect the depth
-        rule keeps below FAST_TAIL.
+      - 2 pi A t_max theta^-k_c (e^(k_c rate) - 1), with A = theta/(theta
+        - 1): the tail is mu_hat at x_(k_c), and |mu_hat'| <= 2 pi E|X|
+        <= 2 pi A, where mu_hat is the characteristic function of
+        X = sum_k +-theta^-k, |X| <= A;
+      - _TAIL_ERROR for the tail polynomial: its series remainder, the
+        rounding of its coefficients, of v and of Horner's steps, and that
+        of the final product (see mu_hat_fast).
     On the golden base it is about 4e-9 at t_max = 1e6 and 4e-8 at 1e7.
     """
     return _fast_plan(theta, abs(float(t_max)))[2]
 
 
 def _checked_plan(theta: Theta, t_max: float, tol: float):
-    """_fast_plan's base and depth for a batch whose largest |t| is t_max;
-    raises PrecisionExhaustedError when its error bound exceeds tol."""
-    th, K, bound = _fast_plan(theta, t_max)
+    """_fast_plan's base and head length for a batch whose largest |t| is
+    t_max; raises PrecisionExhaustedError when its error bound exceeds
+    tol."""
+    th, kc, bound = _fast_plan(theta, t_max)
     if not bound <= tol:
         raise PrecisionExhaustedError(
             f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
             f"exceeds the tolerance {tol:.3e}"
         )
-    return th, K
+    return th, kc
 
 
 def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
@@ -440,7 +512,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     segments, if given, are ascending indices into the flattened batch at
     which it is cut; each piece between cuts is a segment, planned as a
     call of its own.  Without them the batch is one segment.  A segment's
-    truncation depth comes from its largest |t|, so all its entries share
+    head length k_c comes from its largest |t|, so all its entries share
     it.  Raises PrecisionExhaustedError, before evaluating, when a
     segment's derived error bound (fast_error_bound) exceeds tol: the
     plans are checked in segment order, so the first segment refused
@@ -449,28 +521,51 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     Every segment runs in blocks of FAST_BLOCK points from its start, and
     the blocks of all segments, larger first, are shared over one pool of
     min(cores this process may run on, blocks) threads.  A block takes its
-    K + 1 factors cos(2 pi (x - rint x)) in two block-sized scratch arrays
-    and tracks an upper bound m of its largest argument by the same division
-    that steps x.  Division by theta > 0 is monotone under rounding, so m
-    bounds every x of the block from above; once m <= 1/2, rint x is 0 and
-    x - 0 is x, so the factor is cos(2 pi x) and the reduction is skipped.
-    Every value bit is that of the plain expression on its segment, whatever
-    the block and thread count.
+    k_c head factors cos(2 pi (x - rint x)) in two block-sized scratch
+    arrays and tracks an upper bound m of its largest argument by the same
+    division that steps x.  Division by theta > 0 is monotone under
+    rounding, so m bounds every x of the block from above; once m <= 1/2,
+    rint x is 0 and x - 0 is x, so the factor is cos(2 pi x) and the
+    reduction is skipped.
+
+    k_c is the least k at which the segment's largest x_k = |t|/theta^k
+    (k float divisions) has 2 pi x_k A <= TAIL_REACH, A = theta/(theta - 1).
+    The factors left are mu_hat(x_(k_c)), and mu_hat(s) = E cos(2 pi s X)
+    for X = sum_k +-theta^-k, |X| <= A.  The cosine's Taylor polynomial of
+    degree 2 TAIL_DEGREE is within |y|^(2N+2)/(2N+2)! of it, so
+    P(v) = sum_{n<=N} b_n v^n, v = (2 pi x)^2, b_n = (-1)^n m_2n/(2n)!, is
+    within TAIL_REACH^(2N+2)/(2N+2)! of mu_hat(x); m_2n are the even
+    moments of X (_even_moments), rounded once per call (_tail_coefficients).
+    The block forms z = 2 pi x and v = z z in the scratch, then P(v) by
+    Horner in x's array, whose values are spent, and multiplies each
+    running product by it: + and x only, so no value depends on which
+    vectorised exp or cos numpy dispatches.  With |b_n| v^n <= y^(2n)/(2n)!
+    for y = TAIL_REACH, the computed P~ differs from mu_hat(x) by at most
+      - the series remainder;
+      - sum |b_n| v^n ((1 + gamma_5)^n - 1) for v's five roundings (2 pi,
+        the product, the square);
+      - u |b_n| v~^n for each coefficient's rounding;
+      - gamma_(2n+1) |b_n| v~^n for Horner's 2n + 1 roundings of term n,
+    about 6.8u in all (u = 2^-53, gamma_k = k u/(1 - k u)); w P~ rounds
+    once more (_TAIL_ERROR).  So |P~| <= 1 + 8u.  Every value bit is that
+    of the plain expression on its segment, whatever the block and thread
+    count.
 
     floor > 0 lets a block stop the product of a point whose value is known
     to fall below floor: such a point comes back as 0.0, and every other
-    point has the bits of the plain expression.  After each factor but the
-    last, the block compares the modulus of each running product w_k with
-    cut = floor (1 - 32 (K + 1) u), u = 2^-53, in its scratch and one
-    block-sized bool buffer; once fewer than half of its points are at or
-    above cut, it keeps x, w and their indices for those points only, and
-    goes on with them.  A dropped point's plain value is below floor: each
-    later factor is a cosine within 4 ulps, so of modulus at most 1 + 8u,
-    and its product rounds once and monotonically, so each factor scales
-    |w| by at most (1 + 8u)(1 + u) <= 1 + 10u.  The value then has modulus
-    below cut (1 + 10u)^(K+1) <= cut (1 + 11 (K + 1) u), and cut, rounded
-    at most three times, is at most floor (1 - 32 (K + 1) u)(1 + 3u), so
-    the product stays below floor (1 - 18 (K + 1) u) while (K + 1) u is
+    point has the bits of the plain expression.  After each head factor,
+    the block compares the modulus of each running product w_k with
+    cut = floor (1 - 32 (k_c + 1) u), in its scratch and one block-sized
+    bool buffer; once fewer than half of its points are at or above cut, it
+    keeps x, w and their indices for those points only, and goes on with
+    them.  A dropped point's plain value is below floor: each later factor
+    is a cosine within 4 ulps, so of modulus at most 1 + 8u, or P~, of
+    modulus at most 1 + 8u, and its product rounds once and monotonically,
+    so each factor scales |w| by at most (1 + 8u)(1 + u) <= 1 + 10u.  At
+    most k_c + 1 factors follow, so the value has modulus below
+    cut (1 + 10u)^(k_c+1) <= cut (1 + 11 (k_c + 1) u), and cut, rounded at
+    most three times, is at most floor (1 - 32 (k_c + 1) u)(1 + 3u), so the
+    product stays below floor (1 - 18 (k_c + 1) u) while (k_c + 1) u is
     below 2^-10.  floor = 0 drops nothing.
     """
     import numpy as np
@@ -486,17 +581,20 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         if a == b:
             continue
         seg = flat[a:b]
-        th, K = _checked_plan(theta, float(max(abs(seg.min()),
-                                               abs(seg.max()))), tol)
-        cut = floor * (1 - 32 * (K + 1) * _U)
-        blocks += [(start, min(start + FAST_BLOCK, b), th, K, cut)
+        th, kc = _checked_plan(theta, float(max(abs(seg.min()),
+                                                abs(seg.max()))), tol)
+        cut = floor * (1 - 32 * (kc + 1) * _U)
+        blocks += [(start, min(start + FAST_BLOCK, b), th, kc, cut)
                    for start in range(a, b, FAST_BLOCK)]
     vals = np.empty(t.shape)
     out = vals.reshape(-1)
     two_pi = 2 * math.pi
+    if not blocks:
+        return vals
+    coef = _tail_coefficients(theta)
 
     def run_block(block) -> None:
-        start, stop, th, K, cut = block
+        start, stop, th, kc, cut = block
         x = np.abs(flat[start:stop])
         y = np.empty_like(x)
         v = out[start:stop]
@@ -506,10 +604,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         w, live = v, None
         above = np.empty(x.shape, dtype=bool) if cut else None
         m = float(x.max())
-        for k in range(K + 1):
-            if k:
-                x /= th
-                m /= th
+        for _ in range(kc):
             z = y[:x.size]
             if m > 0.5:
                 np.rint(x, out=z)
@@ -519,7 +614,9 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
                 np.multiply(two_pi, x, out=z)
             np.cos(z, out=z)
             w *= z
-            if cut and k < K:
+            x /= th
+            m /= th
+            if cut:
                 kept = above[:x.size]
                 np.greater_equal(np.abs(w, out=z), cut, out=kept)
                 n = np.count_nonzero(kept)
@@ -535,12 +632,20 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
                                x[n:])
                     if not n:
                         break
+        # the tail P((2 pi x)^2) by Horner: v in the scratch, P in x
+        z = y[:x.size]
+        np.multiply(two_pi, x, out=z)
+        z *= z
+        np.multiply(z, coef[-1], out=x)
+        for b in coef[-2:0:-1]:
+            x += b
+            x *= z
+        x += coef[0]
+        w *= x
         if live is not None:
             v.fill(0.0)
             v[live] = w
 
-    if not blocks:
-        return vals
     # imported here, not at start-up: concurrent.futures loads logging, which
     # costs every command that evaluates no batch about 7 ms and 0.7 MB
     from concurrent.futures import ThreadPoolExecutor

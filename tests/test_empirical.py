@@ -218,7 +218,7 @@ def test_limit_range_refused_before_building_its_grid():
     tracemalloc.start()
     try:
         with pytest.raises(PrecisionExhaustedError,
-                           match=r"float64 error bound 1\.156e-09 at "
+                           match=r"float64 error bound 1\.155e-09 at "
                                  r"\|t\| <= 300000 exceeds the tolerance"):
             estimate_J(GOLDEN, 3e5)
         _, peak = tracemalloc.get_traced_memory()

@@ -35,10 +35,12 @@ from pisot_spectra import (
 from pisot_spectra import empirical, spectrum, transform
 from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
-                                     FAST_TAIL, FAST_TOL, FACTOR_FLOOR,
-                                     _cos_fixed, _depth, _exact_zeros,
-                                     _float_depth, _kernel_plan,
-                                     _mag_estimate, _truncation_depth)
+                                     FAST_TOL, FACTOR_FLOOR, TAIL_DEGREE,
+                                     TAIL_REACH, _TAIL_ERROR, _U,
+                                     _cos_fixed, _depth, _even_moments,
+                                     _exact_zeros, _float_depth,
+                                     _kernel_plan, _mag_estimate,
+                                     _tail_coefficients, _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -371,26 +373,44 @@ def test_mu_hat_fast_refuses_exactly_past_its_tolerance():
         mu_hat_fast(GOLDEN, [math.inf])
 
 
-def _textbook_depth(theta, ts):
-    # the depth rule of the float64 path at the batch's largest |t|
-    return _truncation_depth(2 * math.pi * float(np.abs(ts).max()),
-                             float(_theta_value(theta)), FAST_TAIL,
-                             start=1) - 1
+def _textbook_head(theta, ts):
+    # the head length of the float64 path: the least k at which the batch's
+    # largest |t|, divided k times by the float base, has 2 pi x A <=
+    # TAIL_REACH, A = theta/(theta - 1), compared exactly at 128 bits
+    th = float(_theta_value(theta))
+    with mp.workprec(128):
+        exact = _theta_value(theta, 128)
+        reach = TAIL_REACH / (2 * mp.pi * exact / (exact - 1))
+    x, kc = float(np.abs(ts).max()), 0
+    while x > reach:
+        x, kc = x / th, kc + 1
+    return kc
+
+
+def _textbook_tail(theta, x):
+    # P((2 pi x)^2) = sum_n b_n v^n by Horner, v = z z with z = 2 pi x
+    z = 2 * math.pi * x
+    v = z * z
+    b = _tail_coefficients(theta)
+    p = b[-1] * v
+    for c in b[-2:0:-1]:
+        p = (p + c) * v
+    return p + b[0]
 
 
 def _textbook_fast(theta, ts):
-    # prod_{k<=K} cos(2 pi (x_k - rint x_k)), x_0 = |t|, x_{k+1} = x_k / theta,
-    # with the depth rule of the float64 path at the batch's largest |t|
+    # prod_{k<k_c} cos(2 pi (x_k - rint x_k)), x_0 = |t|, x_{k+1} = x_k /
+    # theta, times the tail polynomial at x_(k_c), with the head length of
+    # the float64 path at the batch's largest |t|
     x = np.abs(np.array(ts, dtype=np.float64))
     if x.size == 0:
         return np.ones(0)
     th = float(_theta_value(theta))
-    K = _textbook_depth(theta, x)
     vals = np.ones_like(x)
-    for _ in range(K + 1):
+    for _ in range(_textbook_head(theta, x)):
         vals = vals * np.cos(2 * math.pi * (x - np.rint(x)))
         x = x / th
-    return vals
+    return vals * _textbook_tail(theta, x)
 
 
 @pytest.mark.parametrize("theta", [GOLDEN, TRIBONACCI, QUARTIC,
@@ -508,7 +528,7 @@ def _segmented_batch(seed, size=3000 + 4 * FAST_BLOCK + 5):
 def test_segments_equal_separate_calls(monkeypatch, theta):
     ts = _segmented_batch(5)
     cuts = [*SEGMENT_STARTS, ts.size]
-    depths = {_textbook_depth(theta, ts[a:b]) for a, b in zip(cuts, cuts[1:])
+    depths = {_textbook_head(theta, ts[a:b]) for a, b in zip(cuts, cuts[1:])
               if b > a}
     assert len(depths) > 3
     separate = np.concatenate([mu_hat_fast(theta, ts[a:b])
@@ -570,6 +590,19 @@ def _check_floor(vals, full, floor):
     return dropped
 
 
+def _cosines_to_first_below(theta, ts, floor):
+    """Cosines of the head when each point stops right after its first
+    running product below floor."""
+    x, th = np.abs(ts), float(_theta_value(theta))
+    w, alive, count = np.ones_like(x), np.ones(x.shape, dtype=bool), 0
+    for _ in range(_textbook_head(theta, ts)):
+        count += np.count_nonzero(alive)
+        w = w * np.cos(2 * math.pi * (x - np.rint(x)))
+        x = x / th
+        alive &= np.abs(w) >= floor
+    return count
+
+
 def _count_cosines(monkeypatch):
     """Points of every np.cos call from now on."""
     sizes = []
@@ -591,7 +624,7 @@ def test_floor_drops_only_values_below_it(monkeypatch, theta, size):
     ts = rng.uniform(-1e5, 1e5, size)
     ts[:3] = (0.0, -2.5, 1e-9)          # values 1, below 1, and 1 again
     full = mu_hat_fast(theta, ts)
-    K = _textbook_depth(theta, ts)
+    kc = _textbook_head(theta, ts)
     # floors at values of the batch itself: those points must stay
     placed = np.abs(full[rng.integers(3, size, 3)])
     for floor in (0.0, 1e-6, 1e-3, 1.0, *placed):
@@ -600,25 +633,31 @@ def test_floor_drops_only_values_below_it(monkeypatch, theta, size):
         monkeypatch.undo()
         dropped = _check_floor(vals, full, floor)
         if floor == 0.0:
-            assert not dropped.any() and sum(sizes) == (K + 1) * size
+            assert not dropped.any() and sum(sizes) == kc * size
         if floor == 1.0:
             # all but the first three fall below 1 at their first factor
             assert dropped[3:].all() and vals[0] == vals[2] == 1.0
         if floor == 1e-3:
-            # most points drop early, so most of the factor work is saved
+            # most points drop early, so most of the factor work is saved:
+            # the wait for fewer than half of a block's points to remain
+            # costs at most a quarter more cosines than stopping each point
+            # right after its first product below the floor
             assert dropped.mean() > 0.99
-            assert sum(sizes) < 0.5 * (K + 1) * size
+            assert sum(sizes) <= 1.25 * _cosines_to_first_below(theta, ts,
+                                                                floor)
 
 
 @pytest.mark.parametrize("t", [12345.678, 98765.4321, 3.7])
 def test_floor_stops_a_product_at_its_first_factor_below(monkeypatch, t):
-    # the running products of the plain expression at t, factor by factor
-    th, K = float(GOLDEN.theta), _textbook_depth(GOLDEN, [t])
+    # the running products of the plain expression at t, factor by factor,
+    # the tail polynomial last
+    th, kc = float(GOLDEN.theta), _textbook_head(GOLDEN, [t])
     x, w, running = np.array([t]), np.ones(1), []
-    for _ in range(K + 1):
+    for _ in range(kc):
         w = w * np.cos(2 * math.pi * (x - np.rint(x)))
         running.append(abs(w[0]))
         x = x / th
+    running.append(abs((w * _textbook_tail(GOLDEN, x))[0]))
     # a floor far from every running product, crossed before the last
     floor = next(10.0 ** -e for e in range(1, 20)
                  if all(abs(math.log10(p) + e) > 0.1 for p in running)
@@ -752,6 +791,70 @@ def test_derived_bound_grows_linearly_in_t():
     b6, b7 = fast_error_bound(GOLDEN, 1e6), fast_error_bound(GOLDEN, 1e7)
     assert 3e-9 < b6 < 5e-9 and 3e-8 < b7 < 5e-8
     assert fast_error_bound(GOLDEN, 2.5e5) < FAST_ERROR
+
+
+TAIL_BASES = [GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2,)),
+              build_pisot((3,)), 1.5, 1.01]
+TAIL_IDS = ["golden", "tribonacci", "quartic", "binary", "ternary",
+            "three_halves", "one_point_01"]
+
+
+@pytest.mark.parametrize("theta", TAIL_BASES, ids=TAIL_IDS)
+def test_tail_polynomial_within_its_remainder(theta):
+    # the moment polynomial at 128 bits against the cosine product on
+    # [0, s_c/(2 pi A)]: within the series remainder, which is below
+    # float64 resolution, and the rounded tail is within 1 + 8u of modulus 1
+    N = TAIL_DEGREE
+    remainder = mp.mpf(TAIL_REACH) ** (2 * N + 2) / math.factorial(2 * N + 2)
+    assert remainder <= 2.0 ** -60
+    assert _TAIL_ERROR <= 9 * _U
+    m = _even_moments(theta)
+    with mp.workprec(128):
+        th = _theta_value(theta, 144)
+        A = th / (th - 1)
+        top = TAIL_REACH / (2 * mp.pi * A)
+        # 300 cosines, or as many as keep the cut product's log-defect,
+        # at most sum_{k>=K} x_k^2, below 2^-110 (3,138 at theta = 1.01)
+        K = 300
+        while (2 * mp.pi * top / th ** K) ** 2 / (1 - th ** -2) > 2.0 ** -110:
+            K += 1
+        assert m[1] == 1 / (1 - th ** -2)       # E X^2 = sum_k theta^-2k
+        for i in range(9):
+            s = top * i / 8
+            ref = mp.fprod(mp.cos(2 * mp.pi * s / th ** k) for k in range(K))
+            v = (2 * mp.pi * s) ** 2
+            poly = mp.fsum((-1) ** n * m[n] * v ** n / math.factorial(2 * n)
+                           for n in range(N + 1))
+            assert abs(poly - ref) <= remainder + 2.0 ** -100
+    b = _tail_coefficients(theta)
+    assert b[0] == 1.0 and len(b) == N + 1
+    with mp.workprec(128):
+        assert all(c == float((-1) ** n * m[n] / math.factorial(2 * n))
+                   for n, c in enumerate(b))
+
+
+def _truncated_bound(theta, t_max):
+    # fast_error_bound as it stood when the float64 path took K + 1 cosines,
+    # K from the depth rule at log-defect 1e-12, and no tail polynomial
+    th = float(_theta_value(theta))
+    K = _truncation_depth(2 * math.pi * t_max, th, 1e-12, start=1) - 1
+    with mp.workprec(128):
+        exact = _theta_value(theta, 128)
+        delta = float(abs(mp.mpf(th) - exact) / exact)
+    rate = (_U + delta) / (1 - _U - delta)
+    argument = sum(t_max * th ** -k * math.expm1(k * rate)
+                   for k in range(K + 1))
+    factor = (2 * math.pi * (1 + _U) + 8 + 1) * _U
+    return (2 * math.pi * argument + (K + 1) * factor
+            + math.expm1(1e-12)) * (1 + 2.0 ** -30)
+
+
+@pytest.mark.parametrize("theta", TAIL_BASES, ids=TAIL_IDS)
+def test_tail_bound_at_most_the_truncated_products(theta):
+    # the tail polynomial can only shrink the bound, so no batch admitted by
+    # the truncated product is refused
+    for t_max in [0.0, *(10.0 ** (e / 4) for e in range(-12, 49))]:
+        assert fast_error_bound(theta, t_max) <= _truncated_bound(theta, t_max)
 
 
 @pytest.mark.parametrize("d", [(2,), (3,), (4,), (1, 1)])
