@@ -406,6 +406,33 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(value, err, K, False)
 
 
+def _leading_factors_below(theta: Theta, t, limit: float, tol: float,
+                           pb: int) -> bool:
+    """True when mu_hat's leading factors at t alone show |mu_hat(t)| <=
+    limit.
+
+    Every factor has modulus at most 1, so |mu_hat(t)| <= prod_{k<=j}
+    |cos(2 pi t theta^-k)| for each j.  The kernel's factors at the plan of
+    mu_hat(theta, t, tol, pb) are each within _descent_error units of 2^-W
+    (see mu_hat), so the running product of |c_k| plus that, rounded up at
+    each shift, bounds the partial products from above; the factors are
+    taken only until it falls to limit.
+    """
+    plan = _kernel_plan(theta, t, tol, pb)
+    if plan is None:
+        return limit >= 1
+    K, W, _ = plan
+    mag = _mag_estimate(t)
+    e = _descent_error(_theta_value(theta, pb + 64), K, mag)
+    num, den = Fraction(limit).as_integer_ratio()
+    cap, run = (num << W) // den, 1 << W
+    for c in _kernel_cosines(theta, _fixed_abs(t, W, pb + mag + 32), W, 0, K):
+        run = -((-run * (abs(c) + e)) >> W)
+        if run <= cap:
+            return True
+    return False
+
+
 def _even_moments(theta: Theta, bits: int = 128) -> list:
     """m_0, m_2, ..., m_(2 TAIL_DEGREE) of mu_theta, at `bits` bits.
 

@@ -134,6 +134,19 @@ def test_values_only_the_library_rejects_exit_two():
                "--m-max", "0", "--a-max", "0", "--eta", "0")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fill", "--poly", "1,1", "--r", "1", "--N", "-3"), "empty"),
+    (("jset", "--poly", "1,1", "--t-max", "0"), "positive and finite"),
+    (("jset", "--poly", "1,1", "--t-max", "-5"), "positive and finite"),
+    (("jset", "--poly", "1,1", "--t-max", "inf"), "positive and finite"),
+    (("jset", "--poly", "1,1", "--t-max", "nan"), "positive and finite"),
+])
+def test_empty_ranges_exit_two(argv, message):
+    # an index range or horizon with no points is refused, not reported
+    code, out, err = run(*argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_phi_lambda_divergence_exits_two():
     # 2 * (1/3) * 1 has non-integer trace sums on tribonacci and on silver
     for poly in ("1,1,1", "2,1"):

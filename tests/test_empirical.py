@@ -180,6 +180,45 @@ def test_interval_fill_rejects_negative_floor():
         interval_fill_test(GOLDEN, 1, 100, eta=-0.1)
 
 
+@pytest.mark.parametrize("N", [-1, -2, -3])
+def test_interval_fill_rejects_an_empty_index_range(N):
+    with pytest.raises(ValueError, match="empty"):
+        interval_fill_test(GOLDEN, 1, N)
+
+
+def test_fill_batch_peak_memory():
+    # ns, ts, the values and the exact-zero mask, 12.5 MB, and block-sized
+    # scratch: 13.1 MB, against 16.0 MB when the moduli, the kept values,
+    # their sorted copy and their differences each took a full-size array
+    tracemalloc.start()
+    try:
+        interval_fill_test(GOLDEN, 1.37, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 10**6
+
+
+def test_range_stats_equal_the_full_difference():
+    # the largest gap taken block by block is np.diff's, on either side of
+    # a block edge and for one or two values
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, empirical.FAST_BLOCK, empirical.FAST_BLOCK + 1,
+                 empirical.FAST_BLOCK + 2, 3 * empirical.FAST_BLOCK + 7):
+        values = rng.standard_normal(size)
+        expect = np.sort(values)
+        gap = float(np.max(np.diff(expect))) if size > 1 else 0.0
+        est = empirical._range_stats(values)
+        assert np.array_equal(values, expect)       # sorted in place
+        assert (est.lower, est.upper, est.count, est.max_gap) == (
+            expect[0], expect[-1], size, gap)
+    edge = np.arange(3 * empirical.FAST_BLOCK, dtype=np.float64)
+    for i in (empirical.FAST_BLOCK - 1, empirical.FAST_BLOCK, edge.size - 2):
+        wide = edge.copy()
+        wide[i + 1:] += 0.5
+        assert empirical._range_stats(wide).max_gap == 1.5
+
+
 def test_limit_range_golden_frozen():
     est = estimate_J(GOLDEN, 1e4)
     assert est.lower == pytest.approx(-0.04245164029444006, rel=1e-12)
@@ -208,6 +247,12 @@ def test_limit_range_rejects_coarse_grid():
         estimate_J(GOLDEN, 1e4, grid_step=1.0)
     with pytest.raises(ValueError):
         estimate_J(1.0, 1e4)
+
+
+@pytest.mark.parametrize("T", [0.0, -5.0, math.inf, -math.inf, math.nan])
+def test_limit_range_rejects_a_horizon_not_positive_and_finite(T):
+    with pytest.raises(ValueError, match="positive and finite"):
+        estimate_J(GOLDEN, T)
 
 
 def test_limit_range_refused_before_building_its_grid():
@@ -545,6 +590,43 @@ def test_spot_check_catches_a_value_dropped_above_the_floor(monkeypatch,
     monkeypatch.setattr(empirical, "mu_hat_fast", drops_one)
     with pytest.raises(PrecisionExhaustedError, match="and the floor"):
         empirical._values_for(GOLDEN, 1.0, ns, eta)
+
+
+def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
+    # rows' largest sample keeps 35 of its 500,001 values, and every evenly
+    # spaced checked point is 0.0; a kernel that moves only the kept values
+    # by 10 times the derived bound is caught at the kept values checked
+    real = empirical.mu_hat_fast
+    ns = np.arange(5 * 10**5, 10**6 + 1, dtype=np.int64)
+    fault = 10 * fast_error_bound(GOLDEN, 1e6)
+    seen = {}
+
+    def moves_kept(theta, ts, tol, **kw):
+        vals = real(theta, ts, tol=tol, **kw)
+        kept = vals != 0
+        seen["kept"] = np.count_nonzero(kept)
+        vals[kept] += np.copysign(fault, vals[kept])
+        return vals
+    monkeypatch.setattr(empirical, "mu_hat_fast", moves_kept)
+    with pytest.raises(PrecisionExhaustedError, match="derived bound"):
+        empirical._values_for(GOLDEN, 1.0, ns, 1e-3)
+    assert seen["kept"] == 35
+
+
+def test_spot_check_prefers_kept_values_in_each_stride(monkeypatch):
+    checked = []
+    real = empirical.mu_hat
+    monkeypatch.setattr(empirical, "mu_hat",
+                        lambda *a, **k: checked.append(a[1]) or real(*a, **k))
+    ns = np.arange(5 * 10**5, 10**6 + 1, dtype=np.int64)
+    vals = empirical._values_for(GOLDEN, 1.0, ns, 1e-3)
+    ts = np.asarray(checked)
+    # 32 references: both endpoints, eight kept values (one per stride that
+    # holds one) and 22 evenly spaced points whose strides hold none
+    assert len(ts) == empirical.SPOT_CHECK_SIZE
+    assert (ts[0], ts[-1]) == (5e5, 1e6)
+    assert np.count_nonzero(vals[(ts - 5e5).astype(np.int64)]) == 8
+    assert np.all(np.diff(ts) > 0)
 
 
 @pytest.mark.parametrize("N", [10**4, 10**6])

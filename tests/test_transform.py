@@ -39,8 +39,9 @@ from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      TAIL_REACH, _TAIL_ERROR, _U,
                                      _cos_fixed, _depth, _even_moments,
                                      _exact_zeros, _float_depth,
-                                     _kernel_plan, _mag_estimate,
-                                     _tail_coefficients, _truncation_depth)
+                                     _kernel_plan, _leading_factors_below,
+                                     _mag_estimate, _tail_coefficients,
+                                     _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -855,6 +856,31 @@ def test_tail_bound_at_most_the_truncated_products(theta):
     # the truncated product is refused
     for t_max in [0.0, *(10.0 ** (e / 4) for e in range(-12, 49))]:
         assert fast_error_bound(theta, t_max) <= _truncated_bound(theta, t_max)
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, build_pisot((2,)), 1.5],
+                         ids=["golden", "quartic", "binary", "three_halves"])
+def test_leading_factors_bound_the_value_from_above(theta):
+    # a limit the leading factors certify is above the certified value, and
+    # every limit at least 1 is certified; limits placed just above a value
+    # are certified, and limits just below never are
+    rng = np.random.default_rng(5)
+    for t in [0.0, 0.25, *rng.uniform(-1e6, 1e6, 40)]:
+        res = mu_hat(theta, float(t), tol=1e-12, precision_bits=64)
+        low = float(abs(res.value) - res.error_bound)
+        high = float(abs(res.value) + res.error_bound)
+        assert _leading_factors_below(theta, float(t), high * 1.001 + 1e-9,
+                                      1e-12, 64)
+        assert low <= 0 or not _leading_factors_below(
+            theta, float(t), low * 0.999, 1e-12, 64)
+        for limit in (1.0, 2.0, 1e-3, 1e-6):
+            if _leading_factors_below(theta, float(t), limit, 1e-12, 64):
+                assert low <= limit
+            else:
+                assert limit < 1
+    # a factor at an exact zero certifies any positive limit
+    assert _leading_factors_below(build_pisot((2,)), 2.0 ** 9 / 4, 1e-12,
+                                  1e-12, 64)
 
 
 @pytest.mark.parametrize("d", [(2,), (3,), (4,), (1, 1)])
