@@ -13,8 +13,11 @@ certified.  The loop (_kernel_cosines) and its running product
 (_fixed_product) also give the descending side of spectrum's two-sided
 products; _cos_fixed gives the cosines of their ascending side.
 
-mu_hat_fast evaluates whole batches in float64.  Its error bound is derived
-a priori from theta, the batch's largest |t| and its truncation depth (see
+mu_hat_fast evaluates whole batches in float64: k_c head cosines, until the
+batch's largest argument x has 2 pi x theta/(theta - 1) <= TAIL_REACH, and
+then the infinite tail as one polynomial, mu_hat's Taylor polynomial from
+the even moments of mu_theta, by Horner with + and x only.  Its error bound
+is derived a priori from theta, the batch's largest |t| and k_c (see
 fast_error_bound); a batch whose bound exceeds the caller's tolerance is
 refused, not evaluated.  A batch may be cut into segments, each planned and
 refused as a batch of its own.  An admitted batch runs in blocks of
@@ -65,8 +68,8 @@ _FLOOR_NUM, _FLOOR_DEN = FACTOR_FLOOR.as_integer_ratio()
 # keeps its bits, so the constant covers it too.
 COS_FIXED_ERROR = 128
 # error bound that float64 series and block maxima carry; a batch whose
-# derived bound exceeds it is refused (the bound reaches it at |t| ~ 2.6e5
-# on the golden base and is about 4e-8 at |t| = 1e7)
+# derived bound exceeds it is refused (the bound reaches it at |t| = 2.598e5
+# on the golden base and is 3.85e-8 at |t| = 1e7)
 FAST_ERROR = 1e-9
 # default tolerance of mu_hat_fast: sampling reports resolve moduli to 1e-6
 FAST_TOL = 1e-6
@@ -424,7 +427,7 @@ def _leading_factors_below(theta: Theta, t, limit: float, tol: float,
     K, W, _ = plan
     mag = _mag_estimate(t)
     e = _descent_error(_theta_value(theta, pb + 64), K, mag)
-    num, den = Fraction(limit).as_integer_ratio()
+    num, den = limit.as_integer_ratio()
     cap, run = (num << W) // den, 1 << W
     for c in _kernel_cosines(theta, _fixed_abs(t, W, pb + mag + 32), W, 0, K):
         run = -((-run * (abs(c) + e)) >> W)

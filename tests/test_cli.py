@@ -136,6 +136,7 @@ def test_values_only_the_library_rejects_exit_two():
 
 @pytest.mark.parametrize("argv, message", [
     (("fill", "--poly", "1,1", "--r", "1", "--N", "-3"), "empty"),
+    (("fill", "--poly", "1,1", "--r", "1", "--N", "-1"), "empty"),
     (("jset", "--poly", "1,1", "--t-max", "0"), "positive and finite"),
     (("jset", "--poly", "1,1", "--t-max", "-5"), "positive and finite"),
     (("jset", "--poly", "1,1", "--t-max", "inf"), "positive and finite"),

@@ -180,12 +180,6 @@ def test_interval_fill_rejects_negative_floor():
         interval_fill_test(GOLDEN, 1, 100, eta=-0.1)
 
 
-@pytest.mark.parametrize("N", [-1, -2, -3])
-def test_interval_fill_rejects_an_empty_index_range(N):
-    with pytest.raises(ValueError, match="empty"):
-        interval_fill_test(GOLDEN, 1, N)
-
-
 def test_fill_batch_peak_memory():
     # ns, ts, the values and the exact-zero mask, 12.5 MB, and block-sized
     # scratch: 13.1 MB, against 16.0 MB when the moduli, the kept values,
@@ -247,12 +241,6 @@ def test_limit_range_rejects_coarse_grid():
         estimate_J(GOLDEN, 1e4, grid_step=1.0)
     with pytest.raises(ValueError):
         estimate_J(1.0, 1e4)
-
-
-@pytest.mark.parametrize("T", [0.0, -5.0, math.inf, -math.inf, math.nan])
-def test_limit_range_rejects_a_horizon_not_positive_and_finite(T):
-    with pytest.raises(ValueError, match="positive and finite"):
-        estimate_J(GOLDEN, T)
 
 
 def test_limit_range_refused_before_building_its_grid():
