@@ -416,20 +416,20 @@ def _leading_factors_below(theta: Theta, t, limit: float, tol: float,
 
     Every factor has modulus at most 1, so |mu_hat(t)| <= prod_{k<=j}
     |cos(2 pi t theta^-k)| for each j.  The kernel's factors at the plan of
-    mu_hat(theta, t, tol, pb) are each within _descent_error units of 2^-W
-    (see mu_hat), so the running product of |c_k| plus that, rounded up at
-    each shift, bounds the partial products from above; the factors are
-    taken only until it falls to limit.
+    mu_hat(theta, t, tol, pb) are each within E/(2 (K + 1)) units of 2^-W,
+    one _descent_error (see mu_hat), so the running product of |c_k| plus
+    that, rounded up at each shift, bounds the partial products from
+    above; the factors are taken only until it falls to limit.
     """
     plan = _kernel_plan(theta, t, tol, pb)
     if plan is None:
         return limit >= 1
-    K, W, _ = plan
-    mag = _mag_estimate(t)
-    e = _descent_error(_theta_value(theta, pb + 64), K, mag)
+    K, W, E = plan
+    e = E // (2 * (K + 1))                       # one factor's error
     num, den = limit.as_integer_ratio()
     cap, run = (num << W) // den, 1 << W
-    for c in _kernel_cosines(theta, _fixed_abs(t, W, pb + mag + 32), W, 0, K):
+    work = pb + _mag_estimate(t) + 32
+    for c in _kernel_cosines(theta, _fixed_abs(t, W, work), W, 0, K):
         run = -((-run * (abs(c) + e)) >> W)
         if run <= cap:
             return True

@@ -878,9 +878,11 @@ def test_leading_factors_bound_the_value_from_above(theta):
                 assert low <= limit
             else:
                 assert limit < 1
-    # a factor at an exact zero certifies any positive limit
-    assert _leading_factors_below(build_pisot((2,)), 2.0 ** 9 / 4, 1e-12,
-                                  1e-12, 64)
+    # a factor at an exact zero certifies any positive limit, but not 0:
+    # each factor carries its error
+    for limit, shown in ((1e-12, True), (0.0, False)):
+        assert _leading_factors_below(build_pisot((2,)), 2.0 ** 9 / 4, limit,
+                                      1e-12, 64) is shown
 
 
 @pytest.mark.parametrize("d", [(2,), (3,), (4,), (1, 1)])
