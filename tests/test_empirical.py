@@ -182,15 +182,16 @@ def test_interval_fill_rejects_negative_floor():
 
 def test_fill_batch_peak_memory():
     # ns, ts, the values and the exact-zero mask, 12.5 MB, and block-sized
-    # scratch: 13.1 MB, against 16.0 MB when the moduli, the kept values,
-    # their sorted copy and their differences each took a full-size array
+    # scratch: 13.1 MB (14.1 MB when the call also imports the thread pool),
+    # against 16.0 MB when the moduli, the kept values, their sorted copy
+    # and their differences each took a full-size array
     tracemalloc.start()
     try:
         interval_fill_test(GOLDEN, 1.37, 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * 10**6
+    assert peak <= 15 * 10**6
 
 
 def test_range_stats_equal_the_full_difference():
