@@ -90,6 +90,15 @@ _FACTOR_ERROR = (2 * math.pi * (1 + _U) + 8 + 1) * _U
 # rounding of P~ outgrows the 8u that the floor's proof allows
 TAIL_REACH = 1.0
 TAIL_DEGREE = 9
+# longest head a float64 segment is planned with: each head factor is a
+# pass of about six numpy calls over each block, so 2^20 of them take
+# seconds even on one point.  A base just above 1 needs more (1 + 2^-40
+# needs about 3e13 at |t| = 1), and its segment is refused after 2^20
+# divisions instead of planned one division at a time
+_HEAD_LIMIT = 2 ** 20
+# working precision of the even moments and of their coefficients, each
+# rounded once to float64 from it
+_MOMENT_BITS = 128
 
 
 def _tail_rounding() -> float:
@@ -436,16 +445,16 @@ def _leading_factors_below(theta: Theta, t, limit: float, tol: float,
     return False
 
 
-def _even_moments(theta: Theta, bits: int = 128) -> list:
-    """m_0, m_2, ..., m_(2 TAIL_DEGREE) of mu_theta, at `bits` bits.
+def _even_moments(theta: Theta) -> list:
+    """m_0, m_2, ..., m_(2 TAIL_DEGREE) of mu_theta, at _MOMENT_BITS bits.
 
     X = e_0 + X'/theta, with e_0 = +-1 and X' distributed as X, so
     m_2n = sum_{k<=n} C(2n, 2k) m_2k theta^-2k, whose k = n term is
     m_2n theta^-2n: m_2n (1 - theta^-2n) = sum_{k<n} C(2n, 2k) m_2k
     theta^-2k, from m_0 = 1.
     """
-    with mp.workprec(bits):
-        q = 1 / _theta_value(theta, bits + 16) ** 2
+    with mp.workprec(_MOMENT_BITS):
+        q = 1 / _theta_value(theta, _MOMENT_BITS + 16) ** 2
         m, powers = [mp.mpf(1)], [mp.mpf(1)]
         for n in range(1, TAIL_DEGREE + 1):
             powers.append(powers[-1] * q)
@@ -456,16 +465,18 @@ def _even_moments(theta: Theta, bits: int = 128) -> list:
 
 def _tail_coefficients(theta: Theta) -> tuple[float, ...]:
     """b_n = (-1)^n m_2n/(2n)!, n = 0..TAIL_DEGREE, each rounded once to
-    float64 from 128 bits: P(v) = sum b_n v^n is mu_hat's Taylor polynomial
-    in v = (2 pi x)^2."""
-    with mp.workprec(128):
+    float64 from _MOMENT_BITS bits: P(v) = sum b_n v^n is mu_hat's Taylor
+    polynomial in v = (2 pi x)^2."""
+    with mp.workprec(_MOMENT_BITS):
         return tuple(float((-1) ** n * m / math.factorial(2 * n))
                      for n, m in enumerate(_even_moments(theta)))
 
 
 def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
     """Float64 base, head length k_c and a-priori error bound of a
-    mu_hat_fast batch whose largest |t| is t_max (see fast_error_bound)."""
+    mu_hat_fast batch whose largest |t| is t_max (see fast_error_bound).
+    A head longer than _HEAD_LIMIT is not planned: k_c comes back as
+    _HEAD_LIMIT + 1, with bound inf."""
     th = float(_theta_value(theta))
     if not math.isfinite(t_max):
         return th, 0, math.inf
@@ -482,6 +493,8 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
     # k_c divisions of t_max by th, as a block steps its largest x
     kc, x = 0, t_max
     while x > x_c:
+        if kc == _HEAD_LIMIT:
+            return th, kc + 1, math.inf
         kc, x = kc + 1, x / th
     # x_k = t / th^k after k divisions: each division and each of the k
     # powers of th's own rounding delta scale x_k by a factor in
@@ -518,15 +531,21 @@ def fast_error_bound(theta: Theta, t_max: float) -> float:
         rounding of its coefficients, of v and of Horner's steps, and that
         of the final product (see mu_hat_fast).
     On the golden base it is about 4e-9 at t_max = 1e6 and 4e-8 at 1e7.
+    It is inf where the head would be longer than _HEAD_LIMIT factors.
     """
     return _fast_plan(theta, abs(float(t_max)))[2]
 
 
 def _checked_plan(theta: Theta, t_max: float, tol: float):
     """_fast_plan's base and head length for a batch whose largest |t| is
-    t_max; raises PrecisionExhaustedError when its error bound exceeds
-    tol."""
+    t_max; raises PrecisionExhaustedError when its head would be longer
+    than _HEAD_LIMIT factors or its error bound exceeds tol."""
     th, kc, bound = _fast_plan(theta, t_max)
+    if kc > _HEAD_LIMIT:
+        raise PrecisionExhaustedError(
+            f"float64 head at |t| <= {t_max:.6g} needs more than "
+            f"{_HEAD_LIMIT} factors"
+        )
     if not bound <= tol:
         raise PrecisionExhaustedError(
             f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
@@ -544,9 +563,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     call of its own.  Without them the batch is one segment.  A segment's
     head length k_c comes from its largest |t|, so all its entries share
     it.  Raises PrecisionExhaustedError, before evaluating, when a
-    segment's derived error bound (fast_error_bound) exceeds tol: the
-    plans are checked in segment order, so the first segment refused
-    raises, with the message a call on it alone would give.
+    segment's head would be longer than _HEAD_LIMIT factors or its derived
+    error bound (fast_error_bound) exceeds tol: the plans are checked in
+    segment order, so the first segment refused raises, with the message a
+    call on it alone would give.
 
     Every segment runs in blocks of FAST_BLOCK points from its start, and
     the blocks of all segments, larger first, are shared over one pool of

@@ -54,6 +54,16 @@ def test_check_rejects_non_pisot_with_domain_exit():
     assert err.strip()
 
 
+def test_base_just_above_one_refused_in_time():
+    # about 3e13 head factors at |t| = 100: refused at the head limit, not
+    # planned one division at a time
+    proc = subprocess.run(CMD + ["jset", "--theta", "1.000000000001",
+                                 "--t-max", "100"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "head" in proc.stderr
+
+
 def test_usage_errors_exit_one():
     assert run("check", "--poly", "a,b")[0] == 1
     assert run("bogus")[0] == 1

@@ -5,6 +5,7 @@ import functools
 import math
 import os
 import random
+import signal
 import threading
 from fractions import Fraction
 
@@ -372,6 +373,31 @@ def test_mu_hat_fast_refuses_exactly_past_its_tolerance():
         mu_hat_fast(GOLDEN, ts, tol=bound * (1 - 1e-6))
     with pytest.raises(PrecisionExhaustedError):
         mu_hat_fast(GOLDEN, [math.inf])
+
+
+def test_head_past_its_limit_refused(monkeypatch):
+    # 1 + 2^-40 needs about 3e13 head factors at |t| = 1: the plan stops
+    # after _HEAD_LIMIT divisions, and even tol = inf refuses the batch.
+    # The alarm fails a plan that goes on dividing.
+    def expired(*_):
+        raise TimeoutError("the plan did not stop at its head limit")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(30)
+    try:
+        assert fast_error_bound(1 + 2.0 ** -40, 1.0) == math.inf
+        with pytest.raises(PrecisionExhaustedError, match="head"):
+            mu_hat_fast(1 + 2.0 ** -40, [1.0], tol=math.inf)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # a head of exactly the limit is planned, one factor more is not
+    kc = transform._fast_plan(GOLDEN, 1e6)[1]
+    monkeypatch.setattr(transform, "_HEAD_LIMIT", kc)
+    assert fast_error_bound(GOLDEN, 1e6) < FAST_TOL
+    monkeypatch.setattr(transform, "_HEAD_LIMIT", kc - 1)
+    assert fast_error_bound(GOLDEN, 1e6) == math.inf
+    with pytest.raises(PrecisionExhaustedError, match="head"):
+        mu_hat_fast(GOLDEN, [1e6])
 
 
 def _textbook_head(theta, ts):
