@@ -9,14 +9,20 @@ Each subcommand is declared once, by one `sub(...)` call in
 `build_parser`: its handler, which shared flags it takes, its own flags
 and which flags exclude each other.  Range checks are the flags' argparse
 types.  `main` applies the flag defaults, resolves the precision, builds
-the base from --poly, calls the handler and serialises the dict it returns
-as JSON.
+the base from --poly, calls the handler and prints what it returns as
+JSON.  A handler parses its scalar flags through `_parsed`, calls the
+library and hands the result object (a report, a value with its bound, a
+list of items) and the flags to echo to `formats.write`, which prints each
+field by its kind in the output's table; CSV rows go through
+`formats.to_csv` and the same tables.
 
 Exit codes: 0 success; 1 usage, including a flag value outside its range
 or not a number (--tol or --gap <= 0, --eta < 0, precision below 64 bits
-or not an integer, also in $PISOT_PRECISION_BITS) and a flag the chosen
-output does not read; 2 domain failure (not Pisot, a value the library
-rejects such as tol >= 1/2, budget); 3 precision exhaustion, ambiguous
+or not an integer, also in $PISOT_PRECISION_BITS; a scalar or integer
+list such as --t abc, --t 1/0 or --x 1,a), a flag the chosen output does
+not read, and an --out file that cannot be written; 2 domain failure
+(not Pisot, a value the library rejects such as tol >= 1/2, a negative
+--r, an empty index range, budget); 3 precision exhaustion, ambiguous
 rounding, or a float64 batch whose derived error bound exceeds its
 tolerance.
 """
@@ -103,9 +109,27 @@ def _arg(flag, **kw):
     return flag, kw
 
 
+def _parsed(parse, text, *args):
+    """parse(*args, text) of a flag's text.  Text that does not parse is a
+    usage error (exit 1), not a value the library rejects (exit 2)."""
+    try:
+        return parse(*args, text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse {text!r}: {exc}") from None
+
+
+def _scalar(P: PisotNumber, text: str):
+    """A scalar flag as formats.parse_scalar reads it: (value, kind)."""
+    return _parsed(formats.parse_scalar, text, P)
+
+
+def _ints(text: str) -> list:
+    return [int(p) for p in text.split(",") if p.strip()]
+
+
 def _point(P: PisotNumber, text: str):
     """A scalar flag as a real number (field elements embedded), its kind."""
-    value, kind = formats.parse_scalar(P, text)
+    value, kind = _scalar(P, text)
     return (embed(value, 1) if isinstance(value, FieldElement) else value,
             kind)
 
@@ -114,7 +138,7 @@ def _parse_z_vectors(P: PisotNumber, text: str) -> tuple:
     """Semicolon-separated coefficient vectors, zero-padded to the degree."""
     out = []
     for part in text.split(";"):
-        coeffs = [int(p) for p in part.split(",") if p.strip()]
+        coeffs = _parsed(_ints, part)
         if not coeffs or len(coeffs) > P.m:
             raise UsageError(
                 f"each z vector needs 1..{P.m} integer coefficients")
@@ -123,54 +147,38 @@ def _parse_z_vectors(P: PisotNumber, text: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: run(args, P, pb) returns a dict to print as JSON, or
-# the CSV text.  P is the base built from --poly (None without it) and pb
-# the working precision.
+# subcommand handlers: run(args, P, pb) returns what formats.write makes of
+# its result object and echoed flags, or the CSV text from formats.to_csv.
+# P is the base built from --poly (None without it) and pb the working
+# precision.
 
 
 def _cmd_check(args, P, pb):
-    return formats.pisot_to_dict(P)
+    return formats.write(formats.PISOT, P, pb)
 
 
 def _cmd_eval(args, P, pb):
-    ds = lambda v: formats.decimal_str(v, pb)
     if args.t is not None:
         if args.fast or args.count is not None or args.fmt == "csv":
             raise UsageError("eval --t takes no --fast, --count or csv")
         value, kind = _point(P, args.t)
-        res = mu_hat(P, value, tol=args.tol)
-        return {
-            "kind": "value", "t": args.t, "t_kind": kind,
-            "value": ds(res.value), "error_bound": ds(res.error_bound),
-            "contains_zero": res.contains_zero,
-            "truncation_index": res.truncation_index,
-        }
+        return formats.write(formats.VALUE, mu_hat(P, value, tol=args.tol),
+                             pb, t=args.t, t_kind=kind)
     if args.count is None:
         raise UsageError("eval --r needs --count")
-    r, kind = formats.parse_scalar(P, args.r)
+    r, kind = _scalar(P, args.r)
     items = list(coefficient_series(P, r, args.count, tol=args.tol,
                                     fast=args.fast))
     if args.fmt == "csv":
-        return formats.series_to_csv(items, pb)
-    return {
-        "kind": "series", "r": args.r, "r_kind": kind, "N": args.count,
-        "items": [{
-            "n": it.n, "t": ds(it.t), "value": ds(it.value),
-            "error_bound": ds(it.error_bound),
-            "contains_zero": it.contains_zero,
-        } for it in items],
-    }
+        return formats.to_csv(formats.SERIES_ITEM, items, pb)
+    return formats.write(formats.SERIES, items, pb, r=args.r, r_kind=kind,
+                         N=args.count)
 
 
 def _cmd_trace(args, P, pb):
     y, kind = _point(P, args.y)
     trace = digit_trace(P, y, args.count, delta=args.delta)
-    return {
-        "kind": "trace", "y": args.y, "y_kind": kind, "N": trace.N,
-        "K": list(trace.K),
-        "delta": [formats.decimal_str(d, pb) for d in trace.delta],
-        "exceed_set": list(trace.exceed_set),
-    }
+    return formats.write(formats.TRACE, trace, pb, y=args.y, y_kind=kind)
 
 
 def _cmd_recur(args, P, pb):
@@ -178,65 +186,51 @@ def _cmd_recur(args, P, pb):
     delta = args.delta if args.delta is not None else P.delta_max / 2
     trace = digit_trace(P, y, args.count)
     violations = check_recurrence(trace, P, delta)
-    return {
-        "kind": "recurrence", "y": args.y, "y_kind": kind, "N": args.count,
-        "delta": f"{delta.numerator}/{delta.denominator}",
-        "violations": list(violations), "ok": not violations,
-    }
+    return formats.write(formats.RECURRENCE,
+                         (delta, violations, not violations), pb,
+                         y=args.y, y_kind=kind, N=args.count)
 
 
 def _cmd_phi(args, P, pb):
     if (args.lam is None) != (args.q is None):
         raise UsageError("phi takes --q together with --lam, not with --z")
     if args.lam is not None:
-        lam, _ = formats.parse_scalar(P, args.lam)
-        q, _ = formats.parse_scalar(P, args.q)
-        value, err = phi_lambda(P, lam, q, tol=args.tol)
-        obj = {"kind": "phi_lambda", "lam": args.lam, "q": args.q}
-    else:
-        z, _ = formats.parse_scalar(P, args.z)
-        value, err = phi_biinfinite(P, z, tol=args.tol)
-        obj = {"kind": "phi", "z": args.z}
-    return {**obj, "value": formats.decimal_str(value, pb),
-            "error_bound": formats.decimal_str(err, pb)}
+        lam, _ = _scalar(P, args.lam)
+        q, _ = _scalar(P, args.q)
+        return formats.write(formats.PHI_LAMBDA,
+                             phi_lambda(P, lam, q, tol=args.tol), pb,
+                             lam=args.lam, q=args.q)
+    z, _ = _scalar(P, args.z)
+    return formats.write(formats.PHI, phi_biinfinite(P, z, tol=args.tol), pb,
+                         z=args.z)
 
 
 def _cmd_limit(args, P, pb):
     z_list = _parse_z_vectors(P, args.z)
-    r, kind = formats.parse_scalar(P, args.r)
+    r, kind = _scalar(P, args.r)
     cand = limit_value(P, z_list, args.A, r, tol=args.tol)
-    return {
-        "kind": "limit", "z": [list(z.coeffs) for z in z_list], "A": args.A,
-        "r": args.r, "r_kind": kind,
-        "value": formats.decimal_str(cand.predicted, pb),
-        "error_bound": formats.decimal_str(cand.error_bound, pb),
-    }
+    return formats.write(formats.LIMIT, cand, pb, r=args.r, r_kind=kind)
 
 
 def _cmd_enumerate(args, P, pb):
-    r, kind = formats.parse_scalar(P, args.r)
+    r, kind = _scalar(P, args.r)
     cands = enumerate_spectrum(P, r, args.height, args.m_max, args.a_max,
                                tol=args.tol, eta=args.eta, budget=args.budget)
-    return {
-        "kind": "candidates", "r": args.r, "r_kind": kind,
-        "height": args.height, "m_max": args.m_max, "a_max": args.a_max,
-        "eta": args.eta, "count": len(cands),
-        "items": [formats.candidate_to_dict(c, pb) for c in cands],
-    }
+    return formats.write(formats.CANDIDATES, cands, pb, r=args.r,
+                         r_kind=kind, height=args.height, m_max=args.m_max,
+                         a_max=args.a_max, eta=args.eta, count=len(cands))
 
 
 def _cmd_synthesize(args, P, pb):
     z_list = _parse_z_vectors(P, args.z)
-    r, _ = formats.parse_scalar(P, args.r)
+    r, _ = _scalar(P, args.r)
     n = synthesize_sequence(P, z_list, args.A, r, args.k)
-    return {
-        "kind": "synthesize", "z": [list(z.coeffs) for z in z_list],
-        "A": args.A, "r": args.r, "k": args.k, "n": n,
-    }
+    return formats.write(formats.SYNTHESIS, (z_list, n), pb, A=args.A,
+                         r=args.r, k=args.k)
 
 
 def _cmd_sample(args, P, pb):
-    r, kind = formats.parse_scalar(P, args.r)
+    r, kind = _scalar(P, args.r)
     n_min = args.n_min if args.n_min is not None else args.N // 2
     if args.fmt == "csv":
         ignored = [d for d in REPORT_FLAGS if d in args.given]
@@ -246,7 +240,8 @@ def _cmd_sample(args, P, pb):
                                  "--" + d.replace("_", "-") for d in ignored))
         import numpy as np
         ns = np.arange(max(1, n_min), args.N + 1, dtype=np.int64)
-        return formats.series_to_csv(_fast_items(P, _as_real(r), ns), pb)
+        return formats.to_csv(formats.SERIES_ITEM,
+                              _fast_items(P, _as_real(r), ns), pb)
     candidates = None
     if args.match_height is not None:
         candidates = enumerate_spectrum(P, r, args.match_height,
@@ -255,14 +250,14 @@ def _cmd_sample(args, P, pb):
     rep = sample_and_cluster(P, r, args.N, args.eta, gap=args.gap,
                              n_min=n_min, candidates=candidates,
                              match_tol=args.match_tol, seed=args.seed)
-    return {**formats.cluster_report_to_dict(rep, pb), "r_kind": kind}
+    return formats.write(formats.CLUSTERS, rep, pb, r_kind=kind)
 
 
 def _cmd_fill(args, P, pb):
-    r, kind = formats.parse_scalar(P, args.r)
+    r, kind = _scalar(P, args.r)
     est = interval_fill_test(P, r, args.N, eta=args.eta)
-    return formats.interval_to_dict(est, pb, r=args.r, r_kind=kind, N=args.N,
-                                    eta=args.eta, seed=args.seed)
+    return formats.write(formats.INTERVAL, est, pb, r=args.r, r_kind=kind,
+                         N=args.N, eta=args.eta, seed=args.seed)
 
 
 def _cmd_jset(args, P, pb):
@@ -271,36 +266,32 @@ def _cmd_jset(args, P, pb):
     else:
         theta, label = P, ",".join(str(c) for c in args.poly)
     est = estimate_J(theta, args.t_max, grid_step=args.grid_step)
-    return formats.interval_to_dict(est, pb, theta=label, T=args.t_max)
+    return formats.write(formats.INTERVAL, est, pb, theta=label, T=args.t_max)
 
 
 def _cmd_discrepancy(args, P, pb):
     if args.x is not None:
-        xs = [int(p) for p in args.x.split(",") if p.strip()]
+        xs = _parsed(_ints, args.x)
     else:
         xs = list(range(1, args.count + 1))
-    d = discrepancy(args.alpha, xs)
-    return {"kind": "discrepancy", "alpha": repr(args.alpha),
-            "count": len(xs), "d_star": formats.decimal_str(d, pb)}
+    return formats.write(formats.DISCREPANCY, discrepancy(args.alpha, xs), pb,
+                         alpha=repr(args.alpha), count=len(xs))
 
 
 def _cmd_translate(args, P, pb):
-    r, r_kind = formats.parse_scalar(P, args.r)
-    gamma, g_kind = formats.parse_scalar(P, args.gamma)
+    r, r_kind = _scalar(P, args.r)
+    gamma, g_kind = _scalar(P, args.gamma)
     rep = translated_sample(P, r, gamma, args.N, args.eta, gap=args.gap,
                             n_min=args.n_min, seed=args.seed)
-    return {**formats.translated_report_to_dict(rep, pb),
-            "r_kind": r_kind, "gamma_kind": g_kind}
+    return formats.write(formats.TRANSLATED, rep, pb, r_kind=r_kind,
+                         gamma_kind=g_kind)
 
 
 def _cmd_decay(args, P, pb):
     blocks = decay_check(args.theta if P is None else P, args.N)
     if args.fmt == "csv":
-        lines = ["k,start,stop,value"]
-        lines += [f"{b.k},{b.start},{b.stop},"
-                  f"{formats.decimal_str(b.value, pb)}" for b in blocks]
-        return "\n".join(lines) + "\n"
-    return formats.blocks_to_dict(blocks, pb)
+        return formats.to_csv(formats.BLOCK, blocks, pb)
+    return formats.write(formats.BLOCKS, blocks, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +483,13 @@ def main(argv=None) -> int:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"pisot {args.command}: cannot write "
+                             f"{args.out}: {exc.strerror}\n")
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -1,19 +1,37 @@
 """Serialization for every report the package emits.
 
-Decimal strings carry precision_bits/3.32 significant digits; field elements
-travel as comma-separated reduced fractions in the theta-power basis
-("a0/q0,a1/q1,...").  JSON is emitted with sorted keys and compact
-separators so that identical inputs give byte-identical output, and every
-emitter here has a matching parser that round-trips.
+Each output is one `Table`: its fields as (key, attribute, kind) rows, the
+constructor `read` hands the read values to (in field order), and constant
+keys such as "kind".  One `write` and one `read` walk every table, and
+`to_csv` / `from_csv` give a table's rows as CSV under a header of its keys.
+The kinds say how a field prints and how it reads back:
+
+- INT, RAW and FLAG: JSON numbers, strings, null and booleans as they are
+  (INT reads back through int(), FLAG also from CSV's "true"/"false");
+- MPF: a certified decimal, read back as an mpf;
+- FLOAT: a float64 decimal, read back as a float;
+- FIELD: an exact scalar as reduced fractions in the theta-power basis
+  ("a0/q0,a1/q1,...");
+- VECTORS: ring elements as lists of integer coefficients;
+- COMPLEX: a certified complex value as [re, im];
+- _nested(table) and _list(kind, ...): a nested table, and a list whose
+  items take the given kinds in turn, read back as a tuple.
+
+An attribute None stands for the object itself (a report that is one
+list), and a tuple is written by position.  Decimal strings carry
+precision_bits/3.32 significant digits.  JSON is emitted with sorted keys
+and compact separators so that identical inputs give byte-identical output,
+and every table reads back what it writes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from mpmath import mp
 
@@ -21,7 +39,7 @@ from .empirical import (BlockMaximum, Cluster, ClusterReport,
                         IntervalEstimate, TranslatedReport)
 from .pisot import FieldElement, PisotNumber, RingElement, _to_mpf, build_pisot
 from .spectrum import SpectrumCandidate
-from .transform import SeriesItem
+from .transform import MuHatResult, SeriesItem
 
 # one decimal digit per 3.32 bits (log2 10)
 BITS_PER_DIGIT = 3.32
@@ -97,209 +115,183 @@ def to_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pisot number
+# Field kinds: (put(value, pb) -> JSON value, get(JSON value, pb, P) -> value)
+
+# The kinds call these private names: a tracer that wraps the public
+# functions then records one span per written output, not one per field.
+_decimal, _field_str, _scalar = decimal_str, field_to_str, parse_scalar
 
 
-def pisot_to_dict(P: PisotNumber) -> dict:
-    pb = P.precision_bits
-    with mp.workprec(pb + 16):
-        conj = [[decimal_str(mp.re(c), pb), decimal_str(mp.im(c), pb)]
-                for c in P.conjugates]
-    return {
-        "d": list(P.d),
-        "theta": decimal_str(P.theta, pb),
-        "conjugates": conj,
-        "rho": decimal_str(P.rho, pb),
-        "precision_bits": pb,
-    }
+def _same(value, *_):
+    return value
 
 
-def pisot_from_dict(obj: dict) -> PisotNumber:
-    P = build_pisot(tuple(int(c) for c in obj["d"]),
-                    precision_bits=int(obj["precision_bits"]))
-    recorded = parse_decimal(obj["theta"], P.precision_bits)
+INT = (_same, lambda s, *_: int(s))
+RAW = (_same, _same)
+FLAG = (_same, lambda s, *_: s is True or s == "true")
+MPF = (_decimal, lambda s, pb, P: parse_decimal(s, pb))
+FLOAT = (_decimal, lambda s, pb, P: float(parse_decimal(s, pb)))
+FIELD = (lambda v, pb: _field_str(v), lambda s, pb, P: _scalar(P, s)[0])
+VECTORS = (lambda v, pb: [list(z.coeffs) for z in v],
+           lambda s, pb, P: tuple(P.ring(tuple(int(c) for c in vec))
+                                  for vec in s))
+COMPLEX = (lambda v, pb: [_decimal(v.real, pb), _decimal(v.imag, pb)],
+           lambda s, pb, P: mp.mpc(parse_decimal(s[0], pb),
+                                   parse_decimal(s[1], pb)))
+
+
+def _list(*kinds):
+    """Items taking the kinds in turn (one kind: every item); a None item
+    (a match without a candidate) stays null."""
+    def put(v, pb):
+        return [None if x is None else p(x, pb)
+                for x, (p, _) in zip(v, itertools.cycle(kinds))]
+
+    def get(s, pb, P):
+        return tuple(None if x is None else g(x, pb, P)
+                     for x, (_, g) in zip(s, itertools.cycle(kinds)))
+    return put, get
+
+
+def _nested(table):
+    return (lambda v, pb: _write(table, v, pb),
+            lambda s, pb, P: read(table, s, pb, P))
+
+
+# ---------------------------------------------------------------------------
+# Tables
+
+
+def _tuple(*values):
+    return values
+
+
+def _itself(value):
+    return value
+
+
+class Table(NamedTuple):
+    """One output: (key, attribute, kind) fields, the constructor that read
+    passes the values to in field order, and constant keys."""
+    fields: tuple
+    make: Callable
+    const: dict
+
+
+def _table(make, *fields, **const) -> Table:
+    """A Table; a (key, kind) field reads the attribute named key."""
+    return Table(tuple(f if len(f) == 3 else (f[0], f[0], f[1])
+                       for f in fields), make, const)
+
+
+def _write(table, obj, pb) -> dict:
+    out = dict(table.const)
+    for i, (key, attr, (put, _)) in enumerate(table.fields):
+        value = (obj if attr is None else obj[i] if isinstance(obj, tuple)
+                 else getattr(obj, attr))
+        out[key] = put(value, pb)
+    return out
+
+
+def write(table: Table, obj, precision_bits: int = 256, **echo) -> dict:
+    """obj's fields as table prints them, plus the echo keys as given."""
+    return {**_write(table, obj, precision_bits), **echo}
+
+
+def read(table: Table, obj: dict, precision_bits: int = 256,
+         P: PisotNumber | None = None):
+    """The object a written table describes.  P is needed for FIELD and
+    VECTORS fields; keys the table does not declare are ignored."""
+    return table.make(*(get(obj[key], precision_bits, P)
+                        for key, _, (_, get) in table.fields))
+
+
+def _cell(value):
+    return ("true" if value else "false") if isinstance(value, bool) else value
+
+
+def to_csv(table: Table, rows, precision_bits: int = 256) -> str:
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(key for key, _, _ in table.fields)
+    for row in rows:
+        out.writerow(map(_cell, _write(table, row, precision_bits).values()))
+    return buf.getvalue()
+
+
+def from_csv(table: Table, text: str, precision_bits: int = 256,
+             P: PisotNumber | None = None) -> list:
+    rows = csv.reader(io.StringIO(text))
+    keys = [key for key, _, _ in table.fields]
+    if next(rows, None) != keys:
+        raise ValueError(f"expected header {','.join(keys)}")
+    return [read(table, dict(zip(keys, row)), precision_bits, P)
+            for row in rows if row]
+
+
+def _rebuilt_base(d, theta, conjugates, rho, precision_bits) -> PisotNumber:
+    """The base rebuilt from its digits, checked against the recorded theta."""
+    P = build_pisot(d, precision_bits=precision_bits)
+    recorded = parse_decimal(theta, P.precision_bits)
     with mp.workprec(P.precision_bits + 16):
         if abs(recorded - P.theta) > mp.mpf(2) ** (-P.precision_bits // 2):
             raise ValueError("recorded theta does not match the polynomial")
     return P
 
 
-# ---------------------------------------------------------------------------
-# Spectrum candidates
-
-
-def candidate_to_dict(c: SpectrumCandidate, precision_bits: int = 256) -> dict:
-    return {
-        "z": [list(z.coeffs) for z in c.z_list],
-        "A": c.A,
-        "r": field_to_str(c.r),
-        "predicted": decimal_str(c.predicted, precision_bits),
-        "error": decimal_str(c.error_bound, precision_bits),
-        "id": c.id,
-    }
-
-
-def candidate_from_dict(P: PisotNumber, obj: dict,
-                        precision_bits: int = 256) -> SpectrumCandidate:
-    return SpectrumCandidate(
-        z_list=tuple(P.ring(tuple(int(c) for c in vec)) for vec in obj["z"]),
-        A=int(obj["A"]),
-        r=parse_field_str(P, obj["r"]),
-        predicted=parse_decimal(obj["predicted"], precision_bits),
-        error_bound=parse_decimal(obj["error"], precision_bits),
-        id=obj["id"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Empirical reports
-
-
-def cluster_report_to_dict(rep: ClusterReport,
-                           precision_bits: int = 256) -> dict:
-    ds = lambda v: decimal_str(v, precision_bits)
-    return {
-        "kind": "clusters",
-        "seed": rep.seed,
-        "r": ds(rep.r),
-        "N": rep.N,
-        "eta": rep.eta,
-        "gap": rep.gap,
-        "n_min": rep.n_min,
-        "empty_retention": rep.empty_retention,
-        "clusters": [{
-            "center": ds(c.center),
-            "min": ds(c.min),
-            "max": ds(c.max),
-            "count": c.count,
-            "witnesses": list(c.witnesses),
-        } for c in rep.clusters],
-        "matches": [[i, cid, None if dist is None else ds(dist)]
-                    for i, cid, dist in rep.matches],
-        "max_gap": None,
-    }
-
-
-def cluster_report_from_dict(obj: dict,
-                             precision_bits: int = 256) -> ClusterReport:
-    pf = lambda s: float(parse_decimal(s, precision_bits))
-    clusters = tuple(Cluster(center=pf(c["center"]), min=pf(c["min"]),
-                             max=pf(c["max"]), count=int(c["count"]),
-                             witnesses=tuple(int(w) for w in c["witnesses"]))
-                     for c in obj["clusters"])
-    matches = tuple((int(i), cid, None if dist is None else pf(dist))
-                    for i, cid, dist in obj["matches"])
-    return ClusterReport(r=pf(obj["r"]), N=int(obj["N"]), eta=obj["eta"],
-                         gap=obj["gap"], n_min=int(obj["n_min"]),
-                         seed=int(obj["seed"]), clusters=clusters,
-                         matches=matches,
-                         empty_retention=bool(obj["empty_retention"]))
-
-
-def interval_to_dict(est: IntervalEstimate, precision_bits: int = 256,
-                     **context) -> dict:
-    ds = lambda v: decimal_str(v, precision_bits)
-    out = {
-        "kind": "interval",
-        "lower": ds(est.lower),
-        "upper": ds(est.upper),
-        "count": est.count,
-        "max_gap": ds(est.max_gap),
-        "max_gap_rel": ds(est.max_gap_rel),
-    }
-    out.update(context)
-    return out
-
-
-def interval_from_dict(obj: dict,
-                       precision_bits: int = 256) -> IntervalEstimate:
-    pf = lambda s: float(parse_decimal(s, precision_bits))
-    return IntervalEstimate(lower=pf(obj["lower"]), upper=pf(obj["upper"]),
-                            count=int(obj["count"]),
-                            max_gap=pf(obj["max_gap"]),
-                            max_gap_rel=pf(obj["max_gap_rel"]))
-
-
-def translated_report_to_dict(rep: TranslatedReport,
-                              precision_bits: int = 256) -> dict:
-    ds = lambda v: decimal_str(v, precision_bits)
-    return {
-        "kind": "translated",
-        "seed": rep.seed,
-        "r": ds(rep.r),
-        "gamma": ds(rep.gamma),
-        "N": rep.N,
-        "eta": rep.eta,
-        "empty_retention": rep.empty_retention,
-        "cluster_count": rep.cluster_count,
-        "clusters": [{"center": [ds(re), ds(im)], "count": count}
-                     for (re, im), count in rep.clusters],
-        "coverage": rep.coverage,
-        "dominant_radius": ds(rep.dominant_radius),
-    }
-
-
-def translated_report_from_dict(obj: dict,
-                                precision_bits: int = 256) -> TranslatedReport:
-    pf = lambda s: float(parse_decimal(s, precision_bits))
-    clusters = tuple(((pf(c["center"][0]), pf(c["center"][1])),
-                      int(c["count"])) for c in obj["clusters"])
-    return TranslatedReport(r=pf(obj["r"]), gamma=pf(obj["gamma"]),
-                            N=int(obj["N"]), eta=obj["eta"],
-                            seed=int(obj["seed"]),
-                            cluster_count=int(obj["cluster_count"]),
-                            clusters=clusters, coverage=obj["coverage"],
-                            dominant_radius=pf(obj["dominant_radius"]),
-                            empty_retention=bool(obj["empty_retention"]))
-
-
-def blocks_to_dict(blocks, precision_bits: int = 256) -> dict:
-    ds = lambda v: decimal_str(v, precision_bits)
-    return {
-        "kind": "decay_blocks",
-        "blocks": [{"k": b.k, "start": b.start, "stop": b.stop,
-                    "value": ds(b.value)} for b in blocks],
-    }
-
-
-def blocks_from_dict(obj: dict, precision_bits: int = 256) -> tuple:
-    pf = lambda s: float(parse_decimal(s, precision_bits))
-    return tuple(BlockMaximum(k=int(b["k"]), start=int(b["start"]),
-                              stop=int(b["stop"]), value=pf(b["value"]))
-                 for b in obj["blocks"])
-
-
-# ---------------------------------------------------------------------------
-# CSV sample stream
-
-
-CSV_HEADER = ("n", "t", "value", "error_bound", "contains_zero")
-
-
-def series_to_csv(items, precision_bits: int = 256) -> str:
-    ds = lambda v: decimal_str(v, precision_bits)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for item in items:
-        writer.writerow([item.n, ds(item.t), ds(item.value),
-                         ds(item.error_bound),
-                         "true" if item.contains_zero else "false"])
-    return buf.getvalue()
-
-
-def series_from_csv(text: str, precision_bits: int = 256) -> list:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValueError(f"expected header {','.join(CSV_HEADER)}")
-    items = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        n, t, value, err, zero = row
-        items.append(SeriesItem(n=int(n),
-                                t=parse_decimal(t, precision_bits),
-                                value=parse_decimal(value, precision_bits),
-                                error_bound=parse_decimal(err, precision_bits),
-                                contains_zero=(zero == "true")))
-    return items
+# theta reads back as its text, which _rebuilt_base parses at the recorded
+# precision
+PISOT = _table(_rebuilt_base, ("d", _list(INT)),
+               ("theta", (_decimal, _same)), ("conjugates", _list(COMPLEX)),
+               ("rho", MPF), ("precision_bits", INT))
+VALUE = _table(MuHatResult, ("value", MPF), ("error_bound", MPF),
+               ("truncation_index", INT), ("contains_zero", FLAG),
+               kind="value")
+# one item of a series; also the CSV rows of eval and sample
+SERIES_ITEM = _table(SeriesItem, ("n", INT), ("t", MPF), ("value", MPF),
+                     ("error_bound", MPF), ("contains_zero", FLAG))
+SERIES = _table(_itself, ("items", None, _list(_nested(SERIES_ITEM))),
+                kind="series")
+TRACE = _table(_tuple, ("N", INT), ("K", _list(INT)), ("delta", _list(MPF)),
+               ("exceed_set", _list(INT)), kind="trace")
+# written from (delta, violations, ok)
+RECURRENCE = _table(_tuple, ("delta", FIELD), ("violations", _list(INT)),
+                    ("ok", FLAG), kind="recurrence")
+# written from phi's (value, error_bound)
+PHI = _table(_tuple, ("value", MPF), ("error_bound", MPF), kind="phi")
+PHI_LAMBDA = PHI._replace(const={"kind": "phi_lambda"})
+LIMIT = _table(_tuple, ("z", "z_list", VECTORS), ("A", INT),
+               ("value", "predicted", MPF), ("error_bound", MPF),
+               kind="limit")
+CANDIDATE = _table(SpectrumCandidate, ("z", "z_list", VECTORS), ("A", INT),
+                   ("r", FIELD), ("predicted", MPF),
+                   ("error", "error_bound", MPF), ("id", RAW))
+CANDIDATES = _table(_itself, ("items", None, _list(_nested(CANDIDATE))),
+                    kind="candidates")
+# written from (z_list, n)
+SYNTHESIS = _table(_tuple, ("z", "z_list", VECTORS), ("n", INT),
+                   kind="synthesize")
+CLUSTER = _table(Cluster, ("center", FLOAT), ("min", FLOAT), ("max", FLOAT),
+                 ("count", INT), ("witnesses", _list(INT)))
+# matches rows are (cluster index, candidate id or None, distance or None)
+CLUSTERS = _table(ClusterReport, ("r", FLOAT), ("N", INT), ("eta", RAW),
+                  ("gap", RAW), ("n_min", INT), ("seed", INT),
+                  ("clusters", _list(_nested(CLUSTER))),
+                  ("matches", _list(_list(INT, RAW, FLOAT))),
+                  ("empty_retention", FLAG), kind="clusters", max_gap=None)
+INTERVAL = _table(IntervalEstimate, ("lower", FLOAT), ("upper", FLOAT),
+                  ("count", INT), ("max_gap", FLOAT), ("max_gap_rel", FLOAT),
+                  kind="interval")
+# a translated cluster is ((re, im), count)
+TRANSLATED_CLUSTER = _table(_tuple, ("center", _list(FLOAT)), ("count", INT))
+TRANSLATED = _table(TranslatedReport, ("r", FLOAT), ("gamma", FLOAT),
+                    ("N", INT), ("eta", RAW), ("seed", INT),
+                    ("cluster_count", INT),
+                    ("clusters", _list(_nested(TRANSLATED_CLUSTER))),
+                    ("coverage", RAW), ("dominant_radius", FLOAT),
+                    ("empty_retention", FLAG), kind="translated")
+DISCREPANCY = _table(_itself, ("d_star", None, FLOAT), kind="discrepancy")
+BLOCK = _table(BlockMaximum, ("k", INT), ("start", INT), ("stop", INT),
+               ("value", FLOAT))
+BLOCKS = _table(_itself, ("blocks", None, _list(_nested(BLOCK))),
+                kind="decay_blocks")

@@ -855,6 +855,8 @@ def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
     raises PrecisionExhaustedError when the derived bound of the batch
     exceeds it.
     """
+    if N < 0:
+        raise ValueError(f"the index range 1..N is empty at N = {N}")
     if not isinstance(r, FieldElement):
         r = P.field(r)
     with mp.workprec(P.precision_bits + 64):

@@ -131,11 +131,23 @@ def test_usage_errors_exit_one():
     assert run("decay", "--theta", "1.5", "--poly", "1,1", "--N", "8")[0] == 1
     assert run("discrepancy", "--alpha", "0.3", "--count", "5",
                "--x", "1,2")[0] == 1
+    # scalar flags that do not parse as numbers
+    for argv in (("eval", "--poly", "1,1", "--t", "abc"),
+                 ("eval", "--poly", "1,1", "--t", "1/0"),
+                 ("eval", "--poly", "1,1", "--t", "1,2,3"),
+                 ("translate", "--poly", "1,1", "--r", "1", "--gamma", "x",
+                  "--N", "300"),
+                 ("phi", "--poly", "1,1", "--z", "abc"),
+                 ("limit", "--poly", "1,1", "--z", "1,x", "--A", "0",
+                  "--r", "1"),
+                 ("discrepancy", "--alpha", "0.3", "--x", "1,a")):
+        assert run(*argv)[0] == 1, argv
 
 
 def test_values_only_the_library_rejects_exit_two():
     # in range for the flag, out of range for the evaluation
     assert run("eval", "--poly", "1,1", "--t", "3/2", "--tol", "0.7")[0] == 2
+    assert run("eval", "--poly", "1,1", "--r=-1", "--count", "3")[0] == 2
     assert run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
                "--eta", "0")[0] == 2
     assert run("translate", "--poly", "1,1", "--r", "1", "--gamma", "1/2",
@@ -151,6 +163,9 @@ def test_values_only_the_library_rejects_exit_two():
     (("jset", "--poly", "1,1", "--t-max", "-5"), "positive and finite"),
     (("jset", "--poly", "1,1", "--t-max", "inf"), "positive and finite"),
     (("jset", "--poly", "1,1", "--t-max", "nan"), "positive and finite"),
+    (("eval", "--poly", "1,1", "--r", "1", "--count", "-3"), "empty"),
+    (("eval", "--poly", "1,1", "--r", "1", "--count", "-3", "--fast"),
+     "empty"),
 ])
 def test_empty_ranges_exit_two(argv, message):
     # an index range or horizon with no points is refused, not reported
@@ -261,7 +276,7 @@ def test_eval_series_csv_round_trips():
     code, out, _ = run("eval", "--poly", "1,1", "--r", "1/2", "--count", "5",
                        "--format", "csv")
     assert code == 0
-    items = formats.series_from_csv(out)
+    items = formats.from_csv(formats.SERIES_ITEM, out)
     assert [it.n for it in items] == [1, 2, 3, 4, 5]
 
 
@@ -362,7 +377,7 @@ def test_raw_csv_stream_and_fast_series_share_one_rule():
                           "--fast", "--format", "csv")
     assert code == 0
     assert raw == series
-    assert all(it.contains_zero for it in formats.series_from_csv(raw))
+    assert all(it.contains_zero for it in formats.from_csv(formats.SERIES_ITEM, raw))
 
 
 def test_float64_batches_over_their_bound_exit_three():
@@ -435,6 +450,14 @@ def test_environment_variable_sets_precision():
     code, out, _ = run("check", "--poly", "1,1", "--precision-bits", "192",
                        env_extra={"PISOT_PRECISION_BITS": "128"})
     assert json.loads(out)["precision_bits"] == 192
+
+
+def test_out_path_that_cannot_be_written_exits_one(tmp_path):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        code, out, err = run("check", "--poly", "1,1", "--out", str(target))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "cannot write" in err
 
 
 def test_out_flag_writes_same_bytes(tmp_path):

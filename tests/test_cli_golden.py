@@ -6,11 +6,15 @@ subcommands, `sample` at small and large N (one float64 batch with a
 precise spot check at every N) and with candidate matching, CSV output and
 a non-default precision and tolerance.
 
+Every stored output is also read back through its `formats` table and
+written again, which must give the same fields (for CSV, the same bytes).
+
 The stored files are the reference; regenerate them only for an intended
 change of output, with `python tests/test_cli_golden.py`.
 """
 
 import io
+import json
 import os
 import sys
 from contextlib import redirect_stdout
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from pisot_spectra import cli
+from pisot_spectra import build_pisot, cli, formats
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -101,6 +105,37 @@ def test_stdout_matches_golden(name, monkeypatch):
     expected = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
     assert out == expected
 
+
+
+TABLES = [t for t in vars(formats).values() if isinstance(t, formats.Table)]
+
+
+def _flag(argv, flag, default=None):
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_round_trips(name):
+    # read at the case's precision, then written again: the same fields, and
+    # for CSV the same bytes
+    argv = CASES[name]
+    pb = int(_flag(argv, "--precision-bits", 256))
+    poly = _flag(argv, "--poly")
+    P = None if poly is None else build_pisot(
+        tuple(int(c) for c in poly.split(",")), precision_bits=pb)
+    text = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    if _flag(argv, "--format") == "csv":
+        header = text.splitlines()[0].split(",")
+        table, = [t for t in TABLES if [f[0] for f in t.fields] == header]
+        rows = formats.from_csv(table, text, pb, P)
+        assert formats.to_csv(table, rows, pb) == text
+        return
+    obj = json.loads(text)
+    table, = [t for t in TABLES
+              if t.const.get("kind") == obj.get("kind")
+              and set(t.const) | {key for key, _, _ in t.fields} <= set(obj)]
+    again = formats.write(table, formats.read(table, obj, pb, P), pb)
+    assert again == {key: obj[key] for key in again}
 
 if __name__ == "__main__":
     os.environ.pop(cli.ENV_PRECISION, None)

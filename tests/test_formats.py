@@ -66,28 +66,28 @@ def test_parse_scalar_marks_kind():
 
 def test_pisot_json_round_trip():
     for P in (GOLDEN, TRIBONACCI):
-        obj = formats.pisot_to_dict(P)
+        obj = formats.write(formats.PISOT, P)
         assert set(obj) == {"d", "theta", "conjugates", "rho",
                             "precision_bits"}
         assert len(obj["conjugates"]) == P.m - 1
-        back = formats.pisot_from_dict(obj)
+        back = formats.read(formats.PISOT, obj)
         assert back.d == P.d
         assert back.precision_bits == P.precision_bits
 
 
 def test_pisot_json_rejects_tampered_theta():
-    obj = formats.pisot_to_dict(GOLDEN)
+    obj = formats.write(formats.PISOT, GOLDEN)
     obj["theta"] = "1.5"
     with pytest.raises(ValueError):
-        formats.pisot_from_dict(obj)
+        formats.read(formats.PISOT, obj)
 
 
 def test_candidate_round_trip():
     cands = enumerate_spectrum(GOLDEN, 1, 2, 2, 3, eta=1e-3)
     for c in cands:
-        obj = formats.candidate_to_dict(c)
+        obj = formats.write(formats.CANDIDATE, c)
         assert set(obj) == {"z", "A", "r", "predicted", "error", "id"}
-        back = formats.candidate_from_dict(GOLDEN, obj)
+        back = formats.read(formats.CANDIDATE, obj, P=GOLDEN)
         assert back.id == c.id and back.A == c.A
         assert [z.coeffs for z in back.z_list] == [z.coeffs for z in c.z_list]
         assert back.r.coeffs == c.r.coeffs
@@ -98,50 +98,50 @@ def test_candidate_round_trip():
 def test_cluster_report_round_trip():
     cands = enumerate_spectrum(GOLDEN, 1, 2, 2, 3, eta=1e-3)
     rep = sample_and_cluster(GOLDEN, 1, 2 * 10**5, 2e-3, candidates=cands)
-    obj = formats.cluster_report_to_dict(rep)
+    obj = formats.write(formats.CLUSTERS, rep)
     for key in ("seed", "r", "N", "eta", "clusters", "matches", "max_gap"):
         assert key in obj
-    back = formats.cluster_report_from_dict(obj)
+    back = formats.read(formats.CLUSTERS, obj)
     assert back == rep
 
 
 def test_interval_round_trip_with_context():
     est = interval_fill_test(GOLDEN, 1.37, 10**4)
-    obj = formats.interval_to_dict(est, r="1.37", N=10**4)
+    obj = formats.write(formats.INTERVAL, est, r="1.37", N=10**4)
     assert obj["kind"] == "interval" and obj["r"] == "1.37"
-    assert formats.interval_from_dict(obj) == est
+    assert formats.read(formats.INTERVAL, obj) == est
 
 
 def test_translated_report_round_trip():
     rep = translated_sample(GOLDEN, 1, 0.5044324023878307, 10**5, 1e-4)
-    back = formats.translated_report_from_dict(
-        formats.translated_report_to_dict(rep))
+    back = formats.read(formats.TRANSLATED,
+                        formats.write(formats.TRANSLATED, rep))
     assert back == rep
 
 
 def test_decay_blocks_round_trip():
     blocks = decay_check(GOLDEN, 100)
-    back = formats.blocks_from_dict(formats.blocks_to_dict(blocks))
+    back = formats.read(formats.BLOCKS, formats.write(formats.BLOCKS, blocks))
     assert back == blocks
 
 
 def test_series_csv_round_trip():
     items = list(coefficient_series(GOLDEN, Fraction(1, 2), 5))
-    text = formats.series_to_csv(items)
+    text = formats.to_csv(formats.SERIES_ITEM, items)
     lines = text.splitlines()
     assert lines[0] == "n,t,value,error_bound,contains_zero"
     assert len(lines) == 6
-    back = formats.series_from_csv(text)
+    back = formats.from_csv(formats.SERIES_ITEM, text)
     assert [b.n for b in back] == [1, 2, 3, 4, 5]
     with mp.workprec(320):
         for a, b in zip(items, back):
             assert abs(a.value - b.value) < mp.mpf(10) ** -70
             assert a.contains_zero == b.contains_zero
     with pytest.raises(ValueError):
-        formats.series_from_csv("wrong,header\n1,2")
+        formats.from_csv(formats.SERIES_ITEM, "wrong,header\n1,2")
 
 
 def test_json_emitter_is_stable():
-    obj = formats.pisot_to_dict(GOLDEN)
+    obj = formats.write(formats.PISOT, GOLDEN)
     assert formats.to_json(obj) == formats.to_json(dict(reversed(obj.items())))
     assert formats.to_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
