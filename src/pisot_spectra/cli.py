@@ -19,24 +19,26 @@ field by its kind in the output's table; CSV rows go through
 Exit codes: 0 success; 1 usage, including a flag value outside its range
 or not a number (--tol or --gap <= 0, --eta < 0, precision below 64 bits
 or not an integer, also in $PISOT_PRECISION_BITS; a scalar or integer
-list such as --t abc, --t 1/0 or --x 1,a), a flag the chosen output does
-not read, and an --out file that cannot be written; 2 domain failure
-(not Pisot, a value the library rejects such as tol >= 1/2, a negative
---r, an empty index range, budget); 3 precision exhaustion, ambiguous
-rounding, or a float64 batch whose derived error bound exceeds its
-tolerance.
+list such as --t abc, --t 1/0 or --x 1,a; a scalar or --alpha that is not
+finite, such as --t inf), a flag the chosen output does not read, and an
+--out file that cannot be written; 2 domain failure (not Pisot, a value
+the library rejects such as tol >= 1/2, an --r that is not positive, an
+empty index range, a non-finite --eta, --gap or --theta, budget); 3
+precision exhaustion, ambiguous rounding, or a float64 batch whose derived
+error bound exceeds its tolerance.  No output prints NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import formats
-from .empirical import (_as_real, decay_check, discrepancy, estimate_J,
+from .empirical import (_sample_start, decay_check, discrepancy, estimate_J,
                         interval_fill_test, sample_and_cluster,
                         translated_sample)
 from .errors import (AmbiguousRoundingError, PisotSpectraError,
@@ -44,7 +46,7 @@ from .errors import (AmbiguousRoundingError, PisotSpectraError,
 from .pisot import FieldElement, PisotNumber, build_pisot, embed
 from .spectrum import (DEFAULT_BUDGET, enumerate_spectrum, limit_value,
                        phi_biinfinite, phi_lambda, synthesize_sequence)
-from .transform import (_fast_items, check_recurrence, coefficient_series,
+from .transform import (_rows, check_recurrence, coefficient_series,
                         digit_trace, mu_hat)
 
 # overrides the default working precision for every subcommand
@@ -102,6 +104,7 @@ _POSITIVE = _ranged(float, lambda v: v > 0, "must be positive")
 # a NaN eta passes here and meets the library's own checks
 _NONNEGATIVE = _ranged(float, lambda v: not v < 0, "must be nonnegative")
 _BITS = _ranged(int, lambda v: v >= 64, "precision bits must be at least 64")
+_FINITE = _ranged(float, math.isfinite, "must be finite")
 
 
 def _arg(flag, **kw):
@@ -231,24 +234,23 @@ def _cmd_synthesize(args, P, pb):
 
 def _cmd_sample(args, P, pb):
     r, kind = _scalar(P, args.r)
-    n_min = args.n_min if args.n_min is not None else args.N // 2
     if args.fmt == "csv":
         ignored = [d for d in REPORT_FLAGS if d in args.given]
         if ignored:
             raise UsageError("sample --format csv streams raw values and "
                              "takes no " + ", ".join(
                                  "--" + d.replace("_", "-") for d in ignored))
-        import numpy as np
-        ns = np.arange(max(1, n_min), args.N + 1, dtype=np.int64)
+        # the report's index range: n_min (default N/2) up to N
+        n_min = _sample_start(args.N, args.eta, args.gap, args.n_min)
         return formats.to_csv(formats.SERIES_ITEM,
-                              _fast_items(P, _as_real(r), ns), pb)
+                              _rows(P, r, n_min, args.N), pb)
     candidates = None
     if args.match_height is not None:
         candidates = enumerate_spectrum(P, r, args.match_height,
                                         args.match_m_max, args.match_a_max,
                                         eta=args.match_eta)
     rep = sample_and_cluster(P, r, args.N, args.eta, gap=args.gap,
-                             n_min=n_min, candidates=candidates,
+                             n_min=args.n_min, candidates=candidates,
                              match_tol=args.match_tol, seed=args.seed)
     return formats.write(formats.CLUSTERS, rep, pb, r_kind=kind)
 
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="sample spacing (default: derivative-safe)"),
         poly="theta")
     sub("discrepancy", _cmd_discrepancy, "star discrepancy of alpha*x_i mod 1",
-        _arg("--alpha", type=float, required=True),
+        _arg("--alpha", type=_FINITE, required=True),
         _arg("--x", help="comma-separated integers"),
         _arg("--count", type=int, help="use x = 1..count"),
         poly="none", one_of=(("--x", "--count"),))

@@ -13,10 +13,14 @@ The remaining operations measure the real-line limit set, equidistribution of
 scaled sequences, translated (complex) coefficients, and the decay of the
 transform for non-Pisot bases.
 
-Every sample is evaluated in one float64 batch of the transform, at any N.
-The batch's derived error bound must stay within the report's validation
-threshold (eta/10, at least 1e-6), far above the bound at the sizes used
-here (about 8e-9 at |t| = 2e6 on the golden base).  A precise spot check of
+Every float64 value at t = r n, in a report or in a row of the float64
+series (transform._rows), comes from _sampled: it reads r by pisot's
+multiplier rule, checks the index range, refuses the batch from its largest
+|t| before building any array, and evaluates it in one batch, at any N.
+The batch's derived error bound must stay within FAST_ERROR for a row, and
+within the report's validation threshold (eta/10, at least 1e-6) for a
+report, far above the bound at the sizes used here (about 8e-9 at
+|t| = 2e6 on the golden base).  A precise spot check of
 SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
 against the threshold, so a fault in the float64 kernel is caught once it
 exceeds the bound the batch claims.  Each reference is a 64-bit value
@@ -39,7 +43,8 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .errors import PrecisionExhaustedError
-from .pisot import FieldElement, PisotNumber, RingElement, _theta_value, embed
+from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
+                    _theta_value, embed)
 from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, _checked_plan,
                         _exact_zeros, _leading_factors_below,
                         fast_error_bound, mu_hat, mu_hat_fast)
@@ -132,26 +137,41 @@ class BlockMaximum:
     value: float
 
 
-def _as_real(x) -> float:
-    if isinstance(x, (RingElement, FieldElement)):
-        return float(embed(x, 1))
-    return float(x)
+def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
+             tol: Optional[float] = None) -> tuple:
+    """(r_val, ns, values) of mu_hat(r n), n = first..last: the one
+    producer of float64 values at t = r n.  r_val is the float of
+    pisot._as_multiplier(r), so r_val last is the largest |t| of a range
+    that starts at 0 or above, and the batch is refused from it before any
+    array is built.  _values_for then evaluates it at tol: FAST_ERROR for
+    the rows that print it, a report's threshold when None.
+    """
+    import numpy as np
+    r_val = float(embed(_as_multiplier(P, r), 1))
+    if not 0 <= first <= last + 1:
+        raise ValueError(f"the index range {first}..{last} is empty or "
+                         "starts below 0")
+    tol = max(eta / 10, FAST_TOL) if tol is None else tol
+    _checked_plan(P, r_val * last, tol)
+    ns = np.arange(first, last + 1, dtype=np.int64)
+    return r_val, ns, _values_for(P, r_val, ns, eta, tol)
 
 
-def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
+def _values_for(P, r_val: float, ns: np.ndarray, eta: float,
+                tol: Optional[float] = None) -> np.ndarray:
     """Transform values at r*n for the ascending index array ns.
 
-    One float64 batch, refused when its derived error bound exceeds the
-    validation threshold (eta/10, at least 1e-6), then a precise spot check
-    at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the endpoints,
-    and so the largest |t|, are among them; an interior index whose value
-    is 0.0 stands for its stride (the indices nearer to it than to its
-    neighbours), and gives way to the nonzero value there nearest to it,
-    when one exists.  With eta > 0 most values are 0.0 (on the golden base
-    at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of 500,001 are kept), so this
-    checks finished values where evenly spaced points would all be dropped
-    ones.  Exact zeros of the product are reported as 0, as the precise
-    path reports them.
+    One float64 batch, refused when its derived error bound exceeds tol (by
+    default the validation threshold eta/10, at least 1e-6), then a precise
+    spot check at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the
+    endpoints, and so the largest |t|, are among them; an interior index
+    whose value is 0.0 stands for its stride (the indices nearer to it than
+    to its neighbours), and gives way to the nonzero value there nearest to
+    it, when one exists.  With eta > 0 most values are 0.0 (on the golden
+    base at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of 500,001 are kept), so
+    this checks finished values where evenly spaced points would all be
+    dropped ones.  Exact zeros of the product are reported as 0, as the
+    precise path reports them.
 
     With eta > 0 the batch runs with the retention floor eta FLOOR_SHARE:
     a value known to end below it comes back as 0.0 (see mu_hat_fast), and
@@ -176,7 +196,7 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float) -> np.ndarray:
     """
     import numpy as np
     ts = np.multiply(r_val, ns, dtype=np.float64)
-    tol = max(eta / 10, FAST_TOL) if eta > 0 else FAST_TOL
+    tol = max(eta / 10, FAST_TOL) if tol is None else tol
     floor = eta * FLOOR_SHARE
     vals = mu_hat_fast(P, ts, tol=tol, floor=floor)
     vals[_exact_zeros(P, ts)] = 0.0
@@ -226,9 +246,9 @@ def _gap_split(sorted_vals: np.ndarray, gap: float):
 def _sample_start(N: int, eta: float, gap: float, n_min: Optional[int]) -> int:
     """Check the sampling parameters; the first index, N/2 by default."""
     if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if not 0 < gap < math.inf:
+        raise ValueError(f"gap must be positive and finite, got {gap}")
     if n_min is None:
         n_min = N // 2
     if not 0 <= n_min < N:
@@ -249,9 +269,8 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     """
     import numpy as np
     n_min = _sample_start(N, eta, gap, n_min)
-    r_val = _as_real(r)
-    ns = np.arange(n_min, N + 1, dtype=np.int64)
-    vals = np.abs(_values_for(P, r_val, ns, eta))
+    r_val, ns, vals = _sampled(P, r, n_min, N, eta)
+    np.abs(vals, out=vals)
 
     keep = vals >= eta
     report = dict(r=r_val, N=N, eta=eta, gap=gap, n_min=n_min, seed=seed)
@@ -326,13 +345,9 @@ def interval_fill_test(P: PisotNumber, r, N: int,
     generic r alike.  It shrinks with N only where the values densify.
     """
     import numpy as np
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if N < 0:
-        raise ValueError(f"the index range [N/2, N] is empty at N = {N}")
-    r_val = _as_real(r)
-    vals = _values_for(P, r_val, np.arange(N // 2, N + 1, dtype=np.int64),
-                       eta)
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be nonnegative and finite, got {eta}")
+    _, _, vals = _sampled(P, r, N // 2, N, eta)
     np.abs(vals, out=vals)
     # with eta = 0 every modulus is kept, so no filtered copy is made
     return _range_stats(vals[vals >= eta] if eta > 0 else vals)
@@ -383,6 +398,8 @@ def discrepancy(alpha, x: Sequence) -> float:
     without numpy: each residue is one correctly rounded division or
     fmod, the bits that numpy gives too.
     """
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n = len(x)
     if n == 0:
         raise ValueError("x must be non-empty")
@@ -455,10 +472,8 @@ def translated_sample(P: PisotNumber, r, gamma, N: int, eta: float,
     """
     import numpy as np
     n_min = _sample_start(N, eta, gap, n_min)
-    r_val = _as_real(r)
-    g_val = _as_real(gamma)
-    ns = np.arange(n_min, N + 1, dtype=np.int64)
-    vals = _values_for(P, r_val, ns, eta)
+    r_val, ns, vals = _sampled(P, r, n_min, N, eta)
+    g_val = float(embed(_as_field_element(P, gamma), 1))
     # a value of 0.0 (an exact zero, or one dropped at the floor) stays
     # below eta whatever its phase, so only the others get one
     live = vals != 0

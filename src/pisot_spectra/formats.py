@@ -30,6 +30,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
@@ -92,7 +93,7 @@ def parse_scalar(P: PisotNumber | None, s: str):
 
     Returns (value, kind).  Exact inputs are integers or fraction lists and
     need P when they use more than one basis coordinate; anything else
-    parses as a float and is marked "real" for reports.
+    parses as a finite float and is marked "real" for reports.
     """
     text = s.strip()
     try:
@@ -107,11 +108,15 @@ def parse_scalar(P: PisotNumber | None, s: str):
         if P is None:
             raise ValueError("multi-coordinate scalar needs a base polynomial")
         return parse_field_str(P, text), "field"
-    return float(text), "real"
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value, "real"
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,8 @@ def _theta_value(theta, prec: int | None = None):
         return theta.theta if prec is None else theta.theta_at(prec)
     with mp.workprec(prec or mp.mp.prec):
         th = _to_mpf(theta)
-    if not th > 1:
-        raise ValueError("theta must exceed 1")
+    if not 1 < th < mp.inf:
+        raise ValueError(f"theta must be finite and exceed 1, got {theta}")
     return th
 
 
@@ -614,6 +614,22 @@ def embed(x, which: int, prec: int | None = None):
         for c in reversed(x.coeffs):
             acc = acc * root + _to_mpf(c)
         return acc
+
+
+def _as_field_element(P: PisotNumber, x) -> FieldElement:
+    if isinstance(x, (RingElement, FieldElement)):
+        if x.P != P:
+            raise ValueError("element belongs to a different Pisot base")
+        return FieldElement(P, x.coeffs)
+    return P.field(Fraction(x))
+
+
+def _as_multiplier(P: PisotNumber, r) -> FieldElement:
+    """The sampling multiplier r as a field element, checked positive."""
+    r_f = _as_field_element(P, r)
+    if embed(r_f, 1) <= 0:
+        raise ValueError("r must be positive")
+    return r_f
 
 
 def _nearest_int(x, pb: int, what: str, exact: bool = False):

@@ -37,6 +37,8 @@ from .pisot import (
     FieldElement,
     PisotNumber,
     RingElement,
+    _as_field_element,
+    _as_multiplier,
     embed,
     field_invert,
     ring_theta_pow,
@@ -75,22 +77,6 @@ class SpectrumCandidate:
     predicted: mp.mpf
     error_bound: mp.mpf
     id: Optional[str] = None
-
-
-def _as_field_element(P: PisotNumber, x: ElementLike) -> FieldElement:
-    if isinstance(x, (RingElement, FieldElement)):
-        if x.P != P:
-            raise ValueError("element belongs to a different Pisot base")
-        return FieldElement(P, x.coeffs)
-    return P.field(Fraction(x))
-
-
-def _as_multiplier(P: PisotNumber, r: ElementLike) -> FieldElement:
-    """The sampling multiplier r as a field element, checked positive."""
-    r_f = _as_field_element(P, r)
-    if embed(r_f, 1) <= 0:
-        raise ValueError("r must be positive")
-    return r_f
 
 
 def _check_admissible(P: PisotNumber, w: FieldElement) -> None:
@@ -446,8 +432,8 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     otherwise (only for a large tol) the window is walked again with
     nothing dropped.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if height < 0 or m_max < 0 or a_max < 0:
         raise ValueError("height, m_max and a_max must be nonnegative")
     r_f = _as_multiplier(P, r)

@@ -53,7 +53,7 @@ from .errors import (
     InvalidToleranceError,
     PrecisionExhaustedError,
 )
-from .pisot import (FieldElement, PisotNumber, _nearest_int, _theta_value,
+from .pisot import (PisotNumber, _as_multiplier, _nearest_int, _theta_value,
                     _to_mpf, embed)
 
 # below this modulus a cosine factor is treated as a potential exact zero
@@ -758,18 +758,15 @@ def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
     return zero.reshape(np.shape(ts))
 
 
-def _fast_items(theta: Theta, r: float, ns) -> list[SeriesItem]:
-    """Float64 series items at t = r*n for the integer array ns.
-
-    Each item carries FAST_ERROR, which the batch's derived bound must not
-    exceed, and brackets zero when its value is within FAST_ZERO of it.
-    """
-    import numpy as np
-    ts = r * np.asarray(ns, dtype=np.float64)
-    vals = mu_hat_fast(theta, ts, tol=FAST_ERROR)
-    return [SeriesItem(int(n), float(t), float(v), FAST_ERROR,
-                       abs(float(v)) <= FAST_ZERO)
-            for n, t, v in zip(ns, ts, vals)]
+def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
+    """Float64 series items at t = r n, n = first..last, from
+    empirical._sampled, each carrying FAST_ERROR and bracketing zero when
+    its value is within FAST_ZERO of it."""
+    # empirical imports this module, so its routine is imported here
+    from .empirical import _sampled
+    r_val, _, vals = _sampled(P, r, first, last, 0.0, FAST_ERROR)
+    return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ZERO)
+            for n, v in zip(range(first, last + 1), vals.tolist())]
 
 
 def digit_trace(P: PisotNumber, y, N: int, delta=None) -> DigitTrace:
@@ -850,25 +847,18 @@ def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
                        fast: bool = False) -> Iterator[SeriesItem]:
     """Stream (n, t=r*n, transform value) for n = 1..N, ordered by n.
 
-    Precise mode carries per-item certified bounds; fast mode evaluates in
-    float64 with fixed evaluation order, each item carrying FAST_ERROR, and
-    raises PrecisionExhaustedError when the derived bound of the batch
-    exceeds it.
+    r is read by pisot._as_multiplier.  Precise mode carries per-item
+    certified bounds; fast mode gives the float64 rows of _rows, each item
+    carrying FAST_ERROR, spot-checked, and refused before the batch is
+    built (PrecisionExhaustedError) when its derived bound exceeds that.
     """
     if N < 0:
         raise ValueError(f"the index range 1..N is empty at N = {N}")
-    if not isinstance(r, FieldElement):
-        r = P.field(r)
-    with mp.workprec(P.precision_bits + 64):
-        r_emb = embed(r, 1)
-        if not r_emb > 0:
-            raise ValueError("r must be positive in the real embedding")
-
     if fast:
-        import numpy as np
-        yield from _fast_items(P, float(r_emb), np.arange(1, N + 1))
+        yield from _rows(P, r, 1, N)
         return
 
+    r_emb = embed(_as_multiplier(P, r), 1)
     for n in range(1, N + 1):
         with mp.workprec(P.precision_bits + 64):
             t = r_emb * n

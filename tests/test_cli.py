@@ -18,14 +18,28 @@ from pisot_spectra import cli, formats
 CMD = [sys.executable, "-m", "pisot_spectra"]
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run(*args, env_extra=None):
-    """(exit code, stdout, stderr) of `pisot args`, run through cli.main."""
+    """(exit code, stdout, stderr) of `pisot args`, run through cli.main.
+
+    Every successful stdout that is neither CSV nor help text must be
+    strict JSON."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name, value in (env_extra or {}).items():
             monkeypatch.setenv(name, value)
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(list(args))
+    if code == 0 and out.getvalue() and not {"csv", "--help"} & set(args):
+        strict_json(out.getvalue())
     return code, out.getvalue(), err.getvalue()
 
 
@@ -142,6 +156,17 @@ def test_usage_errors_exit_one():
                   "--r", "1"),
                  ("discrepancy", "--alpha", "0.3", "--x", "1,a")):
         assert run(*argv)[0] == 1, argv
+    # scalar flags and --alpha must name finite numbers
+    for argv in (("phi", "--poly", "1,1", "--z", "inf"),
+                 ("discrepancy", "--alpha", "inf", "--count", "5"),
+                 ("discrepancy", "--alpha", "nan", "--count", "5"),
+                 ("eval", "--poly", "1,1", "--t", "inf"),
+                 ("eval", "--poly", "1,1", "--t", "nan"),
+                 ("eval", "--poly", "1,1", "--t", "1e400"),
+                 ("eval", "--poly", "1,1", "--r=-inf", "--count", "3"),
+                 ("translate", "--poly", "1,1", "--r", "1", "--gamma", "inf",
+                  "--N", "300")):
+        assert run(*argv)[0] == 1, argv
 
 
 def test_values_only_the_library_rejects_exit_two():
@@ -171,6 +196,71 @@ def test_empty_ranges_exit_two(argv, message):
     # an index range or horizon with no points is refused, not reported
     code, out, err = run(*argv)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
+      "--m-max", "0", "--a-max", "0", "--eta", "nan"), "eta"),
+    (("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
+      "--m-max", "0", "--a-max", "0", "--eta", "inf"), "eta"),
+    (("fill", "--poly", "1,1", "--r", "1", "--N", "300", "--eta", "inf"),
+     "eta"),
+    (("fill", "--poly", "1,1", "--r", "1", "--N", "300", "--eta", "nan"),
+     "eta"),
+    (("sample", "--poly", "1,1", "--r", "1", "--N", "300", "--gap", "inf"),
+     "gap"),
+    (("translate", "--poly", "1,1", "--r", "1", "--gamma", "1/2",
+      "--N", "300", "--gap", "inf"), "gap"),
+    (("decay", "--theta", "inf", "--N", "100"), "theta"),
+    (("jset", "--theta", "inf"), "theta"),
+])
+def test_non_finite_values_exit_two(argv, what):
+    # refused by the library, naming the parameter, before anything prints
+    code, out, err = run(*argv)
+    assert code == 2 and out == "" and what in err
+
+
+@pytest.mark.parametrize("fast", [(), ("--fast",)])
+def test_decimal_series_multiplier_exits_zero(fast):
+    # decimals are read as r as everywhere else, by the multiplier rule
+    code, out, _ = run("eval", "--poly", "1,1", "--r", "1.37", "--count", "3",
+                       *fast)
+    assert code == 0
+    rep = strict_json(out)
+    assert (rep["r"], rep["r_kind"], len(rep["items"])) == ("1.37", "real", 3)
+    assert rep["items"][0]["t"].startswith("1.3700000000000001065814")
+
+
+@pytest.mark.parametrize("r", ["--r=-1", "--r=0"])
+@pytest.mark.parametrize("argv", [
+    ("sample", "--N", "300"),
+    ("sample", "--N", "300", "--format", "csv"),
+    ("fill", "--N", "300"),
+    ("translate", "--gamma", "1/2", "--N", "300"),
+])
+def test_sampled_commands_refuse_nonpositive_r(argv, r):
+    code, out, err = run(argv[0], "--poly", "1,1", r, *argv[1:])
+    assert code == 2 and out == "" and "r must be positive" in err
+
+
+@pytest.mark.parametrize("flags", [("--N", "10", "--n-min", "20"),
+                                   ("--N", "-3"),
+                                   ("--N", "10", "--n-min=-5")])
+def test_sample_csv_checks_the_reports_index_range(flags):
+    argv = ("sample", "--poly", "1,1", "--r", "1", *flags)
+    report = run(*argv)
+    rows = run(*argv, "--format", "csv")
+    assert report[:2] == rows[:2] == (2, "")
+    assert rows[2] == report[2] and "n_min" in rows[2]
+
+
+def test_sample_csv_starts_where_the_report_does():
+    code, out, _ = run("sample", "--poly", "1,1", "--r", "1/2", "--N", "4",
+                       "--n-min", "0", "--format", "csv")
+    assert code == 0
+    rows = formats.from_csv(formats.SERIES_ITEM, out)
+    assert [it.n for it in rows] == [0, 1, 2, 3, 4]
+    assert (rows[0].t, rows[0].value) == (0.0, 1.0)
 
 
 def test_phi_lambda_divergence_exits_two():

@@ -110,6 +110,10 @@ def test_stdout_matches_golden(name, monkeypatch):
 TABLES = [t for t in vars(formats).values() if isinstance(t, formats.Table)]
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _flag(argv, flag, default=None):
     return argv[argv.index(flag) + 1] if flag in argv else default
 
@@ -130,7 +134,8 @@ def test_golden_output_round_trips(name):
         rows = formats.from_csv(table, text, pb, P)
         assert formats.to_csv(table, rows, pb) == text
         return
-    obj = json.loads(text)
+    # strict JSON: no NaN, Infinity or -Infinity token
+    obj = json.loads(text, parse_constant=_not_json)
     table, = [t for t in TABLES
               if t.const.get("kind") == obj.get("kind")
               and set(t.const) | {key for key, _, _ in t.fields} <= set(obj)]

@@ -15,6 +15,7 @@ import pytest
 from pisot_spectra import (
     PrecisionExhaustedError,
     build_pisot,
+    coefficient_series,
     decay_check,
     discrepancy,
     enumerate_spectrum,
@@ -339,6 +340,12 @@ def test_discrepancy_has_numpys_bits():
 
 
 def test_discrepancy_rejects_bad_sequences():
+    # a non-finite alpha is a ValueError on both routes, not an
+    # OverflowError from the exact one or a NaN from the float one
+    for alpha in (math.inf, -math.inf, math.nan):
+        for xs in ([1, 2, 3], [0.5, 1.5]):
+            with pytest.raises(ValueError, match="alpha"):
+                discrepancy(alpha, xs)
     with pytest.raises(ValueError):
         discrepancy(0.3, [])
     with pytest.raises(ValueError):
@@ -520,6 +527,85 @@ def test_sampling_validation_errors():
         decay_check(2.0, 1)
     with pytest.raises(ValueError):
         decay_check(0.9, 100)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: enumerate_spectrum(GOLDEN, 1, 1, 0, 0, eta=math.nan), "eta"),
+    (lambda: enumerate_spectrum(GOLDEN, 1, 1, 0, 0, eta=math.inf), "eta"),
+    (lambda: interval_fill_test(GOLDEN, 1, 100, eta=math.nan), "eta"),
+    (lambda: interval_fill_test(GOLDEN, 1, 100, eta=math.inf), "eta"),
+    (lambda: sample_and_cluster(GOLDEN, 1, 100, 0.1, gap=math.inf), "gap"),
+    (lambda: translated_sample(GOLDEN, 1, 0.5, 100, 0.1, gap=math.inf),
+     "gap"),
+    (lambda: estimate_J(math.inf), "theta"),
+    (lambda: decay_check(math.inf, 100), "theta"),
+])
+def test_non_finite_parameters_are_refused(call, what):
+    with pytest.raises(ValueError, match=what):
+        call()
+
+
+@pytest.mark.parametrize("r", [-1, 0, Fraction(-1, 2), -0.5])
+def test_sampled_series_refuse_nonpositive_r(r):
+    # every float64 row reads r through the multiplier rule
+    for call in (lambda: sample_and_cluster(GOLDEN, r, 100, 0.1),
+                 lambda: interval_fill_test(GOLDEN, r, 100),
+                 lambda: translated_sample(GOLDEN, r, 0.5, 100, 0.1),
+                 lambda: list(coefficient_series(GOLDEN, r, 5, fast=True))):
+        with pytest.raises(ValueError, match="r must be positive"):
+            call()
+
+
+def test_sampled_series_reads_r_as_its_float():
+    # the float of the multiplier rule is float() of a number and the real
+    # embedding of a field element, bit for bit
+    half_theta = GOLDEN.field((0, Fraction(1, 2)))
+    for r, expect in ((1, 1.0), (1.37, 1.37), (Fraction(1, 3), 1 / 3),
+                      (half_theta, float(GOLDEN.theta) / 2)):
+        r_val, ns, _ = empirical._sampled(GOLDEN, r, 2, 5, 0.0)
+        assert r_val == expect and ns.tolist() == [2, 3, 4, 5]
+        assert sample_and_cluster(GOLDEN, r, 100, 0.1).r == expect
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_and_cluster(GOLDEN, 1000, 3 * 10**6, 1e-6),
+     "float64 error bound 1.155e-05 at |t| <= 3e+09 exceeds the tolerance "
+     "1.000e-06"),
+    (lambda: interval_fill_test(GOLDEN, 1000, 3 * 10**6),
+     "float64 error bound 1.155e-05 at |t| <= 3e+09 exceeds the tolerance "
+     "1.000e-06"),
+    (lambda: list(coefficient_series(GOLDEN, 1, 3 * 10**6, fast=True)),
+     "float64 error bound 1.155e-08 at |t| <= 3e+06 exceeds the tolerance "
+     "1.000e-09"),
+], ids=["sample", "fill", "series"])
+def test_refused_sampled_batch_builds_nothing(call, message):
+    # refused from the range's largest |t| before the index array (24 MB
+    # here) or the values are built; the warm-up loads numpy and the pool
+    sample_and_cluster(GOLDEN, 1, 1000, 1e-3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionExhaustedError) as refused:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    assert peak < 2**20
+
+
+def test_float64_rows_zero_exact_zeros_and_are_spot_checked(monkeypatch):
+    # cos(2 pi t) vanishes at t = 1/4 and 3/4: 0.0 there, as on the
+    # precise path
+    items = list(coefficient_series(GOLDEN, Fraction(1, 4), 3, fast=True))
+    assert [it.value for it in items[::2]] == [0.0, 0.0]
+    assert [it.contains_zero for it in items] == [True, False, True]
+    # the rows share the reports' spot check
+    real = empirical.mu_hat_fast
+    monkeypatch.setattr(empirical, "mu_hat_fast",
+                        lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,
+                                                          **kw) + 1e-7)
+    with pytest.raises(PrecisionExhaustedError, match="spot check"):
+        list(coefficient_series(GOLDEN, 1, 50, fast=True))
 
 
 def test_spot_check_catches_a_faulty_kernel(monkeypatch):

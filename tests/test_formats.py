@@ -1,4 +1,5 @@
 """Round trips and determinism of the serialization layer."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,16 @@ def test_parse_scalar_marks_kind():
     assert kind == "real" and v == 0.35
     with pytest.raises(ValueError):
         formats.parse_scalar(None, "1/2,1/2")
+    # a decimal scalar must name a finite number
+    for text in ("inf", "-inf", "nan", "1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            formats.parse_scalar(GOLDEN, text)
+
+
+def test_json_output_refuses_non_finite_floats():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            formats.to_json({"eta": value})
 
 
 def test_pisot_json_round_trip():
