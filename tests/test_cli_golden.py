@@ -3,8 +3,9 @@
 Each case runs in-process through `cli.main` and must print exactly the
 bytes stored in tests/golden/<name>.out.  The cases cover all 14
 subcommands, `sample` at small and large N (one float64 batch with a
-precise spot check at every N) and with candidate matching, CSV output and
-a non-default precision and tolerance.
+precise spot check at every N) and with candidate matching, CSV output
+(float64 rows with exact zeros among them) and a non-default precision and
+tolerance.
 
 Every stored output is also read back through its `formats` table and
 written again, which must give the same fields (for CSV, the same bytes).
@@ -42,6 +43,8 @@ CASES = {
                               "--precision-bits", "512"],
     "eval_fast_csv": ["eval", "--poly", "1,1", "--r", "1/2", "--count", "40",
                       "--fast", "--format", "csv"],
+    "eval_fast_zeros_csv": ["eval", "--poly", "1,1", "--r", "1/4",
+                            "--count", "3", "--fast", "--format", "csv"],
     "trace_golden": ["trace", "--poly", "1,1", "--y", "1", "--count", "30"],
     "trace_tribonacci": ["trace", "--poly", "1,1,1", "--y", "3/2",
                          "--count", "40", "--delta", "1/10"],
