@@ -139,13 +139,9 @@ class BlockMaximum:
 
 def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
              tol: Optional[float] = None) -> tuple:
-    """(r_val, ns, values) of mu_hat(r n), n = first..last: the one
-    producer of float64 values at t = r n.  r_val is the float of
-    pisot._as_multiplier(r), so r_val last is the largest |t| of a range
-    that starts at 0 or above, and the batch is refused from it before any
-    array is built.  _values_for then evaluates it at tol: FAST_ERROR for
-    the rows that print it, a report's threshold when None.
-    """
+    """(r_val, ns, values) of mu_hat(r n), n = first..last (see the module
+    docstring), evaluated by _values_for at tol: FAST_ERROR for the rows
+    that print it, the report's validation threshold when None."""
     import numpy as np
     r_val = float(embed(_as_multiplier(P, r), 1))
     if not 0 <= first <= last + 1:

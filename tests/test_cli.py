@@ -179,6 +179,14 @@ def test_values_only_the_library_rejects_exit_two():
                "--N", "300", "--eta", "0")[0] == 2
     assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
                "--m-max", "0", "--a-max", "0", "--eta", "0")[0] == 2
+    # every sampled command reads --r as eval does
+    for r in ("--r=-1", "--r=0"):
+        for argv in (("sample", "--N", "300"),
+                     ("sample", "--N", "300", "--format", "csv"),
+                     ("fill", "--N", "300"),
+                     ("translate", "--gamma", "1/2", "--N", "300")):
+            code, out, err = run(argv[0], "--poly", "1,1", r, *argv[1:])
+            assert (code, out) == (2, "") and "r must be positive" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -229,18 +237,6 @@ def test_decimal_series_multiplier_exits_zero(fast):
     rep = strict_json(out)
     assert (rep["r"], rep["r_kind"], len(rep["items"])) == ("1.37", "real", 3)
     assert rep["items"][0]["t"].startswith("1.3700000000000001065814")
-
-
-@pytest.mark.parametrize("r", ["--r=-1", "--r=0"])
-@pytest.mark.parametrize("argv", [
-    ("sample", "--N", "300"),
-    ("sample", "--N", "300", "--format", "csv"),
-    ("fill", "--N", "300"),
-    ("translate", "--gamma", "1/2", "--N", "300"),
-])
-def test_sampled_commands_refuse_nonpositive_r(argv, r):
-    code, out, err = run(argv[0], "--poly", "1,1", r, *argv[1:])
-    assert code == 2 and out == "" and "r must be positive" in err
 
 
 @pytest.mark.parametrize("flags", [("--N", "10", "--n-min", "20"),

