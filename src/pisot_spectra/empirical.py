@@ -157,17 +157,17 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float,
                 tol: Optional[float] = None) -> np.ndarray:
     """Transform values at r*n for the ascending index array ns.
 
-    One float64 batch, refused when its derived error bound exceeds tol (by
-    default the validation threshold eta/10, at least 1e-6), then a precise
-    spot check at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the
-    endpoints, and so the largest |t|, are among them; an interior index
-    whose value is 0.0 stands for its stride (the indices nearer to it than
-    to its neighbours), and gives way to the nonzero value there nearest to
-    it, when one exists.  With eta > 0 most values are 0.0 (on the golden
-    base at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of 500,001 are kept), so
-    this checks finished values where evenly spaced points would all be
-    dropped ones.  Exact zeros of the product are reported as 0, as the
-    precise path reports them.
+    One float64 batch, refused when its derived bound exceeds tol (by default
+    the validation threshold eta/10, at least 1e-6), then a precise spot check
+    at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the endpoints,
+    and so the largest |t|, are among them; an interior index whose value
+    is 0.0 stands for its stride (the indices nearer to it than to its
+    neighbours), and gives way to the nonzero value there nearest to it,
+    when one exists.  With eta > 0 most values are 0.0 (on the golden base
+    at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of 500,001 are kept), so this
+    checks finished values where evenly spaced points would all be dropped
+    ones.  Exact zeros of the product are reported as 0, as the precise
+    path reports them.
 
     With eta > 0 the batch runs with the retention floor eta FLOOR_SHARE:
     a value known to end below it comes back as 0.0 (see mu_hat_fast), and
