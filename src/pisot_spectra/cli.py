@@ -17,8 +17,9 @@ field by its kind in the output's table; CSV rows go through
 `formats.to_csv` and the same tables.
 
 Exit codes: 0 success; 1 usage, including a flag value outside its range
-or not a number (--tol or --gap <= 0, --eta < 0, precision below 64 bits
-or not an integer, also in $PISOT_PRECISION_BITS; a scalar or integer
+or not a number (--tol or --gap <= 0, --eta < 0, a --match-tol that is
+not positive and finite, precision below 64 bits or not an integer, also
+in $PISOT_PRECISION_BITS; a scalar or integer
 list such as --t abc, --t 1/0 or --x 1,a; a scalar or --alpha that is not
 finite, such as --t inf), a flag the chosen output does not read, and an
 --out file that cannot be written; 2 domain failure (not Pisot, a value
@@ -101,6 +102,8 @@ def _ranged(kind, ok, rule):
 
 
 _POSITIVE = _ranged(float, lambda v: v > 0, "must be positive")
+_POSITIVE_FINITE = _ranged(float, lambda v: 0 < v < math.inf,
+                           "must be positive and finite")
 # a NaN eta passes here and meets the library's own checks
 _NONNEGATIVE = _ranged(float, lambda v: not v < 0, "must be nonnegative")
 _BITS = _ranged(int, lambda v: v >= 64, "precision bits must be at least 64")
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         _arg("--match-m-max", type=int, default=2),
         _arg("--match-a-max", type=int, default=3),
         _arg("--match-eta", type=float, default=1e-3),
-        _arg("--match-tol", type=float, default=1e-2),
+        _arg("--match-tol", type=_POSITIVE_FINITE, default=1e-2),
         csv=True, seed=True, eta=0.05, gap=True)
     sub("fill", _cmd_fill,
         "largest gap of sorted sampled moduli (interval test)",

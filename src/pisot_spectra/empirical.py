@@ -261,10 +261,14 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     Only the tail n >= n_min (default N/2) enters, approximating limit
     points; values below eta are dropped; sorted values split at gaps
     larger than `gap`.  When a candidate list is given, each cluster is
-    matched to the candidate of closest predicted value within match_tol.
+    matched to the candidate of closest predicted value within match_tol,
+    which must be positive and finite.
     """
     import numpy as np
     n_min = _sample_start(N, eta, gap, n_min)
+    if not 0 < match_tol < math.inf:
+        raise ValueError(
+            f"match_tol must be positive and finite, got {match_tol}")
     r_val, ns, vals = _sampled(P, r, n_min, N, eta)
     np.abs(vals, out=vals)
 

@@ -169,6 +169,13 @@ def test_usage_errors_exit_one():
         assert run(*argv)[0] == 1, argv
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_match_tol_outside_its_range_exits_one(value):
+    code, out, err = run("sample", "--poly", "1,1", "--r", "1", "--N", "300",
+                         "--match-height", "1", f"--match-tol={value}")
+    assert (code, out) == (1, "") and "positive and finite" in err
+
+
 def test_values_only_the_library_rejects_exit_two():
     # in range for the flag, out of range for the evaluation
     assert run("eval", "--poly", "1,1", "--t", "3/2", "--tol", "0.7")[0] == 2

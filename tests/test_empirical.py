@@ -536,6 +536,15 @@ def test_sampling_validation_errors():
         decay_check(0.9, 100)
 
 
+@pytest.mark.parametrize("match_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_match_tol_outside_its_range_is_refused(match_tol):
+    # refused with or without candidates, before any sampling
+    for candidates in (None, []):
+        with pytest.raises(ValueError, match="match_tol"):
+            sample_and_cluster(GOLDEN, 1, 100, 0.1, candidates=candidates,
+                               match_tol=match_tol)
+
+
 @pytest.mark.parametrize("call, what", [
     (lambda: enumerate_spectrum(GOLDEN, 1, 1, 0, 0, eta=math.nan), "eta"),
     (lambda: enumerate_spectrum(GOLDEN, 1, 1, 0, 0, eta=math.inf), "eta"),

@@ -820,6 +820,52 @@ def test_derived_bound_grows_linearly_in_t():
     assert fast_error_bound(GOLDEN, 2.5e5) < FAST_ERROR
 
 
+def _cos_arguments():
+    # the float64 path's reduced arguments lie in [-pi, pi]: uniform points,
+    # runs of 128 consecutive doubles on each side of every multiple of
+    # pi/4 there, and points 2^-e off each multiple
+    rng = np.random.default_rng(2024)
+    xs = [rng.uniform(-math.pi, math.pi, 6000)]
+    for k in range(-4, 5):
+        c = k * math.pi / 4
+        run = [c]
+        for step in (-math.inf, math.inf):
+            x = c
+            for _ in range(128):
+                x = math.nextafter(x, step)
+                run.append(x)
+        xs.append(np.array(run))
+        xs.append(c + np.ldexp(1.0, -np.arange(1, 53))
+                  * np.array([-1.0, 1.0])[:, None])
+    xs = np.concatenate([np.ravel(x) for x in xs])
+    return xs[np.abs(xs) <= math.pi]
+
+
+def _cos_reference(xs):
+    # cos(x) at 90 bits as hi + lo, a pair of doubles
+    with mp.workprec(90):
+        cs = [mp.cos(mp.mpf(float(x))) for x in xs]
+        hi = np.array([float(c) for c in cs])
+        lo = np.array([float(c - h) for c, h in zip(cs, hi)])
+    return hi, lo
+
+
+def _worst_cos_ulps(got, hi, lo) -> float:
+    # largest |got - cos(x)| in ulps of cos(x); got - hi is exact where the
+    # two are within a factor 2
+    return float(np.max(np.abs((got - hi) - lo) / np.spacing(np.abs(hi))))
+
+
+def test_numpy_cosine_within_the_float_paths_premise():
+    # _FACTOR_ERROR takes numpy's float64 cosine within 4 ulps; the float
+    # path calls it on whole arrays, and so does this test
+    xs = _cos_arguments()
+    hi, lo = _cos_reference(xs)
+    assert _worst_cos_ulps(np.cos(xs), hi, lo) <= 4
+    # a cosine off by a relative 8u breaks the premise and is caught
+    assert _worst_cos_ulps(np.cos(xs) * (1 + 8 * _U), hi, lo) > 4
+
+
 TAIL_BASES = [GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2,)),
               build_pisot((3,)), 1.5, 1.01]
 TAIL_IDS = ["golden", "tribonacci", "quartic", "binary", "ternary",
