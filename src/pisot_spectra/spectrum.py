@@ -421,7 +421,11 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     bits are the same.  Every factor Phi(z) and |mu_hat(r A)| is at most 1,
     and mpf rounding is monotone, so no candidate below a prefix exceeds
     the prefix's upper product times (tail value + tail error).  The walk
-    pushes a prefix only while that bound reaches thr = eta/2.
+    pushes a prefix only while that bound reaches thr = eta/2.  A parent
+    scans its children by descending upper bracket, sorted once, and stops
+    at the first whose bound falls below thr: by the same monotonicity no
+    later child reaches it.  The walk order does not reach the output,
+    which the merge sorts.
 
     Values within 2*tol of each other are merged single-linkage, keeping the
     earliest id, and the result is sorted by descending value; the merge
@@ -464,6 +468,7 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         found = []
         first = 0  # id of the first candidate with M + 1 vectors
         one = mp.mpf(1)
+        level = order = None
         for M in range(m_max + 1):
             block = n_vec ** (M + 1)
             for A in range(-a_max, a_max + 1):
@@ -471,7 +476,12 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
                 tail_upper = tail[0] + tail[1]
                 if tail_upper < thr:  # the empty prefix's bound
                     continue
-                level = [bracket_of(key) for key in keys]
+                if level is None:
+                    level = [bracket_of(key) for key in keys]
+                    # by descending upper bracket: rounding is monotone, so
+                    # the first child below thr ends its parent's scan
+                    order = sorted(range(n_vec), key=lambda i: level[i][1],
+                                   reverse=True)
                 offset = first + (A + a_max) * block
                 # (prefix as indices into vecs, its digits, and its running
                 # value, upper and lower products)
@@ -486,11 +496,13 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
                         ))
                         continue
                     value, upper, lower = prefix
-                    for i, (v, v_up, v_low) in enumerate(level):
+                    for i in order:
+                        v, v_up, v_low = level[i]
                         up = upper * v_up
-                        if up * tail_upper >= thr:
-                            stack.append((combo + (i,), digits * n_vec + i,
-                                          (value * v, up, lower * v_low)))
+                        if up * tail_upper < thr:
+                            break
+                        stack.append((combo + (i,), digits * n_vec + i,
+                                      (value * v, up, lower * v_low)))
             first += (2 * a_max + 1) * block
         return found
 
