@@ -6,10 +6,17 @@ of a Pisot base when its traces are integers; for j < 0 the argument
 shrinks like theta^j.  The factors come from transform's fixed-point
 integer kernel: for j >= 0 at the conjugate power sums, each term a
 fixed-point complex int stepped by one multiply by theta_i, and for j < 0
-from mu_hat's own loop at t = |w|/2.  The kernel's error E is derived (see
-_biinfinite_product) and W chosen so that it stays within 2^-(pb+12).  A
-rational orbit element keeps its exact factor; for m > 1 there is at most
-one, and the embeddings' moduli say at which offset (_rational_offsets).  Both tails carry certified truncation bounds from
+from mu_hat's own loop at t = |w|/2.  The ascending side is explicit only
+until its arguments fall below a cut; past it, log cos's Taylor series
+sums every factor in closed form, from the kernel's terms at the cut and
+constants 1/(1 - prod theta_i^k_i) cached per base (for these products,
+see Erdos, Amer. J. Math. 61, 1939, and Salem, Algebraic Numbers and
+Fourier Analysis, 1963, ch. II).  The kernel's error E is
+derived (see _biinfinite_product) and W chosen so that it stays within
+2^-(pb+12).  A rational orbit element keeps its exact factor; for m > 1
+there is at most one, and the plan's embeddings say at which offset
+(_rational_offsets).  The series remainder is at most tol, and the
+descending tail carries a certified truncation bound from
 |log cos x| <= x^2 on |x| <= 1.
 
 limit_value multiplies such products with a one-sided tail to predict the
@@ -25,8 +32,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as iter_product
-from typing import Optional, Sequence, Union
+from itertools import (chain, combinations_with_replacement,
+                       product as iter_product)
+from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath as mp
 from mpmath.libmp.libelefun import pi_fixed
@@ -56,6 +64,10 @@ from .transform import (COS_FIXED_ERROR, _check_tol, _cos_fixed, _depth,
                         _kernel_cosines, _mag_estimate, mu_hat)
 
 DEFAULT_BUDGET = 10**6
+# the ascending tail takes as many series terms as its remainder needs at
+# pi C rho^J = ASCENT_CUT, and with those the explicit product stops as
+# early as they allow (see _ascent_terms and _biinfinite_product)
+ASCENT_CUT = 2.0 ** -10
 
 ElementLike = Union[RingElement, FieldElement, int, Fraction]
 
@@ -109,42 +121,115 @@ def _exact_cos_factor(c: Fraction):
     return abs(mp.cospi(_to_mpf(min(frac, 1 - frac))))
 
 
-def _phi_plan(P: PisotNumber, w: FieldElement, tol):
-    """(j_pos, n_neg, W, E) of the two-sided product at w: factors at
-    j = 0..j_pos-1 and j = -1..-n_neg, the kernel's fractional bits and its
-    derived error in units of 2^-W (see _biinfinite_product).  Runs at the
-    caller's pb + GUARD_BITS bits."""
+class _PhiPlan(NamedTuple):
+    """The two-sided product's plan at w (see _biinfinite_product)."""
+
+    J: int          # explicit ascending factors j = 0..J-1
+    N: int          # series terms of the ascending tail j >= J
+    n_neg: int      # descending factors j = -1..-n_neg
+    W: int          # the kernel's fractional bits
+    E: int          # its derived error in units of 2^-W
+    moduli: tuple   # |w_1| and, for m > 1, |w_2|, at pb bits
+
+
+@functools.cache
+def _log_cos_coefficient(n: int) -> Fraction:
+    """c_n of -log cos x = sum_(n>=1) c_n x^(2n), all positive:
+    2^(2n-1) (2^(2n) - 1) |B_2n| / (n (2n)!)."""
+    p, q = mp.bernfrac(2 * n)
+    return Fraction(2 ** (2 * n - 1) * (2 ** (2 * n) - 1) * abs(p),
+                    q * n * math.factorial(2 * n))
+
+
+def _series_remainder(x, rho, N: int):
+    """Bound on sum_(j>=J) sum_(n>N) c_n (pi s_j)^(2n) when
+    pi |s_j| <= x rho^(j-J) and x < 1: c_n decreases, so the inner sum is
+    at most c_(N+1) y^(2N+2)/(1 - y^2) at y = pi |s_j| <= x, and the sum
+    over j is geometric in rho^(2N+2)."""
+    c = _log_cos_coefficient(N + 1)
+    return (mp.mpf(c.numerator) / c.denominator * x ** (2 * N + 2)
+            / ((1 - rho ** (2 * N + 2)) * (1 - x * x)))
+
+
+@functools.lru_cache(maxsize=64)
+def _ascent_terms(rho, tol):
+    """(N, cut) of the ascending tail: the fewest series terms N whose
+    remainder at x = ASCENT_CUT is at most tol, and the largest cut <= 1/2
+    of the form ASCENT_CUT (17/16)^k at which it still is.  Taken at 64
+    bits, with the remainder raised by 2^-32 for their rounding; cached per
+    base's rho and tol."""
+    with mp.workprec(64):
+        def remainder(x, N):
+            return _series_remainder(x, rho, N) * (1 + mp.mpf(2) ** -32)
+        cut, step = mp.mpf(ASCENT_CUT), mp.mpf(17) / 16
+        N = 0
+        while remainder(cut, N) > tol:
+            N += 1
+        while cut * step <= 0.5 and remainder(cut * step, N) <= tol:
+            cut *= step
+    return N, cut
+
+
+def _ascent_cut(P: PisotNumber, big_c, tol):
+    """(J, N, x_J) of the ascending side: N and cut from _ascent_terms, and
+    the first J with x_J = pi C rho^J <= cut."""
+    N, cut = _ascent_terms(P.rho, tol)
+    x, rho = mp.pi * big_c, P.rho
+    J = 0
+    if x > cut:
+        # a float estimate two steps short, then one multiply per step
+        J = max(0, math.floor(math.log(float(x / cut))
+                              / -math.log(float(rho))) - 2)
+        x *= rho ** J
+        if x <= cut:  # the estimate overshot: walk from the start
+            J, x = 0, mp.pi * big_c
+        while x > cut:
+            J, x = J + 1, x * rho
+    return J, N, x
+
+
+def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
+    """The plan of the two-sided product at w (see _biinfinite_product).
+    Runs at the caller's pb + GUARD_BITS bits."""
     pb = P.precision_bits
     emb = [embed(w, i) for i in range(2, P.m + 1)]
     big_c = mp.fsum(abs(v) for v in emb)
     # ascending side: |cos| defects shrink like rho^j; descending side:
     # arguments shrink like theta^-k
-    j_pos = _depth(mp.pi * big_c, 1 / P.rho, tol) if emb else 0
+    J, N, x_J = _ascent_cut(P, big_c, tol) if emb else (0, 0, 0)
     th = P.theta_at(pb + GUARD_BITS)
     w1 = abs(embed(w, 1, pb))
     n_neg = _depth(mp.pi * w1, th, tol, start=1) - 1
-    # error of sum_i Re z_(i,j): under 2 units from the start of each term,
-    # and per step 2 for its two floors and |w_i| for the rounded theta_i
-    arg = (P.m - 1) * (2 + 2 * j_pos) + (int(big_c) + 1) * j_pos
-    E = 2 * (j_pos * (COS_FIXED_ERROR + 4 + 4 * arg)
+    # error of sum_i Re z_(i,j) up to j = J: under 2 units from the start
+    # of each term, and per step 2 for its two floors and |w_i| for the
+    # rounded theta_i
+    arg = (P.m - 1) * (2 + 2 * J) + (int(big_c) + 1) * J
+    tail = 0
+    if N:
+        with mp.workprec(64):
+            # the tail's E_t, with eps = (4 A + 1) units of 2^-(pb+12)
+            eps = mp.ldexp(4 * arg + 1, -(pb + 12))
+            tail = int(_kappa(P) * (4 * arg + 1) * mp.tan(x_J + eps)) + 6
+    E = 2 * (J * (COS_FIXED_ERROR + 4 + 4 * arg) + tail
              + n_neg * _descent_error(th, n_neg, _mag_estimate(w1),
                                       x0_error=2))
-    return j_pos, n_neg, pb + 12 + E.bit_length(), E
+    moduli = (w1, abs(emb[0])) if emb else (w1,)
+    return _PhiPlan(J, N, n_neg, pb + 12 + E.bit_length(), E, moduli)
 
 
-def _rational_offsets(P: PisotNumber, w: FieldElement):
+def _rational_offsets(P: PisotNumber, moduli):
     """The offsets j at which w theta^j can be rational, for m > 1, or None
-    when an embedding of w is too small to tell.
+    when an embedding of w is too small to tell; moduli are the plan's
+    |w_1| and |w_2|.
 
     A rational u = w theta^j equals each of its embeddings, so
     |w| theta^j = |w_2| |theta_2|^j, which fixes j at
     j* = log(|w_2| / |w|) / log(theta / |theta_2|); the integers within 1
-    of j* are returned.  embed at 53 bits works 64 bits beyond w's
-    coefficient sizes, so Horner leaves it off by about
-    m^2 theta^(m-1) 2^-117 at most; a modulus below 2^53 times that is
-    not trusted.
+    of j* are returned.  A modulus below m^2 theta^(m-1) 2^-64 is not
+    trusted: that is 2^53 times Horner's noise in an embedding at 53 bits,
+    far above the noise at the plan's pb bits.
     """
-    w1, w2 = abs(embed(w, 1, 53)), abs(embed(w, 2, 53))
+    w1, w2 = moduli
     with mp.workprec(64):
         if min(w1, w2) < P.m ** 2 * P.theta ** (P.m - 1) * mp.mpf(2) ** -64:
             return None
@@ -154,7 +239,7 @@ def _rational_offsets(P: PisotNumber, w: FieldElement):
 
 
 def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
-                       n_neg: int):
+                       n_neg: int, moduli):
     """(j, u) for each rational u = w theta^j, j = 0..j_pos-1 and then
     j = -1..-n_neg: all of them for m = 1, at most one otherwise.
 
@@ -167,7 +252,7 @@ def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
     d = P.d
     den = math.lcm(*(c.denominator for c in w.coeffs))
     start = [int(c * den) for c in w.coeffs]
-    offsets = _rational_offsets(P, w) if P.m > 1 else None
+    offsets = _rational_offsets(P, moduli) if P.m > 1 else None
     if offsets is not None:
         up = P.theta_ring().coeffs
         down = _div_by_theta_scaled([1] + [0] * (P.m - 1), d)  # d_m / theta
@@ -196,12 +281,96 @@ def _floor_fixed(x, W: int) -> int:
     return int(mp.floor(mp.ldexp(x, W)))
 
 
-def _ascending_cosines(P: PisotNumber, w: FieldElement, W: int, n: int,
+def _kappa(P: PisotNumber) -> int:
+    """An integer above 1/(1 - rho^2), which bounds every
+    |1/(1 - prod theta_i^k_i)| of the ascending tail."""
+    with mp.workprec(64):
+        return int(1 / (1 - P.rho ** 2)) + 1
+
+
+def _tail_constants(P: PisotNumber, W: int, N: int):
+    """(G, Wk, groups) of the ascending tail at W fractional bits with N
+    series terms.  The tail runs at W + G bits, G the bit length of its
+    rounding R' (see _biinfinite_product); groups come from _tail_groups at
+    Wk >= W + G bits, the same Wk for every W of one 64-bit bucket."""
+    kappa, m1 = _kappa(P), P.m - 1
+    rounding = sum(_log_cos_coefficient(n) * m1 ** (2 * n)
+                   * (kappa * (4 * n - 2) + 3) + 1 for n in range(1, N + 1))
+    G = math.ceil(rounding).bit_length()
+    Wk = ((W >> 6) + 1 << 6) + G
+    return G, Wk, _tail_groups(P, P.precision_bits, N, Wk)
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_groups(P: PisotNumber, pb: int, N: int, Wk: int) -> tuple:
+    """For n = 1..N, c_n and one (k, M, K) per multiset of 2n conjugate
+    indices: k its counts, M its multinomial and K = 1/(1 - prod
+    theta_i^k_i) in units of 2^-Wk, each component rounded to nearest.
+    Cached per base and Wk; pb is part of the key because bases compare by
+    their digits alone."""
+    m1 = P.m - 1
+    groups = []
+    with mp.workprec(Wk + 32 + 2 * _kappa(P).bit_length() + N.bit_length()):
+        pows = []
+        for i in range(2, P.m + 1):
+            r = P.root_at(i, mp.mp.prec)
+            pows.append([mp.mpc(1)])
+            for _ in range(2 * N):
+                pows[-1].append(pows[-1][-1] * r)
+        for n in range(1, N + 1):
+            group = []
+            for combo in combinations_with_replacement(range(m1), 2 * n):
+                k = tuple(combo.count(i) for i in range(m1))
+                M = math.factorial(2 * n)
+                for e in k:
+                    M //= math.factorial(e)
+                K = 1 / (1 - mp.fprod(row[e] for row, e in zip(pows, k)))
+                group.append((k, M, int(mp.nint(mp.ldexp(K.real, Wk))),
+                              int(mp.nint(mp.ldexp(K.imag, Wk)))))
+            groups.append((_log_cos_coefficient(n), tuple(group)))
+    return tuple(groups)
+
+
+def _ascent_tail(P: PisotNumber, terms, W: int, N: int) -> int:
+    """exp(-T) in units of 2^-W, T = sum_(n<=N) c_n sum_(j>=J) (pi s_j)^(2n)
+    in closed form, from the fixed-point terms w_i theta_i^J at W bits (see
+    _biinfinite_product)."""
+    G, Wk, groups = _tail_constants(P, W, N)
+    Wt = W + G
+    pi_t = pi_fixed(Wt)
+    # pows[i][e] = (pi w_i theta_i^J)^e at Wt bits, e = 1..2N
+    pows = []
+    for x, y in terms:
+        a, b = (x * pi_t) >> W, (y * pi_t) >> W
+        row = [None, (a, b)]
+        for _ in range(2 * N - 1):
+            u, v = row[-1]
+            row.append(((u * a - v * b) >> Wt, (u * b + v * a) >> Wt))
+        pows.append(row)
+    T = 0
+    for c, group in groups:
+        S = 0
+        for k, M, Kr, Ki in group:
+            p = None
+            for row, e in zip(pows, k):
+                if e:
+                    a, b = row[e]
+                    p = (a, b) if p is None else (
+                        (p[0] * a - p[1] * b) >> Wt, (p[0] * b + p[1] * a) >> Wt)
+            S += M * ((p[0] * Kr - p[1] * Ki) >> Wk)
+        T += S * c.numerator // c.denominator
+    with mp.workprec(W + 16):
+        return int(mp.floor(mp.ldexp(mp.exp(mp.ldexp(-T, -Wt)), W)))
+
+
+def _ascending_cosines(P: PisotNumber, w: FieldElement, plan: _PhiPlan,
                        tiny: int):
-    """cos(pi s_j) in units of 2^-W, j = 0..n-1, at the conjugate power sum
-    s_j = sum_{i>=2} w_i theta_i^j.  Each term is a fixed-point complex int
-    stepped by one complex multiply by theta_i; a sum whose imaginary part
-    exceeds tiny units raises."""
+    """cos(pi s_j) in units of 2^-W, j = 0..J-1, at the conjugate power sum
+    s_j = sum_{i>=2} w_i theta_i^j, and then, when N > 0, the tail factor of
+    j >= J (_ascent_tail).  Each term is a fixed-point complex int stepped by
+    one complex multiply by theta_i; a sum whose imaginary part exceeds
+    tiny units raises."""
+    W = plan.W
     work = W + _coeff_bits(w) + GUARD_BITS  # embed's at W bits
     with mp.workprec(work):
         terms = [(_floor_fixed(z.real, W), _floor_fixed(z.imag, W))
@@ -211,7 +380,7 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, W: int, n: int,
                  for r in (P.root_at(i, work) for i in range(2, P.m + 1))]
     pi_w, half_pi = pi_fixed(W), pi_fixed(W - 1)
     mask = (1 << W) - 1
-    for _ in range(n):
+    for _ in range(plan.J):
         if abs(sum(y for _, y in terms)) > tiny:
             raise PrecisionExhaustedError(
                 "conjugate power sum has a non-real residue"
@@ -220,41 +389,71 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, W: int, n: int,
         yield _cos_fixed(((s & mask) * pi_w) >> W, W, half_pi)
         terms = [((x * a - y * b) >> W, (x * b + y * a) >> W)
                  for (x, y), (a, b) in zip(terms, steps)]
+    if plan.N:
+        yield _ascent_tail(P, terms, W, plan.N)
 
 
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     """Shared core: (value, error_bound) of prod_{j in Z} |cos(pi w theta^j)|.
 
-    The factors are those of u = w theta^j for j = 0..j_pos-1 and
-    j = -1..-n_neg, with both depths from the rule of _truncation_depth.
-    The orbit's rational elements are found exactly first
+    The factors are those of u = w theta^j for j = 0..J-1 and
+    j = -1..-n_neg, times one tail factor for all j >= J.  n_neg is from
+    the rule of _truncation_depth; J is the first j with
+    pi C rho^j <= cut, C = sum_(i>=2) |w_i|, where N and cut come from
+    _ascent_terms.  The orbit's rational elements are found exactly first
     (_rational_elements): a rational u takes its factor from
-    _exact_cos_factor, and an exact half-integer gives (0, 0).  Every
-    other factor comes from a fixed-point integer kernel with W fractional
-    bits.  w's sign is fixed first, as the larger coefficient vector of w
-    and -w, so Phi(-w) has the bits of Phi(w).
-      - j >= 0: u is congruent mod 1 to -s_j, the conjugate power sum
+    _exact_cos_factor, and an exact half-integer gives (0, 0).  No u with
+    j >= J is rational: it would have |s_j| = (m - 1)|u| < 1/2 and
+    m u = u + s_j an integer, so u = 0.  Every other factor comes from a
+    fixed-point integer kernel with W fractional bits.  w's sign is fixed
+    first, as the larger coefficient vector of w and -w, so Phi(-w) has the
+    bits of Phi(w).
+      - 0 <= j < J: u is congruent mod 1 to -s_j, the conjugate power sum
         sum_{i>=2} w_i theta_i^j, since u + s_j is the integer trace of u.
         Each w_i theta_i^j is a fixed-point complex int, started at
         embed(w, i, W) and stepped by one multiply by theta_i, rounded
         from the root that embed took; the factor is |cos(pi s_j)|,
         s_j = sum_i Re.
+      - j >= J: log cos x = -sum_n c_n x^(2n) with every c_n > 0, so these
+        factors are exp(-T - R), T = sum_(n<=N) c_n S_2n and
+        S_2n = sum_(j>=J) (pi s_j)^(2n).  With a_i = pi w_i theta_i^J,
+        S_2n = Re sum_k M_k prod_i a_i^k_i / (1 - prod_i theta_i^k_i)
+        over the multisets k of 2n conjugate indices, M_k their
+        multinomial.  The a_i are the kernel's terms at step J, times pi;
+        the constants 1/(1 - prod theta_i^k_i) come from _tail_constants.
+        The tail factor is exp(-T) (_ascent_tail), and the remainder
+        0 <= R <= tol (see _series_remainder).
       - j < 0: u is w theta^-k, k = -j, so the factor is mu_hat's at
         t = |w|/2 and k = 1..n_neg, from its kernel (_kernel_cosines).
     One running product of W + 1 significant bits takes them all.
 
-    The kernel's absolute error, in units of 2^-W, with C = sum_i |w_i|:
-      - s_j is off by at most A = (m - 1)(2 + 2 j_pos) + C j_pos: each
+    The kernel's absolute error, in units u = 2^-W:
+      - s_j, j <= J, is off by at most A = (m - 1)(2 + 2 J) + C J: each
         term starts under 2 units off, and a step adds 2 for its floors and
         |w_i theta_i^j| <= |w_i| for the rounded theta_i, while an earlier
         error is scaled by at most |theta_i| + 2^-W <= 1;
       - an ascending factor by COS_FIXED_ERROR, 3 for its fixed-point
         argument, pi A < 4 A and one unit for the product's shift;
+      - the tail factor by E_t = kappa (4 A + 1) tan(x_J + (4 A + 1) u)
+        + 6, kappa >= 1/(1 - rho^2) >= |1/(1 - prod theta_i^k_i)| (_kappa):
+          - the a_i together are off by eps <= (pi A + 1) u: pi times the
+            terms' errors, and under 3 units of 2^-(W+G) each for the
+            product by pi.  |T| over the multisets grows by at most
+            kappa (f(b + eps) - f(b)) <= kappa eps tan(b + eps), with
+            f = -log cos and b = sum_i |a_i| <= x_J;
+          - rounding, at W + G bits: a product of e factors of modulus
+            at most 1 is off by 2(e - 1) units of 2^-(W+G), a constant by
+            under 1, the real part of their product by 1, and c_n S_2n by
+            1 more.  Over the (m - 1)^(2n) weighted multisets that is
+            R' = sum_(n<=N) (c_n (m - 1)^(2n) (kappa (4n - 2) + 3) + 1)
+            < 2^G units of 2^-(W+G), under one unit u;
+          - exp(-T) at W + 16 bits and its floor: 2 units; the slope of
+            exp is at most 1 + u: one more; the product's shift: one;
       - a descending factor as in mu_hat at depth n_neg, with x_0 under 2
         units off: one for its floor, one for the embedding of w;
       - the cosines' excess over 1 at most doubles the sum over the
         factors.
-    So E = 2 (j_pos (COS_FIXED_ERROR + 4 + 4 A) + n_neg e), e the
+    So E = 2 (J (COS_FIXED_ERROR + 4 + 4 A) + E_t + n_neg e), e the
     descending factor's, and W = pb + 12 plus the bit length of E: the
     kernel is within 2^-(pb+12).  The exact factors and the result round
     at pb + GUARD_BITS bits, so the bound's 2^-(pb+10) term covers all
@@ -268,9 +467,10 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     pb = P.precision_bits
 
     with mp.workprec(pb + GUARD_BITS):
-        j_pos, n_neg, W, E = _phi_plan(P, w, tol)
+        plan = _phi_plan(P, w, tol)
+        J, n_neg, W = plan.J, plan.n_neg, plan.W
         exact = {}
-        for j, u in _rational_elements(P, w, j_pos, n_neg):
+        for j, u in _rational_elements(P, w, J, n_neg, plan.moduli):
             exact[j] = _exact_cos_factor(u)
             if exact[j] is None:
                 return mp.mpf(0), mp.mpf(0)
@@ -279,8 +479,10 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         if P.m > 1:  # for m = 1 every orbit element is rational
             tiny = 1 << (W - pb // 2)
             x0 = _fixed_abs(embed(w, 1, W), W - 1, 0)  # t = |w|/2
-            offsets = chain(range(j_pos), range(-1, -n_neg - 1, -1))
-            cosines = chain(_ascending_cosines(P, w, W, j_pos, tiny),
+            # offset J stands for the whole tail j >= J, never rational
+            n_pos = J + (plan.N > 0)
+            offsets = chain(range(n_pos), range(-1, -n_neg - 1, -1))
+            cosines = chain(_ascending_cosines(P, w, plan, tiny),
                             _kernel_cosines(P, x0, W, 1, n_neg))
 
             def numeric():
@@ -296,7 +498,7 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
 
             value, _ = _fixed_product(numeric(), W)
             value = abs(value)
-            n_numeric = j_pos + n_neg - len(exact)
+            n_numeric = n_pos + n_neg - len(exact)
         for f in exact.values():
             if f != 1:
                 value *= f

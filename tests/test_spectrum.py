@@ -184,13 +184,23 @@ PHI_LAMBDA_FROZEN = [
 ]
 
 
+def _rounding_of(digits: str):
+    # half a unit in the last of the 60 significant digits a frozen string
+    # was printed to (mp.nstr drops trailing zeros)
+    want = mp.mpf(digits)
+    return want, mp.mpf(10) ** (mp.floor(mp.log10(want)) - 59) / 2
+
+
 @pytest.mark.parametrize("P, lam, q, want", PHI_LAMBDA_FROZEN,
                          ids=["golden-1/3", "golden-1/2", "tribonacci-1/2",
                               "silver-1/3", "silver-1/2"])
 def test_phi_lambda_frozen_on_field_arguments(P, lam, q, want):
+    # the strings pin the last digit of an earlier truncation; today's
+    # bracket is held to enclose them, as 60-digit roundings
     with mp.workprec(P.precision_bits + GUARD_BITS):
         value, err = phi_lambda(P, lam, P.field(q), tol=1e-60)
-        assert mp.nstr(value, 60) == want
+        want, half = _rounding_of(want)
+        assert abs(value - want) <= err + half
         assert err <= value * mp.mpf(10) ** -59
 
 
@@ -215,6 +225,69 @@ def _textbook_two_sided(P, w, j_pos, n_neg, bits):
     return out
 
 
+def _conjugate_sums(P, w, start, bits):
+    # pi |s_j|, s_j = sum_{i>=2} w_i theta_i^j, for j = start, start + 1, ...
+    # (u = w theta^j is -s_j mod 1), by mpc powers at bits
+    with mp.workprec(bits):
+        roots = [P.root_at(i, bits) for i in range(2, P.m + 1)]
+        terms = [embed(w, i, bits) * r ** start
+                 for i, r in zip(range(2, P.m + 1), roots)]
+        while True:
+            yield mp.pi * abs(mp.re(mp.fsum(terms)))
+            terms = [z * r for z, r in zip(terms, roots)]
+
+
+def _ascent_deep(P, w, start, bits, cut):
+    # prod |cos(pi s_j)| for j >= start until pi C rho^j <= cut
+    with mp.workprec(bits):
+        x = mp.pi * mp.fsum(abs(embed(w, i, bits)) for i in range(2, P.m + 1))
+        x *= P.rho ** start
+        out = mp.mpf(1)
+        for y in _conjugate_sums(P, w, start, bits):
+            if x <= cut:
+                return out
+            out *= mp.cos(y)
+            x *= P.rho
+
+
+def _textbook_tail(P, w, J, N, bits):
+    # exp(-sum_(n<=N) c_n sum_(j>=J) (pi s_j)^(2n)), the j-sum taken term by
+    # term until pi C rho^j <= 2^-(bits/2 - 8): what is left is below
+    # 2^-(bits - 16) / (1 - rho^2)
+    with mp.workprec(bits):
+        c = [0] + [2 ** (2 * n - 1) * (2 ** (2 * n) - 1)
+                   * abs(mp.bernoulli(2 * n)) / (n * mp.factorial(2 * n))
+                   for n in range(1, N + 1)]
+        x = mp.pi * mp.fsum(abs(embed(w, i, bits)) for i in range(2, P.m + 1))
+        x *= P.rho ** J
+        cut = mp.ldexp(1, -(bits // 2 - 8))
+        total = mp.mpf(0)
+        for y in _conjugate_sums(P, w, J, bits):
+            if x <= cut or not N:
+                return mp.exp(-total)
+            total += mp.fsum(c[n] * y ** (2 * n) for n in range(1, N + 1))
+            x *= P.rho
+
+
+def test_log_cos_coefficients():
+    assert [spectrum._log_cos_coefficient(n) for n in range(1, 6)] == [
+        Fraction(1, 2), Fraction(1, 12), Fraction(1, 45), Fraction(17, 2520),
+        Fraction(31, 14175)]
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-20, 1e-60])
+def test_ascent_terms_take_the_fewest_terms_and_the_widest_cut(tol):
+    for P in (GOLDEN, TRIBONACCI, QUARTIC):
+        N, cut = spectrum._ascent_terms(P.rho, tol)
+        with mp.workprec(64):
+            def remainder(x, n):
+                return spectrum._series_remainder(x, P.rho, n)
+            wider = cut * 17 / 16
+            assert remainder(cut, N) <= tol
+            assert N == 0 or remainder(mp.mpf(spectrum.ASCENT_CUT), N - 1) > tol
+            assert wider > 0.5 or remainder(wider, N) > tol * (1 - 2 ** -30)
+
+
 PHI_KERNEL_BASES = {"golden": (1, 1), "tribonacci": (1, 1, 1),
                     "quartic": (1, 0, 0, 1), "silver": (2, 1), "ternary": (3,)}
 
@@ -234,15 +307,52 @@ def test_phi_kernel_within_its_derived_error(name, pb):
               for Q, lam, q, _ in PHI_LAMBDA_FROZEN if Q.d == P.d]
     for w, tol in cases:
         with mp.workprec(pb + GUARD_BITS):
-            j_pos, n_neg, W, E = spectrum._phi_plan(P, w, tol)
+            plan = spectrum._phi_plan(P, w, tol)
+        W, E = plan.W, plan.E
         assert E < 2 ** (W - pb - 12)
         value, _ = phi_biinfinite(P, w, tol)
-        exact = _textbook_two_sided(P, w, j_pos, n_neg, 2 * W)
+        # the kernel's J cosines, its tail of N series terms and its n_neg
+        # descending cosines, each taken exactly
+        exact = _textbook_two_sided(P, w, plan.J, plan.n_neg, 2 * W)
         with mp.workprec(2 * W):
+            exact *= _textbook_tail(P, w, plan.J, plan.N, W + 64)
             # E for the kernel; the exact factors and the result round at
             # pb + GUARD_BITS bits
             assert abs(value - exact) <= (mp.ldexp(E, -W)
                                           + mp.ldexp(1, -(pb + 62)))
+
+
+@pytest.mark.parametrize("pb", [64, 256, 512])
+@pytest.mark.parametrize("name", ["golden", "quartic", "silver",
+                                  "tribonacci"])
+def test_phi_within_its_bound_of_the_deep_product(name, pb):
+    # the textbook product with its ascending side taken until
+    # pi C rho^j <= 2^-(pb+12), and the plan's descending side: phi's
+    # bound holds it, and so does the ascending side's share of it, the
+    # series remainder tol and the kernel's E
+    P = build_pisot(PHI_KERNEL_BASES[name], pb)
+    rng = random.Random(f"deep-{name}-{pb}")
+    args = [P.field(tuple(rng.randint(-9, 9) for _ in range(P.m)))
+            for _ in range(2)]
+    args += [P.field(q) * lam * 2
+             for Q, lam, q, _ in PHI_LAMBDA_FROZEN if Q.d == P.d]
+    for tol in (1e-20, 1e-60):
+        for w in args:
+            if w.is_zero():
+                continue
+            with mp.workprec(pb + GUARD_BITS):
+                plan = spectrum._phi_plan(P, w, tol)
+            value, err = phi_biinfinite(P, w, tol)
+            bits = plan.W + 32
+            exact = _textbook_two_sided(P, w, plan.J, plan.n_neg, bits)
+            with mp.workprec(bits):
+                exact *= _ascent_deep(P, w, plan.J, bits,
+                                      mp.ldexp(1, -(pb + 12)))
+                gap = abs(value - exact)
+                slack = mp.ldexp(1, -(pb + 62))
+                assert gap <= err + slack
+                assert gap <= (value * mp.expm1(tol) + mp.ldexp(plan.E, -plan.W)
+                               + slack)
 
 
 def _rational_orbit_walk(P, w, j_pos, n_neg):
@@ -282,7 +392,8 @@ def test_rational_elements_match_the_orbit_walk(name):
     for w in args:
         if w.is_zero():
             continue
-        got = list(spectrum._rational_elements(P, w, 40, 210))
+        moduli = (abs(embed(w, 1)), abs(embed(w, 2))) if P.m > 1 else None
+        got = list(spectrum._rational_elements(P, w, 40, 210, moduli))
         assert got == _rational_orbit_walk(P, w, 40, 210)
         if P.m > 1:
             assert len(got) <= 1
@@ -647,7 +758,15 @@ RESIDUAL_FROZEN = [
 @pytest.mark.parametrize("P, lam, a, b, n, want", RESIDUAL_FROZEN,
                          ids=["golden", "tribonacci", "silver"])
 def test_product_law_frozen_on_field_arguments(P, lam, a, b, n, want):
+    # the strings pin an earlier truncation's last digit (see
+    # PHI_LAMBDA_FROZEN); today's residual is held to enclose them, in the
+    # bracket propagated from its three phi values
+    a, b = P.field(a), P.field(b)
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        got = product_law_residual(P, lam, P.field(a), P.field(b), n,
-                                   tol=1e-60)
-        assert mp.nstr(got, 60) == want
+        got = product_law_residual(P, lam, a, b, n, tol=1e-60)
+        (vj, ej), (vl, el), (vr, er) = (
+            phi_lambda(P, lam, q, tol=1e-60)
+            for q in (a + b * ring_theta_pow(P, n), a, b))
+        assert got == abs(vj - vl * vr)
+        want, half = _rounding_of(want)
+        assert abs(got - want) <= ej + el * vr + er * vl + el * er + half

@@ -205,14 +205,18 @@ def _mpf_depth(theta, t, tol, pb):
 
 
 def _phi_mpf_depths(P, w, tol):
-    # the depth rules of the two-sided product before its kernel: mpf at
-    # pb + 64 bits, on the sum of the conjugate moduli and on |w|
+    # the depth rules of the two-sided product before its kernel, mpf at
+    # pb + 64 bits: the first j with pi C rho^j <= the ascending tail's cut,
+    # C the sum of the conjugate moduli, stepped by one multiply; the tol
+    # rule on |w|
     with mp.workprec(P.precision_bits + GUARD_BITS):
         emb = [embed(w, i) for i in range(2, P.m + 1)]
         j_pos = 0
         if emb:
-            j_pos = _truncation_depth(mp.pi * mp.fsum(abs(v) for v in emb),
-                                      1 / P.rho, tol)
+            _, cut = spectrum._ascent_terms(P.rho, tol)
+            x = mp.pi * mp.fsum(abs(v) for v in emb)
+            while x > cut:
+                j_pos, x = j_pos + 1, x * P.rho
         j_neg = _truncation_depth(mp.pi * abs(embed(w, 1, P.precision_bits)),
                                   P.theta_at(P.precision_bits + GUARD_BITS),
                                   tol, start=1)
@@ -238,7 +242,7 @@ def test_mu_hat_depth_equals_the_mpf_rule(theta, log_t, log_tol, pb, z):
         w = P.field(tuple(z[:P.m]))
         with mp.workprec(pb + GUARD_BITS):
             plan = spectrum._phi_plan(P, w, tol)
-        assert plan[:2] == _phi_mpf_depths(P, w, tol)
+        assert (plan.J, plan.n_neg) == _phi_mpf_depths(P, w, tol)
 
 
 @pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, build_pisot((2,)), 1.5])
