@@ -129,7 +129,7 @@ class _PhiPlan(NamedTuple):
     n_neg: int      # descending factors j = -1..-n_neg
     W: int          # the kernel's fractional bits
     E: int          # its derived error in units of 2^-W
-    moduli: tuple   # |w_1| and, for m > 1, |w_2|, at pb bits
+    moduli: Optional[tuple]  # |w_1| and |w_2| at pb bits, for m > 1
 
 
 @functools.cache
@@ -213,7 +213,7 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
     E = 2 * (J * (COS_FIXED_ERROR + 4 + 4 * arg) + tail
              + n_neg * _descent_error(th, n_neg, _mag_estimate(w1),
                                       x0_error=2))
-    moduli = (w1, abs(emb[0])) if emb else (w1,)
+    moduli = (w1, abs(emb[0])) if emb else None
     return _PhiPlan(J, N, n_neg, pb + 12 + E.bit_length(), E, moduli)
 
 
@@ -288,19 +288,6 @@ def _kappa(P: PisotNumber) -> int:
         return int(1 / (1 - P.rho ** 2)) + 1
 
 
-def _tail_constants(P: PisotNumber, W: int, N: int):
-    """(G, Wk, groups) of the ascending tail at W fractional bits with N
-    series terms.  The tail runs at W + G bits, G the bit length of its
-    rounding R' (see _biinfinite_product); groups come from _tail_groups at
-    Wk >= W + G bits, the same Wk for every W of one 64-bit bucket."""
-    kappa, m1 = _kappa(P), P.m - 1
-    rounding = sum(_log_cos_coefficient(n) * m1 ** (2 * n)
-                   * (kappa * (4 * n - 2) + 3) + 1 for n in range(1, N + 1))
-    G = math.ceil(rounding).bit_length()
-    Wk = ((W >> 6) + 1 << 6) + G
-    return G, Wk, _tail_groups(P, P.precision_bits, N, Wk)
-
-
 @functools.lru_cache(maxsize=64)
 def _tail_groups(P: PisotNumber, pb: int, N: int, Wk: int) -> tuple:
     """For n = 1..N, c_n and one (k, M, K) per multiset of 2n conjugate
@@ -334,9 +321,15 @@ def _tail_groups(P: PisotNumber, pb: int, N: int, Wk: int) -> tuple:
 def _ascent_tail(P: PisotNumber, terms, W: int, N: int) -> int:
     """exp(-T) in units of 2^-W, T = sum_(n<=N) c_n sum_(j>=J) (pi s_j)^(2n)
     in closed form, from the fixed-point terms w_i theta_i^J at W bits (see
-    _biinfinite_product)."""
-    G, Wk, groups = _tail_constants(P, W, N)
-    Wt = W + G
+    _biinfinite_product).  The sums run at Wt = W + G bits, G the bit
+    length of their rounding R', with constants at Wk >= Wt bits, the same
+    Wk for every W of one 64-bit bucket."""
+    kappa, m1 = _kappa(P), P.m - 1
+    rounding = sum(_log_cos_coefficient(n) * m1 ** (2 * n)
+                   * (kappa * (4 * n - 2) + 3) + 1 for n in range(1, N + 1))
+    Wt = W + math.ceil(rounding).bit_length()
+    Wk = Wt - W + ((W >> 6) + 1 << 6)
+    groups = _tail_groups(P, P.precision_bits, N, Wk)
     pi_t = pi_fixed(Wt)
     # pows[i][e] = (pi w_i theta_i^J)^e at Wt bits, e = 1..2N
     pows = []
@@ -420,7 +413,7 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         S_2n = Re sum_k M_k prod_i a_i^k_i / (1 - prod_i theta_i^k_i)
         over the multisets k of 2n conjugate indices, M_k their
         multinomial.  The a_i are the kernel's terms at step J, times pi;
-        the constants 1/(1 - prod theta_i^k_i) come from _tail_constants.
+        the constants 1/(1 - prod theta_i^k_i) come from _tail_groups.
         The tail factor is exp(-T) (_ascent_tail), and the remainder
         0 <= R <= tol (see _series_remainder).
       - j < 0: u is w theta^-k, k = -j, so the factor is mu_hat's at
