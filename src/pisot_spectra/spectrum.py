@@ -344,13 +344,14 @@ def _ascent_tail(P: PisotNumber, terms, W: int, N: int) -> int:
     for c, group in groups:
         S = 0
         for k, M, Kr, Ki in group:
-            p = None
+            # u + iv = prod_i pows[i][k_i], and S takes M Re((u + iv) K)
+            u = v = None
             for row, e in zip(pows, k):
                 if e:
                     a, b = row[e]
-                    p = (a, b) if p is None else (
-                        (p[0] * a - p[1] * b) >> Wt, (p[0] * b + p[1] * a) >> Wt)
-            S += M * ((p[0] * Kr - p[1] * Ki) >> Wk)
+                    u, v = (a, b) if u is None else (
+                        (u * a - v * b) >> Wt, (u * b + v * a) >> Wt)
+            S += M * ((u * Kr - v * Ki) >> Wk)
         T += S * c.numerator // c.denominator
     with mp.workprec(W + 16):
         return int(mp.floor(mp.ldexp(mp.exp(mp.ldexp(-T, -Wt)), W)))

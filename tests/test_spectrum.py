@@ -282,9 +282,9 @@ def test_ascent_terms_take_the_fewest_terms_and_the_widest_cut(tol):
         with mp.workprec(64):
             def remainder(x, n):
                 return spectrum._series_remainder(x, P.rho, n)
-            wider = cut * 17 / 16
+            wider, start = cut * 17 / 16, mp.mpf(spectrum.ASCENT_CUT)
             assert remainder(cut, N) <= tol
-            assert N == 0 or remainder(mp.mpf(spectrum.ASCENT_CUT), N - 1) > tol
+            assert N == 0 or remainder(start, N - 1) > tol
             assert wider > 0.5 or remainder(wider, N) > tol * (1 - 2 ** -30)
 
 
@@ -343,7 +343,9 @@ def test_phi_within_its_bound_of_the_deep_product(name, pb):
             with mp.workprec(pb + GUARD_BITS):
                 plan = spectrum._phi_plan(P, w, tol)
             value, err = phi_biinfinite(P, w, tol)
-            bits = plan.W + 32
+            # the textbook's own rounding, up to ~6000 factors, stays
+            # below 2^-(pb+62)
+            bits = plan.W + 64
             exact = _textbook_two_sided(P, w, plan.J, plan.n_neg, bits)
             with mp.workprec(bits):
                 exact *= _ascent_deep(P, w, plan.J, bits,
@@ -351,8 +353,8 @@ def test_phi_within_its_bound_of_the_deep_product(name, pb):
                 gap = abs(value - exact)
                 slack = mp.ldexp(1, -(pb + 62))
                 assert gap <= err + slack
-                assert gap <= (value * mp.expm1(tol) + mp.ldexp(plan.E, -plan.W)
-                               + slack)
+                kernel = mp.ldexp(plan.E, -plan.W)
+                assert gap <= value * mp.expm1(tol) + kernel + slack
 
 
 def _rational_orbit_walk(P, w, j_pos, n_neg):
