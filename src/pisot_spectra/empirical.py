@@ -16,7 +16,8 @@ transform for non-Pisot bases.
 Every float64 value at t = r n, in a report or in a row of the float64
 series (transform._rows), comes from _sampled: it reads r by pisot's
 multiplier rule, checks the index range, refuses the batch from its largest
-|t| before building any array, and evaluates it in one batch, at any N.
+|t| before building any array, and evaluates it in one batch, at any N,
+exact zeros included (mu_hat_fast returns them as 0.0).
 The batch's derived error bound must stay within FAST_ERROR for a row, and
 within the report's validation threshold (eta/10, at least 1e-6) for a
 report, far above the bound at the sizes used here (about 8e-9 at
@@ -27,7 +28,7 @@ exceeds the bound the batch claims.  Each reference is a 64-bit value
 truncated at a share of the bound, just sharp enough for that test.  With
 eta > 0 the batch stops each product once it is known to end below a floor
 just under eta and returns 0.0 there; every value at or above eta keeps its
-bits, so each report keeps the same set (see _values_for).
+bits, so each report keeps the same set (see _sampled).
 
 numpy is imported inside the functions that use it, so importing this
 module, and running the precise commands, leaves it unloaded.
@@ -46,8 +47,8 @@ from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
 from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, _checked_plan,
-                        _exact_zeros, _leading_factors_below,
-                        fast_error_bound, mu_hat, mu_hat_fast)
+                        _leading_factors_below, fast_error_bound, mu_hat,
+                        mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
@@ -59,7 +60,7 @@ SPOT_CHECK_BITS = 64
 SPOT_CHECK_SHARE = 5e-4
 # retention floor of a sampled batch as a share of eta: below 1/(1 + 16u),
 # the largest factor by which a phase and its product raise a kept modulus
-# (see _values_for)
+# (see _sampled)
 FLOOR_SHARE = 1 - 2.0 ** -40
 # most witnesses kept per cluster in reports
 MAX_WITNESSES = 10
@@ -139,35 +140,20 @@ class BlockMaximum:
 
 def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
              tol: Optional[float] = None) -> tuple:
-    """(r_val, ns, values) of mu_hat(r n), n = first..last (see the module
-    docstring), evaluated by _values_for at tol: FAST_ERROR for the rows
-    that print it, the report's validation threshold when None."""
-    import numpy as np
-    r_val = float(embed(_as_multiplier(P, r), 1))
-    if not 0 <= first <= last + 1:
-        raise ValueError(f"the index range {first}..{last} is empty or "
-                         "starts below 0")
-    tol = max(eta / 10, FAST_TOL) if tol is None else tol
-    _checked_plan(P, r_val * last, tol)
-    ns = np.arange(first, last + 1, dtype=np.int64)
-    return r_val, ns, _values_for(P, r_val, ns, eta, tol)
+    """(r_val, values), values[i] the transform at r_val n, n = first + i,
+    for n = first..last (see the module docstring).
 
-
-def _values_for(P, r_val: float, ns: np.ndarray, eta: float,
-                tol: Optional[float] = None) -> np.ndarray:
-    """Transform values at r*n for the ascending index array ns.
-
-    One float64 batch, refused when its derived bound exceeds tol (by default
-    the validation threshold eta/10, at least 1e-6), then a precise spot check
-    at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the endpoints,
-    and so the largest |t|, are among them; an interior index whose value
-    is 0.0 stands for its stride (the indices nearer to it than to its
-    neighbours), and gives way to the nonzero value there nearest to it,
-    when one exists.  With eta > 0 most values are 0.0 (on the golden base
-    at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of 500,001 are kept), so this
-    checks finished values where evenly spaced points would all be dropped
-    ones.  Exact zeros of the product are reported as 0, as the precise
-    path reports them.
+    The batch t = r_val n is a float arange times r_val, planned once from
+    its largest |t| and refused when its derived bound exceeds tol (by
+    default the validation threshold eta/10, at least 1e-6), then checked
+    by a precise spot check at SPOT_CHECK_SIZE indices.  They are evenly
+    spaced, and the endpoints, and so the largest |t|, are among them; an
+    interior index whose value is 0.0 stands for its stride (the indices
+    nearer to it than to its neighbours), and gives way to the nonzero
+    value there nearest to it, when one exists.  With eta > 0 most values
+    are 0.0 (on the golden base at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of
+    500,001 are kept), so this checks finished values where evenly spaced
+    points would all be dropped ones.
 
     With eta > 0 the batch runs with the retention floor eta FLOOR_SHARE:
     a value known to end below it comes back as 0.0 (see mu_hat_fast), and
@@ -179,26 +165,30 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float,
     most 1 + 16u times the value's, and a value below the floor is below
     eta: every caller keeps the set it keeps without a floor.
 
-    Each checked value must lie within the batch's derived bound
-    (fast_error_bound at its largest |t|) plus the reference's own
-    certified bound; the reference is mu_hat at SPOT_CHECK_BITS bits,
-    truncated at SPOT_CHECK_SHARE of the derived bound.  A checked 0.0 may
-    have been dropped at the floor, so there the floor is added to the two
-    bounds: a kernel that drops a value above the floor by more than them
-    is still caught.  An evenly spaced 0.0 that gave way must still be below
+    Each checked value must lie within the batch's derived bound (the
+    plan's, at its largest |t|) plus the reference's own certified bound;
+    the reference is mu_hat at SPOT_CHECK_BITS bits, truncated at
+    SPOT_CHECK_SHARE of the derived bound.  A checked 0.0 may have been
+    dropped at the floor, so there the floor is added to the two bounds: a
+    kernel that drops a value above the floor by more than them is still
+    caught.  An evenly spaced 0.0 that gave way must still be below
     floor + bound: the leading factors of mu_hat's kernel at the reference's
     plan show it without a reference (_leading_factors_below), and where
     they cannot, the reference decides as for a checked 0.0.
     """
     import numpy as np
-    ts = np.multiply(r_val, ns, dtype=np.float64)
+    r_val = float(embed(_as_multiplier(P, r), 1))
+    if not 0 <= first <= last + 1:
+        raise ValueError(f"the index range {first}..{last} is empty or "
+                         "starts below 0")
     tol = max(eta / 10, FAST_TOL) if tol is None else tol
+    bound = _checked_plan(P, r_val * last, tol)[2]
+    ts = np.arange(first, last + 1, dtype=np.float64)
+    ts *= r_val
     floor = eta * FLOOR_SHARE
     vals = mu_hat_fast(P, ts, tol=tol, floor=floor)
-    vals[_exact_zeros(P, ts)] = 0.0
     if not len(ts):
-        return vals
-    bound = fast_error_bound(P, max(abs(ts[0]), abs(ts[-1])))
+        return r_val, vals
     idx = np.unique(np.linspace(0, len(ts) - 1, SPOT_CHECK_SIZE).astype(np.int64))
     edges = (idx[:-1] + idx[1:] + 1) // 2
     gave_way = []
@@ -227,7 +217,7 @@ def _values_for(P, r_val: float, ns: np.ndarray, eta: float,
                 f"the reference's {float(ref.error_bound):.3e}"
                 + (f" and the floor {slack:.3e}" if slack else "")
             )
-    return vals
+    return r_val, vals
 
 
 def _gap_split(sorted_vals: np.ndarray, gap: float):
@@ -269,7 +259,7 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     if not 0 < match_tol < math.inf:
         raise ValueError(
             f"match_tol must be positive and finite, got {match_tol}")
-    r_val, ns, vals = _sampled(P, r, n_min, N, eta)
+    r_val, vals = _sampled(P, r, n_min, N, eta)
     np.abs(vals, out=vals)
 
     keep = vals >= eta
@@ -277,7 +267,7 @@ def sample_and_cluster(P: PisotNumber, r, N: int, eta: float,
     if not keep.any():
         return ClusterReport(clusters=(), matches=(), empty_retention=True,
                              **report)
-    kept_ns, kept_vals = ns[keep], vals[keep]
+    kept_ns, kept_vals = np.flatnonzero(keep) + n_min, vals[keep]
     order = np.argsort(kept_vals, kind="stable")
     sorted_vals = kept_vals[order]
     sorted_ns = kept_ns[order]
@@ -347,7 +337,7 @@ def interval_fill_test(P: PisotNumber, r, N: int,
     import numpy as np
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be nonnegative and finite, got {eta}")
-    _, _, vals = _sampled(P, r, N // 2, N, eta)
+    _, vals = _sampled(P, r, N // 2, N, eta)
     np.abs(vals, out=vals)
     # with eta = 0 every modulus is kept, so no filtered copy is made
     return _range_stats(vals[vals >= eta] if eta > 0 else vals)
@@ -472,22 +462,19 @@ def translated_sample(P: PisotNumber, r, gamma, N: int, eta: float,
     """
     import numpy as np
     n_min = _sample_start(N, eta, gap, n_min)
-    r_val, ns, vals = _sampled(P, r, n_min, N, eta)
+    r_val, vals = _sampled(P, r, n_min, N, eta)
     g_val = float(embed(_as_field_element(P, gamma), 1))
     # a value of 0.0 (an exact zero, or one dropped at the floor) stays
     # below eta whatever its phase, so only the others get one
-    live = vals != 0
-    points = np.zeros(vals.shape, dtype=complex)
-    points[live] = vals[live] * np.exp(
-        2j * np.pi * np.mod(g_val * ns[live].astype(np.float64), 1.0))
-
-    keep = np.abs(points) >= eta
+    live = np.flatnonzero(vals)
+    points = vals[live] * np.exp(
+        2j * np.pi * np.mod(g_val * (live + float(n_min)), 1.0))
+    pts = points[np.abs(points) >= eta]
     base = dict(r=r_val, gamma=g_val, N=N, eta=eta, seed=seed)
-    if not keep.any():
+    if not pts.size:
         return TranslatedReport(cluster_count=0, clusters=(), coverage=0.0,
                                 dominant_radius=0.0, empty_retention=True,
                                 **base)
-    pts = points[keep]
     clusters = _grid_clusters(pts, gap)
 
     radii = np.abs(pts)

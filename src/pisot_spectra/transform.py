@@ -26,8 +26,8 @@ its segments are shared over one pool of at most one thread per core this
 process may run on (numpy's ufuncs release the GIL); every value bit is that
 of the plain expression.  Given a retention floor, a block stops the
 product of each point once it is known to end below the floor, and returns
-0.0 there.  _exact_zeros marks the t at which the product vanishes exactly,
-with exact comparisons in block-sized scratch.
+0.0 there, and +0.0 where the product vanishes exactly (_zero_test, with
+exact comparisons in the block's own scratch).
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
@@ -537,9 +537,9 @@ def fast_error_bound(theta: Theta, t_max: float) -> float:
 
 
 def _checked_plan(theta: Theta, t_max: float, tol: float):
-    """_fast_plan's base and head length for a batch whose largest |t| is
-    t_max; raises PrecisionExhaustedError when its head would be longer
-    than _HEAD_LIMIT factors or its error bound exceeds tol."""
+    """_fast_plan's base, head length and error bound for a batch whose
+    largest |t| is t_max; raises PrecisionExhaustedError when its head would
+    be longer than _HEAD_LIMIT factors or its error bound exceeds tol."""
     th, kc, bound = _fast_plan(theta, t_max)
     if kc > _HEAD_LIMIT:
         raise PrecisionExhaustedError(
@@ -551,7 +551,7 @@ def _checked_plan(theta: Theta, t_max: float, tol: float):
             f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
             f"exceeds the tolerance {tol:.3e}"
         )
-    return th, kc
+    return th, kc, bound
 
 
 def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
@@ -597,9 +597,12 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
       - u |b_n| v~^n for each coefficient's rounding;
       - gamma_(2n+1) |b_n| v~^n for Horner's 2n + 1 roundings of term n,
     about 6.8u in all (u = 2^-53, gamma_k = k u/(1 - k u)); w P~ rounds
-    once more (_TAIL_ERROR).  So |P~| <= 1 + 8u.  Every value bit is that
-    of the plain expression on its segment, whatever the block and thread
-    count.
+    once more (_TAIL_ERROR).  So |P~| <= 1 + 8u.  Each block first runs
+    _zero_test on its |t| and starts the running product at 0.0 where the
+    product vanishes exactly; adding +0.0 at the end makes that +0.0, as on
+    the precise path, and leaves every other value as it is.  Every value
+    bit is that of the plain expression on its segment, whatever the block
+    and thread count.
 
     floor > 0 lets a block stop the product of a point whose value is known
     to fall below floor: such a point comes back as 0.0, and every other
@@ -608,9 +611,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     cut = floor (1 - 32 (k_c + 1) u), in its scratch and one block-sized
     bool buffer; once fewer than half of its points are at or above cut, it
     keeps x, w and their indices for those points only, and goes on with
-    them.  A dropped point's plain value is below floor: each later factor
-    is a cosine within 4 ulps, so of modulus at most 1 + 8u, or P~, of
-    modulus at most 1 + 8u, and its product rounds once and monotonically,
+    them; an exact zero falls below cut at once.  A dropped point's plain
+    value is below floor: each later factor is a cosine within 4 ulps, so
+    of modulus at most 1 + 8u, or P~, of modulus at most 1 + 8u, and its
+    product rounds once and monotonically,
     so each factor scales |w| by at most (1 + 8u)(1 + u) <= 1 + 10u.  At
     most k_c + 1 factors follow, so the value has modulus below
     cut (1 + 10u)^(k_c+1) <= cut (1 + 11 (k_c + 1) u), and cut, rounded at
@@ -631,8 +635,8 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         if a == b:
             continue
         seg = flat[a:b]
-        th, kc = _checked_plan(theta, float(max(abs(seg.min()),
-                                                abs(seg.max()))), tol)
+        th, kc, _ = _checked_plan(theta, float(max(abs(seg.min()),
+                                                   abs(seg.max()))), tol)
         cut = floor * (1 - 32 * (kc + 1) * _U)
         blocks += [(start, min(start + FAST_BLOCK, b), th, kc, cut)
                    for start in range(a, b, FAST_BLOCK)]
@@ -645,12 +649,12 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
 
     def run_block(block) -> None:
         start, stop, th, kc, cut = block
-        x = np.abs(flat[start:stop])
-        y = np.empty_like(x)
+        x, y = np.empty(stop - start), np.empty(stop - start)
         v = out[start:stop]
-        v.fill(1.0)
         # w holds the running products of the points still evaluated, and
-        # live their indices in the block once it has dropped any
+        # live their indices in the block once it has dropped any; an exact
+        # zero's product starts at 0.0
+        _zero_test(theta, flat[start:stop], x, y, v)
         w, live = v, None
         above = np.empty(x.shape, dtype=bool) if cut else None
         m = float(x.max())
@@ -692,7 +696,9 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
             x *= z
         x += coef[0]
         w *= x
-        if live is not None:
+        if live is None:
+            w += 0.0        # an exact zero's -0.0 becomes +0.0
+        else:
             v.fill(0.0)
             v[live] = w
 
@@ -706,55 +712,60 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     return vals
 
 
-def _exact_zeros(theta: Theta, ts: np.ndarray) -> np.ndarray:
-    """Mask of the float64 t at which the product vanishes exactly.
+def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
+               v: np.ndarray) -> None:
+    """Set x = |t|, and v to 0.0 where the product at t vanishes exactly and
+    1.0 elsewhere, with y as scratch; the four arrays do not overlap.
 
     A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
     integer.  Every base admits k = 0: 4|t| is an odd integer exactly when
-    rint(4|t|) == 4|t| and rint(2|t|) != 2|t|.  Both scalings are exact, and
-    inf and nan pass neither test, so this is fmod(4|t|, 2) == 1 without
-    fmod's cost.  An integer base b (a PisotNumber of degree 1) also admits
-    each k with b^k <= 4|t|; for odd b, b^k times an odd integer is odd, so
+    2|t| - rint(2|t|) is +-1/2.  The scaling and the subtraction are exact,
+    and inf and nan give nan, so this is fmod(4|t|, 2) == 1 without fmod's
+    cost.  An integer base b (a PisotNumber of degree 1) also admits each
+    k with b^k <= 4|t|; for odd b, b^k times an odd integer is odd, so
     k = 0 finds them all.  For even b a whole 4|t| below 2^62 is taken as
-    an int64 z, others as 0, and 4t = b^k times an odd integer exactly when
-    z mod 2 b^k == b^k.  An irrational theta admits no k > 0, since 4t is
-    rational.  Both routes run in blocks of FAST_BLOCK points, in
-    block-sized scratch.
+    an int64 z in x's memory, others as 0 or 2^62, and 4t = b^k times an
+    odd integer exactly when z mod 2 b^k == b^k for some b^k < 2^62; a
+    marked z becomes -1, which no later power marks.  An irrational theta
+    admits no k > 0, since 4t is rational.
     """
+    import numpy as np
+    base = theta.d[0] if isinstance(theta, PisotNumber) and theta.m == 1 else 1
+    if base % 2:
+        np.abs(t, out=x)
+        np.multiply(x, 2, out=y)
+        np.subtract(y, np.rint(y, out=v), out=y)
+        np.not_equal(np.abs(y, out=y), 0.5, out=v)
+        return
+    np.abs(t, out=y)
+    y *= 4
+    np.fmin(y, 2.0 ** 62, out=y)                 # inf and nan too
+    np.equal(np.rint(y, out=v), y, out=v)
+    y *= v
+    z, hit = x.view(np.int64), y.view(np.bool_)[:y.size]
+    np.copyto(z, y, casting="unsafe")
+    top, power = min(int(z.max()), 2 ** 62 - 1), 1
+    while power <= top:
+        np.equal(np.remainder(z, 2 * power, out=v.view(np.int64)), power,
+                 out=hit)
+        np.copyto(z, -1, where=hit)
+        power *= base
+    np.not_equal(z, -1, out=v)
+    np.abs(t, out=x)
+
+
+def _exact_zeros(theta: Theta, ts) -> np.ndarray:
+    """Mask of the float64 t at which the product vanishes exactly, by
+    _zero_test in blocks of FAST_BLOCK points and block-sized scratch."""
     import numpy as np
     flat = np.asarray(ts, dtype=np.float64).reshape(-1)
     zero = np.empty(flat.shape, dtype=bool)
-    size = min(flat.size, FAST_BLOCK)
-    z, r = np.empty(size), np.empty(size)
-    odd = np.empty(size, dtype=bool)
-    integer = isinstance(theta, PisotNumber) and theta.m == 1
-    base = theta.d[0] if integer and theta.d[0] % 2 == 0 else 0
-    if base:
-        small = np.empty(size, dtype=bool)
-        zi = np.empty(size, dtype=np.int64)
-    for start in range(0, flat.size, FAST_BLOCK):
-        n = min(FAST_BLOCK, flat.size - start)
-        x, y, half, mask = z[:n], r[:n], odd[:n], zero[start:start + n]
-        np.abs(flat[start:start + n], out=x)
-        x *= 2                                   # exact: a scaling by 2
-        np.not_equal(np.rint(x, out=y), x, out=half)
-        x *= 2
-        np.equal(np.rint(x, out=y), x, out=mask)
-        mask &= half
-        if not base:
-            continue
-        whole = np.equal(y, x, out=half)
-        whole &= np.less(x, 2.0 ** 62, out=small[:n])
-        y.fill(0.0)
-        np.copyto(y, x, where=whole)
-        q = zi[:n]
-        np.copyto(q, y, casting="unsafe")
-        s = x.view(np.int64)                     # 4|t| is spent
-        top, power = int(q.max()), base
-        while power <= top:
-            mask |= np.equal(np.remainder(q, 2 * power, out=s), power,
-                             out=half)
-            power *= base
+    x, y, v = (np.empty(min(flat.size, FAST_BLOCK)) for _ in range(3))
+    with np.errstate(invalid="ignore"):          # inf - inf is nan
+        for start in range(0, flat.size, FAST_BLOCK):
+            n = min(FAST_BLOCK, flat.size - start)
+            _zero_test(theta, flat[start:start + n], x[:n], y[:n], v[:n])
+            np.equal(v[:n], 0.0, out=zero[start:start + n])
     return zero.reshape(np.shape(ts))
 
 
@@ -764,7 +775,7 @@ def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
     its value is within FAST_ZERO of it."""
     # empirical imports this module, so its routine is imported here
     from .empirical import _sampled
-    r_val, _, vals = _sampled(P, r, first, last, 0.0, FAST_ERROR)
+    r_val, vals = _sampled(P, r, first, last, 0.0, FAST_ERROR)
     return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ZERO)
             for n, v in zip(range(first, last + 1), vals.tolist())]
 

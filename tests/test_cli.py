@@ -84,6 +84,7 @@ def test_usage_errors_exit_one():
     assert run()[0] == 1
     assert run("check", "--poly", "1,1", "--bogus")[0] == 1
     assert run("eval", "--poly", "1,1")[0] == 1          # neither --t nor series
+    assert run("eval", "--poly", "1,1", "--r", "1")[0] == 1   # no --count
     # --t evaluates one point: the series flags are rejected, not ignored
     assert run("eval", "--poly", "1,1", "--t", "3/2", "--fast")[0] == 1
     assert run("eval", "--poly", "1,1", "--t", "3/2", "--r", "5")[0] == 1
@@ -186,6 +187,8 @@ def test_values_only_the_library_rejects_exit_two():
                "--N", "300", "--eta", "0")[0] == 2
     assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "1",
                "--m-max", "0", "--a-max", "0", "--eta", "0")[0] == 2
+    assert run("enumerate", "--poly", "1,1", "--r", "1", "--height", "-1",
+               "--m-max", "0", "--a-max", "0")[0] == 2
     # every sampled command reads --r as eval does
     for r in ("--r=-1", "--r=0"):
         for argv in (("sample", "--N", "300"),
@@ -508,6 +511,9 @@ def test_discrepancy_exact_value():
     code, out, _ = run("discrepancy", "--alpha", "0.25", "--x", "1,2,3,4")
     assert code == 0
     assert json.loads(out)["d_star"] == "0.25"
+    # --count n is the sequence 1..n
+    assert run("discrepancy", "--alpha", "0.25", "--count", "4") == (0, out,
+                                                                     "")
 
 
 def test_translate_reports_coverage():
@@ -518,6 +524,20 @@ def test_translate_reports_coverage():
     assert obj["coverage"] == 0.984375
     assert obj["gamma_kind"] == "real"
     assert obj["empty_retention"] is False
+
+
+def test_float64_outputs_print_the_exact_zeros():
+    # theta = 2: mu_hat(n) = sin(4 pi n)/(4 pi n) = 0 for every n >= 1, so
+    # every block maximum is 0.0, as in the rows of eval --fast
+    code, out, _ = run("decay", "--poly", "2", "--N", "64")
+    assert code == 0
+    assert [b["value"] for b in json.loads(out)["blocks"]] == ["0.0"] * 6
+    code, out, _ = run("eval", "--poly", "2", "--r", "1", "--count", "3",
+                       "--fast")
+    assert [it["value"] for it in json.loads(out)["items"]] == ["0.0"] * 3
+    # theta = 4: the first factor at n = 1 is cos(pi/2)
+    code, out, _ = run("decay", "--poly", "4", "--N", "64")
+    assert code == 0 and json.loads(out)["blocks"][0]["value"] == "0.0"
 
 
 def test_decay_block_layout():

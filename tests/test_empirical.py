@@ -263,13 +263,12 @@ def test_limit_range_refused_before_building_its_grid():
 
 
 def test_sample_batch_peak_memory():
-    # ts, the values and the exact-zero mask, 8.5 MB, and block-sized
-    # scratch: 9.1 MB, against 12.5 MB when the exact-zero test took 4|t| in
-    # one full-size array and 21 MB when the argument array took one too
-    ns = np.arange(5 * 10**5, 10**6 + 1)
+    # ts and the values, 8 MB, and block-sized scratch, against 12.5 MB when
+    # the exact-zero test took 4|t| in one full-size array and 21 MB when
+    # the argument array took one too
     tracemalloc.start()
     try:
-        empirical._values_for(GOLDEN, 1.0, ns, 1e-3)
+        empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -279,11 +278,10 @@ def test_sample_batch_peak_memory():
 @pytest.mark.parametrize("P", [FLAT, TERNARY], ids=["binary", "ternary"])
 def test_integer_base_batch_peak_memory(P):
     # the exact zeros of an integer base take every power in block-sized
-    # scratch too: about 9.4 MB, against 25.5 MB in full-size arrays
-    ns = np.arange(5 * 10**5, 10**6 + 1)
+    # scratch too, against 25.5 MB in full-size arrays
     tracemalloc.start()
     try:
-        empirical._values_for(P, 1.0, ns, 1e-3)
+        empirical._sampled(P, 1.0, 5 * 10**5, 10**6, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -567,9 +565,19 @@ def test_sampled_series_reads_r_as_its_float():
     half_theta = GOLDEN.field((0, Fraction(1, 2)))
     for r, expect in ((1, 1.0), (1.37, 1.37), (Fraction(1, 3), 1 / 3),
                       (half_theta, float(GOLDEN.theta) / 2)):
-        r_val, ns, _ = empirical._sampled(GOLDEN, r, 2, 5, 0.0)
-        assert r_val == expect and ns.tolist() == [2, 3, 4, 5]
+        r_val, vals = empirical._sampled(GOLDEN, r, 2, 5, 0.0)
+        assert r_val == expect and np.array_equal(
+            vals, mu_hat_fast(GOLDEN, r_val * np.arange(2.0, 6.0)))
         assert sample_and_cluster(GOLDEN, r, 100, 0.1).r == expect
+
+
+def test_sampled_batch_takes_its_bound_from_its_plan(monkeypatch):
+    # the batch is planned once; its spot check reads the plan's bound
+    def unused(*args):
+        raise AssertionError("fast_error_bound called")
+    monkeypatch.setattr(empirical, "fast_error_bound", unused)
+    assert not sample_and_cluster(GOLDEN, 1, 10**4, 1e-3).empty_retention
+    assert len(list(coefficient_series(GOLDEN, 1, 50, fast=True))) == 50
 
 
 @pytest.mark.parametrize("call, message", [
@@ -616,12 +624,11 @@ def test_float64_rows_zero_exact_zeros_and_are_spot_checked(monkeypatch):
 def test_spot_check_catches_a_faulty_kernel(monkeypatch):
     # eta = 1e-5 sets the validation threshold to 1e-6
     real = empirical.mu_hat_fast
-    ns = np.arange(5000, 10001, dtype=np.int64)
     monkeypatch.setattr(empirical, "mu_hat_fast",
                         lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,
                                                           **kw) + 1e-5)
     with pytest.raises(PrecisionExhaustedError):
-        empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
+        empirical._sampled(GOLDEN, 1.0, 5000, 10000, 1e-5)
 
     def off_at_largest_t(theta, ts, tol, **kw):
         vals = real(theta, ts, tol=tol, **kw)
@@ -629,7 +636,7 @@ def test_spot_check_catches_a_faulty_kernel(monkeypatch):
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
     with pytest.raises(PrecisionExhaustedError):
-        empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
+        empirical._sampled(GOLDEN, 1.0, 5000, 10000, 1e-5)
 
 
 def test_precise_calls_do_not_jump_at_ten_thousand(monkeypatch):
@@ -666,10 +673,10 @@ def test_spot_check_catches_a_value_dropped_above_the_floor(monkeypatch,
         out = real(theta, ts, tol=tol, **kw)
         out[i] = 0.0
         return out
-    empirical._values_for(GOLDEN, 1.0, ns, eta)
+    empirical._sampled(GOLDEN, 1.0, 5000, 10000, eta)
     monkeypatch.setattr(empirical, "mu_hat_fast", drops_one)
     with pytest.raises(PrecisionExhaustedError, match="and the floor"):
-        empirical._values_for(GOLDEN, 1.0, ns, eta)
+        empirical._sampled(GOLDEN, 1.0, 5000, 10000, eta)
 
 
 def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
@@ -677,7 +684,6 @@ def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
     # spaced checked point is 0.0; a kernel that moves only the kept values
     # by 10 times the derived bound is caught at the kept values checked
     real = empirical.mu_hat_fast
-    ns = np.arange(5 * 10**5, 10**6 + 1, dtype=np.int64)
     fault = 10 * fast_error_bound(GOLDEN, 1e6)
     seen = {}
 
@@ -689,7 +695,7 @@ def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", moves_kept)
     with pytest.raises(PrecisionExhaustedError, match="derived bound"):
-        empirical._values_for(GOLDEN, 1.0, ns, 1e-3)
+        empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
     assert seen["kept"] == 35
 
 
@@ -698,8 +704,7 @@ def test_spot_check_prefers_kept_values_in_each_stride(monkeypatch):
     real = empirical.mu_hat
     monkeypatch.setattr(empirical, "mu_hat",
                         lambda *a, **k: checked.append(a[1]) or real(*a, **k))
-    ns = np.arange(5 * 10**5, 10**6 + 1, dtype=np.int64)
-    vals = empirical._values_for(GOLDEN, 1.0, ns, 1e-3)
+    _, vals = empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
     ts = np.asarray(checked)
     # 32 references: both endpoints, eight kept values (one per stride that
     # holds one) and 22 evenly spaced points whose strides hold none
@@ -714,7 +719,6 @@ def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
                                                                  N):
     # eta = 1e-5 refuses batches past 1e-6; the fault is far below that
     real = empirical.mu_hat_fast
-    ns = np.arange(N // 2, N + 1, dtype=np.int64)
     fault = 10 * fast_error_bound(GOLDEN, float(N))
     assert fault < 1e-7
 
@@ -724,7 +728,7 @@ def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
     with pytest.raises(PrecisionExhaustedError, match="derived bound"):
-        empirical._values_for(GOLDEN, 1.0, ns, 1e-5)
+        empirical._sampled(GOLDEN, 1.0, N // 2, N, 1e-5)
 
 
 @pytest.mark.parametrize("P, r, lo, hi", [
@@ -742,7 +746,7 @@ def test_spot_check_references_are_sharp_against_their_threshold(
     monkeypatch.setattr(empirical, "mu_hat",
                         lambda *a, **k: refs.append(real(*a, **k)) or refs[-1])
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    empirical._values_for(P, r, ns, 1e-3)
+    empirical._sampled(P, r, lo, hi, 1e-3)
     assert len(refs) == min(len(ns), empirical.SPOT_CHECK_SIZE)
     bound = fast_error_bound(P, r * hi)
     for ref in refs:

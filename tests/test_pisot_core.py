@@ -26,6 +26,7 @@ from pisot_spectra import (
     nearest_int_data,
     ring_theta_pow,
 )
+from pisot_spectra import pisot
 from pisot_spectra.pisot import (
     GUARD_BITS,
     _div_by_theta_scaled,
@@ -594,3 +595,32 @@ def test_minimal_polynomial_helpers():
         MinimalPolynomial(())
     with pytest.raises(ValueError):
         MinimalPolynomial((1, 1.5))
+
+
+@pytest.mark.parametrize("d", [(1, 1, 1), (1, 0, 0, 1)],
+                         ids=["tribonacci", "quartic"])
+@pytest.mark.parametrize("estimates", ["unsettled", "two_equal"])
+def test_root_fallback_certifies_the_same_base(monkeypatch, d, estimates):
+    # when the Durand-Kerner estimates do not settle, or two refined roots
+    # meet, build_pisot takes every root from mp.polyroots instead
+    normal = build_pisot(d)
+    real_estimates, real_polyroots = pisot._root_estimates, mp.polyroots
+    calls = []
+
+    def spoiled(poly):
+        z = real_estimates(poly)
+        return None if estimates == "unsettled" else [z[0], *z[:-1]]
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_polyroots(*args, **kwargs)
+    monkeypatch.setattr(pisot, "_root_estimates", spoiled)
+    monkeypatch.setattr(mp, "polyroots", counted)
+    P = build_pisot(d)
+    assert len(calls) == 1
+    cap = mp.mpf(2) ** -(P.precision_bits - 16)
+    assert abs(P.theta - normal.theta) <= cap
+    assert abs(P.rho - normal.rho) <= cap
+    assert len(P.conjugates) == len(normal.conjugates) == len(d) - 1
+    for a, b in zip(P.conjugates, normal.conjugates):
+        assert abs(a - b) <= cap

@@ -245,6 +245,20 @@ def test_mu_hat_depth_equals_the_mpf_rule(theta, log_t, log_tol, pb, z):
         assert (plan.J, plan.n_neg) == _phi_mpf_depths(P, w, tol)
 
 
+@pytest.mark.parametrize("t, tol, K", [(10**200, 1e-20, 1009),
+                                       (Fraction(3, 2), 1e-260, 627)],
+                         ids=["t_1e200", "tol_1e-260"])
+def test_mu_hat_depth_outside_float64_range_is_the_mpf_rule(t, tol, K):
+    # x0 >= 1e150 or tol < 1e-250 lies outside _float_depth's range: it
+    # returns None, and _truncation_depth sets the depth alone
+    pb = GOLDEN.precision_bits
+    with mp.workprec(pb + _mag_estimate(t) + 32):
+        x0 = float(2 * mp.pi * abs(_to_mpf(t)))
+    assert _float_depth(x0, float(GOLDEN.theta), tol, 1) is None
+    res = mu_hat(GOLDEN, t, tol, precision_bits=pb)
+    assert res.truncation_index == _mpf_depth(GOLDEN, t, tol, pb) == K
+
+
 @pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, build_pisot((2,)), 1.5])
 def test_mu_hat_depth_equals_the_mpf_rule_near_its_threshold(theta):
     # t_j puts 2 pi t theta^-j exactly on sqrt(tol (1 - theta^-2)), where the
@@ -432,16 +446,20 @@ def _textbook_tail(theta, x):
 def _textbook_fast(theta, ts):
     # prod_{k<k_c} cos(2 pi (x_k - rint x_k)), x_0 = |t|, x_{k+1} = x_k /
     # theta, times the tail polynomial at x_(k_c), with the head length of
-    # the float64 path at the batch's largest |t|
+    # the float64 path at the batch's largest |t|; 0.0 where the product
+    # vanishes exactly
     x = np.abs(np.array(ts, dtype=np.float64))
     if x.size == 0:
         return np.ones(0)
+    zero = _exact_zeros_int64(theta, x)
     th = float(_theta_value(theta))
     vals = np.ones_like(x)
     for _ in range(_textbook_head(theta, x)):
         vals = vals * np.cos(2 * math.pi * (x - np.rint(x)))
         x = x / th
-    return vals * _textbook_tail(theta, x)
+    vals = vals * _textbook_tail(theta, x)
+    vals[zero] = 0.0
+    return vals
 
 
 @pytest.mark.parametrize("theta", [GOLDEN, TRIBONACCI, QUARTIC,
@@ -959,6 +977,23 @@ def test_leading_factors_bound_the_value_from_above(theta):
     for limit, shown in ((1e-12, True), (0.0, False)):
         assert _leading_factors_below(build_pisot((2,)), 2.0 ** 9 / 4, limit,
                                       1e-12, 64) is shown
+
+
+def test_mu_hat_fast_returns_exact_zeros_as_positive_zero():
+    # theta = 2: mu_hat(t) = sin(4 pi t)/(4 pi t), 0 at every nonzero t in
+    # Z/4, where the float64 cosine of pi/2 alone would leave about 1e-17
+    binary = build_pisot((2,))
+    vals = mu_hat_fast(binary, [1.0, 2.5])
+    assert vals.tolist() == [0.0, 0.0] and not np.signbit(vals).any()
+    ts = np.arange(-400, 401) / 8
+    for theta in (GOLDEN, QUARTIC, binary, build_pisot((4,)), 1.5):
+        zero = _exact_zeros(theta, ts)
+        assert zero.any()
+        for floor in (0.0, 1e-3):
+            vals = mu_hat_fast(theta, ts, floor=floor)
+            assert np.all(vals[zero] == 0) and not np.signbit(vals[zero]).any()
+            if not floor:
+                assert np.array_equal(vals == 0, zero)
 
 
 @pytest.mark.parametrize("d", [(2,), (3,), (4,), (1, 1)])
