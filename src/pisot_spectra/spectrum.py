@@ -32,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (chain, combinations_with_replacement,
+from itertools import (chain, combinations_with_replacement, islice,
                        product as iter_product)
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -541,15 +541,34 @@ def tail_product(P: PisotNumber, x, tol: float = 1e-20):
         return abs(res.value), res.error_bound
 
 
-def _compose_product(parts, start=None):
-    """Certified product of nonnegative bracketed values [(v, e), ...],
-    continued from start, a running (value, upper, lower), when given."""
-    value, upper, lower = start or (mp.mpf(1),) * 3
+def _compose_product(parts):
+    """Certified product of nonnegative bracketed values [(v, e), ...]."""
+    value = upper = lower = mp.mpf(1)
     for v, e in parts:
         value *= v
         upper *= v + e
         lower *= max(mp.mpf(0), v - e)
     return value, max(upper - value, value - lower)
+
+
+def _slot_orders(combo):
+    """The distinct orders of the multiset combo in ascending lexicographic
+    order, less those whose first slot exceeds their second."""
+    s = sorted(combo)
+    while True:
+        if len(s) < 2 or s[0] <= s[1]:
+            yield tuple(s)
+        # the next permutation: raise the last ascent, reverse the rest
+        i = len(s) - 2
+        while i >= 0 and s[i] >= s[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(s) - 1
+        while s[j] <= s[i]:
+            j -= 1
+        s[i], s[j] = s[j], s[i]
+        s[i + 1:] = reversed(s[i + 1:])
 
 
 def _ring_list(P: PisotNumber, z_list: Sequence[ElementLike]) -> tuple:
@@ -607,21 +626,37 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     m_max + 1, offsets |A| <= a_max.
 
     A candidate's id is its position in the lexicographic order over
-    (length, offset, vectors), each coordinate running -height..height;
-    it is computed from the candidate's data, so the window is walked
-    depth-first over (length, offset, vector prefix) and only part of it is
-    built.  Each vector's bracket (v, v + e, max(0, v - e)) of Phi is taken
-    once, and a prefix carries its running value, upper and lower products
-    on the stack, so a candidate multiplies in only the tail; the products
-    run in the order of _compose_product over the full part list, so the
-    bits are the same.  Every factor Phi(z) and |mu_hat(r A)| is at most 1,
-    and mpf rounding is monotone, so no candidate below a prefix exceeds
-    the prefix's upper product times (tail value + tail error).  The walk
-    pushes a prefix only while that bound reaches thr = eta/2.  A parent
-    scans its children by descending upper bracket, sorted once, and stops
-    at the first whose bound falls below thr: by the same monotonicity no
-    later child reaches it.  The walk order does not reach the output,
-    which the merge sorts.
+    (length, offset, vectors), each coordinate running -height..height, so
+    -z sits at n_vec - 1 minus z's index among the n_vec vectors.  Its
+    value and error come from _compose_product over Phi(z_1), ...,
+    Phi(z_k), |mu_hat(r A)|.  Three changes keep those bits: z -> -z
+    (Phi(-z) = Phi(z) bit for bit, see _biinfinite_product), A -> -A (the
+    tail is taken at |A|), and swapping the first two slots (each product
+    starts at 1, 1 v = v exactly, and mpf multiplication commutes).
+    Candidates with the same bits fall in one merge group, which keeps
+    their lowest id: A = -|A|, each vector the lower-indexed of +-z, and
+    the first two slots ascending.  So the window is walked over |A| and
+    over multisets of the classes {z, -z}, class c = 0..n_vec // 2 standing
+    for the c-th vector, and only part of it is built.  At a leaf each
+    distinct slot order of the multiset whose first slot is at most its
+    second is composed once, under that lowest id: with three or more
+    vectors the orders can round apart, so each is kept.
+
+    Every factor Phi(z) and |mu_hat(r A)| is at most 1, so no candidate
+    exceeds the upper product of some of its vectors times the tail's
+    upper bracket.  A multiset is built in descending order of upper
+    bracket (v + e, sorted once), so a prefix's upper product is the
+    largest over as many of its vectors, in any order.  The walk extends a
+    prefix only while that product times the tail's reaches
+    low = thr (1 - 4 (m_max + 3) 2^-p), thr = eta/2 at p working bits.
+    Each product compared, a bound or a value, rounds m_max + 2 times at
+    most, by a relative 2^-p each; so no order of a dropped multiset
+    reaches thr, in value or in the bound by which a walk over ordered
+    lists would keep it, and the leaves hold every candidate of such a
+    walk.  A parent scans its children from its own last class on, by
+    descending upper bracket, and stops at the first below low: by
+    monotone rounding no later child reaches it.  The walk order does not
+    reach the output, which the merge sorts.
 
     Values within 2*tol of each other are merged single-linkage, keeping the
     earliest id, and the result is sorted by descending value; the merge
@@ -645,16 +680,10 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
             f"window holds {total} candidates, over the budget of {budget}"
         )
 
-    vecs = list(iter_product(range(-height, height + 1), repeat=P.m))
-    rings = [P.ring(vec) for vec in vecs]
-    # Phi(-z) = Phi(z) bitwise, so each vector is keyed by the larger of
-    # itself and its negation
-    keys = [max(vec, tuple(-c for c in vec)) for vec in vecs]
-
-    @functools.cache
-    def bracket_of(key):
-        v, e = phi_biinfinite(P, P.ring(key), tol)
-        return v, v + e, max(mp.mpf(0), v - e)
+    # class c stands for the c-th vector of the window and its negation
+    rings = [P.ring(vec) for vec in islice(
+        iter_product(range(-height, height + 1), repeat=P.m), n_vec // 2 + 1)]
+    classes = range(len(rings))
 
     @functools.cache
     def tail_of(a):  # a = |A|
@@ -663,42 +692,42 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     def walk(thr):
         found = []
         first = 0  # id of the first candidate with M + 1 vectors
-        one = mp.mpf(1)
-        level = order = None
+        low = thr * (1 - mp.ldexp(m_max + 3, 2 - mp.mp.prec))
+        phi = order = None
         for M in range(m_max + 1):
             block = n_vec ** (M + 1)
-            for A in range(-a_max, a_max + 1):
-                tail = tail_of(abs(A))
+            for a in range(a_max + 1):
+                tail = tail_of(a)
                 tail_upper = tail[0] + tail[1]
-                if tail_upper < thr:  # the empty prefix's bound
+                if tail_upper < low:  # the empty prefix's bound
                     continue
-                if level is None:
-                    level = [bracket_of(key) for key in keys]
-                    # by descending upper bracket: rounding is monotone, so
-                    # the first child below thr ends its parent's scan
-                    order = sorted(range(n_vec), key=lambda i: level[i][1],
+                if phi is None:
+                    phi = [phi_biinfinite(P, z, tol) for z in rings]
+                    upper_of = [v + e for v, e in phi]
+                    order = sorted(classes, key=lambda c: upper_of[c],
                                    reverse=True)
-                offset = first + (A + a_max) * block
-                # (prefix as indices into vecs, its digits, and its running
-                # value, upper and lower products)
-                stack = [((), 0, (one, one, one))]
+                offset = first + (a_max - a) * block  # A = -a
+                # (multiset as positions in order, ascending, and its
+                # upper product)
+                stack = [((), mp.mpf(1))]
                 while stack:
-                    combo, digits, prefix = stack.pop()
+                    combo, upper = stack.pop()
                     if len(combo) > M:
-                        predicted, err = _compose_product([tail], prefix)
-                        found.append(SpectrumCandidate(
-                            tuple(rings[i] for i in combo), A, r_f,
-                            predicted, err, id=str(offset + digits),
-                        ))
+                        for slots in _slot_orders(order[p] for p in combo):
+                            digits = 0
+                            for c in slots:
+                                digits = digits * n_vec + c
+                            predicted, err = _compose_product(
+                                [phi[c] for c in slots] + [tail])
+                            found.append(SpectrumCandidate(
+                                tuple(rings[c] for c in slots), -a, r_f,
+                                predicted, err, id=str(offset + digits)))
                         continue
-                    value, upper, lower = prefix
-                    for i in order:
-                        v, v_up, v_low = level[i]
-                        up = upper * v_up
-                        if up * tail_upper < thr:
+                    for p in range(combo[-1] if combo else 0, len(order)):
+                        up = upper * upper_of[order[p]]
+                        if up * tail_upper < low:
                             break
-                        stack.append((combo + (i,), digits * n_vec + i,
-                                      (value * v, up, lower * v_low)))
+                        stack.append((combo + (p,), up))
             first += (2 * a_max + 1) * block
         return found
 

@@ -712,6 +712,17 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     return vals
 
 
+def _integer_base(theta: Theta) -> int:
+    """theta as an int when its value is an integer, else 1: the digit of a
+    PisotNumber of degree 1, or an int, float, Fraction or mpf."""
+    if isinstance(theta, PisotNumber):
+        return theta.d[0] if theta.m == 1 else 1
+    if isinstance(theta, mp.mpf):
+        return int(theta) if mp.isint(theta) else 1
+    value = Fraction(theta)
+    return value.numerator if value.denominator == 1 else 1
+
+
 def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> None:
     """Set x = |t|, and v to 0.0 where the product at t vanishes exactly and
@@ -721,8 +732,9 @@ def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
     integer.  Every base admits k = 0: 4|t| is an odd integer exactly when
     2|t| - rint(2|t|) is +-1/2.  The scaling and the subtraction are exact,
     and inf and nan give nan, so this is fmod(4|t|, 2) == 1 without fmod's
-    cost.  An integer base b (a PisotNumber of degree 1) also admits each
-    k with b^k <= 4|t|; for odd b, b^k times an odd integer is odd, so
+    cost.  An integer base b (_integer_base: theta's value, whatever its
+    type) also admits each k with b^k <= 4|t|; for odd b, b^k times an odd
+    integer is odd, so
     k = 0 finds them all.  For even b a whole 4|t| below 2^62 is taken as
     an int64 z in x's memory, others as 0 or 2^62, and 4t = b^k times an
     odd integer exactly when z mod 2 b^k == b^k for some b^k < 2^62; a
@@ -730,7 +742,7 @@ def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
     admits no k > 0, since 4t is rational.
     """
     import numpy as np
-    base = theta.d[0] if isinstance(theta, PisotNumber) and theta.m == 1 else 1
+    base = _integer_base(theta)
     if base % 2:
         np.abs(t, out=x)
         np.multiply(x, 2, out=y)

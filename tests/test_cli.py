@@ -540,6 +540,14 @@ def test_float64_outputs_print_the_exact_zeros():
     assert code == 0 and json.loads(out)["blocks"][0]["value"] == "0.0"
 
 
+def test_decay_theta_as_a_number_prints_the_bytes_of_its_poly():
+    # the float64 zero rule reads an even base from theta's value
+    want = run("decay", "--poly", "2", "--N", "8")
+    assert want[0] == 0
+    for theta in ("2.0", "2"):
+        assert run("decay", "--theta", theta, "--N", "8") == want
+
+
 def test_decay_block_layout():
     code, out, _ = run("decay", "--theta", "1.5", "--N", "1024")
     assert code == 0

@@ -135,7 +135,7 @@ def test_phi_shift_and_symmetry_random():
                 v2, e2 = phi_biinfinite(P, -z)
                 assert abs(v0 - v1) <= e0 + e1
                 assert abs(v0 - v2) <= e0 + e2
-                # enumerate_spectrum keys its cache on this
+                # enumerate_spectrum walks {z, -z} classes on this
                 assert (v2, e2) == (v0, e0)
 
 
@@ -561,12 +561,15 @@ def _as_rows(cands):
 
 
 def _enumerate_counted(P, r, height, m_max, a_max, eta, tol=1e-20):
-    """enumerate_spectrum's result and its number of composed candidates."""
+    """enumerate_spectrum's result, its number of composed candidates and
+    its number of walks (one merge each)."""
     with mock.patch.object(spectrum, "_compose_product",
-                           wraps=spectrum._compose_product) as compose:
+                           wraps=spectrum._compose_product) as compose, \
+            mock.patch.object(spectrum, "_merge_groups",
+                              wraps=spectrum._merge_groups) as merge:
         cands = enumerate_spectrum(P, r, height, m_max, a_max, tol=tol,
                                    eta=eta)
-    return cands, compose.call_count
+    return cands, compose.call_count, merge.call_count
 
 
 # every window that the tests, the demos and the benchmark enumerate
@@ -597,22 +600,26 @@ def test_enumerate_matches_full_walk_on_used_windows(window):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((GOLDEN, TRIBONACCI, BINARY)), st.sampled_from((1, HALF)),
-       st.integers(0, 1), st.integers(0, 1), st.integers(0, 2),
-       st.integers(0, 10**6), st.sampled_from(("at", "above", "below")))
+       st.integers(0, 1), st.integers(0, 2), st.integers(0, 2),
+       st.sampled_from((1e-20, 0.05)), st.integers(0, 10**6),
+       st.sampled_from(("at", "above", "below")))
 def test_enumerate_matches_full_walk_at_candidate_values(P, r, height, m_max,
-                                                         a_max, pick, where):
-    full = _small_full_walk(P, r, height, m_max, a_max)
+                                                         a_max, tol, pick,
+                                                         where):
+    # m_max 2 lists three vectors, whose slot orders can round apart; at
+    # tol 0.05 the merge bridges groups
+    full = _small_full_walk(P, r, height, m_max, a_max, tol)
     values = sorted({c[3] for c in full if c[3] > 0})
     value = values[pick % len(values)]
     if where == "at":
         eta = value
     else:
         eta = math.nextafter(float(value), math.inf if where == "above" else 0)
-    got, composed = _enumerate_counted(P, r, height, m_max, a_max, eta)
-    assert _as_rows(got) == _full_spectrum(P, full, eta)
-    if where == "at":
+    got, _, walks = _enumerate_counted(P, r, height, m_max, a_max, eta, tol)
+    assert _as_rows(got) == _full_spectrum(P, full, eta, tol)
+    if where == "at" and tol < 1e-3:
         # the walk at eta/2 settles it: no second, unpruned walk
-        assert composed <= len(full)
+        assert walks == 1
 
 
 def test_enumerate_rewalks_when_a_wide_merge_crosses_the_cut():
@@ -621,22 +628,133 @@ def test_enumerate_rewalks_when_a_wide_merge_crosses_the_cut():
     # only the unpruned walk sees
     window = (GOLDEN, 1, 1, 1, 2)
     full = _full_walk(*window, tol=0.05)
-    got, composed = _enumerate_counted(*window, 0.01, tol=0.05)
+    got, _, walks = _enumerate_counted(*window, 0.01, tol=0.05)
     assert _as_rows(got) == _full_spectrum(GOLDEN, full, 0.01, tol=0.05)
-    assert composed > len(full)
+    assert walks == 2
+
+
+def _window_id(P, height, a_max, idx, A):
+    """The window position of the vectors vecs[i], i in idx, and offset A."""
+    n_vec = (2 * height + 1) ** P.m
+    pos = sum((2 * a_max + 1) * n_vec ** k for k in range(1, len(idx)))
+    pos += (A + a_max) * n_vec ** len(idx)
+    digits = 0
+    for i in idx:
+        digits = digits * n_vec + i
+    return pos + digits
+
+
+def _lowest_mate(P, height, a_max, idx, A):
+    """The lowest id of the candidates whose bits equal those of (idx, A):
+    each vector the lower-indexed of +-z, A = -|A|, the first two slots
+    ascending."""
+    n_vec = (2 * height + 1) ** P.m
+    idx = [min(i, n_vec - 1 - i) for i in idx]
+    idx[:2] = sorted(idx[:2])
+    return _window_id(P, height, a_max, idx, -abs(A))
+
+
+@pytest.mark.parametrize(
+    "window", USED_WINDOWS[1:8],
+    ids=[f"{P.d}-{r}-{h}-{mm}-{am}-{eta}"
+         for P, r, h, mm, am, eta in USED_WINDOWS[1:8]])
+def test_enumerate_keeps_the_lowest_id_of_each_class(window):
+    P, r, height, m_max, a_max, eta = window
+    vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
+    n_vec = len(vecs)
+    for cand in enumerate_spectrum(P, r, height, m_max, a_max, eta=eta):
+        idx = [vecs.index(z.coeffs) for z in cand.z_list]
+        assert int(cand.id) == _window_id(P, height, a_max, idx, cand.A)
+        # at tol 1e-20 every slot order of a multiset merges into one group
+        lowest = sorted(min(i, n_vec - 1 - i) for i in idx)
+        assert int(cand.id) == _window_id(P, height, a_max, lowest, -abs(cand.A))
+
+
+def _ordered_leaves(P, r, height, m_max, a_max, thr, tol=1e-20):
+    """(idx, A) of every candidate that a walk over ordered vector lists
+    composes: each prefix's upper product times the tail's reaches thr."""
+    r_f = P.field(Fraction(r))
+    vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        ups = [sum(phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
+        leaves = []
+        for A in range(-a_max, a_max + 1):
+            tail_up = sum(tail_product(P, r_f * abs(A), tol))
+            prefixes = [((), mp.mpf(1))]
+            for _ in range(m_max + 1):
+                prefixes = [(idx + (i,), up * ups[i])
+                            for idx, up in prefixes for i in range(len(vecs))
+                            if up * ups[i] * tail_up >= thr]
+                leaves += [(idx, A) for idx, _ in prefixes]
+    return leaves
+
+
+def _rounded_apart_eta(P, r, height, m_max, a_max, tol=1e-20):
+    """2 b, b the largest ordered leaf bound of a multiset of three vectors
+    whose ordered bounds differ and whose order by descending upper
+    bracket gives less than b."""
+    r_f = P.field(Fraction(r))
+    vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        ups = [sum(phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
+        tail_up = sum(tail_product(P, r_f * 0, tol))
+        best = None
+        for combo in itertools.combinations_with_replacement(
+                range(len(vecs)), 3):
+            def bound(order):
+                up = mp.mpf(1)
+                for i in order:
+                    up *= ups[i]
+                return up * tail_up
+            top = max(bound(o) for o in itertools.permutations(combo))
+            first = bound(sorted(combo, key=lambda i: ups[i], reverse=True))
+            if first < top and (best is None or top > best):
+                best = top
+        return 2 * best
+
+
+def test_enumerate_composes_every_candidate_of_the_ordered_walk():
+    window = (GOLDEN, 1, 1, 2, 1)
+    height, a_max = window[2], window[4]
+    eta = _rounded_apart_eta(*window)
+    with mp.workprec(GOLDEN.precision_bits + GUARD_BITS):
+        thr = eta / 2
+    with mock.patch.object(spectrum, "SpectrumCandidate",
+                           wraps=spectrum.SpectrumCandidate) as made:
+        enumerate_spectrum(*window, eta=eta)
+    composed = {int(c.kwargs["id"]) for c in made.call_args_list}
+    leaves = _ordered_leaves(*window, thr)
+    assert any(len(idx) == 3 for idx, _ in leaves)
+    for idx, A in leaves:
+        assert _lowest_mate(GOLDEN, height, a_max, idx, A) in composed
+
+
+def test_enumerate_keeps_three_vector_orders_that_round_apart():
+    # at a tol below the rounding, slot orders whose bits differ are values
+    # of their own, each kept under its lowest id
+    window, tol, eta = (GOLDEN, 1, 1, 2, 0), 1e-100, 1e-9
+    full = _full_walk(*window, tol=tol)
+    got, _, _ = _enumerate_counted(*window, eta, tol=tol)
+    assert _as_rows(got) == _full_spectrum(GOLDEN, full, eta, tol=tol)
+    values = {}
+    for _, _, combo, value, _ in full:
+        if len(combo) == 3 and value >= eta:
+            key = tuple(sorted(max(z, tuple(-c for c in z)) for z in combo))
+            values.setdefault(key, set()).add(value)
+    assert any(len(v) > 1 for v in values.values())
 
 
 # _compose_product calls of the benchmark's catalogue windows: one per
-# candidate whose prefix bound reaches eta/2
-CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 81),
-                      ((GOLDEN, HALF, 2, 1, 2, 1e-6), 1378),
-                      ((TRIBONACCI, 1, 1, 1, 2, 0.05), 10)]
+# slot order of each multiset whose bound reaches eta/2
+CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 30),
+                      ((GOLDEN, HALF, 2, 1, 2, 1e-6), 177),
+                      ((TRIBONACCI, 1, 1, 1, 2, 0.05), 6)]
 
 
 @pytest.mark.parametrize("window, count", CATALOGUE_COMPOSED,
                          ids=[str(i) for i in range(len(CATALOGUE_COMPOSED))])
 def test_enumerate_composes_the_catalogue_windows_pinned_counts(window, count):
-    _, composed = _enumerate_counted(*window)
+    _, composed, _ = _enumerate_counted(*window)
     assert composed == count
 
 

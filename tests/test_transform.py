@@ -789,6 +789,19 @@ def test_integer_exact_zeros_over_several_blocks(d):
     assert mask.any() and not mask.all()
 
 
+@pytest.mark.parametrize("b", [2, 3, 4])
+def test_exact_zeros_take_an_integer_base_of_any_type(b):
+    # theta given as a number has the zeros of the degree-1 base
+    ts = np.concatenate([np.arange(-40, 41) / 8, 2.0 ** np.arange(40) / 4,
+                         3.0 ** np.arange(30) / 4, (5 * 4.0 ** np.arange(20))])
+    want = _exact_zeros(build_pisot((b,)), ts)
+    for theta in (b, float(b), Fraction(b), mp.mpf(b), np.float64(b)):
+        assert np.array_equal(_exact_zeros(theta, ts), want)
+    # a base that is not an integer admits only k = 0
+    for theta in (b + 0.5, Fraction(2 * b + 1, 2), mp.mpf(b) + 0.25):
+        assert np.array_equal(_exact_zeros(theta, ts), _exact_zeros_fmod(ts))
+
+
 def _exact_zeros_fmod(ts):
     # the reference: the k = 0 test by fmod
     with np.errstate(over="ignore", invalid="ignore"):
