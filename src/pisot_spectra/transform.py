@@ -717,10 +717,7 @@ def _integer_base(theta: Theta) -> int:
     PisotNumber of degree 1, or an int, float, Fraction or mpf."""
     if isinstance(theta, PisotNumber):
         return theta.d[0] if theta.m == 1 else 1
-    if isinstance(theta, mp.mpf):
-        return int(theta) if mp.isint(theta) else 1
-    value = Fraction(theta)
-    return value.numerator if value.denominator == 1 else 1
+    return int(theta) if theta == int(theta) else 1
 
 
 def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,

@@ -689,34 +689,37 @@ def _ordered_leaves(P, r, height, m_max, a_max, thr, tol=1e-20):
     return leaves
 
 
-def _rounded_apart_eta(P, r, height, m_max, a_max, tol=1e-20):
-    """2 b, b the largest ordered leaf bound of a multiset of three vectors
-    whose ordered bounds differ and whose order by descending upper
-    bracket gives less than b."""
-    r_f = P.field(Fraction(r))
+def _rounded_apart_eta(P, height, tol=1e-20):
+    """2 b, b the largest bound at A = 0 of an order of three vectors that
+    exceeds the bound of the same vectors by descending upper bracket."""
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     with mp.workprec(P.precision_bits + GUARD_BITS):
         ups = [sum(phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
-        tail_up = sum(tail_product(P, r_f * 0, tol))
-        best = None
+        tail_up = sum(tail_product(P, 0, tol))
+
+        def bound(order):
+            up = mp.mpf(1)
+            for i in order:
+                up *= ups[i]
+            return up * tail_up
+
+        best = 0
         for combo in itertools.combinations_with_replacement(
                 range(len(vecs)), 3):
-            def bound(order):
-                up = mp.mpf(1)
-                for i in order:
-                    up *= ups[i]
-                return up * tail_up
             top = max(bound(o) for o in itertools.permutations(combo))
-            first = bound(sorted(combo, key=lambda i: ups[i], reverse=True))
-            if first < top and (best is None or top > best):
-                best = top
+            if bound(sorted(combo, key=lambda i: ups[i], reverse=True)) < top:
+                best = max(best, top)
+        assert best > 0
         return 2 * best
 
 
 def test_enumerate_composes_every_candidate_of_the_ordered_walk():
+    # thr = eta/2 is the bound of an order of three vectors whose order by
+    # descending upper bracket rounds below it: the class walk must still
+    # compose them
     window = (GOLDEN, 1, 1, 2, 1)
     height, a_max = window[2], window[4]
-    eta = _rounded_apart_eta(*window)
+    eta = _rounded_apart_eta(GOLDEN, height)
     with mp.workprec(GOLDEN.precision_bits + GUARD_BITS):
         thr = eta / 2
     with mock.patch.object(spectrum, "SpectrumCandidate",
