@@ -642,9 +642,9 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     second is composed once, under that lowest id: with three or more
     vectors the orders can round apart, so each is kept.
 
-    Every factor Phi(z) and |mu_hat(r A)| is at most 1, so no candidate
-    exceeds the upper product of some of its vectors times the tail's
-    upper bracket.  A multiset is built in descending order of upper
+    Every factor Phi(z) and |mu_hat(r A)| is at most 1, so no candidate's
+    value exceeds the upper product of any part of its vectors times the
+    tail's upper bracket.  A multiset is built in descending order of upper
     bracket (v + e, sorted once), so a prefix's upper product is the
     largest over as many of its vectors, in any order.  The walk extends a
     prefix only while that product times the tail's reaches
@@ -652,8 +652,8 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     Each product compared, a bound or a value, rounds m_max + 2 times at
     most, by a relative 2^-p each; so no order of a dropped multiset
     reaches thr, in value or in the bound by which a walk over ordered
-    lists would keep it, and the leaves hold every candidate of such a
-    walk.  A parent scans its children from its own last class on, by
+    lists would keep it: the leaves stand for every candidate such a walk
+    keeps.  A parent scans its children from its own last class on, by
     descending upper bracket, and stops at the first below low: by
     monotone rounding no later child reaches it.  The walk order does not
     reach the output, which the merge sorts.

@@ -731,12 +731,11 @@ def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
     and inf and nan give nan, so this is fmod(4|t|, 2) == 1 without fmod's
     cost.  An integer base b (_integer_base: theta's value, whatever its
     type) also admits each k with b^k <= 4|t|; for odd b, b^k times an odd
-    integer is odd, so
-    k = 0 finds them all.  For even b a whole 4|t| below 2^62 is taken as
-    an int64 z in x's memory, others as 0 or 2^62, and 4t = b^k times an
-    odd integer exactly when z mod 2 b^k == b^k for some b^k < 2^62; a
-    marked z becomes -1, which no later power marks.  An irrational theta
-    admits no k > 0, since 4t is rational.
+    integer is odd, so k = 0 finds them all.  For even b a whole 4|t| below
+    2^62 is taken as an int64 z in x's memory, others as 0 or 2^62, and
+    4t = b^k times an odd integer exactly when z mod 2 b^k == b^k for some
+    b^k < 2^62; a marked z becomes -1, which no later power marks.  An
+    irrational theta admits no k > 0, since 4t is rational.
     """
     import numpy as np
     base = _integer_base(theta)

@@ -519,20 +519,31 @@ def test_enumerate_budget_cap():
 
 def _full_walk(P, r, height, m_max, a_max, tol=1e-20):
     """Every candidate (id, A, vectors, value, error) of the window, built
-    by the unpruned loop with a running id."""
+    by the unpruned loop with a running id.  Each product runs as
+    _compose_product runs it over the vectors' brackets and then the
+    tail's: a list continues its prefix's running value, upper and lower
+    products."""
     r_f = P.field(Fraction(r))
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     out = []
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        phi = {vec: phi_biinfinite(P, P.ring(vec), tol) for vec in vecs}
-        tail = {A: tail_product(P, r_f * abs(A), tol)
+        def bracket(v, e):
+            return v, v + e, max(mp.mpf(0), v - e)
+
+        phi = [bracket(*phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
+        tail = {A: bracket(*tail_product(P, r_f * abs(A), tol))
                 for A in range(-a_max, a_max + 1)}
+        lists = [((), (mp.mpf(1),) * 3)]
         for M in range(m_max + 1):
+            lists = [(combo + (vec,), (value * v, upper * v_up, lower * v_low))
+                     for combo, (value, upper, lower) in lists
+                     for vec, (v, v_up, v_low) in zip(vecs, phi)]
             for A in range(-a_max, a_max + 1):
-                for combo in itertools.product(vecs, repeat=M + 1):
-                    parts = [phi[vec] for vec in combo] + [tail[A]]
-                    value, err = spectrum._compose_product(parts)
-                    out.append((str(len(out)), A, combo, value, err))
+                t, t_up, t_low = tail[A]
+                for combo, (value, upper, lower) in lists:
+                    value, upper, lower = value * t, upper * t_up, lower * t_low
+                    out.append((str(len(out)), A, combo, value,
+                                max(upper - value, value - lower)))
     return out
 
 
@@ -676,10 +687,12 @@ def _ordered_leaves(P, r, height, m_max, a_max, thr, tol=1e-20):
     r_f = P.field(Fraction(r))
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        ups = [sum(phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
+        ups = [v + e for v, e in (phi_biinfinite(P, P.ring(vec), tol)
+                                  for vec in vecs)]
         leaves = []
         for A in range(-a_max, a_max + 1):
-            tail_up = sum(tail_product(P, r_f * abs(A), tol))
+            v, e = tail_product(P, r_f * abs(A), tol)
+            tail_up = v + e
             prefixes = [((), mp.mpf(1))]
             for _ in range(m_max + 1):
                 prefixes = [(idx + (i,), up * ups[i])
@@ -694,8 +707,10 @@ def _rounded_apart_eta(P, height, tol=1e-20):
     exceeds the bound of the same vectors by descending upper bracket."""
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        ups = [sum(phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
-        tail_up = sum(tail_product(P, 0, tol))
+        ups = [v + e for v, e in (phi_biinfinite(P, P.ring(vec), tol)
+                                  for vec in vecs)]
+        v, e = tail_product(P, 0, tol)
+        tail_up = v + e
 
         def bound(order):
             up = mp.mpf(1)
