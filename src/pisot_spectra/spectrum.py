@@ -177,9 +177,9 @@ def _ascent_cut(P: PisotNumber, big_c, tol):
     x, rho = mp.pi * big_c, P.rho
     J = 0
     if x > cut:
-        # a float estimate two steps short, then one multiply per step
-        J = max(0, math.floor(math.log(float(x / cut))
-                              / -math.log(float(rho))) - 2)
+        # a 64-bit estimate two steps short, then one multiply per step
+        with mp.workprec(64):
+            J = max(0, int(mp.log(x / cut) / -mp.log(rho)) - 2)
         x *= rho ** J
         if x <= cut:  # the estimate overshot: walk from the start
             J, x = 0, mp.pi * big_c
@@ -199,7 +199,7 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
     J, N, x_J = _ascent_cut(P, big_c, tol) if emb else (0, 0, 0)
     th = P.theta_at(pb + GUARD_BITS)
     w1 = abs(embed(w, 1, pb))
-    n_neg = _depth(mp.pi * w1, th, tol, start=1) - 1
+    n_neg = _depth(mp.pi * w1, th, tol)
     # error of sum_i Re z_(i,j) up to j = J: under 2 units from the start
     # of each term, and per step 2 for its two floors and |w_i| for the
     # rounded theta_i
@@ -627,7 +627,10 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
 
     A candidate's id is its position in the lexicographic order over
     (length, offset, vectors), each coordinate running -height..height, so
-    -z sits at n_vec - 1 minus z's index among the n_vec vectors.  Its
+    -z sits at n_vec - 1 minus z's index among the n_vec vectors: the
+    lists of M + 1 vectors start at first[M], the count of the shorter
+    ones.  One table of those sums is built before any value is taken, and
+    the window is refused as soon as the sum passes the budget.  Its
     value and error come from _compose_product over Phi(z_1), ...,
     Phi(z_k), |mu_hat(r A)|.  Three changes keep those bits: z -> -z
     (Phi(-z) = Phi(z) bit for bit, see _biinfinite_product), A -> -A (the
@@ -635,12 +638,14 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     starts at 1, 1 v = v exactly, and mpf multiplication commutes).
     Candidates with the same bits fall in one merge group, which keeps
     their lowest id: A = -|A|, each vector the lower-indexed of +-z, and
-    the first two slots ascending.  So the window is walked over |A| and
+    the first two slots ascending.  So the window is walked once per |A|,
     over multisets of the classes {z, -z}, class c = 0..n_vec // 2 standing
-    for the c-th vector, and only part of it is built.  At a leaf each
-    distinct slot order of the multiset whose first slot is at most its
-    second is composed once, under that lowest id: with three or more
-    vectors the orders can round apart, so each is kept.
+    for the c-th vector, and only part of it is built: every nonempty
+    multiset is a leaf for its own length, and one of at most m_max
+    vectors is extended by one more.  At a leaf each distinct slot order
+    of the multiset whose first slot is at most its second is composed
+    once, under that lowest id: with three or more vectors the orders can
+    round apart, so each is kept.
 
     Every factor Phi(z) and |mu_hat(r A)| is at most 1, so no candidate's
     value exceeds the upper product of any part of its vectors times the
@@ -665,7 +670,8 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     a member within 2*tol of thr.  When every group that reaches eta stays
     clear of that, the groups reaching eta are those of the full walk;
     otherwise (only for a large tol) the window is walked again with
-    nothing dropped.
+    nothing dropped.  Both walks share the tails and the Phi of each
+    class, each taken once per call.
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
@@ -674,67 +680,64 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     r_f = _as_multiplier(P, r)
 
     n_vec = (2 * height + 1) ** P.m
-    total = sum((2 * a_max + 1) * n_vec ** (M + 1) for M in range(m_max + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"window holds {total} candidates, over the budget of {budget}"
-        )
+    # first[M]: the id of the first candidate with M + 1 vectors
+    first = [0]
+    for M in range(m_max + 1):
+        first.append(first[M] + (2 * a_max + 1) * n_vec ** (M + 1))
+        if first[-1] > budget:
+            raise BudgetExceededError(
+                f"window holds at least {first[-1]} candidates, over the "
+                f"budget of {budget}"
+            )
 
     # class c stands for the c-th vector of the window and its negation
     rings = [P.ring(vec) for vec in islice(
         iter_product(range(-height, height + 1), repeat=P.m), n_vec // 2 + 1)]
-    classes = range(len(rings))
 
-    @functools.cache
-    def tail_of(a):  # a = |A|
-        return tail_product(P, r_f * a, tol)
-
-    def walk(thr):
+    def walk(low):
         found = []
-        first = 0  # id of the first candidate with M + 1 vectors
-        low = thr * (1 - mp.ldexp(m_max + 3, 2 - mp.mp.prec))
-        phi = order = None
-        for M in range(m_max + 1):
-            block = n_vec ** (M + 1)
-            for a in range(a_max + 1):
-                tail = tail_of(a)
-                tail_upper = tail[0] + tail[1]
-                if tail_upper < low:  # the empty prefix's bound
+        for a, tail in enumerate(tails):  # a = |A|
+            tail_upper = tail[0] + tail[1]
+            if tail_upper < low:  # the empty prefix's bound
+                continue
+            # (multiset as positions in order, ascending, and its upper
+            # product)
+            stack = [((), mp.mpf(1))]
+            while stack:
+                combo, upper = stack.pop()
+                if combo:  # a leaf of M + 1 vectors, at A = -a
+                    M = len(combo) - 1
+                    offset = first[M] + (a_max - a) * n_vec ** (M + 1)
+                    for slots in _slot_orders(order[p] for p in combo):
+                        digits = 0
+                        for c in slots:
+                            digits = digits * n_vec + c
+                        predicted, err = _compose_product(
+                            [phi[c] for c in slots] + [tail])
+                        found.append(SpectrumCandidate(
+                            tuple(rings[c] for c in slots), -a, r_f,
+                            predicted, err, id=str(offset + digits)))
+                if len(combo) > m_max:
                     continue
-                if phi is None:
-                    phi = [phi_biinfinite(P, z, tol) for z in rings]
-                    upper_of = [v + e for v, e in phi]
-                    order = sorted(classes, key=lambda c: upper_of[c],
-                                   reverse=True)
-                offset = first + (a_max - a) * block  # A = -a
-                # (multiset as positions in order, ascending, and its
-                # upper product)
-                stack = [((), mp.mpf(1))]
-                while stack:
-                    combo, upper = stack.pop()
-                    if len(combo) > M:
-                        for slots in _slot_orders(order[p] for p in combo):
-                            digits = 0
-                            for c in slots:
-                                digits = digits * n_vec + c
-                            predicted, err = _compose_product(
-                                [phi[c] for c in slots] + [tail])
-                            found.append(SpectrumCandidate(
-                                tuple(rings[c] for c in slots), -a, r_f,
-                                predicted, err, id=str(offset + digits)))
-                        continue
-                    for p in range(combo[-1] if combo else 0, len(order)):
-                        up = upper * upper_of[order[p]]
-                        if up * tail_upper < low:
-                            break
-                        stack.append((combo + (p,), up))
-            first += (2 * a_max + 1) * block
+                for p in range(combo[-1] if combo else 0, len(order)):
+                    up = upper * upper_of[order[p]]
+                    if up * tail_upper < low:
+                        break
+                    stack.append((combo + (p,), up))
         return found
 
     with mp.workprec(P.precision_bits + GUARD_BITS):
         thr = mp.mpf(eta) / 2
+        low = thr * (1 - mp.ldexp(m_max + 3, 2 - mp.mp.prec))
+        tails = [tail_product(P, r_f * a, tol) for a in range(a_max + 1)]
+        if all(v + e < low for v, e in tails):  # no prefix is extended
+            return []
+        phi = [phi_biinfinite(P, z, tol) for z in rings]
+        upper_of = [v + e for v, e in phi]
+        order = sorted(range(len(rings)), key=upper_of.__getitem__,
+                       reverse=True)
         gap = 2 * mp.mpf(tol)
-        groups = _merge_groups(walk(thr), tol)
+        groups = _merge_groups(walk(low), tol)
         # same comparison as the merge: a member this close to thr may be
         # linked to a dropped candidate with an earlier id
         if any(g[-1].predicted >= eta and g[0].predicted - thr <= gap

@@ -172,23 +172,20 @@ def _check_tol(tol) -> None:
         raise InvalidToleranceError(f"tol must lie in (0, 1/2), got {tol}")
 
 
-def _truncation_depth(x0, q, tol, start: int = 0) -> int:
-    """Least j >= start with x_j <= 1 and x_j^2 / (1 - q^-2) <= tol, where
-    x_j = x0 / q^j and q > 1.
+def _truncation_depth(x0, q, tol) -> int:
+    """Least K >= 0 with x_(K+1) <= 1 and x_(K+1)^2 / (1 - q^-2) <= tol,
+    where x_j = x0 / q^j and q > 1.
 
-    Past such a j, |log cos x| <= x^2 on |x| <= 1 bounds the log-defect of
-    the cut cosine product by the geometric tail sum, which is at most tol.
-    x_j is stepped by division, so float64 inputs give a fixed depth.
+    Past such a K, |log cos x| <= x^2 on |x| <= 1 bounds the log-defect of
+    the product cut after x_K by the geometric tail sum, which is at most
+    tol.  x_j is stepped by division, so float64 inputs give a fixed depth.
     """
     tail_scale = 1 / (1 - q ** -2)
-    x = x0
-    for _ in range(start):
-        x /= q
-    j = start
+    K, x = 0, x0 / q
     while x > 1 or x * x * tail_scale > tol:
-        j += 1
+        K += 1
         x /= q
-    return j
+    return K
 
 
 def _mag_estimate(t) -> int:
@@ -201,8 +198,8 @@ def _mag_estimate(t) -> int:
     return max(0, int(mp.mag(t)))
 
 
-def _float_depth(x0: float, q: float, tol: float, start: int = 0) -> int | None:
-    """_truncation_depth(x0, q, tol, start) taken in float64, or None when a
+def _float_depth(x0: float, q: float, tol: float) -> int | None:
+    """_truncation_depth(x0, q, tol) taken in float64, or None when a
     comparison it decides lies within float64's error.
 
     x0 and q are floats within a relative 3u and u of their exact values
@@ -216,10 +213,7 @@ def _float_depth(x0: float, q: float, tol: float, start: int = 0) -> int | None:
     if not (x0 < 1e150 and tol >= 1e-250):
         return None
     s = 1 / (1 - q ** -2)
-    x = x0
-    for _ in range(start):
-        x /= q
-    j = start
+    j, x = 1, x0 / q  # x = x_j, after j divisions
     while True:
         mx = (4 * j + 8) * _U
         mv = (8 * j + 16 + 8 * s) * _U
@@ -227,17 +221,17 @@ def _float_depth(x0: float, q: float, tol: float, start: int = 0) -> int | None:
         if x * (1 - mx) > 1 or v * (1 - mv) > tol:
             j, x = j + 1, x / q
         elif x * (1 + mx) <= 1 and v * (1 + mv) <= tol:
-            return j
+            return j - 1
         else:
             return None
 
 
-def _depth(x0, q, tol, start: int = 0) -> int:
-    """_truncation_depth(x0, q, tol, start) for mpf x0 and q: _float_depth
-    decides it, and the mpf rule at the ambient precision settles what
-    float64 cannot."""
-    j = _float_depth(float(x0), float(q), tol, start)
-    return _truncation_depth(x0, q, tol, start) if j is None else j
+def _depth(x0, q, tol) -> int:
+    """_truncation_depth(x0, q, tol) for mpf x0 and q: _float_depth decides
+    it, and the mpf rule at the ambient precision settles what float64
+    cannot."""
+    K = _float_depth(float(x0), float(q), tol)
+    return _truncation_depth(x0, q, tol) if K is None else K
 
 
 def _fixed_abs(t, W: int, work: int) -> int:
@@ -276,7 +270,7 @@ def _kernel_plan(theta: Theta, t, tol: float, pb: int):
         x0 = 2 * mp.pi * abs(_to_mpf(t))
         if not x0:
             return None
-        K = _depth(x0, th, tol, start=1) - 1
+        K = _depth(x0, th, tol)
     E = 2 * (K + 1) * _descent_error(th, K, mag)
     return K, pb + 12 + E.bit_length(), E
 

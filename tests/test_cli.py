@@ -376,6 +376,19 @@ def test_eval_series_csv_round_trips():
     assert [it.n for it in items] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("fast", [[], ["--fast"]], ids=["precise", "fast"])
+def test_eval_empty_series_exits_zero(fast):
+    # --count 0 is an empty index range: no sample is planned or checked
+    argv = ["eval", "--poly", "1,1", "--r", "1", "--count", "0"] + fast
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert strict_json(out)["items"] == []
+    code, out, _ = run(*argv, "--format", "csv")
+    assert code == 0
+    assert out == "n,t,value,error_bound,contains_zero\n"
+    assert formats.from_csv(formats.SERIES_ITEM, out) == []
+
+
 def test_trace_lists_lucas_integers():
     code, out, _ = run("trace", "--poly", "1,1", "--y", "1", "--count", "5")
     assert code == 0

@@ -517,6 +517,13 @@ def test_enumerate_budget_cap():
         enumerate_spectrum(GOLDEN, 1, 1, 1, 1, eta=0)
 
 
+def test_enumerate_refuses_a_long_window_before_summing_it():
+    # 9^20001 candidates: the refusal comes at the first list length whose
+    # running count passes the budget, not after the whole sum
+    with pytest.raises(BudgetExceededError, match="over the budget"):
+        enumerate_spectrum(GOLDEN, 1, 1, 20000, 0)
+
+
 def _full_walk(P, r, height, m_max, a_max, tol=1e-20):
     """Every candidate (id, A, vectors, value, error) of the window, built
     by the unpruned loop with a running id.  Each product runs as
@@ -607,6 +614,26 @@ def test_enumerate_matches_full_walk_on_used_windows(window):
     got = enumerate_spectrum(P, r, height, m_max, a_max, eta=eta)
     full = _full_walk(P, r, height, m_max, a_max)
     assert _as_rows(got) == _full_spectrum(P, full, eta)
+
+
+# lists of up to six vectors over one class (height 0: z = 0) and over two
+# ({0} and {1, -1} of base 3), at an eta that keeps every list and at one
+# that cuts the walk partway down
+LONG_WINDOWS = [(GOLDEN, 1, 0, 5, 2, 1e-9), (TERNARY, 1, 1, 5, 1, 1e-9),
+                (TERNARY, 1, 1, 5, 1, 0.05)]
+
+
+@pytest.mark.parametrize(
+    "window", LONG_WINDOWS,
+    ids=[f"{P.d}-{h}-{mm}-{am}-{eta}" for P, _, h, mm, am, eta in LONG_WINDOWS])
+def test_enumerate_matches_full_walk_on_long_lists(window):
+    P, r, height, m_max, a_max, eta = window
+    got, _, walks = _enumerate_counted(*window)
+    assert _as_rows(got) == _full_spectrum(P, _full_walk(*window[:5]), eta)
+    assert walks == 1
+    if P is TERNARY and eta < 1e-3:
+        # Phi(+-1)^k times a tail, each k under the id of its shortest list
+        assert {len(c.z_list) for c in got} == set(range(1, m_max + 2))
 
 
 @settings(max_examples=40, deadline=None)

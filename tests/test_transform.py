@@ -2,11 +2,14 @@
 
 import concurrent.futures
 import functools
+import io
+import json
 import math
 import os
 import random
 import signal
 import threading
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import mpmath as mp
@@ -33,7 +36,7 @@ from pisot_spectra import (
     mu_hat_fast,
     nearest_int_data,
 )
-from pisot_spectra import empirical, spectrum, transform
+from pisot_spectra import cli, empirical, spectrum, transform
 from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TOL, FACTOR_FLOOR, TAIL_DEGREE,
@@ -200,8 +203,7 @@ def _mpf_depth(theta, t, tol, pb):
     # at pb + mag(t) + 32 bits
     th = _theta_value(theta, pb + 64)
     with mp.workprec(pb + _mag_estimate(t) + 32):
-        return _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol,
-                                 start=1) - 1
+        return _truncation_depth(2 * mp.pi * abs(_to_mpf(t)), th, tol)
 
 
 def _phi_mpf_depths(P, w, tol):
@@ -217,10 +219,10 @@ def _phi_mpf_depths(P, w, tol):
             x = mp.pi * mp.fsum(abs(v) for v in emb)
             while x > cut:
                 j_pos, x = j_pos + 1, x * P.rho
-        j_neg = _truncation_depth(mp.pi * abs(embed(w, 1, P.precision_bits)),
+        n_neg = _truncation_depth(mp.pi * abs(embed(w, 1, P.precision_bits)),
                                   P.theta_at(P.precision_bits + GUARD_BITS),
-                                  tol, start=1)
-    return j_pos, j_neg - 1
+                                  tol)
+    return j_pos, n_neg
 
 
 @functools.cache
@@ -254,7 +256,7 @@ def test_mu_hat_depth_outside_float64_range_is_the_mpf_rule(t, tol, K):
     pb = GOLDEN.precision_bits
     with mp.workprec(pb + _mag_estimate(t) + 32):
         x0 = float(2 * mp.pi * abs(_to_mpf(t)))
-    assert _float_depth(x0, float(GOLDEN.theta), tol, 1) is None
+    assert _float_depth(x0, float(GOLDEN.theta), tol) is None
     res = mu_hat(GOLDEN, t, tol, precision_bits=pb)
     assert res.truncation_index == _mpf_depth(GOLDEN, t, tol, pb) == K
 
@@ -279,28 +281,45 @@ def test_mu_hat_depth_equals_the_mpf_rule_near_its_threshold(theta):
             with mp.workprec(pb + 64):
                 undecided += _float_depth(float(2 * mp.pi * abs(_to_mpf(t))),
                                           float(_theta_value(theta, pb + 64)),
-                                          tol, 1) is None
+                                          tol) is None
     assert undecided >= 4
     if not (isinstance(theta, PisotNumber) and theta.m > 1):
         return
-    # the two-sided product's rules: x0 = pi sum_i |w_i| against 1/rho from
-    # j = 0, and x0 = pi |w| against theta from j = 1, each put on the turn
+    # the rule at the two-sided product's q = theta (x0 = pi |w|) and at
+    # q = 1/rho, x_j put on the turn
     undecided = 0
     with mp.workprec(pb + GUARD_BITS):
-        rules = [(1 / theta.rho, 0), (theta.theta_at(pb + GUARD_BITS), 1)]
-    for q, start in rules:
-        for j in (start, start + 5, 40):
+        qs = [1 / theta.rho, theta.theta_at(pb + GUARD_BITS)]
+    for q in qs:
+        for j in (1, 6, 40):
             with mp.workprec(600):
                 exact = mp.sqrt(tol * (1 - q ** -2)) * q ** j
             for x0 in (exact, exact * (1 + mp.mpf(2) ** -200),
                        exact * (1 - mp.mpf(2) ** -200)):
                 with mp.workprec(pb + GUARD_BITS):
                     x0 = +x0
-                    assert (_depth(x0, q, tol, start)
-                            == _truncation_depth(x0, q, tol, start))
-                    undecided += _float_depth(float(x0), float(q), tol,
-                                              start) is None
+                    assert _depth(x0, q, tol) == _truncation_depth(x0, q, tol)
+                    undecided += _float_depth(float(x0), float(q), tol) is None
     assert undecided >= 6
+
+
+def test_phi_past_float_range_plans_by_the_walked_rule():
+    # pi C = pi |w_2| near 3e320 overflows a float: the ascending side's J
+    # is still the first j with pi C rho^j <= cut, and each command prints
+    big = 10 ** 320
+    w = GOLDEN.field((big, 0))
+    with mp.workprec(GOLDEN.precision_bits + GUARD_BITS):
+        plan = spectrum._phi_plan(GOLDEN, w, 1e-20)
+    assert (plan.J, plan.n_neg) == _phi_mpf_depths(GOLDEN, w, 1e-20)
+    for kind, argv in [("phi", ["phi", "--z", f"{big},0"]),
+                       ("phi_lambda", ["phi", "--lam", "1/2", "--q",
+                                       f"{big},0"]),
+                       ("limit", ["limit", "--z", f"{big},0", "--A", "0",
+                                  "--r", "1"])]:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv + ["--poly", "1,1"]) == 0
+        assert json.loads(out.getvalue())["kind"] == kind
 
 
 def _textbook_product(theta, t, K, bits):
@@ -945,7 +964,7 @@ def _truncated_bound(theta, t_max):
     # fast_error_bound as it stood when the float64 path took K + 1 cosines,
     # K from the depth rule at log-defect 1e-12, and no tail polynomial
     th = float(_theta_value(theta))
-    K = _truncation_depth(2 * math.pi * t_max, th, 1e-12, start=1) - 1
+    K = _truncation_depth(2 * math.pi * t_max, th, 1e-12)
     with mp.workprec(128):
         exact = _theta_value(theta, 128)
         delta = float(abs(mp.mpf(th) - exact) / exact)
@@ -1024,10 +1043,8 @@ def test_float64_series_refused_past_fast_error():
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((GOLDEN, TRIBONACCI, QUARTIC)),
-       st.floats(1e-3, 1e12), st.floats(-40, -2), st.integers(0, 3),
-       st.booleans())
-def test_truncation_depth_is_the_least_admissible(P, t, log_tol, start,
-                                                  as_float):
+       st.floats(1e-3, 1e12), st.floats(-40, -2), st.booleans())
+def test_truncation_depth_is_the_least_admissible(P, t, log_tol, as_float):
     with mp.workprec(P.precision_bits + 64):
         if as_float:
             q, x0, tol = float(P.theta), 2 * math.pi * t, 10.0 ** log_tol
@@ -1039,11 +1056,12 @@ def test_truncation_depth_is_the_least_admissible(P, t, log_tol, start,
             x = x0 / q ** j
             return x <= 1 and x * x / (1 - q ** -2) <= tol
 
-        j = _truncation_depth(x0, q, tol, start)
-        assert j >= start
-        assert admissible(j)
-        if j > start:
-            assert not admissible(j - 1)
+        # x_(K+1) is the first admissible x_j, j >= 1
+        K = _truncation_depth(x0, q, tol)
+        assert K >= 0
+        assert admissible(K + 1)
+        if K > 0:
+            assert not admissible(K)
 
 
 def test_digit_trace_golden():
