@@ -607,9 +607,15 @@ def embed(x, which: int, prec: int | None = None):
     P = x.P
     if not 1 <= which <= P.m:
         raise ValueError(f"embedding index must be in 1..{P.m}")
-    work = (prec or P.precision_bits) + _coeff_bits(x) + GUARD_BITS
+    return _evaluate(x, which, (prec or P.precision_bits) + _coeff_bits(x)
+                     + GUARD_BITS)
+
+
+def _evaluate(x, which: int, work: int):
+    """x at the `which`-th root by Horner's rule at work bits, with root_at's
+    root at that precision."""
     with mp.workprec(work):
-        root = P.root_at(which, work)
+        root = x.P.root_at(which, work)
         acc = mp.mpf(0) if which == 1 else mp.mpc(0)
         for c in reversed(x.coeffs):
             acc = acc * root + _to_mpf(c)

@@ -3,21 +3,25 @@
 phi_biinfinite evaluates prod_{j in Z} |cos(pi w theta^j)| (phi_lambda: at
 w = 2 lam q).  For j >= 0, w theta^j approaches integers at the rate rho^j
 of a Pisot base when its traces are integers; for j < 0 the argument
-shrinks like theta^j.  The factors come from transform's fixed-point
-integer kernel: for j >= 0 at the conjugate power sums, each term a
-fixed-point complex int stepped by one multiply by theta_i, and for j < 0
-from mu_hat's own loop at t = |w|/2.  The ascending side is explicit only
-until its arguments fall below a cut; past it, log cos's Taylor series
-sums every factor in closed form, from the kernel's terms at the cut and
-constants 1/(1 - prod theta_i^k_i) cached per base (for these products,
-see Erdos, Amer. J. Math. 61, 1939, and Salem, Algebraic Numbers and
-Fourier Analysis, 1963, ch. II).  The kernel's error E is
-derived (see _biinfinite_product) and W chosen so that it stays within
+shrinks like theta^j, and those factors are mu_hat(|w|/(2 theta)).  The
+factors come from transform's fixed-point integer kernel: for j >= 0 at
+the conjugate power sums, each term a fixed-point complex int stepped by
+one multiply by theta_i, and for j < 0 from mu_hat's own loop at
+t = |w|/2.  The ascending side is explicit only until its arguments fall
+below a cut; past it, log cos's Taylor series sums every factor in closed
+form, from the kernel's terms at the cut and constants
+1/(1 - prod theta_i^k_i) cached per base (for these products, see Erdos,
+Amer. J. Math. 61, 1939, and Salem, Algebraic Numbers and Fourier
+Analysis, 1963, ch. II).  The descending side is explicit only until the
+float64 path's head rule, 2 pi x theta/(theta - 1) <= 1; past it, one
+factor is mu_hat's Taylor polynomial in (2 pi x)^2 from the even moments
+of mu_theta (transform._moment_polynomial; Jessen and Wintner, Trans.
+AMS 38, 1935), within one unit of 2^-W.  The kernel's error E is derived
+(see _biinfinite_product) and W chosen so that it stays within
 2^-(pb+12).  A rational orbit element keeps its exact factor; for m > 1
-there is at most one, and the plan's embeddings say at which offset
-(_rational_offsets).  The series remainder is at most tol, and the
-descending tail carries a certified truncation bound from
-|log cos x| <= x^2 on |x| <= 1.
+there is at most one, and the plan's moduli say at which offset
+(_rational_offsets).  The only truncation left is the ascending series,
+whose remainder is at most tol.
 
 limit_value multiplies such products with a one-sided tail to predict the
 accumulation values of coefficient sequences; enumerate_spectrum walks a
@@ -33,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import (chain, combinations_with_replacement, islice,
-                       product as iter_product)
+                       product as iter_product, repeat)
 from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath as mp
@@ -52,6 +56,7 @@ from .pisot import (
     ring_theta_pow,
     _coeff_bits,
     _div_by_theta_scaled,
+    _evaluate,
     _mul_by_theta,
     _nearest_int,
     _pow_coeffs,
@@ -59,9 +64,11 @@ from .pisot import (
     _theta_columns,
     _to_mpf,
 )
-from .transform import (COS_FIXED_ERROR, _check_tol, _cos_fixed, _depth,
-                        _descent_error, _fixed_abs, _fixed_product,
-                        _kernel_cosines, _mag_estimate, mu_hat)
+from .transform import (COS_FIXED_ERROR, _check_tol, _cos_fixed,
+                        _descent_x_error, _fixed_abs,
+                        _fixed_product, _kernel_cosines, _kernel_step,
+                        _mag_estimate, _moment_polynomial, _moment_tail,
+                        mu_hat)
 
 DEFAULT_BUDGET = 10**6
 # the ascending tail takes as many series terms as its remainder needs at
@@ -126,10 +133,13 @@ class _PhiPlan(NamedTuple):
 
     J: int          # explicit ascending factors j = 0..J-1
     N: int          # series terms of the ascending tail j >= J
-    n_neg: int      # descending factors j = -1..-n_neg
+    K: int          # at most K descending head factors, j = -1..-K
     W: int          # the kernel's fractional bits
     E: int          # its derived error in units of 2^-W
-    moduli: Optional[tuple]  # |w_1| and |w_2| at pb bits, for m > 1
+    moduli: list    # upper bounds on |w_1|, ..., |w_m| (_moduli)
+    cap: int        # the descending head rule's threshold (_phi_head)
+    x_error: int    # the descending x_k's error, k <= K + 1
+    moments: list   # the descending tail's coefficients (_moment_polynomial)
 
 
 @functools.cache
@@ -188,18 +198,38 @@ def _ascent_cut(P: PisotNumber, big_c, tol):
     return J, N, x
 
 
+def _moduli(P: PisotNumber, w: FieldElement) -> list:
+    """Upper bounds on |w_i|, i = 1..m, from w at 64 + GUARD_BITS bits over
+    its coefficients' size: Horner's noise there is below
+    8 m^2 ceil(theta)^(m-1) 2^-(64+GUARD_BITS), which each modulus is
+    raised by, after a relative 2^-60 for its own rounding."""
+    work = 64 + _coeff_bits(w) + GUARD_BITS
+    with mp.workprec(64):
+        slack = mp.ldexp(8 * P.m ** 2 * math.ceil(P.theta) ** (P.m - 1),
+                         -(64 + GUARD_BITS))
+        return [abs(_evaluate(w, i, work)) * (1 + mp.ldexp(1, -60)) + slack
+                for i in range(1, P.m + 1)]
+
+
 def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
-    """The plan of the two-sided product at w (see _biinfinite_product).
-    Runs at the caller's pb + GUARD_BITS bits."""
+    """The plan of the two-sided product at w (see _biinfinite_product),
+    from the moduli of w at 64 bits.  Runs at the caller's pb + GUARD_BITS
+    bits."""
     pb = P.precision_bits
-    emb = [embed(w, i) for i in range(2, P.m + 1)]
-    big_c = mp.fsum(abs(v) for v in emb)
-    # ascending side: |cos| defects shrink like rho^j; descending side:
-    # arguments shrink like theta^-k
-    J, N, x_J = _ascent_cut(P, big_c, tol) if emb else (0, 0, 0)
+    moduli = _moduli(P, w)
+    w1, big_c = moduli[0], mp.fsum(moduli[1:])
+    # ascending side: |cos| defects shrink like rho^j
+    J, N, x_J = _ascent_cut(P, big_c, tol) if P.m > 1 else (0, 0, 0)
     th = P.theta_at(pb + GUARD_BITS)
-    w1 = abs(embed(w, 1, pb))
-    n_neg = _depth(mp.pi * w1, th, tol)
+    mag = _mag_estimate(w1)
+    # descending side: K, the head rule's count at a 64-bit estimate of
+    # y = 2 pi A x_1 = pi |w| A/theta, with 2^-10 to spare: y theta^-K <=
+    # theta^-(2^-10) < 1 - 2^-12, and no exact walk passes it (see
+    # _biinfinite_product); X bounds x_k's error for k <= K + 1
+    with mp.workprec(64):
+        y = mp.pi * w1 / (th - 1)
+        K = max(0, int(mp.log(y) / mp.log(th) + mp.ldexp(1, -10)) + 1)
+    x_error = _descent_x_error(th, K + 1, mag, x0_error=2)
     # error of sum_i Re z_(i,j) up to j = J: under 2 units from the start
     # of each term, and per step 2 for its two floors and |w_i| for the
     # rounded theta_i
@@ -210,26 +240,35 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
             # the tail's E_t, with eps = (4 A + 1) units of 2^-(pb+12)
             eps = mp.ldexp(4 * arg + 1, -(pb + 12))
             tail = int(_kappa(P) * (4 * arg + 1) * mp.tan(x_J + eps)) + 6
-    E = 2 * (J * (COS_FIXED_ERROR + 4 + 4 * arg) + tail
-             + n_neg * _descent_error(th, n_neg, _mag_estimate(w1),
-                                      x0_error=2))
-    moduli = (w1, abs(emb[0])) if emb else None
-    return _PhiPlan(J, N, n_neg, pb + 12 + E.bit_length(), E, moduli)
+    head = K * (COS_FIXED_ERROR + 4 + 7 * x_error) if P.m > 1 else 0
+    base = J * (COS_FIXED_ERROR + 4 + 4 * arg) + tail + head
+    # the descending tail's share depends on W through its degree and
+    # coefficients, so W grows until E fits in it
+    W = pb + 12 + (2 * base).bit_length()
+    while True:
+        moments, rounding, cap = _moment_polynomial(P, pb, W)
+        # its argument: a_1 = m_2/2 bounds mu_hat's slope in v
+        E = 2 * (base + rounding
+                 + ((moments[1] >> W) + 2) * (14 * x_error + 5))
+        if E.bit_length() <= W - pb - 12:
+            break
+        W = pb + 12 + E.bit_length()
+    return _PhiPlan(J, N, K, W, E, moduli, cap, x_error, moments)
 
 
 def _rational_offsets(P: PisotNumber, moduli):
     """The offsets j at which w theta^j can be rational, for m > 1, or None
     when an embedding of w is too small to tell; moduli are the plan's
-    |w_1| and |w_2|.
+    bounds on |w_1|, |w_2|, ....
 
     A rational u = w theta^j equals each of its embeddings, so
     |w| theta^j = |w_2| |theta_2|^j, which fixes j at
     j* = log(|w_2| / |w|) / log(theta / |theta_2|); the integers within 1
     of j* are returned.  A modulus below m^2 theta^(m-1) 2^-64 is not
     trusted: that is 2^53 times Horner's noise in an embedding at 53 bits,
-    far above the noise at the plan's pb bits.
+    far above the noise in the plan's (_moduli).
     """
-    w1, w2 = moduli
+    w1, w2 = moduli[:2]
     with mp.workprec(64):
         if min(w1, w2) < P.m ** 2 * P.theta ** (P.m - 1) * mp.mpf(2) ** -64:
             return None
@@ -239,9 +278,9 @@ def _rational_offsets(P: PisotNumber, moduli):
 
 
 def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
-                       n_neg: int, moduli):
+                       k_c: int, moduli):
     """(j, u) for each rational u = w theta^j, j = 0..j_pos-1 and then
-    j = -1..-n_neg: all of them for m = 1, at most one otherwise.
+    j = -1..-k_c: all of them for m = 1, at most one otherwise.
 
     The orbit lives on integer numerators over one common denominator; a
     step down multiplies the denominator by d_m.  For m > 1 only the
@@ -257,7 +296,7 @@ def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
         up = P.theta_ring().coeffs
         down = _div_by_theta_scaled([1] + [0] * (P.m - 1), d)  # d_m / theta
         for j in offsets:
-            if not -n_neg <= j < j_pos:
+            if not -k_c <= j < j_pos:
                 continue
             num = _reduce_product(start, _pow_coeffs(up if j >= 0 else down,
                                                      abs(j), d), d)
@@ -270,7 +309,7 @@ def _rational_elements(P: PisotNumber, w: FieldElement, j_pos: int,
             yield j, Fraction(num[0], den)
         num = _mul_by_theta(num, d)
     num = start
-    for j in range(-1, -n_neg - 1, -1):
+    for j in range(-1, -k_c - 1, -1):
         num = _div_by_theta_scaled(num, d)
         den *= d[-1]
         if not any(num[1:]):
@@ -387,21 +426,44 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, plan: _PhiPlan,
         yield _ascent_tail(P, terms, W, plan.N)
 
 
+def _phi_head(P: PisotNumber, w: FieldElement, plan: _PhiPlan):
+    """(x_0, k_c, x): x_0 = floor(|w| 2^(W-1)), the kernel's start at
+    t = |w|/2 from embed(w, 1, W), the descending head length k_c and
+    x = x_(k_c+1), where the tail starts (see _biinfinite_product)."""
+    W = plan.W
+    x0 = _fixed_abs(embed(w, 1, W), W - 1, 0)
+    R = _kernel_step(P, W)
+    x = (x0 * R) >> W
+    for k_c in range(plan.K + 1):
+        if x + plan.x_error <= plan.cap:
+            return x0, k_c, x
+        x = (x * R) >> W
+    raise PrecisionExhaustedError(
+        f"the descending head passes its planned {plan.K} factors at "
+        f"{P.precision_bits} bits"
+    )
+
+
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     """Shared core: (value, error_bound) of prod_{j in Z} |cos(pi w theta^j)|.
 
     The factors are those of u = w theta^j for j = 0..J-1 and
-    j = -1..-n_neg, times one tail factor for all j >= J.  n_neg is from
-    the rule of _truncation_depth; J is the first j with
-    pi C rho^j <= cut, C = sum_(i>=2) |w_i|, where N and cut come from
-    _ascent_terms.  The orbit's rational elements are found exactly first
-    (_rational_elements): a rational u takes its factor from
-    _exact_cos_factor, and an exact half-integer gives (0, 0).  No u with
-    j >= J is rational: it would have |s_j| = (m - 1)|u| < 1/2 and
-    m u = u + s_j an integer, so u = 0.  Every other factor comes from a
-    fixed-point integer kernel with W fractional bits.  w's sign is fixed
-    first, as the larger coefficient vector of w and -w, so Phi(-w) has the
-    bits of Phi(w).
+    j = -1..-k_c, times one tail factor for all j >= J and one for all
+    j <= -(k_c + 1).  J is the first j with pi C rho^j <= cut,
+    C = sum_(i>=2) |w_i|, where N and cut come from _ascent_terms; k_c is
+    the descending head rule's (below).  The plan takes C and |w_1| from
+    64-bit moduli raised to upper bounds (_moduli), and w is embedded once
+    per root, at W bits.  The orbit's rational elements among j = 0..J-1
+    and j = -1..-k_c are found exactly first (_rational_elements): a
+    rational u takes its factor from _exact_cos_factor, and an exact
+    half-integer gives (0, 0).  No u with j >= J is rational: it would have
+    |s_j| = (m - 1)|u| < 1/2 and m u = u + s_j an integer, so u = 0.  A
+    rational u with j <= -(k_c + 1) lies in the descending tail, where
+    |u| = 2 x_k <= 1/(pi A) < 1/2, A = theta/(theta - 1) > 1: it is no
+    half-integer, and the tail polynomial takes it with the rest.  Every
+    other factor comes from a fixed-point integer kernel with W fractional
+    bits.  w's sign is fixed first, as the larger coefficient vector of w
+    and -w, so Phi(-w) has the bits of Phi(w).
       - 0 <= j < J: u is congruent mod 1 to -s_j, the conjugate power sum
         sum_{i>=2} w_i theta_i^j, since u + s_j is the integer trace of u.
         Each w_i theta_i^j is a fixed-point complex int, started at
@@ -417,20 +479,31 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         the constants 1/(1 - prod theta_i^k_i) come from _tail_groups.
         The tail factor is exp(-T) (_ascent_tail), and the remainder
         0 <= R <= tol (see _series_remainder).
-      - j < 0: u is w theta^-k, k = -j, so the factor is mu_hat's at
-        t = |w|/2 and k = 1..n_neg, from its kernel (_kernel_cosines).
+      - j < 0: u is w theta^-k, k = -j, so the factors are mu_hat's at
+        t = |w|/2 and k >= 1, whose product is mu_hat(x_1).  x_k steps
+        from x_0 = floor(|w| 2^(W-1)) by mu_hat's kernel (_phi_head), and
+        k_c is the least k >= 0 with x_(k+1) + X <= cap, X the bound on
+        x_k's error for k <= K + 1 and cap = floor(2^W/(2 pi A)) - 1, from
+        theta at W + 32 bits: one integer comparison per step, so the
+        true x_(k_c+1) has 2 pi A x <= 1, the float64 path's head rule.
+        The factors k = 1..k_c are cosines from the kernel
+        (_kernel_cosines); for m = 1 each is rational and exact.  The
+        rest, mu_hat(x_(k_c+1)), is one factor: P(v) = sum_(n<=N')
+        (-1)^n a_n v^n, a_n = m_2n/(2n)!, by Horner at W bits
+        (_moment_tail) at v = (z z) >> W, z = (x two_pi) >> W.
     One running product of W + 1 significant bits takes them all.
 
     The kernel's absolute error, in units u = 2^-W:
-      - s_j, j <= J, is off by at most A = (m - 1)(2 + 2 J) + C J: each
+      - s_j, j <= J, is off by at most A' = (m - 1)(2 + 2 J) + C J: each
         term starts under 2 units off, and a step adds 2 for its floors and
         |w_i theta_i^j| <= |w_i| for the rounded theta_i, while an earlier
         error is scaled by at most |theta_i| + 2^-W <= 1;
       - an ascending factor by COS_FIXED_ERROR, 3 for its fixed-point
-        argument, pi A < 4 A and one unit for the product's shift;
-      - the tail factor by E_t = kappa (4 A + 1) tan(x_J + (4 A + 1) u)
-        + 6, kappa >= 1/(1 - rho^2) >= |1/(1 - prod theta_i^k_i)| (_kappa):
-          - the a_i together are off by eps <= (pi A + 1) u: pi times the
+        argument, pi A' < 4 A' and one unit for the product's shift;
+      - the ascending tail factor by E_t = kappa (4 A' + 1) tan(x_J +
+        (4 A' + 1) u) + 6, kappa >= 1/(1 - rho^2) >= |1/(1 - prod
+        theta_i^k_i)| (_kappa):
+          - the a_i together are off by eps <= (pi A' + 1) u: pi times the
             terms' errors, and under 3 units of 2^-(W+G) each for the
             product by pi.  |T| over the multisets grows by at most
             kappa (f(b + eps) - f(b)) <= kappa eps tan(b + eps), with
@@ -443,15 +516,38 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
             < 2^G units of 2^-(W+G), under one unit u;
           - exp(-T) at W + 16 bits and its floor: 2 units; the slope of
             exp is at most 1 + u: one more; the product's shift: one;
-      - a descending factor as in mu_hat at depth n_neg, with x_0 under 2
-        units off: one for its floor, one for the embedding of w;
+      - a descending head factor as in mu_hat, with x_0 under 2 units
+        off (one for its floor, one for the embedding of w): x_k, k <= K +
+        1, is off by at most X (_descent_x_error), so the factor by at
+        most e = COS_FIXED_ERROR + 4 + 7 X;
+      - the descending tail factor by E_d = R + a_1^+ (2 e_z + 1), a_1^+ =
+        floor(a_1) + 2 >= a_1 = m_2/2:
+          - R = 1 + sum_n c_n + N' (_moment_polynomial): the series
+            remainder, at most 1/(2N' + 2)! < u, since both floors make
+            v <= (2 pi x)^2 <= A^-2; each coefficient's rounding; and one
+            unit per Horner step;
+          - z is within e_z = 7 X + 2 units of 2 pi x_true, for X, for
+            two_pi's floor and its own, and v within 2 e_z + 1 of
+            (2 pi x_true)^2, as z, 2 pi x_true <= 1.  mu_hat(s) =
+            g(2 pi s), g(z) = E cos(z X), |g'(z)| <= z E X^2, so mu_hat
+            moves by at most m_2/2 = a_1 per unit of v: a_1 (2 e_z + 1) is
+            the argument's share, under 2 pi A times x's error, as
+            m_2 = theta^2/(theta^2 - 1) < A;
       - the cosines' excess over 1 at most doubles the sum over the
         factors.
-    So E = 2 (J (COS_FIXED_ERROR + 4 + 4 A) + E_t + n_neg e), e the
-    descending factor's, and W = pb + 12 plus the bit length of E: the
-    kernel is within 2^-(pb+12).  The exact factors and the result round
-    at pb + GUARD_BITS bits, so the bound's 2^-(pb+10) term covers all
-    three.  A factor below 2^-(pb/2) raises.
+    So E = 2 (J (COS_FIXED_ERROR + 4 + 4 A') + E_t + K e + E_d), with
+    K e = 0 for m = 1, whose head is exact, and W = pb + 12 plus the bit
+    length of E: the kernel is within 2^-(pb+12).  E_d's degree
+    N' = _tail_degree(W) and coefficients depend on W, so W is raised until
+    E fits.  K >= k_c is the head rule's count at a 64-bit estimate of
+    2 pi A x_1 from |w_1|'s bound, with 2^-10 of the count to spare, so
+    that 2 pi A x_(K+1) < 1 - 2^-12; the exact walk stops at or before it,
+    since X 2 pi A 2^-W is far below 2^-12.  The exact factors and the
+    result round at pb + GUARD_BITS bits, so the bound's 2^-(pb+10) term
+    covers all three.  A factor below 2^-(pb/2) raises.  The only
+    truncation left is the ascending series remainder, so the bound takes
+    tol once, not twice as when the descending side was cut by tol too;
+    tol governs that series alone.
     """
     _check_tol(tol)
     if w.is_zero():
@@ -462,47 +558,49 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
 
     with mp.workprec(pb + GUARD_BITS):
         plan = _phi_plan(P, w, tol)
-        J, n_neg, W = plan.J, plan.n_neg, plan.W
+        J, W = plan.J, plan.W
+        x0, k_c, x = _phi_head(P, w, plan)
         exact = {}
-        for j, u in _rational_elements(P, w, J, n_neg, plan.moduli):
+        for j, u in _rational_elements(P, w, J, k_c, plan.moduli):
             exact[j] = _exact_cos_factor(u)
             if exact[j] is None:
                 return mp.mpf(0), mp.mpf(0)
 
-        value, n_numeric = mp.mpf(1), 0
-        if P.m > 1:  # for m = 1 every orbit element is rational
-            tiny = 1 << (W - pb // 2)
-            x0 = _fixed_abs(embed(w, 1, W), W - 1, 0)  # t = |w|/2
-            # offset J stands for the whole tail j >= J, never rational
-            n_pos = J + (plan.N > 0)
-            offsets = chain(range(n_pos), range(-1, -n_neg - 1, -1))
-            cosines = chain(_ascending_cosines(P, w, plan, tiny),
-                            _kernel_cosines(P, x0, W, 1, n_neg))
+        tiny = 1 << (W - pb // 2)
+        z = (x * pi_fixed(W + 1)) >> W
+        tail = _moment_tail(plan.moments, (z * z) >> W, W)
+        # offset J stands for the whole tail j >= J, and -(k_c + 1) for
+        # j <= -(k_c + 1); neither is among the exact factors
+        n_pos = J + (plan.N > 0)
+        offsets = chain(range(n_pos), range(-1, -k_c - 2, -1))
+        head = (_kernel_cosines(P, x0, W, 1, k_c) if P.m > 1
+                else repeat(0, k_c))     # for m = 1 every u is exact
+        cosines = chain(_ascending_cosines(P, w, plan, tiny), head, [tail])
 
-            def numeric():
-                for j, c in zip(offsets, cosines):
-                    if j in exact:
-                        continue
-                    if -tiny < c < tiny:
-                        raise PrecisionExhaustedError(
-                            f"factor at orbit offset {j} cannot be certified "
-                            f"nonzero at {pb} bits"
-                        )
-                    yield c
+        def numeric():
+            for j, c in zip(offsets, cosines):
+                if j in exact:
+                    continue
+                if -tiny < c < tiny:
+                    raise PrecisionExhaustedError(
+                        f"factor at orbit offset {j} cannot be certified "
+                        f"nonzero at {pb} bits"
+                    )
+                yield c
 
-            value, _ = _fixed_product(numeric(), W)
-            value = abs(value)
-            n_numeric = n_pos + n_neg - len(exact)
+        value, _ = _fixed_product(numeric(), W)
+        value = abs(value)
+        n_numeric = n_pos + k_c + 1 - len(exact)
         for f in exact.values():
             if f != 1:
                 value *= f
                 n_numeric += 1
 
-        # both truncated tails contribute a log-defect <= tol each; numeric
+        # the ascending series' remainder is a log-defect <= tol; numeric
         # factors add rounding noise well below the certification level
-        tol_mp = mp.mpf(tol)
         rounding = mp.mpf(n_numeric * n_numeric + 64) * mp.mpf(2) ** (-(pb - 8))
-        err = value * mp.expm1(2 * tol_mp + rounding) + mp.mpf(2) ** (-(pb + 10))
+        err = (value * mp.expm1(mp.mpf(tol) + rounding)
+               + mp.mpf(2) ** (-(pb + 10)))
         return +value, +err
 
 
@@ -642,7 +740,10 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     over multisets of the classes {z, -z}, class c = 0..n_vec // 2 standing
     for the c-th vector, and only part of it is built: every nonempty
     multiset is a leaf for its own length, and one of at most m_max
-    vectors is extended by one more.  At a leaf each distinct slot order
+    vectors is extended by one more.  The zero vector joins no other:
+    Phi(0) = (1, 0), so a slot order holding it next to other vectors has
+    the bits of the same order without it, under a lower id; {0} is a
+    leaf of its own and is not extended.  At a leaf each distinct slot order
     of the multiset whose first slot is at most its second is composed
     once, under that lowest id: with three or more vectors the orders can
     round apart, so each is kept.
@@ -717,9 +818,11 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
                         found.append(SpectrumCandidate(
                             tuple(rings[c] for c in slots), -a, r_f,
                             predicted, err, id=str(offset + digits)))
-                if len(combo) > m_max:
+                if len(combo) > m_max or combo == (zero,):
                     continue
                 for p in range(combo[-1] if combo else 0, len(order)):
+                    if combo and p == zero:
+                        continue
                     up = upper * upper_of[order[p]]
                     if up * tail_upper < low:
                         break
@@ -736,6 +839,7 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         upper_of = [v + e for v, e in phi]
         order = sorted(range(len(rings)), key=upper_of.__getitem__,
                        reverse=True)
+        zero = order.index(len(rings) - 1)  # the zero vector's position
         gap = 2 * mp.mpf(tol)
         groups = _merge_groups(walk(low), tol)
         # same comparison as the merge: a member this close to thr may be

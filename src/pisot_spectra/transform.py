@@ -10,8 +10,14 @@ it skips, in the even quadrants, the square root that derives a sine the
 kernel would discard.  W is chosen from the kernel's derived error, so
 that error stays within 2^-(pb+12) and the bound of each value is
 certified.  The loop (_kernel_cosines) and its running product
-(_fixed_product) also give the descending side of spectrum's two-sided
+(_fixed_product) also give the descending head of spectrum's two-sided
 products; _cos_fixed gives the cosines of their ascending side.
+
+The even moments of mu_theta come from one fixed-point integer recurrence
+with a derived error (_moment_table).  Both tails take mu_hat's Taylor
+polynomial from it: the float64 path rounds its ten coefficients once
+(_tail_coefficients), and the two-sided products' descending tail runs it
+at W bits by Horner's rule (_moment_polynomial, _moment_tail).
 
 mu_hat_fast evaluates whole batches in float64: k_c head cosines, until the
 batch's largest argument x has 2 pi x theta/(theta - 1) <= TAIL_REACH, and
@@ -38,7 +44,9 @@ K_{j+m} = d_1 K_{j+m-1} + ... + d_m K_j, which check_recurrence verifies.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,9 +104,9 @@ TAIL_DEGREE = 9
 # needs about 3e13 at |t| = 1), and its segment is refused after 2^20
 # divisions instead of planned one division at a time
 _HEAD_LIMIT = 2 ** 20
-# working precision of the even moments and of their coefficients, each
-# rounded once to float64 from it
-_MOMENT_BITS = 128
+# fractional bits of the float64 path's moment coefficients, each rounded
+# once to float64 from them
+_MOMENT_BITS = 192
 
 
 def _tail_rounding() -> float:
@@ -250,15 +258,20 @@ def _fixed_abs(t, W: int, work: int) -> int:
     return (n << W) // d
 
 
+def _descent_x_error(th, K: int, mag: int, x0_error: int = 1) -> int:
+    """Error of x_k, k <= K, in the kernel's descent at |t| < 2^mag, in
+    units of 2^-W, when x_0 is off by under x0_error units (see mu_hat)."""
+    with mp.workprec(64):
+        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
+    # gap 2^(mag - 16) >= S = 2^mag theta/(theta - 1)
+    return x0_error + 2 + K + (gap << mag >> 16)
+
+
 def _descent_error(th, K: int, mag: int, x0_error: int = 1) -> int:
     """Error of one factor of the kernel's descent to depth K at |t| < 2^mag,
     in units of 2^-W, its product shift included, when x_0 is off by under
     x0_error units (see mu_hat)."""
-    with mp.workprec(64):
-        gap = int(mp.ldexp(th / (th - 1), 16)) + 2
-    # gap 2^(mag - 16) >= S = 2^mag theta/(theta - 1)
-    return COS_FIXED_ERROR + 4 + 7 * (x0_error + 1 + K
-                                      + (gap << mag >> 16) + 1)
+    return COS_FIXED_ERROR + 4 + 7 * _descent_x_error(th, K, mag, x0_error)
 
 
 def _kernel_plan(theta: Theta, t, tol: float, pb: int):
@@ -317,18 +330,75 @@ def _cos_fixed(a: int, W: int, half_pi: int) -> int:
     return -c if n & 2 else c
 
 
+def _kernel_step(theta: Theta, W: int) -> int:
+    """R = round(2^W / theta), from theta at W + 16 bits: the kernel's step
+    x_(k+1) = (x_k R) >> W (see mu_hat)."""
+    _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
+    return ((1 << (W + 1 - exp)) // man + 1) >> 1
+
+
 def _kernel_cosines(theta: Theta, x: int, W: int, start: int, stop: int):
     """cos(2 pi x_k) in units of 2^-W for k = start..stop, where x_0 = x and
-    x_(k+1) = (x_k R) >> W with R = round(2^W / theta) (see mu_hat); each
-    cosine is _cos_fixed's, which has cos_sin_fixed's bits."""
-    _, man, exp, _ = _theta_value(theta, W + 16)._mpf_
-    R = ((1 << (W + 1 - exp)) // man + 1) >> 1
+    x_(k+1) = (x_k R) >> W (_kernel_step); each cosine is _cos_fixed's,
+    which has cos_sin_fixed's bits."""
+    R = _kernel_step(theta, W)
     two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
     mask = (1 << W) - 1
     for k in range(stop + 1):
         if k >= start:
             yield _cos_fixed(((x & mask) * two_pi) >> W, W, half_pi)
         x = (x * R) >> W
+
+
+@functools.cache
+def _tail_degree(W: int) -> int:
+    """The least N with (2N + 2)! > 2^W: the moment polynomial of degree N
+    is then within one unit of 2^-W of mu_hat (see _moment_polynomial)."""
+    N, f = 0, 2
+    while f <= 1 << W:
+        N += 1
+        f *= (2 * N + 1) * (2 * N + 2)
+    return N
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_polynomial(theta: Theta, pb, W: int) -> tuple[list, int, int]:
+    """(a, R, cap): a_n = m_2n/(2n)!, n = 0.._tail_degree(W), in units of
+    2^-W; cap = floor(2^W/(2 pi A)) - 1, A = theta/(theta - 1); and R in
+    units, so that for integers 0 <= x <= cap, with z = (x two_pi) >> W
+    and v = (z z) >> W, |_moment_tail(a, v, W) - mu_hat(v')| <= R for the
+    real v' = v 2^-W, mu_hat taken at s = sqrt(v')/(2 pi).  Cached per
+    base and W; pb as in _moment_table.
+
+    mu_hat(s) = E cos(2 pi s X) for X = sum_k +-theta^-k, |X| <= A, so its
+    Taylor polynomial P(v) = sum_{n<=N} (-1)^n a_n v^n in v = (2 pi s)^2,
+    a_n = m_2n/(2n)! with m_2n = E X^2n, is within |2 pi s A|^(2N+2)/(2N+2)!
+    <= 1/(2N+2)! < one unit while 2 pi s A <= 1, which both floors keep
+    for x <= cap.  The a_n come from _moment_table at Wm = W + 64..128
+    bits, Wm a multiple of 64 and the table's degree that of Wm - 64, so
+    one table serves every W of a 64-bit bucket; each is floored to W bits,
+    within c_n = ceil(e_n 2^(W - Wm)) + 1 units.  Horner's rule floors once
+    per step, and v <= 1 scales each earlier error by at most 1.  So
+    R = 1 + sum_n c_n + N.  cap is taken from theta at W + 32 bits, one
+    unit below the floor.
+    """
+    Wm = ((W >> 6) + 2) << 6
+    N, s = _tail_degree(W), Wm - W
+    a, e = _moment_table(theta, pb, _tail_degree(Wm - 64), Wm)
+    with mp.workprec(W + 32):
+        th = _theta_value(theta, W + 32)
+        cap = int(mp.ldexp((th - 1) / (2 * mp.pi * th), W)) - 1
+    return ([c >> s for c in a[:N + 1]],
+            1 + N + sum(((err - 1) >> s) + 2 for err in e[:N + 1]), cap)
+
+
+def _moment_tail(a: list, v: int, W: int) -> int:
+    """P(v) = sum_n (-1)^n a_n v^n in units of 2^-W by Horner's rule, one
+    floor per step, for v and the a_n in units (see _moment_polynomial)."""
+    p = a[-1]
+    for c in a[-2::-1]:
+        p = c - ((p * v) >> W)
+    return p
 
 
 def _fixed_product(cosines, W: int, floor_units: int = 1):
@@ -439,31 +509,73 @@ def _leading_factors_below(theta: Theta, t, limit: float, tol: float,
     return False
 
 
-def _even_moments(theta: Theta) -> list:
-    """m_0, m_2, ..., m_(2 TAIL_DEGREE) of mu_theta, at _MOMENT_BITS bits.
+@functools.cache
+def _even_binomials(n: int) -> tuple:
+    """C(2n, 2k) for k = 0..n-1."""
+    return tuple(math.comb(2 * n, 2 * k) for k in range(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_table(theta: Theta, pb, N: int, Wm: int) -> tuple:
+    """((A_0, ..., A_N), (e_0, ..., e_N)): a_n = m_2n/(2n)! of mu_theta in
+    units of 2^-Wm, each within e_n units, m_2n its even moments.  Cached per
+    base, degree and Wm; pb is part of the key because bases compare by
+    their digits alone.
 
     X = e_0 + X'/theta, with e_0 = +-1 and X' distributed as X, so
     m_2n = sum_{k<=n} C(2n, 2k) m_2k theta^-2k, whose k = n term is
-    m_2n theta^-2n: m_2n (1 - theta^-2n) = sum_{k<n} C(2n, 2k) m_2k
-    theta^-2k, from m_0 = 1.
+    m_2n q^n, q = theta^-2: m_2n (1 - q^n) = sum_{k<n} C(2n, 2k) m_2k q^k,
+    from m_0 = 1.  The recurrence runs on integers in units u = 2^-Wm, and
+    the error of each value is derived alongside it:
+      - Q_1 = round(q 2^Wm) from theta at Wm + 32 bits, within one unit;
+        Q_k = (Q_(k-1) Q_1) >> Wm is within eq_k = eq_(k-1) + eq_1 + 1,
+        since Q_(k-1) Q_1 - q^k = (Q_(k-1) - q^(k-1)) Q_1 + q^(k-1) (Q_1 - q)
+        with Q_1, q^(k-1) <= 1, and the floor adds one; Q_0 is exact;
+      - g_k = (M_k Q_k) >> Wm, M_k within e'_k of m_2k, is within
+        e'_k + h_k eq_k + 1, h_k = (M_k + e'_k)/2^Wm + 1 >= m_2k, by the
+        same split; T = sum_{k<n} C(2n, 2k) g_k is exact, within e_T =
+        sum_k C(2n, 2k) (g_k's error);
+      - M_n = floor(T 2^Wm/D), D = 2^Wm - Q_n within eq_n of d = 2^Wm (1 -
+        q^n).  T 2^Wm/D - t 2^Wm/d = (T - t) 2^Wm/D + m_2n (d - D)/D, and
+        with i >= 2^Wm/(D - eq_n), an integer, m_2n <= (T + e_T) i 2^-Wm, so
+        M_n is within e'_n = 1 + e_T i + h i^2 eq_n, h = (T + e_T)/2^Wm + 1;
+      - A_n = floor(M_n/(2n)!) is within e_n = e'_n/(2n)! + 1, rounded up.
     """
-    with mp.workprec(_MOMENT_BITS):
-        q = 1 / _theta_value(theta, _MOMENT_BITS + 16) ** 2
-        m, powers = [mp.mpf(1)], [mp.mpf(1)]
-        for n in range(1, TAIL_DEGREE + 1):
-            powers.append(powers[-1] * q)
-            m.append(mp.fsum(math.comb(2 * n, 2 * k) * m[k] * powers[k]
-                             for k in range(n)) / (1 - powers[n]))
-        return m
+    one = 1 << Wm
+    with mp.workprec(Wm + 32):
+        Q1 = int(mp.nint(mp.ldexp(1 / _theta_value(theta, Wm + 32) ** 2,
+                                   Wm)))
+    Q, eq = [one, Q1], [0, 1]
+    for _ in range(2, N + 1):
+        Q.append((Q[-1] * Q1) >> Wm)
+        eq.append(eq[-1] + 2)
+    M, em = [one], [0]            # m_2n and its error
+    g, eg = [], []                # g_k and its error
+    a, e = [one], [0]
+    for n in range(1, N + 1):
+        k = n - 1
+        g.append((M[k] * Q[k]) >> Wm)
+        eg.append(em[k] + (((M[k] + em[k]) >> Wm) + 1) * eq[k] + 1)
+        row = _even_binomials(n)
+        T, eT = sum(map(operator.mul, row, g)), sum(map(operator.mul, row, eg))
+        D = one - Q[n]
+        inv = one // (D - eq[n]) + 1        # >= 2^Wm/D and 2^Wm/d
+        M.append((T << Wm) // D)
+        em.append(1 + eT * inv + (((T + eT) >> Wm) + 1) * inv * inv * eq[n])
+        f = math.factorial(2 * n)
+        a.append(M[n] // f)
+        e.append(em[n] // f + 2)
+    return tuple(a), tuple(e)
 
 
 def _tail_coefficients(theta: Theta) -> tuple[float, ...]:
     """b_n = (-1)^n m_2n/(2n)!, n = 0..TAIL_DEGREE, each rounded once to
-    float64 from _MOMENT_BITS bits: P(v) = sum b_n v^n is mu_hat's Taylor
-    polynomial in v = (2 pi x)^2."""
-    with mp.workprec(_MOMENT_BITS):
-        return tuple(float((-1) ** n * m / math.factorial(2 * n))
-                     for n, m in enumerate(_even_moments(theta)))
+    float64 from _moment_table at _MOMENT_BITS bits: P(v) = sum b_n v^n is
+    mu_hat's Taylor polynomial in v = (2 pi x)^2."""
+    a, _ = _moment_table(theta, getattr(theta, "precision_bits", None),
+                         TAIL_DEGREE, _MOMENT_BITS)
+    return tuple((-1) ** n * c / (1 << _MOMENT_BITS)
+                 for n, c in enumerate(a))
 
 
 def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
@@ -579,7 +691,8 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     degree 2 TAIL_DEGREE is within |y|^(2N+2)/(2N+2)! of it, so
     P(v) = sum_{n<=N} b_n v^n, v = (2 pi x)^2, b_n = (-1)^n m_2n/(2n)!, is
     within TAIL_REACH^(2N+2)/(2N+2)! of mu_hat(x); m_2n are the even
-    moments of X (_even_moments), rounded once per call (_tail_coefficients).
+    moments of X (_moment_table), each b_n rounded once
+    (_tail_coefficients).
     The block forms z = 2 pi x and v = z z in the scratch, then P(v) by
     Horner in x's array, whose values are spent, and multiplies each
     running product by it: + and x only, so no value depends on which

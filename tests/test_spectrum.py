@@ -225,6 +225,18 @@ def _textbook_two_sided(P, w, j_pos, n_neg, bits):
     return out
 
 
+def _descent_deep(P, w, bits):
+    # the count of descending factors j = -1, -2, ... that the textbook
+    # product takes: every later pi |u| is below 2^-(bits/2 + 8), so their
+    # product is within 2^-(bits + 12) of 1
+    with mp.workprec(64):
+        x, th = mp.pi * abs(embed(w, 1, 64)), P.theta_at(64)
+        k = 0
+        while x > mp.ldexp(1, -(bits // 2 + 10)):
+            x, k = x / th, k + 1
+    return k
+
+
 def _conjugate_sums(P, w, start, bits):
     # pi |s_j|, s_j = sum_{i>=2} w_i theta_i^j, for j = start, start + 1, ...
     # (u = w theta^j is -s_j mod 1), by mpc powers at bits
@@ -311,9 +323,10 @@ def test_phi_kernel_within_its_derived_error(name, pb):
         W, E = plan.W, plan.E
         assert E < 2 ** (W - pb - 12)
         value, _ = phi_biinfinite(P, w, tol)
-        # the kernel's J cosines, its tail of N series terms and its n_neg
-        # descending cosines, each taken exactly
-        exact = _textbook_two_sided(P, w, plan.J, plan.n_neg, 2 * W)
+        # the kernel's J cosines and its tail of N series terms, and the
+        # whole descending half, each factor taken exactly
+        exact = _textbook_two_sided(P, w, plan.J, _descent_deep(P, w, 2 * W),
+                                    2 * W)
         with mp.workprec(2 * W):
             exact *= _textbook_tail(P, w, plan.J, plan.N, W + 64)
             # E for the kernel; the exact factors and the result round at
@@ -327,7 +340,7 @@ def test_phi_kernel_within_its_derived_error(name, pb):
                                   "tribonacci"])
 def test_phi_within_its_bound_of_the_deep_product(name, pb):
     # the textbook product with its ascending side taken until
-    # pi C rho^j <= 2^-(pb+12), and the plan's descending side: phi's
+    # pi C rho^j <= 2^-(pb+12), and its whole descending half: phi's
     # bound holds it, and so does the ascending side's share of it, the
     # series remainder tol and the kernel's E
     P = build_pisot(PHI_KERNEL_BASES[name], pb)
@@ -346,7 +359,8 @@ def test_phi_within_its_bound_of_the_deep_product(name, pb):
             # the textbook's own rounding, up to ~6000 factors, stays
             # below 2^-(pb+62)
             bits = plan.W + 64
-            exact = _textbook_two_sided(P, w, plan.J, plan.n_neg, bits)
+            exact = _textbook_two_sided(P, w, plan.J,
+                                        _descent_deep(P, w, bits), bits)
             with mp.workprec(bits):
                 exact *= _ascent_deep(P, w, plan.J, bits,
                                       mp.ldexp(1, -(pb + 12)))
@@ -684,10 +698,12 @@ def _window_id(P, height, a_max, idx, A):
 
 def _lowest_mate(P, height, a_max, idx, A):
     """The lowest id of the candidates whose bits equal those of (idx, A):
-    each vector the lower-indexed of +-z, A = -|A|, the first two slots
+    each vector the lower-indexed of +-z, the zero vector dropped next to
+    any other (Phi(0) = (1, 0)), A = -|A|, the first two slots
     ascending."""
     n_vec = (2 * height + 1) ** P.m
     idx = [min(i, n_vec - 1 - i) for i in idx]
+    idx = [i for i in idx if i != n_vec // 2] or [n_vec // 2]
     idx[:2] = sorted(idx[:2])
     return _window_id(P, height, a_max, idx, -abs(A))
 
@@ -790,10 +806,11 @@ def test_enumerate_keeps_three_vector_orders_that_round_apart():
 
 
 # _compose_product calls of the benchmark's catalogue windows: one per
-# slot order of each multiset whose bound reaches eta/2
-CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 30),
-                      ((GOLDEN, HALF, 2, 1, 2, 1e-6), 177),
-                      ((TRIBONACCI, 1, 1, 1, 2, 0.05), 6)]
+# slot order of each multiset whose bound reaches eta/2 and that does not
+# hold the zero vector next to another
+CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 8),
+                      ((GOLDEN, HALF, 2, 1, 2, 1e-6), 138),
+                      ((TRIBONACCI, 1, 1, 1, 2, 0.05), 3)]
 
 
 @pytest.mark.parametrize("window, count", CATALOGUE_COMPOSED,
@@ -801,6 +818,14 @@ CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 30),
 def test_enumerate_composes_the_catalogue_windows_pinned_counts(window, count):
     _, composed, _ = _enumerate_counted(*window)
     assert composed == count
+
+
+def test_enumerate_composes_the_zero_vector_alone():
+    # the one-vector window's lists are all zero vectors: only {0} is
+    # composed, and it is the one value
+    cands, composed, _ = _enumerate_counted(GOLDEN, 1, 0, 200, 0, 1e-6)
+    assert composed == 1
+    assert [(c.id, len(c.z_list)) for c in cands] == [("0", 1)]
 
 
 @pytest.mark.parametrize("pb", [64, 256])

@@ -41,11 +41,12 @@ from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TOL, FACTOR_FLOOR, TAIL_DEGREE,
                                      TAIL_REACH, _TAIL_ERROR, _U,
-                                     _cos_fixed, _depth, _even_moments,
+                                     _cos_fixed, _depth,
                                      _exact_zeros, _float_depth,
                                      _kernel_plan, _leading_factors_below,
-                                     _mag_estimate, _tail_coefficients,
-                                     _truncation_depth)
+                                     _mag_estimate, _moment_polynomial,
+                                     _moment_tail, _tail_coefficients,
+                                     _tail_degree, _truncation_depth)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -209,8 +210,9 @@ def _mpf_depth(theta, t, tol, pb):
 def _phi_mpf_depths(P, w, tol):
     # the depth rules of the two-sided product before its kernel, mpf at
     # pb + 64 bits: the first j with pi C rho^j <= the ascending tail's cut,
-    # C the sum of the conjugate moduli, stepped by one multiply; the tol
-    # rule on |w|
+    # C the sum of the conjugate moduli, stepped by one multiply; and the
+    # descending head rule, the least k_c >= 0 with 2 pi A x <= 1 at
+    # x = |w|/(2 theta^(k_c+1)), A = theta/(theta - 1)
     with mp.workprec(P.precision_bits + GUARD_BITS):
         emb = [embed(w, i) for i in range(2, P.m + 1)]
         j_pos = 0
@@ -219,10 +221,18 @@ def _phi_mpf_depths(P, w, tol):
             x = mp.pi * mp.fsum(abs(v) for v in emb)
             while x > cut:
                 j_pos, x = j_pos + 1, x * P.rho
-        n_neg = _truncation_depth(mp.pi * abs(embed(w, 1, P.precision_bits)),
-                                  P.theta_at(P.precision_bits + GUARD_BITS),
-                                  tol)
-    return j_pos, n_neg
+        th = P.theta_at(P.precision_bits + GUARD_BITS)
+        x, k_c = abs(embed(w, 1)) / (2 * th), 0
+        while 2 * mp.pi * x * th / (th - 1) > 1:
+            x, k_c = x / th, k_c + 1
+    return j_pos, k_c
+
+
+def _phi_depths(P, w, tol):
+    # J and k_c of the two-sided product at w
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        plan = spectrum._phi_plan(P, w, tol)
+        return plan.J, spectrum._phi_head(P, w, plan)[1]
 
 
 @functools.cache
@@ -242,9 +252,7 @@ def test_mu_hat_depth_equals_the_mpf_rule(theta, log_t, log_tol, pb, z):
         # the two-sided product's depths at the base's ring element z
         P = _base_at(theta.d, pb)
         w = P.field(tuple(z[:P.m]))
-        with mp.workprec(pb + GUARD_BITS):
-            plan = spectrum._phi_plan(P, w, tol)
-        assert (plan.J, plan.n_neg) == _phi_mpf_depths(P, w, tol)
+        assert _phi_depths(P, w, tol) == _phi_mpf_depths(P, w, tol)
 
 
 @pytest.mark.parametrize("t, tol, K", [(10**200, 1e-20, 1009),
@@ -285,8 +293,8 @@ def test_mu_hat_depth_equals_the_mpf_rule_near_its_threshold(theta):
     assert undecided >= 4
     if not (isinstance(theta, PisotNumber) and theta.m > 1):
         return
-    # the rule at the two-sided product's q = theta (x0 = pi |w|) and at
-    # q = 1/rho, x_j put on the turn
+    # the rule at q = theta from x0 = pi |w|, as the two-sided product's
+    # descending side once took it, and at q = 1/rho, x_j put on the turn
     undecided = 0
     with mp.workprec(pb + GUARD_BITS):
         qs = [1 / theta.rho, theta.theta_at(pb + GUARD_BITS)]
@@ -308,9 +316,7 @@ def test_phi_past_float_range_plans_by_the_walked_rule():
     # is still the first j with pi C rho^j <= cut, and each command prints
     big = 10 ** 320
     w = GOLDEN.field((big, 0))
-    with mp.workprec(GOLDEN.precision_bits + GUARD_BITS):
-        plan = spectrum._phi_plan(GOLDEN, w, 1e-20)
-    assert (plan.J, plan.n_neg) == _phi_mpf_depths(GOLDEN, w, 1e-20)
+    assert _phi_depths(GOLDEN, w, 1e-20) == _phi_mpf_depths(GOLDEN, w, 1e-20)
     for kind, argv in [("phi", ["phi", "--z", f"{big},0"]),
                        ("phi_lambda", ["phi", "--lam", "1/2", "--q",
                                        f"{big},0"]),
@@ -926,6 +932,137 @@ TAIL_IDS = ["golden", "tribonacci", "quartic", "binary", "ternary",
             "three_halves", "one_point_01"]
 
 
+def _mpf_moments(theta, N, bits):
+    # m_0, m_2, ..., m_2N of mu_theta at bits, by the recurrence
+    # m_2n (1 - theta^-2n) = sum_{k<n} C(2n, 2k) m_2k theta^-2k
+    with mp.workprec(bits):
+        q = 1 / _theta_value(theta, bits + 16) ** 2
+        m, powers = [mp.mpf(1)], [mp.mpf(1)]
+        for n in range(1, N + 1):
+            powers.append(powers[-1] * q)
+            m.append(mp.fsum(math.comb(2 * n, 2 * k) * m[k] * powers[k]
+                             for k in range(n)) / (1 - powers[n]))
+        return m
+
+
+# float.hex of the ten float64 tail coefficients b_n, recorded from the
+# 128-bit mpf moments that computed them before the integer moment routine
+TAIL_COEFFICIENT_BITS = {
+    "golden": ((1, 1), [
+        "0x1.0000000000000p+0", "-0x1.9e3779b97f4a8p-1",
+        "0x1.d6658d4d2a3dcp-3", "-0x1.0d1cd445e8cdap-5",
+        "0x1.72613f7892a59p-9", "-0x1.541065fc4dbedp-13",
+        "0x1.be149a8314223p-18", "-0x1.b6cec8f6e12d6p-23",
+        "0x1.4faa04a63ce02p-28", "-0x1.9abb8b6b4518ep-34",
+    ]),
+    "tribonacci": ((1, 1, 1), [
+        "0x1.0000000000000p+0", "-0x1.6b6dbf96ce2e0p-1",
+        "0x1.48eea3daaa4adp-3", "-0x1.2068aa4016ef4p-6",
+        "0x1.2a0d7499bf5c3p-10", "-0x1.95b6ef956d612p-15",
+        "0x1.87078c8589d10p-20", "-0x1.18cebade72393p-25",
+        "0x1.38179dd20f3b8p-31", "-0x1.145d06d958b6bp-37",
+    ]),
+    "quartic": ((1, 0, 0, 1), [
+        "0x1.0000000000000p+0", "-0x1.0d691680663fcp+0",
+        "0x1.c14369370d4dbp-2", "-0x1.96439f4198860p-4",
+        "0x1.ccfa61b0ff205p-7", "-0x1.6696a24bf4a42p-10",
+        "0x1.962e3057d4e6dp-14", "-0x1.5de68e497bf0bp-18",
+        "0x1.d9dbfb807e076p-23", "-0x1.02d605d969644p-27",
+    ]),
+    "binary": ((2,), [
+        "0x1.0000000000000p+0", "-0x1.5555555555555p-1",
+        "0x1.1111111111111p-3", "-0x1.a01a01a01a01ap-7",
+        "0x1.71de3a556c734p-11", "-0x1.ae64567f544e4p-16",
+        "0x1.6124613a86d09p-21", "-0x1.ae7f3e733b81fp-27",
+        "0x1.952c77030ad4ap-33", "-0x1.2f49b46814157p-39",
+    ]),
+    "ternary": ((3,), [
+        "0x1.0000000000000p+0", "-0x1.2000000000000p-1",
+        "0x1.2e66666666666p-4", "-0x1.23f4bf4bf4bf5p-8",
+        "0x1.40287fb8af5e0p-13", "-0x1.c2b09d62364c6p-19",
+        "0x1.b98a7061ae298p-25", "-0x1.3e8a3589b855ep-31",
+        "0x1.60ab411ffd123p-38", "-0x1.351c382fef34fp-45",
+    ]),
+    "silver": ((2, 1), [
+        "0x1.0000000000000p+0", "-0x1.3504f333f9de6p-1",
+        "0x1.8a5a48894f33cp-4", "-0x1.d507ba1cb73b8p-8",
+        "0x1.3fdef894668d8p-12", "-0x1.1a84b52b47f57p-17",
+        "0x1.5d88251bd37d2p-23", "-0x1.3fc24735012fdp-29",
+        "0x1.c21e81668b327p-36", "-0x1.f6895e0e14163p-43",
+    ]),
+    "three_halves": (1.5, [
+        "0x1.0000000000000p+0", "-0x1.ccccccccccccdp-1",
+        "0x1.3461ac812e795p-2", "-0x1.ad416e3a75b56p-5",
+        "0x1.6d7960e8124aep-8", "-0x1.a3ac15b19097fp-12",
+        "0x1.5ad5953c33dcap-16", "-0x1.b044c1aeeb6c0p-21",
+        "0x1.a4b403cab283ap-26", "-0x1.489251bcf94a9p-31",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_COEFFICIENT_BITS))
+def test_tail_coefficients_keep_their_bits(name):
+    # the float64 path's coefficients, from the integer moment routine,
+    # keep every bit they had
+    base, want = TAIL_COEFFICIENT_BITS[name]
+    theta = base if isinstance(base, float) else build_pisot(base)
+    assert [c.hex() for c in _tail_coefficients(theta)] == want
+
+
+def _exact_moment_polynomial(theta, N, v, bits):
+    # sum_(n<=N) (-1)^n m_2n/(2n)! v^n at bits, v real
+    m = _mpf_moments(theta, N, bits)
+    with mp.workprec(bits):
+        return mp.fsum((-1) ** n * m[n] * v ** n / math.factorial(2 * n)
+                       for n in range(N + 1))
+
+
+MOMENT_BASES = {"golden": (1, 1), "tribonacci": (1, 1, 1),
+                "quartic": (1, 0, 0, 1), "silver": (2, 1), "ternary": (3,)}
+
+
+@pytest.mark.parametrize("pb", [64, 256, 512])
+@pytest.mark.parametrize("name", sorted(MOMENT_BASES))
+def test_moment_tail_within_its_derived_error(name, pb):
+    # at the W of a two-sided product's plan: the degree is the least N with
+    # (2N + 2)! > 2^W; on v' = v 2^-W in [0, 1] the integer Horner sum is
+    # within R - 1 (coefficients and steps) of the exact polynomial; and for
+    # x <= cap it is within R of mu_hat(s), s = sqrt(v')/(2 pi), taken as a
+    # deep cosine product
+    P = build_pisot(MOMENT_BASES[name], pb)
+    with mp.workprec(pb + GUARD_BITS):
+        W = spectrum._phi_plan(P, P.field((1,) * P.m), 1e-20).W
+    a, R, cap = _moment_polynomial(P, pb, W)
+    N = len(a) - 1
+    assert math.factorial(2 * N) <= 2 ** W < math.factorial(2 * N + 2)
+    assert N == _tail_degree(W) and R < 4 * N + 8
+    bits = 2 * W + 64
+    rng = random.Random(f"moment-{name}-{pb}")
+    for v in [0, 1, 2 ** (W - 1), 2 ** W, *(rng.randrange(2 ** W)
+                                            for _ in range(3))]:
+        exact = _exact_moment_polynomial(P, N, mp.ldexp(v, -W), bits)
+        with mp.workprec(bits):
+            assert abs(mp.ldexp(_moment_tail(a, v, W), -W) - exact) <= (
+                mp.ldexp(R - 1, -W))
+    with mp.workprec(bits):
+        th = P.theta_at(bits)
+        assert cap <= mp.ldexp((th - 1) / (2 * mp.pi * th), W) < cap + 2
+    two_pi = pi_fixed(W + 1)
+    for x in [0, 1, cap, cap - 1, cap // 2, *(rng.randrange(cap)
+                                                for _ in range(3))]:
+        z = (x * two_pi) >> W
+        v = (z * z) >> W
+        with mp.workprec(bits):
+            s = mp.sqrt(mp.ldexp(v, -W)) / (2 * mp.pi)
+            # every later factor is within (2 pi s theta^-k)^2 of 1
+            K = 0
+            while 2 * mp.pi * s / th ** K > mp.ldexp(1, -(bits // 2 + 8)):
+                K += 1
+            ref = mp.fprod(mp.cos(2 * mp.pi * s / th ** k) for k in range(K))
+            assert abs(mp.ldexp(_moment_tail(a, v, W), -W) - ref) <= (
+                mp.ldexp(R, -W))
+
+
 @pytest.mark.parametrize("theta", TAIL_BASES, ids=TAIL_IDS)
 def test_tail_polynomial_within_its_remainder(theta):
     # the moment polynomial at 128 bits against the cosine product on
@@ -935,7 +1072,7 @@ def test_tail_polynomial_within_its_remainder(theta):
     remainder = mp.mpf(TAIL_REACH) ** (2 * N + 2) / math.factorial(2 * N + 2)
     assert remainder <= 2.0 ** -60
     assert _TAIL_ERROR <= 9 * _U
-    m = _even_moments(theta)
+    m = _mpf_moments(theta, N, 128)
     with mp.workprec(128):
         th = _theta_value(theta, 144)
         A = th / (th - 1)
