@@ -167,17 +167,31 @@ def _ascent_terms(rho, tol):
     remainder at x = ASCENT_CUT is at most tol, and the largest cut <= 1/2
     of the form ASCENT_CUT (17/16)^k at which it still is.  Taken at 64
     bits, with the remainder raised by 2^-32 for their rounding; cached per
-    base's rho and tol."""
+    base's rho and tol.  The k-th cut is stepped from the first by k
+    multiplies, and the remainder grows with x by far more than its
+    rounding from one cut to the next, so the largest k is found by
+    doubling and then bisection."""
     with mp.workprec(64):
         def remainder(x, N):
             return _series_remainder(x, rho, N) * (1 + mp.mpf(2) ** -32)
-        cut, step = mp.mpf(ASCENT_CUT), mp.mpf(17) / 16
+        cuts, step, half = [mp.mpf(ASCENT_CUT)], mp.mpf(17) / 16, mp.mpf(0.5)
         N = 0
-        while remainder(cut, N) > tol:
+        while remainder(cuts[0], N) > tol:
             N += 1
-        while cut * step <= 0.5 and remainder(cut * step, N) <= tol:
-            cut *= step
-    return N, cut
+
+        def passes(k):
+            while len(cuts) <= k:
+                cuts.append(cuts[-1] * step)
+            return cuts[k] <= half and remainder(cuts[k], N) <= tol
+
+        lo, hi = 0, 1                    # cut lo passes, cut hi + 1 not yet
+        while passes(hi):
+            lo, hi = hi, 2 * hi
+        hi -= 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid - 1)
+    return N, cuts[lo]
 
 
 def _ascent_cut(P: PisotNumber, big_c, tol):

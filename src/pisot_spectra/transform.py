@@ -374,19 +374,20 @@ def _moment_polynomial(theta: Theta, pb, W: int) -> tuple[list, int, int]:
     Taylor polynomial P(v) = sum_{n<=N} (-1)^n a_n v^n in v = (2 pi s)^2,
     a_n = m_2n/(2n)! with m_2n = E X^2n, is within |2 pi s A|^(2N+2)/(2N+2)!
     <= 1/(2N+2)! < one unit while 2 pi s A <= 1, which both floors keep
-    for x <= cap.  The a_n come from _moment_table at Wm = W + 64..128
-    bits, Wm a multiple of 64 and the table's degree that of Wm - 64, so
-    one table serves every W of a 64-bit bucket; each is floored to W bits,
+    for x <= cap.  The a_n come from _moment_table at Wm = B - 4 bits,
+    B the multiple of 64 at or above W + 16, so theta is read at the
+    kernel's own precision (_kernel_step) and one table of the degree of
+    Wm serves every W with the same B; each a_n is floored to W bits,
     within c_n = ceil(e_n 2^(W - Wm)) + 1 units.  Horner's rule floors once
     per step, and v <= 1 scales each earlier error by at most 1.  So
-    R = 1 + sum_n c_n + N.  cap is taken from theta at W + 32 bits, one
+    R = 1 + sum_n c_n + N.  cap is taken from theta at W + 16 bits, one
     unit below the floor.
     """
-    Wm = ((W >> 6) + 2) << 6
+    Wm = ((W + 79) >> 6 << 6) - 4
     N, s = _tail_degree(W), Wm - W
-    a, e = _moment_table(theta, pb, _tail_degree(Wm - 64), Wm)
-    with mp.workprec(W + 32):
-        th = _theta_value(theta, W + 32)
+    a, e = _moment_table(theta, pb, _tail_degree(Wm), Wm)
+    with mp.workprec(W + 16):
+        th = _theta_value(theta, W + 16)
         cap = int(mp.ldexp((th - 1) / (2 * mp.pi * th), W)) - 1
     return ([c >> s for c in a[:N + 1]],
             1 + N + sum(((err - 1) >> s) + 2 for err in e[:N + 1]), cap)
@@ -527,14 +528,15 @@ def _moment_table(theta: Theta, pb, N: int, Wm: int) -> tuple:
     m_2n q^n, q = theta^-2: m_2n (1 - q^n) = sum_{k<n} C(2n, 2k) m_2k q^k,
     from m_0 = 1.  The recurrence runs on integers in units u = 2^-Wm, and
     the error of each value is derived alongside it:
-      - Q_1 = round(q 2^Wm) from theta at Wm + 32 bits, within one unit;
+      - Q_1 = round(q 2^Wm) from theta at Wm + 4 bits, within one unit:
+        q's relative error is below 3 2^-(Wm+4), and q < 1;
         Q_k = (Q_(k-1) Q_1) >> Wm is within eq_k = eq_(k-1) + eq_1 + 1,
         since Q_(k-1) Q_1 - q^k = (Q_(k-1) - q^(k-1)) Q_1 + q^(k-1) (Q_1 - q)
         with Q_1, q^(k-1) <= 1, and the floor adds one; Q_0 is exact;
       - g_k = (M_k Q_k) >> Wm, M_k within e'_k of m_2k, is within
-        e'_k + h_k eq_k + 1, h_k = (M_k + e'_k)/2^Wm + 1 >= m_2k, by the
-        same split; T = sum_{k<n} C(2n, 2k) g_k is exact, within e_T =
-        sum_k C(2n, 2k) (g_k's error);
+        eg_k = e'_k + h_k eq_k + 1, h_k = (M_k + e'_k)/2^Wm + 1 >= m_2k, by
+        the same split; T = sum_{k<n} C(2n, 2k) g_k is exact, within
+        e_T = sum_{k<n} C(2n, 2k) eg_k;
       - M_n = floor(T 2^Wm/D), D = 2^Wm - Q_n within eq_n of d = 2^Wm (1 -
         q^n).  T 2^Wm/D - t 2^Wm/d = (T - t) 2^Wm/D + m_2n (d - D)/D, and
         with i >= 2^Wm/(D - eq_n), an integer, m_2n <= (T + e_T) i 2^-Wm, so
@@ -542,9 +544,8 @@ def _moment_table(theta: Theta, pb, N: int, Wm: int) -> tuple:
       - A_n = floor(M_n/(2n)!) is within e_n = e'_n/(2n)! + 1, rounded up.
     """
     one = 1 << Wm
-    with mp.workprec(Wm + 32):
-        Q1 = int(mp.nint(mp.ldexp(1 / _theta_value(theta, Wm + 32) ** 2,
-                                   Wm)))
+    with mp.workprec(Wm + 8):
+        Q1 = int(mp.nint(mp.ldexp(1 / _theta_value(theta, Wm + 4) ** 2, Wm)))
     Q, eq = [one, Q1], [0, 1]
     for _ in range(2, N + 1):
         Q.append((Q[-1] * Q1) >> Wm)
