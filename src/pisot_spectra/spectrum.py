@@ -251,7 +251,7 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
     tail = 0
     if N:
         with mp.workprec(64):
-            # the tail's E_t, with eps = (4 A + 1) units of 2^-(pb+12)
+            # the tail's E_t, with eps = (4 A' + 1) units of 2^-(pb+12)
             eps = mp.ldexp(4 * arg + 1, -(pb + 12))
             tail = int(_kappa(P) * (4 * arg + 1) * mp.tan(x_J + eps)) + 6
     head = K * (COS_FIXED_ERROR + 4 + 7 * x_error) if P.m > 1 else 0
