@@ -267,11 +267,10 @@ def _descent_x_error(th, K: int, mag: int, x0_error: int = 1) -> int:
     return x0_error + 2 + K + (gap << mag >> 16)
 
 
-def _descent_error(th, K: int, mag: int, x0_error: int = 1) -> int:
-    """Error of one factor of the kernel's descent to depth K at |t| < 2^mag,
-    in units of 2^-W, its product shift included, when x_0 is off by under
-    x0_error units (see mu_hat)."""
-    return COS_FIXED_ERROR + 4 + 7 * _descent_x_error(th, K, mag, x0_error)
+def _descent_error(th, K: int, mag: int) -> int:
+    """Error of one factor of mu_hat's descent to depth K at |t| < 2^mag,
+    in units of 2^-W, its product shift included (see mu_hat)."""
+    return COS_FIXED_ERROR + 4 + 7 * _descent_x_error(th, K, mag)
 
 
 def _kernel_plan(theta: Theta, t, tol: float, pb: int):
