@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="max extra product terms"),
         _arg("--a-max", type=int, required=True, help="offset bound"),
         _arg("--budget", type=int, default=DEFAULT_BUDGET,
-             help="candidate evaluation budget"),
+             help="most factors the window's walk may compose"),
         tol=True, eta=0.05)
     sub("synthesize", _cmd_synthesize,
         "integer sequence realizing a predicted value",

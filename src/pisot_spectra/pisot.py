@@ -21,6 +21,7 @@ precondition raises PrecisionExhaustedError.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -243,7 +244,10 @@ class PisotNumber:
 
     def root_at(self, which: int, prec: int):
         """The `which`-th root (1 = theta, an mpf; theta_2..theta_m are mpc)
-        refined to at least `prec` bits, cached per root and 64-bit bucket."""
+        refined to at least `prec` bits, cached per root and 64-bit bucket.
+
+        build_pisot returns one instance per (digits, precision) in a
+        process, so a root refined once is kept for every later call."""
         bucket = max(self.precision_bits, ((prec + 63) // 64) * 64)
         cached = self._root_cache.get((which, bucket))
         if cached is None:
@@ -302,6 +306,10 @@ def _delta_max(poly: MinimalPolynomial) -> Fraction:
 def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
     """Certify the dominant root of x^m - d_1 x^{m-1} - ... - d_m as Pisot.
 
+    Each (digits, precision) is certified once per process: later calls
+    return the same PisotNumber, whose root_at cache then keeps its refined
+    roots across calls.  A refused base raises again on every call.
+
     Root estimates come from Durand-Kerner iteration in float64 complex
     arithmetic (_root_estimates) and are Newton-refined to
     precision_bits + 64 bits on fixed-point complex ints (_newton_refine).
@@ -317,7 +325,14 @@ def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    poly = MinimalPolynomial(tuple(int(c) for c in d))
+    return _certify(tuple(int(c) for c in d), precision_bits)
+
+
+@functools.lru_cache(maxsize=64)
+def _certify(d: tuple, precision_bits: int) -> PisotNumber:
+    """build_pisot's certification of the digits d; lru_cache caches no
+    exception."""
+    poly = MinimalPolynomial(d)
     if not poly.is_squarefree():
         raise NotSquarefreeError(f"{poly.d} has a repeated root")
     m = poly.degree

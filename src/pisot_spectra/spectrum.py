@@ -729,6 +729,32 @@ def _merge_groups(candidates: list, tol) -> list:
     return groups
 
 
+def _first_ids(n_vec: int, m_max: int, a_max: int, budget: int) -> list:
+    """first[M], the id of the first candidate with M + 1 vectors, for each
+    length enumerate_spectrum's walk composes; BudgetExceededError as soon
+    as the factors that walk composes unpruned pass the budget.
+
+    Per |A| the unpruned walk composes {0} alone and, for k vectors of the
+    n = n_vec // 2 nonzero classes, each slot order whose first slot is at
+    most its second: n lists for k = 1 and n^(k-1) (n + 1)/2 for k >= 2,
+    k + 1 factors each with the tail's.  Counting factors, not lists,
+    keeps long lists of one class within the budget too.  With no nonzero
+    class no list is longer than one.
+    """
+    n = n_vec // 2
+    first, size = [0], 0
+    for k in range(1, m_max + 2 if n else 2):
+        first.append(first[-1] + (2 * a_max + 1) * n_vec ** k)
+        lists = n + 1 if k == 1 else n ** (k - 1) * (n + 1) // 2
+        size += (a_max + 1) * (k + 1) * lists
+        if size > budget:
+            raise BudgetExceededError(
+                f"the window's walk composes at least {size} factors, over "
+                f"the budget of {budget}"
+            )
+    return first
+
+
 def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
                        m_max: int, a_max: int, tol: float = 1e-20,
                        eta: float = 0.05,
@@ -742,7 +768,8 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     -z sits at n_vec - 1 minus z's index among the n_vec vectors: the
     lists of M + 1 vectors start at first[M], the count of the shorter
     ones.  One table of those sums is built before any value is taken, and
-    the window is refused as soon as the sum passes the budget.  Its
+    the window is refused as soon as the factors its unpruned walk would
+    compose pass the budget (_first_ids).  Its
     value and error come from _compose_product over Phi(z_1), ...,
     Phi(z_k), |mu_hat(r A)|.  Three changes keep those bits: z -> -z
     (Phi(-z) = Phi(z) bit for bit, see _biinfinite_product), A -> -A (the
@@ -795,15 +822,7 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     r_f = _as_multiplier(P, r)
 
     n_vec = (2 * height + 1) ** P.m
-    # first[M]: the id of the first candidate with M + 1 vectors
-    first = [0]
-    for M in range(m_max + 1):
-        first.append(first[M] + (2 * a_max + 1) * n_vec ** (M + 1))
-        if first[-1] > budget:
-            raise BudgetExceededError(
-                f"window holds at least {first[-1]} candidates, over the "
-                f"budget of {budget}"
-            )
+    first = _first_ids(n_vec, m_max, a_max, budget)
 
     # class c stands for the c-th vector of the window and its negation
     rings = [P.ring(vec) for vec in islice(

@@ -129,8 +129,6 @@ def _tail_rounding() -> float:
 # error of the tail factor P~ and of its product, argument error apart:
 # 6.8u for P~ and u for the product, so |P~| <= 1 + 8u
 _TAIL_ERROR = _tail_rounding()
-# float64 values below this are reported as bracketing zero
-FAST_ZERO = 1e-12
 # points per block of a mu_hat_fast batch: 256 KiB per block-sized array
 FAST_BLOCK = 2 ** 15
 
@@ -869,29 +867,14 @@ def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
     np.abs(t, out=x)
 
 
-def _exact_zeros(theta: Theta, ts) -> np.ndarray:
-    """Mask of the float64 t at which the product vanishes exactly, by
-    _zero_test in blocks of FAST_BLOCK points and block-sized scratch."""
-    import numpy as np
-    flat = np.asarray(ts, dtype=np.float64).reshape(-1)
-    zero = np.empty(flat.shape, dtype=bool)
-    x, y, v = (np.empty(min(flat.size, FAST_BLOCK)) for _ in range(3))
-    with np.errstate(invalid="ignore"):          # inf - inf is nan
-        for start in range(0, flat.size, FAST_BLOCK):
-            n = min(FAST_BLOCK, flat.size - start)
-            _zero_test(theta, flat[start:start + n], x[:n], y[:n], v[:n])
-            np.equal(v[:n], 0.0, out=zero[start:start + n])
-    return zero.reshape(np.shape(ts))
-
-
 def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
     """Float64 series items at t = r n, n = first..last, from
     empirical._sampled, each carrying FAST_ERROR and bracketing zero when
-    its value is within FAST_ZERO of it."""
+    its value is within that bound of it."""
     # empirical imports this module, so its routine is imported here
     from .empirical import _sampled
     r_val, vals = _sampled(P, r, first, last, 0.0, FAST_ERROR)
-    return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ZERO)
+    return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ERROR)
             for n, v in zip(range(first, last + 1), vals.tolist())]
 
 

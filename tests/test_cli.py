@@ -10,10 +10,11 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from pisot_spectra import cli, formats
+from pisot_spectra import cli, formats, pisot
 
 CMD = [sys.executable, "-m", "pisot_spectra"]
 
@@ -553,6 +554,20 @@ def test_float64_outputs_print_the_exact_zeros():
     assert code == 0 and json.loads(out)["blocks"][0]["value"] == "0.0"
 
 
+def test_float64_rows_flag_zero_within_their_printed_bound():
+    # golden at n = 36 prints 3.95e-12 with the bound 1e-9: the printed
+    # bracket holds 0, so the row must say so
+    code, out, _ = run("eval", "--poly", "1,1", "--r", "1", "--count", "36",
+                       "--fast", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 36 and rows[-1][0] == "36"
+    assert rows[-1][4] == "true"
+    for _, _, value, bound, flag in rows:
+        assert flag == ("true" if abs(Fraction(value)) <= Fraction(bound)
+                        else "false")
+
+
 def test_decay_theta_as_a_number_prints_the_bytes_of_its_poly():
     # the float64 zero rule reads an even base from theta's value
     want = run("decay", "--poly", "2", "--N", "8")
@@ -601,3 +616,31 @@ def test_out_flag_writes_same_bytes(tmp_path):
     assert code == code2 == 0
     assert out2 == ""
     assert target.read_text() == out
+
+
+# golden, tribonacci and quartic at two precisions: each base is certified
+# once per process, so the output must not depend on which call came first
+CACHE_CASES = [
+    [cmd, "--poly", poly, *rest, "--precision-bits", pb]
+    for pb in ("256", "512")
+    for poly, z in (("1,1", "1,1"), ("1,1,1", "1,1,0"), ("1,0,0,1", "1,1,0,0"))
+    for cmd, *rest in (("phi", "--z", z), ("eval", "--t", "7/3"),
+                       ("enumerate", "--r", "1", "--height", "1",
+                        "--m-max", "0", "--a-max", "1", "--eta", "1e-3"))
+]
+
+
+def test_outputs_do_not_depend_on_the_certification_cache():
+    def outputs(cases, clear):
+        out = {}
+        for argv in cases:
+            if clear:
+                pisot._certify.cache_clear()
+            code, text, _ = run(*argv)
+            assert code == 0
+            out[tuple(argv)] = text
+        return out
+
+    forward = outputs(CACHE_CASES, False)
+    assert outputs(CACHE_CASES[::-1], False) == forward
+    assert outputs(CACHE_CASES, True) == forward

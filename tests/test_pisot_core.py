@@ -189,6 +189,34 @@ def test_low_precision_rejected():
         build_pisot((1, 1), precision_bits=32)
 
 
+def test_build_pisot_certifies_each_base_once():
+    # the digits are read as a tuple of ints, so a list names the same base
+    P = build_pisot((1, 1))
+    assert build_pisot([1, 1]) is P
+    assert build_pisot((1, 1)) is P
+    assert build_pisot((1, 1), precision_bits=256) is P
+
+
+def test_build_pisot_keys_on_precision():
+    low, high = build_pisot((1, 1, 1), 256), build_pisot((1, 1, 1), 512)
+    assert low is not high
+    assert (low.precision_bits, high.precision_bits) == (256, 512)
+    assert build_pisot((1, 1, 1), 512) is high
+    # each instance keeps its own roots, at least at its own precision
+    assert high.root_at(1, 64) is high.root_at(1, 512)
+    assert low.root_at(1, 64) is low.root_at(1, 256)
+    assert high.root_at(1, 512) is not low.root_at(1, 256)
+
+
+@pytest.mark.parametrize("d, error", [((1, 1, 1, -1), NotPisotError),
+                                      ((2, -1), NotSquarefreeError),
+                                      ((1, -1), NoDominantRealRootError)])
+def test_build_pisot_refuses_on_every_call(d, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            build_pisot(d)
+
+
 def test_ring_basics():
     assert ring_theta_pow(GOLDEN, 0).coeffs == (1, 0)
     assert ring_theta_pow(GOLDEN, 2).coeffs == (1, 1)
@@ -602,8 +630,11 @@ def test_minimal_polynomial_helpers():
 @pytest.mark.parametrize("estimates", ["unsettled", "two_equal"])
 def test_root_fallback_certifies_the_same_base(monkeypatch, d, estimates):
     # when the Durand-Kerner estimates do not settle, or two refined roots
-    # meet, build_pisot takes every root from mp.polyroots instead
+    # meet, build_pisot takes every root from mp.polyroots instead; the
+    # base is certified afresh, past the per-process cache, and the spoiled
+    # certificate is not kept for later calls
     normal = build_pisot(d)
+    monkeypatch.setattr(pisot, "_certify", pisot._certify.__wrapped__)
     real_estimates, real_polyroots = pisot._root_estimates, mp.polyroots
     calls = []
 

@@ -532,8 +532,9 @@ def test_enumerate_budget_cap():
 
 
 def test_enumerate_refuses_a_long_window_before_summing_it():
-    # 9^20001 candidates: the refusal comes at the first list length whose
-    # running count passes the budget, not after the whole sum
+    # lists of up to 20001 of four classes: the refusal comes at the first
+    # list length whose running count passes the budget, not after the
+    # whole sum
     with pytest.raises(BudgetExceededError, match="over the budget"):
         enumerate_spectrum(GOLDEN, 1, 1, 20000, 0)
 
@@ -826,6 +827,67 @@ def test_enumerate_composes_the_zero_vector_alone():
     cands, composed, _ = _enumerate_counted(GOLDEN, 1, 0, 200, 0, 1e-6)
     assert composed == 1
     assert [(c.id, len(c.z_list)) for c in cands] == [("0", 1)]
+
+
+def test_enumerate_budget_admits_a_window_its_walk_composes_cheaply():
+    # the ordered window holds 5,380,839 lists, over the default budget,
+    # but the class walk composes 95 candidates of it
+    window = (GOLDEN, 1, 1, 6, 0)
+    got = enumerate_spectrum(*window, eta=1e-3)
+    wide = enumerate_spectrum(*window, eta=1e-3, budget=10**7)
+    assert [c.id for c in got] == ["4", "0"]
+    assert [(c.id, c.A, c.z_list, c.predicted, c.error_bound) for c in got] \
+        == [(c.id, c.A, c.z_list, c.predicted, c.error_bound) for c in wide]
+
+
+def _unpruned_factors(P, height, m_max, a_max):
+    """The factors an unpruned walk composes, counted list by list: per |A|,
+    {0} alone, and every list of at most m_max + 1 nonzero classes whose
+    first slot is at most its second, each with its tail."""
+    classes = range((2 * height + 1) ** P.m // 2)
+    total = 2
+    for k in range(1, m_max + 2):
+        total += (k + 1) * sum(1 for s in itertools.product(classes, repeat=k)
+                               if k == 1 or s[0] <= s[1])
+    return (a_max + 1) * total
+
+
+def _least_budget(P, height, m_max, a_max):
+    """_unpruned_factors, checked to be the least budget _first_ids admits."""
+    size = _unpruned_factors(P, height, m_max, a_max)
+    n_vec = (2 * height + 1) ** P.m
+    spectrum._first_ids(n_vec, m_max, a_max, size)
+    with pytest.raises(BudgetExceededError):
+        spectrum._first_ids(n_vec, m_max, a_max, size - 1)
+    return size
+
+
+def _composed_factors(window, eta):
+    with mock.patch.object(spectrum, "_compose_product",
+                           wraps=spectrum._compose_product) as compose:
+        enumerate_spectrum(*window, eta=eta)
+    return sum(len(call.args[0]) for call in compose.call_args_list)
+
+
+@pytest.mark.parametrize("window", [(GOLDEN, 1, 1, 2, 1), (TRIBONACCI, 1, 1, 1, 1),
+                                    (TERNARY, 1, 1, 6, 0), (GOLDEN, 1, 0, 200, 0)],
+                         ids=["golden", "tribonacci", "one-class", "zero-only"])
+def test_enumerate_budget_is_the_unpruned_walks_factor_count(window):
+    # at eta = 1e-300 no product of these windows is pruned, so the walk
+    # composes every list the budget counts: the least budget admitted is
+    # the factors composed, two long-list windows included
+    P, _, height, m_max, a_max = window
+    assert _composed_factors(window, 1e-300) \
+        == _least_budget(P, height, m_max, a_max)
+
+
+@pytest.mark.parametrize(
+    "window", USED_WINDOWS,
+    ids=[f"{P.d}-{r}-{h}-{mm}-{am}-{eta}" for P, r, h, mm, am, eta in USED_WINDOWS])
+def test_enumerate_budget_covers_the_used_windows(window):
+    P, _, height, m_max, a_max, eta = window
+    assert _composed_factors(window[:5], eta) \
+        <= _least_budget(P, height, m_max, a_max)
 
 
 @pytest.mark.parametrize("pb", [64, 256])

@@ -42,11 +42,12 @@ from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TOL, FACTOR_FLOOR, TAIL_DEGREE,
                                      TAIL_REACH, _TAIL_ERROR, _U,
                                      _cos_fixed, _depth,
-                                     _exact_zeros, _float_depth,
+                                     _float_depth,
                                      _kernel_plan, _leading_factors_below,
                                      _mag_estimate, _moment_polynomial,
                                      _moment_tail, _tail_coefficients,
-                                     _tail_degree, _truncation_depth)
+                                     _tail_degree, _truncation_depth,
+                                     _zero_test)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -764,6 +765,20 @@ def test_floor_must_be_nonnegative():
     for floor in (-1e-3, math.nan):
         with pytest.raises(ValueError):
             mu_hat_fast(GOLDEN, [1.0, 2.0], floor=floor)
+
+
+def _exact_zeros(theta, ts):
+    """Mask of the float64 t at which the product vanishes exactly, by
+    _zero_test in blocks of FAST_BLOCK points and block-sized scratch."""
+    flat = np.asarray(ts, dtype=np.float64).reshape(-1)
+    zero = np.empty(flat.shape, dtype=bool)
+    x, y, v = (np.empty(min(flat.size, FAST_BLOCK)) for _ in range(3))
+    with np.errstate(invalid="ignore"):          # inf - inf is nan
+        for start in range(0, flat.size, FAST_BLOCK):
+            n = min(FAST_BLOCK, flat.size - start)
+            _zero_test(theta, flat[start:start + n], x[:n], y[:n], v[:n])
+            np.equal(v[:n], 0.0, out=zero[start:start + n])
+    return zero.reshape(np.shape(ts))
 
 
 def _exact_zeros_int64(theta, ts):
