@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -325,7 +326,12 @@ def build_pisot(d: Coeffs, precision_bits: int = 256) -> PisotNumber:
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    return _certify(tuple(int(c) for c in d), precision_bits)
+    # read before the cache, where 1.0 would meet the key of 1
+    try:
+        d = tuple(operator.index(c) for c in d)
+    except TypeError:
+        raise ValueError("coefficients must be integers") from None
+    return _certify(d, precision_bits)
 
 
 @functools.lru_cache(maxsize=64)

@@ -25,7 +25,8 @@ whose remainder is at most tol.
 
 limit_value multiplies such products with a one-sided tail to predict the
 accumulation values of coefficient sequences; enumerate_spectrum walks a
-finite window of integer data to list those predictions; and
+finite window of integer data to list those predictions, with one product
+per theta-orbit of the window's vectors, as Phi(z theta) = Phi(z); and
 synthesize_sequence builds the explicit integer indices n_k whose sampled
 values approach a chosen prediction.
 """
@@ -755,6 +756,33 @@ def _first_ids(n_vec: int, m_max: int, a_max: int, budget: int) -> list:
     return first
 
 
+def _orbit_phi(P: PisotNumber, rings: list, tol) -> list:
+    """Phi's (value, error) at each class c of an enumeration window, rings[c]
+    its c-th vector, taken once per part of the links z ~ z theta with
+    z theta a window vector: Phi(z theta) = Phi(-z) = Phi(z) exactly, so
+    the part's lowest class lends its bracket to every member."""
+    cls = {}
+    for c, z in enumerate(rings):
+        cls[z.coeffs] = cls[tuple(-a for a in z.coeffs)] = c
+    part = list(range(len(rings)))  # a linked lower class, or c itself
+
+    def lowest(c):
+        while part[c] != c:
+            c = part[c]
+        return c
+
+    for c, z in enumerate(rings):
+        mate = cls.get(tuple(_mul_by_theta(z.coeffs, P.d)))
+        if mate is not None:
+            a, b = sorted((lowest(c), lowest(mate)))
+            part[b] = a
+    phi = []
+    for c, z in enumerate(rings):
+        low = lowest(c)
+        phi.append(phi[low] if low < c else phi_biinfinite(P, z, tol))
+    return phi
+
+
 def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
                        m_max: int, a_max: int, tol: float = 1e-20,
                        eta: float = 0.05,
@@ -812,8 +840,11 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
     a member within 2*tol of thr.  When every group that reaches eta stays
     clear of that, the groups reaching eta are those of the full walk;
     otherwise (only for a large tol) the window is walked again with
-    nothing dropped.  Both walks share the tails and the Phi of each
-    class, each taken once per call.
+    nothing dropped.  Both walks share the tails and the Phi of the
+    classes, taken once per call: one Phi per part of the links
+    z ~ z theta, z theta a window vector, at the part's lowest class, whose
+    bracket certifies every member since Phi(z theta) = Phi(z) exactly
+    (_orbit_phi).
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
@@ -868,7 +899,7 @@ def enumerate_spectrum(P: PisotNumber, r: ElementLike, height: int,
         tails = [tail_product(P, r_f * a, tol) for a in range(a_max + 1)]
         if all(v + e < low for v, e in tails):  # no prefix is extended
             return []
-        phi = [phi_biinfinite(P, z, tol) for z in rings]
+        phi = _orbit_phi(P, rings, tol)
         upper_of = [v + e for v, e in phi]
         order = sorted(range(len(rings)), key=upper_of.__getitem__,
                        reverse=True)

@@ -197,6 +197,18 @@ def test_build_pisot_certifies_each_base_once():
     assert build_pisot((1, 1), precision_bits=256) is P
 
 
+@pytest.mark.parametrize("d", [(1.5, 1.9), ("1", "1"), (Fraction(3, 2), 1),
+                               (1.0, 1.0)],
+                         ids=["floats", "strings", "fraction", "integral-floats"])
+def test_build_pisot_refuses_digits_that_are_not_integers(d):
+    # (1.0, 1.0) equals the cached key (1, 1): the digits are read first
+    P = build_pisot((1, 1))
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        build_pisot(d)
+    import numpy as np
+    assert build_pisot(np.array([1, 1], dtype=np.int64)) is P
+
+
 def test_build_pisot_keys_on_precision():
     low, high = build_pisot((1, 1, 1), 256), build_pisot((1, 1, 1), 512)
     assert low is not high

@@ -539,12 +539,34 @@ def test_enumerate_refuses_a_long_window_before_summing_it():
         enumerate_spectrum(GOLDEN, 1, 1, 20000, 0)
 
 
+def _orbit_brackets(P, vecs, tol=1e-20):
+    """Phi's bracket at each vector of a window, taken once per theta-orbit:
+    the vectors linked by z ~ -z and by z ~ z theta, z theta in the window,
+    share the bracket of their lowest-indexed vector."""
+    theta = P.theta_ring()
+    index = {vec: i for i, vec in enumerate(vecs)}
+    links = [(i, len(vecs) - 1 - i) for i in range(len(vecs))]
+    links += [(i, index[up]) for i, vec in enumerate(vecs)
+              if (up := (P.ring(vec) * theta).coeffs) in index]
+    low = list(range(len(vecs)))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in links:
+            least = min(low[i], low[j])
+            if (low[i], low[j]) != (least, least):
+                low[i] = low[j] = least
+                changed = True
+    phi = {i: phi_biinfinite(P, P.ring(vecs[i]), tol) for i in set(low)}
+    return [phi[i] for i in low]
+
+
 def _full_walk(P, r, height, m_max, a_max, tol=1e-20):
     """Every candidate (id, A, vectors, value, error) of the window, built
     by the unpruned loop with a running id.  Each product runs as
-    _compose_product runs it over the vectors' brackets and then the
-    tail's: a list continues its prefix's running value, upper and lower
-    products."""
+    _compose_product runs it over the vectors' brackets, one per
+    theta-orbit, and then the tail's: a list continues its prefix's running
+    value, upper and lower products."""
     r_f = P.field(Fraction(r))
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     out = []
@@ -552,7 +574,7 @@ def _full_walk(P, r, height, m_max, a_max, tol=1e-20):
         def bracket(v, e):
             return v, v + e, max(mp.mpf(0), v - e)
 
-        phi = [bracket(*phi_biinfinite(P, P.ring(vec), tol)) for vec in vecs]
+        phi = [bracket(*b) for b in _orbit_brackets(P, vecs, tol)]
         tail = {A: bracket(*tail_product(P, r_f * abs(A), tol))
                 for A in range(-a_max, a_max + 1)}
         lists = [((), (mp.mpf(1),) * 3)]
@@ -727,12 +749,12 @@ def test_enumerate_keeps_the_lowest_id_of_each_class(window):
 
 def _ordered_leaves(P, r, height, m_max, a_max, thr, tol=1e-20):
     """(idx, A) of every candidate that a walk over ordered vector lists
-    composes: each prefix's upper product times the tail's reaches thr."""
+    composes: each prefix's upper product times the tail's reaches thr, at
+    one Phi per theta-orbit."""
     r_f = P.field(Fraction(r))
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        ups = [v + e for v, e in (phi_biinfinite(P, P.ring(vec), tol)
-                                  for vec in vecs)]
+        ups = [v + e for v, e in _orbit_brackets(P, vecs, tol)]
         leaves = []
         for A in range(-a_max, a_max + 1):
             v, e = tail_product(P, r_f * abs(A), tol)
@@ -748,11 +770,11 @@ def _ordered_leaves(P, r, height, m_max, a_max, thr, tol=1e-20):
 
 def _rounded_apart_eta(P, height, tol=1e-20):
     """2 b, b the largest bound at A = 0 of an order of three vectors that
-    exceeds the bound of the same vectors by descending upper bracket."""
+    exceeds the bound of the same vectors by descending upper bracket, at
+    one Phi per theta-orbit."""
     vecs = list(itertools.product(range(-height, height + 1), repeat=P.m))
     with mp.workprec(P.precision_bits + GUARD_BITS):
-        ups = [v + e for v, e in (phi_biinfinite(P, P.ring(vec), tol)
-                                  for vec in vecs)]
+        ups = [v + e for v, e in _orbit_brackets(P, vecs, tol)]
         v, e = tail_product(P, 0, tol)
         tail_up = v + e
 
@@ -775,8 +797,9 @@ def _rounded_apart_eta(P, height, tol=1e-20):
 def test_enumerate_composes_every_candidate_of_the_ordered_walk():
     # thr = eta/2 is the bound of an order of three vectors whose order by
     # descending upper bracket rounds below it: the class walk must still
-    # compose them
-    window = (GOLDEN, 1, 1, 2, 1)
+    # compose them.  At height 1 golden's four nonzero classes are one
+    # theta-orbit, so no order rounds apart there
+    window = (GOLDEN, 1, 2, 2, 1)
     height, a_max = window[2], window[4]
     eta = _rounded_apart_eta(GOLDEN, height)
     with mp.workprec(GOLDEN.precision_bits + GUARD_BITS):
@@ -793,8 +816,9 @@ def test_enumerate_composes_every_candidate_of_the_ordered_walk():
 
 def test_enumerate_keeps_three_vector_orders_that_round_apart():
     # at a tol below the rounding, slot orders whose bits differ are values
-    # of their own, each kept under its lowest id
-    window, tol, eta = (GOLDEN, 1, 1, 2, 0), 1e-100, 1e-9
+    # of their own, each kept under its lowest id (height 2: at height 1
+    # every nonzero class shares one Phi)
+    window, tol, eta = (GOLDEN, 1, 2, 2, 0), 1e-100, 1e-15
     full = _full_walk(*window, tol=tol)
     got, _, _ = _enumerate_counted(*window, eta, tol=tol)
     assert _as_rows(got) == _full_spectrum(GOLDEN, full, eta, tol=tol)
@@ -819,6 +843,42 @@ CATALOGUE_COMPOSED = [((GOLDEN, 1, 2, 2, 1, 1e-3), 8),
 def test_enumerate_composes_the_catalogue_windows_pinned_counts(window, count):
     _, composed, _ = _enumerate_counted(*window)
     assert composed == count
+
+
+# phi_biinfinite calls of the catalogue windows and of base 3 at height 11:
+# one per part of the links z ~ z theta within the window (classes: 13, 13,
+# 14 and 12)
+CATALOGUE_PHI = [((GOLDEN, 1, 2, 2, 1, 1e-3), 4),
+                 ((GOLDEN, HALF, 2, 1, 2, 1e-6), 4),
+                 ((TRIBONACCI, 1, 1, 1, 2, 0.05), 6),
+                 ((TERNARY, 1, 11, 1, 2, 1e-3), 9)]
+
+
+@pytest.mark.parametrize("window, count", CATALOGUE_PHI,
+                         ids=[str(i) for i in range(len(CATALOGUE_PHI))])
+def test_enumerate_takes_one_phi_per_orbit_part(window, count):
+    with mock.patch.object(spectrum, "phi_biinfinite",
+                           wraps=spectrum.phi_biinfinite) as phi:
+        enumerate_spectrum(*window[:5], eta=window[5])
+    assert phi.call_count == count
+
+
+@pytest.mark.parametrize(
+    "window", USED_WINDOWS,
+    ids=[f"{P.d}-{r}-{h}-{mm}-{am}-{eta}" for P, r, h, mm, am, eta in USED_WINDOWS])
+def test_enumerate_shared_phi_overlaps_each_class_own(window):
+    # a class's bracket is its part's lowest class's: Phi(z theta) = Phi(z)
+    # exactly, so it overlaps the bracket phi_biinfinite gives the class
+    P, height = window[0], window[2]
+    n_vec = (2 * height + 1) ** P.m
+    rings = [P.ring(vec) for vec in itertools.islice(
+        itertools.product(range(-height, height + 1), repeat=P.m),
+        n_vec // 2 + 1)]
+    with mp.workprec(P.precision_bits + GUARD_BITS):
+        shared = spectrum._orbit_phi(P, rings, 1e-20)
+        for z, (v, e) in zip(rings, shared):
+            own, own_e = phi_biinfinite(P, z, 1e-20)
+            assert abs(v - own) <= e + own_e
 
 
 def test_enumerate_composes_the_zero_vector_alone():
