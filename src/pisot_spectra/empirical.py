@@ -101,13 +101,16 @@ class ClusterReport:
 @dataclass(frozen=True)
 class IntervalEstimate:
     """Range statistics of retained values: [lower, upper], the largest gap
-    between sorted neighbours, and that gap relative to the range width."""
+    between sorted neighbours, and that gap relative to the range width.
+    empty_retention flags the legal outcome that no value was retained;
+    every statistic is then 0.0."""
 
     lower: float
     upper: float
     count: int
     max_gap: float
     max_gap_rel: float
+    empty_retention: bool
 
 
 @dataclass(frozen=True)
@@ -308,10 +311,10 @@ def _range_stats(values: np.ndarray) -> IntervalEstimate:
     values.sort()
     count = len(values)
     if count == 0:
-        return IntervalEstimate(0.0, 0.0, 0, math.inf, math.inf)
+        return IntervalEstimate(0.0, 0.0, 0, 0.0, 0.0, True)
     lower, upper = float(values[0]), float(values[-1])
     if count == 1:
-        return IntervalEstimate(lower, upper, 1, 0.0, 0.0)
+        return IntervalEstimate(lower, upper, 1, 0.0, 0.0, False)
     scratch = np.empty(min(count - 1, FAST_BLOCK))
     tops = []
     for a in range(0, count - 1, FAST_BLOCK):
@@ -321,7 +324,7 @@ def _range_stats(values: np.ndarray) -> IntervalEstimate:
     max_gap = float(np.max(tops))
     width = upper - lower
     rel = max_gap / width if width > 0 else 0.0
-    return IntervalEstimate(lower, upper, count, max_gap, rel)
+    return IntervalEstimate(lower, upper, count, max_gap, rel, False)
 
 
 def interval_fill_test(P: PisotNumber, r, N: int,

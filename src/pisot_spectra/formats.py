@@ -286,7 +286,7 @@ CLUSTERS = _table(ClusterReport, ("r", FLOAT), ("N", INT), ("eta", RAW),
                   ("empty_retention", FLAG), kind="clusters", max_gap=None)
 INTERVAL = _table(IntervalEstimate, ("lower", FLOAT), ("upper", FLOAT),
                   ("count", INT), ("max_gap", FLOAT), ("max_gap_rel", FLOAT),
-                  kind="interval")
+                  ("empty_retention", FLAG), kind="interval")
 # a translated cluster is ((re, im), count)
 TRANSLATED_CLUSTER = _table(_tuple, ("center", _list(FLOAT)), ("count", INT))
 TRANSLATED = _table(TranslatedReport, ("r", FLOAT), ("gamma", FLOAT),

@@ -509,6 +509,20 @@ def test_fill_reports_interval_statistics():
     assert obj["r_kind"] == "real"
     assert obj["count"] == 501
     assert float(formats.parse_decimal(obj["max_gap"])) > 0
+    assert obj["empty_retention"] is False
+
+
+def test_fill_with_nothing_retained_flags_it_and_prints_no_infinity():
+    # nothing on [50, 100] reaches 0.9: the report says so, and every
+    # statistic is a finite 0.0
+    code, out, _ = run("fill", "--poly", "1,1", "--r", "1", "--N", "100",
+                       "--eta", "0.9")
+    assert code == 0
+    obj = strict_json(out)
+    assert obj["empty_retention"] is True and obj["count"] == 0
+    for key in ("lower", "upper", "max_gap", "max_gap_rel"):
+        assert float(formats.parse_decimal(obj[key])) == 0.0
+    assert "inf" not in out
 
 
 def test_jset_accepts_theta_or_poly():
