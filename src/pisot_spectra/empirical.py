@@ -16,19 +16,21 @@ transform for non-Pisot bases.
 Every float64 value at t = r n, in a report or in a row of the float64
 series (transform._rows), comes from _sampled: it reads r by pisot's
 multiplier rule, checks the index range, refuses the batch from its largest
-|t| before building any array, and evaluates it in one batch, at any N,
-exact zeros included (mu_hat_fast returns them as 0.0).
+|t| before building any array, and evaluates it in one batch, at any N, as
+the progression t_n = r n, whose points are exact (the float r times the
+integer n, not their rounded product), exact zeros included (mu_hat_fast
+returns them as 0.0).
 The batch's derived error bound must stay within FAST_ERROR for a row, and
 within the report's validation threshold (eta/10, at least 1e-6) for a
 report, far above the bound at the sizes used here (about 8e-9 at
 |t| = 2e6 on the golden base).  A precise spot check of
 SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
 against the threshold, so a fault in the float64 kernel is caught once it
-exceeds the bound the batch claims.  Each reference is a 64-bit value
-truncated at a share of the bound, just sharp enough for that test.  With
-eta > 0 the batch stops each product once it is known to end below a floor
-just under eta and returns 0.0 there; every value at or above eta keeps its
-bits, so each report keeps the same set (see _sampled).
+exceeds the bound the batch claims.  Each reference is a 64-bit value at
+the same exact t, truncated at a share of the bound, just sharp enough for
+that test.  With eta > 0 every value of modulus below a floor just under
+eta comes back as 0.0; every value at or above eta keeps its bits, so each
+report keeps the same set (see _sampled).
 
 numpy is imported inside the functions that use it, so importing this
 module, and running the precise commands, leaves it unloaded.
@@ -46,9 +48,9 @@ import mpmath as mp
 from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
-from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, _checked_plan,
-                        _leading_factors_below, fast_error_bound, mu_hat,
-                        mu_hat_fast)
+from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, Progression,
+                        _checked_plan, _leading_factors_below,
+                        fast_error_bound, mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
@@ -146,10 +148,12 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
     """(r_val, values), values[i] the transform at r_val n, n = first + i,
     for n = first..last (see the module docstring).
 
-    The batch t = r_val n is a float arange times r_val, planned once from
-    its largest |t| and refused when its derived bound exceeds tol (by
-    default the validation threshold eta/10, at least 1e-6), then checked
-    by a precise spot check at SPOT_CHECK_SIZE indices.  They are evenly
+    The batch is the Progression t_n = r_val n, each t exact: the float
+    r_val times the integer n, with no array of points.  It is planned once
+    from its largest |t| and refused when its derived bound exceeds tol (by
+    default the validation threshold eta/10, at least 1e-6), before any
+    array is built, then checked by a precise spot check at SPOT_CHECK_SIZE
+    indices.  They are evenly
     spaced, and the endpoints, and so the largest |t|, are among them; an
     interior index whose value is 0.0 stands for its stride (the indices
     nearer to it than to its neighbours), and gives way to the nonzero
@@ -159,8 +163,9 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
     points would all be dropped ones.
 
     With eta > 0 the batch runs with the retention floor eta FLOOR_SHARE:
-    a value known to end below it comes back as 0.0 (see mu_hat_fast), and
-    every other value has the bits it has without a floor.  Every caller
+    every point is evaluated, and a value of modulus below the floor comes
+    back as 0.0 (see mu_hat_fast); every other value has the bits it has
+    without a floor.  Every caller
     keeps a value only where its modulus, or that of the value times a unit
     phase, is at least eta.  A float64 phase has modulus at most 1 + 12u
     (u = 2^-53; a cosine and a sine each within 4 ulps), the product rounds
@@ -170,8 +175,9 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
 
     Each checked value must lie within the batch's derived bound (the
     plan's, at its largest |t|) plus the reference's own certified bound;
-    the reference is mu_hat at SPOT_CHECK_BITS bits, truncated at
-    SPOT_CHECK_SHARE of the derived bound.  A checked 0.0 may have been
+    the reference is mu_hat at the exact t = Fraction(r_val) n, at
+    SPOT_CHECK_BITS bits, truncated at SPOT_CHECK_SHARE of the derived
+    bound.  A checked 0.0 may have been
     dropped at the floor, so there the floor is added to the two bounds: a
     kernel that drops a value above the floor by more than them is still
     caught.  An evenly spaced 0.0 that gave way must still be below
@@ -186,13 +192,13 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
                          "starts below 0")
     tol = max(eta / 10, FAST_TOL) if tol is None else tol
     bound = _checked_plan(P, r_val * last, tol)[2]
-    ts = np.arange(first, last + 1, dtype=np.float64)
-    ts *= r_val
+    ns = Progression(0.0, r_val, first, last + 1)
     floor = eta * FLOOR_SHARE
-    vals = mu_hat_fast(P, ts, tol=tol, floor=floor)
-    if not len(ts):
+    vals = mu_hat_fast(P, ns, tol=tol, floor=floor)
+    if not ns.size:
         return r_val, vals
-    idx = np.unique(np.linspace(0, len(ts) - 1, SPOT_CHECK_SIZE).astype(np.int64))
+    idx = np.unique(np.linspace(0, ns.size - 1,
+                                SPOT_CHECK_SIZE).astype(np.int64))
     edges = (idx[:-1] + idx[1:] + 1) // 2
     gave_way = []
     for j in range(1, len(idx) - 1):
@@ -202,11 +208,13 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
                 gave_way.append(idx[j])
                 idx[j] = nonzero[np.argmin(np.abs(nonzero - idx[j]))]
     ref_tol = SPOT_CHECK_SHARE * bound
+    exact = Fraction(r_val)
     idx = [*idx, *(i for i in gave_way if not _leading_factors_below(
-        P, float(ts[i]), floor + bound, ref_tol, SPOT_CHECK_BITS))]
+        P, exact * (first + int(i)), floor + bound, ref_tol,
+        SPOT_CHECK_BITS))]
     for i in idx:
-        ref = mu_hat(P, float(ts[i]), tol=ref_tol,
-                     precision_bits=SPOT_CHECK_BITS)
+        t = exact * (first + int(i))
+        ref = mu_hat(P, t, tol=ref_tol, precision_bits=SPOT_CHECK_BITS)
         # a 0.0 may have been dropped at the floor, which the test then adds
         slack = floor if vals[i] == 0.0 else 0.0
         # exact mpf sums, so no rounding enters the comparison
@@ -216,7 +224,7 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
         if deviation > allowed:
             raise PrecisionExhaustedError(
                 f"float64 spot check deviates by {float(deviation):.3e} at "
-                f"t = {ts[i]:.9g}, over the derived bound {bound:.3e} plus "
+                f"t = {float(t):.9g}, over the derived bound {bound:.3e} plus "
                 f"the reference's {float(ref.error_bound):.3e}"
                 + (f" and the floor {slack:.3e}" if slack else "")
             )
@@ -348,13 +356,15 @@ def interval_fill_test(P: PisotNumber, r, N: int,
 
 def estimate_J(theta, T: float = 1e4,
                grid_step: Optional[float] = None) -> IntervalEstimate:
-    """Signed-value range of the transform on the grid
+    """Signed-value range of the transform on the grid of
     np.arange(T/2, T, grid_step).
 
     That grid has n = ceil((T/2) / grid_step) points T/2 + i s, i < n,
     where s = (T/2 + grid_step) - T/2 is the step as numpy rounds it.  s can
     exceed grid_step, so the last point can lie a little above T: at
-    T = 89023.7695376 and grid_step 3.506e-4 it is 89023.7695961.
+    T = 89023.7695376 and grid_step 3.506e-4 it is 89023.7695961.  The
+    values are taken at the exact points T/2 + i s, the Progression of a =
+    T/2 and b = s, not at numpy's rounded ones, and no grid is built.
     The grid step never exceeds 1/(4C) where C = 2 pi theta/(theta-1)
     bounds the derivative, so no swing between samples can be missed by
     more than a quarter period.  Values are float64, refused (raising
@@ -370,14 +380,14 @@ def estimate_J(theta, T: float = 1e4,
         grid_step = cap
     if not 0 < grid_step <= cap:
         raise ValueError(f"grid_step must lie in (0, {cap:.6g}]")
-    # refuse before building the grid.  np.arange has n points and steps
+    # refuse before building anything.  np.arange has n points and steps
     # by (T/2 + grid_step) - T/2, so this is its last and largest point
     n = math.ceil((T - T / 2) / grid_step)
+    step = (T / 2 + grid_step) - T / 2
     if n > 0:
-        step = (T / 2 + grid_step) - T / 2
         _checked_plan(theta, T / 2 + (n - 1) * step, FAST_ERROR)
-    ts = np.arange(T / 2, T, grid_step)
-    vals = mu_hat_fast(theta, ts, tol=FAST_ERROR)
+    vals = mu_hat_fast(theta, Progression(T / 2, step, 0, max(n, 0)),
+                       tol=FAST_ERROR)
     return _range_stats(vals)
 
 
@@ -504,9 +514,9 @@ def decay_check(theta, N: int) -> tuple:
     over [2^13, 2^14).  Values are float64, refused (raising
     PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR.
 
-    All blocks are one mu_hat_fast batch over n = 1 .. 2^(k+1) - 1, with
-    the block starts as its segments: each block keeps the depth and the
-    refusal of a batch of its own, and the blocks share one pool."""
+    All blocks are one mu_hat_fast batch, the Progression n = 1 .. 2^(k+1)
+    - 1, with the block starts as its segments: each block keeps the depth
+    and the refusal of a batch of its own, and the blocks share one pool."""
     import numpy as np
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -518,7 +528,7 @@ def decay_check(theta, N: int) -> tuple:
         for k in range(count):
             _checked_plan(theta, float(2 ** (k + 1) - 1), FAST_ERROR)
     starts = 2 ** np.arange(count) - 1
-    vals = np.abs(mu_hat_fast(theta, np.arange(1, 2 ** count, dtype=np.float64),
+    vals = np.abs(mu_hat_fast(theta, Progression(0.0, 1.0, 1, 2 ** count),
                               tol=FAST_ERROR, segments=starts))
     return tuple(BlockMaximum(k=k, start=2**k, stop=2 ** (k + 1),
                               value=float(v))

@@ -19,21 +19,26 @@ polynomial from it: the float64 path rounds its ten coefficients once
 (_tail_coefficients), and the two-sided products' descending tail runs it
 at W bits by Horner's rule (_moment_polynomial, _moment_tail).
 
-mu_hat_fast evaluates whole batches in float64: k_c head cosines, until the
-batch's largest argument x has 2 pi x theta/(theta - 1) <= TAIL_REACH, and
-then the infinite tail as one polynomial, mu_hat's Taylor polynomial from
-the even moments of mu_theta, by Horner with + and x only.  Its error bound
-is derived a priori from theta, the batch's largest |t| and k_c (see
-fast_error_bound); a batch whose bound exceeds the caller's tolerance is
-refused, not evaluated.  A batch may be cut into segments, each planned and
-refused as a batch of its own.  An admitted batch runs in blocks of
-FAST_BLOCK points, each in block-sized scratch arrays, and the blocks of all
-its segments are shared over one pool of at most one thread per core this
-process may run on (numpy's ufuncs release the GIL); every value bit is that
-of the plain expression.  Given a retention floor, a block stops the
-product of each point once it is known to end below the floor, and returns
-0.0 there, and +0.0 where the product vanishes exactly (_zero_test, with
-exact comparisons in the block's own scratch).
+mu_hat_fast evaluates whole batches in float64: k_c head factors, until
+the batch's largest argument x has 2 pi x theta/(theta - 1) <= TAIL_REACH,
+and then the infinite tail as one polynomial, mu_hat's Taylor polynomial
+from the even moments of mu_theta, by Horner with + and x only.  A batch is
+an array of points, whose head factors are cosines, or a Progression
+t_i = a + b i, taken at its exact points, whose head factor k at
+i = h _ROW + j comes by angle addition from small tables of the cosines and
+sines of h _ROW b theta^-k + a theta^-k and j b theta^-k (_unit_tables),
+built once per call from fixed-point steps: no cosine per point.  Its error
+bound is derived a priori from theta, the batch's largest |t| and k_c, and
+covers both head rules (see fast_error_bound); a batch whose bound exceeds
+the caller's tolerance is refused, not evaluated.  A batch may be cut into
+segments, each planned and refused as a batch of its own.  An admitted
+batch runs in blocks of at most FAST_BLOCK points, each in block-sized
+scratch arrays, and the blocks of all its segments are shared over one pool
+of at most one thread per core this process may run on (numpy's ufuncs
+release the GIL); every value bit is that of the plain expression.  Given a
+retention floor, a value below it comes back as 0.0 (an array's block stops
+the product of such a point early), and +0.0 where the product vanishes
+exactly (_zero_test, with exact comparisons in the block's own scratch).
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
@@ -83,23 +88,31 @@ FAST_ERROR = 1e-9
 FAST_TOL = 1e-6
 # unit roundoff of float64
 _U = 2.0 ** -53
-# absolute error of one float64 factor, apart from its argument's error:
-# 2 pi times the reduced argument (two roundings, |argument| <= pi), the
-# cosine (numpy's float64 cosine, libm or SVML, is within 4 ulps; an ulp of
-# a value of modulus <= 1 is at most 2u) and the running product (one
-# rounding of a value of modulus <= 1)
-_FACTOR_ERROR = (2 * math.pi * (1 + _U) + 8 + 1) * _U
+# absolute error of one float64 head factor, apart from the plan's argument
+# term, under either head rule (see mu_hat_fast).  A cosine head factor
+# errs by 2 pi times its reduced argument (two roundings, |argument| <= pi),
+# the cosine (numpy's float64 cosine, libm or SVML, is within 4 ulps; an ulp
+# of a value of modulus <= 1 is at most 2u) and the running product (one
+# rounding): (2 pi (1 + u) + 9) u.  A progression's factor C c - S s errs
+# by 18u for its four table values (each within 9u of its modulus, see
+# _unit_tables, and |C c| + |S s| <= 1), 2u for its two products and its
+# subtraction, and u for the running product.  The second is the larger,
+# and 21.5u holds it with its terms of order u^2
+_FACTOR_ERROR = 21.5 * _U
+# 2 pi - 2 math.pi, rounded
+_TWO_PI_ERROR = 2.4492935982947064e-16
 # the float64 tail: once 2 pi x theta/(theta - 1) <= TAIL_REACH, the factors
 # left are mu_hat(x), which the even-moment polynomial of degree TAIL_DEGREE
 # in (2 pi x)^2 gives within TAIL_REACH^(2 TAIL_DEGREE + 2)/(2 TAIL_DEGREE
 # + 2)! = 1/20!, about 4e-19 (see mu_hat_fast).  A head factor costs about
-# 40 Horner steps (0.68 ms against 16 us on 2^15 points), and each doubling
-# of the reach saves log 2/log theta factors for two steps; past 1 the
-# rounding of P~ outgrows the 8u that the floor's proof allows
+# 40 Horner steps on an array (a cosine) and about 5 on a progression (three
+# broadcast passes and the product), and each doubling of the reach saves
+# log 2/log theta factors for two steps; past 1 the rounding of P~ outgrows
+# the 8u that the floor's proof allows
 TAIL_REACH = 1.0
 TAIL_DEGREE = 9
 # longest head a float64 segment is planned with: each head factor is a
-# pass of about six numpy calls over each block, so 2^20 of them take
+# pass of three to six numpy calls over each block, so 2^20 of them take
 # seconds even on one point.  A base just above 1 needs more (1 + 2^-40
 # needs about 3e13 at |t| = 1), and its segment is refused after 2^20
 # divisions instead of planned one division at a time
@@ -606,31 +619,44 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
     rate = (_U + delta) / (1 - _U - delta)
     argument = sum(t_max * th ** -k * math.expm1(k * rate)
                    for k in range(kc))
-    argument += A * t_max * th ** -kc * math.expm1(kc * rate)
+    # the tail moves by 2 pi A times the error of x_(k_c), whose relative
+    # error is below e^(k_c rate) - 1 after k_c divisions, and below
+    # gamma_4 = 4u/(1 - 4u) for a progression's x (see mu_hat_fast), where
+    # 2 pi A x_(k_c) <= TAIL_REACH
+    argument += max(A * t_max * th ** -kc * math.expm1(kc * rate),
+                    TAIL_REACH / (2 * math.pi) * 4 * _U / (1 - 4 * _U))
     bound = 2 * math.pi * argument + kc * _FACTOR_ERROR + _TAIL_ERROR
-    # the terms are float64 sums and powers, and a factor rounded past
-    # modulus 1 scales the sum by at most (1 + 8u)^(k_c+1): together far
-    # less than a relative 2^-30
-    return th, kc, bound * (1 + 2.0 ** -30)
+    # the terms are float64 sums and powers, within far less than a
+    # relative 2^-31, and factors rounded past modulus 1, by at most 21u,
+    # and the running product's roundings scale the sum by at most
+    # (1 + 22u)^(k_c+1), which is below 1 + 2^-31 while k_c < 190,000
+    return th, kc, bound * max(1 + 2.0 ** -30,
+                               (1 + 22 * _U) ** (kc + 1) * (1 + 2.0 ** -31))
 
 
 def fast_error_bound(theta: Theta, t_max: float) -> float:
     """Absolute error bound of mu_hat_fast on any batch with max |t| <= t_max.
 
-    The value computed at a float64 t differs from the infinite product at
-    the same t by at most the sum of
-      - 2 pi sum_{k<k_c} t_max theta^-k (e^(k rate) - 1): the argument
-        x_k = t theta^-k is stepped by k float divisions by a rounded
-        theta, so it carries a relative error below e^(k rate) - 1, with
-        rate ~ u + |theta_float/theta - 1| and u = 2^-53; its reduction
-        x - rint(x) is exact, and the cosine is 1-Lipschitz;
-      - k_c times the rounding of one head factor (_FACTOR_ERROR).  Every
-        factor has modulus at most 1, so the factors' absolute errors add
-        up through the product;
-      - 2 pi A t_max theta^-k_c (e^(k_c rate) - 1), with A = theta/(theta
-        - 1): the tail is mu_hat at x_(k_c), and |mu_hat'| <= 2 pi E|X|
-        <= 2 pi A, where mu_hat is the characteristic function of
-        X = sum_k +-theta^-k, |X| <= A;
+    The value computed at a point t of the batch (a float64 t of an array,
+    or the exact a + b i of a Progression) differs from the infinite
+    product at t by at most the sum of
+      - 2 pi sum_{k<k_c} t_max theta^-k (e^(k rate) - 1): an array's
+        argument x_k = t theta^-k is stepped by k float divisions by a
+        rounded theta, so it carries a relative error below
+        e^(k rate) - 1, with rate ~ u + |theta_float/theta - 1| and
+        u = 2^-53; its reduction x - rint(x) is exact, and the cosine is
+        1-Lipschitz.  A progression's arguments need none of this term:
+        each is t theta^-k to within 2^-100 (see mu_hat_fast), which
+        _FACTOR_ERROR covers at every k;
+      - k_c times the rounding of one head factor (_FACTOR_ERROR), the
+        larger of the two head rules'.  Every factor has modulus at most
+        1, so the factors' absolute errors add up through the product;
+      - 2 pi A times the error of the tail's x_(k_c), with A = theta/(theta
+        - 1): the tail is mu_hat at x_(k_c), and |mu_hat'| <= 2 pi E|X| <=
+        2 pi A, where mu_hat is the characteristic function of
+        X = sum_k +-theta^-k, |X| <= A.  That error is below t_max
+        theta^-k_c (e^(k_c rate) - 1) for an array, and below gamma_4
+        x_(k_c) for a progression, with 2 pi A x_(k_c) <= TAIL_REACH;
       - _TAIL_ERROR for the tail polynomial: its series remainder, the
         rounding of its coefficients, of v and of Horner's steps, and that
         of the final product (see mu_hat_fast).
@@ -658,35 +684,187 @@ def _checked_plan(theta: Theta, t_max: float, tol: float):
     return th, kc, bound
 
 
+@dataclass(frozen=True)
+class Progression:
+    """The points t_i = a + b i, i = start .. stop - 1, as one mu_hat_fast
+    batch, whose position p holds index start + p.  a >= 0 and b > 0 are
+    read as floats and taken at their exact values, so t_i is exact."""
+
+    a: float
+    b: float
+    start: int
+    stop: int
+
+    def __post_init__(self):
+        a, b = float(self.a), float(self.b)
+        if not (0 <= a < math.inf and 0 < b < math.inf):
+            raise ValueError(f"a progression needs finite a >= 0 and b > 0, "
+                             f"got a = {self.a} and b = {self.b}")
+        start, stop = operator.index(self.start), operator.index(self.stop)
+        if not 0 <= start <= stop:
+            raise ValueError(f"a progression needs 0 <= start <= stop, got "
+                             f"{start} and {stop}")
+        for name, value in zip(("a", "b", "start", "stop"),
+                               (a, b, start, stop)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+    def _t_max(self, p: int) -> float:
+        """The largest t at positions below p > 0, rounded up to a float."""
+        exact = Fraction(self.a) + Fraction(self.b) * (self.start + p - 1)
+        t = float(exact)
+        return t if t >= exact else math.nextafter(t, math.inf)
+
+
+# points per row of a progression's tables: index i = h _ROW + j
+_ROW = 2 ** 10
+# fractional bits of the fixed-point steps b theta^-k of a progression
+_ANGLE_BITS = 256
+# a progression's indices lie below 2^37, so that each row index h < 2^27
+# times a 26-bit limb of a step is exact in float64
+_INDEX_LIMIT = 2 ** 37
+
+
+def _unit_tables(steps: list, offsets: list, m):
+    """(cos, sin) of 2 pi r, r = m f + o mod 1, one row per (f, o) of steps
+    and offsets (integers in units of 2^-_ANGLE_BITS) and one column per
+    integer m < 2^27 of the float array m; each value is within 9u of its
+    modulus and 2^-100 (see mu_hat_fast), u = 2^-53.
+
+    f and o are cut into limbs of 26, 26 and the remaining bits.  m times a
+    limb of 26 bits is exact, and so is each reduction x - rint(x) and each
+    sum of two reduced limbs of 52 bits or fewer; only e = m f_3 + o_3,
+    below 2^-24, rounds, within 3 2^-25 u.  r = hi + lo exactly by TwoSum,
+    and 2 pi r = z + dz within 2^-100 by Dekker's product of hi by 2 math.pi
+    and the terms of lo and of 2 pi - 2 math.pi, |dz| < 4u.  So cos(2 pi r)
+    = cos z - dz sin z within 2^-100, which the float path takes within 8u
+    (the cosine) plus u (the correction and its rounding) of its modulus.
+    """
+    import numpy as np
+    W = _ANGLE_BITS
+
+    def limbs(units):
+        return (np.array([[u >> W - 26] for u in units]) * 2.0 ** -26,
+                np.array([[u >> W - 52 & (1 << 26) - 1] for u in units])
+                * 2.0 ** -52,
+                np.array([[(u & (1 << W - 52) - 1) / (1 << W)]
+                          for u in units]))
+
+    def reduced(x):
+        x -= np.rint(x)
+        return x
+
+    def split(x):
+        # Veltkamp: x = x1 + x2, each half of x's bits
+        c = x * 134217729.0
+        x1 = c - (c - x)
+        return x1, x - x1
+    (f1, f2, f3), (o1, o2, o3) = limbs(steps), limbs(offsets)
+    r = reduced(reduced(f1 * m) + o1)
+    r += reduced(reduced(f2 * m) + o2)
+    r = reduced(r)
+    e = f3 * m + o3
+    hi = r + e
+    carry = hi - r
+    lo = (r - (hi - carry)) + (e - carry)
+    hi = reduced(hi)
+    two_pi = 2 * math.pi
+    (p1, p2), (h1, h2) = split(two_pi), split(hi)
+    z = two_pi * hi
+    dz = ((p1 * h1 - z) + p1 * h2 + p2 * h1) + p2 * h2
+    dz += two_pi * lo + _TWO_PI_ERROR * hi
+    cos, sin = np.cos(z), np.sin(z)
+    return cos - sin * dz, sin + cos * dz
+
+
+def _progression_tables(theta: Theta, ts: Progression, depth: int):
+    """(c, s, C, S, h_0): for k < depth, c[k, j] and s[k, j] are the cosine
+    and sine of 2 pi j b theta^-k, j < _ROW, and C[k, h - h_0] and
+    S[k, h - h_0] those of 2 pi (h _ROW b theta^-k + a theta^-k), for every
+    row h of ts, from h_0 = ts.start // _ROW (see mu_hat_fast)."""
+    import numpy as np
+    W = _ANGLE_BITS
+    mask, R = (1 << W) - 1, _kernel_step(theta, W)
+    xb, xa = _fixed_abs(ts.b, W, 0), _fixed_abs(ts.a, W, 0)
+    steps, rows, offsets = [], [], []
+    for _ in range(depth):
+        steps.append(xb & mask)
+        rows.append(xb * _ROW & mask)
+        offsets.append(xa & mask)
+        xb, xa = xb * R >> W, xa * R >> W
+    h0 = ts.start // _ROW
+    j = np.arange(_ROW, dtype=np.float64)
+    h = np.arange(h0, (ts.stop - 1) // _ROW + 1, dtype=np.float64)
+    c, s = np.empty((depth, j.size)), np.empty((depth, j.size))
+    C, S = np.empty((depth, h.size)), np.empty((depth, h.size))
+    # eight depths at a time, so that _unit_tables' temporaries stay small
+    for k in range(0, depth, 8):
+        c[k:k + 8], s[k:k + 8] = _unit_tables(steps[k:k + 8],
+                                               [0] * len(steps[k:k + 8]), j)
+        C[k:k + 8], S[k:k + 8] = _unit_tables(rows[k:k + 8],
+                                               offsets[k:k + 8], h)
+    return c, s, C, S, h0
+
+
 def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
                 segments=None, floor: float = 0.0) -> np.ndarray:
     """Float64 bulk transform values, fixed evaluation order.
 
-    segments, if given, are ascending indices into the flattened batch at
-    which it is cut; each piece between cuts is a segment, planned as a
-    call of its own.  Without them the batch is one segment.  A segment's
-    head length k_c comes from its largest |t|, so all its entries share
-    it.  Raises PrecisionExhaustedError, before evaluating, when a
-    segment's head would be longer than _HEAD_LIMIT factors or its derived
-    error bound (fast_error_bound) exceeds tol: the plans are checked in
-    segment order, so the first segment refused raises, with the message a
-    call on it alone would give.
+    ts is an array of points, or a Progression t_i = a + b i, whose points
+    are exact.  segments, if given, are ascending indices into the flattened
+    batch at which it is cut; each piece between cuts is a segment, planned
+    as a call of its own.  Without them the batch is one segment.  A
+    segment's head length k_c comes from its largest |t|, so all its
+    entries share it.  Raises PrecisionExhaustedError, before evaluating,
+    when a segment's head would be longer than _HEAD_LIMIT factors or its
+    derived error bound (fast_error_bound) exceeds tol: the plans are
+    checked in segment order, so the first segment refused raises, with the
+    message a call on it alone would give.  A progression's indices must
+    then lie below 2^37 (ValueError).
 
-    Every segment runs in blocks of FAST_BLOCK points from its start, and
-    the blocks of all segments, larger first, are shared over one pool of
-    min(cores this process may run on, blocks) threads.  A block takes its
-    k_c head factors cos(2 pi (x - rint x)) in two block-sized scratch
-    arrays and tracks an upper bound m of its largest argument by the same
-    division that steps x.  Division by theta > 0 is monotone under
-    rounding, so m bounds every x of the block from above; once m <= 1/2,
-    rint x is 0 and x - 0 is x, so the factor is cos(2 pi x) and the
-    reduction is skipped.
+    Every segment runs in blocks of at most FAST_BLOCK points: an array's
+    from its start, a progression's cut at the multiples of FAST_BLOCK in
+    i.  The blocks of all segments, larger first, are shared over one pool
+    of min(cores this process may run on, blocks) threads, each block in
+    two block-sized scratch arrays.  Both kinds of input share the plan, the
+    zero rule, the tail and the pool; only the head factors differ, and
+    every value bit is that of the plain expression on its segment, whatever
+    the block and thread count.
+
+    An array's k_c head factors are cos(2 pi (x - rint x)), x = |t| stepped
+    by one float division by theta per factor, with an upper bound m of the
+    block's largest x stepped by the same division.  Division by theta > 0
+    is monotone under rounding, so m bounds every x of the block from above;
+    once m <= 1/2, rint x is 0 and x - 0 is x, so the factor is
+    cos(2 pi x) and the reduction is skipped.
+
+    A progression's head factor k at i = h _ROW + j, h = i // _ROW on the
+    absolute index, is cos(2 pi (h _ROW q + a theta^-k) + 2 pi j q), q =
+    b theta^-k, taken by angle addition as C[k, h] c[k, j] - S[k, h]
+    s[k, j] from _progression_tables: three broadcast passes over a (rows,
+    _ROW) view of the block's scratch, then the running product.  The steps
+    b theta^-k and a theta^-k are integers in units of 2^-W, W =
+    _ANGLE_BITS: b and a exactly, then one multiply by R = round(2^W/theta)
+    (_kernel_step) and a shift per k, within 1 + k + (a + b) A units
+    (_descent_x_error's reasoning), A = theta/(theta - 1).  So the angle
+    of i is within (i + 1)(1 + k + (a + b) A) 2^-W <= 2^-100 turns of
+    t_i theta^-k: i < 2^37, k <= 2^20, and either t_max A <= 2^100, or
+    the bound exceeds 2^8, which every value meets.  _angles reduces each
+    angle within u/2 + 2^-24 u more (u = 2^-53), and _FACTOR_ERROR takes
+    the rest of the factor's rounding.  No angle depends on the block, so
+    a value's bits depend only on theta, a, b, i and its segment's k_c.
+    The tail reads x_(k_c) = fl(fl(b' i) + a') once, with b' = fl(b g),
+    a' = fl(a g) and g = fl(theta^-k_c), within a relative gamma_4 of
+    t_i theta^-k_c.
 
     k_c is the least k at which the segment's largest x_k = |t|/theta^k
-    (k float divisions) has 2 pi x_k A <= TAIL_REACH, A = theta/(theta - 1).
-    The factors left are mu_hat(x_(k_c)), and mu_hat(s) = E cos(2 pi s X)
-    for X = sum_k +-theta^-k, |X| <= A.  The cosine's Taylor polynomial of
-    degree 2 TAIL_DEGREE is within |y|^(2N+2)/(2N+2)! of it, so
+    (k float divisions) has 2 pi x_k A <= TAIL_REACH.  The factors left are
+    mu_hat(x_(k_c)), and mu_hat(s) = E cos(2 pi s X) for X = sum_k
+    +-theta^-k, |X| <= A.  The cosine's Taylor polynomial of degree
+    2 TAIL_DEGREE is within |y|^(2N+2)/(2N+2)! of it, so
     P(v) = sum_{n<=N} b_n v^n, v = (2 pi x)^2, b_n = (-1)^n m_2n/(2n)!, is
     within TAIL_REACH^(2N+2)/(2N+2)! of mu_hat(x); m_2n are the even
     moments of X (_moment_table), each b_n rounded once
@@ -701,96 +879,180 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         the product, the square);
       - u |b_n| v~^n for each coefficient's rounding;
       - gamma_(2n+1) |b_n| v~^n for Horner's 2n + 1 roundings of term n,
-    about 6.8u in all (u = 2^-53, gamma_k = k u/(1 - k u)); w P~ rounds
-    once more (_TAIL_ERROR).  So |P~| <= 1 + 8u.  Each block first runs
-    _zero_test on its |t| and starts the running product at 0.0 where the
-    product vanishes exactly; adding +0.0 at the end makes that +0.0, as on
-    the precise path, and leaves every other value as it is.  Every value
-    bit is that of the plain expression on its segment, whatever the block
-    and thread count.
+    about 6.8u in all (gamma_k = k u/(1 - k u)); w P~ rounds once more
+    (_TAIL_ERROR).  So |P~| <= 1 + 8u.
 
-    floor > 0 lets a block stop the product of a point whose value is known
-    to fall below floor: such a point comes back as 0.0, and every other
-    point has the bits of the plain expression.  After each head factor,
-    the block compares the modulus of each running product w_k with
-    cut = floor (1 - 32 (k_c + 1) u), in its scratch and one block-sized
-    bool buffer; once fewer than half of its points are at or above cut, it
-    keeps x, w and their indices for those points only, and goes on with
-    them; an exact zero falls below cut at once.  A dropped point's plain
-    value is below floor: each later factor is a cosine within 4 ulps, so
-    of modulus at most 1 + 8u, or P~, of modulus at most 1 + 8u, and its
-    product rounds once and monotonically,
-    so each factor scales |w| by at most (1 + 8u)(1 + u) <= 1 + 10u.  At
-    most k_c + 1 factors follow, so the value has modulus below
-    cut (1 + 10u)^(k_c+1) <= cut (1 + 11 (k_c + 1) u), and cut, rounded at
-    most three times, is at most floor (1 - 32 (k_c + 1) u)(1 + 3u), so the
-    product stays below floor (1 - 18 (k_c + 1) u) while (k_c + 1) u is
-    below 2^-10.  floor = 0 drops nothing.
+    Each block first runs _zero_test on its |t| and starts the running
+    product at 0.0 where the product vanishes exactly; adding +0.0 at the
+    end makes that +0.0, as on the precise path, and leaves every other
+    value as it is.  A progression's block tests t = fl(fl(b i) + a), and
+    keeps a zero only where that t is a + b i exactly: fl(b i) is b i
+    exactly when fmod(fl(b i), b) = 0 (i < 2^52), and, for p, a >= 0,
+    fl(p + a) is p + a when fl(fl(p + a) - a) = p and fl(fl(p + a) - p) = a
+    (the subtraction of the larger is exact).  So every zero it marks is
+    one at the exact t_i.  A zero at a t_i that fl does not reach (a > 0,
+    or 4 t_i past 2^53) is left to the product, within the bound of 0.
+
+    floor > 0 returns 0.0 for points whose value is known to fall below
+    floor, and every other point has the bits of the plain expression.  A
+    progression evaluates every point and then sets each value of modulus
+    below floor to 0.0.  An array's block compares, after each head factor,
+    the modulus of each running product w_k with cut = floor (1 - 32 (k_c +
+    1) u), in its scratch and one block-sized bool buffer; once fewer than
+    half of its points are at or above cut, it keeps x, w and their indices
+    for those points only, and goes on with them; an exact zero falls below
+    cut at once.  A dropped point's plain value is below floor: each later
+    factor is a cosine within 4 ulps, so of modulus at most 1 + 8u, or P~,
+    of modulus at most 1 + 8u, and its product rounds once and
+    monotonically, so each factor scales |w| by at most (1 + 8u)(1 + u) <=
+    1 + 10u.  At most k_c + 1 factors follow, so the value has modulus
+    below cut (1 + 10u)^(k_c+1) <= cut (1 + 11 (k_c + 1) u), and cut,
+    rounded at most three times, is at most floor (1 - 32 (k_c + 1) u)(1 +
+    3u), so the product stays below floor (1 - 18 (k_c + 1) u) while (k_c +
+    1) u is below 2^-10.  floor = 0 drops nothing.
     """
     import numpy as np
     if not floor >= 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
-    t = np.asarray(ts, dtype=np.float64)
-    flat = t.reshape(-1)
-    cuts = [0, *([] if segments is None else segments), flat.size]
-    if any(not 0 <= a <= b <= flat.size for a, b in zip(cuts, cuts[1:])):
+    if isinstance(ts, Progression):
+        prog, flat, shape = ts, None, (ts.size,)
+    else:
+        t = np.asarray(ts, dtype=np.float64)
+        prog, flat, shape = None, t.reshape(-1), t.shape
+    size = shape[0] if prog else flat.size
+    cuts = [0, *([] if segments is None else segments), size]
+    if any(not 0 <= a <= b <= size for a, b in zip(cuts, cuts[1:])):
         raise ValueError("segments must be ascending indices into the batch")
     blocks = []
     for a, b in zip(cuts, cuts[1:]):
         if a == b:
             continue
-        seg = flat[a:b]
-        th, kc, _ = _checked_plan(theta, float(max(abs(seg.min()),
-                                                   abs(seg.max()))), tol)
+        if prog is None:
+            seg = flat[a:b]
+            t_max = float(max(abs(seg.min()), abs(seg.max())))
+            starts = range(a, b, FAST_BLOCK)
+        else:
+            t_max = prog._t_max(b)
+            starts = [a, *range(a + FAST_BLOCK - (prog.start + a) % FAST_BLOCK,
+                                b, FAST_BLOCK)]
+        th, kc, _ = _checked_plan(theta, t_max, tol)
         cut = floor * (1 - 32 * (kc + 1) * _U)
-        blocks += [(start, min(start + FAST_BLOCK, b), th, kc, cut)
-                   for start in range(a, b, FAST_BLOCK)]
-    vals = np.empty(t.shape)
+        blocks += [(p, q, th, kc, cut) for p, q in zip(starts, [*starts[1:], b])]
+    vals = np.empty(shape)
     out = vals.reshape(-1)
     two_pi = 2 * math.pi
     if not blocks:
         return vals
     coef = _tail_coefficients(theta)
+    if prog is not None:
+        if prog.stop > _INDEX_LIMIT:
+            raise ValueError(f"a progression's indices must lie below 2^37, "
+                             f"got {prog.stop - 1}")
+        c, s, C, S, h0 = _progression_tables(
+            theta, prog, max(block[3] for block in blocks))
+        iota = np.arange(min(size, FAST_BLOCK), dtype=np.float64)
+        with mp.workprec(128):
+            th_exact = _theta_value(theta, 128)
+            tails = {kc: float(th_exact ** -kc)
+                     for kc in {block[3] for block in blocks}}
+
+        def points(i, z, b, a) -> None:
+            # z = fl(fl(b i) + a) from the first index i on
+            np.add(iota[:z.size], i, out=z)
+            z *= b
+            if a:
+                z += a
+
+        # b = m 2^e, m odd: b i is a float exactly when m times the odd
+        # part of i is below 2^53, that is when i <= odd 2^v, 2^v the
+        # lowest set bit of i and odd = (2^53 - 1) // m
+        num, den = prog.b.as_integer_ratio()
+        odd = (2 ** 53 - 1) // (num // (num & -num))
+
+        def drop_inexact(i, x, y, v) -> None:
+            # v = 1.0 where fl(fl(b i) + a) is not a + b i exactly
+            a, low, z = prog.a, x.view(np.int64), y.view(np.int64)
+            np.add(iota[:x.size], i, out=x)
+            np.copyto(z, x, casting="unsafe")
+            np.bitwise_and(z, np.negative(z, out=low), out=low)
+            np.copyto(x, low, casting="unsafe")
+            x *= odd
+            np.add(iota[:x.size], i, out=y)
+            np.maximum(v, np.greater(y, x, out=y), out=v)
+            if a:
+                # for p, a >= 0, fl(p + a) = p + a when fl(fl(p + a) - a)
+                # = p and fl(fl(p + a) - p) = a: the larger's is exact
+                points(i, x, prog.b, 0.0)
+                np.add(x, a, out=y)
+                y -= a
+                np.maximum(v, np.not_equal(y, x, out=y), out=v)
+                np.add(x, a, out=y)
+                y -= x
+                np.maximum(v, np.not_equal(y, a, out=y), out=v)
 
     def run_block(block) -> None:
         start, stop, th, kc, cut = block
-        x, y = np.empty(stop - start), np.empty(stop - start)
+        n = stop - start
         v = out[start:stop]
+        if prog is None:
+            x, y = np.empty(n), np.empty(n)
+            _zero_test(theta, flat[start:stop], x, y, v)
+        else:
+            i = prog.start + start
+            first, rows = i // _ROW - h0, (i + n - 1) // _ROW - i // _ROW + 1
+            x, y = np.empty(rows * _ROW), np.empty(rows * _ROW)
+            # x holds t, and is spent by the zero test
+            points(i, x[:n], prog.b, prog.a)
+            _zero_test(theta, x[:n], x[:n], y[:n], v)
+            if not v.all():
+                drop_inexact(i, x[:n], y[:n], v)
         # w holds the running products of the points still evaluated, and
         # live their indices in the block once it has dropped any; an exact
         # zero's product starts at 0.0
-        _zero_test(theta, flat[start:stop], x, y, v)
         w, live = v, None
-        above = np.empty(x.shape, dtype=bool) if cut else None
-        m = float(x.max())
-        for _ in range(kc):
-            z = y[:x.size]
-            if m > 0.5:
-                np.rint(x, out=z)
-                np.subtract(x, z, out=z)
-                np.multiply(two_pi, z, out=z)
-            else:
-                np.multiply(two_pi, x, out=z)
-            np.cos(z, out=z)
-            w *= z
-            x /= th
-            m /= th
-            if cut:
-                kept = above[:x.size]
-                np.greater_equal(np.abs(w, out=z), cut, out=kept)
-                n = np.count_nonzero(kept)
-                if 2 * n < x.size:
-                    keep = np.flatnonzero(kept)
-                    live = keep if live is None else live[keep]
-                    # x moves into the scratch, whose values are spent, w
-                    # into the front of x's old array and the scratch to its
-                    # rest, so no value array is allocated (mode "clip"
-                    # takes into out directly, where "raise" buffers it)
-                    x, w, y = (np.take(x, keep, out=y[:n], mode="clip"),
-                               np.take(w, keep, out=x[:n], mode="clip"),
-                               x[n:])
-                    if not n:
-                        break
+        if prog is not None:
+            ahead, row = x.reshape(rows, _ROW), y.reshape(rows, _ROW)
+            factor = x[i % _ROW:i % _ROW + n]
+            for k in range(kc):
+                np.multiply(C[k, first:first + rows, None], c[k], out=ahead)
+                np.multiply(S[k, first:first + rows, None], s[k], out=row)
+                ahead -= row
+                w *= factor
+            x = x[:n]
+            g = tails[kc]
+            points(i, x, prog.b * g, prog.a * g)
+        else:
+            above = np.empty(x.shape, dtype=bool) if cut else None
+            m = float(x.max())
+            for _ in range(kc):
+                z = y[:x.size]
+                if m > 0.5:
+                    np.rint(x, out=z)
+                    np.subtract(x, z, out=z)
+                    np.multiply(two_pi, z, out=z)
+                else:
+                    np.multiply(two_pi, x, out=z)
+                np.cos(z, out=z)
+                w *= z
+                x /= th
+                m /= th
+                if cut:
+                    kept = above[:x.size]
+                    np.greater_equal(np.abs(w, out=z), cut, out=kept)
+                    n = np.count_nonzero(kept)
+                    if 2 * n < x.size:
+                        keep = np.flatnonzero(kept)
+                        live = keep if live is None else live[keep]
+                        # x moves into the scratch, whose values are spent,
+                        # w into the front of x's old array and the scratch
+                        # to its rest, so no value array is allocated (mode
+                        # "clip" takes into out directly, where "raise"
+                        # buffers it)
+                        x, w, y = (np.take(x, keep, out=y[:n], mode="clip"),
+                                   np.take(w, keep, out=x[:n], mode="clip"),
+                                   x[n:])
+                        if not n:
+                            break
         # the tail P((2 pi x)^2) by Horner: v in the scratch, P in x
         z = y[:x.size]
         np.multiply(two_pi, x, out=z)
@@ -806,6 +1068,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         else:
             v.fill(0.0)
             v[live] = w
+        if floor and prog is not None:
+            low = y.view(np.bool_)[:n]
+            np.less(np.abs(v, out=x), floor, out=low)
+            np.copyto(v, 0.0, where=low)
 
     # imported here, not at start-up: concurrent.futures loads logging, which
     # costs every command that evaluates no batch about 7 ms and 0.7 MB
@@ -828,7 +1094,8 @@ def _integer_base(theta: Theta) -> int:
 def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> None:
     """Set x = |t|, and v to 0.0 where the product at t vanishes exactly and
-    1.0 elsewhere, with y as scratch; the four arrays do not overlap.
+    1.0 elsewhere, with y as scratch; the four arrays do not overlap, except
+    that t may be x itself, whose values are then spent.
 
     A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
     integer.  Every base admits k = 0: 4|t| is an odd integer exactly when

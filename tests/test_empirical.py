@@ -14,6 +14,7 @@ import pytest
 
 from pisot_spectra import (
     PrecisionExhaustedError,
+    Progression,
     build_pisot,
     coefficient_series,
     decay_check,
@@ -22,6 +23,7 @@ from pisot_spectra import (
     estimate_J,
     fast_error_bound,
     interval_fill_test,
+    mu_hat,
     mu_hat_fast,
     sample_and_cluster,
     translated_sample,
@@ -78,13 +80,14 @@ def test_golden_top_clusters_frozen():
     assert rep.empty_retention is False
     assert len(rep.clusters) == 2
     c0, c1 = rep.clusters
-    assert c0.center == pytest.approx(0.0028565677916076136, rel=1e-12)
-    assert c0.min == pytest.approx(0.0021187943821419776, rel=1e-12)
-    assert c0.max == pytest.approx(0.003697652208248156, rel=1e-12)
+    # values at the exact t = n, each within 1.3e-18 of 128-bit mu_hat
+    assert c0.center == pytest.approx(0.0028565677915257937, rel=1e-12)
+    assert c0.min == pytest.approx(0.002118794380620445, rel=1e-12)
+    assert c0.max == pytest.approx(0.0036976522082478214, rel=1e-12)
     assert c0.count == 8
     assert c0.witnesses == (514229, 635622, 658806, 673133, 673134,
                             673135, 673136, 832040)
-    assert c1.center == pytest.approx(0.00661349303540049, rel=1e-12)
+    assert c1.center == pytest.approx(0.006613493035398382, rel=1e-12)
     assert c1.count == 1
     assert c1.witnesses == (930249,)
 
@@ -144,23 +147,24 @@ def test_ternary_clusters_reproduce_enumerated_values():
 def test_interval_fill_golden_r1_frozen():
     est = interval_fill_test(GOLDEN, 1, 10**6)
     assert est.count == 500001
-    assert est.max_gap == pytest.approx(0.0029158408271523334, rel=1e-12)
-    assert est.upper == pytest.approx(0.00661349303540049, rel=1e-12)
-    assert est.max_gap_rel == pytest.approx(0.44089270398328323, rel=1e-12)
+    assert est.max_gap == pytest.approx(0.0029158408271505606, rel=1e-12)
+    assert est.upper == pytest.approx(0.006613493035398382, rel=1e-12)
+    assert est.max_gap_rel == pytest.approx(0.44089270398315566, rel=1e-12)
     # with a floor, exactly the nine top values survive
     floored = interval_fill_test(GOLDEN, 1, 10**6, eta=2e-3)
     assert floored.count == 9
-    assert floored.lower == pytest.approx(0.0021187943821419776, rel=1e-12)
+    assert floored.lower == pytest.approx(0.002118794380620445, rel=1e-12)
     assert floored.max_gap == pytest.approx(est.max_gap, rel=1e-12)
 
 
 def test_interval_fill_generic_draws_frozen():
-    # two of the ten seeded draws, one sparse and one dense
+    # two of the ten seeded draws, one sparse and one dense, at the exact
+    # t = r n of the float r
     est_a = interval_fill_test(GOLDEN, 1.8252065092537433, 10**6)
-    assert est_a.max_gap == pytest.approx(0.00016179818693548152, rel=1e-12)
-    assert est_a.upper == pytest.approx(0.001923682837745112, rel=1e-12)
+    assert est_a.max_gap == pytest.approx(0.000161798183788233, rel=1e-12)
+    assert est_a.upper == pytest.approx(0.001923682840503362, rel=1e-12)
     est_b = interval_fill_test(GOLDEN, 1.1242668842835302, 10**6)
-    assert est_b.max_gap == pytest.approx(0.03411011450033411, rel=1e-12)
+    assert est_b.max_gap == pytest.approx(0.03411011449392009, rel=1e-12)
     assert est_b.max_gap <= 0.04
 
 
@@ -182,17 +186,18 @@ def test_interval_fill_rejects_negative_floor():
 
 
 def test_fill_batch_peak_memory():
-    # ns, ts, the values and the exact-zero mask, 12.5 MB, and block-sized
-    # scratch: 13.1 MB (14.1 MB when the call also imports the thread pool),
-    # against 16.0 MB when the moduli, the kept values, their sorted copy
-    # and their differences each took a full-size array
+    # the values, 4 MB, the progression's tables, block-sized scratch and
+    # the sort: 6.5 MB (7.1 MB when the call also imports the thread pool),
+    # against 9.1 MB when the batch took a full-size t array and 16.0 MB
+    # when the moduli, the kept values, their sorted copy and their
+    # differences each took one too
     tracemalloc.start()
     try:
         interval_fill_test(GOLDEN, 1.37, 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 15 * 10**6
+    assert peak <= 7.5 * 10**6
 
 
 def test_range_stats_equal_the_full_difference():
@@ -263,29 +268,33 @@ def test_limit_range_refused_before_building_its_grid():
 
 
 def test_sample_batch_peak_memory():
-    # ts and the values, 8 MB, and block-sized scratch, against 12.5 MB when
-    # the exact-zero test took 4|t| in one full-size array and 21 MB when
-    # the argument array took one too
+    # the values, 4 MB, the progression's tables and block-sized scratch:
+    # 6.5 MB (7.1 MB when the call also imports the thread pool), against
+    # 9.5 MB when the batch took a full-size t array, 12.5 MB when the
+    # exact-zero test took 4|t| in one too and 21 MB when the argument array
+    # took one too
     tracemalloc.start()
     try:
         empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 10**6
+    assert peak <= 7.5 * 10**6
 
 
 @pytest.mark.parametrize("P", [FLAT, TERNARY], ids=["binary", "ternary"])
 def test_integer_base_batch_peak_memory(P):
     # the exact zeros of an integer base take every power in block-sized
-    # scratch too, against 25.5 MB in full-size arrays
+    # scratch too: 6.2 MB for base 2 and 6.0 MB for base 3 (6.8 and 6.6 MB
+    # when the call also imports the thread pool), against 9.2 MB when the
+    # batch took a full-size t array and 25.5 MB in full-size arrays
     tracemalloc.start()
     try:
         empirical._sampled(P, 1.0, 5 * 10**5, 10**6, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 10**6
+    assert peak <= 7.5 * 10**6
 
 
 def test_discrepancy_exact_small_cases():
@@ -470,11 +479,12 @@ def test_decay_flat_binary_is_numerically_zero():
 
 
 def _decay_blockwise(theta, N):
-    # the reference: one batch per dyadic block, in order
+    # the reference: one batch per dyadic block, in order, each the
+    # progression n = 2^k .. 2^(k+1) - 1 of its own
     blocks = []
     k = 0
     while 2 ** (k + 1) - 1 <= N:
-        ns = np.arange(2**k, 2 ** (k + 1), dtype=np.float64)
+        ns = Progression(0.0, 1.0, 2**k, 2 ** (k + 1))
         vals = np.abs(mu_hat_fast(theta, ns, tol=empirical.FAST_ERROR))
         blocks.append((k, 2**k, 2 ** (k + 1), float(np.max(vals))))
         k += 1
@@ -561,13 +571,19 @@ def test_non_finite_parameters_are_refused(call, what):
 
 def test_sampled_series_reads_r_as_its_float():
     # the float of the multiplier rule is float() of a number and the real
-    # embedding of a field element, bit for bit
+    # embedding of a field element, bit for bit; its values are those at
+    # the exact t = r_val n, within the plan's bound of mu_hat there
     half_theta = GOLDEN.field((0, Fraction(1, 2)))
     for r, expect in ((1, 1.0), (1.37, 1.37), (Fraction(1, 3), 1 / 3),
                       (half_theta, float(GOLDEN.theta) / 2)):
         r_val, vals = empirical._sampled(GOLDEN, r, 2, 5, 0.0)
         assert r_val == expect and np.array_equal(
-            vals, mu_hat_fast(GOLDEN, r_val * np.arange(2.0, 6.0)))
+            vals, mu_hat_fast(GOLDEN, Progression(0.0, r_val, 2, 6)))
+        bound = fast_error_bound(GOLDEN, 5 * r_val)
+        for n, v in zip(range(2, 6), vals):
+            ref = mu_hat(GOLDEN, Fraction(r_val) * n, tol=1e-30,
+                         precision_bits=128)
+            assert abs(float(ref.value) - v) <= bound
         assert sample_and_cluster(GOLDEN, r, 100, 0.1).r == expect
 
 
@@ -631,8 +647,9 @@ def test_spot_check_catches_a_faulty_kernel(monkeypatch):
         empirical._sampled(GOLDEN, 1.0, 5000, 10000, 1e-5)
 
     def off_at_largest_t(theta, ts, tol, **kw):
+        # the batch is a progression, whose last point has the largest t
         vals = real(theta, ts, tol=tol, **kw)
-        vals[np.argmax(np.abs(ts))] += 1e-5
+        vals[ts.size - 1] += 1e-5
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
     with pytest.raises(PrecisionExhaustedError):
@@ -680,8 +697,9 @@ def test_spot_check_catches_a_value_dropped_above_the_floor(monkeypatch,
 
 
 def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
-    # rows' largest sample keeps 35 of its 500,001 values, and every evenly
-    # spaced checked point is 0.0; a kernel that moves only the kept values
+    # rows' largest sample keeps 34 of its 500,001 values (every value of
+    # modulus below the floor is 0.0), and every evenly spaced checked point
+    # is 0.0; a kernel that moves only the kept values
     # by 10 times the derived bound is caught at the kept values checked
     real = empirical.mu_hat_fast
     fault = 10 * fast_error_bound(GOLDEN, 1e6)
@@ -696,7 +714,7 @@ def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
     monkeypatch.setattr(empirical, "mu_hat_fast", moves_kept)
     with pytest.raises(PrecisionExhaustedError, match="derived bound"):
         empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
-    assert seen["kept"] == 35
+    assert seen["kept"] == 34
 
 
 def test_spot_check_prefers_kept_values_in_each_stride(monkeypatch):
@@ -706,11 +724,11 @@ def test_spot_check_prefers_kept_values_in_each_stride(monkeypatch):
                         lambda *a, **k: checked.append(a[1]) or real(*a, **k))
     _, vals = empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
     ts = np.asarray(checked)
-    # 32 references: both endpoints, eight kept values (one per stride that
-    # holds one) and 22 evenly spaced points whose strides hold none
+    # 32 references: both endpoints, seven kept values (one per stride that
+    # holds one) and 23 evenly spaced points whose strides hold none
     assert len(ts) == empirical.SPOT_CHECK_SIZE
     assert (ts[0], ts[-1]) == (5e5, 1e6)
-    assert np.count_nonzero(vals[(ts - 5e5).astype(np.int64)]) == 8
+    assert np.count_nonzero(vals[(ts - 5e5).astype(np.int64)]) == 7
     assert np.all(np.diff(ts) > 0)
 
 
@@ -723,8 +741,9 @@ def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
     assert fault < 1e-7
 
     def off_at_largest_t(theta, ts, tol, **kw):
+        # the batch is a progression, whose last point has the largest t
         vals = real(theta, ts, tol=tol, **kw)
-        vals[np.argmax(np.abs(ts))] += fault
+        vals[ts.size - 1] += fault
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
     with pytest.raises(PrecisionExhaustedError, match="derived bound"):

@@ -655,6 +655,211 @@ def test_a_refused_segment_raises_before_any_pool_opens(monkeypatch,
     assert pools == [] and threading.active_count() == before
 
 
+# ---------------------------------------------------------------------------
+# progressions: head factors by angle addition from small tables
+
+ROW = transform._ROW
+BINARY = build_pisot((2,))
+PROGRESSION_BASES = [GOLDEN, TRIBONACCI, QUARTIC, BINARY, 1.5]
+PROGRESSION_IDS = ["golden", "tribonacci", "quartic", "binary", "three_halves"]
+
+
+def _exact_t(ts, i):
+    return Fraction(ts.a) + Fraction(ts.b) * int(i)
+
+
+def _progression_head(theta, ts, stop):
+    # the textbook head length at the largest exact t of positions < stop,
+    # rounded up to a float
+    t = _exact_t(ts, ts.start + stop - 1)
+    top = float(t)
+    return _textbook_head(theta, [top if top >= t else
+                                  math.nextafter(top, math.inf)])
+
+
+def _textbook_progression(theta, ts, segments=()):
+    # point by point in i = h ROW + j, h on the absolute index: the product
+    # of C[k, h] c[k, j] - S[k, h] s[k, j] over k < k_c, from the tables of
+    # _progression_tables, then the tail polynomial at fl(fl(b' i) + a'),
+    # b' = fl(b g), a' = fl(a g), g = theta^-k_c rounded; 0.0 where
+    # fl(fl(b i) + a) is a zero of the product and is a + b i exactly
+    cuts = [0, *segments, ts.size]
+    pieces = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    depth = max(_progression_head(theta, ts, b) for _, b in pieces)
+    c, s, C, S, h0 = transform._progression_tables(theta, ts, depth)
+    out = np.empty(ts.size)
+    for a, b in pieces:
+        i = np.arange(ts.start + a, ts.start + b)
+        h, j = i // ROW - h0, i % ROW
+        kc = _progression_head(theta, ts, b)
+        w = np.ones(i.size)
+        for k in range(kc):
+            w = w * (C[k, h] * c[k, j] - S[k, h] * s[k, j])
+        with mp.workprec(128):
+            g = float(_theta_value(theta, 128) ** -kc)
+        x = (ts.b * g) * i.astype(np.float64) + ts.a * g
+        w = w * _textbook_tail(theta, x)
+        t = ts.b * i.astype(np.float64) + ts.a
+        zero = _exact_zeros_int64(theta, t)
+        for p in np.flatnonzero(zero):
+            zero[p] = Fraction(float(t[p])) == _exact_t(ts, i[p])
+        w[zero] = 0.0
+        out[a:b] = w + 0.0
+    return out
+
+
+def _progressions(size):
+    # points at r = 1.37 from a start off the rows, with an offset a, and
+    # quarter points from 0, where the binary base has its exact zeros
+    return [transform.Progression(0.0, 1.37, 12345, 12345 + size),
+            transform.Progression(517.25, 0.0123, 777, 777 + size),
+            transform.Progression(0.0, 0.25, 0, size)]
+
+
+@pytest.mark.parametrize("theta", PROGRESSION_BASES, ids=PROGRESSION_IDS)
+@pytest.mark.parametrize("size", [1, 7, ROW - 1, ROW + 1, FAST_BLOCK - 1,
+                                  FAST_BLOCK + 1, 3 * FAST_BLOCK + 5])
+def test_progression_bits_equal_textbook_angle_addition(theta, size):
+    for ts in _progressions(size):
+        vals = mu_hat_fast(theta, ts)
+        assert vals.dtype == np.float64 and vals.shape == (size,)
+        assert np.array_equal(vals, _textbook_progression(theta, ts))
+        assert not np.signbit(vals[vals == 0]).any()
+    # the quarter points hold every kind of zero of the binary base
+    if theta is BINARY and size > 7:
+        assert (vals == 0).sum() > size // 2
+
+
+@pytest.mark.parametrize("theta", PROGRESSION_BASES, ids=PROGRESSION_IDS)
+def test_progression_segments_equal_textbook_angle_addition(theta):
+    # the dyadic blocks of decay, and SEGMENT_STARTS on points with an offset
+    ts = transform.Progression(0.0, 1.0, 1, 2 ** 16)
+    starts = [2 ** k - 1 for k in range(16)]
+    vals = mu_hat_fast(theta, ts, segments=starts)
+    assert np.array_equal(vals, _textbook_progression(theta, ts, starts))
+    ts = transform.Progression(3.5, 0.731, 40000, 40000 + 3000 + 4 * FAST_BLOCK
+                               + 5)
+    vals = mu_hat_fast(theta, ts, segments=SEGMENT_STARTS)
+    assert np.array_equal(vals,
+                          _textbook_progression(theta, ts, SEGMENT_STARTS))
+
+
+def _points_within_bound(theta, ts, count=24):
+    # count points, the first and last among them, each within the plan's
+    # bound of mu_hat at the exact t_i plus the reference's own bound
+    vals = mu_hat_fast(theta, ts)
+    bound = fast_error_bound(theta, ts._t_max(ts.size))
+    for p in np.unique(np.linspace(0, ts.size - 1, count).astype(np.int64)):
+        ref = mu_hat(theta, _exact_t(ts, ts.start + p), tol=1e-30,
+                     precision_bits=128)
+        assert abs(float(ref.value) - vals[p]) <= bound + ref.error_bound
+    return vals
+
+
+@pytest.mark.parametrize("theta", PROGRESSION_BASES, ids=PROGRESSION_IDS)
+def test_progression_values_within_the_plans_bound_of_mu_hat(theta):
+    # r = 1.37, whose products r n round in float64, over the rows of
+    # sample and fill; a jset grid; and decay's integers
+    for ts in (transform.Progression(0.0, 1.37, 5 * 10**4, 10**5 + 1),
+               transform.Progression(0.0, 1.0, 1, 2 ** 16)):
+        _points_within_bound(theta, ts)
+    T, step = 1e4, (5e3 + 3.506e-4) - 5e3
+    _points_within_bound(theta, transform.Progression(
+        T / 2, step, 0, math.ceil((T / 2) / 3.506e-4)))
+
+
+def test_progression_values_at_rows_scale_within_the_plans_bound():
+    # sample's largest batch at r = 1.37: the points n = 5e5 .. 1e6
+    _points_within_bound(GOLDEN, transform.Progression(0.0, 1.37, 5 * 10**5,
+                                                      10**6 + 1), count=40)
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
+                         ids=["golden", "quartic", "three_halves"])
+def test_progression_bits_do_not_depend_on_workers_or_range(monkeypatch,
+                                                           theta):
+    ts = transform.Progression(0.3, 1.37, 5000, 5000 + 3 * FAST_BLOCK + 5)
+    pools = _record_pools(monkeypatch)
+    runs = []
+    for cores in (1, 2):
+        _with_cores(monkeypatch, cores)
+        runs.append(mu_hat_fast(theta, ts))
+    assert pools == [1, 2] and np.array_equal(runs[0], runs[1])
+    plan = transform._fast_plan(theta, ts._t_max(ts.size))[1]
+    # a sub-range with the same plan gives the same bits at each index
+    for d, e in ((1, 0), (ROW - 1, 0), (FAST_BLOCK + 3, 0), (517, 7),
+                 (2 * FAST_BLOCK, ROW + 1)):
+        sub = transform.Progression(ts.a, ts.b, ts.start + d, ts.stop - e)
+        assert transform._fast_plan(theta, sub._t_max(sub.size))[1] == plan
+        assert np.array_equal(mu_hat_fast(theta, sub),
+                              runs[0][d:ts.size - e])
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
+                         ids=["golden", "quartic", "three_halves"])
+def test_progression_tables_within_their_error(theta):
+    # every table value within 9u of its modulus, plus terms of order u^2,
+    # of the cosine or sine of the exact angle: 2 pi j b theta^-k, and
+    # 2 pi (h ROW b theta^-k + a theta^-k), from theta at 200 bits
+    ts = transform.Progression(0.3, 1.37, 10**5, 10**5 + 2 * FAST_BLOCK + 9)
+    depth = transform._fast_plan(theta, ts._t_max(ts.size))[1]
+    c, s, C, S, h0 = transform._progression_tables(theta, ts, depth)
+    assert c.shape == s.shape == (depth, ROW)
+    assert C.shape == S.shape == (depth, (ts.stop - 1) // ROW - h0 + 1)
+
+    def check(table_cos, table_sin, turns):
+        for got_c, got_s, r in zip(table_cos, table_sin, turns):
+            with mp.workprec(160):
+                angle = 2 * mp.pi * (r - mp.nint(r))
+                for got, want in ((got_c, mp.cos(angle)),
+                                  (got_s, mp.sin(angle))):
+                    assert abs(got - want) <= 9 * _U * abs(want) + 2.0 ** -95
+    with mp.workprec(200):
+        th = _theta_value(theta, 200)
+        for k in range(depth):
+            q, off = mp.mpf(ts.b) / th ** k, mp.mpf(ts.a) / th ** k
+            check(c[k], s[k], [j * q for j in range(ROW)])
+            check(C[k], S[k], [(h0 + h) * ROW * q + off
+                               for h in range(C.shape[1])])
+
+
+def test_progression_takes_no_cosine_per_point(monkeypatch):
+    # sample's largest batch takes its sines and cosines on the tables only:
+    # k_c (ROW + rows) points each
+    ts = transform.Progression(0.0, 1.0, 5 * 10**5, 10**6 + 1)
+    kc = transform._fast_plan(GOLDEN, 1e6)[1]
+    rows = 10**6 // ROW - 5 * 10**5 // ROW + 1
+    counts = {}
+    for name in ("cos", "sin"):
+        real = getattr(np, name)
+
+        def counting(x, *args, name=name, real=real, **kwargs):
+            counts[name] = counts.get(name, 0) + np.size(x)
+            return real(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    mu_hat_fast(GOLDEN, ts)
+    assert counts == {"cos": kc * (ROW + rows), "sin": kc * (ROW + rows)}
+    # an array head takes k_c cosines per point: 80 times as many here
+    assert 80 * 2 * kc * (ROW + rows) < kc * ts.size
+
+
+def test_progression_points_must_be_a_nonnegative_rising_range():
+    P = transform.Progression
+    ts = P(1, 2, 3, 10)
+    assert (ts.a, ts.b, ts.size) == (1.0, 2.0, 7) and isinstance(ts.a, float)
+    assert mu_hat_fast(GOLDEN, P(0.5, 1.0, 4, 4)).shape == (0,)
+    for bad in ((-1.0, 1.0, 0, 3), (0.0, 0.0, 0, 3), (0.0, -1.0, 0, 3),
+                (math.inf, 1.0, 0, 3), (0.0, math.nan, 0, 3),
+                (0.0, 1.0, -1, 3), (0.0, 1.0, 5, 4), (0.0, 1.0, 0.5, 3)):
+        with pytest.raises((ValueError, TypeError)):
+            P(*bad)
+    # indices past 2^37 are refused after the plan, which refuses first
+    with pytest.raises(ValueError, match="2\\^37"):
+        mu_hat_fast(GOLDEN, P(0.0, 1e-9, 2 ** 37 - 2, 2 ** 37 + 1))
+    with pytest.raises(PrecisionExhaustedError):
+        mu_hat_fast(GOLDEN, P(0.0, 1.0, 2 ** 37 - 2, 2 ** 37 + 1))
+
+
 def _check_floor(vals, full, floor):
     """The points mu_hat_fast dropped at floor, after checking that each
     came back as 0.0 with a plain value below floor, and that every other
@@ -916,29 +1121,32 @@ def _cos_arguments():
     return xs[np.abs(xs) <= math.pi]
 
 
-def _cos_reference(xs):
-    # cos(x) at 90 bits as hi + lo, a pair of doubles
+def _trig_reference(xs, fn):
+    # fn(x) at 90 bits as hi + lo, a pair of doubles
     with mp.workprec(90):
-        cs = [mp.cos(mp.mpf(float(x))) for x in xs]
-        hi = np.array([float(c) for c in cs])
-        lo = np.array([float(c - h) for c, h in zip(cs, hi)])
+        vs = [fn(mp.mpf(float(x))) for x in xs]
+        hi = np.array([float(v) for v in vs])
+        lo = np.array([float(v - h) for v, h in zip(vs, hi)])
     return hi, lo
 
 
-def _worst_cos_ulps(got, hi, lo) -> float:
-    # largest |got - cos(x)| in ulps of cos(x); got - hi is exact where the
-    # two are within a factor 2
+def _worst_ulps(got, hi, lo) -> float:
+    # largest |got - f(x)| in ulps of f(x); got - hi is exact where the two
+    # are within a factor 2
     return float(np.max(np.abs((got - hi) - lo) / np.spacing(np.abs(hi))))
 
 
 def test_numpy_cosine_within_the_float_paths_premise():
-    # _FACTOR_ERROR takes numpy's float64 cosine within 4 ulps; the float
-    # path calls it on whole arrays, and so does this test
+    # _FACTOR_ERROR takes numpy's float64 cosine and sine within 4 ulps, on
+    # whole arrays: a cosine head on its reduced arguments, and a
+    # progression's tables on angles 2 pi r, |r| <= 1/2.  The tables use no
+    # scalar trig.  This test calls both on whole arrays too
     xs = _cos_arguments()
-    hi, lo = _cos_reference(xs)
-    assert _worst_cos_ulps(np.cos(xs), hi, lo) <= 4
-    # a cosine off by a relative 8u breaks the premise and is caught
-    assert _worst_cos_ulps(np.cos(xs) * (1 + 8 * _U), hi, lo) > 4
+    for np_fn, mp_fn in ((np.cos, mp.cos), (np.sin, mp.sin)):
+        hi, lo = _trig_reference(xs, mp_fn)
+        assert _worst_ulps(np_fn(xs), hi, lo) <= 4
+        # a value off by a relative 8u breaks the premise and is caught
+        assert _worst_ulps(np_fn(xs) * (1 + 8 * _U), hi, lo) > 4
 
 
 TAIL_BASES = [GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2,)),
