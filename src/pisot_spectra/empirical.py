@@ -191,8 +191,8 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
         raise ValueError(f"the index range {first}..{last} is empty or "
                          "starts below 0")
     tol = max(eta / 10, FAST_TOL) if tol is None else tol
-    bound = _checked_plan(P, r_val * last, tol)[2]
     ns = Progression(0.0, r_val, first, last + 1)
+    bound = _checked_plan(P, ns._t_max(ns.size) if ns.size else 0.0, tol)[2]
     floor = eta * FLOOR_SHARE
     vals = mu_hat_fast(P, ns, tol=tol, floor=floor)
     if not ns.size:

@@ -697,13 +697,10 @@ class Progression:
 
     def __post_init__(self):
         a, b = float(self.a), float(self.b)
-        if not (0 <= a < math.inf and 0 < b < math.inf):
-            raise ValueError(f"a progression needs finite a >= 0 and b > 0, "
-                             f"got a = {self.a} and b = {self.b}")
         start, stop = operator.index(self.start), operator.index(self.stop)
-        if not 0 <= start <= stop:
-            raise ValueError(f"a progression needs 0 <= start <= stop, got "
-                             f"{start} and {stop}")
+        if not (0 <= a < math.inf and 0 < b < math.inf and 0 <= start <= stop):
+            raise ValueError("a progression needs finite a >= 0 and b > 0, "
+                             f"and 0 <= start <= stop, got {self}")
         for name, value in zip(("a", "b", "start", "stop"),
                                (a, b, start, stop)):
             object.__setattr__(self, name, value)
@@ -789,7 +786,7 @@ def _progression_tables(theta: Theta, ts: Progression, depth: int):
     W = _ANGLE_BITS
     mask, R = (1 << W) - 1, _kernel_step(theta, W)
     xb, xa = _fixed_abs(ts.b, W, 0), _fixed_abs(ts.a, W, 0)
-    steps, rows, offsets = [], [], []
+    steps, rows, offsets, zeros = [], [], [], [0] * depth
     for _ in range(depth):
         steps.append(xb & mask)
         rows.append(xb * _ROW & mask)
@@ -802,10 +799,9 @@ def _progression_tables(theta: Theta, ts: Progression, depth: int):
     C, S = np.empty((depth, h.size)), np.empty((depth, h.size))
     # eight depths at a time, so that _unit_tables' temporaries stay small
     for k in range(0, depth, 8):
-        c[k:k + 8], s[k:k + 8] = _unit_tables(steps[k:k + 8],
-                                               [0] * len(steps[k:k + 8]), j)
-        C[k:k + 8], S[k:k + 8] = _unit_tables(rows[k:k + 8],
-                                               offsets[k:k + 8], h)
+        part = slice(k, k + 8)
+        c[part], s[part] = _unit_tables(steps[part], zeros[part], j)
+        C[part], S[part] = _unit_tables(rows[part], offsets[part], h)
     return c, s, C, S, h0
 
 
@@ -852,10 +848,11 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     (_descent_x_error's reasoning), A = theta/(theta - 1).  So the angle
     of i is within (i + 1)(1 + k + (a + b) A) 2^-W <= 2^-100 turns of
     t_i theta^-k: i < 2^37, k <= 2^20, and either t_max A <= 2^100, or
-    the bound exceeds 2^8, which every value meets.  _angles reduces each
-    angle within u/2 + 2^-24 u more (u = 2^-53), and _FACTOR_ERROR takes
-    the rest of the factor's rounding.  No angle depends on the block, so
-    a value's bits depend only on theta, a, b, i and its segment's k_c.
+    the bound exceeds 2^8, which every value meets.  _unit_tables takes
+    each table value within 9u of its modulus (u = 2^-53), and
+    _FACTOR_ERROR the rest of the factor's rounding.  No table value
+    depends on the block, so a value's bits depend only on theta, a, b, i
+    and its segment's k_c.
     The tail reads x_(k_c) = fl(fl(b' i) + a') once, with b' = fl(b g),
     a' = fl(a g) and g = fl(theta^-k_c), within a relative gamma_4 of
     t_i theta^-k_c.
@@ -886,8 +883,9 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     product at 0.0 where the product vanishes exactly; adding +0.0 at the
     end makes that +0.0, as on the precise path, and leaves every other
     value as it is.  A progression's block tests t = fl(fl(b i) + a), and
-    keeps a zero only where that t is a + b i exactly: fl(b i) is b i
-    exactly when fmod(fl(b i), b) = 0 (i < 2^52), and, for p, a >= 0,
+    keeps a zero only where that t is a + b i exactly: with b = m 2^e, m
+    odd, fl(b i) is b i exactly when m times the odd part of i is below
+    2^53, and, for p, a >= 0,
     fl(p + a) is p + a when fl(fl(p + a) - a) = p and fl(fl(p + a) - p) = a
     (the subtraction of the larger is exact).  So every zero it marks is
     one at the exact t_i.  A zero at a t_i that fl does not reach (a > 0,
@@ -919,7 +917,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     else:
         t = np.asarray(ts, dtype=np.float64)
         prog, flat, shape = None, t.reshape(-1), t.shape
-    size = shape[0] if prog else flat.size
+    size = flat.size if prog is None else prog.size
     cuts = [0, *([] if segments is None else segments), size]
     if any(not 0 <= a <= b <= size for a, b in zip(cuts, cuts[1:])):
         raise ValueError("segments must be ascending indices into the batch")
@@ -966,7 +964,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         # b = m 2^e, m odd: b i is a float exactly when m times the odd
         # part of i is below 2^53, that is when i <= odd 2^v, 2^v the
         # lowest set bit of i and odd = (2^53 - 1) // m
-        num, den = prog.b.as_integer_ratio()
+        num = prog.b.as_integer_ratio()[0]
         odd = (2 ** 53 - 1) // (num // (num & -num))
 
         def drop_inexact(i, x, y, v) -> None:
@@ -994,10 +992,11 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         start, stop, th, kc, cut = block
         n = stop - start
         v = out[start:stop]
-        if prog is None:
-            x, y = np.empty(n), np.empty(n)
-            _zero_test(theta, flat[start:stop], x, y, v)
-        else:
+        # w holds the running products of the points still evaluated, and
+        # live their indices in the block once it has dropped any; an exact
+        # zero's product starts at 0.0
+        w, live = v, None
+        if prog is not None:
             i = prog.start + start
             first, rows = i // _ROW - h0, (i + n - 1) // _ROW - i // _ROW + 1
             x, y = np.empty(rows * _ROW), np.empty(rows * _ROW)
@@ -1006,11 +1005,6 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
             _zero_test(theta, x[:n], x[:n], y[:n], v)
             if not v.all():
                 drop_inexact(i, x[:n], y[:n], v)
-        # w holds the running products of the points still evaluated, and
-        # live their indices in the block once it has dropped any; an exact
-        # zero's product starts at 0.0
-        w, live = v, None
-        if prog is not None:
             ahead, row = x.reshape(rows, _ROW), y.reshape(rows, _ROW)
             factor = x[i % _ROW:i % _ROW + n]
             for k in range(kc):
@@ -1022,6 +1016,8 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
             g = tails[kc]
             points(i, x, prog.b * g, prog.a * g)
         else:
+            x, y = np.empty(n), np.empty(n)
+            _zero_test(theta, flat[start:stop], x, y, v)
             above = np.empty(x.shape, dtype=bool) if cut else None
             m = float(x.max())
             for _ in range(kc):
@@ -1069,7 +1065,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
             v.fill(0.0)
             v[live] = w
         if floor and prog is not None:
-            low = y.view(np.bool_)[:n]
+            low = y.view(np.bool_)[:v.size]
             np.less(np.abs(v, out=x), floor, out=low)
             np.copyto(v, 0.0, where=low)
 
