@@ -158,9 +158,9 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
     interior index whose value is 0.0 stands for its stride (the indices
     nearer to it than to its neighbours), and gives way to the nonzero
     value there nearest to it, when one exists.  With eta > 0 most values
-    are 0.0 (on the golden base at n = 5*10^5 .. 10^6 and eta 1e-3, 35 of
-    500,001 are kept), so this checks finished values where evenly spaced
-    points would all be dropped ones.
+    are 0.0 (on the golden base at r = 1, n = 5*10^5 .. 10^6 and eta 1e-3,
+    34 of 500,001 are kept), so this checks finished values where evenly
+    spaced points would all be dropped ones.
 
     With eta > 0 the batch runs with the retention floor eta FLOOR_SHARE:
     every point is evaluated, and a value of modulus below the floor comes

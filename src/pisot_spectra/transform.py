@@ -105,14 +105,14 @@ _TWO_PI_ERROR = 2.4492935982947064e-16
 # left are mu_hat(x), which the even-moment polynomial of degree TAIL_DEGREE
 # in (2 pi x)^2 gives within TAIL_REACH^(2 TAIL_DEGREE + 2)/(2 TAIL_DEGREE
 # + 2)! = 1/20!, about 4e-19 (see mu_hat_fast).  A head factor costs about
-# 40 Horner steps on an array (a cosine) and about 5 on a progression (three
-# broadcast passes and the product), and each doubling of the reach saves
+# 30 Horner steps on an array (a cosine) and about 2 on a progression (one
+# einsum and the product), and each doubling of the reach saves
 # log 2/log theta factors for two steps; past 1 the rounding of P~ outgrows
 # the 8u that the floor's proof allows
 TAIL_REACH = 1.0
 TAIL_DEGREE = 9
 # longest head a float64 segment is planned with: each head factor is a
-# pass of three to six numpy calls over each block, so 2^20 of them take
+# pass of two to six numpy calls over each block, so 2^20 of them take
 # seconds even on one point.  A base just above 1 needs more (1 + 2^-40
 # needs about 3e13 at |t| = 1), and its segment is refused after 2^20
 # divisions instead of planned one division at a time
@@ -696,7 +696,10 @@ class Progression:
     stop: int
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
+        try:
+            a, b = float(self.a), float(self.b)
+        except OverflowError:
+            a = b = math.nan        # past the float range: refused below
         start, stop = operator.index(self.start), operator.index(self.stop)
         if not (0 <= a < math.inf and 0 < b < math.inf and 0 <= start <= stop):
             raise ValueError("a progression needs finite a >= 0 and b > 0, "
@@ -778,10 +781,12 @@ def _unit_tables(steps: list, offsets: list, m):
 
 
 def _progression_tables(theta: Theta, ts: Progression, depth: int):
-    """(c, s, C, S, h_0): for k < depth, c[k, j] and s[k, j] are the cosine
-    and sine of 2 pi j b theta^-k, j < _ROW, and C[k, h - h_0] and
-    S[k, h - h_0] those of 2 pi (h _ROW b theta^-k + a theta^-k), for every
-    row h of ts, from h_0 = ts.start // _ROW (see mu_hat_fast)."""
+    """(B, A, h_0), in the layout of mu_hat_fast's einsum: for k < depth,
+    B[k, 0, j] = c and B[k, 1, j] = s are the cosine and sine of
+    2 pi j b theta^-k, j < _ROW, and A[k, h - h_0] = (C, -S) holds the
+    cosine C and the negated sine S of 2 pi (h _ROW b theta^-k + a
+    theta^-k), for every row h of ts, from h_0 = ts.start // _ROW (see
+    mu_hat_fast)."""
     import numpy as np
     W = _ANGLE_BITS
     mask, R = (1 << W) - 1, _kernel_step(theta, W)
@@ -795,14 +800,15 @@ def _progression_tables(theta: Theta, ts: Progression, depth: int):
     h0 = ts.start // _ROW
     j = np.arange(_ROW, dtype=np.float64)
     h = np.arange(h0, (ts.stop - 1) // _ROW + 1, dtype=np.float64)
-    c, s = np.empty((depth, j.size)), np.empty((depth, j.size))
-    C, S = np.empty((depth, h.size)), np.empty((depth, h.size))
+    B, A = np.empty((depth, 2, j.size)), np.empty((depth, h.size, 2))
     # eight depths at a time, so that _unit_tables' temporaries stay small
     for k in range(0, depth, 8):
         part = slice(k, k + 8)
-        c[part], s[part] = _unit_tables(steps[part], zeros[part], j)
-        C[part], S[part] = _unit_tables(rows[part], offsets[part], h)
-    return c, s, C, S, h0
+        B[part, 0], B[part, 1] = _unit_tables(steps[part], zeros[part], j)
+        A[part, :, 0], A[part, :, 1] = _unit_tables(rows[part],
+                                                    offsets[part], h)
+    np.negative(A[..., 1], out=A[..., 1])
+    return B, A, h0
 
 
 def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
@@ -840,8 +846,13 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     A progression's head factor k at i = h _ROW + j, h = i // _ROW on the
     absolute index, is cos(2 pi (h _ROW q + a theta^-k) + 2 pi j q), q =
     b theta^-k, taken by angle addition as C[k, h] c[k, j] - S[k, h]
-    s[k, j] from _progression_tables: three broadcast passes over a (rows,
-    _ROW) view of the block's scratch, then the running product.  The steps
+    s[k, j] from _progression_tables: one np.einsum("hk,kj->hj") of the
+    block's rows (C, -S) by the columns (c, s) into a (rows, _ROW) view of
+    its scratch, then the running product.  einsum's own product loops
+    (optimize=False) round each product and the sum, so each element is
+    fl(fl(C c) - fl(S s)), the bits of the plain expression (a zero may
+    come out +0.0 for -0.0, and the block ends every zero as +0.0); BLAS
+    (np.dot, optimize=True) may fuse a product into the sum.  The steps
     b theta^-k and a theta^-k are integers in units of 2^-W, W =
     _ANGLE_BITS: b and a exactly, then one multiply by R = round(2^W/theta)
     (_kernel_step) and a shift per k, within 1 + k + (a + b) A units
@@ -946,7 +957,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         if prog.stop > _INDEX_LIMIT:
             raise ValueError(f"a progression's indices must lie below 2^37, "
                              f"got {prog.stop - 1}")
-        c, s, C, S, h0 = _progression_tables(
+        B, A, h0 = _progression_tables(
             theta, prog, max(block[3] for block in blocks))
         iota = np.arange(min(size, FAST_BLOCK), dtype=np.float64)
         with mp.workprec(128):
@@ -1005,12 +1016,13 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
             _zero_test(theta, x[:n], x[:n], y[:n], v)
             if not v.all():
                 drop_inexact(i, x[:n], y[:n], v)
-            ahead, row = x.reshape(rows, _ROW), y.reshape(rows, _ROW)
+            ahead = x.reshape(rows, _ROW)
             factor = x[i % _ROW:i % _ROW + n]
             for k in range(kc):
-                np.multiply(C[k, first:first + rows, None], c[k], out=ahead)
-                np.multiply(S[k, first:first + rows, None], s[k], out=row)
-                ahead -= row
+                # C c + (-S) s: numpy's own product loops round each product
+                # and the sum, where BLAS (optimize=True, np.dot) may fuse
+                np.einsum("hk,kj->hj", A[k, first:first + rows], B[k],
+                          out=ahead, optimize=False)
                 w *= factor
             x = x[:n]
             g = tails[kc]

@@ -677,6 +677,13 @@ def _progression_head(theta, ts, stop):
                                   math.nextafter(top, math.inf)])
 
 
+def _unpacked_tables(theta, ts, depth):
+    # (c, s, C, S, h0) from _progression_tables' stacked B[k] = (c, s) and
+    # A[k, h] = (C, -S); the negation back is exact
+    B, A, h0 = transform._progression_tables(theta, ts, depth)
+    return B[:, 0], B[:, 1], A[..., 0], -A[..., 1], h0
+
+
 def _textbook_progression(theta, ts, segments=()):
     # point by point in i = h ROW + j, h on the absolute index: the product
     # of C[k, h] c[k, j] - S[k, h] s[k, j] over k < k_c, from the tables of
@@ -686,7 +693,7 @@ def _textbook_progression(theta, ts, segments=()):
     cuts = [0, *segments, ts.size]
     pieces = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
     depth = max(_progression_head(theta, ts, b) for _, b in pieces)
-    c, s, C, S, h0 = transform._progression_tables(theta, ts, depth)
+    c, s, C, S, h0 = _unpacked_tables(theta, ts, depth)
     out = np.empty(ts.size)
     for a, b in pieces:
         i = np.arange(ts.start + a, ts.start + b)
@@ -803,7 +810,7 @@ def test_progression_tables_within_their_error(theta):
     # 2 pi (h ROW b theta^-k + a theta^-k), from theta at 200 bits
     ts = transform.Progression(0.3, 1.37, 10**5, 10**5 + 2 * FAST_BLOCK + 9)
     depth = transform._fast_plan(theta, ts._t_max(ts.size))[1]
-    c, s, C, S, h0 = transform._progression_tables(theta, ts, depth)
+    c, s, C, S, h0 = _unpacked_tables(theta, ts, depth)
     assert c.shape == s.shape == (depth, ROW)
     assert C.shape == S.shape == (depth, (ts.stop - 1) // ROW - h0 + 1)
 
@@ -858,6 +865,16 @@ def test_progression_points_must_be_a_nonnegative_rising_range():
         mu_hat_fast(GOLDEN, P(0.0, 1e-9, 2 ** 37 - 2, 2 ** 37 + 1))
     with pytest.raises(PrecisionExhaustedError):
         mu_hat_fast(GOLDEN, P(0.0, 1.0, 2 ** 37 - 2, 2 ** 37 + 1))
+
+
+@pytest.mark.parametrize("bad", [(10 ** 400, 1, 0, 1), (0, 10 ** 400, 0, 1),
+                                 (0, Fraction(10 ** 400, 3), 0, 1)],
+                         ids=["a_int", "b_int", "b_fraction"])
+def test_progression_refuses_a_or_b_past_the_float_range(bad):
+    # float() of such a number raises OverflowError; the progression gives
+    # its own refusal instead
+    with pytest.raises(ValueError, match="a progression needs finite a >= 0"):
+        transform.Progression(*bad)
 
 
 def _check_floor(vals, full, floor):
@@ -1147,6 +1164,68 @@ def test_numpy_cosine_within_the_float_paths_premise():
         assert _worst_ulps(np_fn(xs), hi, lo) <= 4
         # a value off by a relative 8u breaks the premise and is caught
         assert _worst_ulps(np_fn(xs) * (1 + 8 * _U), hi, lo) > 4
+
+
+def _einsum_tables():
+    # rows (C, -S) and ROW columns (c, s) in the shapes of a progression's
+    # head, column j the partner of row j % 33.  Rows 0-10 pair with
+    # columns whose fl(S s) is within two ulps of fl(C c), and rows 11-21
+    # the other way round, so a multiply-add fused on C c, or on S s,
+    # changes the result; rows 22-32 hold values near +-1, tiny values and
+    # signed zeros
+    rng = np.random.default_rng(29)
+    rows, partner = 33, np.arange(ROW) % 33
+    special = np.array([1.0, -1.0, 1 - 2.0 ** -53, -(1 - 2.0 ** -53),
+                        1 - 2.0 ** -52, 0.0, -0.0, 5e-324, -5e-324,
+                        2.0 ** -1022, 1e-300, -1e-300, 0.7071067811865476,
+                        -0.7071067811865475])
+    near = (1 + rng.integers(1, 2 ** 26, rows) * 2.0 ** -52) \
+        * rng.choice([-1.0, 1.0], rows)
+    C, S = near.copy(), near.copy()
+    C[11:22] = S[:11] = rng.choice([-1.0, 1.0], 11)
+    C[22:], S[22:] = rng.choice(special, 11), rng.choice(special, 11)
+    free = (1 - rng.integers(1, 2 ** 26, ROW) * 2.0 ** -53) \
+        * rng.choice([-1.0, 1.0], ROW)
+    shift = rng.integers(-2, 3, ROW) * np.spacing(free)
+    c, s = free.copy(), free.copy()
+    first, second = partner < 11, (11 <= partner) & (partner < 22)
+    s[first] = (C[partner] * c + shift)[first] / S[partner][first]
+    c[second] = (S[partner] * s + shift)[second] / C[partner][second]
+    last = partner >= 22
+    c[last], s[last] = rng.choice(special, (2, last.sum()))
+    return (np.stack([C, -S], axis=-1), np.stack([c, s]), first, second,
+            partner)
+
+
+def test_numpy_einsum_rounds_each_product_and_the_sum():
+    # a progression's head factor is np.einsum("hk,kj->hj") of rows (C, -S)
+    # and columns (c, s), which must be fl(fl(C c) - fl(S s)) on each
+    # element, as the plain expression and _FACTOR_ERROR take it: a numpy
+    # whose einsum fuses a product into the sum fails here, not in the
+    # value bits.  einsum starts its sum at +0.0, so a zero may come out
+    # +0.0 where the subtraction gives -0.0; the block's closing + 0.0 makes
+    # every zero +0.0, so both are compared after adding +0.0
+    A, B, first, second, partner = _einsum_tables()
+    got = np.empty((A.shape[0], ROW))
+    np.einsum("hk,kj->hj", A, B, out=got, optimize=False)
+    C, S, c, s = A[:, 0], -A[:, 1], B[0], B[1]
+    want = C[:, None] * c - S[:, None] * s
+    assert np.array_equal((got + 0.0).view(np.int64),
+                          (want + 0.0).view(np.int64))
+    # each designed pair's fused result, exact by Fraction, is another
+    # float: the first rows catch a fused C c, the next a fused S s
+    for j in np.flatnonzero(first | second):
+        h = partner[j]
+        if first[j]:
+            fused = Fraction(C[h]) * Fraction(c[j]) - Fraction(S[h] * s[j])
+        else:
+            fused = Fraction(C[h] * c[j]) - Fraction(S[h]) * Fraction(s[j])
+        assert float(fused) != want[h, j]
+    # the tables hold zeros of both signs and subnormal values
+    tables = np.concatenate([A.ravel(), B.ravel()])
+    zeros = np.signbit(tables[tables == 0])
+    assert zeros.any() and not zeros.all()
+    assert (np.abs(tables[tables != 0]) < 2.0 ** -1022).any()
 
 
 TAIL_BASES = [GOLDEN, TRIBONACCI, QUARTIC, build_pisot((2,)),
