@@ -105,7 +105,7 @@ _TWO_PI_ERROR = 2.4492935982947064e-16
 # left are mu_hat(x), which the even-moment polynomial of degree TAIL_DEGREE
 # in (2 pi x)^2 gives within TAIL_REACH^(2 TAIL_DEGREE + 2)/(2 TAIL_DEGREE
 # + 2)! = 1/20!, about 4e-19 (see mu_hat_fast).  A head factor costs about
-# 30 Horner steps on an array (a cosine) and about 2 on a progression (one
+# 25 Horner steps on an array (a cosine) and about 2 on a progression (one
 # einsum and the product), and each doubling of the reach saves
 # log 2/log theta factors for two steps; past 1 the rounding of P~ outgrows
 # the 8u that the floor's proof allows
@@ -782,11 +782,10 @@ def _unit_tables(steps: list, offsets: list, m):
 
 def _progression_tables(theta: Theta, ts: Progression, depth: int):
     """(B, A, h_0), in the layout of mu_hat_fast's einsum: for k < depth,
-    B[k, 0, j] = c and B[k, 1, j] = s are the cosine and sine of
-    2 pi j b theta^-k, j < _ROW, and A[k, h - h_0] = (C, -S) holds the
-    cosine C and the negated sine S of 2 pi (h _ROW b theta^-k + a
-    theta^-k), for every row h of ts, from h_0 = ts.start // _ROW (see
-    mu_hat_fast)."""
+    B[k, :, j] = (c, s), the cosine and sine of 2 pi j b theta^-k, j <
+    _ROW, and A[k, h - h_0] = (C, -S), C and S the cosine and sine of
+    2 pi (h _ROW b theta^-k + a theta^-k), for every row h of ts, from
+    h_0 = ts.start // _ROW (see mu_hat_fast)."""
     import numpy as np
     W = _ANGLE_BITS
     mask, R = (1 << W) - 1, _kernel_step(theta, W)
