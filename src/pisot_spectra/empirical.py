@@ -380,12 +380,9 @@ def estimate_J(theta, T: float = 1e4,
         grid_step = cap
     if not 0 < grid_step <= cap:
         raise ValueError(f"grid_step must lie in (0, {cap:.6g}]")
-    # refuse before building anything.  np.arange has n points and steps
-    # by (T/2 + grid_step) - T/2, so this is its last and largest point
+    # np.arange has n points and steps by (T/2 + grid_step) - T/2
     n = math.ceil((T - T / 2) / grid_step)
     step = (T / 2 + grid_step) - T / 2
-    if n > 0:
-        _checked_plan(theta, T / 2 + (n - 1) * step, FAST_ERROR)
     vals = mu_hat_fast(theta, Progression(T / 2, step, 0, max(n, 0)),
                        tol=FAST_ERROR)
     return _range_stats(vals)
@@ -521,13 +518,7 @@ def decay_check(theta, N: int) -> tuple:
     if N < 2:
         raise ValueError("N must be at least 2")
     count = (N + 1).bit_length() - 1
-    # refuse before building the batch.  The bound grows with |t|, so when
-    # the last block is admitted every block is; otherwise the first block
-    # refused raises, as mu_hat_fast would
-    if not fast_error_bound(theta, 2 ** count - 1) <= FAST_ERROR:
-        for k in range(count):
-            _checked_plan(theta, float(2 ** (k + 1) - 1), FAST_ERROR)
-    starts = 2 ** np.arange(count) - 1
+    starts = [2 ** k - 1 for k in range(count)]
     vals = np.abs(mu_hat_fast(theta, Progression(0.0, 1.0, 1, 2 ** count),
                               tol=FAST_ERROR, segments=starts))
     return tuple(BlockMaximum(k=k, start=2**k, stop=2 ** (k + 1),

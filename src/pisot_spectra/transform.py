@@ -36,9 +36,9 @@ batch runs in blocks of at most FAST_BLOCK points, each in block-sized
 scratch arrays, and the blocks of all its segments are shared over one pool
 of at most one thread per core this process may run on (numpy's ufuncs
 release the GIL); every value bit is that of the plain expression.  Given a
-retention floor, a value below it comes back as 0.0 (an array's block stops
-the product of such a point early), and +0.0 where the product vanishes
-exactly (_zero_test, with exact comparisons in the block's own scratch).
+retention floor, a value of modulus below it comes back as +0.0, as does a
+value where the product vanishes exactly (_zero_test, with exact
+comparisons in the block's own scratch).
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
@@ -107,8 +107,10 @@ _TWO_PI_ERROR = 2.4492935982947064e-16
 # + 2)! = 1/20!, about 4e-19 (see mu_hat_fast).  A head factor costs about
 # 25 Horner steps on an array (a cosine) and about 2 on a progression (one
 # einsum and the product), and each doubling of the reach saves
-# log 2/log theta factors for two steps; past 1 the rounding of P~ outgrows
-# the 8u that the floor's proof allows
+# log 2/log theta factors for two steps.  At 1, |P~| <= 1 + 8u keeps the
+# tail inside the 21u past modulus 1 that _fast_plan's growth factor allows
+# every factor; at 1.5 _tail_rounding gives 30u, past it, and at 2 the
+# series remainder alone is 4e-13
 TAIL_REACH = 1.0
 TAIL_DEGREE = 9
 # longest head a float64 segment is planned with: each head factor is a
@@ -819,12 +821,12 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     batch at which it is cut; each piece between cuts is a segment, planned
     as a call of its own.  Without them the batch is one segment.  A
     segment's head length k_c comes from its largest |t|, so all its
-    entries share it.  Raises PrecisionExhaustedError, before evaluating,
-    when a segment's head would be longer than _HEAD_LIMIT factors or its
-    derived error bound (fast_error_bound) exceeds tol: the plans are
-    checked in segment order, so the first segment refused raises, with the
-    message a call on it alone would give.  A progression's indices must
-    then lie below 2^37 (ValueError).
+    entries share it.  Raises PrecisionExhaustedError, before any block or
+    output is built, when a segment's head would be longer than _HEAD_LIMIT
+    factors or its derived error bound (fast_error_bound) exceeds tol: the
+    plans are checked in segment order, so the first segment refused
+    raises, with the message a call on it alone would give.  A
+    progression's indices must then lie below 2^37 (ValueError).
 
     Every segment runs in blocks of at most FAST_BLOCK points: an array's
     from its start, a progression's cut at the multiples of FAST_BLOCK in
@@ -836,11 +838,7 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     the block and thread count.
 
     An array's k_c head factors are cos(2 pi (x - rint x)), x = |t| stepped
-    by one float division by theta per factor, with an upper bound m of the
-    block's largest x stepped by the same division.  Division by theta > 0
-    is monotone under rounding, so m bounds every x of the block from above;
-    once m <= 1/2, rint x is 0 and x - 0 is x, so the factor is
-    cos(2 pi x) and the reduction is skipped.
+    by one float division by theta per factor.
 
     A progression's head factor k at i = h _ROW + j, h = i // _ROW on the
     absolute index, is cos(2 pi (h _ROW q + a theta^-k) + 2 pi j q), q =
@@ -901,23 +899,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     one at the exact t_i.  A zero at a t_i that fl does not reach (a > 0,
     or 4 t_i past 2^53) is left to the product, within the bound of 0.
 
-    floor > 0 returns 0.0 for points whose value is known to fall below
-    floor, and every other point has the bits of the plain expression.  A
-    progression evaluates every point and then sets each value of modulus
-    below floor to 0.0.  An array's block compares, after each head factor,
-    the modulus of each running product w_k with cut = floor (1 - 32 (k_c +
-    1) u), in its scratch and one block-sized bool buffer; once fewer than
-    half of its points are at or above cut, it keeps x, w and their indices
-    for those points only, and goes on with them; an exact zero falls below
-    cut at once.  A dropped point's plain value is below floor: each later
-    factor is a cosine within 4 ulps, so of modulus at most 1 + 8u, or P~,
-    of modulus at most 1 + 8u, and its product rounds once and
-    monotonically, so each factor scales |w| by at most (1 + 8u)(1 + u) <=
-    1 + 10u.  At most k_c + 1 factors follow, so the value has modulus
-    below cut (1 + 10u)^(k_c+1) <= cut (1 + 11 (k_c + 1) u), and cut,
-    rounded at most three times, is at most floor (1 - 32 (k_c + 1) u)(1 +
-    3u), so the product stays below floor (1 - 18 (k_c + 1) u) while (k_c +
-    1) u is below 2^-10.  floor = 0 drops nothing.
+    floor > 0 returns +0.0 for every point whose value has modulus below
+    floor, and every other point has the bits of the plain expression: each
+    block evaluates every point, then sets each value of modulus below floor
+    to +0.0 in its scratch.  floor = 0 drops nothing.
     """
     import numpy as np
     if not floor >= 0:
@@ -931,21 +916,28 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     cuts = [0, *([] if segments is None else segments), size]
     if any(not 0 <= a <= b <= size for a, b in zip(cuts, cuts[1:])):
         raise ValueError("segments must be ascending indices into the batch")
-    blocks = []
+    # plan and refuse every segment, then check the indices, before any
+    # block or output is built
+    plans = []
     for a, b in zip(cuts, cuts[1:]):
-        if a == b:
-            continue
+        if a < b:
+            if prog is None:
+                seg = flat[a:b]
+                t_max = float(max(abs(seg.min()), abs(seg.max())))
+            else:
+                t_max = prog._t_max(b)
+            plans.append((a, b, *_checked_plan(theta, t_max, tol)[:2]))
+    if plans and prog is not None and prog.stop > _INDEX_LIMIT:
+        raise ValueError(f"a progression's indices must lie below 2^37, "
+                         f"got {prog.stop - 1}")
+    blocks = []
+    for a, b, th, kc in plans:
         if prog is None:
-            seg = flat[a:b]
-            t_max = float(max(abs(seg.min()), abs(seg.max())))
             starts = range(a, b, FAST_BLOCK)
         else:
-            t_max = prog._t_max(b)
             starts = [a, *range(a + FAST_BLOCK - (prog.start + a) % FAST_BLOCK,
                                 b, FAST_BLOCK)]
-        th, kc, _ = _checked_plan(theta, t_max, tol)
-        cut = floor * (1 - 32 * (kc + 1) * _U)
-        blocks += [(p, q, th, kc, cut) for p, q in zip(starts, [*starts[1:], b])]
+        blocks += [(p, q, th, kc) for p, q in zip(starts, [*starts[1:], b])]
     vals = np.empty(shape)
     out = vals.reshape(-1)
     two_pi = 2 * math.pi
@@ -953,16 +945,13 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
         return vals
     coef = _tail_coefficients(theta)
     if prog is not None:
-        if prog.stop > _INDEX_LIMIT:
-            raise ValueError(f"a progression's indices must lie below 2^37, "
-                             f"got {prog.stop - 1}")
         B, A, h0 = _progression_tables(
-            theta, prog, max(block[3] for block in blocks))
+            theta, prog, max(plan[3] for plan in plans))
         iota = np.arange(min(size, FAST_BLOCK), dtype=np.float64)
         with mp.workprec(128):
             th_exact = _theta_value(theta, 128)
             tails = {kc: float(th_exact ** -kc)
-                     for kc in {block[3] for block in blocks}}
+                     for kc in {plan[3] for plan in plans}}
 
         def points(i, z, b, a) -> None:
             # z = fl(fl(b i) + a) from the first index i on
@@ -999,13 +988,10 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
                 np.maximum(v, np.not_equal(y, a, out=y), out=v)
 
     def run_block(block) -> None:
-        start, stop, th, kc, cut = block
+        start, stop, th, kc = block
         n = stop - start
+        # v holds the running product; an exact zero's starts at 0.0
         v = out[start:stop]
-        # w holds the running products of the points still evaluated, and
-        # live their indices in the block once it has dropped any; an exact
-        # zero's product starts at 0.0
-        w, live = v, None
         if prog is not None:
             i = prog.start + start
             first, rows = i // _ROW - h0, (i + n - 1) // _ROW - i // _ROW + 1
@@ -1022,61 +1008,32 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
                 # and the sum, where BLAS (optimize=True, np.dot) may fuse
                 np.einsum("hk,kj->hj", A[k, first:first + rows], B[k],
                           out=ahead, optimize=False)
-                w *= factor
-            x = x[:n]
+                v *= factor
+            x, y = x[:n], y[:n]
             g = tails[kc]
             points(i, x, prog.b * g, prog.a * g)
         else:
             x, y = np.empty(n), np.empty(n)
             _zero_test(theta, flat[start:stop], x, y, v)
-            above = np.empty(x.shape, dtype=bool) if cut else None
-            m = float(x.max())
             for _ in range(kc):
-                z = y[:x.size]
-                if m > 0.5:
-                    np.rint(x, out=z)
-                    np.subtract(x, z, out=z)
-                    np.multiply(two_pi, z, out=z)
-                else:
-                    np.multiply(two_pi, x, out=z)
-                np.cos(z, out=z)
-                w *= z
+                np.rint(x, out=y)
+                np.subtract(x, y, out=y)
+                np.multiply(two_pi, y, out=y)
+                np.cos(y, out=y)
+                v *= y
                 x /= th
-                m /= th
-                if cut:
-                    kept = above[:x.size]
-                    np.greater_equal(np.abs(w, out=z), cut, out=kept)
-                    n = np.count_nonzero(kept)
-                    if 2 * n < x.size:
-                        keep = np.flatnonzero(kept)
-                        live = keep if live is None else live[keep]
-                        # x moves into the scratch, whose values are spent,
-                        # w into the front of x's old array and the scratch
-                        # to its rest, so no value array is allocated (mode
-                        # "clip" takes into out directly, where "raise"
-                        # buffers it)
-                        x, w, y = (np.take(x, keep, out=y[:n], mode="clip"),
-                                   np.take(w, keep, out=x[:n], mode="clip"),
-                                   x[n:])
-                        if not n:
-                            break
         # the tail P((2 pi x)^2) by Horner: v in the scratch, P in x
-        z = y[:x.size]
-        np.multiply(two_pi, x, out=z)
-        z *= z
-        np.multiply(z, coef[-1], out=x)
+        np.multiply(two_pi, x, out=y)
+        y *= y
+        np.multiply(y, coef[-1], out=x)
         for b in coef[-2:0:-1]:
             x += b
-            x *= z
+            x *= y
         x += coef[0]
-        w *= x
-        if live is None:
-            w += 0.0        # an exact zero's -0.0 becomes +0.0
-        else:
-            v.fill(0.0)
-            v[live] = w
-        if floor and prog is not None:
-            low = y.view(np.bool_)[:v.size]
+        v *= x
+        v += 0.0        # an exact zero's -0.0 becomes +0.0
+        if floor:
+            low = y.view(np.bool_)[:n]
             np.less(np.abs(v, out=x), floor, out=low)
             np.copyto(v, 0.0, where=low)
 

@@ -520,6 +520,16 @@ def test_decay_refuses_before_building_its_batch(theta):
     assert peak < 2**20
 
 
+def test_decay_refuses_block_starts_past_the_int64_range():
+    # the starts of 70 blocks pass 2^63; the first block refused still
+    # raises, not a segment check on wrapped int64 starts
+    with pytest.raises(PrecisionExhaustedError) as small:
+        decay_check(GOLDEN, 2**22)
+    with pytest.raises(PrecisionExhaustedError) as large:
+        decay_check(GOLDEN, 2**70)
+    assert str(large.value) == str(small.value)
+
+
 def test_sampling_validation_errors():
     with pytest.raises(ValueError):
         sample_and_cluster(GOLDEN, 1, 100, 0.0)

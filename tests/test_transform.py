@@ -9,6 +9,7 @@ import os
 import random
 import signal
 import threading
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -867,6 +868,27 @@ def test_progression_points_must_be_a_nonnegative_rising_range():
         mu_hat_fast(GOLDEN, P(0.0, 1.0, 2 ** 37 - 2, 2 ** 37 + 1))
 
 
+@pytest.mark.parametrize("theta, ts, error, message", [
+    (1.000000000001, (50.0, 1e-13, 0, 5 * 10 ** 14), PrecisionExhaustedError,
+     "float64 head at \\|t\\| <= 100 needs more than 1048576 factors"),
+    (1.5, (0.0, 1e-12, 0, 2 ** 37 + 5), ValueError,
+     "indices must lie below 2\\^37"),
+], ids=["head_limit", "index_limit"])
+def test_progression_refused_before_building_anything(theta, ts, error,
+                                                      message):
+    # about 1.5e10 block starts and a 4 PB output for the first, 4 M block
+    # starts and a 1 TiB output for the second: refused before either
+    mu_hat_fast(theta, transform.Progression(0.0, 1.0, 0, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            mu_hat_fast(theta, transform.Progression(*ts))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
 @pytest.mark.parametrize("bad", [(10 ** 400, 1, 0, 1), (0, 10 ** 400, 0, 1),
                                  (0, Fraction(10 ** 400, 3), 0, 1)],
                          ids=["a_int", "b_int", "b_fraction"])
@@ -878,26 +900,12 @@ def test_progression_refuses_a_or_b_past_the_float_range(bad):
 
 
 def _check_floor(vals, full, floor):
-    """The points mu_hat_fast dropped at floor, after checking that each
-    came back as 0.0 with a plain value below floor, and that every other
-    point has the plain value's bits."""
-    dropped = (vals == 0) & (full != 0)
-    assert np.array_equal(vals[~dropped], full[~dropped])
-    assert (np.abs(full[dropped]) < floor).all()
-    return dropped
-
-
-def _cosines_to_first_below(theta, ts, floor):
-    """Cosines of the head when each point stops right after its first
-    running product below floor."""
-    x, th = np.abs(ts), float(_theta_value(theta))
-    w, alive, count = np.ones_like(x), np.ones(x.shape, dtype=bool), 0
-    for _ in range(_textbook_head(theta, ts)):
-        count += np.count_nonzero(alive)
-        w = w * np.cos(2 * math.pi * (x - np.rint(x)))
-        x = x / th
-        alive &= np.abs(w) >= floor
-    return count
+    """The points mu_hat_fast dropped at floor, after checking that vals is
+    the plain values full with each value of modulus below floor, and only
+    those, set to +0.0."""
+    assert np.array_equal(vals, np.where(np.abs(full) < floor, 0.0, full))
+    assert not np.signbit(vals[vals == 0]).any()
+    return (vals == 0) & (full != 0)
 
 
 def _count_cosines(monkeypatch):
@@ -929,42 +937,27 @@ def test_floor_drops_only_values_below_it(monkeypatch, theta, size):
         vals = mu_hat_fast(theta, ts, floor=floor)
         monkeypatch.undo()
         dropped = _check_floor(vals, full, floor)
+        # every point takes all k_c head cosines, whatever the floor
+        assert sum(sizes) == kc * size
         if floor == 0.0:
-            assert not dropped.any() and sum(sizes) == kc * size
+            assert not dropped.any()
         if floor == 1.0:
             # all but the first three fall below 1 at their first factor
             assert dropped[3:].all() and vals[0] == vals[2] == 1.0
         if floor == 1e-3:
-            # most points drop early, so most of the factor work is saved:
-            # the wait for fewer than half of a block's points to remain
-            # costs at most a quarter more cosines than stopping each point
-            # right after its first product below the floor
             assert dropped.mean() > 0.99
-            assert sum(sizes) <= 1.25 * _cosines_to_first_below(theta, ts,
-                                                                floor)
 
 
-@pytest.mark.parametrize("t", [12345.678, 98765.4321, 3.7])
-def test_floor_stops_a_product_at_its_first_factor_below(monkeypatch, t):
-    # the running products of the plain expression at t, factor by factor,
-    # the tail polynomial last
-    th, kc = float(GOLDEN.theta), _textbook_head(GOLDEN, [t])
-    x, w, running = np.array([t]), np.ones(1), []
-    for _ in range(kc):
-        w = w * np.cos(2 * math.pi * (x - np.rint(x)))
-        running.append(abs(w[0]))
-        x = x / th
-    running.append(abs((w * _textbook_tail(GOLDEN, x))[0]))
-    # a floor far from every running product, crossed before the last
-    floor = next(10.0 ** -e for e in range(1, 20)
-                 if all(abs(math.log10(p) + e) > 0.1 for p in running)
-                 and min(running[:-1]) < 10.0 ** -e)
-    first = next(k for k, p in enumerate(running) if p < floor)
-    # all points of the batch share t, so they drop together, right after
-    # the factor whose product is the first below the floor
-    sizes = _count_cosines(monkeypatch)
-    vals = mu_hat_fast(GOLDEN, np.full(100, t), floor=floor)
-    assert not vals.any() and sizes == [100] * (first + 1)
+@pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
+                         ids=["golden", "quartic", "three_halves"])
+def test_floor_is_one_rule_for_arrays_and_progressions(theta):
+    # t = 1 .. 4000 as an array and as a progression: each batch is its
+    # plain values with every value of modulus below the floor set to +0.0
+    for ts in (np.arange(1, 4001.), transform.Progression(0, 1, 1, 4001)):
+        full = mu_hat_fast(theta, ts)
+        for floor in (1e-6, 1e-3):
+            assert _check_floor(mu_hat_fast(theta, ts, floor=floor), full,
+                                floor).any()
 
 
 @pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
