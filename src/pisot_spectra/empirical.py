@@ -22,8 +22,8 @@ integer n, not their rounded product), exact zeros included (mu_hat_fast
 returns them as 0.0).
 The batch's derived error bound must stay within FAST_ERROR for a row, and
 within the report's validation threshold (eta/10, at least 1e-6) for a
-report, far above the bound at the sizes used here (about 8e-9 at
-|t| = 2e6 on the golden base).  A precise spot check of
+report, far above the bound up to the indices' limit of 2^37 (about 1e-13
+at |t| = 1e6..1e11 on the golden base).  A precise spot check of
 SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
 against the threshold, so a fault in the float64 kernel is caught once it
 exceeds the bound the batch claims.  Each reference is a 64-bit value at
@@ -49,8 +49,8 @@ from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
 from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, Progression,
-                        _checked_plan, _leading_factors_below,
-                        fast_error_bound, mu_hat, mu_hat_fast)
+                        _checked_plan, _leading_factors_below, mu_hat,
+                        mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
@@ -368,7 +368,8 @@ def estimate_J(theta, T: float = 1e4,
     The grid step never exceeds 1/(4C) where C = 2 pi theta/(theta-1)
     bounds the derivative, so no swing between samples can be missed by
     more than a quarter period.  Values are float64, refused (raising
-    PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR.
+    PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR,
+    their head would pass 2^20 factors or an index reaches 2^37.
     """
     import numpy as np
     if not (0 < T and math.isfinite(T)):
@@ -509,7 +510,8 @@ def decay_check(theta, N: int) -> tuple:
     floor witnesses non-vanishing (Pisot bases).  The trend need not be
     monotone: for theta = 3/2 the maximum over [2^14, 2^15) exceeds the one
     over [2^13, 2^14).  Values are float64, refused (raising
-    PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR.
+    PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR,
+    their head would pass 2^20 factors or an index reaches 2^37.
 
     All blocks are one mu_hat_fast batch, the Progression n = 1 .. 2^(k+1)
     - 1, with the block starts as its segments: each block keeps the depth

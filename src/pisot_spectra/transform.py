@@ -19,26 +19,25 @@ polynomial from it: the float64 path rounds its ten coefficients once
 (_tail_coefficients), and the two-sided products' descending tail runs it
 at W bits by Horner's rule (_moment_polynomial, _moment_tail).
 
-mu_hat_fast evaluates whole batches in float64: k_c head factors, until
-the batch's largest argument x has 2 pi x theta/(theta - 1) <= TAIL_REACH,
-and then the infinite tail as one polynomial, mu_hat's Taylor polynomial
-from the even moments of mu_theta, by Horner with + and x only.  A batch is
-an array of points, whose head factors are cosines, or a Progression
-t_i = a + b i, taken at its exact points, whose head factor k at
-i = h _ROW + j comes by angle addition from small tables of the cosines and
-sines of h _ROW b theta^-k + a theta^-k and j b theta^-k (_unit_tables),
-built once per call from fixed-point steps: no cosine per point.  Its error
-bound is derived a priori from theta, the batch's largest |t| and k_c, and
-covers both head rules (see fast_error_bound); a batch whose bound exceeds
-the caller's tolerance is refused, not evaluated.  A batch may be cut into
-segments, each planned and refused as a batch of its own.  An admitted
-batch runs in blocks of at most FAST_BLOCK points, each in block-sized
-scratch arrays, and the blocks of all its segments are shared over one pool
-of at most one thread per core this process may run on (numpy's ufuncs
-release the GIL); every value bit is that of the plain expression.  Given a
-retention floor, a value of modulus below it comes back as +0.0, as does a
-value where the product vanishes exactly (_zero_test, with exact
-comparisons in the block's own scratch).
+mu_hat_fast evaluates a Progression t_i = a + b i in float64, at its exact
+points: k_c head factors, until the batch's largest argument x has
+2 pi x theta/(theta - 1) <= TAIL_REACH, and then the infinite tail as one
+polynomial, mu_hat's Taylor polynomial from the even moments of mu_theta,
+by Horner with + and x only.  Head factor k at i = h _ROW + j comes by
+angle addition from small tables of the cosines and sines of
+h _ROW b theta^-k + a theta^-k and j b theta^-k (_unit_tables), built once
+per call from fixed-point steps: no cosine per point.  Its error bound is
+derived a priori from theta, the batch's largest |t| and k_c (see
+fast_error_bound); a batch whose bound exceeds the caller's tolerance is
+refused, not evaluated.  A batch may be cut into segments, each planned
+and refused as a batch of its own.  An admitted batch runs in blocks of at
+most FAST_BLOCK points, each in block-sized scratch arrays, and the blocks
+of all its segments are shared over one pool of at most one thread per
+core this process may run on (numpy's ufuncs release the GIL); every value
+bit is that of the plain expression.  Given a retention floor, a value of
+modulus below it comes back as +0.0, as does a value where the product
+vanishes exactly (_zero_test, with exact comparisons in the block's own
+scratch).  Arbitrary points are mu_hat's.
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
@@ -81,23 +80,19 @@ _FLOOR_NUM, _FLOOR_DEN = FACTOR_FLOOR.as_integer_ratio()
 # keeps its bits, so the constant covers it too.
 COS_FIXED_ERROR = 128
 # error bound that float64 series and block maxima carry; a batch whose
-# derived bound exceeds it is refused (the bound reaches it at |t| = 2.598e5
-# on the golden base and is 3.85e-8 at |t| = 1e7)
+# derived bound exceeds it is refused (on the golden base the bound is
+# 8.5e-14 at |t| = 1e6 and 1.4e-13 at 1e11, so the head limit and the
+# indices' 2^37 refuse first)
 FAST_ERROR = 1e-9
 # default tolerance of mu_hat_fast: sampling reports resolve moduli to 1e-6
 FAST_TOL = 1e-6
 # unit roundoff of float64
 _U = 2.0 ** -53
-# absolute error of one float64 head factor, apart from the plan's argument
-# term, under either head rule (see mu_hat_fast).  A cosine head factor
-# errs by 2 pi times its reduced argument (two roundings, |argument| <= pi),
-# the cosine (numpy's float64 cosine, libm or SVML, is within 4 ulps; an ulp
-# of a value of modulus <= 1 is at most 2u) and the running product (one
-# rounding): (2 pi (1 + u) + 9) u.  A progression's factor C c - S s errs
-# by 18u for its four table values (each within 9u of its modulus, see
+# absolute error of one float64 head factor (see mu_hat_fast): C c - S s
+# errs by 18u for its four table values (each within 9u of its modulus, see
 # _unit_tables, and |C c| + |S s| <= 1), 2u for its two products and its
-# subtraction, and u for the running product.  The second is the larger,
-# and 21.5u holds it with its terms of order u^2
+# subtraction, and u for the running product; 21.5u holds it with its
+# terms of order u^2
 _FACTOR_ERROR = 21.5 * _U
 # 2 pi - 2 math.pi, rounded
 _TWO_PI_ERROR = 2.4492935982947064e-16
@@ -105,19 +100,18 @@ _TWO_PI_ERROR = 2.4492935982947064e-16
 # left are mu_hat(x), which the even-moment polynomial of degree TAIL_DEGREE
 # in (2 pi x)^2 gives within TAIL_REACH^(2 TAIL_DEGREE + 2)/(2 TAIL_DEGREE
 # + 2)! = 1/20!, about 4e-19 (see mu_hat_fast).  A head factor costs about
-# 25 Horner steps on an array (a cosine) and about 2 on a progression (one
-# einsum and the product), and each doubling of the reach saves
-# log 2/log theta factors for two steps.  At 1, |P~| <= 1 + 8u keeps the
-# tail inside the 21u past modulus 1 that _fast_plan's growth factor allows
-# every factor; at 1.5 _tail_rounding gives 30u, past it, and at 2 the
-# series remainder alone is 4e-13
+# 2 Horner steps (one einsum and the product), and each doubling of the
+# reach saves log 2/log theta factors for two steps.  At 1, |P~| <= 1 + 8u
+# keeps the tail inside the 21u past modulus 1 that _fast_plan's growth
+# factor allows every factor; at 1.5 _tail_rounding gives 30u, past it,
+# and at 2 the series remainder alone is 4e-13
 TAIL_REACH = 1.0
 TAIL_DEGREE = 9
-# longest head a float64 segment is planned with: each head factor is a
-# pass of two to six numpy calls over each block, so 2^20 of them take
-# seconds even on one point.  A base just above 1 needs more (1 + 2^-40
-# needs about 3e13 at |t| = 1), and its segment is refused after 2^20
-# divisions instead of planned one division at a time
+# longest head a float64 segment is planned with: each head factor is two
+# numpy calls over each block, so 2^20 of them take seconds even on one
+# point.  A base just above 1 needs more (1 + 2^-40 needs about 3e13 at
+# |t| = 1), and its segment is refused after 2^20 divisions instead of
+# planned one division at a time
 _HEAD_LIMIT = 2 ** 20
 # fractional bits of the float64 path's moment coefficients, each rounded
 # once to float64 from them
@@ -595,40 +589,29 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
     """Float64 base, head length k_c and a-priori error bound of a
     mu_hat_fast batch whose largest |t| is t_max (see fast_error_bound).
     A head longer than _HEAD_LIMIT is not planned: k_c comes back as
-    _HEAD_LIMIT + 1, with bound inf."""
+    _HEAD_LIMIT + 1, with bound inf.  The bound is inf, too, past
+    t_max A = 2^100, A = theta/(theta - 1), where the tables' angles are
+    not shown within 2^-100 turns (see mu_hat_fast)."""
     th = float(_theta_value(theta))
-    if not math.isfinite(t_max):
-        return th, 0, math.inf
     with mp.workprec(128):
         exact = _theta_value(theta, 128)
-        delta = float(abs(mp.mpf(th) - exact) / exact)
         A = exact / (exact - 1)
+        if not t_max * A <= 2 ** 100:
+            return th, 0, math.inf
         reach = mp.mpf(TAIL_REACH) / (2 * mp.pi * A)
         # the largest float x with 2 pi x A <= TAIL_REACH
         x_c = float(reach)
         if mp.mpf(x_c) > reach:
             x_c = math.nextafter(x_c, 0)
-        A = float(A)
-    # k_c divisions of t_max by th, as a block steps its largest x
+    # k_c divisions of t_max by th
     kc, x = 0, t_max
     while x > x_c:
         if kc == _HEAD_LIMIT:
             return th, kc + 1, math.inf
         kc, x = kc + 1, x / th
-    # x_k = t / th^k after k divisions: each division and each of the k
-    # powers of th's own rounding delta scale x_k by a factor in
-    # [e^(-k rate), e^(k rate)]
-    rate = (_U + delta) / (1 - _U - delta)
-    argument = sum(t_max * th ** -k * math.expm1(k * rate)
-                   for k in range(kc))
-    # the tail moves by 2 pi A times the error of x_(k_c), whose relative
-    # error is below e^(k_c rate) - 1 after k_c divisions, and below
-    # gamma_4 = 4u/(1 - 4u) for a progression's x (see mu_hat_fast), where
-    # 2 pi A x_(k_c) <= TAIL_REACH
-    argument += max(A * t_max * th ** -kc * math.expm1(kc * rate),
-                    TAIL_REACH / (2 * math.pi) * 4 * _U / (1 - 4 * _U))
-    bound = 2 * math.pi * argument + kc * _FACTOR_ERROR + _TAIL_ERROR
-    # the terms are float64 sums and powers, within far less than a
+    bound = (kc * _FACTOR_ERROR + TAIL_REACH * 4 * _U / (1 - 4 * _U)
+             + _TAIL_ERROR)
+    # the terms are float64 sums and products, within far less than a
     # relative 2^-31, and factors rounded past modulus 1, by at most 21u,
     # and the running product's roundings scale the sum by at most
     # (1 + 22u)^(k_c+1), which is below 1 + 2^-31 while k_c < 190,000
@@ -637,33 +620,42 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
 
 
 def fast_error_bound(theta: Theta, t_max: float) -> float:
-    """Absolute error bound of mu_hat_fast on any batch with max |t| <= t_max.
+    """Absolute error bound of mu_hat_fast on any Progression whose points
+    have |t| <= t_max.
 
-    The value computed at a point t of the batch (a float64 t of an array,
-    or the exact a + b i of a Progression) differs from the infinite
-    product at t by at most the sum of
-      - 2 pi sum_{k<k_c} t_max theta^-k (e^(k rate) - 1): an array's
-        argument x_k = t theta^-k is stepped by k float divisions by a
-        rounded theta, so it carries a relative error below
-        e^(k rate) - 1, with rate ~ u + |theta_float/theta - 1| and
-        u = 2^-53; its reduction x - rint(x) is exact, and the cosine is
-        1-Lipschitz.  A progression's arguments need none of this term:
-        each is t theta^-k to within 2^-100 (see mu_hat_fast), which
-        _FACTOR_ERROR covers at every k;
-      - k_c times the rounding of one head factor (_FACTOR_ERROR), the
-        larger of the two head rules'.  Every factor has modulus at most
-        1, so the factors' absolute errors add up through the product;
-      - 2 pi A times the error of the tail's x_(k_c), with A = theta/(theta
-        - 1): the tail is mu_hat at x_(k_c), and |mu_hat'| <= 2 pi E|X| <=
-        2 pi A, where mu_hat is the characteristic function of
-        X = sum_k +-theta^-k, |X| <= A.  That error is below t_max
-        theta^-k_c (e^(k_c rate) - 1) for an array, and below gamma_4
-        x_(k_c) for a progression, with 2 pi A x_(k_c) <= TAIL_REACH;
+    The value computed at a point t_i = a + b i of the batch differs from
+    the infinite product at t_i by at most the sum of
+      - k_c times the error of one head factor, _FACTOR_ERROR.  Factor k's
+        angle is t_i theta^-k to within 2^-100 turns (see mu_hat_fast),
+        which _FACTOR_ERROR covers with the tables' rounding, at every k,
+        and every factor has modulus at most 1, so the factors' absolute
+        errors add up through the product;
+      - gamma_4 TAIL_REACH for the tail's argument, gamma_4 = 4u/(1 - 4u)
+        and u = 2^-53.  The tail is mu_hat at x = t_i theta^-k_c, and
+        |mu_hat'| <= 2 pi E|X| <= 2 pi A, A = theta/(theta - 1), where
+        mu_hat is the characteristic function of X = sum_k +-theta^-k,
+        |X| <= A.  The block reads x within a relative gamma_4 (see
+        mu_hat_fast), and 2 pi x A <= TAIL_REACH;
       - _TAIL_ERROR for the tail polynomial: its series remainder, the
         rounding of its coefficients, of v and of Horner's steps, and that
-        of the final product (see mu_hat_fast).
-    On the golden base it is about 4e-9 at t_max = 1e6 and 4e-8 at 1e7.
-    It is inf where the head would be longer than _HEAD_LIMIT factors.
+        of the final product (see mu_hat_fast);
+    times _fast_plan's growth factor, for factors rounded past modulus 1
+    and the running product's roundings.
+
+    k_c is decided on t_max after k_c float divisions by th = theta
+    rounded, so that the value bits stay pinned; the exact x_(k_c) of t_max
+    may then pass x_c, the largest float with 2 pi x_c A <= TAIL_REACH, by
+    a relative e = e^(k_c rate) - 1, rate = (u + d)/(1 - u - d) <= 2.01u,
+    where d = |th/theta - 1| <= u.  The last two terms are polynomials of
+    degree at most 2 TAIL_DEGREE + 2 = 20 in 2 pi x A with nonnegative
+    coefficients, so such an x raises their 11.8u by at most
+    (1 + e)^20 - 1 <= 21 e (k_c <= 2^20, so k_c rate < 2^-31): by at most
+    21.3 k_c rate 11.8u <= 506 k_c u^2, below 24u, or 2^-48, of the bound's
+    k_c _FACTOR_ERROR.  The growth factor's 2^-31 of margin absorbs it,
+    and |P~| <= 1 + 8u still holds.
+    On the golden base the bound is 5.1e-14 at t_max = 1e3, 8.5e-14 at
+    1e6 and 1.4e-13 at 1e11.  It is inf where the head would be longer
+    than _HEAD_LIMIT factors, and past t_max A = 2^100.
     """
     return _fast_plan(theta, abs(float(t_max)))[2]
 
@@ -717,7 +709,10 @@ class Progression:
     def _t_max(self, p: int) -> float:
         """The largest t at positions below p > 0, rounded up to a float."""
         exact = Fraction(self.a) + Fraction(self.b) * (self.start + p - 1)
-        t = float(exact)
+        try:
+            t = float(exact)
+        except OverflowError:
+            return math.inf
         return t if t >= exact else math.nextafter(t, math.inf)
 
 
@@ -812,36 +807,32 @@ def _progression_tables(theta: Theta, ts: Progression, depth: int):
     return B, A, h0
 
 
-def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
+def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
                 segments=None, floor: float = 0.0) -> np.ndarray:
-    """Float64 bulk transform values, fixed evaluation order.
+    """Float64 transform values at the exact points t_i = a + b i of the
+    Progression ts, fixed evaluation order.  Any other ts raises TypeError:
+    mu_hat takes arbitrary points.
 
-    ts is an array of points, or a Progression t_i = a + b i, whose points
-    are exact.  segments, if given, are ascending indices into the flattened
-    batch at which it is cut; each piece between cuts is a segment, planned
-    as a call of its own.  Without them the batch is one segment.  A
-    segment's head length k_c comes from its largest |t|, so all its
-    entries share it.  Raises PrecisionExhaustedError, before any block or
-    output is built, when a segment's head would be longer than _HEAD_LIMIT
-    factors or its derived error bound (fast_error_bound) exceeds tol: the
-    plans are checked in segment order, so the first segment refused
-    raises, with the message a call on it alone would give.  A
-    progression's indices must then lie below 2^37 (ValueError).
+    segments, if given, are ascending positions in ts at which it is cut;
+    each piece between cuts is a segment, planned as a call of its own.
+    Without them the batch is one segment.  A segment's head length k_c
+    comes from its largest |t|, so all its entries share it.  Raises
+    PrecisionExhaustedError, before any block or output is built, when a
+    segment's head would be longer than _HEAD_LIMIT factors or its derived
+    error bound (fast_error_bound) exceeds tol: the plans are checked in
+    segment order, so the first segment refused raises, with the message a
+    call on it alone would give.  It raises so, too, once every plan is
+    admitted, when an index reaches 2^37.
 
-    Every segment runs in blocks of at most FAST_BLOCK points: an array's
-    from its start, a progression's cut at the multiples of FAST_BLOCK in
-    i.  The blocks of all segments, larger first, are shared over one pool
-    of min(cores this process may run on, blocks) threads, each block in
-    two block-sized scratch arrays.  Both kinds of input share the plan, the
-    zero rule, the tail and the pool; only the head factors differ, and
-    every value bit is that of the plain expression on its segment, whatever
-    the block and thread count.
+    Every segment runs in blocks of at most FAST_BLOCK points, cut at the
+    multiples of FAST_BLOCK in i.  The blocks of all segments, larger
+    first, are shared over one pool of min(cores this process may run on,
+    blocks) threads, each block in two block-sized scratch arrays, and
+    every value bit is that of the plain expression on its segment,
+    whatever the block and thread count.
 
-    An array's k_c head factors are cos(2 pi (x - rint x)), x = |t| stepped
-    by one float division by theta per factor.
-
-    A progression's head factor k at i = h _ROW + j, h = i // _ROW on the
-    absolute index, is cos(2 pi (h _ROW q + a theta^-k) + 2 pi j q), q =
+    Head factor k at i = h _ROW + j, h = i // _ROW on the absolute index,
+    is cos(2 pi (h _ROW q + a theta^-k) + 2 pi j q), q =
     b theta^-k, taken by angle addition as C[k, h] c[k, j] - S[k, h]
     s[k, j] from _progression_tables: one np.einsum("hk,kj->hj") of the
     block's rows (C, -S) by the columns (c, s) into a (rows, _ROW) view of
@@ -852,11 +843,12 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     (np.dot, optimize=True) may fuse a product into the sum.  The steps
     b theta^-k and a theta^-k are integers in units of 2^-W, W =
     _ANGLE_BITS: b and a exactly, then one multiply by R = round(2^W/theta)
-    (_kernel_step) and a shift per k, within 1 + k + (a + b) A units
-    (_descent_x_error's reasoning), A = theta/(theta - 1).  So the angle
-    of i is within (i + 1)(1 + k + (a + b) A) 2^-W <= 2^-100 turns of
-    t_i theta^-k: i < 2^37, k <= 2^20, and either t_max A <= 2^100, or
-    the bound exceeds 2^8, which every value meets.  _unit_tables takes
+    (_kernel_step) and a shift per k, within 1 + k + b A and 1 + k + a A
+    units (_descent_x_error's reasoning), A = theta/(theta - 1).  So the
+    angle of i is within i (1 + k + b A) + 1 + k + a A <= (i + 1)(1 + k)
+    + 2 t_max A < 2^156 units, or 2^-100 turns, of t_i theta^-k: i < 2^37,
+    k <= 2^20, and t_max A <= 2^100, or the plan is refused (_fast_plan).
+    _unit_tables takes
     each table value within 9u of its modulus (u = 2^-53), and
     _FACTOR_ERROR the rest of the factor's rounding.  No table value
     depends on the block, so a value's bits depend only on theta, a, b, i
@@ -887,15 +879,14 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     about 6.8u in all (gamma_k = k u/(1 - k u)); w P~ rounds once more
     (_TAIL_ERROR).  So |P~| <= 1 + 8u.
 
-    Each block first runs _zero_test on its |t| and starts the running
-    product at 0.0 where the product vanishes exactly; adding +0.0 at the
-    end makes that +0.0, as on the precise path, and leaves every other
-    value as it is.  A progression's block tests t = fl(fl(b i) + a), and
-    keeps a zero only where that t is a + b i exactly: with b = m 2^e, m
-    odd, fl(b i) is b i exactly when m times the odd part of i is below
-    2^53, and, for p, a >= 0,
-    fl(p + a) is p + a when fl(fl(p + a) - a) = p and fl(fl(p + a) - p) = a
-    (the subtraction of the larger is exact).  So every zero it marks is
+    Each block first runs _zero_test on t = fl(fl(b i) + a) and starts the
+    running product at 0.0 where the product vanishes exactly; adding +0.0
+    at the end makes that +0.0, as on the precise path, and leaves every
+    other value as it is.  It keeps a zero only where that t is a + b i
+    exactly: with b = m 2^e, m odd, fl(b i) is b i exactly when m times the
+    odd part of i is below 2^53, and, for p, a >= 0, fl(p + a) is p + a
+    when fl(fl(p + a) - a) = p and fl(fl(p + a) - p) = a (the subtraction
+    of the larger is exact).  So every zero it marks is
     one at the exact t_i.  A zero at a t_i that fl does not reach (a > 0,
     or 4 t_i past 2^53) is left to the product, within the bound of 0.
 
@@ -905,125 +896,97 @@ def mu_hat_fast(theta: Theta, ts, tol: float = FAST_TOL,
     to +0.0 in its scratch.  floor = 0 drops nothing.
     """
     import numpy as np
+    if not isinstance(ts, Progression):
+        raise TypeError("mu_hat_fast takes a Progression t_i = a + b i; "
+                        "mu_hat takes arbitrary points, got "
+                        f"{type(ts).__name__}")
     if not floor >= 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
-    if isinstance(ts, Progression):
-        prog, flat, shape = ts, None, (ts.size,)
-    else:
-        t = np.asarray(ts, dtype=np.float64)
-        prog, flat, shape = None, t.reshape(-1), t.shape
-    size = flat.size if prog is None else prog.size
-    cuts = [0, *([] if segments is None else segments), size]
-    if any(not 0 <= a <= b <= size for a, b in zip(cuts, cuts[1:])):
+    cuts = [0, *([] if segments is None else segments), ts.size]
+    if any(not 0 <= a <= b <= ts.size for a, b in zip(cuts, cuts[1:])):
         raise ValueError("segments must be ascending indices into the batch")
     # plan and refuse every segment, then check the indices, before any
     # block or output is built
-    plans = []
-    for a, b in zip(cuts, cuts[1:]):
-        if a < b:
-            if prog is None:
-                seg = flat[a:b]
-                t_max = float(max(abs(seg.min()), abs(seg.max())))
-            else:
-                t_max = prog._t_max(b)
-            plans.append((a, b, *_checked_plan(theta, t_max, tol)[:2]))
-    if plans and prog is not None and prog.stop > _INDEX_LIMIT:
-        raise ValueError(f"a progression's indices must lie below 2^37, "
-                         f"got {prog.stop - 1}")
+    plans = [(a, b, _checked_plan(theta, ts._t_max(b), tol)[1])
+             for a, b in zip(cuts, cuts[1:]) if a < b]
+    if plans and ts.stop > _INDEX_LIMIT:
+        raise PrecisionExhaustedError(
+            f"a progression's indices must lie below 2^37, got {ts.stop - 1}")
     blocks = []
-    for a, b, th, kc in plans:
-        if prog is None:
-            starts = range(a, b, FAST_BLOCK)
-        else:
-            starts = [a, *range(a + FAST_BLOCK - (prog.start + a) % FAST_BLOCK,
-                                b, FAST_BLOCK)]
-        blocks += [(p, q, th, kc) for p, q in zip(starts, [*starts[1:], b])]
-    vals = np.empty(shape)
-    out = vals.reshape(-1)
-    two_pi = 2 * math.pi
+    for a, b, kc in plans:
+        starts = [a, *range(a + FAST_BLOCK - (ts.start + a) % FAST_BLOCK, b,
+                            FAST_BLOCK)]
+        blocks += [(p, q, kc) for p, q in zip(starts, [*starts[1:], b])]
+    vals = np.empty(ts.size)
     if not blocks:
         return vals
     coef = _tail_coefficients(theta)
-    if prog is not None:
-        B, A, h0 = _progression_tables(
-            theta, prog, max(plan[3] for plan in plans))
-        iota = np.arange(min(size, FAST_BLOCK), dtype=np.float64)
-        with mp.workprec(128):
-            th_exact = _theta_value(theta, 128)
-            tails = {kc: float(th_exact ** -kc)
-                     for kc in {plan[3] for plan in plans}}
+    B, A, h0 = _progression_tables(theta, ts, max(plan[2] for plan in plans))
+    iota = np.arange(min(ts.size, FAST_BLOCK), dtype=np.float64)
+    with mp.workprec(128):
+        th_exact = _theta_value(theta, 128)
+        tails = {kc: float(th_exact ** -kc)
+                 for kc in {plan[2] for plan in plans}}
 
-        def points(i, z, b, a) -> None:
-            # z = fl(fl(b i) + a) from the first index i on
-            np.add(iota[:z.size], i, out=z)
-            z *= b
-            if a:
-                z += a
+    def points(i, z, b, a) -> None:
+        # z = fl(fl(b i) + a) from the first index i on
+        np.add(iota[:z.size], i, out=z)
+        z *= b
+        if a:
+            z += a
 
-        # b = m 2^e, m odd: b i is a float exactly when m times the odd
-        # part of i is below 2^53, that is when i <= odd 2^v, 2^v the
-        # lowest set bit of i and odd = (2^53 - 1) // m
-        num = prog.b.as_integer_ratio()[0]
-        odd = (2 ** 53 - 1) // (num // (num & -num))
+    # b = m 2^e, m odd: b i is a float exactly when m times the odd part of
+    # i is below 2^53, that is when i <= odd 2^v, 2^v the lowest set bit of
+    # i and odd = (2^53 - 1) // m
+    num = ts.b.as_integer_ratio()[0]
+    odd = (2 ** 53 - 1) // (num // (num & -num))
 
-        def drop_inexact(i, x, y, v) -> None:
-            # v = 1.0 where fl(fl(b i) + a) is not a + b i exactly
-            a, low, z = prog.a, x.view(np.int64), y.view(np.int64)
-            np.add(iota[:x.size], i, out=x)
-            np.copyto(z, x, casting="unsafe")
-            np.bitwise_and(z, np.negative(z, out=low), out=low)
-            np.copyto(x, low, casting="unsafe")
-            x *= odd
-            np.add(iota[:x.size], i, out=y)
-            np.maximum(v, np.greater(y, x, out=y), out=v)
-            if a:
-                # for p, a >= 0, fl(p + a) = p + a when fl(fl(p + a) - a)
-                # = p and fl(fl(p + a) - p) = a: the larger's is exact
-                points(i, x, prog.b, 0.0)
-                np.add(x, a, out=y)
-                y -= a
-                np.maximum(v, np.not_equal(y, x, out=y), out=v)
-                np.add(x, a, out=y)
-                y -= x
-                np.maximum(v, np.not_equal(y, a, out=y), out=v)
+    def drop_inexact(i, x, y, v) -> None:
+        # v = 1.0 where fl(fl(b i) + a) is not a + b i exactly
+        a, low, z = ts.a, x.view(np.int64), y.view(np.int64)
+        np.add(iota[:x.size], i, out=x)
+        np.copyto(z, x, casting="unsafe")
+        np.bitwise_and(z, np.negative(z, out=low), out=low)
+        np.copyto(x, low, casting="unsafe")
+        x *= odd
+        np.add(iota[:x.size], i, out=y)
+        np.maximum(v, np.greater(y, x, out=y), out=v)
+        if a:
+            # for p, a >= 0, fl(p + a) = p + a when fl(fl(p + a) - a) = p
+            # and fl(fl(p + a) - p) = a: the larger's subtraction is exact
+            points(i, x, ts.b, 0.0)
+            np.add(x, a, out=y)
+            y -= a
+            np.maximum(v, np.not_equal(y, x, out=y), out=v)
+            np.add(x, a, out=y)
+            y -= x
+            np.maximum(v, np.not_equal(y, a, out=y), out=v)
 
     def run_block(block) -> None:
-        start, stop, th, kc = block
-        n = stop - start
+        start, stop, kc = block
+        n, i = stop - start, ts.start + start
         # v holds the running product; an exact zero's starts at 0.0
-        v = out[start:stop]
-        if prog is not None:
-            i = prog.start + start
-            first, rows = i // _ROW - h0, (i + n - 1) // _ROW - i // _ROW + 1
-            x, y = np.empty(rows * _ROW), np.empty(rows * _ROW)
-            # x holds t, and is spent by the zero test
-            points(i, x[:n], prog.b, prog.a)
-            _zero_test(theta, x[:n], x[:n], y[:n], v)
-            if not v.all():
-                drop_inexact(i, x[:n], y[:n], v)
-            ahead = x.reshape(rows, _ROW)
-            factor = x[i % _ROW:i % _ROW + n]
-            for k in range(kc):
-                # C c + (-S) s: numpy's own product loops round each product
-                # and the sum, where BLAS (optimize=True, np.dot) may fuse
-                np.einsum("hk,kj->hj", A[k, first:first + rows], B[k],
-                          out=ahead, optimize=False)
-                v *= factor
-            x, y = x[:n], y[:n]
-            g = tails[kc]
-            points(i, x, prog.b * g, prog.a * g)
-        else:
-            x, y = np.empty(n), np.empty(n)
-            _zero_test(theta, flat[start:stop], x, y, v)
-            for _ in range(kc):
-                np.rint(x, out=y)
-                np.subtract(x, y, out=y)
-                np.multiply(two_pi, y, out=y)
-                np.cos(y, out=y)
-                v *= y
-                x /= th
+        v = vals[start:stop]
+        first, rows = i // _ROW - h0, (i + n - 1) // _ROW - i // _ROW + 1
+        x, y = np.empty(rows * _ROW), np.empty(rows * _ROW)
+        # x holds t, and is spent by the zero test
+        points(i, x[:n], ts.b, ts.a)
+        _zero_test(theta, x[:n], y[:n], v)
+        if not v.all():
+            drop_inexact(i, x[:n], y[:n], v)
+        ahead = x.reshape(rows, _ROW)
+        factor = x[i % _ROW:i % _ROW + n]
+        for k in range(kc):
+            # C c + (-S) s: numpy's own product loops round each product and
+            # the sum, where BLAS (optimize=True, np.dot) may fuse
+            np.einsum("hk,kj->hj", A[k, first:first + rows], B[k], out=ahead,
+                      optimize=False)
+            v *= factor
+        x, y = x[:n], y[:n]
+        g = tails[kc]
+        points(i, x, ts.b * g, ts.a * g)
         # the tail P((2 pi x)^2) by Horner: v in the scratch, P in x
-        np.multiply(two_pi, x, out=y)
+        np.multiply(2 * math.pi, x, out=y)
         y *= y
         np.multiply(y, coef[-1], out=x)
         for b in coef[-2:0:-1]:
@@ -1055,15 +1018,15 @@ def _integer_base(theta: Theta) -> int:
     return int(theta) if theta == int(theta) else 1
 
 
-def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
+def _zero_test(theta: Theta, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> None:
-    """Set x = |t|, and v to 0.0 where the product at t vanishes exactly and
-    1.0 elsewhere, with y as scratch; the four arrays do not overlap, except
-    that t may be x itself, whose values are then spent.
+    """Set v to 0.0 where the product at t = x vanishes exactly and 1.0
+    elsewhere, with y as scratch; the three arrays do not overlap, and x's
+    values are spent.
 
     A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
     integer.  Every base admits k = 0: 4|t| is an odd integer exactly when
-    2|t| - rint(2|t|) is +-1/2.  The scaling and the subtraction are exact,
+    2t - rint(2t) is +-1/2.  The scaling and the subtraction are exact,
     and inf and nan give nan, so this is fmod(4|t|, 2) == 1 without fmod's
     cost.  An integer base b (_integer_base: theta's value, whatever its
     type) also admits each k with b^k <= 4|t|; for odd b, b^k times an odd
@@ -1076,12 +1039,11 @@ def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
     import numpy as np
     base = _integer_base(theta)
     if base % 2:
-        np.abs(t, out=x)
         np.multiply(x, 2, out=y)
         np.subtract(y, np.rint(y, out=v), out=y)
         np.not_equal(np.abs(y, out=y), 0.5, out=v)
         return
-    np.abs(t, out=y)
+    np.abs(x, out=y)
     y *= 4
     np.fmin(y, 2.0 ** 62, out=y)                 # inf and nan too
     np.equal(np.rint(y, out=v), y, out=v)
@@ -1095,7 +1057,6 @@ def _zero_test(theta: Theta, t: np.ndarray, x: np.ndarray, y: np.ndarray,
         np.copyto(z, -1, where=hit)
         power *= base
     np.not_equal(z, -1, out=v)
-    np.abs(t, out=x)
 
 
 def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
@@ -1190,7 +1151,8 @@ def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
     r is read by pisot._as_multiplier.  Precise mode carries per-item
     certified bounds; fast mode gives the float64 rows of _rows, each item
     carrying FAST_ERROR, spot-checked, and refused before the batch is
-    built (PrecisionExhaustedError) when its derived bound exceeds that.
+    built (PrecisionExhaustedError) when its derived bound exceeds that or
+    an index reaches 2^37.
     """
     if N < 0:
         raise ValueError(f"the index range 1..N is empty at N = {N}")

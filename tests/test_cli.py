@@ -9,12 +9,13 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from pisot_spectra import cli, formats, pisot
+from pisot_spectra import cli, empirical, formats, pisot, transform
 
 CMD = [sys.executable, "-m", "pisot_spectra"]
 
@@ -491,14 +492,69 @@ def test_raw_csv_stream_and_fast_series_share_one_rule():
 
 
 def test_float64_batches_over_their_bound_exit_three():
-    # the derived bound reaches FAST_ERROR = 1e-9 near |t| = 2.6e5 (golden)
-    assert run("sample", "--poly", "1,1", "--r", "1", "--N", "1000000",
-               "--format", "csv")[0] == 3
-    assert run("eval", "--poly", "1,1", "--r", "1000000", "--count", "2",
-               "--fast")[0] == 3
-    assert run("decay", "--poly", "1,1", "--N", "1048576")[0] == 3
+    # a base just above 1 needs more than 2^20 head factors, and a t past
+    # the float range has no bound: both are refused, exit 3
+    for argv in (("decay", "--theta", "1.000000000001", "--N", "4"),
+                 ("jset", "--theta", "1.000000000001", "--t-max", "1"),
+                 ("eval", "--poly", "1,1", "--r", "1e308", "--count", "3",
+                  "--fast"),
+                 ("sample", "--poly", "1,1", "--r", "1e308", "--N", "4",
+                  "--format", "csv")):
+        code, out, err = run(*argv)
+        assert (code, out) == (3, "") and "float64" in err
     code, out, _ = run("decay", "--poly", "1,1", "--N", "65536")
     assert code == 0 and len(json.loads(out)["blocks"]) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--poly", "1,1", "--fast", "--r", "1", "--count",
+     "137438953472"),
+    ("decay", "--poly", "1,1", "--N", str(2**40)),
+    ("sample", "--poly", "1,1", "--r", "1", "--N", str(2**38), "--format",
+     "csv"),
+], ids=["eval", "decay", "sample"])
+def test_float64_indices_past_two_to_the_37_exit_three(argv):
+    # the main refusal of a large float64 request: exit 3, as the other
+    # range refusals, before anything is built (1 TB of values or more)
+    run("decay", "--poly", "1,1", "--N", "8")
+    tracemalloc.start()
+    try:
+        code, out, err = run(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "") and "below 2^37" in err
+    assert peak < 10**6
+
+
+def test_float64_commands_run_past_the_old_range():
+    # |t| up to 3e5 and 262143, where the bound once passed FAST_ERROR:
+    # the values lie within the derived bound of 128-bit mu_hat.  The rows
+    # of eval --fast --r 1 --count 300000 are _sampled's batch; the command
+    # itself prints 57 MB, so its |t| is reached at r = 1000
+    P = pisot.build_pisot((1, 1))
+    bound = transform.fast_error_bound(P, 3e5)
+    code, out, _ = run("eval", "--poly", "1,1", "--r", "1000", "--count",
+                       "300", "--fast", "--format", "csv")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    for n in (1, 262, 300):
+        ref = transform.mu_hat(P, 1000 * n, tol=1e-30, precision_bits=128)
+        assert abs(float(ref.value) - float(rows[n - 1][2])) <= bound
+    _, vals = empirical._sampled(P, 1, 1, 300000, 0.0, transform.FAST_ERROR)
+    for n in (1, 4321, 262144, 299999, 300000):
+        ref = transform.mu_hat(P, n, tol=1e-30, precision_bits=128)
+        assert abs(float(ref.value) - vals[n - 1]) <= bound
+    code, out, _ = run("decay", "--poly", "1,1", "--N", "262144")
+    assert code == 0
+    last = json.loads(out)["blocks"][-1]
+    assert (last["start"], last["stop"]) == (2**17, 2**18)
+    vals = transform.mu_hat_fast(P, transform.Progression(0, 1, 2**17, 2**18),
+                                 tol=transform.FAST_ERROR)
+    n = 2**17 + int(abs(vals).argmax())
+    ref = transform.mu_hat(P, n, tol=1e-30, precision_bits=128)
+    assert float(last["value"]) == abs(vals).max()
+    assert abs(abs(float(ref.value)) - float(last["value"])) <= bound
 
 
 def test_fill_reports_interval_statistics():

@@ -251,20 +251,38 @@ def test_limit_range_rejects_coarse_grid():
 
 
 def test_limit_range_refused_before_building_its_grid():
-    # at T = 3e5 the golden grid holds about 10^7 points (80 MB as float64)
-    # and its float64 bound exceeds FAST_ERROR; the refusal comes first
+    # at T = 1e10 the golden grid holds 3.3e11 points (2.6 TB as
+    # float64), past the indices' 2^37; the refusal comes first
     with pytest.raises(PrecisionExhaustedError):
-        estimate_J(GOLDEN, 3e5)
+        estimate_J(GOLDEN, 1e10)
     tracemalloc.start()
     try:
         with pytest.raises(PrecisionExhaustedError,
-                           match=r"float64 error bound 1\.155e-09 at "
-                                 r"\|t\| <= 300000 exceeds the tolerance"):
-            estimate_J(GOLDEN, 3e5)
+                           match=r"indices must lie below 2\^37, got "
+                                 r"328991853836$"):
+            estimate_J(GOLDEN, 1e10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_limit_range_past_the_old_range_within_its_bound():
+    # estimate_J(GOLDEN, 3e5), jset --t-max 3e5, takes 9.9e6 points T/2 +
+    # i s; its last 2^16, as a progression of their own, share its largest
+    # t and so its plan, and each lies within the derived bound of 128-bit
+    # mu_hat at its exact point
+    T, th = 3e5, float(GOLDEN.theta)
+    cap = 1 / (4 * 2 * math.pi * th / (th - 1))
+    n, step = math.ceil((T - T / 2) / cap), (T / 2 + cap) - T / 2
+    top = Progression(T / 2, step, n - 2**16, n)
+    bound = fast_error_bound(GOLDEN, top._t_max(top.size))
+    assert 2.6e5 < top._t_max(top.size) and bound < empirical.FAST_ERROR
+    vals = mu_hat_fast(GOLDEN, top, tol=empirical.FAST_ERROR)
+    for p in (0, 12345, 2**16 - 1):
+        t = Fraction(T / 2) + Fraction(step) * (top.start + p)
+        ref = mu_hat(GOLDEN, t, tol=1e-30, precision_bits=128)
+        assert abs(float(ref.value) - vals[p]) <= bound
 
 
 def test_sample_batch_peak_memory():
@@ -431,11 +449,13 @@ def test_perturbed_points_move_centers_within_derivative_bound():
 
 
 def test_raw_value_shift_within_derivative_bound():
+    # the points n and n + eps exactly, n = 5e5 .. 1e6; at n = 673137 the
+    # shift is within 2e-18 of 128-bit mu_hat's
     eps = 1e-5
-    ns = np.arange(5 * 10**5, 10**6 + 1, dtype=np.int64).astype(float)
+    ns, moved = (Progression(a, 1.0, 5 * 10**5, 10**6 + 1) for a in (0, eps))
     shift = np.max(np.abs(np.abs(mu_hat_fast(GOLDEN, ns))
-                          - np.abs(mu_hat_fast(GOLDEN, ns + eps))))
-    assert float(shift) == pytest.approx(7.729070955280436e-08, rel=1e-6)
+                          - np.abs(mu_hat_fast(GOLDEN, moved))))
+    assert float(shift) == pytest.approx(7.729151151785255e-08, rel=1e-6)
     assert float(shift) <= GOLDEN_DERIV_BOUND * eps
 
 
@@ -502,11 +522,19 @@ def test_decay_equals_one_batch_per_block(theta, N):
     assert len(blocks) == (N + 1).bit_length() - 1
 
 
+def _refuse_from_block_12(monkeypatch, theta):
+    # decay's tolerance set to the bound at |t| = 2^12: blocks k <= 11
+    # (|t| < 2^12) are admitted, and block 12 is refused
+    monkeypatch.setattr(empirical, "FAST_ERROR",
+                        fast_error_bound(theta, 2**12))
+
+
 @pytest.mark.parametrize("theta", [1.5, GOLDEN], ids=["three_halves",
                                                       "golden"])
-def test_decay_refuses_before_building_its_batch(theta):
+def test_decay_refuses_before_building_its_batch(monkeypatch, theta):
     # the first block refused raises, with the message the block-by-block
     # loop gave, and no batch of 2^22 points is built first
+    _refuse_from_block_12(monkeypatch, theta)
     with pytest.raises(PrecisionExhaustedError) as blockwise:
         _decay_blockwise(theta, 2**22)
     tracemalloc.start()
@@ -517,12 +545,17 @@ def test_decay_refuses_before_building_its_batch(theta):
     finally:
         tracemalloc.stop()
     assert str(segmented.value) == str(blockwise.value)
+    assert "8191" in str(segmented.value)
     assert peak < 2**20
 
 
-def test_decay_refuses_block_starts_past_the_int64_range():
+def test_decay_refuses_block_starts_past_the_int64_range(monkeypatch):
     # the starts of 70 blocks pass 2^63; the first block refused still
-    # raises, not a segment check on wrapped int64 starts
+    # raises, not a segment check on wrapped int64 starts, and with every
+    # block admitted the indices' 2^37 refuses the batch
+    with pytest.raises(PrecisionExhaustedError, match="below 2\\^37"):
+        decay_check(GOLDEN, 2**70)
+    _refuse_from_block_12(monkeypatch, GOLDEN)
     with pytest.raises(PrecisionExhaustedError) as small:
         decay_check(GOLDEN, 2**22)
     with pytest.raises(PrecisionExhaustedError) as large:
@@ -598,28 +631,35 @@ def test_sampled_series_reads_r_as_its_float():
 
 
 def test_sampled_batch_takes_its_bound_from_its_plan(monkeypatch):
-    # the batch is planned once; its spot check reads the plan's bound
-    def unused(*args):
-        raise AssertionError("fast_error_bound called")
-    monkeypatch.setattr(empirical, "fast_error_bound", unused)
-    assert not sample_and_cluster(GOLDEN, 1, 10**4, 1e-3).empty_retention
-    assert len(list(coefficient_series(GOLDEN, 1, 50, fast=True))) == 50
+    # the spot check tests the batch against the plan's bound at its
+    # largest |t|: a kernel that moves every value by half of it passes,
+    # and one that moves every value by twice it is refused
+    bound = fast_error_bound(GOLDEN, 10**4)
+    real = empirical.mu_hat_fast
+    for share in (0.5, 2.0):
+        monkeypatch.setattr(empirical, "mu_hat_fast",
+                            lambda theta, ts, tol, share=share, **kw:
+                            real(theta, ts, tol=tol, **kw) + share * bound)
+        if share < 1:
+            empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0,
+                               empirical.FAST_ERROR)
+        else:
+            with pytest.raises(PrecisionExhaustedError, match="derived bound"):
+                empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0,
+                                   empirical.FAST_ERROR)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: sample_and_cluster(GOLDEN, 1000, 3 * 10**6, 1e-6),
-     "float64 error bound 1.155e-05 at |t| <= 3e+09 exceeds the tolerance "
-     "1.000e-06"),
-    (lambda: interval_fill_test(GOLDEN, 1000, 3 * 10**6),
-     "float64 error bound 1.155e-05 at |t| <= 3e+09 exceeds the tolerance "
-     "1.000e-06"),
-    (lambda: list(coefficient_series(GOLDEN, 1, 3 * 10**6, fast=True)),
-     "float64 error bound 1.155e-08 at |t| <= 3e+06 exceeds the tolerance "
-     "1.000e-09"),
+    (lambda: sample_and_cluster(GOLDEN, 1000, 2**38, 1e-6),
+     "a progression's indices must lie below 2^37, got 274877906944"),
+    (lambda: interval_fill_test(GOLDEN, 1000, 2**38),
+     "a progression's indices must lie below 2^37, got 274877906944"),
+    (lambda: list(coefficient_series(GOLDEN, 1, 2**38, fast=True)),
+     "a progression's indices must lie below 2^37, got 274877906944"),
 ], ids=["sample", "fill", "series"])
 def test_refused_sampled_batch_builds_nothing(call, message):
-    # refused from the range's largest |t| before the index array (24 MB
-    # here) or the values are built; the warm-up loads numpy and the pool
+    # refused, its indices past 2^37, before the values (1 TB here) are
+    # built; the warm-up loads numpy and the pool
     sample_and_cluster(GOLDEN, 1, 1000, 1e-3)
     tracemalloc.start()
     try:
@@ -685,11 +725,10 @@ def test_spot_check_catches_a_value_dropped_above_the_floor(monkeypatch,
                                                             above):
     # a faulty kernel returns 0.0 for a checked value above floor + bound
     real = empirical.mu_hat_fast
-    ns = np.arange(5000, 10001, dtype=np.int64)
-    ts = ns.astype(np.float64)
-    checked = np.unique(np.linspace(0, len(ns) - 1,
+    ts = Progression(0.0, 1.0, 5000, 10001)
+    checked = np.unique(np.linspace(0, ts.size - 1,
                                     empirical.SPOT_CHECK_SIZE).astype(np.int64))
-    vals = np.abs(real(GOLDEN, ts[checked]))
+    vals = np.abs(real(GOLDEN, ts)[checked])
     i, value = checked[np.argmax(vals)], vals.max()
     bound = fast_error_bound(GOLDEN, 10000.0)
     eta = value / 2 if above == "far" else value - 4 * bound
