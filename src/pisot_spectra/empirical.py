@@ -30,7 +30,11 @@ exceeds the bound the batch claims.  Each reference is a 64-bit value at
 the same exact t, truncated at a share of the bound, just sharp enough for
 that test.  With eta > 0 every value of modulus below a floor just under
 eta comes back as 0.0; every value at or above eta keeps its bits, so each
-report keeps the same set (see _sampled).
+report keeps the same set (see _sampled).  A checked 0.0 need only lie
+within floor + bound, and the leading factors of the certified kernel,
+under one plan per batch, usually show that without a reference: on the
+golden base at r = 1, n = 5*10^5 .. 10^6 and eta 1e-3, 7 of the checked
+points take a reference and the rest are shown below floor + bound.
 
 numpy is imported inside the functions that use it, so importing this
 module, and running the precise commands, leaves it unloaded.
@@ -49,8 +53,8 @@ from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
 from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, Progression,
-                        _checked_plan, _leading_factors_below, mu_hat,
-                        mu_hat_fast)
+                        _checked_plan, _kernel_plan, _leading_factors_below,
+                        mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
@@ -177,13 +181,18 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
     plan's, at its largest |t|) plus the reference's own certified bound;
     the reference is mu_hat at the exact t = Fraction(r_val) n, at
     SPOT_CHECK_BITS bits, truncated at SPOT_CHECK_SHARE of the derived
-    bound.  A checked 0.0 may have been
-    dropped at the floor, so there the floor is added to the two bounds: a
-    kernel that drops a value above the floor by more than them is still
-    caught.  An evenly spaced 0.0 that gave way must still be below
-    floor + bound: the leading factors of mu_hat's kernel at the reference's
-    plan show it without a reference (_leading_factors_below), and where
-    they cannot, the reference decides as for a checked 0.0.
+    bound.  A checked 0.0 (an endpoint, an evenly spaced point whose stride
+    keeps no value, or one that gave way) may have been dropped at the
+    floor, so it need only lie within floor + bound, the exact sum of the
+    two floats: the leading factors of mu_hat's kernel show that without a
+    reference where they can (_leading_factors_below), and elsewhere its
+    reference decides, with the floor added to the two bounds.  A proof
+    passes that test too, since the reference lies within its bound of
+    mu_hat; where |mu_hat(t)| exceeds floor + bound no partial product
+    falls that far, so a kernel that drops a value above the floor by more
+    than the bounds is still caught.  Every proof of the batch runs under
+    one plan, the reference's at the largest |t|, which bounds the factors
+    at every smaller |t|.
     """
     import numpy as np
     r_val = float(embed(_as_multiplier(P, r), 1))
@@ -209,11 +218,16 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
                 idx[j] = nonzero[np.argmin(np.abs(nonzero - idx[j]))]
     ref_tol = SPOT_CHECK_SHARE * bound
     exact = Fraction(r_val)
-    idx = [*idx, *(i for i in gave_way if not _leading_factors_below(
-        P, exact * (first + int(i)), floor + bound, ref_tol,
-        SPOT_CHECK_BITS))]
-    for i in idx:
+    # the reference's plan at the largest |t| bounds every checked point's
+    # factors (see _leading_factors_below); None when every t is 0
+    plan = _kernel_plan(P, exact * last, ref_tol, SPOT_CHECK_BITS)
+    # exact, so a proof implies the reference's exact test below
+    limit = Fraction(floor) + Fraction(bound)
+    for i in [*idx, *gave_way]:
         t = exact * (first + int(i))
+        if vals[i] == 0.0 and plan and _leading_factors_below(P, t, limit,
+                                                              plan):
+            continue
         ref = mu_hat(P, t, tol=ref_tol, precision_bits=SPOT_CHECK_BITS)
         # a 0.0 may have been dropped at the floor, which the test then adds
         slack = floor if vals[i] == 0.0 else 0.0

@@ -489,26 +489,27 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(value, err, K, False)
 
 
-def _leading_factors_below(theta: Theta, t, limit: float, tol: float,
-                           pb: int) -> bool:
+def _leading_factors_below(theta: Theta, t, limit, plan) -> bool:
     """True when mu_hat's leading factors at t alone show |mu_hat(t)| <=
-    limit.
+    limit, a float or a Fraction.
 
     Every factor has modulus at most 1, so |mu_hat(t)| <= prod_{k<=j}
-    |cos(2 pi t theta^-k)| for each j.  The kernel's factors at the plan of
-    mu_hat(theta, t, tol, pb) are each within E/(2 (K + 1)) units of 2^-W,
-    one _descent_error (see mu_hat), so the running product of |c_k| plus
-    that, rounded up at each shift, bounds the partial products from
-    above; the factors are taken only until it falls to limit.
+    |cos(2 pi t theta^-k)| for each j.  plan is (K, W, E), _kernel_plan's
+    at some t' with _mag_estimate(t) <= _mag_estimate(t') (so for the
+    points r n of a batch, Fraction(r) n, those with n <= n').  Each of the
+    kernel's factors k <= K at t, at W bits, is then within
+    _descent_error(theta, K, mag(t)) <= e = E/(2 (K + 1)) units of 2^-W
+    (see mu_hat; the error grows with mag, and W only sets the unit).  The
+    running product of |c_k| + e, rounded up at each shift, bounds the
+    partial products from above, and the factors are taken only until it
+    falls to limit.  So one plan, taken at a batch's largest |t|, serves
+    every point of the batch.
     """
-    plan = _kernel_plan(theta, t, tol, pb)
-    if plan is None:
-        return limit >= 1
     K, W, E = plan
     e = E // (2 * (K + 1))                       # one factor's error
     num, den = limit.as_integer_ratio()
     cap, run = (num << W) // den, 1 << W
-    work = pb + _mag_estimate(t) + 32
+    work = W + _mag_estimate(t) + 32
     for c in _kernel_cosines(theta, _fixed_abs(t, W, work), W, 0, K):
         run = -((-run * (abs(c) + e)) >> W)
         if run <= cap:

@@ -29,10 +29,15 @@ from pisot_spectra import (
     translated_sample,
 )
 from pisot_spectra import empirical
+from pisot_spectra.pisot import _theta_value
+from pisot_spectra.transform import (_descent_error, _kernel_plan,
+                                     _mag_estimate)
 
 GOLDEN = build_pisot((1, 1))
 TERNARY = build_pisot((3,))
 FLAT = build_pisot((2,))
+TRIBONACCI = build_pisot((1, 1, 1))
+QUARTIC = build_pisot((1, 0, 0, 1))
 
 # derivative bound used by the perturbation tests: 2 pi theta / (theta - 1)
 GOLDEN_DERIV_BOUND = 2 * math.pi * float(GOLDEN.theta) / (float(GOLDEN.theta) - 1)
@@ -706,18 +711,55 @@ def test_spot_check_catches_a_faulty_kernel(monkeypatch):
         empirical._sampled(GOLDEN, 1.0, 5000, 10000, 1e-5)
 
 
+def _spot_check_log(monkeypatch):
+    """(refs, proofs): the spot check's references as (t, result) and its
+    leading-factor proofs as (t, plan, shown).  A proof that fails is
+    followed by a reference at the same t, so the checked points are the
+    references and the points shown, each once."""
+    refs, proofs = [], []
+    real_ref = empirical.mu_hat
+    real_proof = empirical._leading_factors_below
+
+    def reference(theta, t, **kw):
+        refs.append((t, real_ref(theta, t, **kw)))
+        return refs[-1][1]
+
+    def proof(theta, t, limit, plan):
+        proofs.append((t, plan, real_proof(theta, t, limit, plan)))
+        return proofs[-1][2]
+    monkeypatch.setattr(empirical, "mu_hat", reference)
+    monkeypatch.setattr(empirical, "_leading_factors_below", proof)
+    return refs, proofs
+
+
+def _checked(refs, proofs):
+    return [t for t, _ in refs] + [t for t, _, shown in proofs if shown]
+
+
+def _evenly_spaced(r, lo, hi):
+    # the spot check's evenly spaced points t = r n, endpoints included
+    idx = np.unique(np.linspace(0, hi - lo, empirical.SPOT_CHECK_SIZE)
+                    .astype(np.int64))
+    return {Fraction(r) * (lo + int(i)) for i in idx}
+
+
 def test_precise_calls_do_not_jump_at_ten_thousand(monkeypatch):
-    calls = []
-    real = empirical.mu_hat
-    monkeypatch.setattr(empirical, "mu_hat",
-                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    # the checked points, references and points shown below floor + bound
+    # by the leading factors, hold all 32 evenly spaced points, both
+    # endpoints and so the largest |t| among them, each once, with the same
+    # split on either side of 10^4
+    refs, proofs = _spot_check_log(monkeypatch)
     counts = []
     for N in (9998, 10002):
-        calls.clear()
+        refs.clear()
+        proofs.clear()
         sample_and_cluster(GOLDEN, 1, N, 1e-3)
-        counts.append(len(calls))
-        assert max(calls) == N   # the largest |t| is among the checked points
-    assert counts[0] == counts[1] <= empirical.SPOT_CHECK_SIZE
+        checked = _checked(refs, proofs)
+        even = _evenly_spaced(1.0, N // 2, N)
+        assert len(even) == empirical.SPOT_CHECK_SIZE and even <= set(checked)
+        assert len(set(checked)) == len(checked) and max(checked) == N
+        counts.append((len(refs), len(proofs)))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("above", ["far", "near"])
@@ -767,18 +809,19 @@ def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
 
 
 def test_spot_check_prefers_kept_values_in_each_stride(monkeypatch):
-    checked = []
-    real = empirical.mu_hat
-    monkeypatch.setattr(empirical, "mu_hat",
-                        lambda *a, **k: checked.append(a[1]) or real(*a, **k))
+    refs, proofs = _spot_check_log(monkeypatch)
     _, vals = empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
-    ts = np.asarray(checked)
-    # 32 references: both endpoints, seven kept values (one per stride that
-    # holds one) and 23 evenly spaced points whose strides hold none
-    assert len(ts) == empirical.SPOT_CHECK_SIZE
-    assert (ts[0], ts[-1]) == (5e5, 1e6)
+    ts = np.asarray([float(t) for t, _ in refs])
+    # 7 references, each at a kept value in a stride whose evenly spaced
+    # point is 0.0; the 32 evenly spaced points, both endpoints among them,
+    # are all 0.0 and shown below floor + bound by the leading factors: 25
+    # whose strides keep nothing and the 7 that gave way
+    assert len(ts) == 7 and np.all(np.diff(ts) > 0)
     assert np.count_nonzero(vals[(ts - 5e5).astype(np.int64)]) == 7
-    assert np.all(np.diff(ts) > 0)
+    shown = [t for t, _, ok in proofs if ok]
+    assert len(shown) == len(proofs) == empirical.SPOT_CHECK_SIZE
+    assert set(shown) == _evenly_spaced(1.0, 5 * 10**5, 10**6)
+    assert (min(shown), max(shown)) == (5 * 10**5, 10**6)
 
 
 @pytest.mark.parametrize("N", [10**4, 10**6])
@@ -806,16 +849,103 @@ def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
     (build_pisot((1, 1, 1)), 1.0, 5000, 10**4),
     (FLAT, 0.25, 1, 4000),
     (TERNARY, 1.0, 100, 300),
+    (FLAT, 0.3, 1, 40),
 ])
 def test_spot_check_references_are_sharp_against_their_threshold(
         monkeypatch, P, r, lo, hi):
-    refs = []
-    real = empirical.mu_hat
-    monkeypatch.setattr(empirical, "mu_hat",
-                        lambda *a, **k: refs.append(real(*a, **k)) or refs[-1])
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    refs, proofs = _spot_check_log(monkeypatch)
     empirical._sampled(P, r, lo, hi, 1e-3)
-    assert len(refs) == min(len(ns), empirical.SPOT_CHECK_SIZE)
+    # every evenly spaced point is checked once, by a reference or a proof
+    checked = _checked(refs, proofs)
+    even = _evenly_spaced(r, lo, hi)
+    assert len(even) == min(hi - lo + 1, empirical.SPOT_CHECK_SIZE)
+    assert even <= set(checked) and len(set(checked)) == len(checked)
     bound = fast_error_bound(P, r * hi)
-    for ref in refs:
+    for _, ref in refs:
         assert ref.error_bound <= 1e-3 * (bound + ref.error_bound)
+
+
+# batches of several bases; on the binary base at r = 1/4 every value is an
+# exact zero
+SPOT_CHECK_BATCHES = [
+    (GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3),
+    (GOLDEN, 1.0, 5 * 10**4, 10**5, 1e-4),
+    (TRIBONACCI, 1.0, 5000, 10**4, 1e-3),
+    (QUARTIC, 1.0, 5000, 10**4, 1e-3),
+    (TERNARY, 1.0, 100, 300, 1e-3),
+    (FLAT, 0.25, 1, 4000, 1e-3),
+    (FLAT, 0.3, 1, 4000, 1e-3),
+]
+SPOT_CHECK_IDS = ["golden_1e6", "golden_1e5", "tribonacci", "quartic",
+                  "ternary", "binary_zeros", "binary"]
+
+
+@pytest.mark.parametrize("P, r, lo, hi, eta", SPOT_CHECK_BATCHES,
+                         ids=SPOT_CHECK_IDS)
+def test_leading_factors_leave_the_verdicts_unchanged(monkeypatch, P, r, lo,
+                                                      hi, eta):
+    # the spot check as it runs, and with a reference at every checked
+    # point, accept and refuse the same batches with the same message: a
+    # proof passes where the reference would, and cannot hold where the
+    # value exceeds floor + bound
+    real, real_proof = empirical.mu_hat_fast, empirical._leading_factors_below
+    ts = Progression(0.0, r, lo, hi + 1)
+    bound = fast_error_bound(P, ts._t_max(ts.size))
+    even = np.unique(np.linspace(0, ts.size - 1, empirical.SPOT_CHECK_SIZE)
+                     .astype(np.int64))
+    vals = np.abs(real(P, ts)[even])
+    i, value = even[np.argmax(vals)], vals.max()
+
+    def moved(out):
+        kept = out != 0
+        out[kept] += np.copysign(10 * bound, out[kept])
+
+    def zeroed(out):
+        out[i] = 0.0
+
+    cases = [(eta, None, None), (0.0, None, None),
+             (eta, moved, None), (0.0, moved, value > 0)]
+    if value > 4 * bound:
+        # zeroed above floor + bound, and zeroed between the floor and
+        # floor + bound, which both ways accept
+        cases += [(value / 2, zeroed, True), (0.0, zeroed, True),
+                  ((value - bound / 2) / empirical.FLOOR_SHARE, zeroed,
+                   False)]
+    for eta_c, fault, refused in cases:
+        def faulty(theta, ts, tol, **kw):
+            out = real(theta, ts, tol=tol, **kw)
+            if fault is not None:
+                fault(out)
+            return out
+        monkeypatch.setattr(empirical, "mu_hat_fast", faulty)
+        verdicts = []
+        for proof in (real_proof, lambda *a: False):
+            monkeypatch.setattr(empirical, "_leading_factors_below", proof)
+            try:
+                empirical._sampled(P, r, lo, hi, eta_c)
+                verdicts.append(None)
+            except PrecisionExhaustedError as refused_with:
+                verdicts.append(str(refused_with))
+        assert verdicts[0] == verdicts[1]
+        if fault is None or refused is not None:
+            assert (verdicts[0] is not None) == bool(refused)
+
+
+@pytest.mark.parametrize("P, r, lo, hi, eta", SPOT_CHECK_BATCHES,
+                         ids=SPOT_CHECK_IDS)
+def test_one_plan_covers_its_batch(monkeypatch, P, r, lo, hi, eta):
+    # every proof of a batch runs under one plan (K, W, E), and at every
+    # checked t the kernel's own depth K_t is at most K and each factor k <=
+    # K errs by at most that plan's per-factor error E/(2 (K + 1)) (which
+    # bounds _descent_error(theta, K_t, mag(t)) too)
+    refs, proofs = _spot_check_log(monkeypatch)
+    empirical._sampled(P, r, lo, hi, eta)
+    assert proofs and len({plan for _, plan, _ in proofs}) == 1
+    K, W, E = proofs[0][1]
+    ts = Progression(0.0, r, lo, hi + 1)
+    tol = empirical.SPOT_CHECK_SHARE * fast_error_bound(P, ts._t_max(ts.size))
+    th = _theta_value(P, empirical.SPOT_CHECK_BITS + 64)
+    for t in _checked(refs, proofs):
+        K_t = _kernel_plan(P, t, tol, empirical.SPOT_CHECK_BITS)[0]
+        assert K_t <= K
+        assert _descent_error(th, K, _mag_estimate(t)) <= E // (2 * (K + 1))

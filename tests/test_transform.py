@@ -1446,27 +1446,36 @@ def test_tail_bound_at_most_the_truncated_products(theta):
                          ids=["golden", "quartic", "binary", "three_halves"])
 def test_leading_factors_bound_the_value_from_above(theta):
     # a limit the leading factors certify is above the certified value, and
-    # every limit at least 1 is certified; limits placed just above a value
-    # are certified, and limits just below never are
+    # every limit at least 1 is certified at t != 0; limits placed just
+    # above a value are certified, and limits just below never are.  One
+    # plan, at the largest |t|, serves every t
     rng = np.random.default_rng(5)
-    for t in [0.0, 0.25, *rng.uniform(-1e6, 1e6, 40)]:
+    ts = [0.0, 0.25, *rng.uniform(-1e6, 1e6, 40)]
+    plan = _kernel_plan(theta, max(map(abs, ts)), 1e-12, 64)
+    for t in ts:
         res = mu_hat(theta, float(t), tol=1e-12, precision_bits=64)
         low = float(abs(res.value) - res.error_bound)
         high = float(abs(res.value) + res.error_bound)
         assert _leading_factors_below(theta, float(t), high * 1.001 + 1e-9,
-                                      1e-12, 64)
+                                      plan)
         assert low <= 0 or not _leading_factors_below(
-            theta, float(t), low * 0.999, 1e-12, 64)
+            theta, float(t), low * 0.999, plan)
         for limit in (1.0, 2.0, 1e-3, 1e-6):
-            if _leading_factors_below(theta, float(t), limit, 1e-12, 64):
+            if _leading_factors_below(theta, float(t), limit, plan):
                 assert low <= limit
             else:
-                assert limit < 1
+                assert limit < 1 or (t == 0 and limit == 1)
+    # at t = 0 every factor is 1 and carries its error: the limit 1 is not
+    # certified there, and 1 + 2^-20 is
+    assert not _leading_factors_below(theta, 0.0, 1.0, plan)
+    assert _leading_factors_below(theta, 0.0, Fraction(2**20 + 1, 2**20),
+                                  plan)
     # a factor at an exact zero certifies any positive limit, but not 0:
     # each factor carries its error
+    binary, t = build_pisot((2,)), 2.0 ** 9 / 4
     for limit, shown in ((1e-12, True), (0.0, False)):
-        assert _leading_factors_below(build_pisot((2,)), 2.0 ** 9 / 4, limit,
-                                      1e-12, 64) is shown
+        assert _leading_factors_below(binary, t, limit, _kernel_plan(
+            binary, t, 1e-12, 64)) is shown
 
 
 def test_mu_hat_fast_returns_exact_zeros_as_positive_zero():
