@@ -736,11 +736,14 @@ def _checked(refs, proofs):
     return [t for t, _ in refs] + [t for t, _, shown in proofs if shown]
 
 
+def _even_positions(size):
+    # the spot check's evenly spaced positions, endpoints included
+    return np.unique(np.linspace(0, size - 1, empirical.SPOT_CHECK_SIZE)
+                     .astype(np.int64))
+
+
 def _evenly_spaced(r, lo, hi):
-    # the spot check's evenly spaced points t = r n, endpoints included
-    idx = np.unique(np.linspace(0, hi - lo, empirical.SPOT_CHECK_SIZE)
-                    .astype(np.int64))
-    return {Fraction(r) * (lo + int(i)) for i in idx}
+    return {Fraction(r) * (lo + int(i)) for i in _even_positions(hi - lo + 1)}
 
 
 def test_precise_calls_do_not_jump_at_ten_thousand(monkeypatch):
@@ -891,8 +894,7 @@ def test_leading_factors_leave_the_verdicts_unchanged(monkeypatch, P, r, lo,
     real, real_proof = empirical.mu_hat_fast, empirical._leading_factors_below
     ts = Progression(0.0, r, lo, hi + 1)
     bound = fast_error_bound(P, ts._t_max(ts.size))
-    even = np.unique(np.linspace(0, ts.size - 1, empirical.SPOT_CHECK_SIZE)
-                     .astype(np.int64))
+    even = _even_positions(ts.size)
     vals = np.abs(real(P, ts)[even])
     i, value = even[np.argmax(vals)], vals.max()
 
@@ -903,6 +905,7 @@ def test_leading_factors_leave_the_verdicts_unchanged(monkeypatch, P, r, lo,
     def zeroed(out):
         out[i] = 0.0
 
+    # (eta, fault, refused), refused None where the outcome is not pinned
     cases = [(eta, None, None), (0.0, None, None),
              (eta, moved, None), (0.0, moved, value > 0)]
     if value > 4 * bound:
