@@ -20,10 +20,9 @@ multiplier rule, checks the index range, refuses the batch from its largest
 the progression t_n = r n, whose points are exact (the float r times the
 integer n, not their rounded product), exact zeros included (mu_hat_fast
 returns them as 0.0).
-The batch's derived error bound must stay within FAST_ERROR for a row, and
-within the report's validation threshold (eta/10, at least 1e-6) for a
-report, far above the bound up to the indices' limit of 2^37 (about 1e-13
-at |t| = 1e6..1e11 on the golden base).  A precise spot check of
+The batch's derived error bound must stay within FAST_ERROR, far above the
+bound up to the indices' limit of 2^37 (about 1e-13 at |t| = 1e6..1e11 on
+the golden base).  A precise spot check of
 SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
 against the threshold, so a fault in the float64 kernel is caught once it
 exceeds the bound the batch claims.  Each reference is a 64-bit value at
@@ -52,7 +51,7 @@ import mpmath as mp
 from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
-from .transform import (FAST_BLOCK, FAST_ERROR, FAST_TOL, Progression,
+from .transform import (FAST_BLOCK, FAST_ERROR, Progression,
                         _checked_plan, _kernel_plan, _leading_factors_below,
                         mu_hat, mu_hat_fast)
 
@@ -147,18 +146,16 @@ class BlockMaximum:
     value: float
 
 
-def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
-             tol: Optional[float] = None) -> tuple:
+def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
     """(r_val, values), values[i] the transform at r_val n, n = first + i,
     for n = first..last (see the module docstring).
 
     The batch is the Progression t_n = r_val n, each t exact: the float
     r_val times the integer n, with no array of points.  It is planned once
-    from its largest |t| and refused when its derived bound exceeds tol (by
-    default the validation threshold eta/10, at least 1e-6), before any
-    array is built, then checked by a precise spot check at SPOT_CHECK_SIZE
-    indices.  They are evenly
-    spaced, and the endpoints, and so the largest |t|, are among them; an
+    from its largest |t| and refused when its derived bound exceeds
+    FAST_ERROR, before any array is built, then checked by a precise spot
+    check at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the
+    endpoints, and so the largest |t|, are among them; an
     interior index whose value is 0.0 stands for its stride (the indices
     nearer to it than to its neighbours), and gives way to the nonzero
     value there nearest to it, when one exists.  With eta > 0 most values
@@ -199,11 +196,11 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float,
     if not 0 <= first <= last + 1:
         raise ValueError(f"the index range {first}..{last} is empty or "
                          "starts below 0")
-    tol = max(eta / 10, FAST_TOL) if tol is None else tol
     ns = Progression(0.0, r_val, first, last + 1)
-    bound = _checked_plan(P, ns._t_max(ns.size) if ns.size else 0.0, tol)[2]
+    bound = _checked_plan(P, ns._t_max(ns.size) if ns.size else 0.0,
+                          FAST_ERROR)[2]
     floor = eta * FLOOR_SHARE
-    vals = mu_hat_fast(P, ns, tol=tol, floor=floor)
+    vals = mu_hat_fast(P, ns, tol=FAST_ERROR, floor=floor)
     if not ns.size:
         return r_val, vals
     idx = np.unique(np.linspace(0, ns.size - 1,
@@ -383,9 +380,9 @@ def estimate_J(theta, T: float = 1e4,
     bounds the derivative, so no swing between samples can be missed by
     more than a quarter period.  Values are float64, refused (raising
     PrecisionExhaustedError) where their derived bound exceeds FAST_ERROR,
-    their head would pass 2^20 factors or an index reaches 2^37.
+    their head would pass 2^20 factors or an index reaches 2^37, and so is
+    a grid step that vanishes against T/2, before anything is built.
     """
-    import numpy as np
     if not (0 < T and math.isfinite(T)):
         raise ValueError(f"T must be positive and finite, got {T}")
     th = float(_theta_value(theta))
@@ -398,6 +395,10 @@ def estimate_J(theta, T: float = 1e4,
     # np.arange has n points and steps by (T/2 + grid_step) - T/2
     n = math.ceil((T - T / 2) / grid_step)
     step = (T / 2 + grid_step) - T / 2
+    if not step:
+        raise PrecisionExhaustedError(
+            f"grid step {grid_step:.6g} vanishes against T/2 = {T / 2:.6g}: "
+            "(T/2 + grid_step) - T/2 rounds to 0")
     vals = mu_hat_fast(theta, Progression(T / 2, step, 0, max(n, 0)),
                        tol=FAST_ERROR)
     return _range_stats(vals)

@@ -36,8 +36,8 @@ of all its segments are shared over one pool of at most one thread per
 core this process may run on (numpy's ufuncs release the GIL); every value
 bit is that of the plain expression.  Given a retention floor, a value of
 modulus below it comes back as +0.0, as does a value where the product
-vanishes exactly (_zero_test, with exact comparisons in the block's own
-scratch).  Arbitrary points are mu_hat's.
+vanishes at the exact t_i (_zero_classes: residue classes of i, from the
+integers of a and b).  Arbitrary points are mu_hat's.
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
@@ -880,16 +880,11 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
     about 6.8u in all (gamma_k = k u/(1 - k u)); w P~ rounds once more
     (_TAIL_ERROR).  So |P~| <= 1 + 8u.
 
-    Each block first runs _zero_test on t = fl(fl(b i) + a) and starts the
-    running product at 0.0 where the product vanishes exactly; adding +0.0
-    at the end makes that +0.0, as on the precise path, and leaves every
-    other value as it is.  It keeps a zero only where that t is a + b i
-    exactly: with b = m 2^e, m odd, fl(b i) is b i exactly when m times the
-    odd part of i is below 2^53, and, for p, a >= 0, fl(p + a) is p + a
-    when fl(fl(p + a) - a) = p and fl(fl(p + a) - p) = a (the subtraction
-    of the larger is exact).  So every zero it marks is
-    one at the exact t_i.  A zero at a t_i that fl does not reach (a > 0,
-    or 4 t_i past 2^53) is left to the product, within the bound of 0.
+    Each block starts the running product at 0.0 at the indices of
+    _zero_classes, where the product vanishes at the exact t_i, found once
+    per call from the integers of a and b, and at 1.0 elsewhere; adding +0.0
+    at the end makes each zero +0.0, as on the precise path, and leaves
+    every other value as it is.
 
     floor > 0 returns +0.0 for every point whose value has modulus below
     floor, and every other point has the bits of the plain expression: each
@@ -922,6 +917,7 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
     if not blocks:
         return vals
     coef = _tail_coefficients(theta)
+    zeros = _zero_classes(theta, ts)
     B, A, h0 = _progression_tables(theta, ts, max(plan[2] for plan in plans))
     iota = np.arange(min(ts.size, FAST_BLOCK), dtype=np.float64)
     with mp.workprec(128):
@@ -929,52 +925,18 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
         tails = {kc: float(th_exact ** -kc)
                  for kc in {plan[2] for plan in plans}}
 
-    def points(i, z, b, a) -> None:
-        # z = fl(fl(b i) + a) from the first index i on
-        np.add(iota[:z.size], i, out=z)
-        z *= b
-        if a:
-            z += a
-
-    # b = m 2^e, m odd: b i is a float exactly when m times the odd part of
-    # i is below 2^53, that is when i <= odd 2^v, 2^v the lowest set bit of
-    # i and odd = (2^53 - 1) // m
-    num = ts.b.as_integer_ratio()[0]
-    odd = (2 ** 53 - 1) // (num // (num & -num))
-
-    def drop_inexact(i, x, y, v) -> None:
-        # v = 1.0 where fl(fl(b i) + a) is not a + b i exactly
-        a, low, z = ts.a, x.view(np.int64), y.view(np.int64)
-        np.add(iota[:x.size], i, out=x)
-        np.copyto(z, x, casting="unsafe")
-        np.bitwise_and(z, np.negative(z, out=low), out=low)
-        np.copyto(x, low, casting="unsafe")
-        x *= odd
-        np.add(iota[:x.size], i, out=y)
-        np.maximum(v, np.greater(y, x, out=y), out=v)
-        if a:
-            # for p, a >= 0, fl(p + a) = p + a when fl(fl(p + a) - a) = p
-            # and fl(fl(p + a) - p) = a: the larger's subtraction is exact
-            points(i, x, ts.b, 0.0)
-            np.add(x, a, out=y)
-            y -= a
-            np.maximum(v, np.not_equal(y, x, out=y), out=v)
-            np.add(x, a, out=y)
-            y -= x
-            np.maximum(v, np.not_equal(y, a, out=y), out=v)
-
     def run_block(block) -> None:
         start, stop, kc = block
         n, i = stop - start, ts.start + start
         # v holds the running product; an exact zero's starts at 0.0
         v = vals[start:stop]
+        v.fill(1.0)
+        for i0, period in zeros:
+            # a slice clamps a start or step past 2^63 - 1, so a class
+            # whose first index lies past the block writes nothing
+            v[(i0 - i) % period::period] = 0.0
         first, rows = i // _ROW - h0, (i + n - 1) // _ROW - i // _ROW + 1
         x, y = np.empty(rows * _ROW), np.empty(rows * _ROW)
-        # x holds t, and is spent by the zero test
-        points(i, x[:n], ts.b, ts.a)
-        _zero_test(theta, x[:n], y[:n], v)
-        if not v.all():
-            drop_inexact(i, x[:n], y[:n], v)
         ahead = x.reshape(rows, _ROW)
         factor = x[i % _ROW:i % _ROW + n]
         for k in range(kc):
@@ -985,7 +947,11 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
             v *= factor
         x, y = x[:n], y[:n]
         g = tails[kc]
-        points(i, x, ts.b * g, ts.a * g)
+        # x = fl(fl(b' i) + a'), b' = fl(b g) and a' = fl(a g), from i on
+        np.add(iota[:n], i, out=x)
+        x *= ts.b * g
+        if ts.a:
+            x += ts.a * g
         # the tail P((2 pi x)^2) by Horner: v in the scratch, P in x
         np.multiply(2 * math.pi, x, out=y)
         y *= y
@@ -1019,45 +985,39 @@ def _integer_base(theta: Theta) -> int:
     return int(theta) if theta == int(theta) else 1
 
 
-def _zero_test(theta: Theta, x: np.ndarray, y: np.ndarray,
-               v: np.ndarray) -> None:
-    """Set v to 0.0 where the product at t = x vanishes exactly and 1.0
-    elsewhere, with y as scratch; the three arrays do not overlap, and x's
-    values are spent.
+def _zero_classes(theta: Theta, ts: Progression) -> list[tuple[int, int]]:
+    """(i0, period) pairs, 0 <= i0 < period: the indices i of ts at which
+    the product vanishes at the exact t_i are those with i = i0 mod period
+    for some pair.
 
     A factor cos(2 pi t theta^-k) is 0 when 4t = theta^k times an odd
-    integer.  Every base admits k = 0: 4|t| is an odd integer exactly when
-    2t - rint(2t) is +-1/2.  The scaling and the subtraction are exact,
-    and inf and nan give nan, so this is fmod(4|t|, 2) == 1 without fmod's
-    cost.  An integer base b (_integer_base: theta's value, whatever its
-    type) also admits each k with b^k <= 4|t|; for odd b, b^k times an odd
-    integer is odd, so k = 0 finds them all.  For even b a whole 4|t| below
-    2^62 is taken as an int64 z in x's memory, others as 0 or 2^62, and
-    4t = b^k times an odd integer exactly when z mod 2 b^k == b^k for some
-    b^k < 2^62; a marked z becomes -1, which no later power marks.  An
-    irrational theta admits no k > 0, since 4t is rational.
+    integer.  With a = n_a/d_a and b = n_b/d_b as integer ratios, d_a and
+    d_b powers of 2, t_i = (A + B i)/d for d = max(d_a, d_b), and 4 t_i =
+    p times an odd integer, p = theta^k, exactly when 4 (A + B i) = d p
+    mod 2 d p: one linear congruence in i per power p, whose solutions, if
+    any, are one residue class modulo 2 d p/gcd(4 B, 2 d p).  Every base
+    takes k = 0.  An even integer base b (_integer_base: theta's value,
+    whatever its type) also takes each k with d b^k <= 4 (A + B (stop - 1)),
+    so b^k <= 4 t_max; then x_k >= 1/4, past the tail's reach, so k < k_c.
+    For odd b, b^k times an odd integer is odd, so k = 0 finds them all, and
+    an irrational theta admits no k > 0, since 4t is rational.  A rational
+    theta that is not an integer leaves its k > 0 zeros to the product.
     """
-    import numpy as np
-    base = _integer_base(theta)
-    if base % 2:
-        np.multiply(x, 2, out=y)
-        np.subtract(y, np.rint(y, out=v), out=y)
-        np.not_equal(np.abs(y, out=y), 0.5, out=v)
-        return
-    np.abs(x, out=y)
-    y *= 4
-    np.fmin(y, 2.0 ** 62, out=y)                 # inf and nan too
-    np.equal(np.rint(y, out=v), y, out=v)
-    y *= v
-    z, hit = x.view(np.int64), y.view(np.bool_)[:y.size]
-    np.copyto(z, y, casting="unsafe")
-    top, power = min(int(z.max()), 2 ** 62 - 1), 1
-    while power <= top:
-        np.equal(np.remainder(z, 2 * power, out=v.view(np.int64)), power,
-                 out=hit)
-        np.copyto(z, -1, where=hit)
+    (na, da), (nb, db) = ts.a.as_integer_ratio(), ts.b.as_integer_ratio()
+    d = max(da, db)
+    A, B = na * (d // da), nb * (d // db)
+    top, base = 4 * (A + B * (ts.stop - 1)), _integer_base(theta)
+    classes, power = [], 1
+    while True:
+        modulus, rest = 2 * d * power, d * power - 4 * A
+        g = math.gcd(4 * B, modulus)
+        if rest % g == 0:
+            period = modulus // g
+            classes.append((rest // g * pow(4 * B // g, -1, period) % period,
+                            period))
         power *= base
-    np.not_equal(z, -1, out=v)
+        if base % 2 or d * power > top:
+            return classes
 
 
 def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
@@ -1066,7 +1026,7 @@ def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
     its value is within that bound of it."""
     # empirical imports this module, so its routine is imported here
     from .empirical import _sampled
-    r_val, vals = _sampled(P, r, first, last, 0.0, FAST_ERROR)
+    r_val, vals = _sampled(P, r, first, last, 0.0)
     return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ERROR)
             for n, v in zip(range(first, last + 1), vals.tolist())]
 

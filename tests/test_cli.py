@@ -527,6 +527,25 @@ def test_float64_indices_past_two_to_the_37_exit_three(argv):
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("argv", [
+    ("jset", "--poly", "1,1", "--t-max", "1e20", "--grid-step", "1e-10"),
+    ("jset", "--theta", "1.5", "--t-max", "1e17", "--grid-step", "1e-3"),
+], ids=["poly", "theta"])
+def test_jset_grid_step_vanishing_against_half_t_exits_three(argv):
+    # (T/2 + grid_step) - T/2 rounds to 0: a precision refusal naming the
+    # step and T/2, before anything is built, not the progression's own
+    run("jset", "--theta", "1.5", "--t-max", "10")
+    tracemalloc.start()
+    try:
+        code, out, err = run(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "grid step" in err and "vanishes against T/2" in err
+    assert peak < 10**6
+
+
 def test_float64_commands_run_past_the_old_range():
     # |t| up to 3e5 and 262143, where the bound once passed FAST_ERROR:
     # the values lie within the derived bound of 128-bit mu_hat.  The rows
@@ -541,7 +560,7 @@ def test_float64_commands_run_past_the_old_range():
     for n in (1, 262, 300):
         ref = transform.mu_hat(P, 1000 * n, tol=1e-30, precision_bits=128)
         assert abs(float(ref.value) - float(rows[n - 1][2])) <= bound
-    _, vals = empirical._sampled(P, 1, 1, 300000, 0.0, transform.FAST_ERROR)
+    _, vals = empirical._sampled(P, 1, 1, 300000, 0.0)
     for n in (1, 4321, 262144, 299999, 300000):
         ref = transform.mu_hat(P, n, tol=1e-30, precision_bits=128)
         assert abs(float(ref.value) - vals[n - 1]) <= bound

@@ -307,10 +307,12 @@ def test_sample_batch_peak_memory():
 
 @pytest.mark.parametrize("P", [FLAT, TERNARY], ids=["binary", "ternary"])
 def test_integer_base_batch_peak_memory(P):
-    # the exact zeros of an integer base take every power in block-sized
-    # scratch too: 6.2 MB for base 2 and 6.0 MB for base 3 (6.8 and 6.6 MB
-    # when the call also imports the thread pool), against 9.2 MB when the
-    # batch took a full-size t array and 25.5 MB in full-size arrays
+    # the exact zeros of an integer base are residue classes of the index,
+    # one strided store each in the output: 5.9 MB for base 2 and 5.7 MB
+    # for base 3 (6.6 and 6.3 MB when the call also imports the thread
+    # pool), as when a zero test took every power in block-sized scratch,
+    # against 9.2 MB when the batch took a full-size t array and 25.5 MB in
+    # full-size arrays
     tracemalloc.start()
     try:
         empirical._sampled(P, 1.0, 5 * 10**5, 10**6, 1e-3)
@@ -646,12 +648,30 @@ def test_sampled_batch_takes_its_bound_from_its_plan(monkeypatch):
                             lambda theta, ts, tol, share=share, **kw:
                             real(theta, ts, tol=tol, **kw) + share * bound)
         if share < 1:
-            empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0,
-                               empirical.FAST_ERROR)
+            empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0)
         else:
             with pytest.raises(PrecisionExhaustedError, match="derived bound"):
-                empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0,
-                                   empirical.FAST_ERROR)
+                empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0)
+
+
+def test_sampled_batches_need_no_tolerance_past_fast_error():
+    # no Pisot number lies below the plastic number, theta^3 = theta + 1,
+    # whose head is the longest: its bound is finite up to t_max A = 2^100,
+    # A = theta/(theta - 1), and at most 6.1e-13 there, within FAST_ERROR,
+    # and inf past it.  So every tolerance from FAST_ERROR up gives a
+    # sampled batch the same verdict, and eta does not enter it
+    plastic = build_pisot((0, 1, 1))
+    th = float(plastic.theta)
+    A = th / (th - 1)
+    edge = 2.0 ** 100 / A * (1 - 2.0 ** -40)
+    assert fast_error_bound(plastic, edge) <= 6.1e-13 < empirical.FAST_ERROR
+    assert fast_error_bound(plastic, 2.0 ** 100 / A * (1 + 2.0 ** -40)) == (
+        math.inf)
+    for eta in (0.0, 0.5):
+        with pytest.raises(PrecisionExhaustedError, match=(
+                "float64 error bound inf at \\|t\\| <= 2e\\+30 exceeds the "
+                "tolerance 1.000e-09")):
+            empirical._sampled(plastic, 10**30, 1, 2, eta)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -693,7 +713,7 @@ def test_float64_rows_zero_exact_zeros_and_are_spot_checked(monkeypatch):
 
 
 def test_spot_check_catches_a_faulty_kernel(monkeypatch):
-    # eta = 1e-5 sets the validation threshold to 1e-6
+    # a kernel off by 1e-5, far past the derived bound, is caught
     real = empirical.mu_hat_fast
     monkeypatch.setattr(empirical, "mu_hat_fast",
                         lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,

@@ -48,7 +48,7 @@ from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      _mag_estimate, _moment_polynomial,
                                      _moment_tail, _tail_coefficients,
                                      _tail_degree, _truncation_depth,
-                                     _zero_test)
+                                     _zero_classes)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -969,21 +969,6 @@ def test_floor_must_be_nonnegative():
                         floor=floor)
 
 
-def _exact_zeros(theta, ts):
-    """Mask of the float64 t at which the product vanishes exactly, by
-    _zero_test in blocks of FAST_BLOCK points and block-sized scratch."""
-    flat = np.asarray(ts, dtype=np.float64).reshape(-1)
-    zero = np.empty(flat.shape, dtype=bool)
-    x, y, v = (np.empty(min(flat.size, FAST_BLOCK)) for _ in range(3))
-    with np.errstate(invalid="ignore"):          # inf - inf is nan
-        for start in range(0, flat.size, FAST_BLOCK):
-            n = min(FAST_BLOCK, flat.size - start)
-            x[:n] = flat[start:start + n]
-            _zero_test(theta, x[:n], y[:n], v[:n])
-            np.equal(v[:n], 0.0, out=zero[start:start + n])
-    return zero.reshape(np.shape(ts))
-
-
 def _exact_zeros_int64(theta, ts):
     # the int64 test of every k, as the k = 0 test stood before it was
     # taken in one array by fmod
@@ -999,68 +984,106 @@ def _exact_zeros_int64(theta, ts):
     return zero
 
 
+def _class_mask(theta, ts):
+    """Mask of the positions of ts whose index lies in a class of
+    _zero_classes."""
+    mask = np.zeros(ts.size, dtype=bool)
+    for i0, period in _zero_classes(theta, ts):
+        mask[(i0 - ts.start) % period::period] = True
+    return mask
+
+
+def _is_zero(base, t):
+    # the Fraction oracle: 4t = base^k times an odd integer, k = 0 on every
+    # base and any k on an even integer base (base 1: not an integer)
+    q = 4 * Fraction(t)
+    if q.denominator != 1 or not q:
+        return False
+    z, power = q.numerator, 1
+    while power <= z:
+        if z % power == 0 and z // power % 2:
+            return True
+        if base % 2:
+            return False
+        power *= base
+    return False
+
+
+@pytest.mark.parametrize("theta, base", [
+    (BINARY, 2), (build_pisot((3,)), 3), (build_pisot((4,)), 4),
+    (build_pisot((6,)), 6), (GOLDEN, 1), (1.5, 1), (2.0, 2), (Fraction(2), 2),
+    (mp.mpf(2), 2)], ids=["binary", "ternary", "quaternary", "senary",
+                          "golden", "three_halves", "two_float",
+                          "two_fraction", "two_mpf"])
+def test_zero_classes_match_a_fraction_oracle(theta, base):
+    # every index of three blocks and more, from 0 and from an index off the
+    # block grid, near each block edge and at either end: in a class exactly
+    # when the oracle calls its exact t_i a zero; 4 t_i reaches 2^66 at
+    # a = 2^40 and b = (2^52 + 1)/4, past the powers an int64 holds
+    size = 3 * FAST_BLOCK + 5
+    near = sorted({p for e in range(0, size + 1, FAST_BLOCK)
+                   for p in range(max(e - 40, 0), min(e + 40, size))}
+                  | set(range(400)) | set(range(size - 400, size)))
+    for a in (0.0, 517.25, 2.0 ** 40):
+        for b in (1.0, 0.25, 1.37, (2 ** 52 + 1) / 4):
+            for start in (0, 2 * FAST_BLOCK - 7):
+                ts = transform.Progression(a, b, start, start + size)
+                mask = _class_mask(theta, ts)
+                assert [bool(mask[p]) for p in near] == [
+                    _is_zero(base, _exact_t(ts, start + p)) for p in near]
+    # zeros at every power: t_i = i/4 on base 2 from i = 1, at odd i on
+    # base 3, at i = 4^k times an odd integer on base 4
+    ts = transform.Progression(0.0, 0.25, 1, 2 ** 20)
+    assert _class_mask(theta, ts).all() == (base == 2)
+
+
 @pytest.mark.parametrize("d", [(1, 1), (2,), (3,), (4,)])
 def test_exact_zeros_equal_the_int64_route(d):
-    P = build_pisot(d)
-    near = []
-    for top in (2.0 ** 53, 2.0 ** 62):
-        # 4|t| on either side of the top, in steps of the ulp just below it
-        z = top + np.arange(-64, 65) * np.spacing(top / 2)
-        near.append(z / 4)
-        near.append(np.nextafter(z, 0) / 4)
-    ts = np.concatenate([np.arange(-40, 41) / 8, [0.0, -0.0, 0.75, -0.75],
-                         3.0 ** np.arange(30) / 4, -(2.0 ** np.arange(60)) / 4,
-                         *near, *[-x for x in near], [np.inf, -np.inf, np.nan]])
-    mask = _exact_zeros(P, ts)
-    assert mask.dtype == bool
-    assert np.array_equal(mask, _exact_zeros_int64(P, ts))
-    assert mask.any() and not mask.all()
+    # where every t_i is a float, the classes hold the zeros that the
+    # textbook oracle's int64 route finds at fl(t_i) = t_i, 4|t| < 2^62
+    P, found = build_pisot(d), []
+    for ts in (transform.Progression(0.0, 0.25, 0, 4000),
+               transform.Progression(0.0, 2.0 ** 40, 1, 4000),
+               transform.Progression(517.25, 1.0, 0, 4000),
+               transform.Progression(0.0, 0.125, 2 ** 37 - 4000, 2 ** 37)):
+        t = ts.a + ts.b * np.arange(ts.start, ts.stop, dtype=np.float64)
+        assert all(Fraction(float(x)) == _exact_t(ts, i)
+                   for x, i in zip(t[::97], range(ts.start, ts.stop, 97)))
+        mask = _class_mask(P, ts)
+        assert np.array_equal(mask, _exact_zeros_int64(P, t))
+        found.append(mask)
+    assert np.concatenate(found).any() and not np.concatenate(found).all()
 
 
 @pytest.mark.parametrize("d", [(2,), (3,), (4,)])
 def test_integer_exact_zeros_over_several_blocks(d):
-    # each block tests the powers up to its own largest 4|t|
+    # mu_hat_fast returns +0.0 exactly at the classes' indices, in every
+    # block, anchored at the absolute index: from a start off the block grid
+    # and at an odd offset, and with zeros at powers past 2^62
     P = build_pisot(d)
-    rng = np.random.default_rng(d[0])
-    ts = rng.integers(0, 2 ** 20, 3 * FAST_BLOCK + 5) / 4
-    # zeros at high powers, none at a block's first point, and 4|t| = 2^63
-    ts[FAST_BLOCK + 1:FAST_BLOCK + 6] = ((2 ** 61 - 2 ** 9) / 4, -(3 ** 33) / 4,
-                                         2 ** 61 / 4, 2 ** 60 / 4, 2.0 ** 61)
-    ts[-129:] = (2.0 ** 62 + np.arange(-64, 65) * np.spacing(2.0 ** 61)) / 4
-    mask = _exact_zeros(P, ts)
-    assert np.array_equal(mask, _exact_zeros_int64(P, ts))
-    assert mask.any() and not mask.all()
+    for ts in (transform.Progression(0.0, 0.125, 12345,
+                                     12345 + 3 * FAST_BLOCK + 5),
+               transform.Progression(2.0 ** 40, (2 ** 52 + 1) / 4, 777,
+                                     777 + 2 * FAST_BLOCK + 3)):
+        vals, mask = mu_hat_fast(P, ts), _class_mask(P, ts)
+        assert np.array_equal(vals == 0, mask)
+        assert not np.signbit(vals[mask]).any()
+        assert mask.any()
+    assert not mask.all() or d == (2,)
 
 
 @pytest.mark.parametrize("b", [2, 3, 4])
 def test_exact_zeros_take_an_integer_base_of_any_type(b):
-    # theta given as a number has the zeros of the degree-1 base
-    ts = np.concatenate([np.arange(-40, 41) / 8, 2.0 ** np.arange(40) / 4,
-                         3.0 ** np.arange(30) / 4, (5 * 4.0 ** np.arange(20))])
-    want = _exact_zeros(build_pisot((b,)), ts)
-    for theta in (b, float(b), Fraction(b), mp.mpf(b), np.float64(b)):
-        assert np.array_equal(_exact_zeros(theta, ts), want)
-    # a base that is not an integer admits only k = 0
-    for theta in (b + 0.5, Fraction(2 * b + 1, 2), mp.mpf(b) + 0.25):
-        assert np.array_equal(_exact_zeros(theta, ts), _exact_zeros_fmod(ts))
-
-
-def _exact_zeros_fmod(ts):
-    # the reference: the k = 0 test by fmod
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.fmod(4 * np.abs(ts), 2) == 1
-
-
-def _float_edges():
-    # +-0, subnormals, +-inf, nan, and 4|t| in steps of one ulp around 2^52,
-    # 2^53 and 2^54, on the ulps of either side of each power
-    steps = [top + np.arange(-64, 65) * np.spacing(top / 2)
-             for top in (2.0 ** 52, 2.0 ** 53, 2.0 ** 54)]
-    steps += [top + np.arange(-64, 65) * np.spacing(top) for top in
-              (2.0 ** 52, 2.0 ** 53, 2.0 ** 54)]
-    tiny = np.array([5e-324, 2.5e-323, 2.2250738585072014e-308, 1e-310])
-    edges = np.concatenate([*steps, tiny, [0.0, np.inf, np.nan]]) / 4
-    return np.concatenate([edges, -edges])
+    # theta given as a number has the classes of the degree-1 base
+    for ts in (transform.Progression(0.0, 0.125, 0, 3000),
+               transform.Progression(517.25, 0.25, 0, 3000),
+               transform.Progression(2.0 ** 40, (2 ** 52 + 1) / 4, 5, 3005)):
+        want = _zero_classes(build_pisot((b,)), ts)
+        for theta in (b, float(b), Fraction(b), mp.mpf(b), np.float64(b)):
+            assert _zero_classes(theta, ts) == want
+        # a base that is not an integer admits only k = 0
+        for theta in (b + 0.5, Fraction(2 * b + 1, 2), mp.mpf(b) + 0.25):
+            assert _zero_classes(theta, ts) == _zero_classes(GOLDEN, ts)
 
 
 @pytest.mark.parametrize("theta", [GOLDEN, QUARTIC, 1.5],
@@ -1068,27 +1091,24 @@ def _float_edges():
 @pytest.mark.parametrize("size", [FAST_BLOCK - 1, FAST_BLOCK + 1,
                                   3 * FAST_BLOCK + 5])
 def test_exact_zeros_equal_the_fmod_expression(theta, size):
+    # on a base with no k > 0 zero the classes are fmod(4 t, 2) == 1 at
+    # exact float points, and mu_hat_fast returns +0.0 on each of them
     rng = np.random.default_rng(size)
-    # random mantissas at random exponents over the whole range, and at the
-    # exponents where 4|t| is an integer with a random last bit
-    exps = np.where(rng.random(size) < 0.5, rng.integers(-1076, 1024, size),
-                    rng.integers(-4, 60, size))
-    ts = np.ldexp(rng.uniform(1, 2, size), exps) * rng.choice([-1, 1], size)
-    edges = _float_edges()
-    ts[:edges.size] = edges
-    with np.errstate(over="ignore"):
-        mask = _exact_zeros(theta, ts)
-    assert mask.dtype == bool and mask.shape == ts.shape
-    assert np.array_equal(mask, _exact_zeros_fmod(ts))
+    a = rng.integers(0, 2 ** 20) / 8
+    b = (2 * rng.integers(0, 2 ** 10) + 1) / 8
+    ts = transform.Progression(a, b, 3, 3 + size)
+    t = a + b * np.arange(3, 3 + size, dtype=np.float64)
+    mask = _class_mask(theta, ts)
+    assert np.array_equal(mask, np.fmod(4 * t, 2) == 1)
     assert 0 < mask.sum() < size
+    vals = mu_hat_fast(theta, ts)
+    assert np.all(vals[mask] == 0) and not np.signbit(vals[mask]).any()
     # every point, or none, is a zero: a point left out of every block
     # shows in one of the two
-    odd, even = (2 * np.arange(size) + 1) / 4, np.arange(size) / 2
-    assert _exact_zeros(theta, odd).all() and not _exact_zeros(theta, even).any()
-    # a batch of another shape keeps it
-    square = np.arange(36.0).reshape(6, 6) / 4
-    assert np.array_equal(_exact_zeros(theta, square),
-                          _exact_zeros_fmod(square))
+    odd, even = (transform.Progression(0.25, 0.5, 0, size),
+                 transform.Progression(0.0, 0.5, 0, size))
+    assert _class_mask(theta, odd).all() and not _class_mask(theta, even).any()
+    assert not mu_hat_fast(theta, odd).any()
 
 
 # (base, t_max, the progression's own terms as first measured, to two
@@ -1486,7 +1506,7 @@ def test_mu_hat_fast_returns_exact_zeros_as_positive_zero():
     assert vals.tolist() == [0.0, 0.0] and not np.signbit(vals).any()
     ts = transform.Progression(0.0, 0.125, 0, 401)
     for theta in (GOLDEN, QUARTIC, binary, build_pisot((4,)), 1.5):
-        zero = _exact_zeros(theta, np.arange(401) / 8)
+        zero = _class_mask(theta, ts)
         assert zero.any()
         for floor in (0.0, 1e-3):
             vals = mu_hat_fast(theta, ts, floor=floor)
@@ -1501,15 +1521,20 @@ def test_mu_hat_fast_returns_exact_zeros_as_positive_zero():
 
 @pytest.mark.parametrize("d", [(2,), (3,), (4,), (1, 1)])
 def test_exact_zeros_are_the_precise_paths_zero_brackets(d):
+    # the second progression's odd t_i are past fl's reach: 4 t_i is an
+    # integer of 54 bits or more
     P = build_pisot(d)
-    ts = np.arange(0, 257) / 8
-    precise = [mu_hat(P, float(t)).contains_zero for t in ts]
-    assert _exact_zeros(P, ts).tolist() == precise
+    for ts in (transform.Progression(0.0, 0.125, 0, 257),
+               transform.Progression(0.5, (2 ** 52 + 1) / 8, 2, 34)):
+        precise = [mu_hat(P, _exact_t(ts, i)).contains_zero
+                   for i in range(ts.start, ts.stop)]
+        assert _class_mask(P, ts).tolist() == precise
 
 
 def test_float64_series_refused_past_fast_error(monkeypatch):
-    # the rows' tolerance set below the bound at |t| = 2e6
-    monkeypatch.setattr(transform, "FAST_ERROR", 1e-14)
+    # the rows' tolerance, _sampled's FAST_ERROR, set below the bound at
+    # |t| = 2e6
+    monkeypatch.setattr(empirical, "FAST_ERROR", 1e-14)
     with pytest.raises(PrecisionExhaustedError, match="exceeds the tolerance"):
         list(coefficient_series(GOLDEN, 10**6, 2, fast=True))
 
