@@ -22,18 +22,21 @@ integer n, not their rounded product), exact zeros included (mu_hat_fast
 returns them as 0.0).
 The batch's derived error bound must stay within FAST_ERROR, far above the
 bound up to the indices' limit of 2^37 (about 1e-13 at |t| = 1e6..1e11 on
-the golden base).  A precise spot check of
-SPOT_CHECK_SIZE points then tests the batch against that derived bound, not
-against the threshold, so a fault in the float64 kernel is caught once it
-exceeds the bound the batch claims.  Each reference is a 64-bit value at
-the same exact t, truncated at a share of the bound, just sharp enough for
-that test.  With eta > 0 every value of modulus below a floor just under
-eta comes back as 0.0; every value at or above eta keeps its bits, so each
-report keeps the same set (see _sampled).  A checked 0.0 need only lie
-within floor + bound, and the leading factors of the certified kernel,
-under one plan per batch, usually show that without a reference: on the
-golden base at r = 1, n = 5*10^5 .. 10^6 and eta 1e-3, 7 of the checked
-points take a reference and the rest are shown below floor + bound.
+the golden base).  No Pisot number lies below the plastic number, whose
+head is the longest, and its bound is at most 6.1e-13 up to t_max A = 2^100
+and inf past it, so a looser tolerance would admit no more batches.  A
+precise spot check of SPOT_CHECK_SIZE points then tests the batch against
+that derived bound, not against FAST_ERROR, so a fault in the float64
+kernel is caught once it exceeds the bound the batch claims.  Each
+reference is a 64-bit value at the same exact t, truncated at a share of
+the bound, just sharp enough for that test.  With eta > 0 every value of
+modulus below a floor just under eta comes back as 0.0; every value at or
+above eta keeps its bits, so each report keeps the same set (see _sampled).
+A checked 0.0 need only lie within floor + bound, and the leading factors
+of the certified kernel, under one plan per batch, usually show that
+without a reference: on the golden base at r = 1, n = 5*10^5 .. 10^6 and
+eta 1e-3, 7 of the checked points take a reference and the rest are shown
+below floor + bound.
 
 numpy is imported inside the functions that use it, so importing this
 module, and running the precise commands, leaves it unloaded.
