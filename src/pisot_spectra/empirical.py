@@ -28,15 +28,17 @@ and inf past it, so a looser tolerance would admit no more batches.  A
 precise spot check of SPOT_CHECK_SIZE points then tests the batch against
 that derived bound, not against FAST_ERROR, so a fault in the float64
 kernel is caught once it exceeds the bound the batch claims.  Each
-reference is a 64-bit value at the same exact t, truncated at a share of
-the bound, just sharp enough for that test.  With eta > 0 every value of
+reference is a 64-bit certified value at the same exact t, within 2^-74:
+head factors by the float64 path's head rule, then mu_theta's moment
+polynomial for the whole tail, under one descent plan per batch
+(transform._descent_plan).  With eta > 0 every value of
 modulus below a floor just under eta comes back as 0.0; every value at or
 above eta keeps its bits, so each report keeps the same set (see _sampled).
 A checked 0.0 need only lie within floor + bound, and the leading factors
-of the certified kernel, under one plan per batch, usually show that
-without a reference: on the golden base at r = 1, n = 5*10^5 .. 10^6 and
-eta 1e-3, 7 of the checked points take a reference and the rest are shown
-below floor + bound.
+of the certified kernel, under the same plan, usually show that without a
+reference: on the golden base at r = 1, n = 5*10^5 .. 10^6 and eta 1e-3,
+7 of the checked points take a reference and the rest are shown below
+floor + bound.
 
 numpy is imported inside the functions that use it, so importing this
 module, and running the precise commands, leaves it unloaded.
@@ -55,17 +57,15 @@ from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
 from .transform import (FAST_BLOCK, FAST_ERROR, Progression,
-                        _checked_plan, _kernel_plan, _leading_factors_below,
-                        mu_hat, mu_hat_fast)
+                        _checked_plan, _descent_plan, _leading_factors_below,
+                        _mag_estimate, mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
-# precision of each spot-check reference, and its truncation tolerance as a
-# share of the batch's derived bound: half of 1e-3, so that the reference's
-# certified bound, rounding terms included, stays below 1e-3 of the
-# threshold it is tested against
+# precision of each spot-check reference: its certified bound is
+# 2^-(SPOT_CHECK_BITS + 10), about 5.3e-23, far below 1e-3 of any batch's
+# derived bound (5e-14 and up) that it is tested against
 SPOT_CHECK_BITS = 64
-SPOT_CHECK_SHARE = 5e-4
 # retention floor of a sampled batch as a share of eta: below 1/(1 + 16u),
 # the largest factor by which a phase and its product raise a kept modulus
 # (see _sampled)
@@ -179,20 +179,24 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
 
     Each checked value must lie within the batch's derived bound (the
     plan's, at its largest |t|) plus the reference's own certified bound;
-    the reference is mu_hat at the exact t = Fraction(r_val) n, at
-    SPOT_CHECK_BITS bits, truncated at SPOT_CHECK_SHARE of the derived
-    bound.  A checked 0.0 (an endpoint, an evenly spaced point whose stride
-    keeps no value, or one that gave way) may have been dropped at the
-    floor, so it need only lie within floor + bound, the exact sum of the
-    two floats: the leading factors of mu_hat's kernel show that without a
-    reference where they can (_leading_factors_below), and elsewhere its
-    reference decides, with the floor added to the two bounds.  A proof
-    passes that test too, since the reference lies within its bound of
-    mu_hat; where |mu_hat(t)| exceeds floor + bound no partial product
-    falls that far, so a kernel that drops a value above the floor by more
-    than the bounds is still caught.  Every proof of the batch runs under
-    one plan, the reference's at the largest |t|, which bounds the factors
-    at every smaller |t|.
+    the reference is mu_hat at the exact t = Fraction(r_val) n under the
+    batch's descent plan, at SPOT_CHECK_BITS bits: its head factors by the
+    float64 path's head rule and one factor, the moment polynomial, for
+    the tail, within 2^-(SPOT_CHECK_BITS + 10) with no truncation
+    tolerance.  A checked 0.0 (an endpoint, an evenly spaced point whose
+    stride keeps no value, or one that gave way) may have been dropped at
+    the floor, so it need only lie within floor + bound, the exact sum of
+    the two floats: the leading factors of mu_hat's kernel show that
+    without a reference where they can (_leading_factors_below), and
+    elsewhere its reference decides, with the floor added to the two
+    bounds.  A proof passes that test too, since the reference lies within
+    its bound of mu_hat; where |mu_hat(t)| exceeds floor + bound no
+    partial product falls that far, so a kernel that drops a value above
+    the floor by more than the bounds is still caught.  Every proof and
+    every reference of the batch runs under one descent plan
+    (transform._descent_plan), taken once at the largest |t|: it serves
+    every smaller |t|, its head bound K and each factor's error growing
+    with the magnitude.
     """
     import numpy as np
     r_val = float(embed(_as_multiplier(P, r), 1))
@@ -216,19 +220,16 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
             if nonzero.size:
                 gave_way.append(idx[j])
                 idx[j] = nonzero[np.argmin(np.abs(nonzero - idx[j]))]
-    ref_tol = SPOT_CHECK_SHARE * bound
     exact = Fraction(r_val)
-    # the reference's plan at the largest |t| bounds every checked point's
-    # factors (see _leading_factors_below); None when every t is 0
-    plan = _kernel_plan(P, exact * last, ref_tol, SPOT_CHECK_BITS)
+    # one descent plan at the largest |t| serves every checked point
+    plan = _descent_plan(P, SPOT_CHECK_BITS, _mag_estimate(exact * last))
     # exact, so a proof implies the reference's exact test below
     limit = Fraction(floor) + Fraction(bound)
     for i in [*idx, *gave_way]:
         t = exact * (first + int(i))
-        if vals[i] == 0.0 and plan and _leading_factors_below(P, t, limit,
-                                                              plan):
+        if vals[i] == 0.0 and _leading_factors_below(t, limit, plan):
             continue
-        ref = mu_hat(P, t, tol=ref_tol, precision_bits=SPOT_CHECK_BITS)
+        ref = mu_hat(P, t, plan=plan)
         # a 0.0 may have been dropped at the floor, which the test then adds
         slack = floor if vals[i] == 0.0 else 0.0
         # exact mpf sums, so no rounding enters the comparison

@@ -67,7 +67,7 @@ from .pisot import (
 )
 from .transform import (COS_FIXED_ERROR, _check_tol, _cos_fixed,
                         _descent_x_error, _fixed_abs,
-                        _fixed_product, _kernel_cosines, _kernel_step,
+                        _fixed_product, _head, _kernel_cosines, _kernel_step,
                         _mag_estimate, _moment_polynomial, _moment_tail,
                         mu_hat)
 
@@ -448,15 +448,9 @@ def _phi_head(P: PisotNumber, w: FieldElement, plan: _PhiPlan):
     W = plan.W
     x0 = _fixed_abs(embed(w, 1, W), W - 1, 0)
     R = _kernel_step(P, W)
-    x = (x0 * R) >> W
-    for k_c in range(plan.K + 1):
-        if x + plan.x_error <= plan.cap:
-            return x0, k_c, x
-        x = (x * R) >> W
-    raise PrecisionExhaustedError(
-        f"the descending head passes its planned {plan.K} factors at "
-        f"{P.precision_bits} bits"
-    )
+    xs = _head((x0 * R) >> W, R, W, plan.K, plan.x_error, plan.cap,
+               P.precision_bits)
+    return x0, len(xs) - 1, xs[-1]
 
 
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
@@ -588,8 +582,9 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         # j <= -(k_c + 1); neither is among the exact factors
         n_pos = J + (plan.N > 0)
         offsets = chain(range(n_pos), range(-1, -k_c - 2, -1))
-        head = (_kernel_cosines(P, x0, W, 1, k_c) if P.m > 1
-                else repeat(0, k_c))     # for m = 1 every u is exact
+        # for m = 1 every u is exact
+        head = (_kernel_cosines(_kernel_step(P, W), x0, W, 1, k_c)
+                if P.m > 1 else repeat(0, k_c))
         cosines = chain(_ascending_cosines(P, w, plan, tiny), head, [tail])
 
         def numeric():

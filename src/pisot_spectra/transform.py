@@ -14,10 +14,12 @@ certified.  The loop (_kernel_cosines) and its running product
 products; _cos_fixed gives the cosines of their ascending side.
 
 The even moments of mu_theta come from one fixed-point integer recurrence
-with a derived error (_moment_table).  Both tails take mu_hat's Taylor
+with a derived error (_moment_table).  Every tail takes mu_hat's Taylor
 polynomial from it: the float64 path rounds its ten coefficients once
-(_tail_coefficients), and the two-sided products' descending tail runs it
-at W bits by Horner's rule (_moment_polynomial, _moment_tail).
+(_tail_coefficients), and the two-sided products' descending tail and
+mu_hat under a descent plan (_descent_plan) run it at W bits by Horner's
+rule (_moment_polynomial, _moment_tail), after a head cut by the float64
+path's rule on the kernel's integers (_head).
 
 mu_hat_fast evaluates a Progression t_i = a + b i in float64, at its exact
 points: k_c head factors, until the batch's largest argument x has
@@ -54,7 +56,8 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from itertools import chain
+from typing import Iterator, NamedTuple, Union
 
 import mpmath as mp
 from mpmath.libmp.libelefun import (COS_SIN_CACHE_PREC, EXP_SERIES_U_CUTOFF,
@@ -343,11 +346,10 @@ def _kernel_step(theta: Theta, W: int) -> int:
     return ((1 << (W + 1 - exp)) // man + 1) >> 1
 
 
-def _kernel_cosines(theta: Theta, x: int, W: int, start: int, stop: int):
+def _kernel_cosines(R: int, x: int, W: int, start: int, stop: int):
     """cos(2 pi x_k) in units of 2^-W for k = start..stop, where x_0 = x and
-    x_(k+1) = (x_k R) >> W (_kernel_step); each cosine is _cos_fixed's,
-    which has cos_sin_fixed's bits."""
-    R = _kernel_step(theta, W)
+    x_(k+1) = (x_k R) >> W, R the kernel's step (_kernel_step); each cosine
+    is _cos_fixed's, which has cos_sin_fixed's bits."""
     two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
     mask = (1 << W) - 1
     for k in range(stop + 1):
@@ -408,6 +410,103 @@ def _moment_tail(a: list, v: int, W: int) -> int:
     return p
 
 
+def _head(x: int, step: int, W: int, K: int, X: int, cap: int,
+          pb: int) -> list:
+    """[x_0, ..., x_k]: the kernel's descent x_(j+1) = (x_j step) >> W from
+    x_0 = x, to the least k <= K with x_k + X <= cap, X the bound on the
+    error of x_j, j <= K, and cap = _moment_polynomial's.  The true x_k
+    then has 2 pi A x_k <= 1, A = theta/(theta - 1): the float64 path's
+    head rule, decided by one integer comparison per step.  Raises
+    PrecisionExhaustedError when no k <= K has it."""
+    xs = [x]
+    while x + X > cap:
+        if len(xs) > K:
+            raise PrecisionExhaustedError(
+                f"the descending head passes its planned {K} factors at "
+                f"{pb} bits"
+            )
+        x = (x * step) >> W
+        xs.append(x)
+    return xs
+
+
+class _DescentPlan(NamedTuple):
+    """mu_hat's descent at pb bits for every |t| < 2^mag (_descent_plan)."""
+
+    pb: int
+    mag: int
+    K: int          # the head rule's bound: k_c <= K at every such t
+    X: int          # the error of x_k, k <= K, in units of 2^-W
+    e: int          # the error of one head factor, k <= K
+    W: int          # the kernel's fractional bits
+    E: int          # its derived error in units of 2^-W
+    tail_error: int  # the tail factor's error E_d
+    moments: list   # the tail's coefficients (_moment_polynomial)
+    rounding: int   # their R
+    cap: int        # the head rule's threshold (_head)
+    step: int       # the kernel's step (_kernel_step)
+
+
+def _descent_plan(theta: Theta, pb: int, mag: int) -> _DescentPlan:
+    """The plan of mu_hat's descent that serves every |t| < 2^mag at pb
+    bits (see mu_hat's plan).
+
+    K is the head rule's count at a 64-bit estimate of y = 2 pi A 2^mag,
+    A = theta/(theta - 1), with 2^-10 of the count to spare, as
+    spectrum._phi_plan takes it: y theta^-K <= theta^-(2^-10) < 1 - 2^-12
+    for every theta above 1.2841, the Pisot numbers among them, and
+    2 pi A (2 X + 2) 2^-W is far below 2^-12, so the exact walk of _head
+    stops at or before K.  X = _descent_x_error(theta, K, mag) bounds the
+    error of x_k for k <= K, and each head factor errs by at most
+    e = COS_FIXED_ERROR + 4 + 7 X (see mu_hat).  The tail factor
+    errs by at most E_d = R + (floor(a_1) + 2)(2 e_z + 1), e_z = 7 X + 2,
+    as the two-sided product's descending tail (spectrum's
+    _biinfinite_product), R and a_1 from _moment_polynomial.  So the
+    kernel's error is E = 2 (K e + E_d), the cosines' excess over 1 at most
+    doubling the sum; W is raised until E fits in 2^(W - pb - 12), since
+    the tail's degree and coefficients depend on W.
+    """
+    th = _theta_value(theta, pb + 64)
+    with mp.workprec(64):
+        y = mp.ldexp(2 * mp.pi * th / (th - 1), mag)
+        K = max(0, int(mp.log(y) / mp.log(th) + mp.ldexp(1, -10)) + 1)
+    X = _descent_x_error(th, K, mag)
+    e = COS_FIXED_ERROR + 4 + 7 * X
+    key = getattr(theta, "precision_bits", None)
+    W = pb + 12 + (2 * K * e).bit_length()
+    while True:
+        moments, rounding, cap = _moment_polynomial(theta, key, W)
+        tail = rounding + ((moments[1] >> W) + 2) * (14 * X + 5)
+        E = 2 * (K * e + tail)
+        if E.bit_length() <= W - pb - 12:
+            return _DescentPlan(pb, mag, K, X, e, W, E, tail, moments,
+                                rounding, cap, _kernel_step(theta, W))
+        W = pb + 12 + E.bit_length()
+
+
+def _descent_factors(plan: _DescentPlan, t):
+    """(k_c, factors): the kernel's k_c head factors at t by the head rule
+    (_head), from x_0 = floor(|t| 2^W), and then the tail factor, the
+    moment polynomial at x_(k_c), each in units of 2^-W.  plan must serve
+    t: _mag_estimate(t) <= plan.mag."""
+    mag, W = _mag_estimate(t), plan.W
+    if mag > plan.mag:
+        raise ValueError(f"a descent plan for |t| < 2^{plan.mag} cannot "
+                         f"serve |t| < 2^{mag}")
+    xs = _head(_fixed_abs(t, W, plan.pb + mag + 32), plan.step, W, plan.K,
+               plan.X, plan.cap, plan.pb)
+    z = (xs[-1] * pi_fixed(W + 1)) >> W
+    return len(xs) - 1, chain(
+        _kernel_cosines(plan.step, xs[0], W, 0, len(xs) - 2),
+        [_moment_tail(plan.moments, (z * z) >> W, W)])
+
+
+def _floor_units(W: int) -> int:
+    """The least integer c with c 2^-W >= FACTOR_FLOOR: |c| < it exactly
+    when |c| 2^-W < FACTOR_FLOOR."""
+    return -((-_FLOOR_NUM << W) // _FLOOR_DEN)
+
+
 def _fixed_product(cosines, W: int, floor_units: int = 1):
     """(value, low): the product of the factors c 2^-W with
     |c| >= floor_units, as an mpf of W + 1 bits, and the list of the others.
@@ -430,7 +529,8 @@ def _fixed_product(cosines, W: int, floor_units: int = 1):
 
 
 def mu_hat(theta: Theta, t, tol: float = 1e-20,
-           precision_bits: int | None = None) -> MuHatResult:
+           precision_bits: int | None = None,
+           plan: _DescentPlan | None = None) -> MuHatResult:
     """Transform value at t with certified truncation error.
 
     Truncates after the minimal K with (2 pi theta^-(K+1) |t|)^2/(1-theta^-2)
@@ -464,7 +564,22 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     A factor of modulus below FACTOR_FLOOR is a floor hit: it stays out of
     the product, and the result brackets zero, taking |c| + E as the
     modulus of that factor.
+
+    With plan, a _descent_plan that serves t (it takes pb from the plan,
+    and reads neither tol nor precision_bits), there is no truncation at
+    tol.  The same kernel takes factor k while x_k + X > cap, on its
+    integer x_k from x_0 = floor(|t| 2^W): the float64 path's head rule
+    2 pi A x <= 1, A = theta/(theta - 1), decided by one comparison per
+    step (_head).  Then one factor, mu_hat(x_(k_c)) by the moment
+    polynomial at W bits (_moment_tail), takes every later factor.  The
+    kernel is within E 2^-W <= 2^-(pb+12) of the infinite product (see
+    _descent_plan), and the value comes back with the bound 2^-(pb+10);
+    truncation_index is k_c.  A floor hit brackets zero as above.  Every
+    t of a batch can share one plan: the spot check's references and
+    leading-factor proofs (empirical._sampled) do.
     """
+    if plan is not None:
+        return _descent_value(t, plan)
     _check_tol(tol)
     pb = precision_bits or (theta.precision_bits
                             if isinstance(theta, PisotNumber) else 256)
@@ -473,10 +588,9 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(mp.mpf(1), mp.mpf(0), 0, False)
     K, W, E = plan
     work = pb + _mag_estimate(t) + 32
-    # |c| < floor_units exactly when |c| 2^-W < FACTOR_FLOOR
-    floor_units = -((-_FLOOR_NUM << W) // _FLOOR_DEN)
-    cosines = _kernel_cosines(theta, _fixed_abs(t, W, work), W, 0, K)
-    value, low = _fixed_product(cosines, W, floor_units)
+    cosines = _kernel_cosines(_kernel_step(theta, W), _fixed_abs(t, W, work),
+                              W, 0, K)
+    value, low = _fixed_product(cosines, W, _floor_units(W))
     floor_hits = [abs(c) + E for c in low]
 
     with mp.workprec(work):
@@ -489,29 +603,47 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
         return MuHatResult(value, err, K, False)
 
 
-def _leading_factors_below(theta: Theta, t, limit, plan) -> bool:
+def _descent_value(t, plan: _DescentPlan) -> MuHatResult:
+    """mu_hat(theta, t, plan=plan): k_c head factors by the head rule, then
+    the tail by the moment polynomial (see mu_hat)."""
+    W = plan.W
+    k_c, factors = _descent_factors(plan, t)
+    value, low = _fixed_product(factors, W, _floor_units(W))
+    bound = mp.ldexp(1, -(plan.pb + 10))
+    if low:
+        with mp.workprec(plan.pb + 32):
+            floor_prod = mp.fprod(mp.ldexp(abs(c) + plan.E, -W) for c in low)
+            return MuHatResult(mp.mpf(0), abs(value) * floor_prod + bound,
+                               k_c, True)
+    return MuHatResult(value, bound, k_c, False)
+
+
+def _leading_factors_below(t, limit, plan: _DescentPlan) -> bool:
     """True when mu_hat's leading factors at t alone show |mu_hat(t)| <=
     limit, a float or a Fraction.
 
-    Every factor has modulus at most 1, so |mu_hat(t)| <= prod_{k<=j}
-    |cos(2 pi t theta^-k)| for each j.  plan is (K, W, E), _kernel_plan's
-    at some t' with _mag_estimate(t) <= _mag_estimate(t') (so for the
-    points r n of a batch, Fraction(r) n, those with n <= n').  Each of the
-    kernel's factors k <= K at t, at W bits, is then within
-    _descent_error(theta, K, mag(t)) <= e = E/(2 (K + 1)) units of 2^-W
-    (see mu_hat; the error grows with mag, and W only sets the unit).  The
-    running product of |c_k| + e, rounded up at each shift, bounds the
-    partial products from above, and the factors are taken only until it
-    falls to limit.  So one plan, taken at a batch's largest |t|, serves
-    every point of the batch.
+    mu_hat(t) is the product of the head factors cos(2 pi t theta^-k),
+    k < k_c, and of mu_hat(x_(k_c)), each of modulus at most 1, so the
+    product of the first j of them bounds |mu_hat(t)| for each j.  plan is
+    a _descent_plan that serves t: taken at some mag with
+    _mag_estimate(t) <= mag (so for the points r n of a batch,
+    Fraction(r) n, at the batch's largest |t|).  Its kernel then takes the
+    factors at t as mu_hat(t, plan=plan) does (_descent_factors): each head
+    factor within the plan's e = COS_FIXED_ERROR + 4 + 7 X units of 2^-W,
+    X bounding x_k's error at every |t| < 2^mag, and the tail factor
+    within its E_d (see _descent_plan).  The running product of |c| plus
+    its error, rounded up at each shift, bounds the partial products from
+    above, and the factors are taken only until it falls to limit.  So
+    one plan, taken at a batch's largest |t|, serves every point of the
+    batch.
     """
-    K, W, E = plan
-    e = E // (2 * (K + 1))                       # one factor's error
+    W = plan.W
     num, den = limit.as_integer_ratio()
     cap, run = (num << W) // den, 1 << W
-    work = W + _mag_estimate(t) + 32
-    for c in _kernel_cosines(theta, _fixed_abs(t, W, work), W, 0, K):
-        run = -((-run * (abs(c) + e)) >> W)
+    k_c, factors = _descent_factors(plan, t)
+    for k, c in enumerate(factors):
+        err = plan.e if k < k_c else plan.tail_error
+        run = -((-run * (abs(c) + err)) >> W)
         if run <= cap:
             return True
     return False

@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,7 +31,7 @@ from pisot_spectra import (
 )
 from pisot_spectra import empirical
 from pisot_spectra.pisot import _theta_value
-from pisot_spectra.transform import (_descent_error, _kernel_plan,
+from pisot_spectra.transform import (_descent_error, _fixed_abs, _head,
                                      _mag_estimate)
 
 GOLDEN = build_pisot((1, 1))
@@ -732,8 +733,8 @@ def test_spot_check_catches_a_faulty_kernel(monkeypatch):
 
 
 def _spot_check_log(monkeypatch):
-    """(refs, proofs): the spot check's references as (t, result) and its
-    leading-factor proofs as (t, plan, shown).  A proof that fails is
+    """(refs, proofs): the spot check's references as (t, plan, result) and
+    its leading-factor proofs as (t, plan, shown).  A proof that fails is
     followed by a reference at the same t, so the checked points are the
     references and the points shown, each once."""
     refs, proofs = [], []
@@ -741,11 +742,11 @@ def _spot_check_log(monkeypatch):
     real_proof = empirical._leading_factors_below
 
     def reference(theta, t, **kw):
-        refs.append((t, real_ref(theta, t, **kw)))
-        return refs[-1][1]
+        refs.append((t, kw.get("plan"), real_ref(theta, t, **kw)))
+        return refs[-1][2]
 
-    def proof(theta, t, limit, plan):
-        proofs.append((t, plan, real_proof(theta, t, limit, plan)))
+    def proof(t, limit, plan):
+        proofs.append((t, plan, real_proof(t, limit, plan)))
         return proofs[-1][2]
     monkeypatch.setattr(empirical, "mu_hat", reference)
     monkeypatch.setattr(empirical, "_leading_factors_below", proof)
@@ -753,7 +754,7 @@ def _spot_check_log(monkeypatch):
 
 
 def _checked(refs, proofs):
-    return [t for t, _ in refs] + [t for t, _, shown in proofs if shown]
+    return [t for t, _, _ in refs] + [t for t, _, shown in proofs if shown]
 
 
 def _even_positions(size):
@@ -834,7 +835,7 @@ def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
 def test_spot_check_prefers_kept_values_in_each_stride(monkeypatch):
     refs, proofs = _spot_check_log(monkeypatch)
     _, vals = empirical._sampled(GOLDEN, 1.0, 5 * 10**5, 10**6, 1e-3)
-    ts = np.asarray([float(t) for t, _ in refs])
+    ts = np.asarray([float(t) for t, _, _ in refs])
     # 7 references, each at a kept value in a stride whose evenly spaced
     # point is 0.0; the 32 evenly spaced points, both endpoints among them,
     # are all 0.0 and shown below floor + bound by the leading factors: 25
@@ -884,7 +885,7 @@ def test_spot_check_references_are_sharp_against_their_threshold(
     assert len(even) == min(hi - lo + 1, empirical.SPOT_CHECK_SIZE)
     assert even <= set(checked) and len(set(checked)) == len(checked)
     bound = fast_error_bound(P, r * hi)
-    for _, ref in refs:
+    for _, _, ref in refs:
         assert ref.error_bound <= 1e-3 * (bound + ref.error_bound)
 
 
@@ -957,18 +958,24 @@ def test_leading_factors_leave_the_verdicts_unchanged(monkeypatch, P, r, lo,
 @pytest.mark.parametrize("P, r, lo, hi, eta", SPOT_CHECK_BATCHES,
                          ids=SPOT_CHECK_IDS)
 def test_one_plan_covers_its_batch(monkeypatch, P, r, lo, hi, eta):
-    # every proof of a batch runs under one plan (K, W, E), and at every
-    # checked t the kernel's own depth K_t is at most K and each factor k <=
-    # K errs by at most that plan's per-factor error E/(2 (K + 1)) (which
-    # bounds _descent_error(theta, K_t, mag(t)) too)
+    # every proof and every reference of a batch runs under one descent
+    # plan, taken once; at every checked t its K is at least t's head
+    # length, the exact rule's and the kernel's integer walk's, and its
+    # per-factor error e bounds _descent_error(theta, K, mag(t))
     refs, proofs = _spot_check_log(monkeypatch)
     empirical._sampled(P, r, lo, hi, eta)
-    assert proofs and len({plan for _, plan, _ in proofs}) == 1
-    K, W, E = proofs[0][1]
-    ts = Progression(0.0, r, lo, hi + 1)
-    tol = empirical.SPOT_CHECK_SHARE * fast_error_bound(P, ts._t_max(ts.size))
+    plans = [plan for _, plan, _ in refs + proofs]
+    assert plans and all(plan is plans[0] for plan in plans)
+    plan = plans[0]
+    assert plan.pb == empirical.SPOT_CHECK_BITS
     th = _theta_value(P, empirical.SPOT_CHECK_BITS + 64)
     for t in _checked(refs, proofs):
-        K_t = _kernel_plan(P, t, tol, empirical.SPOT_CHECK_BITS)[0]
-        assert K_t <= K
-        assert _descent_error(th, K, _mag_estimate(t)) <= E // (2 * (K + 1))
+        with mp.workprec(128):
+            x, k_t = 2 * mp.pi * th / (th - 1) * mp.mpf(t.numerator) \
+                / t.denominator, 0
+            while x > 1:
+                x, k_t = x / th, k_t + 1
+        walk = _head(_fixed_abs(t, plan.W, 0), plan.step, plan.W, 2**20,
+                     plan.X, plan.cap, plan.pb)
+        assert k_t <= len(walk) - 1 <= plan.K
+        assert _descent_error(th, plan.K, _mag_estimate(t)) <= plan.e

@@ -42,7 +42,7 @@ from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
                                      FAST_TOL, FACTOR_FLOOR, TAIL_DEGREE,
                                      TAIL_REACH, _TAIL_ERROR, _U,
-                                     _cos_fixed, _depth,
+                                     _cos_fixed, _depth, _descent_plan,
                                      _float_depth,
                                      _kernel_plan, _leading_factors_below,
                                      _mag_estimate, _moment_polynomial,
@@ -368,6 +368,88 @@ def test_mu_hat_kernel_within_its_derived_error(name, pb):
                 assert abs(exact) <= res.error_bound
             else:
                 assert abs(res.value - exact) <= mp.ldexp(E, -W)
+
+
+DESCENT_BASES = {"golden": GOLDEN, "tribonacci": TRIBONACCI,
+                 "quartic": QUARTIC, "binary": build_pisot((2,)),
+                 "ternary": build_pisot((3,))}
+
+
+def _deep(theta, t):
+    # the deep product: 192 bits, truncated at 1e-60
+    return mu_hat(theta, t, 1e-60, precision_bits=192)
+
+
+def _check_descent_plan(theta, plan):
+    # the plan's own contract: E fits 2^(W - pb - 12), E = 2 (K e + E_d),
+    # and X bounds x_k's error as mu_hat's derivation gives it, from theta
+    # at 64 bits: one unit from x_0, one per shift, and sum_j x_j |R -
+    # 2^W/theta| <= 2^mag theta/(theta - 1)
+    assert plan.E < 2 ** (plan.W - plan.pb - 12)
+    assert plan.E == 2 * (plan.K * plan.e + plan.tail_error)
+    with mp.workprec(64):
+        th = _theta_value(theta, 64)
+        S = mp.ldexp(th / (th - 1), plan.mag)
+    assert plan.X >= 1 + plan.K + S
+    assert plan.e >= COS_FIXED_ERROR + 4 + 7 * plan.X
+
+
+@pytest.mark.parametrize("pb", [64, 128])
+@pytest.mark.parametrize("name", sorted(DESCENT_BASES))
+def test_descent_within_its_bound_of_the_deep_product(name, pb):
+    # mu_hat under one descent plan, taken at a batch's largest |t| as the
+    # spot check takes it, lies within 2^-(pb+10) of the deep product at
+    # every t = r n of the batch, n up to 2^37; at t = 0 it is exactly 1,
+    # and it brackets 0 at the exact zeros: at 4t odd on every base, and
+    # at 4t = 2^k odd on the binary base
+    theta = DESCENT_BASES[name]
+    rng = random.Random(f"descent-{name}-{pb}")
+    bound = mp.ldexp(1, -(pb + 10))
+    for r in (1.0, float(theta.theta) / 7, 0.25):
+        ns = [0, 1, 3, 2**37 - 1, *(rng.randrange(2**e) for e in
+                                    (4, 10, 20, 30, 37))]
+        ts = [Fraction(r) * n for n in ns]
+        plan = _descent_plan(theta, pb, _mag_estimate(max(ts)))
+        _check_descent_plan(theta, plan)
+        for t in ts:
+            res, deep = mu_hat(theta, t, plan=plan), _deep(theta, t)
+            assert res.truncation_index <= plan.K
+            if t == 0:
+                assert res == transform.MuHatResult(1, bound, 0, False)
+            elif deep.contains_zero:
+                assert (4 * t).denominator == 1
+                assert res.contains_zero and res.value == 0
+                assert bound <= res.error_bound <= 2 * bound
+            else:
+                assert not res.contains_zero and res.error_bound == bound
+                with mp.workprec(256):
+                    assert (abs(res.value - deep.value)
+                            <= bound + deep.error_bound)
+
+
+@pytest.mark.parametrize("pb", [64, 128])
+@pytest.mark.parametrize("name", sorted(DESCENT_BASES))
+def test_descent_tail_within_its_share(name, pb):
+    # at t = x 2^-W with x + X <= cap the head is empty, and mu_hat under
+    # the plan is its tail factor alone: within R + (floor(a_1) + 2) 5
+    # units of the deep product, for x exact (z within 2 units of 2 pi x,
+    # v within 5 of (2 pi x)^2).  The plans' W run over about 40 values
+    # as mag runs to 40, and so over the tail's degrees
+    theta = DESCENT_BASES[name]
+    for mag in range(41):
+        plan = _descent_plan(theta, pb, mag)
+        _check_descent_plan(theta, plan)
+        W = plan.W
+        share = plan.rounding + ((plan.moments[1] >> W) + 2) * 5
+        for x in (0, (plan.cap - plan.X) // 3, plan.cap - plan.X):
+            t = Fraction(x, 1 << W)
+            res, deep = mu_hat(theta, t, plan=plan), _deep(theta, t)
+            assert res.truncation_index == 0 and not res.contains_zero
+            with mp.workprec(2 * W):
+                assert (abs(res.value - deep.value)
+                        <= mp.ldexp(share, -W) + deep.error_bound)
+            if x == 0:
+                assert res.value == 1
 
 
 def test_mu_hat_floor_hits_bracket_the_textbook_product():
@@ -813,11 +895,13 @@ def test_progression_tables_within_their_error(theta):
     assert C.shape == S.shape == (depth, (ts.stop - 1) // ROW - h0 + 1)
 
     def check(table_cos, table_sin, turns):
-        for got_c, got_s, r in zip(table_cos, table_sin, turns):
-            with mp.workprec(160):
-                angle = 2 * mp.pi * (r - mp.nint(r))
-                for got, want in ((got_c, mp.cos(angle)),
-                                  (got_s, mp.sin(angle))):
+        with mp.workprec(160):
+            two_pi = 2 * mp.pi
+            for got_c, got_s, r in zip(table_cos.tolist(), table_sin.tolist(),
+                                       turns):
+                # one call for both, with mp.cos's and mp.sin's values
+                want_c, want_s = mp.cos_sin(two_pi * (r - mp.nint(r)))
+                for got, want in ((got_c, want_c), (got_s, want_s)):
                     assert abs(got - want) <= 9 * _U * abs(want) + 2.0 ** -95
     with mp.workprec(200):
         th = _theta_value(theta, 200)
@@ -1468,34 +1552,32 @@ def test_leading_factors_bound_the_value_from_above(theta):
     # a limit the leading factors certify is above the certified value, and
     # every limit at least 1 is certified at t != 0; limits placed just
     # above a value are certified, and limits just below never are.  One
-    # plan, at the largest |t|, serves every t
+    # descent plan, at the largest |t|, serves every t
     rng = np.random.default_rng(5)
     ts = [0.0, 0.25, *rng.uniform(-1e6, 1e6, 40)]
-    plan = _kernel_plan(theta, max(map(abs, ts)), 1e-12, 64)
+    plan = _descent_plan(theta, 64, _mag_estimate(max(map(abs, ts))))
     for t in ts:
         res = mu_hat(theta, float(t), tol=1e-12, precision_bits=64)
         low = float(abs(res.value) - res.error_bound)
         high = float(abs(res.value) + res.error_bound)
-        assert _leading_factors_below(theta, float(t), high * 1.001 + 1e-9,
-                                      plan)
-        assert low <= 0 or not _leading_factors_below(
-            theta, float(t), low * 0.999, plan)
+        assert _leading_factors_below(float(t), high * 1.001 + 1e-9, plan)
+        assert low <= 0 or not _leading_factors_below(float(t), low * 0.999,
+                                                      plan)
         for limit in (1.0, 2.0, 1e-3, 1e-6):
-            if _leading_factors_below(theta, float(t), limit, plan):
+            if _leading_factors_below(float(t), limit, plan):
                 assert low <= limit
             else:
                 assert limit < 1 or (t == 0 and limit == 1)
     # at t = 0 every factor is 1 and carries its error: the limit 1 is not
     # certified there, and 1 + 2^-20 is
-    assert not _leading_factors_below(theta, 0.0, 1.0, plan)
-    assert _leading_factors_below(theta, 0.0, Fraction(2**20 + 1, 2**20),
-                                  plan)
+    assert not _leading_factors_below(0.0, 1.0, plan)
+    assert _leading_factors_below(0.0, Fraction(2**20 + 1, 2**20), plan)
     # a factor at an exact zero certifies any positive limit, but not 0:
     # each factor carries its error
     binary, t = build_pisot((2,)), 2.0 ** 9 / 4
     for limit, shown in ((1e-12, True), (0.0, False)):
-        assert _leading_factors_below(binary, t, limit, _kernel_plan(
-            binary, t, 1e-12, 64)) is shown
+        assert _leading_factors_below(t, limit, _descent_plan(
+            binary, 64, _mag_estimate(t))) is shown
 
 
 def test_mu_hat_fast_returns_exact_zeros_as_positive_zero():
