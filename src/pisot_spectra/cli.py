@@ -39,16 +39,16 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .empirical import (_sample_start, decay_check, discrepancy, estimate_J,
-                        interval_fill_test, sample_and_cluster,
+from .empirical import (_rows, _sample_start, decay_check, discrepancy,
+                        estimate_J, interval_fill_test, sample_and_cluster,
                         translated_sample)
 from .errors import (AmbiguousRoundingError, PisotSpectraError,
                      PrecisionExhaustedError)
 from .pisot import FieldElement, PisotNumber, build_pisot, embed
 from .spectrum import (DEFAULT_BUDGET, enumerate_spectrum, limit_value,
                        phi_biinfinite, phi_lambda, synthesize_sequence)
-from .transform import (_rows, check_recurrence, coefficient_series,
-                        digit_trace, mu_hat)
+from .transform import (check_recurrence, coefficient_series, digit_trace,
+                        mu_hat)
 
 # overrides the default working precision for every subcommand
 ENV_PRECISION = "PISOT_PRECISION_BITS"
@@ -173,8 +173,10 @@ def _cmd_eval(args, P, pb):
     if args.count is None:
         raise UsageError("eval --r needs --count")
     r, kind = _scalar(P, args.r)
-    items = list(coefficient_series(P, r, args.count, tol=args.tol,
-                                    fast=args.fast))
+    if args.count < 0:
+        raise ValueError(f"the index range 1..N is empty at N = {args.count}")
+    items = (_rows(P, r, 1, args.count) if args.fast else
+             list(coefficient_series(P, r, args.count, tol=args.tol)))
     if args.fmt == "csv":
         return formats.to_csv(formats.SERIES_ITEM, items, pb)
     return formats.write(formats.SERIES, items, pb, r=args.r, r_kind=kind,

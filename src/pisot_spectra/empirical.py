@@ -14,7 +14,7 @@ scaled sequences, translated (complex) coefficients, and the decay of the
 transform for non-Pisot bases.
 
 Every float64 value at t = r n, in a report or in a row of the float64
-series (transform._rows), comes from _sampled: it reads r by pisot's
+series (_rows), comes from _sampled: it reads r by pisot's
 multiplier rule, checks the index range, refuses the batch from its largest
 |t| before building any array, and evaluates it in one batch, at any N, as
 the progression t_n = r n, whose points are exact (the float r times the
@@ -56,8 +56,8 @@ import mpmath as mp
 from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
-from .transform import (FAST_BLOCK, FAST_ERROR, Progression,
-                        _checked_plan, _descent_plan, _leading_factors_below,
+from .transform import (FAST_BLOCK, FAST_ERROR, Progression, SeriesItem,
+                        _descent_plan, _fast_plan, _leading_factors_below,
                         _mag_estimate, mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
@@ -154,10 +154,11 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
     for n = first..last (see the module docstring).
 
     The batch is the Progression t_n = r_val n, each t exact: the float
-    r_val times the integer n, with no array of points.  It is planned once
-    from its largest |t| and refused when its derived bound exceeds
-    FAST_ERROR, before any array is built, then checked by a precise spot
-    check at SPOT_CHECK_SIZE indices.  They are evenly spaced, and the
+    r_val times the integer n, with no array of points.  mu_hat_fast plans
+    it from its largest |t| and refuses it when its derived bound exceeds
+    FAST_ERROR, before any array is built; the spot check takes that bound
+    from the same plan (transform._fast_plan) and tests the batch at
+    SPOT_CHECK_SIZE indices.  They are evenly spaced, and the
     endpoints, and so the largest |t|, are among them; an
     interior index whose value is 0.0 stands for its stride (the indices
     nearer to it than to its neighbours), and gives way to the nonzero
@@ -204,12 +205,11 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
         raise ValueError(f"the index range {first}..{last} is empty or "
                          "starts below 0")
     ns = Progression(0.0, r_val, first, last + 1)
-    bound = _checked_plan(P, ns._t_max(ns.size) if ns.size else 0.0,
-                          FAST_ERROR)[2]
     floor = eta * FLOOR_SHARE
     vals = mu_hat_fast(P, ns, tol=FAST_ERROR, floor=floor)
     if not ns.size:
         return r_val, vals
+    bound = _fast_plan(P, ns._t_max(ns.size))[1]
     idx = np.unique(np.linspace(0, ns.size - 1,
                                 SPOT_CHECK_SIZE).astype(np.int64))
     edges = (idx[:-1] + idx[1:] + 1) // 2
@@ -244,6 +244,15 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
                 + (f" and the floor {slack:.3e}" if slack else "")
             )
     return r_val, vals
+
+
+def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
+    """Float64 series items at t = r n, n = first..last, from _sampled,
+    each carrying FAST_ERROR and bracketing zero when its value is within
+    that bound of it: the rows of eval --fast and sample --format csv."""
+    r_val, vals = _sampled(P, r, first, last, 0.0)
+    return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ERROR)
+            for n, v in zip(range(first, last + 1), vals.tolist())]
 
 
 def _gap_split(sorted_vals: np.ndarray, gap: float):

@@ -7,17 +7,18 @@ shrinks like theta^j, and those factors are mu_hat(|w|/(2 theta)).  The
 factors come from transform's fixed-point integer kernel: for j >= 0 at
 the conjugate power sums, each term a fixed-point complex int stepped by
 one multiply by theta_i, and for j < 0 from mu_hat's own loop at
-t = |w|/2.  The ascending side is explicit only until its arguments fall
-below a cut; past it, log cos's Taylor series sums every factor in closed
-form, from the kernel's terms at the cut and constants
-1/(1 - prod theta_i^k_i) cached per base (for these products, see Erdos,
-Amer. J. Math. 61, 1939, and Salem, Algebraic Numbers and Fourier
-Analysis, 1963, ch. II).  The descending side is explicit only until the
-float64 path's head rule, 2 pi x theta/(theta - 1) <= 1; past it, one
-factor is mu_hat's Taylor polynomial in (2 pi x)^2 from the even moments
-of mu_theta (transform._moment_polynomial; Jessen and Wintner, Trans.
-AMS 38, 1935), within one unit of 2^-W.  The kernel's error E is derived
-(see _biinfinite_product) and W chosen so that it stays within
+t = |w|/2, under a descent plan from the fit that mu_hat's descent plans
+take (transform._fit_descent).  The ascending side is explicit only until
+its arguments fall below a cut; past it, log cos's Taylor series sums
+every factor in closed form, from the kernel's terms at the cut and
+constants 1/(1 - prod theta_i^k_i) cached per base (for these products,
+see Erdos, Amer. J. Math. 61, 1939, and Salem, Algebraic Numbers and
+Fourier Analysis, 1963, ch. II).  The descending side is explicit only
+until the float64 path's head rule, 2 pi x theta/(theta - 1) <= 1; past
+it, one factor is mu_hat's Taylor polynomial in (2 pi x)^2 from the even
+moments of mu_theta (transform._moment_polynomial; Jessen and Wintner,
+Trans. AMS 38, 1935), within one unit of 2^-W.  The kernel's error E is derived
+(see _biinfinite_product) and W fitted so that it stays within
 2^-(pb+12).  A rational orbit element keeps its exact factor; for m > 1
 there is at most one, and the plan's moduli say at which offset
 (_rational_offsets).  The only truncation left is the ascending series,
@@ -65,11 +66,10 @@ from .pisot import (
     _theta_columns,
     _to_mpf,
 )
-from .transform import (COS_FIXED_ERROR, _check_tol, _cos_fixed,
-                        _descent_x_error, _fixed_abs,
-                        _fixed_product, _head, _kernel_cosines, _kernel_step,
-                        _mag_estimate, _moment_polynomial, _moment_tail,
-                        mu_hat)
+from .transform import (COS_FIXED_ERROR, _DescentPlan, _check_tol,
+                        _cos_fixed, _descent_x_error, _fit_descent,
+                        _fixed_abs, _fixed_product, _head, _kernel_cosines,
+                        _mag_estimate, _tail_factor, mu_hat)
 
 DEFAULT_BUDGET = 10**6
 # the ascending tail takes as many series terms as its remainder needs at
@@ -134,13 +134,10 @@ class _PhiPlan(NamedTuple):
 
     J: int          # explicit ascending factors j = 0..J-1
     N: int          # series terms of the ascending tail j >= J
-    K: int          # at most K descending head factors, j = -1..-K
-    W: int          # the kernel's fractional bits
-    E: int          # its derived error in units of 2^-W
     moduli: list    # upper bounds on |w_1|, ..., |w_m| (_moduli)
-    cap: int        # the descending head rule's threshold (_phi_head)
-    x_error: int    # the descending x_k's error, k <= K + 1
-    moments: list   # the descending tail's coefficients (_moment_polynomial)
+    # the kernel's W, E and the descending side's K, X, cap, moments and
+    # step: at most K head factors, j = -1..-K (transform._fit_descent)
+    descent: _DescentPlan
 
 
 @functools.cache
@@ -228,8 +225,11 @@ def _moduli(P: PisotNumber, w: FieldElement) -> list:
 
 def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
     """The plan of the two-sided product at w (see _biinfinite_product),
-    from the moduli of w at 64 bits.  Runs at the caller's pb + GUARD_BITS
-    bits."""
+    from the moduli of w at 64 bits: the ascending side's J and N, and the
+    descending side's K and X, from which transform._fit_descent fits the
+    kernel's W and E, charged K head factors for m > 1 (none for m = 1,
+    whose head is exact) and the ascending side's error.  Runs at the
+    caller's pb + GUARD_BITS bits."""
     pb = P.precision_bits
     moduli = _moduli(P, w)
     w1, big_c = moduli[0], mp.fsum(moduli[1:])
@@ -244,7 +244,7 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
     with mp.workprec(64):
         y = mp.pi * w1 / (th - 1)
         K = max(0, int(mp.log(y) / mp.log(th) + mp.ldexp(1, -10)) + 1)
-    x_error = _descent_x_error(th, K + 1, mag, x0_error=2)
+    X = _descent_x_error(th, K + 1, mag, x0_error=2)
     # error of sum_i Re z_(i,j) up to j = J: under 2 units from the start
     # of each term, and per step 2 for its two floors and |w_i| for the
     # rounded theta_i
@@ -255,20 +255,10 @@ def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
             # the tail's E_t, with eps = (4 A' + 1) units of 2^-(pb+12)
             eps = mp.ldexp(4 * arg + 1, -(pb + 12))
             tail = int(_kappa(P) * (4 * arg + 1) * mp.tan(x_J + eps)) + 6
-    head = K * (COS_FIXED_ERROR + 4 + 7 * x_error) if P.m > 1 else 0
-    base = J * (COS_FIXED_ERROR + 4 + 4 * arg) + tail + head
-    # the descending tail's share depends on W through its degree and
-    # coefficients, so W grows until E fits in it
-    W = pb + 12 + (2 * base).bit_length()
-    while True:
-        moments, rounding, cap = _moment_polynomial(P, pb, W)
-        # its argument: a_1 = m_2/2 bounds mu_hat's slope in v
-        E = 2 * (base + rounding
-                 + ((moments[1] >> W) + 2) * (14 * x_error + 5))
-        if E.bit_length() <= W - pb - 12:
-            break
-        W = pb + 12 + E.bit_length()
-    return _PhiPlan(J, N, K, W, E, moduli, cap, x_error, moments)
+    # the head is exact for m = 1
+    other = J * (COS_FIXED_ERROR + 4 + 4 * arg) + tail
+    return _PhiPlan(J, N, moduli, _fit_descent(P, pb, mag, K, X,
+                                               K if P.m > 1 else 0, other))
 
 
 def _rational_offsets(P: PisotNumber, moduli):
@@ -418,7 +408,7 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, plan: _PhiPlan,
     j >= J (_ascent_tail).  Each term is a fixed-point complex int stepped by
     one complex multiply by theta_i; a sum whose imaginary part exceeds
     tiny units raises."""
-    W = plan.W
+    W = plan.descent.W
     work = W + _coeff_bits(w) + GUARD_BITS  # embed's at W bits
     with mp.workprec(work):
         terms = [(_floor_fixed(z.real, W), _floor_fixed(z.imag, W))
@@ -441,16 +431,14 @@ def _ascending_cosines(P: PisotNumber, w: FieldElement, plan: _PhiPlan,
         yield _ascent_tail(P, terms, W, plan.N)
 
 
-def _phi_head(P: PisotNumber, w: FieldElement, plan: _PhiPlan):
-    """(x_0, k_c, x): x_0 = floor(|w| 2^(W-1)), the kernel's start at
-    t = |w|/2 from embed(w, 1, W), the descending head length k_c and
-    x = x_(k_c+1), where the tail starts (see _biinfinite_product)."""
-    W = plan.W
-    x0 = _fixed_abs(embed(w, 1, W), W - 1, 0)
-    R = _kernel_step(P, W)
-    xs = _head((x0 * R) >> W, R, W, plan.K, plan.x_error, plan.cap,
-               P.precision_bits)
-    return x0, len(xs) - 1, xs[-1]
+def _phi_head(P: PisotNumber, w: FieldElement, plan: _PhiPlan) -> list:
+    """[x_1, ..., x_(k_c+1)]: the kernel's descent at t = |w|/2, from
+    x_0 = floor(|w| 2^(W-1)) by embed(w, 1, W), over the descending head's
+    k_c factors to x_(k_c+1), where the tail starts (see
+    _biinfinite_product)."""
+    d = plan.descent
+    x0 = _fixed_abs(embed(w, 1, d.W), d.W - 1, 0)
+    return _head((x0 * d.step) >> d.W, d)
 
 
 def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
@@ -489,17 +477,20 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         The tail factor is exp(-T) (_ascent_tail), and the remainder
         0 <= R <= tol (see _series_remainder).
       - j < 0: u is w theta^-k, k = -j, so the factors are mu_hat's at
-        t = |w|/2 and k >= 1, whose product is mu_hat(x_1).  x_k steps
-        from x_0 = floor(|w| 2^(W-1)) by mu_hat's kernel (_phi_head), and
-        k_c is the least k >= 0 with x_(k+1) + X <= cap, X the bound on
-        x_k's error for k <= K + 1 and cap = floor(2^W/(2 pi A)) - 1, from
-        theta at W + 32 bits: one integer comparison per step, so the
-        true x_(k_c+1) has 2 pi A x <= 1, the float64 path's head rule.
-        The factors k = 1..k_c are cosines from the kernel
-        (_kernel_cosines); for m = 1 each is rational and exact.  The
-        rest, mu_hat(x_(k_c+1)), is one factor: P(v) = sum_(n<=N')
-        (-1)^n a_n v^n, a_n = m_2n/(2n)!, by Horner at W bits
-        (_moment_tail) at v = (z z) >> W, z = (x two_pi) >> W.
+        t = |w|/2 and k >= 1, whose product is mu_hat(x_1).  They run
+        under the plan's descent, a transform._DescentPlan from the fit
+        that mu_hat's descent takes (_fit_descent).  x_k steps from
+        x_0 = floor(|w| 2^(W-1)) by mu_hat's kernel, and _phi_head walks
+        x_1, ..., x_(k_c+1) (transform._head): k_c is the least k >= 0
+        with x_(k+1) + X <= cap, X the bound on x_k's error for k <= K + 1
+        and cap = floor(2^W/(2 pi A)) - 1, from theta at W + 16 bits: one
+        integer comparison per step, so the true x_(k_c+1) has
+        2 pi A x <= 1, the float64 path's head rule.  The factors
+        k = 1..k_c are cosines from the kernel (_kernel_cosines from x_1);
+        for m = 1 each is rational and exact.  The rest, mu_hat(x_(k_c+1)),
+        is one factor (_tail_factor): P(v) = sum_(n<=N') (-1)^n a_n v^n,
+        a_n = m_2n/(2n)!, by Horner at W bits at v = (z z) >> W,
+        z = (x two_pi) >> W.
     One running product of W + 1 significant bits takes them all.
 
     The kernel's absolute error, in units u = 2^-W:
@@ -548,8 +539,11 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     K e = 0 for m = 1, whose head is exact, and W = pb + 12 plus the bit
     length of E: the kernel is within 2^-(pb+12).  E_d's degree
     N' = _tail_degree(W) and coefficients depend on W, so W is raised until
-    E fits.  K >= k_c is the head rule's count at a 64-bit estimate of
-    2 pi A x_1 from |w_1|'s bound, with 2^-10 of the count to spare, so
+    E fits: _phi_plan charges transform._fit_descent K head factors (none
+    for m = 1) and J (COS_FIXED_ERROR + 4 + 4 A') + E_t for the ascending
+    side, and the fit adds E_d.  K >= k_c is the head rule's count at a
+    64-bit estimate of 2 pi A x_1 from |w_1|'s bound, with 2^-10 of the
+    count to spare, so
     that 2 pi A x_(K+1) < 1 - 2^-12; the exact walk stops at or before it,
     since X 2 pi A 2^-W is far below 2^-12.  The exact factors and the
     result round at pb + GUARD_BITS bits, so the bound's 2^-(pb+10) term
@@ -567,8 +561,10 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
 
     with mp.workprec(pb + GUARD_BITS):
         plan = _phi_plan(P, w, tol)
-        J, W = plan.J, plan.W
-        x0, k_c, x = _phi_head(P, w, plan)
+        J, descent = plan.J, plan.descent
+        W = descent.W
+        xs = _phi_head(P, w, plan)
+        k_c = len(xs) - 1
         exact = {}
         for j, u in _rational_elements(P, w, J, k_c, plan.moduli):
             exact[j] = _exact_cos_factor(u)
@@ -576,16 +572,15 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
                 return mp.mpf(0), mp.mpf(0)
 
         tiny = 1 << (W - pb // 2)
-        z = (x * pi_fixed(W + 1)) >> W
-        tail = _moment_tail(plan.moments, (z * z) >> W, W)
         # offset J stands for the whole tail j >= J, and -(k_c + 1) for
         # j <= -(k_c + 1); neither is among the exact factors
         n_pos = J + (plan.N > 0)
         offsets = chain(range(n_pos), range(-1, -k_c - 2, -1))
         # for m = 1 every u is exact
-        head = (_kernel_cosines(_kernel_step(P, W), x0, W, 1, k_c)
+        head = (_kernel_cosines(descent.step, xs[0], W, k_c)
                 if P.m > 1 else repeat(0, k_c))
-        cosines = chain(_ascending_cosines(P, w, plan, tiny), head, [tail])
+        cosines = chain(_ascending_cosines(P, w, plan, tiny), head,
+                        [_tail_factor(xs[-1], descent)])
 
         def numeric():
             for j, c in zip(offsets, cosines):

@@ -16,10 +16,12 @@ products; _cos_fixed gives the cosines of their ascending side.
 The even moments of mu_theta come from one fixed-point integer recurrence
 with a derived error (_moment_table).  Every tail takes mu_hat's Taylor
 polynomial from it: the float64 path rounds its ten coefficients once
-(_tail_coefficients), and the two-sided products' descending tail and
+(_tail_coefficients), and the two-sided products' descending side and
 mu_hat under a descent plan (_descent_plan) run it at W bits by Horner's
-rule (_moment_polynomial, _moment_tail), after a head cut by the float64
-path's rule on the kernel's integers (_head).
+rule (_moment_polynomial, _tail_factor), after a head cut by the float64
+path's rule on the kernel's integers (_head).  Both take one plan type,
+_DescentPlan, from one fit (_fit_descent), which raises W until the
+kernel's derived error fits.
 
 mu_hat_fast evaluates a Progression t_i = a + b i in float64, at its exact
 points: k_c head factors, until the batch's largest argument x has
@@ -346,15 +348,14 @@ def _kernel_step(theta: Theta, W: int) -> int:
     return ((1 << (W + 1 - exp)) // man + 1) >> 1
 
 
-def _kernel_cosines(R: int, x: int, W: int, start: int, stop: int):
-    """cos(2 pi x_k) in units of 2^-W for k = start..stop, where x_0 = x and
+def _kernel_cosines(R: int, x: int, W: int, count: int):
+    """cos(2 pi x_k) in units of 2^-W for k = 0..count-1, where x_0 = x and
     x_(k+1) = (x_k R) >> W, R the kernel's step (_kernel_step); each cosine
     is _cos_fixed's, which has cos_sin_fixed's bits."""
     two_pi, half_pi = pi_fixed(W + 1), pi_fixed(W - 1)
     mask = (1 << W) - 1
-    for k in range(stop + 1):
-        if k >= start:
-            yield _cos_fixed(((x & mask) * two_pi) >> W, W, half_pi)
+    for _ in range(count):
+        yield _cos_fixed(((x & mask) * two_pi) >> W, W, half_pi)
         x = (x * R) >> W
 
 
@@ -410,28 +411,8 @@ def _moment_tail(a: list, v: int, W: int) -> int:
     return p
 
 
-def _head(x: int, step: int, W: int, K: int, X: int, cap: int,
-          pb: int) -> list:
-    """[x_0, ..., x_k]: the kernel's descent x_(j+1) = (x_j step) >> W from
-    x_0 = x, to the least k <= K with x_k + X <= cap, X the bound on the
-    error of x_j, j <= K, and cap = _moment_polynomial's.  The true x_k
-    then has 2 pi A x_k <= 1, A = theta/(theta - 1): the float64 path's
-    head rule, decided by one integer comparison per step.  Raises
-    PrecisionExhaustedError when no k <= K has it."""
-    xs = [x]
-    while x + X > cap:
-        if len(xs) > K:
-            raise PrecisionExhaustedError(
-                f"the descending head passes its planned {K} factors at "
-                f"{pb} bits"
-            )
-        x = (x * step) >> W
-        xs.append(x)
-    return xs
-
-
 class _DescentPlan(NamedTuple):
-    """mu_hat's descent at pb bits for every |t| < 2^mag (_descent_plan)."""
+    """mu_hat's descent at pb bits for every |t| < 2^mag (_fit_descent)."""
 
     pb: int
     mag: int
@@ -442,9 +423,68 @@ class _DescentPlan(NamedTuple):
     E: int          # its derived error in units of 2^-W
     tail_error: int  # the tail factor's error E_d
     moments: list   # the tail's coefficients (_moment_polynomial)
-    rounding: int   # their R
     cap: int        # the head rule's threshold (_head)
     step: int       # the kernel's step (_kernel_step)
+
+
+def _fit_descent(theta: Theta, pb: int, mag: int, K: int, X: int,
+                 heads: int, other: int) -> _DescentPlan:
+    """The descent plan of K head factors whose x_k err by at most X units
+    of 2^-W, fitted at pb bits: heads of them are charged e = COS_FIXED_ERROR
+    + 4 + 7 X each, and other is the summed error of every other factor but
+    the tail.
+
+    The tail factor, the moment polynomial at x (_tail_factor), errs by at
+    most E_d = R + (floor(a_1) + 2)(2 e_z + 1), e_z = 7 X + 2, R and a_1
+    from _moment_polynomial (see spectrum's _biinfinite_product).  So the
+    kernel's error is E = 2 (heads e + other + E_d), the cosines' excess
+    over 1 at most doubling the sum.  The tail's degree and coefficients
+    depend on W, so W is raised from pb + 12 plus the bit length of
+    2 (heads e + other) until E fits in 2^(W - pb - 12).  mu_hat's descent
+    (_descent_plan) and the two-sided product's descending side
+    (spectrum._phi_plan) both take their plan from here.
+    """
+    e = COS_FIXED_ERROR + 4 + 7 * X
+    base = heads * e + other
+    key = getattr(theta, "precision_bits", None)
+    W = pb + 12 + (2 * base).bit_length()
+    while True:
+        moments, rounding, cap = _moment_polynomial(theta, key, W)
+        # a_1 = m_2/2 bounds mu_hat's slope in v
+        tail = rounding + ((moments[1] >> W) + 2) * (14 * X + 5)
+        E = 2 * (base + tail)
+        if E.bit_length() <= W - pb - 12:
+            return _DescentPlan(pb, mag, K, X, e, W, E, tail, moments, cap,
+                                _kernel_step(theta, W))
+        W = pb + 12 + E.bit_length()
+
+
+def _head(x: int, plan: _DescentPlan) -> list:
+    """[x_0, ..., x_k]: the kernel's descent x_(j+1) = (x_j step) >> W from
+    x_0 = x, to the least k <= K with x_k + X <= cap, the plan's step, W,
+    K, X and cap.  The true x_k then has 2 pi A x_k <= 1,
+    A = theta/(theta - 1): the float64 path's head rule, decided by one
+    integer comparison per step.  Raises PrecisionExhaustedError when no
+    k <= K has it."""
+    xs = [x]
+    while x + plan.X > plan.cap:
+        if len(xs) > plan.K:
+            raise PrecisionExhaustedError(
+                f"the descending head passes its planned {plan.K} factors at "
+                f"{plan.pb} bits"
+            )
+        x = (x * plan.step) >> plan.W
+        xs.append(x)
+    return xs
+
+
+def _tail_factor(x: int, plan: _DescentPlan) -> int:
+    """mu_hat(x 2^-W) within the plan's E_d units of 2^-W, for the head's
+    last x: the moment polynomial (_moment_tail) at v = (z z) >> W,
+    z = (x two_pi) >> W."""
+    W = plan.W
+    z = (x * pi_fixed(W + 1)) >> W
+    return _moment_tail(plan.moments, (z * z) >> W, W)
 
 
 def _descent_plan(theta: Theta, pb: int, mag: int) -> _DescentPlan:
@@ -457,48 +497,31 @@ def _descent_plan(theta: Theta, pb: int, mag: int) -> _DescentPlan:
     for every theta above 1.2841, the Pisot numbers among them, and
     2 pi A (2 X + 2) 2^-W is far below 2^-12, so the exact walk of _head
     stops at or before K.  X = _descent_x_error(theta, K, mag) bounds the
-    error of x_k for k <= K, and each head factor errs by at most
-    e = COS_FIXED_ERROR + 4 + 7 X (see mu_hat).  The tail factor
-    errs by at most E_d = R + (floor(a_1) + 2)(2 e_z + 1), e_z = 7 X + 2,
-    as the two-sided product's descending tail (spectrum's
-    _biinfinite_product), R and a_1 from _moment_polynomial.  So the
-    kernel's error is E = 2 (K e + E_d), the cosines' excess over 1 at most
-    doubling the sum; W is raised until E fits in 2^(W - pb - 12), since
-    the tail's degree and coefficients depend on W.
+    error of x_k for k <= K.  _fit_descent charges each of the K head
+    factors e = COS_FIXED_ERROR + 4 + 7 X (see mu_hat), and nothing else
+    but the tail factor, and fits W.
     """
     th = _theta_value(theta, pb + 64)
     with mp.workprec(64):
         y = mp.ldexp(2 * mp.pi * th / (th - 1), mag)
         K = max(0, int(mp.log(y) / mp.log(th) + mp.ldexp(1, -10)) + 1)
-    X = _descent_x_error(th, K, mag)
-    e = COS_FIXED_ERROR + 4 + 7 * X
-    key = getattr(theta, "precision_bits", None)
-    W = pb + 12 + (2 * K * e).bit_length()
-    while True:
-        moments, rounding, cap = _moment_polynomial(theta, key, W)
-        tail = rounding + ((moments[1] >> W) + 2) * (14 * X + 5)
-        E = 2 * (K * e + tail)
-        if E.bit_length() <= W - pb - 12:
-            return _DescentPlan(pb, mag, K, X, e, W, E, tail, moments,
-                                rounding, cap, _kernel_step(theta, W))
-        W = pb + 12 + E.bit_length()
+    return _fit_descent(theta, pb, mag, K, _descent_x_error(th, K, mag), K, 0)
 
 
 def _descent_factors(plan: _DescentPlan, t):
     """(k_c, factors): the kernel's k_c head factors at t by the head rule
     (_head), from x_0 = floor(|t| 2^W), and then the tail factor, the
-    moment polynomial at x_(k_c), each in units of 2^-W.  plan must serve
-    t: _mag_estimate(t) <= plan.mag."""
-    mag, W = _mag_estimate(t), plan.W
-    if mag > plan.mag:
-        raise ValueError(f"a descent plan for |t| < 2^{plan.mag} cannot "
-                         f"serve |t| < 2^{mag}")
-    xs = _head(_fixed_abs(t, W, plan.pb + mag + 32), plan.step, W, plan.K,
-               plan.X, plan.cap, plan.pb)
-    z = (xs[-1] * pi_fixed(W + 1)) >> W
-    return len(xs) - 1, chain(
-        _kernel_cosines(plan.step, xs[0], W, 0, len(xs) - 2),
-        [_moment_tail(plan.moments, (z * z) >> W, W)])
+    moment polynomial at x_(k_c), each in units of 2^-W.  Raises ValueError
+    unless |t| < 2^mag, the plan's mag."""
+    W, mag = plan.W, plan.mag
+    x = _fixed_abs(t, W, plan.pb + mag + 32)
+    if x >> (W + mag):
+        raise ValueError(f"a descent plan for |t| < 2^{mag} cannot serve "
+                         f"|t| >= 2^{mag}")
+    xs = _head(x, plan)
+    k_c = len(xs) - 1
+    return k_c, chain(_kernel_cosines(plan.step, x, W, k_c),
+                      [_tail_factor(xs[-1], plan)])
 
 
 def _floor_units(W: int) -> int:
@@ -565,15 +588,16 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     the product, and the result brackets zero, taking |c| + E as the
     modulus of that factor.
 
-    With plan, a _descent_plan that serves t (it takes pb from the plan,
-    and reads neither tol nor precision_bits), there is no truncation at
-    tol.  The same kernel takes factor k while x_k + X > cap, on its
-    integer x_k from x_0 = floor(|t| 2^W): the float64 path's head rule
+    With plan, a _descent_plan taken at some mag with |t| < 2^mag (it
+    takes pb from the plan, and reads neither tol nor precision_bits; a
+    larger |t| raises ValueError), there is no truncation at tol.  The
+    same kernel takes factor k while x_k + X > cap, on its integer x_k
+    from x_0 = floor(|t| 2^W): the float64 path's head rule
     2 pi A x <= 1, A = theta/(theta - 1), decided by one comparison per
     step (_head).  Then one factor, mu_hat(x_(k_c)) by the moment
-    polynomial at W bits (_moment_tail), takes every later factor.  The
+    polynomial at W bits (_tail_factor), takes every later factor.  The
     kernel is within E 2^-W <= 2^-(pb+12) of the infinite product (see
-    _descent_plan), and the value comes back with the bound 2^-(pb+10);
+    _fit_descent), and the value comes back with the bound 2^-(pb+10);
     truncation_index is k_c.  A floor hit brackets zero as above.  Every
     t of a batch can share one plan: the spot check's references and
     leading-factor proofs (empirical._sampled) do.
@@ -589,7 +613,7 @@ def mu_hat(theta: Theta, t, tol: float = 1e-20,
     K, W, E = plan
     work = pb + _mag_estimate(t) + 32
     cosines = _kernel_cosines(_kernel_step(theta, W), _fixed_abs(t, W, work),
-                              W, 0, K)
+                              W, K + 1)
     value, low = _fixed_product(cosines, W, _floor_units(W))
     floor_hits = [abs(c) + E for c in low]
 
@@ -625,13 +649,13 @@ def _leading_factors_below(t, limit, plan: _DescentPlan) -> bool:
     mu_hat(t) is the product of the head factors cos(2 pi t theta^-k),
     k < k_c, and of mu_hat(x_(k_c)), each of modulus at most 1, so the
     product of the first j of them bounds |mu_hat(t)| for each j.  plan is
-    a _descent_plan that serves t: taken at some mag with
-    _mag_estimate(t) <= mag (so for the points r n of a batch,
-    Fraction(r) n, at the batch's largest |t|).  Its kernel then takes the
-    factors at t as mu_hat(t, plan=plan) does (_descent_factors): each head
-    factor within the plan's e = COS_FIXED_ERROR + 4 + 7 X units of 2^-W,
-    X bounding x_k's error at every |t| < 2^mag, and the tail factor
-    within its E_d (see _descent_plan).  The running product of |c| plus
+    a _descent_plan that serves t: taken at some mag with |t| < 2^mag (so
+    for the points r n of a batch, Fraction(r) n, at the batch's largest
+    |t|).  Its kernel then takes the factors at t as mu_hat(t, plan=plan)
+    does (_descent_factors): each head factor within the plan's
+    e = COS_FIXED_ERROR + 4 + 7 X units of 2^-W, X bounding x_k's error at
+    every |t| < 2^mag, and the tail factor within its E_d (see
+    _fit_descent).  The running product of |c| plus
     its error, rounded up at each shift, bounds the partial products from
     above, and the factors are taken only until it falls to limit.  So
     one plan, taken at a batch's largest |t|, serves every point of the
@@ -718,9 +742,9 @@ def _tail_coefficients(theta: Theta) -> tuple[float, ...]:
                  for n, c in enumerate(a))
 
 
-def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
-    """Float64 base, head length k_c and a-priori error bound of a
-    mu_hat_fast batch whose largest |t| is t_max (see fast_error_bound).
+def _fast_plan(theta: Theta, t_max: float) -> tuple[int, float]:
+    """Head length k_c and a-priori error bound of a mu_hat_fast batch
+    whose largest |t| is t_max (see fast_error_bound).
     A head longer than _HEAD_LIMIT is not planned: k_c comes back as
     _HEAD_LIMIT + 1, with bound inf.  The bound is inf, too, past
     t_max A = 2^100, A = theta/(theta - 1), where the tables' angles are
@@ -730,7 +754,7 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
         exact = _theta_value(theta, 128)
         A = exact / (exact - 1)
         if not t_max * A <= 2 ** 100:
-            return th, 0, math.inf
+            return 0, math.inf
         reach = mp.mpf(TAIL_REACH) / (2 * mp.pi * A)
         # the largest float x with 2 pi x A <= TAIL_REACH
         x_c = float(reach)
@@ -740,7 +764,7 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
     kc, x = 0, t_max
     while x > x_c:
         if kc == _HEAD_LIMIT:
-            return th, kc + 1, math.inf
+            return kc + 1, math.inf
         kc, x = kc + 1, x / th
     bound = (kc * _FACTOR_ERROR + TAIL_REACH * 4 * _U / (1 - 4 * _U)
              + _TAIL_ERROR)
@@ -748,8 +772,8 @@ def _fast_plan(theta: Theta, t_max: float) -> tuple[float, int, float]:
     # relative 2^-31, and factors rounded past modulus 1, by at most 21u,
     # and the running product's roundings scale the sum by at most
     # (1 + 22u)^(k_c+1), which is below 1 + 2^-31 while k_c < 190,000
-    return th, kc, bound * max(1 + 2.0 ** -30,
-                               (1 + 22 * _U) ** (kc + 1) * (1 + 2.0 ** -31))
+    return kc, bound * max(1 + 2.0 ** -30,
+                           (1 + 22 * _U) ** (kc + 1) * (1 + 2.0 ** -31))
 
 
 def fast_error_bound(theta: Theta, t_max: float) -> float:
@@ -790,25 +814,7 @@ def fast_error_bound(theta: Theta, t_max: float) -> float:
     1e6 and 1.4e-13 at 1e11.  It is inf where the head would be longer
     than _HEAD_LIMIT factors, and past t_max A = 2^100.
     """
-    return _fast_plan(theta, abs(float(t_max)))[2]
-
-
-def _checked_plan(theta: Theta, t_max: float, tol: float):
-    """_fast_plan's base, head length and error bound for a batch whose
-    largest |t| is t_max; raises PrecisionExhaustedError when its head would
-    be longer than _HEAD_LIMIT factors or its error bound exceeds tol."""
-    th, kc, bound = _fast_plan(theta, t_max)
-    if kc > _HEAD_LIMIT:
-        raise PrecisionExhaustedError(
-            f"float64 head at |t| <= {t_max:.6g} needs more than "
-            f"{_HEAD_LIMIT} factors"
-        )
-    if not bound <= tol:
-        raise PrecisionExhaustedError(
-            f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
-            f"exceeds the tolerance {tol:.3e}"
-        )
-    return th, kc, bound
+    return _fast_plan(theta, abs(float(t_max)))[1]
 
 
 @dataclass(frozen=True)
@@ -1035,8 +1041,23 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
         raise ValueError("segments must be ascending indices into the batch")
     # plan and refuse every segment, then check the indices, before any
     # block or output is built
-    plans = [(a, b, _checked_plan(theta, ts._t_max(b), tol)[1])
-             for a, b in zip(cuts, cuts[1:]) if a < b]
+    plans = []
+    for a, b in zip(cuts, cuts[1:]):
+        if a == b:
+            continue
+        t_max = ts._t_max(b)
+        kc, bound = _fast_plan(theta, t_max)
+        if kc > _HEAD_LIMIT:
+            raise PrecisionExhaustedError(
+                f"float64 head at |t| <= {t_max:.6g} needs more than "
+                f"{_HEAD_LIMIT} factors"
+            )
+        if not bound <= tol:
+            raise PrecisionExhaustedError(
+                f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
+                f"exceeds the tolerance {tol:.3e}"
+            )
+        plans.append((a, b, kc))
     if plans and ts.stop > _INDEX_LIMIT:
         raise PrecisionExhaustedError(
             f"a progression's indices must lie below 2^37, got {ts.stop - 1}")
@@ -1152,17 +1173,6 @@ def _zero_classes(theta: Theta, ts: Progression) -> list[tuple[int, int]]:
             return classes
 
 
-def _rows(P: PisotNumber, r, first: int, last: int) -> list[SeriesItem]:
-    """Float64 series items at t = r n, n = first..last, from
-    empirical._sampled, each carrying FAST_ERROR and bracketing zero when
-    its value is within that bound of it."""
-    # empirical imports this module, so its routine is imported here
-    from .empirical import _sampled
-    r_val, vals = _sampled(P, r, first, last, 0.0)
-    return [SeriesItem(n, r_val * n, v, FAST_ERROR, abs(v) <= FAST_ERROR)
-            for n, v in zip(range(first, last + 1), vals.tolist())]
-
-
 def digit_trace(P: PisotNumber, y, N: int, delta=None) -> DigitTrace:
     """Nearest-integer digits of y theta^j for j = 1..N, y in [1, theta).
 
@@ -1237,22 +1247,14 @@ def check_recurrence(trace: DigitTrace, P: PisotNumber, delta) -> list[int]:
     return violations
 
 
-def coefficient_series(P: PisotNumber, r, N: int, tol: float = 1e-20,
-                       fast: bool = False) -> Iterator[SeriesItem]:
-    """Stream (n, t=r*n, transform value) for n = 1..N, ordered by n.
-
-    r is read by pisot._as_multiplier.  Precise mode carries per-item
-    certified bounds; fast mode gives the float64 rows of _rows, each item
-    carrying FAST_ERROR, spot-checked, and refused before the batch is
-    built (PrecisionExhaustedError) when its derived bound exceeds that or
-    an index reaches 2^37.
+def coefficient_series(P: PisotNumber, r, N: int,
+                       tol: float = 1e-20) -> Iterator[SeriesItem]:
+    """Stream (n, t=r*n, transform value) for n = 1..N, ordered by n, each
+    item with its certified bound.  r is read by pisot._as_multiplier.  The
+    float64 rows of the same range are empirical._rows'.
     """
     if N < 0:
         raise ValueError(f"the index range 1..N is empty at N = {N}")
-    if fast:
-        yield from _rows(P, r, 1, N)
-        return
-
     r_emb = embed(_as_multiplier(P, r), 1)
     for n in range(1, N + 1):
         with mp.workprec(P.precision_bits + 64):

@@ -17,7 +17,6 @@ from pisot_spectra import (
     PrecisionExhaustedError,
     Progression,
     build_pisot,
-    coefficient_series,
     decay_check,
     discrepancy,
     enumerate_spectrum,
@@ -680,7 +679,7 @@ def test_sampled_batches_need_no_tolerance_past_fast_error():
      "a progression's indices must lie below 2^37, got 274877906944"),
     (lambda: interval_fill_test(GOLDEN, 1000, 2**38),
      "a progression's indices must lie below 2^37, got 274877906944"),
-    (lambda: list(coefficient_series(GOLDEN, 1, 2**38, fast=True)),
+    (lambda: empirical._rows(GOLDEN, 1, 1, 2**38),
      "a progression's indices must lie below 2^37, got 274877906944"),
 ], ids=["sample", "fill", "series"])
 def test_refused_sampled_batch_builds_nothing(call, message):
@@ -701,7 +700,7 @@ def test_refused_sampled_batch_builds_nothing(call, message):
 def test_float64_rows_zero_exact_zeros_and_are_spot_checked(monkeypatch):
     # cos(2 pi t) vanishes at t = 1/4 and 3/4: 0.0 there, as on the
     # precise path
-    items = list(coefficient_series(GOLDEN, Fraction(1, 4), 3, fast=True))
+    items = empirical._rows(GOLDEN, Fraction(1, 4), 1, 3)
     assert [it.value for it in items[::2]] == [0.0, 0.0]
     assert [it.contains_zero for it in items] == [True, False, True]
     # the rows share the reports' spot check
@@ -710,7 +709,7 @@ def test_float64_rows_zero_exact_zeros_and_are_spot_checked(monkeypatch):
                         lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,
                                                           **kw) + 1e-7)
     with pytest.raises(PrecisionExhaustedError, match="spot check"):
-        list(coefficient_series(GOLDEN, 1, 50, fast=True))
+        empirical._rows(GOLDEN, 1, 1, 50)
 
 
 def test_spot_check_catches_a_faulty_kernel(monkeypatch):
@@ -975,7 +974,6 @@ def test_one_plan_covers_its_batch(monkeypatch, P, r, lo, hi, eta):
                 / t.denominator, 0
             while x > 1:
                 x, k_t = x / th, k_t + 1
-        walk = _head(_fixed_abs(t, plan.W, 0), plan.step, plan.W, 2**20,
-                     plan.X, plan.cap, plan.pb)
+        walk = _head(_fixed_abs(t, plan.W, 0), plan._replace(K=2**20))
         assert k_t <= len(walk) - 1 <= plan.K
         assert _descent_error(th, plan.K, _mag_estimate(t)) <= plan.e

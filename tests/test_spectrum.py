@@ -32,6 +32,8 @@ from pisot_spectra.errors import (
     InvalidToleranceError,
 )
 from pisot_spectra.pisot import GUARD_BITS, _coeff_bits, embed
+from pisot_spectra.transform import (COS_FIXED_ERROR, _kernel_step,
+                                     _moment_polynomial)
 
 GOLDEN = build_pisot((1, 1))
 TRIBONACCI = build_pisot((1, 1, 1))
@@ -304,6 +306,38 @@ PHI_KERNEL_BASES = {"golden": (1, 1), "tribonacci": (1, 1, 1),
                     "quartic": (1, 0, 0, 1), "silver": (2, 1), "ternary": (3,)}
 
 
+def _check_phi_plan(P, w, tol, plan):
+    # the plan's contract, as transform's _check_descent_plan states it for
+    # mu_hat's descent: E fits 2^(W - pb - 12), and E = 2 (heads e + other
+    # + E_d), with heads = K for m > 1 (0 for m = 1, whose head is exact),
+    # other = J (COS_FIXED_ERROR + 4 + 4 A') + E_t the ascending side's
+    # error, and E_d = R + (floor(a_1) + 2)(14 X + 5) the tail factor's;
+    # X bounds x_k's error for k <= K + 1 from x_0 under 2 units off
+    pb, d = P.precision_bits, plan.descent
+    assert d.E < 2 ** (d.W - pb - 12)
+    moments, R, cap = _moment_polynomial(P, pb, d.W)
+    assert (d.moments, d.cap, d.step) == (moments, cap, _kernel_step(P, d.W))
+    e_d = R + ((moments[1] >> d.W) + 2) * (14 * d.X + 5)
+    assert d.tail_error == e_d
+    assert d.e == COS_FIXED_ERROR + 4 + 7 * d.X
+    big_c = mp.fsum(plan.moduli[1:])
+    arg = (P.m - 1) * (2 + 2 * plan.J) + (int(big_c) + 1) * plan.J
+    other = plan.J * (COS_FIXED_ERROR + 4 + 4 * arg)
+    if plan.N:
+        _, _, x_J = spectrum._ascent_cut(P, big_c, tol)
+        with mp.workprec(64):
+            eps = mp.ldexp(4 * arg + 1, -(pb + 12))
+            other += int(spectrum._kappa(P) * (4 * arg + 1)
+                         * mp.tan(x_J + eps)) + 6
+    heads = d.K if P.m > 1 else 0
+    assert d.E == 2 * (heads * d.e + other + e_d)
+    with mp.workprec(64):
+        th = P.theta_at(64)
+        S = mp.ldexp(th / (th - 1), d.mag)
+    assert abs(embed(w, 1)) < 2 ** d.mag
+    assert d.X >= 2 + (d.K + 1) + S
+
+
 @pytest.mark.parametrize("pb", [64, 256, 512])
 @pytest.mark.parametrize("name", sorted(PHI_KERNEL_BASES))
 def test_phi_kernel_within_its_derived_error(name, pb):
@@ -320,7 +354,8 @@ def test_phi_kernel_within_its_derived_error(name, pb):
     for w, tol in cases:
         with mp.workprec(pb + GUARD_BITS):
             plan = spectrum._phi_plan(P, w, tol)
-        W, E = plan.W, plan.E
+            _check_phi_plan(P, w, tol, plan)
+        W, E = plan.descent.W, plan.descent.E
         assert E < 2 ** (W - pb - 12)
         value, _ = phi_biinfinite(P, w, tol)
         # the kernel's J cosines and its tail of N series terms, and the
@@ -355,10 +390,11 @@ def test_phi_within_its_bound_of_the_deep_product(name, pb):
                 continue
             with mp.workprec(pb + GUARD_BITS):
                 plan = spectrum._phi_plan(P, w, tol)
+                _check_phi_plan(P, w, tol, plan)
             value, err = phi_biinfinite(P, w, tol)
             # the textbook's own rounding, up to ~6000 factors, stays
             # below 2^-(pb+62)
-            bits = plan.W + 64
+            bits = plan.descent.W + 64
             exact = _textbook_two_sided(P, w, plan.J,
                                         _descent_deep(P, w, bits), bits)
             with mp.workprec(bits):
@@ -367,7 +403,7 @@ def test_phi_within_its_bound_of_the_deep_product(name, pb):
                 gap = abs(value - exact)
                 slack = mp.ldexp(1, -(pb + 62))
                 assert gap <= err + slack
-                kernel = mp.ldexp(plan.E, -plan.W)
+                kernel = mp.ldexp(plan.descent.E, -plan.descent.W)
                 assert gap <= value * mp.expm1(tol) + kernel + slack
 
 

@@ -234,7 +234,7 @@ def _phi_depths(P, w, tol):
     # J and k_c of the two-sided product at w
     with mp.workprec(P.precision_bits + GUARD_BITS):
         plan = spectrum._phi_plan(P, w, tol)
-        return plan.J, spectrum._phi_head(P, w, plan)[1]
+        return plan.J, len(spectrum._phi_head(P, w, plan)) - 1
 
 
 @functools.cache
@@ -381,11 +381,17 @@ def _deep(theta, t):
 
 
 def _check_descent_plan(theta, plan):
-    # the plan's own contract: E fits 2^(W - pb - 12), E = 2 (K e + E_d),
+    # the plan's own contract: E fits 2^(W - pb - 12), E = 2 (K e + E_d)
+    # with E_d = R + (floor(a_1) + 2)(14 X + 5) the tail factor's error,
     # and X bounds x_k's error as mu_hat's derivation gives it, from theta
     # at 64 bits: one unit from x_0, one per shift, and sum_j x_j |R -
-    # 2^W/theta| <= 2^mag theta/(theta - 1)
+    # 2^W/theta| <= 2^mag theta/(theta - 1).  spectrum's _check_phi_plan
+    # states the same for the two-sided product's descending side
     assert plan.E < 2 ** (plan.W - plan.pb - 12)
+    moments, R, cap = _moment_polynomial(theta, theta.precision_bits, plan.W)
+    assert (plan.moments, plan.cap) == (moments, cap)
+    assert plan.tail_error == R + ((moments[1] >> plan.W) + 2) * (
+        14 * plan.X + 5)
     assert plan.E == 2 * (plan.K * plan.e + plan.tail_error)
     with mp.workprec(64):
         th = _theta_value(theta, 64)
@@ -427,6 +433,34 @@ def test_descent_within_its_bound_of_the_deep_product(name, pb):
                             <= bound + deep.error_bound)
 
 
+@pytest.mark.parametrize("name", sorted(DESCENT_BASES))
+def test_descent_plan_serves_every_t_below_its_mag(name):
+    # a plan at mag serves every |t| < 2^mag, whatever its type: the
+    # Fractions 2^mag - (n + 1)/7 lie within its bound of the deep product,
+    # though their bit lengths read mag + 1 (_mag_estimate); |t| = 2^mag is
+    # refused
+    theta = DESCENT_BASES[name]
+    bound = mp.ldexp(1, -74)
+    for mag in (0, 1, 7, 20, 33):
+        plan = _descent_plan(theta, 64, mag)
+        for n in range(3):
+            t = 2 ** mag - Fraction(n + 1, 7)
+            if t <= 0:
+                continue
+            res, deep = mu_hat(theta, t, plan=plan), _deep(theta, t)
+            assert res.truncation_index <= plan.K
+            if deep.contains_zero:
+                assert res.contains_zero and res.value == 0
+                continue
+            assert not res.contains_zero and res.error_bound == bound
+            with mp.workprec(256):
+                assert abs(res.value - deep.value) <= bound + deep.error_bound
+        for t in (2 ** mag, Fraction(-(2 ** mag)), float(2 ** mag),
+                  mp.mpf(2) ** mag):
+            with pytest.raises(ValueError, match="cannot serve"):
+                mu_hat(theta, t, plan=plan)
+
+
 @pytest.mark.parametrize("pb", [64, 128])
 @pytest.mark.parametrize("name", sorted(DESCENT_BASES))
 def test_descent_tail_within_its_share(name, pb):
@@ -440,7 +474,8 @@ def test_descent_tail_within_its_share(name, pb):
         plan = _descent_plan(theta, pb, mag)
         _check_descent_plan(theta, plan)
         W = plan.W
-        share = plan.rounding + ((plan.moments[1] >> W) + 2) * 5
+        share = (_moment_polynomial(theta, theta.precision_bits, W)[1]
+                 + ((plan.moments[1] >> W) + 2) * 5)
         for x in (0, (plan.cap - plan.X) // 3, plan.cap - plan.X):
             t = Fraction(x, 1 << W)
             res, deep = mu_hat(theta, t, plan=plan), _deep(theta, t)
@@ -532,7 +567,7 @@ def test_head_past_its_limit_refused(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     # a head of exactly the limit is planned, one factor more is not
-    kc = transform._fast_plan(GOLDEN, 1e6)[1]
+    kc = transform._fast_plan(GOLDEN, 1e6)[0]
     monkeypatch.setattr(transform, "_HEAD_LIMIT", kc)
     assert fast_error_bound(GOLDEN, 1e6) < FAST_TOL
     monkeypatch.setattr(transform, "_HEAD_LIMIT", kc - 1)
@@ -676,7 +711,7 @@ def _piece(ts, a, b):
 def test_segments_equal_separate_calls(monkeypatch, theta):
     ts = _segmented_batch(5)
     cuts = [*SEGMENT_STARTS, ts.size]
-    depths = {transform._fast_plan(theta, ts._t_max(b))[1]
+    depths = {transform._fast_plan(theta, ts._t_max(b))[0]
               for a, b in zip(cuts, cuts[1:]) if b > a}
     assert len(depths) > 3
     separate = np.concatenate([mu_hat_fast(theta, _piece(ts, a, b))
@@ -872,12 +907,12 @@ def test_progression_bits_do_not_depend_on_workers_or_range(monkeypatch,
         _with_cores(monkeypatch, cores)
         runs.append(mu_hat_fast(theta, ts))
     assert pools == [1, 2] and np.array_equal(runs[0], runs[1])
-    plan = transform._fast_plan(theta, ts._t_max(ts.size))[1]
+    plan = transform._fast_plan(theta, ts._t_max(ts.size))[0]
     # a sub-range with the same plan gives the same bits at each index
     for d, e in ((1, 0), (ROW - 1, 0), (FAST_BLOCK + 3, 0), (517, 7),
                  (2 * FAST_BLOCK, ROW + 1)):
         sub = transform.Progression(ts.a, ts.b, ts.start + d, ts.stop - e)
-        assert transform._fast_plan(theta, sub._t_max(sub.size))[1] == plan
+        assert transform._fast_plan(theta, sub._t_max(sub.size))[0] == plan
         assert np.array_equal(mu_hat_fast(theta, sub),
                               runs[0][d:ts.size - e])
 
@@ -889,7 +924,7 @@ def test_progression_tables_within_their_error(theta):
     # of the cosine or sine of the exact angle: 2 pi j b theta^-k, and
     # 2 pi (h ROW b theta^-k + a theta^-k), from theta at 200 bits
     ts = transform.Progression(0.3, 1.37, 10**5, 10**5 + 2 * FAST_BLOCK + 9)
-    depth = transform._fast_plan(theta, ts._t_max(ts.size))[1]
+    depth = transform._fast_plan(theta, ts._t_max(ts.size))[0]
     c, s, C, S, h0 = _unpacked_tables(theta, ts, depth)
     assert c.shape == s.shape == (depth, ROW)
     assert C.shape == S.shape == (depth, (ts.stop - 1) // ROW - h0 + 1)
@@ -916,7 +951,7 @@ def test_progression_takes_no_cosine_per_point(monkeypatch):
     # sample's largest batch takes its sines and cosines on the tables only:
     # k_c (ROW + rows) points each
     ts = transform.Progression(0.0, 1.0, 5 * 10**5, 10**6 + 1)
-    kc = transform._fast_plan(GOLDEN, 1e6)[1]
+    kc = transform._fast_plan(GOLDEN, 1e6)[0]
     rows = 10**6 // ROW - 5 * 10**5 // ROW + 1
     counts = {}
     for name in ("cos", "sin"):
@@ -1210,7 +1245,7 @@ def test_derived_bound_within_the_progression_terms():
     # derived terms times the growth factor
     for theta, t_max, measured in PROGRESSION_BOUNDS:
         bound = fast_error_bound(theta, t_max)
-        kc = transform._fast_plan(theta, t_max)[1]
+        kc = transform._fast_plan(theta, t_max)[0]
         terms = (kc * transform._FACTOR_ERROR
                  + TAIL_REACH * 4 * _U / (1 - 4 * _U) + _TAIL_ERROR)
         assert terms < bound <= terms * (1 + 2.0 ** -29)
@@ -1226,7 +1261,7 @@ def test_bound_holds_a_head_whose_every_factor_errs_by_20u(monkeypatch):
     # einsum returns each factor 20u too large gives (1 + 20u)^k_c, which
     # the bound holds only with its k_c _FACTOR_ERROR term
     ts = transform.Progression(0.0, 1.0, 0, 100)
-    kc = transform._fast_plan(GOLDEN, 99.0)[1]
+    kc = transform._fast_plan(GOLDEN, 99.0)[0]
     assert kc > 0 and mu_hat_fast(GOLDEN, ts)[0] == 1.0
     real = np.einsum
 
@@ -1456,7 +1491,7 @@ def test_moment_tail_within_its_derived_error(name, pb):
     # deep cosine product
     P = build_pisot(MOMENT_BASES[name], pb)
     with mp.workprec(pb + GUARD_BITS):
-        W = spectrum._phi_plan(P, P.field((1,) * P.m), 1e-20).W
+        W = spectrum._phi_plan(P, P.field((1,) * P.m), 1e-20).descent.W
     a, R, cap = _moment_polynomial(P, pb, W)
     N = len(a) - 1
     assert math.factorial(2 * N) <= 2 ** W < math.factorial(2 * N + 2)
@@ -1618,7 +1653,7 @@ def test_float64_series_refused_past_fast_error(monkeypatch):
     # |t| = 2e6
     monkeypatch.setattr(empirical, "FAST_ERROR", 1e-14)
     with pytest.raises(PrecisionExhaustedError, match="exceeds the tolerance"):
-        list(coefficient_series(GOLDEN, 10**6, 2, fast=True))
+        empirical._rows(GOLDEN, 10**6, 1, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1770,27 +1805,28 @@ def test_coefficient_series_sinc_zeros():
 
 
 def test_coefficient_series_fast_path():
-    items = list(coefficient_series(GOLDEN, 1, 500, fast=True))
+    items = empirical._rows(GOLDEN, 1, 1, 500)
     assert len(items) == 500
     for it in items[::61]:
         precise = mu_hat(GOLDEN, it.t)
         assert abs(float(precise.value) - it.value) < 1e-8
     # byte-reproducible: same invocation gives identical floats
-    again = list(coefficient_series(GOLDEN, 1, 500, fast=True))
+    again = empirical._rows(GOLDEN, 1, 1, 500)
     assert all(a.value == b.value for a, b in zip(items, again))
 
 
 def test_coefficient_series_rejects_nonpositive_r():
-    for fast in (False, True):
-        for r in (Fraction(-1, 2), 0, -0.5):
-            with pytest.raises(ValueError, match="r must be positive"):
-                list(coefficient_series(GOLDEN, r, 10, fast=fast))
+    for r in (Fraction(-1, 2), 0, -0.5):
+        with pytest.raises(ValueError, match="r must be positive"):
+            list(coefficient_series(GOLDEN, r, 10))
+        with pytest.raises(ValueError, match="r must be positive"):
+            empirical._rows(GOLDEN, r, 1, 10)
 
 
 def test_coefficient_series_reads_decimal_r():
     # a float r is read by the multiplier rule, exactly, on both paths
     precise = list(coefficient_series(GOLDEN, 1.37, 3))
-    fast = list(coefficient_series(GOLDEN, 1.37, 3, fast=True))
+    fast = empirical._rows(GOLDEN, 1.37, 1, 3)
     assert [it.t for it in fast] == [1.37 * n for n in (1, 2, 3)]
     assert [float(it.t) for it in precise] == [it.t for it in fast]
     for p, f in zip(precise, fast):
