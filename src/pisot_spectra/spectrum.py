@@ -225,11 +225,10 @@ def _moduli(P: PisotNumber, w: FieldElement) -> list:
 
 def _phi_plan(P: PisotNumber, w: FieldElement, tol) -> _PhiPlan:
     """The plan of the two-sided product at w (see _biinfinite_product),
-    from the moduli of w at 64 bits: the ascending side's J and N, and the
-    descending side's K and X, from which transform._fit_descent fits the
-    kernel's W and E, charged K head factors for m > 1 (none for m = 1,
-    whose head is exact) and the ascending side's error.  Runs at the
-    caller's pb + GUARD_BITS bits."""
+    from the moduli of w at 64 bits: J, N, and the descent that
+    transform._fit_descent fits from K and X, charged K head factors (none
+    for m = 1, whose head is exact) and the ascending side's error.  Runs
+    at the caller's pb + GUARD_BITS bits."""
     pb = P.precision_bits
     moduli = _moduli(P, w)
     w1, big_c = moduli[0], mp.fsum(moduli[1:])
@@ -477,16 +476,14 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
         The tail factor is exp(-T) (_ascent_tail), and the remainder
         0 <= R <= tol (see _series_remainder).
       - j < 0: u is w theta^-k, k = -j, so the factors are mu_hat's at
-        t = |w|/2 and k >= 1, whose product is mu_hat(x_1).  They run
-        under the plan's descent, a transform._DescentPlan from the fit
-        that mu_hat's descent takes (_fit_descent).  x_k steps from
-        x_0 = floor(|w| 2^(W-1)) by mu_hat's kernel, and _phi_head walks
-        x_1, ..., x_(k_c+1) (transform._head): k_c is the least k >= 0
-        with x_(k+1) + X <= cap, X the bound on x_k's error for k <= K + 1
-        and cap = floor(2^W/(2 pi A)) - 1, from theta at W + 16 bits: one
-        integer comparison per step, so the true x_(k_c+1) has
-        2 pi A x <= 1, the float64 path's head rule.  The factors
-        k = 1..k_c are cosines from the kernel (_kernel_cosines from x_1);
+        t = |w|/2 and k >= 1, whose product is mu_hat(x_1), under the
+        plan's descent (a transform._DescentPlan).  x_k steps from
+        x_0 = floor(|w| 2^(W-1)) by mu_hat's kernel (_phi_head), and k_c
+        is the least k >= 0 with x_(k+1) + X <= cap, X the bound on x_k's
+        error for k <= K + 1 and cap = floor(2^W/(2 pi A)) - 1, from theta
+        at W + 16 bits: one integer comparison per step, so the true
+        x_(k_c+1) has 2 pi A x <= 1, the float64 path's head rule.  The
+        factors k = 1..k_c are cosines from the kernel (_kernel_cosines);
         for m = 1 each is rational and exact.  The rest, mu_hat(x_(k_c+1)),
         is one factor (_tail_factor): P(v) = sum_(n<=N') (-1)^n a_n v^n,
         a_n = m_2n/(2n)!, by Horner at W bits at v = (z z) >> W,
@@ -539,10 +536,8 @@ def _biinfinite_product(P: PisotNumber, w: FieldElement, tol):
     K e = 0 for m = 1, whose head is exact, and W = pb + 12 plus the bit
     length of E: the kernel is within 2^-(pb+12).  E_d's degree
     N' = _tail_degree(W) and coefficients depend on W, so W is raised until
-    E fits: _phi_plan charges transform._fit_descent K head factors (none
-    for m = 1) and J (COS_FIXED_ERROR + 4 + 4 A') + E_t for the ascending
-    side, and the fit adds E_d.  K >= k_c is the head rule's count at a
-    64-bit estimate of 2 pi A x_1 from |w_1|'s bound, with 2^-10 of the
+    E fits (transform._fit_descent).  K >= k_c is the head rule's count at
+    a 64-bit estimate of 2 pi A x_1 from |w_1|'s bound, with 2^-10 of the
     count to spare, so
     that 2 pi A x_(K+1) < 1 - 2^-12; the exact walk stops at or before it,
     since X 2 pi A 2^-W is far below 2^-12.  The exact factors and the

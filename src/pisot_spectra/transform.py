@@ -429,21 +429,16 @@ class _DescentPlan(NamedTuple):
 
 def _fit_descent(theta: Theta, pb: int, mag: int, K: int, X: int,
                  heads: int, other: int) -> _DescentPlan:
-    """The descent plan of K head factors whose x_k err by at most X units
-    of 2^-W, fitted at pb bits: heads of them are charged e = COS_FIXED_ERROR
-    + 4 + 7 X each, and other is the summed error of every other factor but
-    the tail.
-
-    The tail factor, the moment polynomial at x (_tail_factor), errs by at
+    """The descent plan of _descent_plan and of spectrum._phi_plan: K head
+    factors whose x_k err by at most X units of 2^-W, heads of them charged
+    e = COS_FIXED_ERROR + 4 + 7 X each, other the summed error of every
+    other factor but the tail.  The tail factor (_tail_factor) errs by at
     most E_d = R + (floor(a_1) + 2)(2 e_z + 1), e_z = 7 X + 2, R and a_1
-    from _moment_polynomial (see spectrum's _biinfinite_product).  So the
-    kernel's error is E = 2 (heads e + other + E_d), the cosines' excess
-    over 1 at most doubling the sum.  The tail's degree and coefficients
-    depend on W, so W is raised from pb + 12 plus the bit length of
-    2 (heads e + other) until E fits in 2^(W - pb - 12).  mu_hat's descent
-    (_descent_plan) and the two-sided product's descending side
-    (spectrum._phi_plan) both take their plan from here.
-    """
+    from _moment_polynomial (see spectrum's _biinfinite_product).  So
+    E = 2 (heads e + other + E_d), the cosines' excess over 1 at most
+    doubling the sum; the tail's degree and coefficients depend on W, so W
+    is raised from pb + 12 plus the bit length of 2 (heads e + other)
+    until E fits in 2^(W - pb - 12)."""
     e = COS_FIXED_ERROR + 4 + 7 * X
     base = heads * e + other
     key = getattr(theta, "precision_bits", None)
