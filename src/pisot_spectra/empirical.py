@@ -20,11 +20,13 @@ multiplier rule, checks the index range, refuses the batch from its largest
 the progression t_n = r n, whose points are exact (the float r times the
 integer n, not their rounded product), exact zeros included (mu_hat_fast
 returns them as 0.0).
-The batch's derived error bound must stay within FAST_ERROR, far above the
-bound up to the indices' limit of 2^37 (about 1e-13 at |t| = 1e6..1e11 on
-the golden base).  No Pisot number lies below the plastic number, whose
-head is the longest, and its bound is at most 6.1e-13 up to t_max A = 2^100
-and inf past it, so a looser tolerance would admit no more batches.  A
+mu_hat_fast admits the batch only where its derived error bound is within
+FAST_ERROR, the bound every report and row carries, which lies far above
+that bound up to the indices' limit of 2^37 (about 1e-13 at |t| =
+1e6..1e11 on the golden base).  No
+Pisot number lies below the plastic number, whose head is the longest, and
+its bound is at most 6.1e-13 up to t_max A = 2^100 and inf past it, so a
+larger FAST_ERROR would admit no more Pisot batches.  A
 precise spot check of SPOT_CHECK_SIZE points then tests the batch against
 that derived bound, not against FAST_ERROR, so a fault in the float64
 kernel is caught once it exceeds the bound the batch claims.  Each
@@ -57,8 +59,8 @@ from .errors import PrecisionExhaustedError
 from .pisot import (PisotNumber, _as_field_element, _as_multiplier,
                     _theta_value, embed)
 from .transform import (FAST_BLOCK, FAST_ERROR, Progression, SeriesItem,
-                        _descent_plan, _fast_plan, _leading_factors_below,
-                        _mag_estimate, mu_hat, mu_hat_fast)
+                        _descent_plan, _leading_factors_below, _mag_estimate,
+                        fast_error_bound, mu_hat, mu_hat_fast)
 
 # size of the precise-mode subsample that checks each float64 batch
 SPOT_CHECK_SIZE = 32
@@ -157,7 +159,7 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
     r_val times the integer n, with no array of points.  mu_hat_fast plans
     it from its largest |t| and refuses it when its derived bound exceeds
     FAST_ERROR, before any array is built; the spot check takes that bound
-    from the same plan (transform._fast_plan) and tests the batch at
+    at the same largest |t| (fast_error_bound) and tests the batch at
     SPOT_CHECK_SIZE indices.  They are evenly spaced, and the
     endpoints, and so the largest |t|, are among them; an
     interior index whose value is 0.0 stands for its stride (the indices
@@ -206,10 +208,10 @@ def _sampled(P: PisotNumber, r, first: int, last: int, eta: float) -> tuple:
                          "starts below 0")
     ns = Progression(0.0, r_val, first, last + 1)
     floor = eta * FLOOR_SHARE
-    vals = mu_hat_fast(P, ns, tol=FAST_ERROR, floor=floor)
+    vals = mu_hat_fast(P, ns, floor=floor)
     if not ns.size:
         return r_val, vals
-    bound = _fast_plan(P, ns._t_max(ns.size))[1]
+    bound = fast_error_bound(P, ns._t_max(ns.size))
     idx = np.unique(np.linspace(0, ns.size - 1,
                                 SPOT_CHECK_SIZE).astype(np.int64))
     edges = (idx[:-1] + idx[1:] + 1) // 2
@@ -412,8 +414,7 @@ def estimate_J(theta, T: float = 1e4,
         raise PrecisionExhaustedError(
             f"grid step {grid_step:.6g} vanishes against T/2 = {T / 2:.6g}: "
             "(T/2 + grid_step) - T/2 rounds to 0")
-    vals = mu_hat_fast(theta, Progression(T / 2, step, 0, max(n, 0)),
-                       tol=FAST_ERROR)
+    vals = mu_hat_fast(theta, Progression(T / 2, step, 0, max(n, 0)))
     return _range_stats(vals)
 
 
@@ -550,7 +551,7 @@ def decay_check(theta, N: int) -> tuple:
     count = (N + 1).bit_length() - 1
     starts = [2 ** k - 1 for k in range(count)]
     vals = np.abs(mu_hat_fast(theta, Progression(0.0, 1.0, 1, 2 ** count),
-                              tol=FAST_ERROR, segments=starts))
+                              segments=starts))
     return tuple(BlockMaximum(k=k, start=2**k, stop=2 ** (k + 1),
                               value=float(v))
                  for k, v in enumerate(np.maximum.reduceat(vals, starts)))

@@ -32,8 +32,8 @@ angle addition from small tables of the cosines and sines of
 h _ROW b theta^-k + a theta^-k and j b theta^-k (_unit_tables), built once
 per call from fixed-point steps: no cosine per point.  Its error bound is
 derived a priori from theta, the batch's largest |t| and k_c (see
-fast_error_bound); a batch whose bound exceeds the caller's tolerance is
-refused, not evaluated.  A batch may be cut into segments, each planned
+fast_error_bound); a batch whose bound exceeds FAST_ERROR, the bound every
+float64 report and row carries, is refused, not evaluated.  A batch may be cut into segments, each planned
 and refused as a batch of its own.  An admitted batch runs in blocks of at
 most FAST_BLOCK points, each in block-sized scratch arrays, and the blocks
 of all its segments are shared over one pool of at most one thread per
@@ -84,13 +84,11 @@ _FLOOR_NUM, _FLOOR_DEN = FACTOR_FLOOR.as_integer_ratio()
 # second regime below 1500 bits (no square root for a discarded sine) and
 # keeps its bits, so the constant covers it too.
 COS_FIXED_ERROR = 128
-# error bound that float64 series and block maxima carry; a batch whose
-# derived bound exceeds it is refused (on the golden base the bound is
-# 8.5e-14 at |t| = 1e6 and 1.4e-13 at 1e11, so the head limit and the
-# indices' 2^37 refuse first)
+# error bound that float64 series and block maxima carry; mu_hat_fast
+# refuses a batch whose derived bound exceeds it (on the golden base the
+# bound is 8.5e-14 at |t| = 1e6 and 1.4e-13 at 1e11, so the head limit and
+# the indices' 2^37 refuse first)
 FAST_ERROR = 1e-9
-# default tolerance of mu_hat_fast: sampling reports resolve moduli to 1e-6
-FAST_TOL = 1e-6
 # unit roundoff of float64
 _U = 2.0 ** -53
 # absolute error of one float64 head factor (see mu_hat_fast): C c - S s
@@ -941,8 +939,8 @@ def _progression_tables(theta: Theta, ts: Progression, depth: int):
     return B, A, h0
 
 
-def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
-                segments=None, floor: float = 0.0) -> np.ndarray:
+def mu_hat_fast(theta: Theta, ts: Progression, segments=None,
+                floor: float = 0.0) -> np.ndarray:
     """Float64 transform values at the exact points t_i = a + b i of the
     Progression ts, fixed evaluation order.  Any other ts raises TypeError:
     mu_hat takes arbitrary points.
@@ -953,10 +951,11 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
     comes from its largest |t|, so all its entries share it.  Raises
     PrecisionExhaustedError, before any block or output is built, when a
     segment's head would be longer than _HEAD_LIMIT factors or its derived
-    error bound (fast_error_bound) exceeds tol: the plans are checked in
-    segment order, so the first segment refused raises, with the message a
-    call on it alone would give.  It raises so, too, once every plan is
-    admitted, when an index reaches 2^37.
+    error bound (fast_error_bound) exceeds FAST_ERROR, the bound every
+    float64 report and row carries: the plans are checked in segment
+    order, so the first segment refused raises, with the message a call on
+    it alone would give.  It raises so, too, once every plan is admitted,
+    when an index reaches 2^37.
 
     Every segment runs in blocks of at most FAST_BLOCK points, cut at the
     multiples of FAST_BLOCK in i.  The blocks of all segments, larger
@@ -1047,10 +1046,10 @@ def mu_hat_fast(theta: Theta, ts: Progression, tol: float = FAST_TOL,
                 f"float64 head at |t| <= {t_max:.6g} needs more than "
                 f"{_HEAD_LIMIT} factors"
             )
-        if not bound <= tol:
+        if not bound <= FAST_ERROR:
             raise PrecisionExhaustedError(
                 f"float64 error bound {bound:.3e} at |t| <= {t_max:.6g} "
-                f"exceeds the tolerance {tol:.3e}"
+                f"exceeds the tolerance {FAST_ERROR:.3e}"
             )
         plans.append((a, b, kc))
     if plans and ts.stop > _INDEX_LIMIT:

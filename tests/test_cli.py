@@ -568,8 +568,8 @@ def test_float64_commands_run_past_the_old_range():
     assert code == 0
     last = json.loads(out)["blocks"][-1]
     assert (last["start"], last["stop"]) == (2**17, 2**18)
-    vals = transform.mu_hat_fast(P, transform.Progression(0, 1, 2**17, 2**18),
-                                 tol=transform.FAST_ERROR)
+    vals = transform.mu_hat_fast(P,
+                                 transform.Progression(0, 1, 2**17, 2**18))
     n = 2**17 + int(abs(vals).argmax())
     ref = transform.mu_hat(P, n, tol=1e-30, precision_bits=128)
     assert float(last["value"]) == abs(vals).max()

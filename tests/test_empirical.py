@@ -28,7 +28,7 @@ from pisot_spectra import (
     sample_and_cluster,
     translated_sample,
 )
-from pisot_spectra import empirical
+from pisot_spectra import empirical, transform
 from pisot_spectra.pisot import _theta_value
 from pisot_spectra.transform import (_descent_error, _fixed_abs, _head,
                                      _mag_estimate)
@@ -283,7 +283,7 @@ def test_limit_range_past_the_old_range_within_its_bound():
     top = Progression(T / 2, step, n - 2**16, n)
     bound = fast_error_bound(GOLDEN, top._t_max(top.size))
     assert 2.6e5 < top._t_max(top.size) and bound < empirical.FAST_ERROR
-    vals = mu_hat_fast(GOLDEN, top, tol=empirical.FAST_ERROR)
+    vals = mu_hat_fast(GOLDEN, top)
     for p in (0, 12345, 2**16 - 1):
         t = Fraction(T / 2) + Fraction(step) * (top.start + p)
         ref = mu_hat(GOLDEN, t, tol=1e-30, precision_bits=128)
@@ -512,7 +512,7 @@ def _decay_blockwise(theta, N):
     k = 0
     while 2 ** (k + 1) - 1 <= N:
         ns = Progression(0.0, 1.0, 2**k, 2 ** (k + 1))
-        vals = np.abs(mu_hat_fast(theta, ns, tol=empirical.FAST_ERROR))
+        vals = np.abs(mu_hat_fast(theta, ns))
         blocks.append((k, 2**k, 2 ** (k + 1), float(np.max(vals))))
         k += 1
     return blocks
@@ -530,9 +530,9 @@ def test_decay_equals_one_batch_per_block(theta, N):
 
 
 def _refuse_from_block_12(monkeypatch, theta):
-    # decay's tolerance set to the bound at |t| = 2^12: blocks k <= 11
-    # (|t| < 2^12) are admitted, and block 12 is refused
-    monkeypatch.setattr(empirical, "FAST_ERROR",
+    # mu_hat_fast's FAST_ERROR set to the bound at |t| = 2^12: blocks
+    # k <= 11 (|t| < 2^12) are admitted, and block 12 is refused
+    monkeypatch.setattr(transform, "FAST_ERROR",
                         fast_error_bound(theta, 2**12))
 
 
@@ -645,8 +645,8 @@ def test_sampled_batch_takes_its_bound_from_its_plan(monkeypatch):
     real = empirical.mu_hat_fast
     for share in (0.5, 2.0):
         monkeypatch.setattr(empirical, "mu_hat_fast",
-                            lambda theta, ts, tol, share=share, **kw:
-                            real(theta, ts, tol=tol, **kw) + share * bound)
+                            lambda theta, ts, share=share, **kw:
+                            real(theta, ts, **kw) + share * bound)
         if share < 1:
             empirical._sampled(GOLDEN, 1.0, 1, 10**4, 0.0)
         else:
@@ -706,8 +706,7 @@ def test_float64_rows_zero_exact_zeros_and_are_spot_checked(monkeypatch):
     # the rows share the reports' spot check
     real = empirical.mu_hat_fast
     monkeypatch.setattr(empirical, "mu_hat_fast",
-                        lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,
-                                                          **kw) + 1e-7)
+                        lambda theta, ts, **kw: real(theta, ts, **kw) + 1e-7)
     with pytest.raises(PrecisionExhaustedError, match="spot check"):
         empirical._rows(GOLDEN, 1, 1, 50)
 
@@ -716,14 +715,13 @@ def test_spot_check_catches_a_faulty_kernel(monkeypatch):
     # a kernel off by 1e-5, far past the derived bound, is caught
     real = empirical.mu_hat_fast
     monkeypatch.setattr(empirical, "mu_hat_fast",
-                        lambda theta, ts, tol, **kw: real(theta, ts, tol=tol,
-                                                          **kw) + 1e-5)
+                        lambda theta, ts, **kw: real(theta, ts, **kw) + 1e-5)
     with pytest.raises(PrecisionExhaustedError):
         empirical._sampled(GOLDEN, 1.0, 5000, 10000, 1e-5)
 
-    def off_at_largest_t(theta, ts, tol, **kw):
+    def off_at_largest_t(theta, ts, **kw):
         # the batch is a progression, whose last point has the largest t
-        vals = real(theta, ts, tol=tol, **kw)
+        vals = real(theta, ts, **kw)
         vals[ts.size - 1] += 1e-5
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
@@ -799,9 +797,9 @@ def test_spot_check_catches_a_value_dropped_above_the_floor(monkeypatch,
     eta = value / 2 if above == "far" else value - 4 * bound
     assert eta * empirical.FLOOR_SHARE + 2 * bound < value
 
-    def drops_one(theta, ts, tol, **kw):
+    def drops_one(theta, ts, **kw):
         assert kw["floor"] == eta * empirical.FLOOR_SHARE
-        out = real(theta, ts, tol=tol, **kw)
+        out = real(theta, ts, **kw)
         out[i] = 0.0
         return out
     empirical._sampled(GOLDEN, 1.0, 5000, 10000, eta)
@@ -819,8 +817,8 @@ def test_spot_check_catches_a_fault_in_the_kept_values_only(monkeypatch):
     fault = 10 * fast_error_bound(GOLDEN, 1e6)
     seen = {}
 
-    def moves_kept(theta, ts, tol, **kw):
-        vals = real(theta, ts, tol=tol, **kw)
+    def moves_kept(theta, ts, **kw):
+        vals = real(theta, ts, **kw)
         kept = vals != 0
         seen["kept"] = np.count_nonzero(kept)
         vals[kept] += np.copysign(fault, vals[kept])
@@ -855,9 +853,9 @@ def test_spot_check_catches_a_fault_ten_times_the_derived_bound(monkeypatch,
     fault = 10 * fast_error_bound(GOLDEN, float(N))
     assert fault < 1e-7
 
-    def off_at_largest_t(theta, ts, tol, **kw):
+    def off_at_largest_t(theta, ts, **kw):
         # the batch is a progression, whose last point has the largest t
-        vals = real(theta, ts, tol=tol, **kw)
+        vals = real(theta, ts, **kw)
         vals[ts.size - 1] += fault
         return vals
     monkeypatch.setattr(empirical, "mu_hat_fast", off_at_largest_t)
@@ -935,8 +933,8 @@ def test_leading_factors_leave_the_verdicts_unchanged(monkeypatch, P, r, lo,
                   ((value - bound / 2) / empirical.FLOOR_SHARE, zeroed,
                    False)]
     for eta_c, fault, refused in cases:
-        def faulty(theta, ts, tol, **kw):
-            out = real(theta, ts, tol=tol, **kw)
+        def faulty(theta, ts, **kw):
+            out = real(theta, ts, **kw)
             if fault is not None:
                 fault(out)
             return out

@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import (COS_SIN_CACHE_PREC, EXP_SERIES_U_CUTOFF,
                                     cos_sin_fixed, pi_fixed)
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from pisot_spectra import (
 from pisot_spectra import cli, empirical, spectrum, transform
 from pisot_spectra.pisot import GUARD_BITS, PisotNumber, _theta_value, _to_mpf
 from pisot_spectra.transform import (COS_FIXED_ERROR, FAST_BLOCK, FAST_ERROR,
-                                     FAST_TOL, FACTOR_FLOOR, TAIL_DEGREE,
+                                     FACTOR_FLOOR, TAIL_DEGREE,
                                      TAIL_REACH, _TAIL_ERROR, _U,
                                      _cos_fixed, _depth, _descent_plan,
                                      _float_depth,
@@ -516,11 +517,11 @@ def test_mu_hat_fast_matches_precise():
 def test_mu_hat_fast_within_derived_bound_or_refused(P, log_a, log_b, start,
                                                      size):
     # up to four points a + b i from an index below 2^38: refused when an
-    # index reaches 2^37 or the bound exceeds FAST_TOL
+    # index reaches 2^37 or the bound exceeds FAST_ERROR
     ts = transform.Progression(10.0 ** log_a, 10.0 ** log_b, start,
                                start + size)
     bound = fast_error_bound(P, ts._t_max(size))
-    if bound > FAST_TOL or ts.stop > 2 ** 37:
+    if bound > FAST_ERROR or ts.stop > 2 ** 37:
         with pytest.raises(PrecisionExhaustedError):
             mu_hat_fast(P, ts)
         return
@@ -530,14 +531,18 @@ def test_mu_hat_fast_within_derived_bound_or_refused(P, log_a, log_b, start,
         assert abs(float(precise.value) - v) <= bound + precise.error_bound
 
 
-def test_mu_hat_fast_refuses_exactly_past_its_tolerance():
+def test_mu_hat_fast_refuses_exactly_past_its_tolerance(monkeypatch):
+    # FAST_ERROR, read at each call, is the tolerance every batch meets
     ts = transform.Progression(0.0, 1.0, 1, 4001)
     bound = fast_error_bound(GOLDEN, 4000)
     assert 1e-14 < bound < 1e-13
-    assert np.array_equal(mu_hat_fast(GOLDEN, ts, tol=bound),
-                          mu_hat_fast(GOLDEN, ts))
+    admitted = mu_hat_fast(GOLDEN, ts)
+    monkeypatch.setattr(transform, "FAST_ERROR", bound)
+    assert np.array_equal(mu_hat_fast(GOLDEN, ts), admitted)
+    monkeypatch.setattr(transform, "FAST_ERROR", bound * (1 - 1e-6))
     with pytest.raises(PrecisionExhaustedError):
-        mu_hat_fast(GOLDEN, ts, tol=bound * (1 - 1e-6))
+        mu_hat_fast(GOLDEN, ts)
+    monkeypatch.undo()
     # the largest t, 2e308, passes the float range
     with pytest.raises(PrecisionExhaustedError, match="bound inf at"):
         mu_hat_fast(GOLDEN, transform.Progression(0.0, 1e308, 0, 3))
@@ -550,26 +555,36 @@ def test_mu_hat_fast_takes_a_progression_only():
             mu_hat_fast(GOLDEN, ts)
 
 
+def test_mu_hat_fast_takes_no_tolerance():
+    # every batch is admitted against FAST_ERROR, the bound its reports and
+    # rows carry, so no caller can pass a looser one
+    ts = transform.Progression(0.0, 1.0, 1, 5)
+    for tol in (FAST_ERROR, 1e-6, math.inf):
+        with pytest.raises(TypeError, match="tol"):
+            mu_hat_fast(GOLDEN, ts, tol=tol)
+
+
 def test_head_past_its_limit_refused(monkeypatch):
     # 1 + 2^-40 needs about 3e13 head factors at |t| = 1: the plan stops
-    # after _HEAD_LIMIT divisions, and even tol = inf refuses the batch.
-    # The alarm fails a plan that goes on dividing.
+    # after _HEAD_LIMIT divisions, and even FAST_ERROR = inf refuses the
+    # batch.  The alarm fails a plan that goes on dividing.
     def expired(*_):
         raise TimeoutError("the plan did not stop at its head limit")
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(30)
     try:
         assert fast_error_bound(1 + 2.0 ** -40, 1.0) == math.inf
-        with pytest.raises(PrecisionExhaustedError, match="head"):
-            mu_hat_fast(1 + 2.0 ** -40, transform.Progression(1.0, 1.0, 0, 1),
-                        tol=math.inf)
+        with monkeypatch.context() as m, pytest.raises(
+                PrecisionExhaustedError, match="head"):
+            m.setattr(transform, "FAST_ERROR", math.inf)
+            mu_hat_fast(1 + 2.0 ** -40, transform.Progression(1.0, 1.0, 0, 1))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     # a head of exactly the limit is planned, one factor more is not
     kc = transform._fast_plan(GOLDEN, 1e6)[0]
     monkeypatch.setattr(transform, "_HEAD_LIMIT", kc)
-    assert fast_error_bound(GOLDEN, 1e6) < FAST_TOL
+    assert fast_error_bound(GOLDEN, 1e6) < FAST_ERROR
     monkeypatch.setattr(transform, "_HEAD_LIMIT", kc - 1)
     assert fast_error_bound(GOLDEN, 1e6) == math.inf
     with pytest.raises(PrecisionExhaustedError, match="head"):
@@ -659,8 +674,9 @@ def test_mu_hat_fast_leaves_no_thread_behind(monkeypatch):
     assert pools == [4] and threading.active_count() == before
 
     # a refused batch raises before it opens a pool
-    with pytest.raises(PrecisionExhaustedError):
-        mu_hat_fast(GOLDEN, ts, tol=1e-15)
+    with monkeypatch.context() as m, pytest.raises(PrecisionExhaustedError):
+        m.setattr(transform, "FAST_ERROR", 1e-15)
+        mu_hat_fast(GOLDEN, ts)
     assert pools == [4] and threading.active_count() == before
 
     # a fault inside the workers reaches the caller after they are joined:
@@ -752,7 +768,7 @@ def test_segments_of_an_empty_batch_or_out_of_range():
 def test_a_refused_segment_raises_before_any_pool_opens(monkeypatch,
                                                         refused):
     # five segments whose largest t are 10, 1e2, 1e3, 1e4 and 5e4: a
-    # tolerance just below the bound of the first segment refused refuses
+    # FAST_ERROR just below the bound of the first segment refused refuses
     # it and every later one, and a call on it alone gives the message
     ts = transform.Progression(0.0, 1.0, 1, 50001)
     cuts = [0, 10, 100, 1000, 10000, ts.size]
@@ -760,12 +776,13 @@ def test_a_refused_segment_raises_before_any_pool_opens(monkeypatch,
     tol = fast_error_bound(GOLDEN, cuts[first + 1]) * (1 - 1e-6)
     bounds = [fast_error_bound(GOLDEN, b) for b in cuts[1:]]
     assert [i for i, b in enumerate(bounds) if b > tol] == refused
+    monkeypatch.setattr(transform, "FAST_ERROR", tol)
     with pytest.raises(PrecisionExhaustedError) as alone:
-        mu_hat_fast(GOLDEN, _piece(ts, cuts[first], cuts[first + 1]), tol=tol)
+        mu_hat_fast(GOLDEN, _piece(ts, cuts[first], cuts[first + 1]))
     pools = _record_pools(monkeypatch)
     before = threading.active_count()
     with pytest.raises(PrecisionExhaustedError) as segmented:
-        mu_hat_fast(GOLDEN, ts, tol=tol, segments=cuts[:-1])
+        mu_hat_fast(GOLDEN, ts, segments=cuts[:-1])
     assert str(segmented.value) == str(alone.value)
     assert pools == [] and threading.active_count() == before
 
@@ -922,29 +939,39 @@ def test_progression_bits_do_not_depend_on_workers_or_range(monkeypatch,
 def test_progression_tables_within_their_error(theta):
     # every table value within 9u of its modulus, plus terms of order u^2,
     # of the cosine or sine of the exact angle: 2 pi j b theta^-k, and
-    # 2 pi (h ROW b theta^-k + a theta^-k), from theta at 200 bits
+    # 2 pi (h ROW b theta^-k + a theta^-k), from theta at 200 bits.  The
+    # test runs in integers: each angle in units of 2^-200 turns, each
+    # mp.cos_sin at 160 bits in units of 2^-160, as is each table value,
+    # exactly, so |got - want| <= 9u |want| + 2^-95 reads
+    # 2^53 |G - W| <= 9 |W| + 2^118
     ts = transform.Progression(0.3, 1.37, 10**5, 10**5 + 2 * FAST_BLOCK + 9)
     depth = transform._fast_plan(theta, ts._t_max(ts.size))[0]
     c, s, C, S, h0 = _unpacked_tables(theta, ts, depth)
     assert c.shape == s.shape == (depth, ROW)
     assert C.shape == S.shape == (depth, (ts.stop - 1) // ROW - h0 + 1)
+    bits = 200
+    with mp.workprec(bits):
+        th = _theta_value(theta, bits)
+        steps = [[int(mp.nint(mp.ldexp(mp.mpf(x) / th ** k, bits)))
+                  for x in (ts.b, ts.a)] for k in range(depth)]
+        two_pi = int(mp.nint(mp.ldexp(2 * mp.pi, bits)))
 
     def check(table_cos, table_sin, turns):
         with mp.workprec(160):
-            two_pi = 2 * mp.pi
             for got_c, got_s, r in zip(table_cos.tolist(), table_sin.tolist(),
                                        turns):
-                # one call for both, with mp.cos's and mp.sin's values
-                want_c, want_s = mp.cos_sin(two_pi * (r - mp.nint(r)))
-                for got, want in ((got_c, want_c), (got_s, want_s)):
-                    assert abs(got - want) <= 9 * _U * abs(want) + 2.0 ** -95
-    with mp.workprec(200):
-        th = _theta_value(theta, 200)
-        for k in range(depth):
-            q, off = mp.mpf(ts.b) / th ** k, mp.mpf(ts.a) / th ** k
-            check(c[k], s[k], [j * q for j in range(ROW)])
-            check(C[k], S[k], [(h0 + h) * ROW * q + off
-                               for h in range(C.shape[1])])
+                # r - nint(r), then one call for both, with mp.cos's and
+                # mp.sin's values
+                r -= (r + (1 << (bits - 1))) >> bits << bits
+                want = mp.cos_sin(mp.mpf((r * two_pi, -2 * bits)))
+                for got, w in zip((got_c, got_s), want):
+                    n, d = got.as_integer_ratio()
+                    G, W = (n << 160) // d, to_fixed(w._mpf_, 160)
+                    assert abs(G - W) << 53 <= 9 * abs(W) + (1 << 118)
+    for k, (q, off) in enumerate(steps):
+        check(c[k], s[k], [j * q for j in range(ROW)])
+        check(C[k], S[k], [(h0 + h) * ROW * q + off
+                           for h in range(C.shape[1])])
 
 
 def test_progression_takes_no_cosine_per_point(monkeypatch):
@@ -967,7 +994,7 @@ def test_progression_takes_no_cosine_per_point(monkeypatch):
     assert 80 * 2 * kc * (ROW + rows) < kc * ts.size
 
 
-def test_progression_points_must_be_a_nonnegative_rising_range():
+def test_progression_points_must_be_a_nonnegative_rising_range(monkeypatch):
     P = transform.Progression
     ts = P(1, 2, 3, 10)
     assert (ts.a, ts.b, ts.size) == (1.0, 2.0, 7) and isinstance(ts.a, float)
@@ -980,8 +1007,10 @@ def test_progression_points_must_be_a_nonnegative_rising_range():
     # indices past 2^37 are refused after the plan, which refuses first
     with pytest.raises(PrecisionExhaustedError, match="2\\^37"):
         mu_hat_fast(GOLDEN, P(0.0, 1.0, 2 ** 37 - 2, 2 ** 37 + 1))
-    with pytest.raises(PrecisionExhaustedError, match="error bound"):
-        mu_hat_fast(GOLDEN, P(0.0, 1.0, 2 ** 37 - 2, 2 ** 37 + 1), tol=1e-14)
+    with monkeypatch.context() as m, pytest.raises(PrecisionExhaustedError,
+                                                   match="error bound"):
+        m.setattr(transform, "FAST_ERROR", 1e-14)
+        mu_hat_fast(GOLDEN, P(0.0, 1.0, 2 ** 37 - 2, 2 ** 37 + 1))
 
 
 @pytest.mark.parametrize("theta, ts, error, message", [
@@ -1649,9 +1678,9 @@ def test_exact_zeros_are_the_precise_paths_zero_brackets(d):
 
 
 def test_float64_series_refused_past_fast_error(monkeypatch):
-    # the rows' tolerance, _sampled's FAST_ERROR, set below the bound at
+    # the rows' tolerance, mu_hat_fast's FAST_ERROR, set below the bound at
     # |t| = 2e6
-    monkeypatch.setattr(empirical, "FAST_ERROR", 1e-14)
+    monkeypatch.setattr(transform, "FAST_ERROR", 1e-14)
     with pytest.raises(PrecisionExhaustedError, match="exceeds the tolerance"):
         empirical._rows(GOLDEN, 10**6, 1, 2)
 
