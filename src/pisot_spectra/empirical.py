@@ -22,12 +22,11 @@ integer n, not their rounded product), exact zeros included (mu_hat_fast
 returns them as 0.0).
 mu_hat_fast admits the batch only where its derived error bound is within
 FAST_ERROR, the bound every report and row carries, which lies far above
-that bound up to the indices' limit of 2^37 (about 1e-13 at |t| =
-1e6..1e11 on the golden base).  No
-Pisot number lies below the plastic number, whose head is the longest, and
-its bound is at most 6.1e-13 up to t_max A = 2^100 and inf past it, so a
-larger FAST_ERROR would admit no more Pisot batches.  A
-precise spot check of SPOT_CHECK_SIZE points then tests the batch against
+that bound up to the indices' limit of 2^37 (about 1e-13 at |t| = 1e6..1e11
+on the golden base).  No Pisot number lies below the plastic number, whose
+head is the longest, and its bound is at most 6.1e-13 up to t_max A = 2^100
+and inf past it, so a larger FAST_ERROR would admit no more Pisot batches.
+A precise spot check of SPOT_CHECK_SIZE points then tests the batch against
 that derived bound, not against FAST_ERROR, so a fault in the float64
 kernel is caught once it exceeds the bound the batch claims.  Each
 reference is a 64-bit certified value at the same exact t, within 2^-74:

@@ -33,15 +33,16 @@ h _ROW b theta^-k + a theta^-k and j b theta^-k (_unit_tables), built once
 per call from fixed-point steps: no cosine per point.  Its error bound is
 derived a priori from theta, the batch's largest |t| and k_c (see
 fast_error_bound); a batch whose bound exceeds FAST_ERROR, the bound every
-float64 report and row carries, is refused, not evaluated.  A batch may be cut into segments, each planned
-and refused as a batch of its own.  An admitted batch runs in blocks of at
-most FAST_BLOCK points, each in block-sized scratch arrays, and the blocks
-of all its segments are shared over one pool of at most one thread per
-core this process may run on (numpy's ufuncs release the GIL); every value
-bit is that of the plain expression.  Given a retention floor, a value of
-modulus below it comes back as +0.0, as does a value where the product
-vanishes at the exact t_i (_zero_classes: residue classes of i, from the
-integers of a and b).  Arbitrary points are mu_hat's.
+float64 report and row carries, is refused, not evaluated.  A batch may be
+cut into segments, each planned and refused as a batch of its own.  An
+admitted batch runs in blocks of at most FAST_BLOCK points, each in
+block-sized scratch arrays, and the blocks of all its segments are shared
+over one pool of at most one thread per core this process may run on
+(numpy's ufuncs release the GIL); every value bit is that of the plain
+expression.  Given a retention floor, a value of modulus below it comes
+back as +0.0, as does a value where the product vanishes at the exact t_i
+(_zero_classes: residue classes of i, from the integers of a and b).
+Arbitrary points are mu_hat's.
 numpy is imported inside the float64 functions only, so the precise
 commands start without it.
 
